@@ -23,7 +23,7 @@ mod suggestion;
 
 pub use pipeline::{TrainPhase, Wisdom, WisdomConfig};
 pub use service::CompletionRequest;
-pub use suggestion::Suggestion;
+pub use suggestion::{truncate_first_task, Suggestion};
 pub use wisdom_model::{
     BatchConfig, BatchScheduler, BatchTelemetry, Constraint, DecodeRequest, DraftKind,
     GrammarIndex, GrammarStats, GrammarTelemetry, Pending, PoolStats, Precision, PrefixCacheStats,

@@ -99,10 +99,11 @@ pub struct Wisdom {
     config: WisdomConfig,
     tokenizer: Arc<BpeTokenizer>,
     model: TransformerLm,
-    /// Compiled grammar indices, one slot per non-`None` [`Constraint`],
-    /// built against the tokenizer on first use and shared by every request
-    /// decoding under that constraint.
-    grammars: [OnceLock<Arc<GrammarIndex>>; 2],
+    /// Compiled grammar indices, built against the tokenizer on first use
+    /// and shared by every request decoding under that constraint: per
+    /// non-`None` [`Constraint`], the unscoped index then the
+    /// completion-scoped one.
+    grammars: [OnceLock<Arc<GrammarIndex>>; 4],
 }
 
 impl Wisdom {
@@ -192,7 +193,7 @@ impl Wisdom {
             config: *config,
             tokenizer,
             model,
-            grammars: [OnceLock::new(), OnceLock::new()],
+            grammars: Default::default(),
         }
     }
 
@@ -206,23 +207,53 @@ impl Wisdom {
             config,
             tokenizer,
             model,
-            grammars: [OnceLock::new(), OnceLock::new()],
+            grammars: Default::default(),
         }
     }
 
     /// The compiled grammar for `constraint`, built against this
     /// assistant's tokenizer on first use and cached for every later
     /// request. `None` for [`Constraint::None`].
+    ///
+    /// The index is *completion-scoped* ([`GrammarIndex::build_scoped`]): a
+    /// decode under it ends at the pick that would start the task after the
+    /// one the prompt's `- name:` line opened — exactly where
+    /// [`Suggestion::from_raw`] stops keeping text — so the suggestion is
+    /// the one a full-budget decode yields, without the discarded tokens.
     pub fn grammar_for(&self, constraint: Constraint) -> Option<Arc<GrammarIndex>> {
-        let slot = match constraint {
+        self.grammar(constraint, true)
+    }
+
+    fn grammar(&self, constraint: Constraint, scoped: bool) -> Option<Arc<GrammarIndex>> {
+        let kind = match constraint {
             Constraint::None => return None,
-            Constraint::Yaml => &self.grammars[0],
-            Constraint::Ansible => &self.grammars[1],
+            Constraint::Yaml => 0,
+            Constraint::Ansible => 1,
         };
+        let build = if scoped {
+            GrammarIndex::build_scoped
+        } else {
+            GrammarIndex::build
+        };
+        let slot = &self.grammars[2 * kind + usize::from(scoped)];
         Some(Arc::clone(slot.get_or_init(|| {
-            GrammarIndex::build(&self.tokenizer, constraint)
-                .expect("non-None constraints always compile")
+            build(&self.tokenizer, constraint).expect("non-None constraints always compile")
         })))
+    }
+
+    /// The grammar `request` decodes under. A cursor reads its scope column
+    /// off the prompt's last line, and truncation uses
+    /// [`CompletionRequest::name_indent`]; the two are the same line only
+    /// while the intent is one line, so an intent with a line break of its
+    /// own (nothing an editor sends, but anything may arrive over HTTP)
+    /// decodes under the unscoped index and is truncated afterwards, as
+    /// every request used to be.
+    fn request_grammar(
+        &self,
+        request: &CompletionRequest,
+        constraint: Constraint,
+    ) -> Option<Arc<GrammarIndex>> {
+        self.grammar(constraint, !request.prompt.trim().contains('\n'))
     }
 
     /// The pipeline configuration.
@@ -271,7 +302,7 @@ impl Wisdom {
     ) -> Suggestion {
         let ids = self.tokenizer.encode(&request.prompt_text());
         let stops = [self.tokenizer.eot(), self.tokenizer.sep()];
-        let grammar = self.grammar_for(constraint);
+        let grammar = self.request_grammar(request, constraint);
         let out = self.model.generate_constrained(
             &ids,
             &stops,
@@ -411,7 +442,7 @@ impl Wisdom {
             prompt: self.tokenizer.encode(&request.prompt_text()),
             stops: vec![self.tokenizer.eot(), self.tokenizer.sep()],
             opts: self.generation_options(),
-            grammar: self.grammar_for(constraint),
+            grammar: self.request_grammar(request, constraint),
         }
     }
 
@@ -507,7 +538,7 @@ impl Wisdom {
             config,
             tokenizer,
             model,
-            grammars: [OnceLock::new(), OnceLock::new()],
+            grammars: Default::default(),
         })
     }
 }

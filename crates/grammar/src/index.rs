@@ -9,6 +9,7 @@ use std::sync::{Arc, Mutex};
 use wisdom_tokenizer::BpeTokenizer;
 
 use crate::constraint::Constraint;
+use crate::scope::TaskScope;
 use crate::state::{ConstraintState, Machine, Mode};
 use crate::tables::Tables;
 
@@ -49,6 +50,9 @@ pub struct GrammarStats {
 /// state → mask cache. Shared (`Arc`) across all sequences of a model.
 pub struct GrammarIndex {
     constraint: Constraint,
+    /// Whether cursors stop at the end of the item the prompt opened
+    /// ([`GrammarIndex::build_scoped`]).
+    scoped: bool,
     mode: Mode,
     tables: Tables,
     /// Byte content per token id (empty for the specials).
@@ -69,6 +73,7 @@ impl std::fmt::Debug for GrammarIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GrammarIndex")
             .field("constraint", &self.constraint)
+            .field("scoped", &self.scoped)
             .field("vocab_size", &self.vocab_size)
             .finish()
     }
@@ -82,7 +87,34 @@ fn plausible(b: u8) -> bool {
 impl GrammarIndex {
     /// Builds the index for `constraint`, classifying the whole vocabulary.
     /// Returns `None` for [`Constraint::None`].
+    ///
+    /// Cursors of this index describe the rest of the *document*: decoding
+    /// runs until a stop token, end-of-sequence or the budget. That is what
+    /// the evaluation harness wants (NL→PB output is scored whole) and the
+    /// oracle [`Self::build_scoped`] is tested against.
     pub fn build(tokenizer: &BpeTokenizer, constraint: Constraint) -> Option<Arc<GrammarIndex>> {
+        Self::compile(tokenizer, constraint, false)
+    }
+
+    /// [`Self::build`] for serving completions: *completion-scoped*. The
+    /// masks are the same, but each [`GrammarCursor`] also remembers the
+    /// column of the `- name:` item its prompt left open and reports the
+    /// pick that would start a line at or left of that column
+    /// ([`GrammarCursor::closes`]) — the line where first-task truncation
+    /// stops keeping text — so decode loops end the sequence there instead
+    /// of generating what will be discarded.
+    pub fn build_scoped(
+        tokenizer: &BpeTokenizer,
+        constraint: Constraint,
+    ) -> Option<Arc<GrammarIndex>> {
+        Self::compile(tokenizer, constraint, true)
+    }
+
+    fn compile(
+        tokenizer: &BpeTokenizer,
+        constraint: Constraint,
+        scoped: bool,
+    ) -> Option<Arc<GrammarIndex>> {
         let mode = match constraint {
             Constraint::None => return None,
             Constraint::Yaml => Mode::Yaml,
@@ -100,6 +132,7 @@ impl GrammarIndex {
         }
         Some(Arc::new(GrammarIndex {
             constraint,
+            scoped,
             mode,
             tables: Tables::build(),
             token_bytes,
@@ -116,6 +149,11 @@ impl GrammarIndex {
 
     pub fn constraint(&self) -> Constraint {
         self.constraint
+    }
+
+    /// Whether this index was built completion-scoped.
+    pub fn is_scoped(&self) -> bool {
+        self.scoped
     }
 
     pub fn vocab_size(&self) -> usize {
@@ -141,23 +179,23 @@ impl GrammarIndex {
         Machine::new(&self.tables)
     }
 
-    /// Derives the grammar start state from a prompt's token ids: only the
-    /// bytes after the last special token anchor the automaton.
-    fn start_state(&self, prompt_ids: &[u32]) -> ConstraintState {
+    /// Byte content of `token` (empty for specials and out-of-range ids).
+    fn bytes_of(&self, token: u32) -> &[u8] {
+        self.token_bytes.get(token as usize).map_or(&[], |b| &b[..])
+    }
+
+    /// The bytes of a prompt that anchor a cursor: everything after the
+    /// last special token.
+    fn prompt_tail(&self, prompt_ids: &[u32]) -> Vec<u8> {
         let mut tail: Vec<u8> = Vec::new();
         for &id in prompt_ids {
-            let bytes = self
-                .token_bytes
-                .get(id as usize)
-                .map(|b| &b[..])
-                .unwrap_or(&[]);
             if id < 3 {
                 tail.clear(); // special token: restart the document
             } else {
-                tail.extend_from_slice(bytes);
+                tail.extend_from_slice(self.bytes_of(id));
             }
         }
-        self.machine().start_state(self.mode, &tail)
+        tail
     }
 
     /// Simulates one token's bytes from `state`; `None` if any byte is
@@ -301,6 +339,11 @@ impl MaskOutcome {
 /// is unparseable, the token budget cannot fit a legal close, or an
 /// externally chosen token is illegal, the cursor flips to *bypass* and all
 /// further calls are no-ops.
+///
+/// A cursor of a completion-scoped index ([`GrammarIndex::build_scoped`])
+/// additionally tracks where the task the prompt opened ends: see
+/// [`Self::closes`]. That tracking reads bytes only, so it keeps running in
+/// bypass — first-task truncation applies to unconstrained text too.
 #[derive(Clone)]
 pub struct GrammarCursor {
     index: Arc<GrammarIndex>,
@@ -308,6 +351,12 @@ pub struct GrammarCursor {
     remaining: u32,
     bypass: bool,
     done: bool,
+    /// First-task boundary scanner; `None` for unscoped indices and for
+    /// prompts that do not end on a `- name:` line.
+    scope: Option<TaskScope>,
+    /// The scope closed inside a token that was advanced past (one that
+    /// straddles a newline): the sequence ends at the next pick.
+    closed: bool,
 }
 
 impl std::fmt::Debug for GrammarCursor {
@@ -316,6 +365,8 @@ impl std::fmt::Debug for GrammarCursor {
             .field("remaining", &self.remaining)
             .field("bypass", &self.bypass)
             .field("done", &self.done)
+            .field("scope", &self.scope)
+            .field("closed", &self.closed)
             .finish()
     }
 }
@@ -325,19 +376,46 @@ impl GrammarCursor {
     /// budget. When even the canonical close cannot fit, the cursor starts
     /// in bypass mode rather than producing an empty mask later.
     pub fn new(index: Arc<GrammarIndex>, prompt_ids: &[u32], max_new: usize) -> GrammarCursor {
-        let state = index.start_state(prompt_ids);
+        let tail = index.prompt_tail(prompt_ids);
+        let state = index.machine().start_state(index.mode, &tail);
         let est = index.machine().close_len(&state, None);
         let bypass = match est {
             Some(est) => (est as usize) + 1 > max_new,
             None => true,
         };
+        let scope = index.scoped.then(|| TaskScope::of_prompt(&tail)).flatten();
         GrammarCursor {
             index,
             state,
             remaining: max_new.min(u32::MAX as usize) as u32,
             bypass,
             done: false,
+            scope,
+            closed: false,
         }
+    }
+
+    /// Whether picking `token` next would close the completion: its first
+    /// non-space byte lands at or left of the column of the `- name:` item
+    /// the prompt opened, on a line nothing else has been written to. Decode
+    /// loops treat such a pick like a stop token — chosen, never emitted, no
+    /// forward pass spent on it. The rule is the one first-task truncation
+    /// applies to the finished text, so the suggestion built from the
+    /// shorter output is the same. Always `false` for unscoped cursors.
+    ///
+    /// A token that reaches the closing byte only *after* a newline of its
+    /// own still carries text of a kept line: it does not close here, is
+    /// emitted, and every pick after it closes.
+    pub fn closes(&self, token: u32) -> bool {
+        let Some(mut scan) = self.scope else {
+            return false;
+        };
+        if self.closed {
+            return true;
+        }
+        let bytes = self.index.bytes_of(token);
+        scan.feed(bytes)
+            .is_some_and(|at| !bytes[..at].contains(&b'\n'))
     }
 
     /// Whether the cursor is still constraining picks.
@@ -405,6 +483,9 @@ impl GrammarCursor {
     /// when the token is illegal — callers treat that as "constraint off",
     /// never as an error.
     pub fn advance(&mut self, token: u32) -> bool {
+        if let Some(scan) = &mut self.scope {
+            self.closed |= scan.feed(self.index.bytes_of(token)).is_some();
+        }
         if self.bypass || self.done {
             return true;
         }
@@ -417,18 +498,16 @@ impl GrammarCursor {
             return false;
         }
         let m = self.index.machine();
-        let bytes = match self.index.token_bytes.get(token as usize) {
-            Some(b) if !b.is_empty() => b.clone(),
-            _ => {
-                self.bypass = true;
-                return false;
-            }
-        };
+        let bytes = self.index.bytes_of(token);
+        if bytes.is_empty() {
+            self.bypass = true;
+            return false;
+        }
         // Mirror the mask's budget filter: a token that is grammar-legal but
         // leaves no room to close (possible for externally proposed tokens,
         // e.g. n-gram speculative drafts) is rejected the same way the mask
         // would have rejected it.
-        match self.index.advance_token(&m, &self.state, &bytes) {
+        match self.index.advance_token(&m, &self.state, bytes) {
             Some((next, est)) if est + 2 <= self.remaining => {
                 self.state = next;
                 self.remaining -= 1;
@@ -442,24 +521,26 @@ impl GrammarCursor {
     }
 
     /// How many leading tokens of `tokens` this cursor could legally accept
-    /// in sequence from its current state (grammar- *and* budget-legal).
+    /// in sequence from its current state (grammar- *and* budget-legal),
+    /// stopping short of a token that [`Self::closes`] the completion.
     ///
     /// Speculative drafters call this to pre-truncate a proposal before the
     /// verify pass, so a constrained verifier never spends forward-pass rows
-    /// on tokens the mask would reject anyway. The cursor itself is not
-    /// moved. Inactive cursors accept everything.
+    /// on tokens the mask would reject anyway, nor on tokens past the end
+    /// of the task. The cursor itself is not moved. Cursors that neither
+    /// constrain nor scope accept everything.
     pub fn legal_prefix_len(&self, tokens: &[u32]) -> usize {
-        if !self.is_active() {
+        if !self.is_active() && self.scope.is_none() {
             return tokens.len();
         }
         let mut probe = self.clone();
         let mut n = 0;
         for &t in tokens {
-            if !probe.advance(t) {
+            if probe.closes(t) || !probe.advance(t) {
                 break;
             }
             n += 1;
-            if !probe.is_active() {
+            if probe.done {
                 break; // reached a legal end-of-sequence
             }
         }

@@ -24,15 +24,20 @@
 //!   `apply` masks a logit row (illegal entries to `-inf`, so the existing
 //!   argmax/top-k pickers never choose them and constrained greedy decode
 //!   is bit-identical to unconstrained whenever the unconstrained argmax is
-//!   already legal), `advance` steps past the chosen token.
+//!   already legal), `advance` steps past the chosen token. Cursors of a
+//!   *completion-scoped* index ([`GrammarIndex::build_scoped`]) also say
+//!   which pick `closes` the task the prompt opened ([`TaskScope`]), so a
+//!   decode loop stops where first-task truncation would cut anyway.
 
 mod constraint;
 mod index;
+mod scope;
 mod state;
 mod tables;
 
 pub use constraint::Constraint;
 pub use index::{GrammarCursor, GrammarIndex, GrammarStats, MaskOutcome};
+pub use scope::TaskScope;
 pub use state::ConstraintState;
 
 #[cfg(test)]

@@ -29,6 +29,7 @@
 //! gate "closability", and scalar machines guarantee each value resolves to
 //! a kind its keyword/parameter accepts.
 
+use crate::scope::open_item;
 use crate::tables::{
     Tables, ValueSpec, FREE_FORM_SPEC, ITEM_SPEC, NAME_SPEC, TASKS_BIT, YAML_SPEC,
 };
@@ -397,16 +398,10 @@ impl<'a> Machine<'a> {
         if *prompt.last().expect("non-empty") != b'\n' {
             return fresh(Line::ForceNewline);
         }
-        let body = &prompt[..prompt.len() - 1];
-        let last_line = match body.iter().rposition(|&b| b == b'\n') {
-            Some(p) => &body[p + 1..],
-            None => body,
+        let indent = match open_item(prompt) {
+            Some((indent, _)) if indent <= 16 => indent,
+            _ => return fresh(Line::Start { spaces: 0 }),
         };
-        let indent = last_line.iter().take_while(|&&b| b == b' ').count();
-        let rest = &last_line[indent..];
-        if !rest.starts_with(b"- name:") || indent > 16 {
-            return fresh(Line::Start { spaces: 0 });
-        }
         let line = Line::Start { spaces: 0 };
         if indent == 0 {
             match mode {

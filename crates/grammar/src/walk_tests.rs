@@ -347,3 +347,106 @@ fn stats_and_cache_account_for_work() {
     assert!(after.states_cached > 0);
     assert!(after.masked_total > before.masked_total);
 }
+
+// ---- completion scope ------------------------------------------------------
+
+/// The fixture's tokenizer with completion-scoped indices.
+fn scoped_fixture() -> &'static (Arc<GrammarIndex>, Arc<GrammarIndex>) {
+    static F: OnceLock<(Arc<GrammarIndex>, Arc<GrammarIndex>)> = OnceLock::new();
+    F.get_or_init(|| {
+        let (tok, _, _) = fixture();
+        (
+            GrammarIndex::build_scoped(tok, Constraint::Ansible).expect("ansible index"),
+            GrammarIndex::build_scoped(tok, Constraint::Yaml).expect("yaml index"),
+        )
+    })
+}
+
+/// Walks `continuation` token by token; returns how many tokens were
+/// advanced past before one closed the completion.
+fn tokens_until_close(cursor: &mut GrammarCursor, continuation: &[u32]) -> Option<usize> {
+    for (i, &t) in continuation.iter().enumerate() {
+        if cursor.closes(t) {
+            return Some(i);
+        }
+        cursor.advance(t);
+    }
+    None
+}
+
+#[test]
+fn scoped_cursor_closes_at_the_next_item_and_unscoped_never_does() {
+    let (tok, unscoped, _) = fixture();
+    let (scoped, scoped_yaml) = scoped_fixture();
+    assert!(scoped.is_scoped() && !unscoped.is_scoped());
+    for (prompt, first, rest) in [
+        (
+            "- name: Install nginx\n",
+            "  ansible.builtin.apt:\n    name: nginx\n\n",
+            "- name: Ping\n  ping:\n",
+        ),
+        (
+            "- name: Site play\n  hosts: all\n  tasks:\n    - name: Ping\n",
+            "      ping:\n",
+            "    - name: Copy config\n      copy:\n        src: a\n",
+        ),
+    ] {
+        let prompt_ids = tok.encode(prompt);
+        let continuation = tok.encode(&format!("{first}{rest}"));
+        for index in [scoped, scoped_yaml] {
+            let mut cursor = GrammarCursor::new(Arc::clone(index), &prompt_ids, 128);
+            let kept = tokens_until_close(&mut cursor, &continuation).expect("closes");
+            // Everything kept is the first task, possibly plus the spaces
+            // that indent the closing line.
+            let text = tok.decode(&continuation[..kept]);
+            assert_eq!(text.trim_end_matches(' '), first, "prompt {prompt:?}");
+            assert_eq!(
+                cursor.legal_prefix_len(&continuation[kept..]),
+                0,
+                "a draft may not start on the closing token"
+            );
+        }
+        let mut cursor = GrammarCursor::new(Arc::clone(unscoped), &prompt_ids, 128);
+        assert_eq!(tokens_until_close(&mut cursor, &continuation), None);
+    }
+}
+
+#[test]
+fn scope_outlives_bypass_and_drafts_stop_short_of_the_close() {
+    let (tok, _, _) = fixture();
+    let (scoped, _) = scoped_fixture();
+    let prompt_ids = tok.encode("- name: T\n");
+    // One token of budget cannot fit an Ansible close: the cursor starts in
+    // bypass, masks nothing — and still knows where the task ends.
+    let mut cursor = GrammarCursor::new(Arc::clone(scoped), &prompt_ids, 1);
+    assert!(!cursor.is_active());
+    let body = tok.encode("  not yaml at all {{\n");
+    let next = tok.encode("- name: U\n");
+    let draft: Vec<u32> = body.iter().chain(&next).copied().collect();
+    assert_eq!(cursor.legal_prefix_len(&draft), body.len());
+    assert_eq!(tokens_until_close(&mut cursor, &draft), Some(body.len()));
+    // A prompt that does not end on a name line opens no scope.
+    let cursor = GrammarCursor::new(Arc::clone(scoped), &tok.encode("- name: T\n  ping:\n"), 64);
+    assert!(!cursor.closes(next[0]));
+}
+
+#[test]
+fn token_straddling_a_newline_is_advanced_past_and_then_closes() {
+    // Trained vocabularies never merge across '\n'; a loaded one may.
+    // Byte ids are 3 + byte, so this adds token 259 = "\n-".
+    let tok = BpeTokenizer::from_text("wisdom-bpe v1\n13 48\n").expect("tokenizer");
+    let straddler = 259;
+    assert_eq!(tok.token_bytes(straddler), Some(&b"\n-"[..]));
+    let index = GrammarIndex::build_scoped(&tok, Constraint::Yaml).expect("index");
+    let mut cursor = GrammarCursor::new(index, &tok.encode("- name: T\n"), 64);
+    for t in tok.encode("  a: 1") {
+        assert!(!cursor.closes(t));
+        cursor.advance(t);
+    }
+    // Its newline belongs to a kept line, so it is emitted, not swallowed…
+    assert!(!cursor.closes(straddler));
+    cursor.advance(straddler);
+    // …and whatever is picked next ends the sequence.
+    assert!(cursor.closes(tok.encode(" ")[0]));
+    assert!(cursor.closes(tok.eot()));
+}

@@ -40,8 +40,10 @@ use wisdom_prng::Prng;
 use crate::decode::{GenerationOptions, Strategy};
 use crate::prefix_cache::{PrefixCacheStats, PrefixKvCache, PrefixPin};
 use crate::speculative::{adapt_draft_len, verify_draft, SpeculativeConfig, Speculator};
-use crate::telemetry::{BatchTelemetry, GrammarTelemetry, QuantTelemetry, SpeculativeTelemetry};
-use crate::transformer::{pick_token, KvCache, Precision, TransformerLm};
+use crate::telemetry::{
+    BatchTelemetry, FinishReason, GrammarTelemetry, QuantTelemetry, SpeculativeTelemetry,
+};
+use crate::transformer::{pick_ends_sequence, pick_token, KvCache, Precision, TransformerLm};
 
 /// One generation request at the token level.
 #[derive(Debug, Clone)]
@@ -95,7 +97,9 @@ struct Seq {
     max_new: usize,
     strategy: Strategy,
     rng: Prng,
-    done: bool,
+    /// Set, with the reason, in the round the sequence stops decoding; it
+    /// retires (cache, pins and sink dropped) at the end of that round.
+    done: Option<FinishReason>,
     /// When the request entered the system (submission time via the
     /// scheduler, admission time otherwise) — the TTFT origin.
     started: Instant,
@@ -121,17 +125,17 @@ struct Seq {
     grammar: Option<GrammarCursor>,
     /// Streaming sink: every emitted token is also sent here the moment it
     /// is chosen, so an HTTP handler can forward it as an SSE event while
-    /// decoding continues. Dropped receivers are ignored — an abandoned
-    /// stream never stalls or perturbs the batch.
+    /// decoding continues. A dropped receiver means nobody is listening any
+    /// more: the sequence is cancelled in the round that notices.
     sink: Option<mpsc::Sender<u32>>,
 }
 
 /// Forwards freshly emitted tokens to the sequence's streaming sink, if any.
-fn emit_streamed(sink: &Option<mpsc::Sender<u32>>, tokens: &[u32]) {
-    if let Some(tx) = sink {
-        for &t in tokens {
-            let _ = tx.send(t);
-        }
+/// Returns `false` once the receiver is gone (the stream was abandoned).
+fn emit_streamed(sink: &Option<mpsc::Sender<u32>>, tokens: &[u32]) -> bool {
+    match sink {
+        Some(tx) => tokens.iter().all(|&t| tx.send(t).is_ok()),
+        None => true,
     }
 }
 
@@ -331,7 +335,7 @@ impl<'m> DecodeBatch<'m> {
             max_new: req.opts.max_new_tokens,
             strategy: req.opts.strategy,
             rng: Prng::seed_from_u64(req.opts.seed),
-            done: false,
+            done: None,
             started,
             first_token_seen: false,
             _pin: pin,
@@ -349,7 +353,8 @@ impl<'m> DecodeBatch<'m> {
 
     /// One decode round: every live sequence picks its next token from its
     /// current logits (greedy or seeded top-k, exactly like the solo loop),
-    /// sequences that hit a stop token / budget / the context edge retire,
+    /// sequences that hit a stop token / the end of their task / budget /
+    /// the context edge — or whose stream nobody reads any more — retire,
     /// and the survivors advance — speculating sequences through their own
     /// draft-verify pass ([`crate::SpeculativeDecoder`]-style), the rest
     /// through one batched [`TransformerLm::step_batch`].
@@ -375,7 +380,7 @@ impl<'m> DecodeBatch<'m> {
             // budget/window check gates sampling, a stop token retires the
             // sequence before it is emitted.
             if seq.out.len() >= seq.max_new || seq.pos >= ctx {
-                seq.done = true;
+                seq.done = Some(FinishReason::Length);
                 continue;
             }
             let next = pick_token(
@@ -385,15 +390,18 @@ impl<'m> DecodeBatch<'m> {
                 seq.grammar.as_ref(),
                 grammar_telemetry,
             );
-            if seq.stops.contains(&next) {
-                seq.done = true;
+            seq.done = pick_ends_sequence(next, &seq.stops, seq.grammar.as_ref());
+            if seq.done.is_some() {
                 continue;
             }
             if let Some(g) = &mut seq.grammar {
                 g.advance(next);
             }
             seq.out.push(next);
-            emit_streamed(&seq.sink, &[next]);
+            if !emit_streamed(&seq.sink, &[next]) {
+                seq.done = Some(FinishReason::Cancelled);
+                continue;
+            }
             if seq.drafter.is_some() {
                 seq.history.push(next);
             }
@@ -406,7 +414,7 @@ impl<'m> DecodeBatch<'m> {
             if seq.out.len() >= seq.max_new || seq.pos + 1 >= ctx {
                 // The solo loop would run one more step whose logits are
                 // never consumed; skipping it leaves the output identical.
-                seq.done = true;
+                seq.done = Some(FinishReason::Length);
                 continue;
             }
             // Draft before partitioning: a sequence whose drafter has
@@ -422,13 +430,12 @@ impl<'m> DecodeBatch<'m> {
                         let mut draft = drafter.draft(&seq.history, k);
                         draft.truncate(k);
                         // A constrained drafter proposes only legal
-                        // continuations: pre-truncating at the first token
-                        // the mask would reject keeps every verify row
-                        // useful and raises the acceptance rate.
+                        // continuations of the open task: pre-truncating at
+                        // the first token the mask would reject (or that
+                        // closes the task) keeps every verify row useful
+                        // and raises the acceptance rate.
                         if let Some(g) = &seq.grammar {
-                            if g.is_active() {
-                                draft.truncate(g.legal_prefix_len(&draft));
-                            }
+                            draft.truncate(g.legal_prefix_len(&draft));
                         }
                         if let Some(t) = spec_telemetry {
                             t.draft_overhead
@@ -467,14 +474,17 @@ impl<'m> DecodeBatch<'m> {
             seq.draft_len =
                 adapt_draft_len(seq.draft_len, draft.len(), v.accepted.len(), max_draft);
             seq.out.extend_from_slice(&v.accepted);
-            emit_streamed(&seq.sink, &v.accepted);
+            let heard = emit_streamed(&seq.sink, &v.accepted);
             seq.history.extend_from_slice(&v.accepted);
             seq.pos += 1 + v.accepted.len();
             seq.logits = v.logits;
             observe_new_history(seq);
-            if v.stopped || seq.out.len() >= seq.max_new || seq.pos >= ctx {
-                seq.done = true;
-            }
+            let spent = seq.out.len() >= seq.max_new || seq.pos >= ctx;
+            seq.done = if heard {
+                v.stopped.or(spent.then_some(FinishReason::Length))
+            } else {
+                Some(FinishReason::Cancelled)
+            };
         }
         if !stepping.is_empty() {
             let tokens: Vec<u32> = stepping
@@ -500,12 +510,14 @@ impl<'m> DecodeBatch<'m> {
         }
         let mut finished = Vec::new();
         self.seqs.retain_mut(|seq| {
-            if seq.done {
-                finished.push((seq.tag, std::mem::take(&mut seq.out)));
-                false
-            } else {
-                true
+            let Some(reason) = seq.done else {
+                return true;
+            };
+            if let Some(t) = telemetry {
+                t.finished(reason).inc();
             }
+            finished.push((seq.tag, std::mem::take(&mut seq.out)));
+            false
         });
         if let Some(t) = telemetry {
             t.completed.add(finished.len() as u64);
@@ -1515,12 +1527,92 @@ mod tests {
         assert_eq!(result, plain.wait(), "streaming must not change tokens");
         assert_eq!(result, model.generate(&[1, 2, 3], &[0], &greedy(6)));
 
-        // Dropping the token receiver must not stall or corrupt decoding.
+        // Dropping the token receiver cancels the sequence: whatever was
+        // decoded by the round that noticed is a prefix of the full output,
+        // and the worker moves on.
         let abandoned = sched.submit_streaming(req(&[4, 5])).expect("submit");
         drop(abandoned.tokens);
+        let partial = abandoned.result.wait();
+        assert!(model
+            .generate(&[4, 5], &[0], &greedy(6))
+            .starts_with(&partial));
         assert_eq!(
-            abandoned.result.wait(),
-            model.generate(&[4, 5], &[0], &greedy(6))
+            sched.generate(&[1, 2, 3], &[0], &greedy(6)),
+            result,
+            "the worker keeps serving after a cancellation"
+        );
+    }
+
+    #[test]
+    fn abandoned_stream_retires_within_one_round() {
+        let model = tiny_model();
+        let registry = wisdom_telemetry::Registry::new();
+        let telemetry = BatchTelemetry::register(&registry);
+        let request = DecodeRequest {
+            prompt: vec![1, 2, 3],
+            stops: vec![],
+            opts: greedy(10),
+            grammar: None,
+        };
+        for spec in [SpeculativeConfig::disabled(), SpeculativeConfig::ngram(4)] {
+            let mut engine = DecodeBatch::new(&model);
+            engine.set_telemetry(telemetry.clone());
+            engine.set_speculation(spec);
+            let before = telemetry.finished(FinishReason::Cancelled).get();
+            let (sink, tokens) = mpsc::channel();
+            engine.admit_streaming(7, request.clone(), None, sink);
+            assert!(
+                engine.step().is_empty(),
+                "ten tokens take more than a round"
+            );
+            let first = tokens.recv().expect("first token streamed");
+            drop(tokens);
+            // The next round's send fails: the sequence retires in that
+            // round, with its KV cache and prefix pins, instead of decoding
+            // the rest of its budget for nobody.
+            let finished = engine.step();
+            assert_eq!(finished.len(), 1, "{spec:?}");
+            let (tag, out) = &finished[0];
+            assert_eq!(*tag, 7);
+            assert_eq!(out[0], first);
+            assert!(out.len() < 10, "{spec:?}: decoded {}", out.len());
+            assert!(engine.is_empty());
+            assert_eq!(
+                telemetry.finished(FinishReason::Cancelled).get(),
+                before + 1
+            );
+        }
+        assert!((telemetry.batch_occupancy.get() - 0.0).abs() < f64::EPSILON);
+    }
+
+    #[test]
+    fn finish_reasons_are_counted_once_per_sequence() {
+        let model = tiny_model();
+        let registry = wisdom_telemetry::Registry::new();
+        let telemetry = BatchTelemetry::register(&registry);
+        let solo = model.generate(&[1, 2, 3], &[], &greedy(6));
+        let request = |stops: Vec<u32>| DecodeRequest {
+            prompt: vec![1, 2, 3],
+            stops,
+            opts: greedy(6),
+            grammar: None,
+        };
+        // One sequence runs out of budget, one stops at its third token.
+        let requests = vec![request(vec![]), request(vec![solo[2]])];
+        let out = generate_batch_instrumented(&model, requests, 2, None, telemetry.clone());
+        assert_eq!(out, vec![solo.clone(), solo[..2].to_vec()]);
+        assert_eq!(telemetry.finished(FinishReason::Length).get(), 1);
+        assert_eq!(telemetry.finished(FinishReason::Stop).get(), 1);
+        assert_eq!(telemetry.finished(FinishReason::TaskClosed).get(), 0);
+        let by_reason: u64 = FinishReason::ALL
+            .iter()
+            .map(|&r| telemetry.finished(r).get())
+            .sum();
+        assert_eq!(by_reason, telemetry.completed.get());
+        let text = registry.render();
+        assert!(
+            text.contains("wisdom_decode_finished_total{reason=\"length\"} 1"),
+            "{text}"
         );
     }
 

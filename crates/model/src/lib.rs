@@ -56,7 +56,8 @@ pub use speculative::{
     SpeculativeReport, Speculator,
 };
 pub use telemetry::{
-    BatchTelemetry, GrammarTelemetry, PrefixCacheTelemetry, QuantTelemetry, SpeculativeTelemetry,
+    BatchTelemetry, FinishReason, GrammarTelemetry, PrefixCacheTelemetry, QuantTelemetry,
+    SpeculativeTelemetry,
 };
 // Re-exported so the serving layers (`wisdom-core`, `wisdom-server`) can
 // build and attach grammar constraints without a direct `wisdom-grammar`

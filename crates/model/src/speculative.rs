@@ -42,8 +42,8 @@ use wisdom_grammar::{GrammarCursor, GrammarIndex};
 
 use crate::decode::{GenerationOptions, Strategy};
 use crate::ngram::NgramLm;
-use crate::telemetry::GrammarTelemetry;
-use crate::transformer::{argmax, mask_logits, KvCache, TransformerLm};
+use crate::telemetry::{FinishReason, GrammarTelemetry};
+use crate::transformer::{argmax, mask_logits, pick_ends_sequence, KvCache, TransformerLm};
 
 /// Which draft proposer speculative decoding uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -341,9 +341,10 @@ pub(crate) struct Verified {
     /// Logits following the last accepted token — the distribution the
     /// next round samples from, obtained without another forward pass.
     pub logits: Vec<f32>,
-    /// The greedy continuation agreed with a draft token that is a stop
-    /// token: the sequence is finished (the stop is not emitted).
-    pub stopped: bool,
+    /// The greedy continuation agreed with a draft token that ends the
+    /// sequence (a stop token, or the one that closes the task of a
+    /// completion-scoped grammar): finished, and that token is not emitted.
+    pub stopped: Option<FinishReason>,
 }
 
 /// Scores `first ‖ draft` in one batched pass on top of `cache` (which must
@@ -379,7 +380,7 @@ pub(crate) fn verify_draft(
     suffix.extend_from_slice(draft);
     let mut rows = model.prefill_continue_all(&suffix, cache);
     let mut accepted = Vec::new();
-    let mut stopped = false;
+    let mut stopped = None;
     for (i, &d) in draft.iter().enumerate() {
         // Row `i` holds the logits after suffix token `i` — the plain loop
         // in the same state would sample exactly this (masked) argmax next.
@@ -388,8 +389,8 @@ pub(crate) fn verify_draft(
         if t != d {
             break;
         }
-        if stops.contains(&t) {
-            stopped = true;
+        stopped = pick_ends_sequence(t, stops, grammar.as_deref());
+        if stopped.is_some() {
             break;
         }
         accepted.push(t);
@@ -575,7 +576,7 @@ impl<'m> SpeculativeDecoder<'m> {
             // stop-check, emit.
             let forced = mask_logits(cursor.as_ref(), &mut logits, grammar_telemetry);
             let next = forced.unwrap_or_else(|| argmax(&logits));
-            if stops.contains(&next) {
+            if pick_ends_sequence(next, stops, cursor.as_ref()).is_some() {
                 break;
             }
             if let Some(c) = cursor.as_mut() {
@@ -596,13 +597,12 @@ impl<'m> SpeculativeDecoder<'m> {
             let draft_start = Instant::now();
             let mut draft = speculator.draft(&history, k);
             draft.truncate(k);
-            // Constrained drafting: drop everything past the first token the
-            // grammar mask would reject, so verify rows are never wasted on
-            // tokens the constrained pick could not choose anyway.
+            // Constrained drafting: drop everything from the first token the
+            // grammar mask would reject — or that closes the task — so
+            // verify rows are never wasted on tokens the constrained pick
+            // could not choose, or that would be discarded anyway.
             if let Some(c) = &cursor {
-                if c.is_active() {
-                    draft.truncate(c.legal_prefix_len(&draft));
-                }
+                draft.truncate(c.legal_prefix_len(&draft));
             }
             report.draft_seconds += draft_start.elapsed().as_secs_f64();
             if draft.is_empty() {
@@ -629,7 +629,7 @@ impl<'m> SpeculativeDecoder<'m> {
                 history.extend_from_slice(&v.accepted);
                 pos += 1 + v.accepted.len();
                 logits = v.logits;
-                if v.stopped {
+                if v.stopped.is_some() {
                     break;
                 }
             }

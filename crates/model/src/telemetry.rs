@@ -11,6 +11,41 @@ use std::sync::Arc;
 
 use wisdom_telemetry::{Counter, Gauge, Histogram, Registry};
 
+/// Why a sequence stopped decoding — the bounded `reason` label set of
+/// `wisdom_decode_finished_total`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FinishReason {
+    /// A stop token (end-of-text, separator) was picked.
+    Stop,
+    /// The token budget or the context window ran out.
+    Length,
+    /// A completion-scoped grammar cursor saw the pick that would start
+    /// the next task ([`wisdom_grammar::GrammarCursor::closes`]).
+    TaskClosed,
+    /// The streaming receiver went away (the client hung up).
+    Cancelled,
+}
+
+impl FinishReason {
+    /// Every reason, in label order.
+    pub const ALL: [FinishReason; 4] = [
+        FinishReason::Stop,
+        FinishReason::Length,
+        FinishReason::TaskClosed,
+        FinishReason::Cancelled,
+    ];
+
+    /// The `reason` label value.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            FinishReason::Stop => "stop",
+            FinishReason::Length => "length",
+            FinishReason::TaskClosed => "task_closed",
+            FinishReason::Cancelled => "cancelled",
+        }
+    }
+}
+
 /// Handles for the continuous-batching scheduler and decode engine.
 /// Cloning shares the underlying metrics.
 #[derive(Debug, Clone)]
@@ -34,6 +69,9 @@ pub struct BatchTelemetry {
     pub shed: Arc<Counter>,
     /// `wisdom_scheduler_wakeups_total` — decode-worker condvar wakeups.
     pub wakeups: Arc<Counter>,
+    /// `wisdom_decode_finished_total{reason=…}` — retired sequences by
+    /// [`FinishReason`], indexed in [`FinishReason::ALL`] order.
+    finished: [Arc<Counter>; 4],
 }
 
 impl BatchTelemetry {
@@ -48,6 +86,15 @@ impl BatchTelemetry {
     /// series side by side.
     pub fn register_labeled(registry: &Registry, labels: &[(&str, &str)]) -> BatchTelemetry {
         let buckets = Histogram::latency_buckets();
+        let finished = FinishReason::ALL.map(|reason| {
+            let mut labels = labels.to_vec();
+            labels.push(("reason", reason.as_str()));
+            registry.counter_with(
+                "wisdom_decode_finished_total",
+                "Sequences retired from the decode batch, by finish reason.",
+                &labels,
+            )
+        });
         BatchTelemetry {
             queue_wait: registry.histogram_with(
                 "wisdom_queue_wait_seconds",
@@ -97,7 +144,13 @@ impl BatchTelemetry {
                 "Decode-worker condvar wakeups.",
                 labels,
             ),
+            finished,
         }
+    }
+
+    /// The `wisdom_decode_finished_total` series for `reason`.
+    pub fn finished(&self, reason: FinishReason) -> &Counter {
+        &self.finished[reason as usize]
     }
 }
 

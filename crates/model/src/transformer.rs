@@ -16,7 +16,7 @@ use wisdom_grammar::{GrammarCursor, GrammarIndex};
 
 use crate::config::ModelConfig;
 use crate::decode::{GenerationOptions, Strategy};
-use crate::telemetry::{GrammarTelemetry, QuantTelemetry};
+use crate::telemetry::{FinishReason, GrammarTelemetry, QuantTelemetry};
 
 /// Numeric precision of the weight matrices the inference path multiplies
 /// against (activations, embeddings, biases, and layer norms stay f32 in
@@ -914,7 +914,7 @@ impl TransformerLm {
                 cursor.as_ref(),
                 grammar_telemetry,
             );
-            if stops.contains(&next) {
+            if pick_ends_sequence(next, stops, cursor.as_ref()).is_some() {
                 break;
             }
             if let Some(c) = cursor.as_mut() {
@@ -1502,6 +1502,25 @@ pub(crate) fn pick_token(
         Strategy::Greedy => argmax(logits),
         Strategy::TopK { k, temperature } => sample_top_k(logits, k, temperature, rng),
         Strategy::Beam { .. } => unreachable!("beam search expands beams, not single rows"),
+    }
+}
+
+/// Whether picking `next` ends the sequence, and why: a stop token, or —
+/// under a completion-scoped grammar — the token that would start the task
+/// after the one the prompt opened. Either way the pick is not emitted and
+/// no forward pass is spent on it. Shared by all three token loops, like
+/// [`pick_token`], so they end on the same token.
+pub(crate) fn pick_ends_sequence(
+    next: u32,
+    stops: &[u32],
+    grammar: Option<&GrammarCursor>,
+) -> Option<FinishReason> {
+    if stops.contains(&next) {
+        Some(FinishReason::Stop)
+    } else if grammar.is_some_and(|g| g.closes(next)) {
+        Some(FinishReason::TaskClosed)
+    } else {
+        None
     }
 }
 

@@ -321,6 +321,9 @@ impl WisdomServer {
                     break;
                 }
                 let Ok(conn) = conn else { continue };
+                // Responses leave in whole pieces (see `http`), so there is
+                // nothing for Nagle to coalesce — only SSE events to delay.
+                let _ = conn.set_nodelay(true);
                 let _ = tx.send(conn);
             }
             // Disconnect the channel: workers drain queued connections and
@@ -830,11 +833,12 @@ fn stream_completion(
             );
         }
     };
-    // From here the head has committed the connection to a chunked 200;
-    // write failures (client gone) only abort the body.
+    // From here the head has committed the connection to a chunked 200. A
+    // failed write means the client hung up: returning drops `stream`, and
+    // the token receiver going away is what tells the decode worker to
+    // cancel the sequence instead of decoding on for nobody.
     let started = Instant::now();
     if write_sse_head(conn).is_err() {
-        let _ = stream.result.wait();
         return 200;
     }
     let mut previous: Option<Instant> = None;
@@ -851,7 +855,7 @@ fn stream_completion(
         previous = Some(now);
         let event = Json::obj(vec![("token", Json::Str(wisdom.token_text(token)))]).to_text();
         if write_sse_event(conn, &event).is_err() {
-            break;
+            return 200;
         }
     }
     let suggestion = wisdom.suggestion_from_tokens(&completion_request, &stream.result.wait());

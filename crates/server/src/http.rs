@@ -106,12 +106,17 @@ impl Response {
     /// send another request on the same socket (the body is always
     /// content-length framed, so the boundary is unambiguous either way).
     ///
+    /// Head and body leave in one `write_all`: a response split over several
+    /// small writes makes the kernel hold the tail back until the client
+    /// acknowledges the head (Nagle against delayed ACK, ~40 ms per reply).
+    ///
     /// # Errors
     ///
     /// Propagates I/O errors.
     pub fn write_to_with(&self, stream: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
+        let mut wire = Vec::with_capacity(160 + self.body.len());
         write!(
-            stream,
+            wire,
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
             self.status,
             self.reason(),
@@ -120,10 +125,11 @@ impl Response {
             if keep_alive { "keep-alive" } else { "close" }
         )?;
         for (name, value) in &self.headers {
-            write!(stream, "{name}: {value}\r\n")?;
+            write!(wire, "{name}: {value}\r\n")?;
         }
-        stream.write_all(b"\r\n")?;
-        stream.write_all(&self.body)?;
+        wire.extend_from_slice(b"\r\n");
+        wire.extend_from_slice(&self.body);
+        stream.write_all(&wire)?;
         stream.flush()
     }
 }
@@ -151,10 +157,9 @@ pub fn write_sse_head(stream: &mut impl Write) -> std::io::Result<()> {
 ///
 /// Propagates I/O errors.
 pub fn write_sse_event(stream: &mut impl Write, payload: &str) -> std::io::Result<()> {
-    let event = format!("data: {payload}\n\n");
-    write!(stream, "{:x}\r\n", event.len())?;
-    stream.write_all(event.as_bytes())?;
-    stream.write_all(b"\r\n")?;
+    // "data: " + payload + "\n\n", framed as one chunk in one write.
+    let chunk = format!("{:x}\r\ndata: {payload}\n\n\r\n", payload.len() + 8);
+    stream.write_all(chunk.as_bytes())?;
     stream.flush()
 }
 
@@ -405,6 +410,43 @@ mod tests {
             "{text}"
         );
         assert!(text.ends_with("data: [DONE]\n\n\r\n0\r\n\r\n"), "{text}");
+    }
+
+    /// Counts `write` calls; accepts everything it is given.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_piece_is_a_single_write() {
+        // One write per piece: several small ones would each wait out the
+        // client's delayed ACK on a socket without TCP_NODELAY, and cost a
+        // packet apiece on one with it.
+        let writes = |send: &dyn Fn(&mut CountingWriter) -> std::io::Result<()>| {
+            let mut out = CountingWriter::default();
+            send(&mut out).unwrap();
+            assert!(!out.bytes.is_empty());
+            out.writes
+        };
+        let response = Response::text(503, "busy").with_header("retry-after", "1");
+        assert_eq!(writes(&|out| response.write_to_with(out, true)), 1);
+        assert_eq!(writes(&|out| write_sse_head(out)), 1);
+        assert_eq!(writes(&|out| write_sse_event(out, "{\"token\":\"a\"}")), 1);
+        assert_eq!(writes(&|out| finish_chunked(out)), 1);
     }
 
     #[test]

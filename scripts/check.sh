@@ -16,7 +16,14 @@
 # incl. SSE, keep-alive socket reuse — all over real sockets), and the
 # curation crate's unit + property + determinism suites (MinHash estimator
 # tolerance and LSH recall/no-false-drop properties, plus the end-to-end
-# byte-identical-shards-across-worker-counts contract). Run from
+# byte-identical-shards-across-worker-counts contract), the first-task
+# stop agreement suite (completion-scoped decode: prefix of the unscoped
+# oracle, equal suggestions, token identity across every decode path, SSE
+# events truncating to the final body), and a build + unit-test pass of the
+# standalone benchmark package, so a change to a public type it compiles
+# against (`DecodeRequest`'s four-field literal, `GenerationOptions { ..,
+# ..default() }`, `DecodeBatch::admit/step`, `GrammarCursor::new/apply/
+# advance`) fails here instead of in the benchmark driver. Run from
 # the repository root before sending a change.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -45,4 +52,8 @@ cargo test -q --test server_e2e -- \
   keep_alive_connection_reuses_one_socket_for_sequential_requests \
   constrained_completion_round_trip_and_stats_echo \
   invalid_constraint_is_rejected_with_400 \
-  streaming_constrained_completion_matches_the_plain_constrained_response
+  streaming_constrained_completion_matches_the_plain_constrained_response \
+  abandoned_stream_is_cancelled_long_before_its_budget
+cargo test -q --test first_task_stop_agreement
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml

@@ -767,3 +767,91 @@ fn streaming_constrained_completion_matches_the_plain_constrained_response() {
     assert_eq!(events.last().map(String::as_str), Some(plain.as_str()));
     handle.stop();
 }
+
+#[test]
+fn abandoned_stream_is_cancelled_long_before_its_budget() {
+    use std::io::{Read, Write};
+    use std::time::{Duration, Instant};
+
+    use ansible_wisdom::model::{FinishReason, ModelConfig, TransformerLm};
+    use ansible_wisdom::prng::Prng;
+    use ansible_wisdom::server::post_sse;
+
+    // An untrained model behind a long window: its tokens are noise, but
+    // there are hundreds of them, so a hang-up mid-stream leaves most of a
+    // decode to be saved.
+    let tokenizer = Arc::clone(tiny_wisdom().tokenizer());
+    let config = WisdomConfig {
+        context_window: 512,
+        max_new_tokens: 400,
+        ..WisdomConfig::tiny()
+    };
+    let model = TransformerLm::new(
+        ModelConfig {
+            vocab_size: tokenizer.vocab_size(),
+            d_model: 64,
+            n_layers: 2,
+            n_heads: 2,
+            context_window: config.context_window,
+        },
+        &mut Prng::seed_from_u64(3),
+    );
+    let wisdom = Arc::new(Wisdom::from_parts(config, tokenizer, model));
+    let server =
+        WisdomServer::bind_with(wisdom, "127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let handle = server.handle();
+    let addr = handle.addr();
+    std::thread::spawn(move || server.serve());
+    let batch = &handle.telemetry().batch;
+
+    // A stream read to the end: what the whole budget costs.
+    let body = r#"{"prompt":"install nginx","stream":true}"#;
+    let started = Instant::now();
+    let (status, events) = post_sse(addr, "/v1/completions", body).expect("stream");
+    let full = started.elapsed();
+    assert_eq!(status, 200);
+    assert!(
+        events.len() > 200,
+        "the untrained model stopped after {} events; pick another seed",
+        events.len()
+    );
+    assert_eq!(batch.finished(FinishReason::Cancelled).get(), 0);
+
+    // The same request, hung up on after the first event.
+    let started = Instant::now();
+    let mut socket = std::net::TcpStream::connect(addr).expect("connect");
+    write!(
+        socket,
+        "POST /v1/completions HTTP/1.1\r\nhost: localhost\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("send");
+    let mut seen = Vec::new();
+    let mut byte = [0u8; 1];
+    while !seen.ends_with(b"\"}\n\n") {
+        socket.read_exact(&mut byte).expect("first event");
+        seen.push(byte[0]);
+    }
+    assert!(String::from_utf8_lossy(&seen).contains("data: {\"token\":"));
+    drop(socket);
+
+    // The write that fails drops the token receiver; the decode worker
+    // retires the sequence in the round that notices.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while batch.finished(FinishReason::Cancelled).get() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the sequence was never cancelled"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let idle_after = started.elapsed();
+    assert!((batch.batch_occupancy.get() - 0.0).abs() < f64::EPSILON);
+    assert_eq!(batch.finished(FinishReason::Cancelled).get(), 1);
+    assert_eq!(batch.completed.get(), 2);
+    assert!(
+        idle_after < full / 2,
+        "replica idle {idle_after:?} after the hang-up; a full decode takes {full:?}"
+    );
+    handle.stop();
+}
