@@ -106,9 +106,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(model.generate(&prompt_ids, &stops, &opts)))
     });
     group.bench_function("ansible", |b| {
-        b.iter(|| {
-            black_box(model.generate_constrained(&prompt_ids, &stops, &opts, Some(&ansible), None))
-        })
+        b.iter(|| black_box(model.generate_constrained(&prompt_ids, &stops, &opts, Some(&ansible))))
     });
     group.finish();
 }

@@ -10,8 +10,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use wisdom_bench::bench_profile;
 use wisdom_eval::run_speculative;
 use wisdom_model::{
-    GenerationOptions, ModelConfig, NgramSpeculator, SpeculativeConfig, SpeculativeDecoder,
-    TransformerLm,
+    DecodeRequest, GenerationOptions, ModelConfig, NgramSpeculator, SpeculativeConfig,
+    SpeculativeDecoder, TransformerLm,
 };
 use wisdom_prng::Prng;
 
@@ -40,6 +40,12 @@ fn bench(c: &mut Criterion) {
         ..Default::default()
     };
     let prompt: Vec<u32> = (0..8u32).map(|j| (j * 31 + 3) % vocab as u32).collect();
+    let request = DecodeRequest {
+        prompt: prompt.clone(),
+        stops: Vec::new(),
+        opts,
+        grammar: None,
+    };
 
     for (label, model) in &models {
         let name = format!("speculative/{label}");
@@ -60,14 +66,14 @@ fn bench(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new("ngram", k), &k, |b, _| {
                 b.iter(|| {
                     let mut drafter = warmed.clone();
-                    black_box(dec.generate_with(&prompt, &[], &opts, &mut drafter))
+                    black_box(dec.generate_with(&request, &mut drafter))
                 })
             });
         }
         // Zero-training self-drafting on the same workload.
         let dec = SpeculativeDecoder::new(model, SpeculativeConfig::self_draft(4));
         group.bench_function("self-draft/4", |b| {
-            b.iter(|| black_box(dec.generate(&prompt, &[], &opts)))
+            b.iter(|| black_box(dec.generate(&request)))
         });
         group.finish();
     }

@@ -9,8 +9,8 @@ use std::hint::black_box;
 use wisdom_bench::bench_profile;
 use wisdom_eval::run_telemetry_overhead;
 use wisdom_model::{
-    generate_batch, generate_batch_instrumented, BatchTelemetry, DecodeRequest, GenerationOptions,
-    ModelConfig, TransformerLm,
+    generate_batch, BatchTelemetry, DecodeBatch, DecodeRequest, GenerationOptions, ModelConfig,
+    TransformerLm,
 };
 use wisdom_prng::Prng;
 use wisdom_telemetry::{Counter, Histogram, Registry};
@@ -83,13 +83,9 @@ fn bench(c: &mut Criterion) {
     });
     c.bench_function("telemetry/decode_instrumented_4x16", |b| {
         b.iter(|| {
-            black_box(generate_batch_instrumented(
-                &model,
-                requests(&model, batch, tokens),
-                batch,
-                None,
-                telemetry.clone(),
-            ))
+            let mut engine = DecodeBatch::new(&model);
+            engine.set_telemetry(telemetry.clone());
+            black_box(engine.run(requests(&model, batch, tokens), batch))
         })
     });
 }

@@ -308,7 +308,6 @@ impl Wisdom {
             &stops,
             &self.generation_options(),
             grammar.as_ref(),
-            None,
         );
         self.suggest(request, &out)
     }
@@ -323,52 +322,21 @@ impl Wisdom {
 
     /// [`Wisdom::scheduler`] with metric handles: the scheduler records
     /// queue wait, TTFT, per-round decode latency, occupancy, and
-    /// admitted/completed/shed/wakeup counts into `telemetry`.
+    /// admitted/completed/shed/wakeup counts into `telemetry`. A non-default
+    /// [`BatchConfig::precision`] converts the scheduler's model copy at
+    /// spawn — this assistant's own model stays f32. For the other metric
+    /// bundles (prefix cache, speculation, quantization, grammar) spawn a
+    /// one-replica [`Wisdom::replica_pool`].
     pub fn scheduler_with(
         &self,
         cfg: BatchConfig,
         telemetry: Option<wisdom_model::BatchTelemetry>,
     ) -> BatchScheduler {
-        self.scheduler_full(cfg, telemetry, None, None)
-    }
-
-    /// [`Wisdom::scheduler_with`] also recording speculative-decoding
-    /// metrics (proposed/accepted/rejected counters, acceptance-length
-    /// histogram, draft-overhead timer) when
-    /// [`BatchConfig::speculative`] is enabled, and weight-quantization
-    /// metrics (resident/saved bytes, quantized-matmul share) into
-    /// `quant_telemetry`. A non-default [`BatchConfig::precision`] converts
-    /// the scheduler's model copy at spawn — this assistant's own model
-    /// stays f32.
-    pub fn scheduler_full(
-        &self,
-        cfg: BatchConfig,
-        telemetry: Option<wisdom_model::BatchTelemetry>,
-        spec_telemetry: Option<wisdom_model::SpeculativeTelemetry>,
-        quant_telemetry: Option<wisdom_model::QuantTelemetry>,
-    ) -> BatchScheduler {
-        self.scheduler_instrumented(cfg, telemetry, spec_telemetry, quant_telemetry, None)
-    }
-
-    /// [`Wisdom::scheduler_full`] also recording grammar-constrained
-    /// decoding metrics (masked-token counts, mask-build latency, cached
-    /// states, forced fast-path hits) into `grammar_telemetry`.
-    pub fn scheduler_instrumented(
-        &self,
-        cfg: BatchConfig,
-        telemetry: Option<wisdom_model::BatchTelemetry>,
-        spec_telemetry: Option<wisdom_model::SpeculativeTelemetry>,
-        quant_telemetry: Option<wisdom_model::QuantTelemetry>,
-        grammar_telemetry: Option<wisdom_model::GrammarTelemetry>,
-    ) -> BatchScheduler {
-        BatchScheduler::spawn_full(
-            Arc::new(self.model.clone()),
-            cfg,
-            telemetry,
-            spec_telemetry,
-            quant_telemetry,
-            grammar_telemetry,
-        )
+        let telemetry = wisdom_model::ReplicaTelemetry {
+            batch: telemetry,
+            ..Default::default()
+        };
+        BatchScheduler::spawn_with(Arc::new(self.model.clone()), cfg, telemetry)
     }
 
     /// Spawns `n` independent [`BatchScheduler`] replicas over this
@@ -385,30 +353,17 @@ impl Wisdom {
         wisdom_model::ReplicaPool::spawn_with(Arc::new(self.model.clone()), cfg, n, telemetry)
     }
 
-    /// [`Wisdom::complete`] through a [`BatchScheduler`]: enqueues the
-    /// request and blocks for the result. The suggestion is identical to
-    /// the direct path (batched decode is bit-for-bit deterministic).
+    /// [`Wisdom::complete_constrained`] through a [`BatchScheduler`]:
+    /// enqueues the request — carrying the compiled grammar, so the scheduler
+    /// masks every pick through it — and blocks for the result. The
+    /// suggestion is identical to the solo decode's (batched decode is
+    /// bit-for-bit deterministic).
     ///
     /// # Errors
     ///
     /// [`SubmitError::QueueFull`] when the scheduler's bounded queue is at
     /// capacity (callers shed load, e.g. HTTP 503), [`SubmitError::ShutDown`]
     /// after scheduler shutdown.
-    pub fn try_complete_batched(
-        &self,
-        request: &CompletionRequest,
-        scheduler: &BatchScheduler,
-    ) -> Result<Suggestion, SubmitError> {
-        self.try_complete_batched_constrained(request, scheduler, Constraint::None)
-    }
-
-    /// [`Wisdom::try_complete_batched`] decoding under `constraint`: the
-    /// submitted request carries the compiled grammar, so the scheduler
-    /// masks every pick through it.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Wisdom::try_complete_batched`].
     pub fn try_complete_batched_constrained(
         &self,
         request: &CompletionRequest,

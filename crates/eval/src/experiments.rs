@@ -672,9 +672,7 @@ impl TelemetryOverhead {
 /// occupancy gauge, admission counters — exactly what the serving stack
 /// wires up.
 pub fn run_telemetry_overhead(profile: &Profile, batch: usize, tokens: usize) -> TelemetryOverhead {
-    use wisdom_model::{
-        generate_batch, generate_batch_instrumented, BatchTelemetry, DecodeRequest,
-    };
+    use wisdom_model::{generate_batch, BatchTelemetry, DecodeBatch, DecodeRequest};
     use wisdom_telemetry::Registry;
 
     let ctx = profile.ctx(1024);
@@ -712,13 +710,9 @@ pub fn run_telemetry_overhead(profile: &Profile, batch: usize, tokens: usize) ->
     };
     let run_instrumented = || {
         let start = Instant::now();
-        let out = std::hint::black_box(generate_batch_instrumented(
-            &model,
-            requests(),
-            batch,
-            None,
-            telemetry.clone(),
-        ));
+        let mut engine = DecodeBatch::new(&model);
+        engine.set_telemetry(telemetry.clone());
+        let out = std::hint::black_box(engine.run(requests(), batch));
         (out, start.elapsed().as_secs_f64())
     };
     let _ = generate_batch(&model, requests(), batch); // warm-up
@@ -803,7 +797,7 @@ pub fn run_speculative(profile: &Profile, tokens: usize, ks: &[usize]) -> Vec<Sp
 /// with an order-4 n-gram drafter warmed on the model's own greedy stream.
 /// `k == 0` times the plain sequential loop instead.
 fn measure_speculative(model: &TransformerLm, tokens: usize, k: usize) -> (f64, f64) {
-    use wisdom_model::{NgramSpeculator, SpeculativeConfig, SpeculativeDecoder};
+    use wisdom_model::{DecodeRequest, NgramSpeculator, SpeculativeConfig, SpeculativeDecoder};
     let vocab = model.config().vocab_size as u32;
     let prompt: Vec<u32> = (0..8u32).map(|j| (j * 31 + 3) % vocab).collect();
     let opts = GenerationOptions {
@@ -828,8 +822,14 @@ fn measure_speculative(model: &TransformerLm, tokens: usize, k: usize) -> (f64, 
     let mut warmed = NgramSpeculator::new(4, model.config().vocab_size, true);
     warmed.warm(&warm_stream);
     let dec = SpeculativeDecoder::new(model, SpeculativeConfig::ngram(k));
+    let request = DecodeRequest {
+        prompt,
+        stops: Vec::new(),
+        opts,
+        grammar: None,
+    };
     let mut drafter = warmed.clone(); // warm-up, discarding online updates
-    let _ = dec.generate_with(&prompt, &[], &opts, &mut drafter);
+    let _ = dec.generate_with(&request, &mut drafter);
     let mut best = f64::INFINITY;
     let mut accepted = 0.0;
     for _ in 0..2 {
@@ -837,8 +837,7 @@ fn measure_speculative(model: &TransformerLm, tokens: usize, k: usize) -> (f64, 
         // like one sequence through the batched engine.
         let mut drafter = warmed.clone();
         let start = Instant::now();
-        let (out, report) =
-            std::hint::black_box(dec.generate_with(&prompt, &[], &opts, &mut drafter));
+        let (out, report) = std::hint::black_box(dec.generate_with(&request, &mut drafter));
         best = best.min(start.elapsed().as_secs_f64());
         debug_assert_eq!(out, reference);
         accepted = report.accepted_per_verify();
@@ -1525,7 +1524,7 @@ pub fn run_curation(
     use wisdom_curation::{
         corpus_docs, curate, jaccard, shingle_set, CurationConfig, DocKind, InputDoc,
     };
-    use wisdom_model::{NgramSpeculator, SpeculativeConfig, SpeculativeDecoder};
+    use wisdom_model::{DecodeRequest, NgramSpeculator, SpeculativeConfig, SpeculativeDecoder};
 
     let docs = corpus_docs(&zoo.corpus);
     let base_config = CurationConfig {
@@ -1629,22 +1628,26 @@ pub fn run_curation(
         strategy: Strategy::Greedy,
         seed: zoo.profile.seed,
     };
-    let prompts: Vec<Vec<u32>> = zoo
+    let stops = [zoo.tokenizer.eot()];
+    let prompts: Vec<DecodeRequest> = zoo
         .split
         .test
         .iter()
         .take(4)
-        .map(|s| {
-            zoo.tokenizer
-                .encode(&s.prompt_text(PromptStyle::NameCompletion))
+        .map(|s| DecodeRequest {
+            prompt: zoo
+                .tokenizer
+                .encode(&s.prompt_text(PromptStyle::NameCompletion)),
+            stops: stops.to_vec(),
+            opts,
+            grammar: None,
         })
         .collect();
     let dec = SpeculativeDecoder::new(&model, SpeculativeConfig::ngram(8));
-    let stops = [zoo.tokenizer.eot()];
     let arm = |drafter_of: &dyn Fn() -> NgramSpeculator| {
         // One warm-up prompt, then best-of-2 over the prompt set.
         let mut d = drafter_of();
-        let _ = dec.generate_with(&prompts[0], &stops, &opts, &mut d);
+        let _ = dec.generate_with(&prompts[0], &mut d);
         let mut best = f64::INFINITY;
         let mut toks = 0usize;
         let mut accepted = 0.0;
@@ -1654,8 +1657,7 @@ pub fn run_curation(
             let mut acc_sum = 0.0;
             for p in &prompts {
                 let mut d = drafter_of();
-                let (out, report) =
-                    std::hint::black_box(dec.generate_with(p, &stops, &opts, &mut d));
+                let (out, report) = std::hint::black_box(dec.generate_with(p, &mut d));
                 run_toks += out.len();
                 acc_sum += report.accepted_per_verify();
             }
@@ -1679,7 +1681,7 @@ pub fn run_curation(
         let start = Instant::now();
         let mut run_toks = 0usize;
         for p in &prompts {
-            run_toks += std::hint::black_box(model.generate(p, &stops, &opts)).len();
+            run_toks += std::hint::black_box(model.generate(&p.prompt, &stops, &opts)).len();
         }
         let dt = start.elapsed().as_secs_f64();
         if dt < best {

@@ -9,9 +9,10 @@
 //!   [`TransformerLm::step_batch`] for every sequence that survived — so `B`
 //!   live requests cost one `B×d` blocked matmul per projection, not `B`
 //!   memory-bound matvecs.
-//! * [`generate_batch`] — synchronous fan-in over a fixed request list (the
-//!   evaluation harness path): admits up to `max_batch_size` sequences,
-//!   refills the batch as sequences retire, returns outputs in input order.
+//! * [`DecodeBatch::run`] ([`generate_batch`] on a plain engine) —
+//!   synchronous fan-in over a fixed request list (the evaluation harness
+//!   path): admits up to `max_batch_size` sequences, refills the batch as
+//!   sequences retire, returns outputs in input order.
 //! * [`BatchScheduler`] — the serving path: a bounded submission queue in
 //!   front of one dedicated decode worker. Waiting requests are admitted
 //!   into the running batch *between* steps (continuous batching, not
@@ -41,7 +42,7 @@ use crate::decode::{GenerationOptions, Strategy};
 use crate::prefix_cache::{PrefixCacheStats, PrefixKvCache, PrefixPin};
 use crate::speculative::{adapt_draft_len, verify_draft, SpeculativeConfig, Speculator};
 use crate::telemetry::{
-    BatchTelemetry, FinishReason, GrammarTelemetry, QuantTelemetry, SpeculativeTelemetry,
+    BatchTelemetry, FinishReason, GrammarTelemetry, ReplicaTelemetry, SpeculativeTelemetry,
 };
 use crate::transformer::{pick_ends_sequence, pick_token, KvCache, Precision, TransformerLm};
 
@@ -84,7 +85,7 @@ impl PartialEq for DecodeRequest {
 }
 
 /// One in-flight sequence inside a [`DecodeBatch`].
-struct Seq {
+struct Seq<'m> {
     /// Caller-chosen id returned with the finished output.
     tag: usize,
     cache: KvCache,
@@ -109,8 +110,10 @@ struct Seq {
     /// it retires, so eviction can't drop shared state mid-decode.
     _pin: PrefixPin,
     /// Per-sequence draft proposer — `Some` only for greedy sequences
-    /// admitted while speculation is configured.
-    drafter: Option<Box<dyn Speculator>>,
+    /// admitted while speculation is configured. Built from the config, or
+    /// lent by the caller for the sequence's lifetime
+    /// ([`crate::SpeculativeDecoder::generate_with`]).
+    drafter: Option<Box<dyn Speculator + 'm>>,
     /// Prompt window + emitted tokens, maintained for drafting.
     history: Vec<u32>,
     /// Tokens up to this index of `history` were already reported to the
@@ -141,7 +144,7 @@ fn emit_streamed(sink: &Option<mpsc::Sender<u32>>, tokens: &[u32]) -> bool {
 
 /// Reports history tokens past the drafter's watermark to its
 /// online-adaptation hook (each emitted token exactly once).
-fn observe_new_history(seq: &mut Seq) {
+fn observe_new_history(seq: &mut Seq<'_>) {
     if let Some(drafter) = &mut seq.drafter {
         if seq.observed < seq.history.len() {
             let (ctx_part, new_part) = seq.history.split_at(seq.observed);
@@ -155,7 +158,7 @@ fn observe_new_history(seq: &mut Seq) {
 /// per-sequence KV caches, stepped together.
 pub struct DecodeBatch<'m> {
     model: &'m TransformerLm,
-    seqs: Vec<Seq>,
+    seqs: Vec<Seq<'m>>,
     /// Shared prefix KV cache consulted/populated at admission (optional).
     prefix_cache: Option<Arc<PrefixKvCache>>,
     /// Metric handles; `None` keeps the hot path entirely uninstrumented.
@@ -191,13 +194,8 @@ impl<'m> DecodeBatch<'m> {
     /// exact copies of what a cold prefill computes at those positions.
     pub fn with_prefix_cache(model: &'m TransformerLm, cache: Arc<PrefixKvCache>) -> Self {
         Self {
-            model,
-            seqs: Vec::new(),
             prefix_cache: Some(cache),
-            telemetry: None,
-            speculation: SpeculativeConfig::disabled(),
-            spec_telemetry: None,
-            grammar_telemetry: None,
+            ..Self::new(model)
         }
     }
 
@@ -247,37 +245,26 @@ impl<'m> DecodeBatch<'m> {
     /// Panics on a beam-search request — beams branch their caches and take
     /// the solo [`TransformerLm::generate`] path instead.
     pub fn admit(&mut self, tag: usize, req: DecodeRequest) {
-        self.admit_at(tag, req, None);
+        self.admit_full(tag, req, None, None, None);
     }
 
-    /// [`Self::admit`] with the request's submission time: queue wait is
-    /// recorded at admission, and TTFT is measured from `submitted` instead
-    /// of from the start of prefill.
-    pub fn admit_at(&mut self, tag: usize, req: DecodeRequest, submitted: Option<Instant>) {
-        self.admit_full(tag, req, submitted, None);
-    }
-
-    /// [`Self::admit_at`] with a streaming sink: every token the sequence
+    /// [`Self::admit`] with what the scheduler and the solo speculative
+    /// decoder add to a request. With `submitted` (the request's submission
+    /// time), queue wait is recorded at admission and TTFT is measured from
+    /// then instead of from the start of prefill. Every token the sequence
     /// emits is also sent on `sink` as soon as it is chosen (before the next
-    /// forward pass), enabling SSE streaming. The sink is dropped when the
+    /// forward pass), enabling SSE streaming; the sink is dropped when the
     /// sequence retires, which disconnects the receiver — that is the
-    /// end-of-stream signal. Generated tokens are unaffected.
-    pub fn admit_streaming(
-        &mut self,
-        tag: usize,
-        req: DecodeRequest,
-        submitted: Option<Instant>,
-        sink: mpsc::Sender<u32>,
-    ) {
-        self.admit_full(tag, req, submitted, Some(sink));
-    }
-
-    fn admit_full(
+    /// end-of-stream signal. A speculating sequence drafts with `drafter`
+    /// instead of one built from the config (and warmed on its prompt
+    /// window). Generated tokens are unaffected by all three.
+    pub(crate) fn admit_full(
         &mut self,
         tag: usize,
         req: DecodeRequest,
         submitted: Option<Instant>,
         sink: Option<mpsc::Sender<u32>>,
+        drafter: Option<Box<dyn Speculator + 'm>>,
     ) {
         assert!(
             !matches!(req.opts.strategy, Strategy::Beam { .. }),
@@ -306,8 +293,10 @@ impl<'m> DecodeBatch<'m> {
         // out of `cache` can never touch shared tree segments.
         let drafter = (self.speculation.enabled() && matches!(req.opts.strategy, Strategy::Greedy))
             .then(|| {
-                self.speculation
-                    .build_speculator(self.model.config().vocab_size, window)
+                drafter.unwrap_or_else(|| {
+                    self.speculation
+                        .build_speculator(self.model.config().vocab_size, window)
+                })
             });
         let history = if drafter.is_some() {
             window.to_vec()
@@ -356,8 +345,8 @@ impl<'m> DecodeBatch<'m> {
     /// sequences that hit a stop token / the end of their task / budget /
     /// the context edge — or whose stream nobody reads any more — retire,
     /// and the survivors advance — speculating sequences through their own
-    /// draft-verify pass ([`crate::SpeculativeDecoder`]-style), the rest
-    /// through one batched [`TransformerLm::step_batch`].
+    /// draft-verify pass (this is the only place one runs), the rest through
+    /// one batched [`TransformerLm::step_batch`].
     ///
     /// Returns the sequences that finished this round as `(tag, tokens)`.
     pub fn step(&mut self) -> Vec<(usize, Vec<u32>)> {
@@ -525,6 +514,46 @@ impl<'m> DecodeBatch<'m> {
         }
         finished
     }
+
+    /// Decodes every request through this engine, continuously refilled to
+    /// at most `max_batch_size` sequences, and returns the outputs in input
+    /// order — with whatever prefix cache, speculation and metric handles
+    /// the engine was configured with. Beam requests fall back to the solo
+    /// path (their caches branch per beam).
+    ///
+    /// Each output is bit-identical to `model.generate` run alone on that
+    /// request: neither the cache, nor speculation
+    /// (`tests/speculative_agreement.rs`), nor telemetry changes a token.
+    ///
+    /// # Panics
+    ///
+    /// Panics when sequences admitted by hand are still in flight: tags are
+    /// request indices here.
+    pub fn run(&mut self, requests: Vec<DecodeRequest>, max_batch_size: usize) -> Vec<Vec<u32>> {
+        assert!(self.is_empty(), "run needs an idle engine");
+        let cap = max_batch_size.max(1);
+        let mut results: Vec<Vec<u32>> = vec![Vec::new(); requests.len()];
+        let mut queue = requests.into_iter().enumerate();
+        loop {
+            while self.len() < cap {
+                let Some((tag, req)) = queue.next() else {
+                    break;
+                };
+                if matches!(req.opts.strategy, Strategy::Beam { .. }) {
+                    results[tag] = self.model.generate(&req.prompt, &req.stops, &req.opts);
+                    continue;
+                }
+                self.admit(tag, req);
+            }
+            if self.is_empty() {
+                break;
+            }
+            for (tag, out) in self.step() {
+                results[tag] = out;
+            }
+        }
+        results
+    }
 }
 
 /// Decodes every request through one continuously refilled batch of at most
@@ -532,115 +561,14 @@ impl<'m> DecodeBatch<'m> {
 /// requests fall back to the solo path (their caches branch per beam).
 ///
 /// Each output is bit-identical to `model.generate` run alone on that
-/// request.
+/// request. This is [`DecodeBatch::run`] on a plain engine; configure one
+/// (prefix cache, speculation, metric handles) and call `run` for the rest.
 pub fn generate_batch(
     model: &TransformerLm,
     requests: Vec<DecodeRequest>,
     max_batch_size: usize,
 ) -> Vec<Vec<u32>> {
-    generate_batch_with(model, requests, max_batch_size, None)
-}
-
-/// [`generate_batch`] with an optional shared [`PrefixKvCache`]: admissions
-/// consult/populate it, so requests with shared prompt prefixes only
-/// prefill their unique suffixes. Outputs are unchanged bit-for-bit.
-pub fn generate_batch_with(
-    model: &TransformerLm,
-    requests: Vec<DecodeRequest>,
-    max_batch_size: usize,
-    prefix_cache: Option<Arc<PrefixKvCache>>,
-) -> Vec<Vec<u32>> {
-    generate_batch_inner(
-        model,
-        requests,
-        max_batch_size,
-        prefix_cache,
-        None,
-        SpeculativeConfig::disabled(),
-    )
-}
-
-/// [`generate_batch_with`] with speculative decoding enabled for greedy
-/// requests: each admitted sequence drafts ahead with `speculative.draft`
-/// and verifies against the model in batched passes. Outputs are unchanged
-/// bit-for-bit (`tests/speculative_agreement.rs`) — speculation only
-/// changes how many forward passes they cost.
-pub fn generate_batch_speculative(
-    model: &TransformerLm,
-    requests: Vec<DecodeRequest>,
-    max_batch_size: usize,
-    prefix_cache: Option<Arc<PrefixKvCache>>,
-    speculative: SpeculativeConfig,
-) -> Vec<Vec<u32>> {
-    generate_batch_inner(
-        model,
-        requests,
-        max_batch_size,
-        prefix_cache,
-        None,
-        speculative,
-    )
-}
-
-/// [`generate_batch_with`] recording into `telemetry`: every admission,
-/// decode round, and retirement hits the metric handles. Outputs are
-/// unchanged bit-for-bit — this is the measured arm of the `-- telemetry`
-/// overhead experiment in `wisdom-eval`.
-pub fn generate_batch_instrumented(
-    model: &TransformerLm,
-    requests: Vec<DecodeRequest>,
-    max_batch_size: usize,
-    prefix_cache: Option<Arc<PrefixKvCache>>,
-    telemetry: BatchTelemetry,
-) -> Vec<Vec<u32>> {
-    generate_batch_inner(
-        model,
-        requests,
-        max_batch_size,
-        prefix_cache,
-        Some(telemetry),
-        SpeculativeConfig::disabled(),
-    )
-}
-
-fn generate_batch_inner(
-    model: &TransformerLm,
-    requests: Vec<DecodeRequest>,
-    max_batch_size: usize,
-    prefix_cache: Option<Arc<PrefixKvCache>>,
-    telemetry: Option<BatchTelemetry>,
-    speculative: SpeculativeConfig,
-) -> Vec<Vec<u32>> {
-    let cap = max_batch_size.max(1);
-    let mut results: Vec<Vec<u32>> = vec![Vec::new(); requests.len()];
-    let mut queue = requests.into_iter().enumerate();
-    let mut engine = match prefix_cache {
-        Some(cache) => DecodeBatch::with_prefix_cache(model, cache),
-        None => DecodeBatch::new(model),
-    };
-    engine.set_speculation(speculative);
-    if let Some(t) = telemetry {
-        engine.set_telemetry(t);
-    }
-    loop {
-        while engine.len() < cap {
-            let Some((tag, req)) = queue.next() else {
-                break;
-            };
-            if matches!(req.opts.strategy, Strategy::Beam { .. }) {
-                results[tag] = model.generate(&req.prompt, &req.stops, &req.opts);
-                continue;
-            }
-            engine.admit(tag, req);
-        }
-        if engine.is_empty() {
-            break;
-        }
-        for (tag, out) in engine.step() {
-            results[tag] = out;
-        }
-    }
-    results
+    DecodeBatch::new(model).run(requests, max_batch_size)
 }
 
 /// Scheduler sizing.
@@ -798,59 +726,51 @@ impl BatchScheduler {
     /// [`BatchConfig::prefix_cache_bytes`] enables a shared prefix KV cache
     /// that admissions consult and populate.
     pub fn spawn(model: Arc<TransformerLm>, cfg: BatchConfig) -> Self {
-        Self::spawn_with(model, cfg, None)
+        Self::spawn_with(model, cfg, ReplicaTelemetry::default())
     }
 
-    /// [`Self::spawn`] with metric handles: the worker and the submission
-    /// path record queue wait, TTFT, per-round decode latency, occupancy,
-    /// and admitted/completed/shed/wakeup counts into `telemetry`.
-    pub fn spawn_with(
-        model: Arc<TransformerLm>,
-        cfg: BatchConfig,
-        telemetry: Option<BatchTelemetry>,
-    ) -> Self {
-        Self::spawn_full(model, cfg, telemetry, None, None, None)
-    }
-
-    /// [`Self::spawn_with`] also recording speculation metrics (verify
-    /// counters, acceptance-length histogram, draft-overhead timer) when
-    /// [`BatchConfig::speculative`] is enabled, and quantization metrics
-    /// (weight bytes saved, quantized-matmul share) into `quant_telemetry`.
+    /// [`Self::spawn`] with metric handles; every bundle in `telemetry` is
+    /// optional. The worker and the submission path record queue wait, TTFT,
+    /// per-round decode latency, occupancy, and
+    /// admitted/completed/shed/wakeup counts into `telemetry.batch`; the
+    /// prefix cache records into `telemetry.prefix_cache`; speculation
+    /// metrics (verify counters, acceptance-length histogram, draft-overhead
+    /// timer) go to `telemetry.speculative` when
+    /// [`BatchConfig::speculative`] is enabled, quantization metrics (weight
+    /// bytes saved, quantized-matmul share) to `telemetry.quant`, and
+    /// grammar metrics to `telemetry.grammar`.
     ///
     /// When [`BatchConfig::precision`] differs from the model's current
     /// precision, the scheduler's copy of the model is converted once here
     /// (the caller's model is untouched).
-    pub fn spawn_full(
+    pub fn spawn_with(
         model: Arc<TransformerLm>,
         cfg: BatchConfig,
-        telemetry: Option<BatchTelemetry>,
-        spec_telemetry: Option<SpeculativeTelemetry>,
-        quant_telemetry: Option<QuantTelemetry>,
-        grammar_telemetry: Option<GrammarTelemetry>,
+        telemetry: ReplicaTelemetry,
     ) -> Self {
         let cfg = BatchConfig {
             max_batch_size: cfg.max_batch_size.max(1),
             queue_depth: cfg.queue_depth.max(1),
-            prefix_cache_bytes: cfg.prefix_cache_bytes,
-            speculative: cfg.speculative,
-            precision: cfg.precision,
-            constraint: cfg.constraint,
+            ..cfg
         };
-        let model = if model.precision() != cfg.precision || quant_telemetry.is_some() {
+        let model = if model.precision() != cfg.precision || telemetry.quant.is_some() {
             let mut m = (*model).clone();
             m.set_precision(cfg.precision);
-            m.set_quant_telemetry(quant_telemetry.clone());
+            m.set_quant_telemetry(telemetry.quant.clone());
             Arc::new(m)
         } else {
             model
         };
-        if let Some(qt) = &quant_telemetry {
+        if let Some(qt) = &telemetry.quant {
             qt.weight_bytes.set(model.quant_weight_bytes() as f64);
             qt.weight_bytes_saved
                 .set(model.quant_weight_bytes_saved() as f64);
         }
         let prefix_cache = (cfg.prefix_cache_bytes > 0)
             .then(|| Arc::new(PrefixKvCache::with_budget(cfg.prefix_cache_bytes)));
+        if let (Some(cache), Some(t)) = (&prefix_cache, &telemetry.prefix_cache) {
+            cache.set_telemetry(t.clone());
+        }
         let shared = Arc::new(Shared {
             state: Mutex::new(SchedulerState {
                 jobs: VecDeque::new(),
@@ -866,27 +786,17 @@ impl BatchScheduler {
         let worker_shared = Arc::clone(&shared);
         let worker_model = Arc::clone(&model);
         let worker_cache = prefix_cache.clone();
-        let worker_telemetry = telemetry.clone();
+        let batch_telemetry = telemetry.batch.clone();
         let worker = std::thread::Builder::new()
             .name("wisdom-decode".to_string())
-            .spawn(move || {
-                worker_loop(
-                    &worker_model,
-                    &worker_shared,
-                    cfg,
-                    worker_cache,
-                    worker_telemetry,
-                    spec_telemetry,
-                    grammar_telemetry,
-                )
-            })
+            .spawn(move || worker_loop(&worker_model, &worker_shared, cfg, worker_cache, telemetry))
             .expect("spawn decode worker");
         Self {
             shared,
             model,
             cfg,
             prefix_cache,
-            telemetry,
+            telemetry: batch_telemetry,
             worker: Some(worker),
         }
     }
@@ -1103,28 +1013,31 @@ impl fmt::Debug for BatchScheduler {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     model: &TransformerLm,
     shared: &Shared,
     cfg: BatchConfig,
     prefix_cache: Option<Arc<PrefixKvCache>>,
-    telemetry: Option<BatchTelemetry>,
-    spec_telemetry: Option<SpeculativeTelemetry>,
-    grammar_telemetry: Option<GrammarTelemetry>,
+    telemetry: ReplicaTelemetry,
 ) {
     let mut engine = match prefix_cache {
         Some(cache) => DecodeBatch::with_prefix_cache(model, cache),
         None => DecodeBatch::new(model),
     };
+    engine.set_speculation(cfg.speculative);
+    let ReplicaTelemetry {
+        batch: telemetry,
+        speculative,
+        grammar,
+        ..
+    } = telemetry;
     if let Some(t) = &telemetry {
         engine.set_telemetry(t.clone());
     }
-    engine.set_speculation(cfg.speculative);
-    if let Some(t) = spec_telemetry {
+    if let Some(t) = speculative {
         engine.set_speculative_telemetry(t);
     }
-    if let Some(t) = grammar_telemetry {
+    if let Some(t) = grammar {
         engine.set_grammar_telemetry(t);
     }
     let mut next_tag = 0usize;
@@ -1176,7 +1089,7 @@ fn worker_loop(
             let tag = next_tag;
             next_tag += 1;
             replies.insert(tag, job.reply);
-            engine.admit_full(tag, job.req, Some(job.submitted), job.sink);
+            engine.admit_full(tag, job.req, Some(job.submitted), job.sink, None);
         }
         shared.in_flight.store(engine.len(), Ordering::Relaxed);
         for (tag, out) in engine.step() {
@@ -1193,6 +1106,7 @@ fn worker_loop(
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
+    use crate::telemetry::QuantTelemetry;
 
     fn tiny_model() -> TransformerLm {
         let cfg = ModelConfig {
@@ -1339,7 +1253,10 @@ mod tests {
                 queue_depth: 1,
                 ..BatchConfig::default()
             },
-            Some(telemetry.clone()),
+            ReplicaTelemetry {
+                batch: Some(telemetry.clone()),
+                ..Default::default()
+            },
         );
         // The ready flag flips once the worker loop is up.
         while !sched.worker_ready() {
@@ -1388,8 +1305,9 @@ mod tests {
         };
         let requests = vec![req(&[1, 2, 3]), req(&[4, 5]), req(&[6])];
         let plain = generate_batch(&model, requests.clone(), 2);
-        let instrumented =
-            generate_batch_instrumented(&model, requests, 2, None, telemetry.clone());
+        let mut engine = DecodeBatch::new(&model);
+        engine.set_telemetry(telemetry.clone());
+        let instrumented = engine.run(requests, 2);
         assert_eq!(plain, instrumented, "telemetry must not change tokens");
         assert_eq!(telemetry.admitted.get(), 3);
         assert_eq!(telemetry.completed.get(), 3);
@@ -1417,23 +1335,25 @@ mod tests {
             SpeculativeConfig::ngram(4),
             SpeculativeConfig::self_draft(3),
         ] {
-            let speculated = generate_batch_speculative(&model, requests.clone(), 2, None, spec);
+            let mut engine = DecodeBatch::new(&model);
+            engine.set_speculation(spec);
+            let speculated = engine.run(requests.clone(), 2);
             assert_eq!(plain, speculated, "speculation must not change tokens");
         }
 
         // Through the scheduler, with metric handles attached.
         let registry = wisdom_telemetry::Registry::new();
         let spec_telemetry = SpeculativeTelemetry::register(&registry);
-        let sched = BatchScheduler::spawn_full(
+        let sched = BatchScheduler::spawn_with(
             Arc::new(model),
             BatchConfig {
                 speculative: SpeculativeConfig::self_draft(3),
                 ..BatchConfig::default()
             },
-            None,
-            Some(spec_telemetry.clone()),
-            None,
-            None,
+            ReplicaTelemetry {
+                speculative: Some(spec_telemetry.clone()),
+                ..Default::default()
+            },
         );
         let out = sched.generate(&[1, 2, 3, 1, 2, 3], &[0], &greedy(8));
         assert_eq!(out, plain[0]);
@@ -1456,16 +1376,16 @@ mod tests {
         let model = Arc::new(tiny_model());
         let registry = wisdom_telemetry::Registry::new();
         let qt = QuantTelemetry::register(&registry);
-        let sched = BatchScheduler::spawn_full(
+        let sched = BatchScheduler::spawn_with(
             Arc::clone(&model),
             BatchConfig {
                 precision: Precision::Int8,
                 ..BatchConfig::default()
             },
-            None,
-            None,
-            Some(qt.clone()),
-            None,
+            ReplicaTelemetry {
+                quant: Some(qt.clone()),
+                ..Default::default()
+            },
         );
         assert_eq!(sched.config().precision, Precision::Int8);
         assert!(qt.weight_bytes.get() > 0.0);
@@ -1502,10 +1422,9 @@ mod tests {
             })
             .collect();
         let plain = generate_batch(&model, requests.clone(), 2);
-        assert_eq!(
-            generate_batch_speculative(&model, requests, 2, None, spec),
-            plain
-        );
+        let mut engine = DecodeBatch::new(&model);
+        engine.set_speculation(spec);
+        assert_eq!(engine.run(requests, 2), plain);
     }
 
     #[test]
@@ -1560,7 +1479,7 @@ mod tests {
             engine.set_speculation(spec);
             let before = telemetry.finished(FinishReason::Cancelled).get();
             let (sink, tokens) = mpsc::channel();
-            engine.admit_streaming(7, request.clone(), None, sink);
+            engine.admit_full(7, request.clone(), None, Some(sink), None);
             assert!(
                 engine.step().is_empty(),
                 "ten tokens take more than a round"
@@ -1599,7 +1518,9 @@ mod tests {
         };
         // One sequence runs out of budget, one stops at its third token.
         let requests = vec![request(vec![]), request(vec![solo[2]])];
-        let out = generate_batch_instrumented(&model, requests, 2, None, telemetry.clone());
+        let mut engine = DecodeBatch::new(&model);
+        engine.set_telemetry(telemetry.clone());
+        let out = engine.run(requests, 2);
         assert_eq!(out, vec![solo.clone(), solo[..2].to_vec()]);
         assert_eq!(telemetry.finished(FinishReason::Length).get(), 1);
         assert_eq!(telemetry.finished(FinishReason::Stop).get(), 1);

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use wisdom_grammar::{Constraint, GrammarIndex};
 use wisdom_tokenizer::BpeTokenizer;
 
-use crate::batch::{generate_batch_with, DecodeRequest};
+use crate::batch::{DecodeBatch, DecodeRequest};
 use crate::prefix_cache::PrefixKvCache;
 use crate::transformer::TransformerLm;
 
@@ -180,7 +180,7 @@ impl TextGenerator for LmTextGenerator {
         let stops = [self.tokenizer.eot(), self.tokenizer.sep()];
         let out = self
             .model
-            .generate_constrained(&ids, &stops, opts, self.grammar.as_ref(), None);
+            .generate_constrained(&ids, &stops, opts, self.grammar.as_ref());
         self.tokenizer.decode(&out)
     }
 
@@ -202,7 +202,8 @@ impl TextGenerator for LmTextGenerator {
             })
             .collect();
         let prefix_cache = Arc::new(PrefixKvCache::default());
-        generate_batch_with(&self.model, requests, 8, Some(prefix_cache))
+        DecodeBatch::with_prefix_cache(&self.model, prefix_cache)
+            .run(requests, 8)
             .iter()
             .map(|out| self.tokenizer.decode(out))
             .collect()

@@ -38,9 +38,8 @@ mod train;
 mod transformer;
 
 pub use batch::{
-    generate_batch, generate_batch_instrumented, generate_batch_speculative, generate_batch_with,
-    BatchConfig, BatchScheduler, DecodeBatch, DecodeRequest, Pending, SchedulerStats,
-    StreamingPending, SubmitError,
+    generate_batch, BatchConfig, BatchScheduler, DecodeBatch, DecodeRequest, Pending,
+    SchedulerStats, StreamingPending, SubmitError,
 };
 pub use checkpoint::{load_checkpoint, save_checkpoint, LoadCheckpointError};
 pub use config::ModelConfig;
@@ -49,7 +48,7 @@ pub use ngram::{NgramLm, NgramTextGenerator};
 pub use prefix_cache::{
     CachedPrefix, PrefixCacheConfig, PrefixCacheStats, PrefixKvCache, PrefixPin,
 };
-pub use replica::{PoolStats, ReplicaPool, ReplicaTelemetry};
+pub use replica::{PoolStats, ReplicaPool};
 pub use retrieval::RetrievalModel;
 pub use speculative::{
     DraftKind, NgramSpeculator, SelfDraftSpeculator, SpeculativeConfig, SpeculativeDecoder,
@@ -57,7 +56,7 @@ pub use speculative::{
 };
 pub use telemetry::{
     BatchTelemetry, FinishReason, GrammarTelemetry, PrefixCacheTelemetry, QuantTelemetry,
-    SpeculativeTelemetry,
+    ReplicaTelemetry, SpeculativeTelemetry,
 };
 // Re-exported so the serving layers (`wisdom-core`, `wisdom-server`) can
 // build and attach grammar constraints without a direct `wisdom-grammar`

@@ -19,28 +19,8 @@ use std::sync::Arc;
 
 use crate::batch::{BatchConfig, BatchScheduler, SchedulerStats};
 use crate::prefix_cache::PrefixCacheStats;
-use crate::telemetry::{
-    BatchTelemetry, GrammarTelemetry, PrefixCacheTelemetry, QuantTelemetry, SpeculativeTelemetry,
-};
+use crate::telemetry::ReplicaTelemetry;
 use crate::transformer::TransformerLm;
-
-/// Per-replica metric handles, typically registered with a
-/// `replica="<i>"` label so one registry exposes every replica's series
-/// side by side. All handles are optional; a default bundle leaves the
-/// replica uninstrumented.
-#[derive(Debug, Clone, Default)]
-pub struct ReplicaTelemetry {
-    /// Scheduler metrics (queue wait, TTFT, per-round decode latency, …).
-    pub batch: Option<BatchTelemetry>,
-    /// Prefix-cache metrics, attached to the replica's own cache.
-    pub prefix_cache: Option<PrefixCacheTelemetry>,
-    /// Speculative-decoding metrics.
-    pub speculative: Option<SpeculativeTelemetry>,
-    /// Quantization metrics.
-    pub quant: Option<QuantTelemetry>,
-    /// Grammar-constrained-decoding metrics.
-    pub grammar: Option<GrammarTelemetry>,
-}
 
 /// Aggregated load across a pool, plus the per-replica snapshots it was
 /// summed from. Served by `GET /v1/stats` on multi-replica servers.
@@ -90,18 +70,7 @@ impl ReplicaPool {
         let mut replicas = Vec::with_capacity(n);
         for i in 0..n {
             let t = telemetry.get(i).cloned().unwrap_or_default();
-            let scheduler = BatchScheduler::spawn_full(
-                Arc::clone(&model),
-                cfg,
-                t.batch,
-                t.speculative,
-                t.quant,
-                t.grammar,
-            );
-            if let (Some(pc), Some(cache)) = (t.prefix_cache, scheduler.prefix_cache()) {
-                cache.set_telemetry(pc);
-            }
-            replicas.push(scheduler);
+            replicas.push(BatchScheduler::spawn_with(Arc::clone(&model), cfg, t));
         }
         Self { replicas }
     }

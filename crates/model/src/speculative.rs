@@ -27,6 +27,10 @@
 //! (`tests/speculative_agreement.rs` pins this, including through the
 //! continuous-batching engine and the prefix cache).
 //!
+//! The rounds themselves run in one place, [`crate::DecodeBatch::step`]:
+//! [`SpeculativeDecoder`] is a batch of one, so solo, batched and scheduled
+//! speculation share the draft, verify and rollback code above.
+//!
 //! Draft length adapts per sequence: `k` grows back toward
 //! [`SpeculativeConfig::max_draft`] while drafts are fully accepted and
 //! halves when a whole draft is rejected, and the batched engine skips
@@ -35,14 +39,13 @@
 //! their forward passes across sequences, so they degrade gracefully to
 //! plain batched decoding.
 
-use std::sync::Arc;
-use std::time::Instant;
+use wisdom_grammar::GrammarCursor;
+use wisdom_telemetry::Registry;
 
-use wisdom_grammar::{GrammarCursor, GrammarIndex};
-
-use crate::decode::{GenerationOptions, Strategy};
+use crate::batch::{DecodeBatch, DecodeRequest};
+use crate::decode::Strategy;
 use crate::ngram::NgramLm;
-use crate::telemetry::{FinishReason, GrammarTelemetry};
+use crate::telemetry::{FinishReason, GrammarTelemetry, SpeculativeTelemetry};
 use crate::transformer::{argmax, mask_logits, pick_ends_sequence, KvCache, TransformerLm};
 
 /// Which draft proposer speculative decoding uses.
@@ -182,6 +185,22 @@ pub trait Speculator: Send {
     fn observe(&mut self, _context: &[u32], _new: &[u32]) {}
 }
 
+/// A lent drafter drafts for one sequence and keeps what it learned: its
+/// online state carries over to the caller's next generation.
+impl<S: Speculator + ?Sized> Speculator for &mut S {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn draft(&self, context: &[u32], k: usize) -> Vec<u32> {
+        (**self).draft(context, k)
+    }
+
+    fn observe(&mut self, context: &[u32], new: &[u32]) {
+        (**self).observe(context, new);
+    }
+}
+
 /// Draft proposer backed by a stupid-backoff [`NgramLm`].
 ///
 /// Warm it on a corpus ([`Self::warm`], or wrap an already-trained model
@@ -304,8 +323,8 @@ impl Speculator for SelfDraftSpeculator {
     }
 }
 
-/// Counters from one speculative generation (the solo-path mirror of
-/// [`SpeculativeTelemetry`](crate::SpeculativeTelemetry)).
+/// Counters from one speculative generation: what the engine recorded into
+/// a [`SpeculativeTelemetry`] of the generation's own.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SpeculativeReport {
     /// Draft tokens proposed across all verify passes.
@@ -316,8 +335,6 @@ pub struct SpeculativeReport {
     pub rejected: u64,
     /// Batched verify passes run.
     pub verify_passes: u64,
-    /// Plain single-token steps taken when no draft was available.
-    pub fallback_steps: u64,
     /// Wall-clock seconds spent inside [`Speculator::draft`].
     pub draft_seconds: f64,
 }
@@ -429,28 +446,31 @@ pub(crate) fn adapt_draft_len(
     }
 }
 
-/// Greedy speculative generation over a single sequence.
+/// Greedy speculative generation over a single sequence: a
+/// [`DecodeBatch`] of one, so the draft-verify rounds are the engine's own.
 ///
-/// Output is bit-for-bit identical to [`TransformerLm::generate`] with the
-/// same arguments; non-greedy strategies (and a disabled config) delegate
-/// to it outright.
+/// Output is bit-for-bit identical to [`TransformerLm::generate_constrained`]
+/// on the same request; non-greedy strategies (and a disabled config) decode
+/// without drafting.
 ///
 /// # Examples
 ///
 /// ```
 /// use wisdom_model::{
-///     GenerationOptions, ModelConfig, SpeculativeConfig, SpeculativeDecoder, TransformerLm,
+///     DecodeRequest, GenerationOptions, ModelConfig, SpeculativeConfig, SpeculativeDecoder,
+///     TransformerLm,
 /// };
 /// use wisdom_prng::Prng;
 ///
 /// let cfg = ModelConfig { vocab_size: 32, d_model: 16, n_layers: 1, n_heads: 2, context_window: 24 };
 /// let model = TransformerLm::new(cfg, &mut Prng::seed_from_u64(7));
 /// let opts = GenerationOptions { max_new_tokens: 8, ..Default::default() };
+/// let request = DecodeRequest { prompt: vec![1, 2, 3, 1, 2, 3], stops: vec![0], opts, grammar: None };
 ///
 /// let decoder = SpeculativeDecoder::new(&model, SpeculativeConfig::self_draft(4));
-/// let (out, report) = decoder.generate_with_report(&[1, 2, 3, 1, 2, 3], &[0], &opts);
+/// let (out, report) = decoder.generate(&request);
 /// // Speculation never changes tokens — only how many forward passes they cost.
-/// assert_eq!(out, model.generate(&[1, 2, 3, 1, 2, 3], &[0], &opts));
+/// assert_eq!(out, model.generate(&request.prompt, &request.stops, &opts));
 /// assert_eq!(report.accepted + report.rejected, report.proposed);
 /// ```
 #[derive(Debug, Clone, Copy)]
@@ -470,179 +490,60 @@ impl<'m> SpeculativeDecoder<'m> {
         self.cfg
     }
 
-    /// Generates like [`TransformerLm::generate`], speculating on greedy
-    /// requests. See [`Self::generate_with_report`] for the counters.
-    pub fn generate(&self, prompt: &[u32], stops: &[u32], opts: &GenerationOptions) -> Vec<u32> {
-        self.generate_with_report(prompt, stops, opts).0
+    /// Generates like [`TransformerLm::generate_constrained`], speculating
+    /// on greedy requests, and returns the speculation counters alongside
+    /// the tokens. The drafter is built from the config and warmed on the
+    /// prompt window; use [`Self::generate_with`] to supply a corpus-warmed
+    /// one instead.
+    ///
+    /// Under a grammar (`request.grammar`) the same masks the sequential
+    /// constrained loop applies gate both the emitted token and every
+    /// verify-row argmax, and drafts are pre-truncated to their
+    /// grammar-legal prefix.
+    pub fn generate(&self, request: &DecodeRequest) -> (Vec<u32>, SpeculativeReport) {
+        self.decode(request, None)
     }
 
-    /// [`Self::generate`] returning the speculation counters alongside the
-    /// tokens. The drafter is built from the config and warmed on the
-    /// prompt window; use [`Self::generate_with`] to supply a
-    /// corpus-warmed one instead.
-    pub fn generate_with_report(
-        &self,
-        prompt: &[u32],
-        stops: &[u32],
-        opts: &GenerationOptions,
-    ) -> (Vec<u32>, SpeculativeReport) {
-        self.generate_constrained(prompt, stops, opts, None, None)
-    }
-
-    /// [`Self::generate_with_report`] under an optional grammar constraint:
-    /// the same masks the sequential constrained loop applies gate both the
-    /// emitted token and every verify-row argmax, drafts are pre-truncated
-    /// to their grammar-legal prefix, and the output is bit-identical to
-    /// [`TransformerLm::generate_constrained`] with the same arguments.
-    pub fn generate_constrained(
-        &self,
-        prompt: &[u32],
-        stops: &[u32],
-        opts: &GenerationOptions,
-        grammar: Option<&Arc<GrammarIndex>>,
-        grammar_telemetry: Option<&GrammarTelemetry>,
-    ) -> (Vec<u32>, SpeculativeReport) {
-        if !self.speculates(opts) {
-            return (
-                self.model
-                    .generate_constrained(prompt, stops, opts, grammar, grammar_telemetry),
-                SpeculativeReport::default(),
-            );
-        }
-        let window = self.model.generation_window(prompt, opts.max_new_tokens);
-        let mut speculator = self
-            .cfg
-            .build_speculator(self.model.config().vocab_size, window);
-        self.generate_constrained_with(
-            prompt,
-            stops,
-            opts,
-            speculator.as_mut(),
-            grammar,
-            grammar_telemetry,
-        )
-    }
-
-    /// [`Self::generate_with_report`] with a caller-supplied (typically
-    /// corpus-warmed) drafter.
+    /// [`Self::generate`] with a caller-supplied (typically corpus-warmed)
+    /// drafter, which keeps whatever it learns online for the caller's next
+    /// generation.
     pub fn generate_with(
         &self,
-        prompt: &[u32],
-        stops: &[u32],
-        opts: &GenerationOptions,
+        request: &DecodeRequest,
         speculator: &mut dyn Speculator,
     ) -> (Vec<u32>, SpeculativeReport) {
-        self.generate_constrained_with(prompt, stops, opts, speculator, None, None)
+        self.decode(request, Some(Box::new(speculator)))
     }
 
-    /// [`Self::generate_constrained`] with a caller-supplied drafter.
-    pub fn generate_constrained_with(
+    fn decode(
         &self,
-        prompt: &[u32],
-        stops: &[u32],
-        opts: &GenerationOptions,
-        speculator: &mut dyn Speculator,
-        grammar: Option<&Arc<GrammarIndex>>,
-        grammar_telemetry: Option<&GrammarTelemetry>,
+        request: &DecodeRequest,
+        drafter: Option<Box<dyn Speculator + '_>>,
     ) -> (Vec<u32>, SpeculativeReport) {
-        if !self.speculates(opts) {
-            return (
-                self.model
-                    .generate_constrained(prompt, stops, opts, grammar, grammar_telemetry),
-                SpeculativeReport::default(),
-            );
+        if matches!(request.opts.strategy, Strategy::Beam { .. }) {
+            let out = self
+                .model
+                .generate(&request.prompt, &request.stops, &request.opts);
+            return (out, SpeculativeReport::default());
         }
-        let model = self.model;
-        let ctx = model.config().context_window;
-        let window = model.generation_window(prompt, opts.max_new_tokens);
-        let (mut cache, mut logits) = model.prefill(window);
-        let mut pos = window.len();
-        let mut cursor = grammar.map(|g| {
-            GrammarCursor::new(
-                Arc::clone(g),
-                window,
-                opts.max_new_tokens.min(ctx.saturating_sub(pos)),
-            )
-        });
-        let mut history = window.to_vec();
-        // Tokens up to this index were already reported to the drafter.
-        let mut seen = history.len();
-        let mut out = Vec::new();
-        let mut k_now = self.cfg.max_draft;
-        let mut report = SpeculativeReport::default();
-
-        while out.len() < opts.max_new_tokens && pos < ctx {
-            // Identical to the constrained greedy loop: mask, pick,
-            // stop-check, emit.
-            let forced = mask_logits(cursor.as_ref(), &mut logits, grammar_telemetry);
-            let next = forced.unwrap_or_else(|| argmax(&logits));
-            if pick_ends_sequence(next, stops, cursor.as_ref()).is_some() {
-                break;
+        let counters = SpeculativeTelemetry::register(&Registry::new());
+        let mut engine = DecodeBatch::new(self.model);
+        engine.set_speculation(self.cfg);
+        engine.set_speculative_telemetry(counters.clone());
+        engine.admit_full(0, request.clone(), None, None, drafter);
+        let out = loop {
+            if let Some((_, out)) = engine.step().pop() {
+                break out;
             }
-            if let Some(c) = cursor.as_mut() {
-                c.advance(next);
-            }
-            out.push(next);
-            history.push(next);
-            if out.len() >= opts.max_new_tokens || pos + 1 >= ctx {
-                // The plain loop would run one final step whose logits are
-                // never consumed; skipping it keeps the output identical.
-                break;
-            }
-            // Draft length is clamped to what the budget and the context
-            // window can still absorb.
-            let k = k_now
-                .min(opts.max_new_tokens - out.len())
-                .min(ctx - (pos + 1));
-            let draft_start = Instant::now();
-            let mut draft = speculator.draft(&history, k);
-            draft.truncate(k);
-            // Constrained drafting: drop everything from the first token the
-            // grammar mask would reject — or that closes the task — so
-            // verify rows are never wasted on tokens the constrained pick
-            // could not choose, or that would be discarded anyway.
-            if let Some(c) = &cursor {
-                draft.truncate(c.legal_prefix_len(&draft));
-            }
-            report.draft_seconds += draft_start.elapsed().as_secs_f64();
-            if draft.is_empty() {
-                report.fallback_steps += 1;
-                logits = model.step(next, pos, &mut cache);
-                pos += 1;
-            } else {
-                report.verify_passes += 1;
-                report.proposed += draft.len() as u64;
-                let v = verify_draft(
-                    model,
-                    &mut cache,
-                    pos,
-                    next,
-                    &draft,
-                    stops,
-                    cursor.as_mut(),
-                    grammar_telemetry,
-                );
-                report.accepted += v.accepted.len() as u64;
-                report.rejected += (draft.len() - v.accepted.len()) as u64;
-                k_now = adapt_draft_len(k_now, draft.len(), v.accepted.len(), self.cfg.max_draft);
-                out.extend_from_slice(&v.accepted);
-                history.extend_from_slice(&v.accepted);
-                pos += 1 + v.accepted.len();
-                logits = v.logits;
-                if v.stopped.is_some() {
-                    break;
-                }
-            }
-            // Report this round's emitted tokens to the drafter exactly once.
-            let (ctx_part, new_part) = history.split_at(seen);
-            speculator.observe(ctx_part, new_part);
-            seen = history.len();
-        }
+        };
+        let report = SpeculativeReport {
+            proposed: counters.proposed.get(),
+            accepted: counters.accepted.get(),
+            rejected: counters.rejected.get(),
+            verify_passes: counters.verify_passes.get(),
+            draft_seconds: counters.draft_overhead.snapshot().sum,
+        };
         (out, report)
-    }
-
-    fn speculates(&self, opts: &GenerationOptions) -> bool {
-        self.cfg.enabled() && matches!(opts.strategy, Strategy::Greedy)
     }
 }
 
@@ -650,6 +551,7 @@ impl<'m> SpeculativeDecoder<'m> {
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
+    use crate::decode::GenerationOptions;
     use wisdom_prng::Prng;
     use wisdom_tensor::{Adam, AdamConfig};
 
@@ -668,6 +570,15 @@ mod tests {
         GenerationOptions {
             max_new_tokens: max_new,
             ..Default::default()
+        }
+    }
+
+    fn request(prompt: &[u32], opts: GenerationOptions) -> DecodeRequest {
+        DecodeRequest {
+            prompt: prompt.to_vec(),
+            stops: vec![0],
+            opts,
+            grammar: None,
         }
     }
 
@@ -729,7 +640,7 @@ mod tests {
             for p in &prompts {
                 for max_new in [0, 1, 5, 16] {
                     let plain = model.generate(p, &[0], &greedy(max_new));
-                    let (spec, _) = dec.generate_with_report(p, &[0], &greedy(max_new));
+                    let (spec, _) = dec.generate(&request(p, greedy(max_new)));
                     assert_eq!(spec, plain, "cfg {cfg:?} prompt {p:?} max_new {max_new}");
                 }
             }
@@ -751,7 +662,7 @@ mod tests {
             model.train_step(&tokens, &targets, 1, 8, &mut adam, 1.0);
         }
         let dec = SpeculativeDecoder::new(&model, SpeculativeConfig::ngram(4));
-        let (out, report) = dec.generate_with_report(&[5, 6, 7, 8], &[0], &greedy(12));
+        let (out, report) = dec.generate(&request(&[5, 6, 7, 8], greedy(12)));
         assert_eq!(out, model.generate(&[5, 6, 7, 8], &[0], &greedy(12)));
         assert!(
             report.accepted_per_verify() > 1.0,
@@ -772,7 +683,7 @@ mod tests {
             seed: 11,
         };
         let dec = SpeculativeDecoder::new(&model, SpeculativeConfig::ngram(4));
-        let (out, report) = dec.generate_with_report(&[1, 2, 3], &[0], &opts);
+        let (out, report) = dec.generate(&request(&[1, 2, 3], opts));
         assert_eq!(out, model.generate(&[1, 2, 3], &[0], &opts));
         assert_eq!(report, SpeculativeReport::default());
     }

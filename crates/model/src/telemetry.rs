@@ -233,9 +233,9 @@ impl PrefixCacheTelemetry {
     }
 }
 
-/// Handles for the speculative-decoding path
-/// ([`crate::SpeculativeDecoder`] / the batched engine's verify rounds).
-/// Counters mirror the solo path's [`crate::SpeculativeReport`].
+/// Handles for the speculative-decoding path (the batched engine's verify
+/// rounds). [`crate::SpeculativeReport`] is a per-generation reading of
+/// these counters.
 #[derive(Debug, Clone)]
 pub struct SpeculativeTelemetry {
     /// `wisdom_speculative_proposed_tokens_total` — draft tokens proposed.
@@ -416,6 +416,24 @@ impl GrammarTelemetry {
             ),
         }
     }
+}
+
+/// One scheduler's metric handles ([`crate::BatchScheduler::spawn_with`]),
+/// typically registered with a `replica="<i>"` label so one registry
+/// exposes every replica's series side by side. All handles are optional; a
+/// default bundle leaves the replica uninstrumented.
+#[derive(Debug, Clone, Default)]
+pub struct ReplicaTelemetry {
+    /// Scheduler metrics (queue wait, TTFT, per-round decode latency, …).
+    pub batch: Option<BatchTelemetry>,
+    /// Prefix-cache metrics, attached to the replica's own cache.
+    pub prefix_cache: Option<PrefixCacheTelemetry>,
+    /// Speculative-decoding metrics.
+    pub speculative: Option<SpeculativeTelemetry>,
+    /// Quantization metrics.
+    pub quant: Option<QuantTelemetry>,
+    /// Grammar-constrained-decoding metrics.
+    pub grammar: Option<GrammarTelemetry>,
 }
 
 #[cfg(test)]

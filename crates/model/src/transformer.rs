@@ -870,7 +870,7 @@ impl TransformerLm {
     /// Returns only the newly generated ids (without the prompt and without
     /// the stop token).
     pub fn generate(&self, prompt: &[u32], stops: &[u32], opts: &GenerationOptions) -> Vec<u32> {
-        self.generate_constrained(prompt, stops, opts, None, None)
+        self.generate_constrained(prompt, stops, opts, None)
     }
 
     /// [`Self::generate`] with an optional grammar constraint: each logit
@@ -888,7 +888,6 @@ impl TransformerLm {
         stops: &[u32],
         opts: &GenerationOptions,
         grammar: Option<&Arc<GrammarIndex>>,
-        grammar_telemetry: Option<&GrammarTelemetry>,
     ) -> Vec<u32> {
         let ctx = self.cfg.context_window;
         let window = self.generation_window(prompt, opts.max_new_tokens);
@@ -907,13 +906,7 @@ impl TransformerLm {
         let mut rng = Prng::seed_from_u64(opts.seed);
         let mut out = Vec::new();
         while out.len() < opts.max_new_tokens && pos < ctx {
-            let next = pick_token(
-                &mut logits,
-                opts.strategy,
-                &mut rng,
-                cursor.as_ref(),
-                grammar_telemetry,
-            );
+            let next = pick_token(&mut logits, opts.strategy, &mut rng, cursor.as_ref(), None);
             if pick_ends_sequence(next, stops, cursor.as_ref()).is_some() {
                 break;
             }
@@ -1508,8 +1501,9 @@ pub(crate) fn pick_token(
 /// Whether picking `next` ends the sequence, and why: a stop token, or —
 /// under a completion-scoped grammar — the token that would start the task
 /// after the one the prompt opened. Either way the pick is not emitted and
-/// no forward pass is spent on it. Shared by all three token loops, like
-/// [`pick_token`], so they end on the same token.
+/// no forward pass is spent on it. Shared by both token loops and the
+/// engine's draft verification, like [`pick_token`], so they end on the same
+/// token.
 pub(crate) fn pick_ends_sequence(
     next: u32,
     stops: &[u32],

@@ -136,7 +136,7 @@ fn constrained_completions_parse_and_lint_clean() {
         ] {
             let out = f
                 .model
-                .generate_constrained(&ids, &stops, &greedy(40), Some(index), None);
+                .generate_constrained(&ids, &stops, &greedy(40), Some(index));
             let text = document(f, prompt, &out);
             assert!(
                 parse(&text).is_ok(),
@@ -170,7 +170,7 @@ fn constrained_sampled_completions_parse() {
         let ids = f.tokenizer.encode(prompt);
         let out = f
             .model
-            .generate_constrained(&ids, &stops, &opts, Some(&f.ansible), None);
+            .generate_constrained(&ids, &stops, &opts, Some(&f.ansible));
         let text = document(f, prompt, &out);
         assert!(
             parse(&text).is_ok(),
@@ -199,7 +199,7 @@ fn divergence_only_where_unconstrained_argmax_is_illegal() {
         let plain = f.model.generate(&ids, &stops, &opts);
         let constrained = f
             .model
-            .generate_constrained(&ids, &stops, &opts, Some(&f.ansible), None);
+            .generate_constrained(&ids, &stops, &opts, Some(&f.ansible));
         let mut cursor = GrammarCursor::new(Arc::clone(&f.ansible), &ids, opts.max_new_tokens);
         assert!(
             cursor.is_active(),
@@ -235,13 +235,8 @@ fn solo_batched_and_speculative_constrained_decodes_agree() {
     let solo: Vec<Vec<u32>> = PROMPTS
         .iter()
         .map(|p| {
-            f.model.generate_constrained(
-                &f.tokenizer.encode(p),
-                &stops,
-                &opts,
-                Some(&f.ansible),
-                None,
-            )
+            f.model
+                .generate_constrained(&f.tokenizer.encode(p), &stops, &opts, Some(&f.ansible))
         })
         .collect();
 
@@ -267,13 +262,12 @@ fn solo_batched_and_speculative_constrained_decodes_agree() {
     ] {
         let dec = SpeculativeDecoder::new(&f.model, cfg);
         for (p, want) in PROMPTS.iter().zip(&solo) {
-            let (got, _) = dec.generate_constrained(
-                &f.tokenizer.encode(p),
-                &stops,
-                &opts,
-                Some(&f.ansible),
-                None,
-            );
+            let (got, _) = dec.generate(&DecodeRequest {
+                prompt: f.tokenizer.encode(p),
+                stops: stops.to_vec(),
+                opts,
+                grammar: Some(Arc::clone(&f.ansible)),
+            });
             assert_eq!(&got, want, "speculative ({cfg:?}) must match solo on {p:?}");
         }
     }
@@ -313,13 +307,9 @@ fn mixed_constrained_and_unconstrained_batch_agrees_with_solo() {
     ];
     let batched = generate_batch(&f.model, requests.clone(), 4);
     for (req, got) in requests.iter().zip(&batched) {
-        let want = f.model.generate_constrained(
-            &req.prompt,
-            &req.stops,
-            &req.opts,
-            req.grammar.as_ref(),
-            None,
-        );
+        let want =
+            f.model
+                .generate_constrained(&req.prompt, &req.stops, &req.opts, req.grammar.as_ref());
         assert_eq!(got, &want, "mixed batch row must match its solo oracle");
     }
 }
@@ -350,7 +340,7 @@ proptest! {
         let ids = f.tokenizer.encode(prompt);
         let solo = f
             .model
-            .generate_constrained(&ids, &stops, &opts, Some(&f.ansible), None);
+            .generate_constrained(&ids, &stops, &opts, Some(&f.ansible));
         let batched = generate_batch(
             &f.model,
             vec![DecodeRequest {

@@ -6,8 +6,8 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use wisdom_model::{
-    generate_batch, generate_batch_with, DecodeRequest, GenerationOptions, ModelConfig,
-    PrefixKvCache, TransformerLm,
+    generate_batch, DecodeBatch, DecodeRequest, GenerationOptions, ModelConfig, PrefixKvCache,
+    TransformerLm,
 };
 use wisdom_prng::Prng;
 
@@ -105,7 +105,8 @@ fn warm_cache_generate_batch_matches_solo() {
     // Round 1 populates the cache, round 2 runs almost fully warm; both
     // must match the cold path exactly.
     for round in 0..2 {
-        let got = generate_batch_with(model, requests.clone(), 3, Some(Arc::clone(&cache)));
+        let got =
+            DecodeBatch::with_prefix_cache(model, Arc::clone(&cache)).run(requests.clone(), 3);
         assert_eq!(got, solo, "round {round}");
     }
     let stats = cache.stats();
@@ -130,7 +131,8 @@ fn forced_eviction_interleavings_preserve_agreement() {
         })
         .collect();
     for p in &families {
-        let warm = generate_batch_with(model, vec![request(p, 4)], 2, Some(Arc::clone(&cache)));
+        let warm =
+            DecodeBatch::with_prefix_cache(model, Arc::clone(&cache)).run(vec![request(p, 4)], 2);
         let solo = model.generate(p, &[0], &greedy(4));
         assert_eq!(warm[0], solo, "prompt {p:?}");
     }
@@ -138,7 +140,7 @@ fn forced_eviction_interleavings_preserve_agreement() {
     // by eviction.
     let requests: Vec<DecodeRequest> = families.iter().map(|p| request(p, 4)).collect();
     let solo = generate_batch(model, requests.clone(), 4);
-    let warm = generate_batch_with(model, requests, 4, Some(Arc::clone(&cache)));
+    let warm = DecodeBatch::with_prefix_cache(model, Arc::clone(&cache)).run(requests, 4);
     assert_eq!(warm, solo);
     let stats = cache.stats();
     assert!(
@@ -164,7 +166,8 @@ fn truncated_prompts_rekey_by_window_not_by_prefix() {
     let head: Vec<u32> = long_a[..8].to_vec();
 
     for p in [&long_a, &long_b, &head, &long_a] {
-        let warm = generate_batch_with(model, vec![request(p, 4)], 2, Some(Arc::clone(&cache)));
+        let warm =
+            DecodeBatch::with_prefix_cache(model, Arc::clone(&cache)).run(vec![request(p, 4)], 2);
         assert_eq!(warm[0], model.generate(p, &[0], &greedy(4)), "prompt {p:?}");
     }
     // long_a and long_b share the same truncated window, so the second of
@@ -186,12 +189,8 @@ fn oversized_window_bypasses_stale_entries() {
     let mut prompt: Vec<u32> = (0..6u32).collect();
     for extra in 0..10u32 {
         prompt.push((extra + 6) % VOCAB as u32);
-        let warm = generate_batch_with(
-            model,
-            vec![request(&prompt, 4)],
-            1,
-            Some(Arc::clone(&cache)),
-        );
+        let warm = DecodeBatch::with_prefix_cache(model, Arc::clone(&cache))
+            .run(vec![request(&prompt, 4)], 1);
         assert_eq!(
             warm[0],
             model.generate(&prompt, &[0], &greedy(4)),
@@ -237,12 +236,8 @@ proptest! {
         for round in 0..2 {
             let requests: Vec<DecodeRequest> =
                 prompts.iter().map(|p| request(p, max_new)).collect();
-            let got = generate_batch_with(
-                model,
-                requests,
-                max_batch,
-                Some(Arc::clone(&cache)),
-            );
+            let got = DecodeBatch::with_prefix_cache(model, Arc::clone(&cache))
+                .run(requests, max_batch);
             prop_assert_eq!(&got, &solo, "round {}", round);
         }
         let stats = cache.stats();

@@ -7,9 +7,8 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use wisdom_model::{
-    generate_batch, generate_batch_speculative, DecodeRequest, DraftKind, GenerationOptions,
-    ModelConfig, NgramSpeculator, PrefixKvCache, SpeculativeConfig, SpeculativeDecoder, Strategy,
-    TransformerLm,
+    generate_batch, DecodeBatch, DecodeRequest, DraftKind, GenerationOptions, ModelConfig,
+    NgramSpeculator, PrefixKvCache, SpeculativeConfig, SpeculativeDecoder, Strategy, TransformerLm,
 };
 use wisdom_prng::Prng;
 
@@ -49,6 +48,23 @@ fn request(prompt: &[u32], max_new: usize) -> DecodeRequest {
     }
 }
 
+/// `requests` through one engine speculating under `cfg`, admissions going
+/// through `cache` when given.
+fn speculative_batch(
+    model: &TransformerLm,
+    requests: Vec<DecodeRequest>,
+    cap: usize,
+    cache: Option<Arc<PrefixKvCache>>,
+    cfg: SpeculativeConfig,
+) -> Vec<Vec<u32>> {
+    let mut engine = match cache {
+        Some(cache) => DecodeBatch::with_prefix_cache(model, cache),
+        None => DecodeBatch::new(model),
+    };
+    engine.set_speculation(cfg);
+    engine.run(requests, cap)
+}
+
 /// The draft-kind / draft-length grid the deterministic tests sweep.
 fn config_grid() -> Vec<SpeculativeConfig> {
     let mut grid = Vec::new();
@@ -81,7 +97,7 @@ fn solo_speculative_matches_plain_generate_across_grid() {
         for p in &prompts {
             for max_new in [0, 1, 3, CTX] {
                 let plain = model.generate(p, &[0], &greedy(max_new));
-                let spec = dec.generate(p, &[0], &greedy(max_new));
+                let (spec, _) = dec.generate(&request(p, max_new));
                 assert_eq!(spec, plain, "cfg {cfg:?} prompt {p:?} max_new {max_new}");
             }
         }
@@ -98,7 +114,7 @@ fn corpus_warmed_drafter_keeps_agreement() {
     for prompt in [vec![1u32, 2, 3], vec![5, 5, 5, 5], vec![]] {
         let mut drafter = NgramSpeculator::new(4, VOCAB, true);
         drafter.warm(&corpus);
-        let (out, report) = dec.generate_with(&prompt, &[0], &greedy(8), &mut drafter);
+        let (out, report) = dec.generate_with(&request(&prompt, 8), &mut drafter);
         assert_eq!(out, model.generate(&prompt, &[0], &greedy(8)));
         assert_eq!(report.accepted + report.rejected, report.proposed);
     }
@@ -121,7 +137,7 @@ fn batched_speculation_matches_plain_across_grid() {
     let plain = generate_batch(model, requests.clone(), 2);
     for cfg in config_grid() {
         for cap in [1, 2, 4] {
-            let spec = generate_batch_speculative(model, requests.clone(), cap, None, cfg);
+            let spec = speculative_batch(model, requests.clone(), cap, None, cfg);
             assert_eq!(spec, plain, "cfg {cfg:?} cap {cap}");
         }
     }
@@ -151,8 +167,7 @@ fn mixed_strategies_only_speculate_the_greedy_lanes() {
         request(&[7, 8, 7, 8], 6),
     ];
     let plain = generate_batch(model, requests.clone(), 3);
-    let spec =
-        generate_batch_speculative(model, requests, 3, None, SpeculativeConfig::self_draft(4));
+    let spec = speculative_batch(model, requests, 3, None, SpeculativeConfig::self_draft(4));
     assert_eq!(spec, plain);
 }
 
@@ -177,7 +192,7 @@ fn speculation_composes_with_prefix_cache_warm_and_cold() {
     // rolls draft rows back out of caches spliced from the shared tree,
     // which must never corrupt it.
     for round in 0..2 {
-        let got = generate_batch_speculative(
+        let got = speculative_batch(
             model,
             requests.clone(),
             2,
@@ -218,7 +233,7 @@ proptest! {
         };
         let dec = SpeculativeDecoder::new(&model, cfg);
         let plain = model.generate(&prompt, &[0], &greedy(max_new));
-        let (spec, report) = dec.generate_with_report(&prompt, &[0], &greedy(max_new));
+        let (spec, report) = dec.generate(&request(&prompt, max_new));
         prop_assert_eq!(spec, plain);
         prop_assert_eq!(report.accepted + report.rejected, report.proposed);
     }
@@ -264,7 +279,7 @@ proptest! {
         let cache = use_cache.then(|| Arc::new(PrefixKvCache::default()));
         // Two rounds: the second decodes warm where a cache is in play.
         for round in 0..2 {
-            let spec = generate_batch_speculative(
+            let spec = speculative_batch(
                 model,
                 requests.clone(),
                 cap,

@@ -23,10 +23,11 @@
 //! under [`ServerConfig::constraint`]. `GET /v1/stats` echoes the default
 //! and the pool's grammar counters.
 //!
-//! With `ServerConfig::replicas` > 1, completions are spread over a
-//! [`ReplicaPool`] by a cache-aware [`Router`]: each replica owns its own
-//! decode worker and prefix KV cache, and requests are placed on the
-//! replica already holding the longest prefix of their prompt.
+//! Every completion is decoded by a replica pool behind a cache-aware
+//! [`Router`] (one replica by default, `ServerConfig::replicas` for more):
+//! each replica owns its own decode worker and prefix KV cache, and requests
+//! are placed on the replica already holding the longest prefix of their
+//! prompt.
 //!
 //! Connections are keep-alive when the client asks for it
 //! (`Connection: keep-alive`), bounded by
@@ -39,8 +40,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use wisdom_core::{
-    BatchConfig, BatchScheduler, CompletionRequest, Constraint, Precision, ReplicaTelemetry,
-    SchedulerStats, SpeculativeConfig, SubmitError, Suggestion, Wisdom,
+    BatchConfig, CompletionRequest, Constraint, Precision, ReplicaTelemetry, SpeculativeConfig,
+    StreamingPending, SubmitError, Suggestion, Wisdom,
 };
 
 use crate::http::{
@@ -48,7 +49,7 @@ use crate::http::{
     MAX_BODY_BYTES,
 };
 use crate::json::{parse_json, Json};
-use crate::router::{estimate_retry_after, RoutePolicy, Router, RouterConfig, RouterTelemetry};
+use crate::router::{RoutePolicy, Router, RouterConfig, RouterTelemetry};
 use crate::telemetry::{ServerTelemetry, METRICS_CONTENT_TYPE};
 
 /// Server sizing and limits.
@@ -57,8 +58,8 @@ pub struct ServerConfig {
     /// Connection-handler threads (fixed pool; a flood of connections
     /// queues instead of exhausting threads).
     pub worker_threads: usize,
-    /// Sequences decoded together by the batch scheduler. `1` disables the
-    /// scheduler and decodes directly on the handler thread.
+    /// Sequences decoded together by each replica's batch scheduler (`1`
+    /// is a batch of one on the same path).
     pub max_batch_size: usize,
     /// Bounded decode-queue depth; beyond it, completions get 503.
     pub queue_depth: usize,
@@ -71,20 +72,20 @@ pub struct ServerConfig {
     /// Byte budget for the scheduler's shared prefix KV cache; `0` disables
     /// prompt-prefix reuse across requests.
     pub prefix_cache_bytes: usize,
-    /// Speculative-decoding sizing for greedy requests on the batched path;
-    /// disabled by default (`max_draft` 0).
+    /// Speculative-decoding sizing for greedy requests; disabled by default
+    /// (`max_draft` 0).
     pub speculative: SpeculativeConfig,
     /// Weight precision this replica serves at ([`Precision::Int8`] packs
     /// the scheduler's model copy to per-block int8 at startup); echoed in
-    /// `GET /v1/stats`. Requires the batched path (`max_batch_size` > 1).
+    /// `GET /v1/stats`.
     pub precision: Precision,
     /// Default grammar constraint completions decode under; individual
     /// requests override it with a `"constraint"` field. Echoed in
     /// `GET /v1/stats`.
     pub constraint: Constraint,
     /// Independent scheduler replicas behind the router, each with its own
-    /// decode worker and prefix KV cache sized by `prefix_cache_bytes`.
-    /// Requires the batched path (`max_batch_size` > 1); clamped to ≥ 1.
+    /// decode worker and prefix KV cache sized by `prefix_cache_bytes`;
+    /// clamped to ≥ 1.
     pub replicas: usize,
     /// How the router places completions over the replicas.
     pub route_policy: RoutePolicy,
@@ -116,14 +117,14 @@ impl Default for ServerConfig {
 
 /// The inference server: owns a trained [`Wisdom`] assistant and serves
 /// completion requests over HTTP. Connections are handled by a fixed
-/// worker pool; completions are multiplexed onto a continuous-batching
-/// [`BatchScheduler`] (unless `max_batch_size` is 1).
+/// worker pool; completions are multiplexed onto the continuous-batching
+/// schedulers of a replica pool behind a [`Router`].
 pub struct WisdomServer {
     wisdom: Arc<Wisdom>,
     listener: TcpListener,
     shutdown: Arc<AtomicBool>,
     config: ServerConfig,
-    router: Option<Arc<Router>>,
+    router: Arc<Router>,
     /// Per-replica telemetry bundles the pool's schedulers record into;
     /// `/v1/stats` sums quantization gauges across them.
     bundles: Arc<Vec<ReplicaTelemetry>>,
@@ -138,7 +139,7 @@ pub struct WisdomServer {
 pub struct ServerHandle {
     addr: std::net::SocketAddr,
     shutdown: Arc<AtomicBool>,
-    router: Option<Arc<Router>>,
+    router: Arc<Router>,
     telemetry: Arc<ServerTelemetry>,
     forced_unready: Arc<AtomicBool>,
 }
@@ -165,9 +166,7 @@ impl ServerHandle {
     /// running batch, making queue-overflow (503) behavior deterministic.
     #[doc(hidden)]
     pub fn set_admission_paused(&self, paused: bool) {
-        if let Some(r) = &self.router {
-            r.pool().set_admission_paused(paused);
-        }
+        self.router.pool().set_admission_paused(paused);
     }
 
     /// Test hook: force `GET /readyz` to 503 (`false`) or restore normal
@@ -215,50 +214,13 @@ impl WisdomServer {
         config: ServerConfig,
         telemetry: ServerTelemetry,
     ) -> std::io::Result<WisdomServer> {
-        let mut bundles = Vec::new();
-        let router = (config.max_batch_size > 1).then(|| {
-            let replicas = config.replicas.max(1);
-            bundles = telemetry.replica_bundles(replicas);
-            if !config.speculative.enabled() {
-                // Match the single-scheduler server: no speculative series
-                // movement when speculation is off.
-                for bundle in &mut bundles {
-                    bundle.speculative = None;
-                }
-            }
-            let pool = wisdom.replica_pool(
-                BatchConfig {
-                    max_batch_size: config.max_batch_size,
-                    queue_depth: config.queue_depth,
-                    prefix_cache_bytes: config.prefix_cache_bytes,
-                    speculative: config.speculative,
-                    precision: config.precision,
-                    constraint: config.constraint,
-                },
-                replicas,
-                &bundles,
-            );
-            let label = match config.route_policy {
-                RoutePolicy::PrefixAffinity => "prefix_affinity",
-                RoutePolicy::RoundRobin => "round_robin",
-                RoutePolicy::Rendezvous => "rendezvous",
-            };
-            let router_telemetry = RouterTelemetry::register(telemetry.registry(), label);
-            Arc::new(Router::new(
-                Arc::new(pool),
-                RouterConfig {
-                    policy: config.route_policy,
-                    ..RouterConfig::default()
-                },
-                Some(router_telemetry),
-            ))
-        });
+        let (router, bundles) = build_router(&wisdom, &config, &telemetry);
         Ok(WisdomServer {
             wisdom,
             listener: TcpListener::bind(addr)?,
             shutdown: Arc::new(AtomicBool::new(false)),
             config,
-            router,
+            router: Arc::new(router),
             bundles: Arc::new(bundles),
             telemetry: Arc::new(telemetry),
             forced_unready: Arc::new(AtomicBool::new(false)),
@@ -270,7 +232,7 @@ impl WisdomServer {
         ServerHandle {
             addr: self.listener.local_addr().expect("bound listener"),
             shutdown: Arc::clone(&self.shutdown),
-            router: self.router.clone(),
+            router: Arc::clone(&self.router),
             telemetry: Arc::clone(&self.telemetry),
             forced_unready: Arc::clone(&self.forced_unready),
         }
@@ -297,7 +259,7 @@ impl WisdomServer {
             for _ in 0..workers {
                 let rx = Arc::clone(&rx);
                 let wisdom = &wisdom;
-                let router = router.as_deref();
+                let router = &router;
                 let bundles = &bundles;
                 let telemetry = &telemetry;
                 let forced_unready = &forced_unready;
@@ -330,10 +292,47 @@ impl WisdomServer {
             // exit, then the scope joins them.
             drop(tx);
         });
-        if let Some(r) = &router {
-            r.pool().shutdown();
-        }
+        router.pool().shutdown();
     }
+}
+
+/// The replica pool `config` describes, spawned over `wisdom`'s model and
+/// recording into `telemetry`'s registry, behind its router; with the
+/// per-replica bundles the pool records into.
+fn build_router(
+    wisdom: &Wisdom,
+    config: &ServerConfig,
+    telemetry: &ServerTelemetry,
+) -> (Router, Vec<ReplicaTelemetry>) {
+    let replicas = config.replicas.max(1);
+    let bundles = telemetry.replica_bundles(replicas);
+    let pool = wisdom.replica_pool(
+        BatchConfig {
+            max_batch_size: config.max_batch_size,
+            queue_depth: config.queue_depth,
+            prefix_cache_bytes: config.prefix_cache_bytes,
+            speculative: config.speculative,
+            precision: config.precision,
+            constraint: config.constraint,
+        },
+        replicas,
+        &bundles,
+    );
+    let label = match config.route_policy {
+        RoutePolicy::PrefixAffinity => "prefix_affinity",
+        RoutePolicy::RoundRobin => "round_robin",
+        RoutePolicy::Rendezvous => "rendezvous",
+    };
+    let router_telemetry = RouterTelemetry::register(telemetry.registry(), label);
+    let router = Router::new(
+        Arc::new(pool),
+        RouterConfig {
+            policy: config.route_policy,
+            ..RouterConfig::default()
+        },
+        Some(router_telemetry),
+    );
+    (router, bundles)
 }
 
 /// Serves one connection: a keep-alive loop when the client asks for it
@@ -342,7 +341,7 @@ impl WisdomServer {
 /// encoding) and always close afterwards.
 fn handle_connection(
     wisdom: &Wisdom,
-    router: Option<&Router>,
+    router: &Router,
     bundles: &[ReplicaTelemetry],
     config: &ServerConfig,
     telemetry: &ServerTelemetry,
@@ -359,42 +358,24 @@ fn handle_connection(
             Ok(None) => break,
             Ok(Some(request)) => {
                 served += 1;
-                let ready = !forced_unready.load(Ordering::SeqCst)
-                    && router.is_none_or(|r| r.pool().worker_ready());
-                if wants_streaming(&request) {
-                    let status = stream_completion(
-                        wisdom,
-                        router,
-                        config.retry_after_secs,
-                        config.constraint,
-                        telemetry,
-                        conn,
-                        &request,
-                    );
-                    telemetry.observe_request(
-                        &request.method,
-                        &request.path,
-                        status,
-                        started.elapsed().as_secs_f64(),
-                    );
-                    break;
-                }
-                let keep =
-                    wants_keep_alive(&request) && served < config.keepalive_max_requests.max(1);
-                let response = respond(
-                    wisdom,
-                    router,
-                    bundles,
-                    config,
-                    Some(telemetry),
-                    ready,
-                    &request,
-                );
-                let _ = response.write_to_with(conn, keep);
+                let ready = !forced_unready.load(Ordering::SeqCst) && router.pool().worker_ready();
+                let reply = respond(wisdom, router, bundles, config, telemetry, ready, &request);
+                let (status, keep) = match reply {
+                    Reply::Whole(response) => {
+                        let keep = wants_keep_alive(&request)
+                            && served < config.keepalive_max_requests.max(1);
+                        let _ = response.write_to_with(conn, keep);
+                        (response.status, keep)
+                    }
+                    Reply::Stream(completion, stream) => {
+                        forward_stream(wisdom, telemetry, conn, &completion, stream);
+                        (200, false)
+                    }
+                };
                 telemetry.observe_request(
                     &request.method,
                     &request.path,
-                    response.status,
+                    status,
                     started.elapsed().as_secs_f64(),
                 );
                 if !keep {
@@ -426,239 +407,46 @@ fn wants_keep_alive(request: &Request) -> bool {
         .is_some_and(|v| v.eq_ignore_ascii_case("keep-alive"))
 }
 
-/// Whether this is a completion request with `"stream": true`.
-fn wants_streaming(request: &Request) -> bool {
-    request.method == "POST"
-        && request.path == "/v1/completions"
-        && parse_json(&request.body_text())
-            .ok()
-            .and_then(|p| p.get("stream").and_then(Json::as_bool))
-            == Some(true)
+/// What a request is answered with.
+enum Reply {
+    /// An ordinary content-length framed response.
+    Whole(Response),
+    /// An accepted `"stream": true` completion: the decode is in flight and
+    /// its tokens are forwarded as server-sent events.
+    Stream(CompletionRequest, StreamingPending),
 }
 
-/// Routes one request for the serving loop: pool-aware completions and
-/// stats when a router is present, everything else via [`route_full`].
+/// Routes one request — the server's one way of answering. `ready` is what
+/// `GET /readyz` reports (the caller derives it from the decode workers, so
+/// a probe never touches the model or a scheduler lock).
 fn respond(
     wisdom: &Wisdom,
-    router: Option<&Router>,
+    router: &Router,
     bundles: &[ReplicaTelemetry],
     config: &ServerConfig,
-    telemetry: Option<&ServerTelemetry>,
+    telemetry: &ServerTelemetry,
     ready: bool,
     request: &Request,
-) -> Response {
-    match (request.method.as_str(), request.path.as_str(), router) {
-        ("POST", "/v1/completions", Some(router)) => completions_pooled(
-            wisdom,
-            router,
-            config.retry_after_secs,
-            config.constraint,
-            request,
-        ),
-        ("GET", "/v1/stats", Some(router)) => pool_stats(router, bundles, config),
-        _ => route_constrained(
-            wisdom,
-            None,
-            config.retry_after_secs,
-            config.constraint,
-            telemetry,
-            ready,
-            request,
-        ),
-    }
-}
-
-/// Routes one request on the direct (unbatched) decode path.
-pub fn route(wisdom: &Wisdom, request: &Request) -> Response {
-    route_with(wisdom, None, 1, request)
-}
-
-/// Routes one request; completions go through `scheduler` when given, and a
-/// full decode queue answers 503 with `Retry-After: retry_after_secs`.
-pub fn route_with(
-    wisdom: &Wisdom,
-    scheduler: Option<&BatchScheduler>,
-    retry_after_secs: u64,
-    request: &Request,
-) -> Response {
-    let ready = scheduler.is_none_or(BatchScheduler::worker_ready);
-    route_full(wisdom, scheduler, retry_after_secs, None, ready, request)
-}
-
-/// [`route_full`] with a default grammar constraint: completions without a
-/// `"constraint"` field decode under `default_constraint` instead of
-/// unconstrained.
-fn route_constrained(
-    wisdom: &Wisdom,
-    scheduler: Option<&BatchScheduler>,
-    retry_after_secs: u64,
-    default_constraint: Constraint,
-    telemetry: Option<&ServerTelemetry>,
-    ready: bool,
-    request: &Request,
-) -> Response {
-    match (request.method.as_str(), request.path.as_str()) {
+) -> Reply {
+    Reply::Whole(match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => Response::text(200, "ok"),
         ("GET", "/readyz") => {
             if ready {
                 Response::text(200, "ready")
             } else {
                 Response::text(503, "decode worker is not ready")
-                    .with_header("retry-after", retry_after_secs.to_string())
+                    .with_header("retry-after", config.retry_after_secs.to_string())
             }
         }
-        ("GET", "/metrics") => match telemetry {
-            Some(t) => Response::text(200, t.render()).with_content_type(METRICS_CONTENT_TYPE),
-            None => Response::text(404, "metrics are not enabled on this server"),
-        },
-        ("GET", "/v1/stats") => stats(scheduler, telemetry, default_constraint),
-        ("POST", "/v1/completions") => completions(
-            wisdom,
-            scheduler,
-            retry_after_secs,
-            default_constraint,
-            request,
-        ),
+        ("GET", "/metrics") => {
+            Response::text(200, telemetry.render()).with_content_type(METRICS_CONTENT_TYPE)
+        }
+        ("GET", "/v1/stats") => stats(router, bundles, config),
+        ("POST", "/v1/completions") => return completions(wisdom, router, config, request),
         ("POST", "/v1/lint") => lint(request),
         ("POST", _) | ("GET", _) => Response::text(404, "unknown endpoint"),
         _ => Response::text(405, "method not allowed"),
-    }
-}
-
-/// The full router: [`route_with`] plus the observability surface. With a
-/// [`ServerTelemetry`], `GET /metrics` renders the registry and
-/// `GET /v1/stats` is served from the same registry handles; `ready` is
-/// what `GET /readyz` reports (the caller derives it from the decode
-/// worker, so a probe never touches the model or the scheduler lock).
-pub fn route_full(
-    wisdom: &Wisdom,
-    scheduler: Option<&BatchScheduler>,
-    retry_after_secs: u64,
-    telemetry: Option<&ServerTelemetry>,
-    ready: bool,
-    request: &Request,
-) -> Response {
-    route_constrained(
-        wisdom,
-        scheduler,
-        retry_after_secs,
-        Constraint::None,
-        telemetry,
-        ready,
-        request,
-    )
-}
-
-/// Serving/load counters for dashboards and tests: scheduler queue depth
-/// and in-flight batch size plus the prefix KV cache's hit/miss/evicted/
-/// bytes counters. On the direct (scheduler-less) path everything reads as
-/// idle/disabled. With a [`ServerTelemetry`], the numbers come from the
-/// same registry handles `GET /metrics` renders (the JSON shape is
-/// unchanged); without one, from the scheduler's internal snapshot.
-fn stats(
-    scheduler: Option<&BatchScheduler>,
-    telemetry: Option<&ServerTelemetry>,
-    default_constraint: Constraint,
-) -> Response {
-    let snapshot = match telemetry {
-        // The registry handles are the instrumented sites' own updates;
-        // reading them back keeps /v1/stats and /metrics telling one story.
-        Some(t) => SchedulerStats {
-            queue_depth: t.batch.queue_depth.get() as usize,
-            in_flight: t.batch.batch_occupancy.get() as usize,
-            wakeups: t.batch.wakeups.get(),
-            prefix_cache: scheduler
-                .is_some_and(|s| s.prefix_cache().is_some())
-                .then(|| wisdom_core::PrefixCacheStats {
-                    hits: t.prefix_cache.hits.get(),
-                    misses: t.prefix_cache.misses.get(),
-                    hit_tokens: t.prefix_cache.hit_tokens.get(),
-                    evicted_segments: t.prefix_cache.evicted_segments.get(),
-                    bytes: t.prefix_cache.bytes.get() as usize,
-                    segments: t.prefix_cache.segments.get() as usize,
-                    budget_bytes: t.prefix_cache.budget_bytes.get() as usize,
-                }),
-        },
-        None => scheduler.map_or_else(SchedulerStats::default, BatchScheduler::stats),
-    };
-    let (max_batch_size, queue_capacity) = scheduler.map_or((1, 0), |s| {
-        (s.config().max_batch_size, s.config().queue_depth)
-    });
-    let num = |n: usize| Json::Num(n as f64);
-    let count = |n: u64| Json::Num(n as f64);
-    let pc = snapshot.prefix_cache.unwrap_or_default();
-    // The direct (scheduler-less) path never speculates.
-    let spec = scheduler.map_or_else(SpeculativeConfig::disabled, |s| s.config().speculative);
-    // The direct path always serves the assistant's own f32 weights.
-    let precision = scheduler.map_or(Precision::F32, |s| s.config().precision);
-    // The scheduler's configured default constraint wins when one exists
-    // (it is what `bind_with` set from the `ServerConfig`).
-    let constraint = scheduler.map_or(default_constraint, |s| s.config().constraint);
-    let grammar = Json::obj(vec![
-        ("constraint", Json::Str(constraint.as_str().to_string())),
-        (
-            "masked_tokens",
-            count(telemetry.map_or(0, |t| t.grammar.masked_tokens.get())),
-        ),
-        (
-            "forced_tokens",
-            count(telemetry.map_or(0, |t| t.grammar.forced_fast_path.get())),
-        ),
-        (
-            "states_cached",
-            num(telemetry.map_or(0.0, |t| t.grammar.states_cached.get()) as usize),
-        ),
-    ]);
-    let quant = Json::obj(match telemetry {
-        Some(t) => vec![
-            ("weight_bytes", num(t.quant.weight_bytes.get() as usize)),
-            (
-                "weight_bytes_saved",
-                num(t.quant.weight_bytes_saved.get() as usize),
-            ),
-            ("matmuls_int8", count(t.quant.matmuls_int8.get())),
-            ("matmuls_f32", count(t.quant.matmuls_f32.get())),
-        ],
-        None => vec![
-            ("weight_bytes", num(0)),
-            ("weight_bytes_saved", num(0)),
-            ("matmuls_int8", count(0)),
-            ("matmuls_f32", count(0)),
-        ],
-    });
-    Response::json(
-        Json::obj(vec![
-            ("queue_depth", num(snapshot.queue_depth)),
-            ("in_flight", num(snapshot.in_flight)),
-            ("max_batch_size", num(max_batch_size)),
-            ("queue_capacity", num(queue_capacity)),
-            (
-                "prefix_cache",
-                Json::obj(vec![
-                    ("enabled", Json::Bool(snapshot.prefix_cache.is_some())),
-                    ("hits", count(pc.hits)),
-                    ("misses", count(pc.misses)),
-                    ("hit_tokens", count(pc.hit_tokens)),
-                    ("evicted_segments", count(pc.evicted_segments)),
-                    ("bytes", num(pc.bytes)),
-                    ("segments", num(pc.segments)),
-                    ("budget_bytes", num(pc.budget_bytes)),
-                ]),
-            ),
-            (
-                "speculative",
-                Json::obj(vec![
-                    ("enabled", Json::Bool(spec.enabled())),
-                    ("k", num(spec.max_draft)),
-                    ("draft", Json::Str(spec.draft_label().to_string())),
-                ]),
-            ),
-            ("precision", Json::Str(precision.as_str().to_string())),
-            ("quant", quant),
-            ("grammar", grammar),
-        ])
-        .to_text(),
-    )
+    })
 }
 
 /// Lint-as-a-service: `{"content": "<yaml>"}` → schema findings. The same
@@ -703,13 +491,22 @@ fn completion_payload(suggestion: &Suggestion) -> Json {
     ])
 }
 
-/// Parses the completion payload shared by all decode paths — including
-/// the optional `"constraint"` field, resolved against the server's
-/// configured default — or the 400 explaining what was wrong with it.
+/// A parsed `POST /v1/completions` body.
+struct CompletionCall {
+    request: CompletionRequest,
+    /// The optional `"constraint"` field, resolved against the server's
+    /// configured default.
+    constraint: Constraint,
+    /// Whether the client asked for server-sent events (`"stream": true`).
+    stream: bool,
+}
+
+/// Parses a completion body (once per request), or the 400 explaining what
+/// was wrong with it.
 fn parse_completion(
     request: &Request,
     default_constraint: Constraint,
-) -> Result<(CompletionRequest, Constraint), Response> {
+) -> Result<CompletionCall, Response> {
     let payload =
         parse_json(&request.body_text()).map_err(|e| Response::text(400, e.to_string()))?;
     let Some(prompt) = payload.get("prompt").and_then(Json::as_str) else {
@@ -726,120 +523,69 @@ fn parse_completion(
                 .map_err(|e| Response::text(400, e))?
         }
     };
-    Ok((CompletionRequest::new(context, prompt), constraint))
-}
-
-fn completions(
-    wisdom: &Wisdom,
-    scheduler: Option<&BatchScheduler>,
-    retry_after_secs: u64,
-    default_constraint: Constraint,
-    request: &Request,
-) -> Response {
-    let (completion_request, constraint) = match parse_completion(request, default_constraint) {
-        Ok(r) => r,
-        Err(response) => return response,
-    };
-    let suggestion = match scheduler {
-        Some(s) => {
-            match wisdom.try_complete_batched_constrained(&completion_request, s, constraint) {
-                Ok(suggestion) => suggestion,
-                Err(e @ (SubmitError::QueueFull | SubmitError::ShutDown)) => {
-                    let secs = estimate_retry_after(
-                        s.stats().queue_depth,
-                        s.decode_token_p50(),
-                        retry_after_secs,
-                        RouterConfig::default().retry_after_max_secs,
-                    );
-                    return Response::text(503, e.to_string())
-                        .with_header("retry-after", secs.to_string());
-                }
-            }
-        }
-        None => wisdom.complete_constrained(&completion_request, constraint),
-    };
-    Response::json(completion_payload(&suggestion).to_text())
+    Ok(CompletionCall {
+        request: CompletionRequest::new(context, prompt),
+        constraint,
+        stream: payload.get("stream").and_then(Json::as_bool) == Some(true),
+    })
 }
 
 /// Router-placed completions: submit to the replica the router picks,
 /// spill to others on overflow, 503 with an estimated `Retry-After` when
-/// every replica is full.
-fn completions_pooled(
+/// every replica is full. A plain request blocks for the suggestion; a
+/// streaming one returns as soon as it is queued. Validation failures and
+/// sheds are ordinary responses either way — no SSE byte has committed the
+/// connection yet.
+fn completions(
     wisdom: &Wisdom,
     router: &Router,
-    retry_after_fallback: u64,
-    default_constraint: Constraint,
+    config: &ServerConfig,
     request: &Request,
-) -> Response {
-    let (completion_request, constraint) = match parse_completion(request, default_constraint) {
-        Ok(r) => r,
-        Err(response) => return response,
+) -> Reply {
+    let call = match parse_completion(request, config.constraint) {
+        Ok(call) => call,
+        Err(response) => return Reply::Whole(response),
     };
-    match router.submit(wisdom.decode_request_constrained(&completion_request, constraint)) {
-        Ok(pending) => {
-            let suggestion = wisdom.suggestion_from_tokens(&completion_request, &pending.wait());
-            Response::json(completion_payload(&suggestion).to_text())
-        }
-        Err(e) => Response::text(503, e.to_string()).with_header(
+    let decode = wisdom.decode_request_constrained(&call.request, call.constraint);
+    let shed = |e: SubmitError| {
+        Reply::Whole(Response::text(503, e.to_string()).with_header(
             "retry-after",
-            router.retry_after_secs(retry_after_fallback).to_string(),
-        ),
+            router.retry_after_secs(config.retry_after_secs).to_string(),
+        ))
+    };
+    if call.stream {
+        return match router.submit_streaming(decode) {
+            Ok(stream) => Reply::Stream(call.request, stream),
+            Err(e) => shed(e),
+        };
+    }
+    match router.submit(decode) {
+        Ok(pending) => {
+            let suggestion = wisdom.suggestion_from_tokens(&call.request, &pending.wait());
+            Reply::Whole(Response::json(completion_payload(&suggestion).to_text()))
+        }
+        Err(e) => shed(e),
     }
 }
 
-/// Streams a completion as server-sent events, writing directly to the
-/// socket: one `{"token": …}` event per decoded token, the exact
-/// non-streaming JSON object as the final data event, then `[DONE]`.
-/// Returns the status to log. Validation failures are written as ordinary
-/// (non-chunked) responses before any SSE bytes commit the stream.
-fn stream_completion(
+/// Forwards an accepted streaming completion as server-sent events, writing
+/// directly to the socket: one `{"token": …}` event per decoded token, the
+/// exact non-streaming JSON object as the final data event, then `[DONE]`.
+///
+/// The head commits the connection to a chunked 200. A failed write means
+/// the client hung up: returning drops `stream`, and the token receiver
+/// going away is what tells the decode worker to cancel the sequence
+/// instead of decoding on for nobody.
+fn forward_stream(
     wisdom: &Wisdom,
-    router: Option<&Router>,
-    retry_after_fallback: u64,
-    default_constraint: Constraint,
     telemetry: &ServerTelemetry,
     conn: &mut TcpStream,
-    request: &Request,
-) -> u16 {
-    let reject = |conn: &mut TcpStream, response: Response| {
-        let status = response.status;
-        let _ = response.write_to(conn);
-        status
-    };
-    let (completion_request, constraint) = match parse_completion(request, default_constraint) {
-        Ok(r) => r,
-        Err(response) => return reject(conn, response),
-    };
-    let Some(router) = router else {
-        return reject(
-            conn,
-            Response::text(
-                501,
-                "streaming requires the batched scheduler (max_batch_size > 1)",
-            ),
-        );
-    };
-    let stream = match router
-        .submit_streaming(wisdom.decode_request_constrained(&completion_request, constraint))
-    {
-        Ok(stream) => stream,
-        Err(e) => {
-            return reject(
-                conn,
-                Response::text(503, e.to_string()).with_header(
-                    "retry-after",
-                    router.retry_after_secs(retry_after_fallback).to_string(),
-                ),
-            );
-        }
-    };
-    // From here the head has committed the connection to a chunked 200. A
-    // failed write means the client hung up: returning drops `stream`, and
-    // the token receiver going away is what tells the decode worker to
-    // cancel the sequence instead of decoding on for nobody.
+    completion: &CompletionRequest,
+    stream: StreamingPending,
+) {
     let started = Instant::now();
     if write_sse_head(conn).is_err() {
-        return 200;
+        return;
     }
     let mut previous: Option<Instant> = None;
     for token in stream.tokens.iter() {
@@ -855,19 +601,20 @@ fn stream_completion(
         previous = Some(now);
         let event = Json::obj(vec![("token", Json::Str(wisdom.token_text(token)))]).to_text();
         if write_sse_event(conn, &event).is_err() {
-            return 200;
+            return;
         }
     }
-    let suggestion = wisdom.suggestion_from_tokens(&completion_request, &stream.result.wait());
+    let suggestion = wisdom.suggestion_from_tokens(completion, &stream.result.wait());
     let _ = write_sse_event(conn, &completion_payload(&suggestion).to_text());
     let _ = write_sse_event(conn, "[DONE]");
     let _ = finish_chunked(conn);
-    200
 }
 
-/// `/v1/stats` over a replica pool: the single-scheduler JSON shape with
-/// pool-summed values, plus `replica_count` and a per-replica breakdown.
-fn pool_stats(router: &Router, bundles: &[ReplicaTelemetry], config: &ServerConfig) -> Response {
+/// `/v1/stats`: serving/load counters for dashboards and tests — queue
+/// depth, in-flight batch size and the prefix KV cache's counters summed
+/// over the pool, the configured speculation / precision / constraint with
+/// their counters, plus `replica_count` and a per-replica breakdown.
+fn stats(router: &Router, bundles: &[ReplicaTelemetry], config: &ServerConfig) -> Response {
     let agg = router.pool().aggregate();
     let num = |n: usize| Json::Num(n as f64);
     let count = |n: u64| Json::Num(n as f64);
@@ -982,11 +729,54 @@ mod tests {
     use std::sync::OnceLock;
     use wisdom_core::WisdomConfig;
 
-    fn tiny_wisdom() -> Arc<Wisdom> {
-        static WISDOM: OnceLock<Arc<Wisdom>> = OnceLock::new();
-        WISDOM
-            .get_or_init(|| Arc::new(Wisdom::train(&WisdomConfig::tiny(), None)))
-            .clone()
+    /// A tiny assistant behind a one-replica pool, as `bind_with` builds it.
+    struct Fixture {
+        wisdom: Wisdom,
+        router: Router,
+        bundles: Vec<ReplicaTelemetry>,
+        config: ServerConfig,
+        telemetry: ServerTelemetry,
+    }
+
+    fn fixture() -> &'static Fixture {
+        static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let wisdom = Wisdom::train(&WisdomConfig::tiny(), None);
+            let config = ServerConfig {
+                retry_after_secs: 2,
+                ..ServerConfig::default()
+            };
+            let telemetry = ServerTelemetry::with_logger(wisdom_telemetry::Logger::default());
+            let (router, bundles) = build_router(&wisdom, &config, &telemetry);
+            Fixture {
+                wisdom,
+                router,
+                bundles,
+                config,
+                telemetry,
+            }
+        })
+    }
+
+    fn route_ready(ready: bool, request: &Request) -> Response {
+        let f = fixture();
+        let reply = respond(
+            &f.wisdom,
+            &f.router,
+            &f.bundles,
+            &f.config,
+            &f.telemetry,
+            ready,
+            request,
+        );
+        match reply {
+            Reply::Whole(response) => response,
+            Reply::Stream(..) => panic!("no test here asks for a stream"),
+        }
+    }
+
+    fn route(request: &Request) -> Response {
+        route_ready(true, request)
     }
 
     fn post(path: &str, body: &str) -> Request {
@@ -996,88 +786,6 @@ mod tests {
             headers: HashMap::new(),
             body: body.as_bytes().to_vec(),
         }
-    }
-
-    #[test]
-    fn healthz_works() {
-        let w = tiny_wisdom();
-        let r = route(
-            &w,
-            &Request {
-                method: "GET".to_string(),
-                path: "/healthz".to_string(),
-                headers: HashMap::new(),
-                body: Vec::new(),
-            },
-        );
-        assert_eq!(r.status, 200);
-        assert_eq!(r.body, b"ok");
-    }
-
-    #[test]
-    fn completions_endpoint_returns_json() {
-        let w = tiny_wisdom();
-        let r = route(
-            &w,
-            &post("/v1/completions", r#"{"prompt":"install nginx"}"#),
-        );
-        assert_eq!(r.status, 200);
-        let j = parse_json(&String::from_utf8(r.body).unwrap()).unwrap();
-        assert!(j.get("completion").is_some());
-        assert!(j.get("schema_correct").and_then(Json::as_bool).is_some());
-        let snippet = j.get("snippet").and_then(Json::as_str).unwrap();
-        assert!(snippet.starts_with("- name: install nginx"));
-    }
-
-    #[test]
-    fn lint_endpoint_reports_findings() {
-        let w = tiny_wisdom();
-        let good = route(
-            &w,
-            &post(
-                "/v1/lint",
-                r#"{"content":"- name: ok\n  ansible.builtin.ping: {}\n"}"#,
-            ),
-        );
-        assert_eq!(good.status, 200);
-        let j = parse_json(&String::from_utf8(good.body).unwrap()).unwrap();
-        assert_eq!(j.get("schema_correct").and_then(Json::as_bool), Some(true));
-
-        let bad = route(
-            &w,
-            &post(
-                "/v1/lint",
-                r#"{"content":"- name: bad\n  not_a_module: {}\n"}"#,
-            ),
-        );
-        let j = parse_json(&String::from_utf8(bad.body).unwrap()).unwrap();
-        assert_eq!(j.get("schema_correct").and_then(Json::as_bool), Some(false));
-        assert!(matches!(j.get("findings"), Some(Json::Arr(items)) if !items.is_empty()));
-    }
-
-    #[test]
-    fn stats_endpoint_reports_idle_direct_path() {
-        let w = tiny_wisdom();
-        let r = route(
-            &w,
-            &Request {
-                method: "GET".to_string(),
-                path: "/v1/stats".to_string(),
-                headers: HashMap::new(),
-                body: Vec::new(),
-            },
-        );
-        assert_eq!(r.status, 200);
-        let j = parse_json(&String::from_utf8(r.body).unwrap()).unwrap();
-        assert_eq!(j.get("queue_depth").and_then(Json::as_f64), Some(0.0));
-        assert_eq!(j.get("in_flight").and_then(Json::as_f64), Some(0.0));
-        assert_eq!(j.get("max_batch_size").and_then(Json::as_f64), Some(1.0));
-        let pc = j.get("prefix_cache").expect("prefix_cache object");
-        assert_eq!(pc.get("enabled").and_then(Json::as_bool), Some(false));
-        let spec = j.get("speculative").expect("speculative object");
-        assert_eq!(spec.get("enabled").and_then(Json::as_bool), Some(false));
-        assert_eq!(spec.get("k").and_then(Json::as_f64), Some(0.0));
-        assert_eq!(spec.get("draft").and_then(Json::as_str), Some("off"));
     }
 
     fn get(path: &str) -> Request {
@@ -1090,11 +798,46 @@ mod tests {
     }
 
     #[test]
+    fn healthz_works() {
+        let r = route(&get("/healthz"));
+        assert_eq!(r.status, 200);
+        assert_eq!(r.body, b"ok");
+    }
+
+    #[test]
+    fn completions_endpoint_returns_json() {
+        let r = route(&post("/v1/completions", r#"{"prompt":"install nginx"}"#));
+        assert_eq!(r.status, 200);
+        let j = parse_json(&String::from_utf8(r.body).unwrap()).unwrap();
+        assert!(j.get("completion").is_some());
+        assert!(j.get("schema_correct").and_then(Json::as_bool).is_some());
+        let snippet = j.get("snippet").and_then(Json::as_str).unwrap();
+        assert!(snippet.starts_with("- name: install nginx"));
+    }
+
+    #[test]
+    fn lint_endpoint_reports_findings() {
+        let good = route(&post(
+            "/v1/lint",
+            r#"{"content":"- name: ok\n  ansible.builtin.ping: {}\n"}"#,
+        ));
+        assert_eq!(good.status, 200);
+        let j = parse_json(&String::from_utf8(good.body).unwrap()).unwrap();
+        assert_eq!(j.get("schema_correct").and_then(Json::as_bool), Some(true));
+
+        let bad = route(&post(
+            "/v1/lint",
+            r#"{"content":"- name: bad\n  not_a_module: {}\n"}"#,
+        ));
+        let j = parse_json(&String::from_utf8(bad.body).unwrap()).unwrap();
+        assert_eq!(j.get("schema_correct").and_then(Json::as_bool), Some(false));
+        assert!(matches!(j.get("findings"), Some(Json::Arr(items)) if !items.is_empty()));
+    }
+
+    #[test]
     fn readyz_reflects_the_ready_flag() {
-        let w = tiny_wisdom();
-        // The direct path (no scheduler) is ready as soon as it's routable.
-        assert_eq!(route(&w, &get("/readyz")).status, 200);
-        let not_ready = route_full(&w, None, 2, None, false, &get("/readyz"));
+        assert_eq!(route(&get("/readyz")).status, 200);
+        let not_ready = route_ready(false, &get("/readyz"));
         assert_eq!(not_ready.status, 503);
         assert!(not_ready
             .headers
@@ -1103,12 +846,11 @@ mod tests {
     }
 
     #[test]
-    fn metrics_renders_exposition_with_telemetry_and_404s_without() {
-        let w = tiny_wisdom();
-        assert_eq!(route(&w, &get("/metrics")).status, 404);
-        let telemetry = ServerTelemetry::with_logger(wisdom_telemetry::Logger::default());
-        telemetry.observe_request("GET", "/healthz", 200, 0.001);
-        let r = route_full(&w, None, 1, Some(&telemetry), true, &get("/metrics"));
+    fn metrics_renders_exposition() {
+        fixture()
+            .telemetry
+            .observe_request("GET", "/healthz", 200, 0.001);
+        let r = route(&get("/metrics"));
         assert_eq!(r.status, 200);
         assert_eq!(r.content_type, METRICS_CONTENT_TYPE);
         let body = String::from_utf8(r.body).unwrap();
@@ -1120,27 +862,15 @@ mod tests {
     }
 
     #[test]
-    fn stats_from_registry_keeps_the_json_shape() {
-        let w = tiny_wisdom();
-        let telemetry = ServerTelemetry::with_logger(wisdom_telemetry::Logger::default());
-        telemetry.batch.queue_depth.set(3.0);
-        telemetry.batch.batch_occupancy.set(2.0);
-        let r = route_full(&w, None, 1, Some(&telemetry), true, &get("/v1/stats"));
-        assert_eq!(r.status, 200);
-        let j = parse_json(&String::from_utf8(r.body).unwrap()).unwrap();
-        assert_eq!(j.get("queue_depth").and_then(Json::as_f64), Some(3.0));
-        assert_eq!(j.get("in_flight").and_then(Json::as_f64), Some(2.0));
-        // Scheduler-less: the prefix cache reads disabled even though the
-        // registry has the (idle) family registered.
-        let pc = j.get("prefix_cache").expect("prefix_cache object");
-        assert_eq!(pc.get("enabled").and_then(Json::as_bool), Some(false));
-    }
-
-    #[test]
     fn bad_requests_are_rejected() {
-        let w = tiny_wisdom();
-        assert_eq!(route(&w, &post("/v1/completions", "not json")).status, 400);
-        assert_eq!(route(&w, &post("/v1/completions", "{}")).status, 400);
-        assert_eq!(route(&w, &post("/nope", "{}")).status, 404);
+        assert_eq!(route(&post("/v1/completions", "not json")).status, 400);
+        assert_eq!(route(&post("/v1/completions", "{}")).status, 400);
+        assert_eq!(route(&post("/nope", "{}")).status, 404);
+        assert_eq!(route(&get("/nope")).status, 404);
+        let delete = Request {
+            method: "DELETE".to_string(),
+            ..get("/v1/completions")
+        };
+        assert_eq!(route(&delete).status, 405);
     }
 }

@@ -87,6 +87,7 @@ impl Response {
             408 => "Request Timeout",
             411 => "Length Required",
             413 => "Payload Too Large",
+            431 => "Request Header Fields Too Large",
             503 => "Service Unavailable",
             _ => "Internal Server Error",
         }
@@ -176,11 +177,18 @@ pub fn finish_chunked(stream: &mut impl Write) -> std::io::Result<()> {
 /// Default request-body cap for [`read_request`] (1 MiB).
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 
+/// Longest request line or header line accepted, terminator included
+/// (over it: 431).
+pub const MAX_LINE_BYTES: usize = 8 * 1024;
+
+/// Most header lines accepted per request (over it: 431).
+pub const MAX_HEADERS: usize = 64;
+
 /// HTTP parse failure, carrying the status code the server should answer
 /// with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseHttpError {
-    /// Status code to report (400, 408, 411, 413).
+    /// Status code to report (400, 408, 411, 413, 431).
     pub status: u16,
     /// Description.
     pub message: String,
@@ -219,9 +227,29 @@ fn io_err(e: &std::io::Error) -> ParseHttpError {
     }
 }
 
+/// Reads one line of the request head, terminator included, refusing one
+/// longer than [`MAX_LINE_BYTES`] instead of buffering whatever a client
+/// cares to send before its first line break.
+fn read_head_line(reader: &mut impl BufRead) -> Result<String, ParseHttpError> {
+    let mut line = String::new();
+    reader
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_line(&mut line)
+        .map_err(|e| io_err(&e))?;
+    if line.len() > MAX_LINE_BYTES {
+        return Err(status_err(
+            431,
+            &format!("request or header line exceeds {MAX_LINE_BYTES} bytes"),
+        ));
+    }
+    Ok(line)
+}
+
 /// Reads one request from a stream, rejecting bodies over `max_body` bytes
-/// with a 413-status error. Callers should set socket read timeouts so a
-/// stalled client cannot pin the handler (see `WisdomServer`).
+/// with a 413-status error, and a request line or header line over
+/// [`MAX_LINE_BYTES`] or more than [`MAX_HEADERS`] header lines with a
+/// 431-status error. Callers should set socket read timeouts so a stalled
+/// client cannot pin the handler (see `WisdomServer`).
 ///
 /// # Errors
 ///
@@ -251,9 +279,8 @@ pub fn read_request_opt(
     max_body: usize,
 ) -> Result<Option<Request>, ParseHttpError> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let n = reader.read_line(&mut line).map_err(|e| io_err(&e))?;
-    if n == 0 {
+    let line = read_head_line(&mut reader)?;
+    if line.is_empty() {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
@@ -263,12 +290,19 @@ pub fn read_request_opt(
         .to_string();
     let path = parts.next().ok_or_else(|| bad("missing path"))?.to_string();
     let mut headers = HashMap::new();
+    let mut header_lines = 0usize;
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).map_err(|e| io_err(&e))?;
+        let header = read_head_line(&mut reader)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        header_lines += 1;
+        if header_lines > MAX_HEADERS {
+            return Err(status_err(
+                431,
+                &format!("more than {MAX_HEADERS} header lines"),
+            ));
         }
         if let Some((k, v)) = header.split_once(':') {
             headers.insert(k.trim().to_lowercase(), v.trim().to_string());
@@ -476,6 +510,38 @@ mod tests {
             1024,
         );
         assert_eq!(err.status, 413);
+    }
+
+    #[test]
+    fn oversized_head_is_rejected_with_431() {
+        // A request line that never ends, one overlong header, and too many
+        // short ones: all refused after a bounded read.
+        let endless = format!("GET /{}", "a".repeat(4 * MAX_LINE_BYTES));
+        assert_eq!(parse_error_for(&endless, 1024).status, 431);
+        let long_header = format!(
+            "GET /healthz HTTP/1.1\r\nx-pad: {}\r\n\r\n",
+            "a".repeat(MAX_LINE_BYTES)
+        );
+        assert_eq!(parse_error_for(&long_header, 1024).status, 431);
+        let many: String = (0..=MAX_HEADERS).map(|i| format!("x-{i}: 1\r\n")).collect();
+        let flood = format!("GET /healthz HTTP/1.1\r\n{many}\r\n");
+        assert_eq!(parse_error_for(&flood, 1024).status, 431);
+        // At the limits a request still parses.
+        let short: String = (1..MAX_HEADERS).map(|i| format!("x-{i}: 1\r\n")).collect();
+        let long = format!("x-pad: {}\r\n", "a".repeat(MAX_LINE_BYTES - 9));
+        assert_eq!(long.len(), MAX_LINE_BYTES);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let raw = format!("GET /healthz HTTP/1.1\r\n{short}{long}\r\n");
+        let client = std::thread::spawn(move || {
+            let mut c = TcpStream::connect(addr).unwrap();
+            c.write_all(raw.as_bytes()).unwrap();
+            c
+        });
+        let (mut conn, _) = listener.accept().unwrap();
+        let request = read_request(&mut conn, 1024).unwrap();
+        drop(client.join().unwrap());
+        assert_eq!(request.headers.len(), MAX_HEADERS);
     }
 
     #[test]

@@ -139,16 +139,23 @@ impl fmt::Display for ParseJsonError {
 
 impl Error for ParseJsonError {}
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser recurses
+/// once per level, so the bound is what keeps a body of `[[[[…` from
+/// overflowing the handler thread's stack.
+pub const MAX_JSON_DEPTH: usize = 64;
+
 /// Parses JSON text.
 ///
 /// # Errors
 ///
-/// Returns [`ParseJsonError`] on malformed input.
+/// Returns [`ParseJsonError`] on malformed input, or on arrays/objects
+/// nested deeper than [`MAX_JSON_DEPTH`].
 pub fn parse_json(text: &str) -> Result<Json, ParseJsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         text,
         i: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -163,6 +170,8 @@ struct Parser<'a> {
     bytes: &'a [u8],
     text: &'a str,
     i: usize,
+    /// Arrays and objects currently open around `i`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -181,8 +190,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, ParseJsonError> {
         match self.bytes.get(self.i) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -190,6 +199,20 @@ impl Parser<'_> {
             Some(_) => self.number(),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object, counting it against [`MAX_JSON_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseJsonError>,
+    ) -> Result<Json, ParseJsonError> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_JSON_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseJsonError> {
@@ -376,6 +399,21 @@ mod tests {
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("{} extra").is_err());
         assert!(parse_json("nope").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nested(MAX_JSON_DEPTH)).is_ok());
+        let err = parse_json(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.position, MAX_JSON_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        // Objects count too, and a megabyte of openers is an error, not a
+        // stack overflow.
+        let objects = format!("{}1{}", "{\"a\":".repeat(65), "}".repeat(65));
+        assert!(parse_json(&objects).is_err());
+        assert!(parse_json(&"[".repeat(1 << 20)).is_err());
+        assert!(parse_json(&"{\"a\":".repeat(1 << 18)).is_err());
     }
 
     #[test]

@@ -31,16 +31,16 @@ mod json;
 mod router;
 mod telemetry;
 
-pub use api::{route, route_full, route_with, ServerConfig, ServerHandle, WisdomServer};
+pub use api::{ServerConfig, ServerHandle, WisdomServer};
 pub use client::{
     get, post, post_raw, post_sse, request_completion, ClientError, CompletionResponse,
     HttpConnection,
 };
 pub use http::{
     finish_chunked, read_request, read_request_opt, write_sse_event, write_sse_head,
-    ParseHttpError, Request, Response, MAX_BODY_BYTES,
+    ParseHttpError, Request, Response, MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES,
 };
-pub use json::{parse_json, Json, ParseJsonError};
+pub use json::{parse_json, Json, ParseJsonError, MAX_JSON_DEPTH};
 pub use router::{
     estimate_retry_after, rendezvous_pick, Placement, RoutePolicy, Router, RouterConfig,
     RouterTelemetry,

@@ -130,9 +130,8 @@ impl ServerTelemetry {
         }
     }
 
-    /// Telemetry bundles for an `n`-replica pool. One replica reuses the
-    /// unlabeled server-wide bundles (scrape output identical to the
-    /// single-scheduler server); more than one registers a labeled
+    /// Telemetry bundles for an `n`-replica pool. One replica records into
+    /// the unlabeled server-wide bundles; more than one registers a labeled
     /// `replica="i"` series set per replica in the same families, so one
     /// scrape shows both per-replica and (summed by the scraper)
     /// aggregate behavior.

@@ -40,7 +40,7 @@ mod value;
 
 pub use emitter::{emit, emit_documents, EmitOptions};
 pub use error::ParseYamlError;
-pub use parser::{parse, parse_documents};
+pub use parser::{parse, parse_documents, MAX_NESTING_DEPTH};
 pub use value::{Mapping, Value};
 
 #[cfg(test)]

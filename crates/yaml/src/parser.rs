@@ -4,6 +4,20 @@ use crate::error::ParseYamlError;
 use crate::lexer::{count_indent, strip_trailing_comment};
 use crate::value::{resolve_plain_scalar, Mapping, Value};
 
+/// Deepest nesting the parser follows, counted separately for block
+/// structure (sequences and mappings by indentation) and for flow
+/// collections (`[…]` / `{…}`) within one value. Both recurse once per
+/// level, so the bound is what keeps a document of `[[[[…` or `- - - -…`
+/// from overflowing the caller's stack; real playbooks stay under ten.
+pub const MAX_NESTING_DEPTH: usize = 64;
+
+fn too_deep(number: usize) -> ParseYamlError {
+    ParseYamlError::new(
+        number,
+        format!("nesting deeper than {MAX_NESTING_DEPTH} levels"),
+    )
+}
+
 /// Parses a single YAML document.
 ///
 /// An empty stream parses as [`Value::Null`]. A leading `---` marker and a
@@ -12,8 +26,9 @@ use crate::value::{resolve_plain_scalar, Mapping, Value};
 /// # Errors
 ///
 /// Returns [`ParseYamlError`] on malformed input, on unsupported YAML
-/// features (anchors/aliases/tags/complex keys), or when the stream contains
-/// more than one document (use [`parse_documents`] for streams).
+/// features (anchors/aliases/tags/complex keys), on nesting deeper than
+/// [`MAX_NESTING_DEPTH`], or when the stream contains more than one document
+/// (use [`parse_documents`] for streams).
 ///
 /// # Examples
 ///
@@ -68,6 +83,8 @@ struct Parser {
     /// All raw source lines (1-based index = number - 1), for block scalars.
     raw: Vec<String>,
     pos: usize,
+    /// Block nodes currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser {
@@ -96,7 +113,12 @@ impl Parser {
                 number,
             });
         }
-        Ok(Self { lines, raw, pos: 0 })
+        Ok(Self {
+            lines,
+            raw,
+            pos: 0,
+            depth: 0,
+        })
     }
 
     fn peek(&self) -> Option<&SigLine> {
@@ -176,15 +198,22 @@ impl Parser {
         if first.indent < min_indent || self.at_document_boundary() {
             return Ok(Value::Null);
         }
+        if self.depth == MAX_NESTING_DEPTH {
+            return Err(too_deep(first.number));
+        }
         let indent = first.indent;
-        let content = first.content.clone();
-        if content == "-" || content.starts_with("- ") {
+        let is_seq = first.content == "-" || first.content.starts_with("- ");
+        let is_map = !is_seq && split_key(&first.content, first.number)?.is_some();
+        self.depth += 1;
+        let node = if is_seq {
             self.parse_seq(indent)
-        } else if split_key(&content, first.number)?.is_some() {
+        } else if is_map {
             self.parse_map(indent)
         } else {
             self.parse_scalar_lines(indent)
-        }
+        };
+        self.depth -= 1;
+        node
     }
 
     fn at_document_boundary(&self) -> bool {
@@ -599,6 +628,8 @@ struct Cursor<'a> {
     text: &'a str,
     i: usize,
     number: usize,
+    /// Flow collections currently open around `i`.
+    depth: usize,
 }
 
 impl<'a> Cursor<'a> {
@@ -608,6 +639,7 @@ impl<'a> Cursor<'a> {
             text,
             i: 0,
             number,
+            depth: 0,
         }
     }
 
@@ -632,12 +664,27 @@ impl<'a> Cursor<'a> {
     fn flow_value(&mut self) -> Result<Value, ParseYamlError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'[') => self.flow_seq(),
-            Some(b'{') => self.flow_map(),
+            Some(b'[') => self.flow_nested(Self::flow_seq),
+            Some(b'{') => self.flow_nested(Self::flow_map),
             Some(b'"') | Some(b'\'') => Ok(Value::Str(self.quoted_string()?)),
             Some(_) => Ok(resolve_plain_scalar(self.flow_plain())),
             None => Ok(Value::Null),
         }
+    }
+
+    /// Parses one flow collection, counting it against
+    /// [`MAX_NESTING_DEPTH`].
+    fn flow_nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseYamlError>,
+    ) -> Result<Value, ParseYamlError> {
+        if self.depth == MAX_NESTING_DEPTH {
+            return Err(too_deep(self.number));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn flow_seq(&mut self) -> Result<Value, ParseYamlError> {
@@ -1057,6 +1104,30 @@ mod tests {
             .unwrap()
             .as_int();
         assert_eq!(e, Some(1));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let flow = |depth: usize| format!("a: {}{}\n", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&flow(MAX_NESTING_DEPTH)).is_ok());
+        let err = parse(&flow(MAX_NESTING_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.line(), 1);
+        assert!(err.message().contains("nesting"), "{err}");
+        // Block structure: nested sequences on one line, then by indentation.
+        let inline = |depth: usize| format!("{}x\n", "- ".repeat(depth));
+        assert!(parse(&inline(MAX_NESTING_DEPTH - 1)).is_ok());
+        assert!(parse(&inline(MAX_NESTING_DEPTH + 1)).is_err());
+        let indented = |depth: usize| -> String {
+            (0..depth)
+                .map(|d| format!("{}k:\n", "  ".repeat(d)))
+                .collect()
+        };
+        assert!(parse(&indented(MAX_NESTING_DEPTH - 1)).is_ok());
+        assert!(parse(&indented(MAX_NESTING_DEPTH + 1)).is_err());
+        // A megabyte of openers is an error, not a stack overflow.
+        assert!(parse(&"[".repeat(1 << 20)).is_err());
+        assert!(parse(&"{a: ".repeat(1 << 18)).is_err());
+        assert!(parse(&"- ".repeat(1 << 19)).is_err());
     }
 
     #[test]

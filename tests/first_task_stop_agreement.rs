@@ -23,8 +23,8 @@ use ansible_wisdom::core::{
     Suggestion, Wisdom, WisdomConfig,
 };
 use ansible_wisdom::model::{
-    generate_batch, generate_batch_speculative, pretrain, BatchScheduler, FinishReason,
-    GrammarIndex, ModelConfig, PretrainConfig, SpeculativeConfig, SpeculativeDecoder, Strategy,
+    generate_batch, pretrain, BatchScheduler, DecodeBatch, FinishReason, GrammarIndex, ModelConfig,
+    PretrainConfig, ReplicaTelemetry, SpeculativeConfig, SpeculativeDecoder, Strategy,
     TransformerLm,
 };
 use ansible_wisdom::prng::Prng;
@@ -164,7 +164,6 @@ fn solo(wisdom: &Wisdom, decode: &DecodeRequest) -> Vec<u32> {
         &decode.stops,
         &decode.opts,
         decode.grammar.as_ref(),
-        None,
     )
 }
 
@@ -236,7 +235,10 @@ fn every_decode_path_stops_on_the_same_token() {
             speculative: SpeculativeConfig::ngram(8),
             ..BatchConfig::default()
         },
-        Some(telemetry.clone()),
+        ReplicaTelemetry {
+            batch: Some(telemetry.clone()),
+            ..Default::default()
+        },
     );
     let drafts = [
         SpeculativeConfig::ngram(8),
@@ -267,20 +269,16 @@ fn every_decode_path_stops_on_the_same_token() {
 
             assert_eq!(generate_batch(&model, decodes.clone(), 3), want, "{label}");
             for draft in drafts {
+                let mut engine = DecodeBatch::new(&model);
+                engine.set_speculation(draft);
                 assert_eq!(
-                    generate_batch_speculative(&model, decodes.clone(), 3, None, draft),
+                    engine.run(decodes.clone(), 3),
                     want,
                     "{label} batched {draft:?}"
                 );
                 let decoder = SpeculativeDecoder::new(&model, draft);
                 for (d, want) in decodes.iter().zip(&want) {
-                    let (got, _) = decoder.generate_constrained(
-                        &d.prompt,
-                        &d.stops,
-                        &d.opts,
-                        d.grammar.as_ref(),
-                        None,
-                    );
+                    let (got, _) = decoder.generate(d);
                     assert_eq!(&got, want, "{label} solo {draft:?}");
                 }
             }

@@ -640,6 +640,144 @@ fn multi_replica_server_is_deterministic_and_reports_per_replica_stats() {
         metrics.contains("wisdom_router_requests_total{policy=\"prefix_affinity\"}"),
         "{metrics}"
     );
+
+    // Metric hygiene: every family this scrape exposes has a row in the
+    // README's metric tables (first cell, spelled out in full).
+    let documented: Vec<&str> = include_str!("../README.md")
+        .lines()
+        .filter(|line| line.starts_with("| `wisdom_"))
+        .filter_map(|line| line.split('|').nth(1))
+        .flat_map(|cell| cell.split('`').skip(1).step_by(2))
+        .map(|name| name.split('{').next().unwrap_or(name))
+        .collect();
+    let undocumented: Vec<&str> = metrics
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .filter_map(|rest| rest.split(' ').next())
+        .filter(|family| !documented.contains(family))
+        .collect();
+    assert!(
+        undocumented.is_empty(),
+        "families missing from README.md's metric tables: {undocumented:?}"
+    );
+    handle.stop();
+}
+
+#[test]
+fn a_batch_of_one_streams_and_reports_the_pool_shape() {
+    use ansible_wisdom::server::post_sse;
+
+    // `max_batch_size: 1` is a batch of one on the same path, not a second
+    // server: it streams, and its stats have the pool's shape.
+    let (handle, addr) = spawn_server_with(ServerConfig {
+        max_batch_size: 1,
+        ..ServerConfig::default()
+    });
+    let (status, _, plain) =
+        post_raw(addr, "/v1/completions", r#"{"prompt":"install nginx"}"#).expect("plain");
+    assert_eq!(status, 200, "{plain}");
+    let streamed = r#"{"prompt":"install nginx","stream":true}"#;
+    let (status, events) = post_sse(addr, "/v1/completions", streamed).expect("stream");
+    assert_eq!(status, 200, "{events:?}");
+    assert!(events.len() >= 2, "token events, then the body: {events:?}");
+    assert_eq!(events.last().map(String::as_str), Some(plain.as_str()));
+    assert_eq!(
+        request_completion(addr, "", "install nginx")
+            .expect("completion")
+            .snippet,
+        tiny_wisdom().complete_task("", "install nginx").snippet
+    );
+
+    let (status, body) = get(addr, "/v1/stats").expect("stats");
+    assert_eq!(status, 200, "{body}");
+    let j = parse_json(&body).expect("stats json");
+    assert_eq!(j.get("max_batch_size").and_then(Json::as_f64), Some(1.0));
+    assert_eq!(j.get("replica_count").and_then(Json::as_f64), Some(1.0));
+    assert!(
+        matches!(j.get("replicas"), Some(Json::Arr(items)) if items.len() == 1),
+        "{body}"
+    );
+    let pc = j.get("prefix_cache").expect("prefix_cache object");
+    assert_eq!(pc.get("enabled").and_then(Json::as_bool), Some(true));
+    handle.stop();
+}
+
+/// Sends raw bytes and reads the reply to EOF; the status line's code.
+fn raw_status(addr: std::net::SocketAddr, request: &[u8]) -> u16 {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    // The server may answer and close before it has read everything.
+    let _ = stream.write_all(request);
+    let mut response = String::new();
+    let _ = stream.read_to_string(&mut response);
+    response
+        .strip_prefix("HTTP/1.1 ")
+        .and_then(|rest| rest.get(..3))
+        .and_then(|code| code.parse().ok())
+        .unwrap_or_else(|| panic!("no status line in {response:?}"))
+}
+
+#[test]
+fn oversized_request_head_is_refused_with_431_and_the_next_connection_served() {
+    use ansible_wisdom::server::{MAX_HEADERS, MAX_LINE_BYTES};
+
+    let (handle, addr) = spawn_server();
+    // A header line past the cap with no end in sight: refused as soon as
+    // the cap is read, not when the client finally gives up. (Barely past
+    // it, so the server has drained the socket and closing it cannot reset
+    // the connection under the reply.)
+    let endless = format!(
+        "GET /healthz HTTP/1.1\r\nx-pad: {}",
+        "a".repeat(MAX_LINE_BYTES + 100)
+    );
+    assert_eq!(raw_status(addr, endless.as_bytes()), 431);
+    // More header lines than any client sends.
+    let flood: String = (0..=MAX_HEADERS).map(|i| format!("x-{i}: 1\r\n")).collect();
+    let flood = format!("GET /healthz HTTP/1.1\r\n{flood}\r\n");
+    assert_eq!(raw_status(addr, flood.as_bytes()), 431);
+    // Neither took anything down.
+    let (status, body) = get(addr, "/healthz").expect("healthz");
+    assert_eq!((status, body.as_str()), (200, "ok"));
+    let (_, metrics) = get(addr, "/metrics").expect("metrics");
+    assert!(
+        metrics.contains("wisdom_http_responses_total{route=\"other\",status=\"431\"} 2"),
+        "{metrics}"
+    );
+    handle.stop();
+}
+
+#[test]
+fn a_megabyte_of_brackets_is_a_400_or_a_finding_never_a_crash() {
+    let (handle, addr) = spawn_server();
+    // As the JSON body itself, to both endpoints that parse one: at the
+    // parent commit the recursive parser overflows the handler's stack,
+    // which aborts the whole process.
+    let brackets = "[".repeat((1 << 20) - 1);
+    for path in ["/v1/completions", "/v1/lint"] {
+        let (status, body) = post(addr, path, &brackets).expect("post");
+        assert_eq!(status, 400, "{path}: {body}");
+        assert!(body.contains("nesting"), "{path}: {body}");
+    }
+    // As YAML for the linter, flow and block style: the document is
+    // reported as unparseable, like any other syntax error.
+    for content in ["[".repeat(1 << 19), "- ".repeat(1 << 18)] {
+        let body = Json::obj(vec![("content", Json::Str(content))]).to_text();
+        let (status, reply) = post(addr, "/v1/lint", &body).expect("lint");
+        assert_eq!(status, 200, "{reply}");
+        let j = parse_json(&reply).expect("lint json");
+        assert_eq!(j.get("schema_correct").and_then(Json::as_bool), Some(false));
+        assert!(reply.contains("nesting deeper than"), "{reply}");
+    }
+    // As editor context: a completion comes back regardless.
+    let body = Json::obj(vec![
+        ("prompt", Json::Str("install nginx".to_string())),
+        ("context", Json::Str("[".repeat(1 << 16))),
+    ])
+    .to_text();
+    let (status, reply) = post(addr, "/v1/completions", &body).expect("completion");
+    assert_eq!(status, 200, "{reply}");
+    let (status, body) = get(addr, "/healthz").expect("healthz");
+    assert_eq!((status, body.as_str()), (200, "ok"));
     handle.stop();
 }
 
