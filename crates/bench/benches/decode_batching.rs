@@ -3,12 +3,23 @@
 //! grows. Batch 1 is the solo `generate` loop every request paid before the
 //! scheduler existed; the acceptance bar is ≥2× aggregate throughput at
 //! batch 8 on the 2.7B-class config (see EXPERIMENTS.md for recorded runs).
+//!
+//! The row sweep measures one forward pass of r rows on the int8 350M-class
+//! fixture shape three ways — `step_batch` (r sequences, one row each),
+//! `prefill_continue_all` (one sequence, r rows, every row's logits: a
+//! verify pass) and `prefill_continue` (the same rows, logits for the last
+//! only: a forced run) — against r single `step`s. The decode engine's
+//! break-even constant `DRAFT_ROW_COST` is read off these numbers
+//! (EXPERIMENTS.md, "Rounds that pay").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use wisdom_bench::bench_profile;
 use wisdom_eval::run_decode_batching;
-use wisdom_model::{generate_batch, DecodeRequest, GenerationOptions, ModelConfig, TransformerLm};
+use wisdom_model::{
+    generate_batch, DecodeRequest, GenerationOptions, KvCache, ModelConfig, Precision,
+    TransformerLm,
+};
 use wisdom_prng::Prng;
 
 fn requests(model: &TransformerLm, n: usize, tokens: usize) -> Vec<DecodeRequest> {
@@ -28,6 +39,54 @@ fn requests(model: &TransformerLm, n: usize, tokens: usize) -> Vec<DecodeRequest
             grammar: None,
         })
         .collect()
+}
+
+fn row_sweep(c: &mut Criterion) {
+    let model = TransformerLm::new(
+        ModelConfig::size_350m(1000, 128),
+        &mut Prng::seed_from_u64(9),
+    )
+    .with_precision(Precision::Int8);
+    let prompt: Vec<u32> = (0..24u32).map(|i| (i * 31 + 7) % 1000).collect();
+    let start = prompt.len();
+    let (base, _) = model.prefill(&prompt);
+    // Sixteen caches prefilled once; every iteration rolls back the rows it
+    // appended, so no allocation or copy is timed.
+    let mut caches: Vec<KvCache> = vec![base; 16];
+    let mut group = c.benchmark_group("decode_batching/rows_350M_int8");
+    for r in [1usize, 2, 3, 4, 5, 8, 9, 16] {
+        let tokens: Vec<u32> = (0..r as u32).map(|i| 5 + 3 * i).collect();
+        let positions = vec![start; r];
+        group.bench_function(&format!("step_batch/{r}"), |b| {
+            b.iter(|| {
+                let mut refs: Vec<&mut KvCache> = caches.iter_mut().take(r).collect();
+                black_box(model.step_batch(&tokens, &positions, &mut refs));
+                refs.into_iter().for_each(|c| c.truncate(start));
+            })
+        });
+        let cache = &mut caches[0];
+        group.bench_function(&format!("prefill_continue_all/{r}"), |b| {
+            b.iter(|| {
+                black_box(model.prefill_continue_all(&tokens, cache));
+                cache.truncate(start);
+            })
+        });
+        group.bench_function(&format!("prefill_continue/{r}"), |b| {
+            b.iter(|| {
+                black_box(model.prefill_continue(&tokens, cache));
+                cache.truncate(start);
+            })
+        });
+        group.bench_function(&format!("r_x_step/{r}"), |b| {
+            b.iter(|| {
+                for (pos, &token) in (start..).zip(&tokens) {
+                    black_box(model.step(token, pos, cache));
+                }
+                cache.truncate(start);
+            })
+        });
+    }
+    group.finish();
 }
 
 fn bench(c: &mut Criterion) {
@@ -70,6 +129,6 @@ fn bench(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench
+    targets = row_sweep, bench
 }
 criterion_main!(benches);

@@ -5,10 +5,10 @@
 //! Three layers:
 //!
 //! * [`DecodeBatch`] — the engine. Holds the in-flight sequences (each with
-//!   its own KV cache), samples one token per sequence per round, and runs
-//!   [`TransformerLm::step_batch`] for every sequence that survived — so `B`
-//!   live requests cost one `B×d` blocked matmul per projection, not `B`
-//!   memory-bound matvecs.
+//!   its own KV cache), picks one token per sequence per round, and runs
+//!   every surviving sequence's rows — its pick, the grammar-forced run
+//!   behind it, its draft — through one ragged forward pass, so a round
+//!   costs one matmul per projection however many rows ride it.
 //! * [`DecodeBatch::run`] ([`generate_batch`] on a plain engine) —
 //!   synchronous fan-in over a fixed request list (the evaluation harness
 //!   path): admits up to `max_batch_size` sequences, refills the batch as
@@ -20,8 +20,8 @@
 //!   [`SubmitError::QueueFull`] so the server can shed load with a 503.
 //!
 //! Determinism: a sequence's trajectory depends only on its own logits,
-//! cache, and (for top-k) its own seeded rng. Because `step_batch` is
-//! bit-identical per row to `step` at any batch size, every request decoded
+//! cache, and (for top-k) its own seeded rng. Because the forward pass is
+//! bit-identical per row at any row count, every request decoded
 //! through this module produces exactly the tokens
 //! [`TransformerLm::generate`] would produce for it alone, regardless of
 //! batch composition or admission order (`tests/batch_agreement.rs`).
@@ -40,11 +40,14 @@ use wisdom_prng::Prng;
 
 use crate::decode::{GenerationOptions, Strategy};
 use crate::prefix_cache::{PrefixCacheStats, PrefixKvCache, PrefixPin};
-use crate::speculative::{adapt_draft_len, verify_draft, SpeculativeConfig, Speculator};
+use crate::speculative::{accept_draft, DraftGate, SpeculativeConfig, Speculator};
 use crate::telemetry::{
     BatchTelemetry, FinishReason, GrammarTelemetry, ReplicaTelemetry, SpeculativeTelemetry,
 };
-use crate::transformer::{pick_ends_sequence, pick_token, KvCache, Precision, TransformerLm};
+use crate::transformer::{
+    forced_token, pick_ends_sequence, pick_token, ForwardScratch, KvCache, Precision, RaggedSeq,
+    TransformerLm,
+};
 
 /// One generation request at the token level.
 #[derive(Debug, Clone)]
@@ -119,9 +122,12 @@ struct Seq<'m> {
     /// Tokens up to this index of `history` were already reported to the
     /// drafter's online-adaptation hook.
     observed: usize,
-    /// Current dynamic draft length (grows on full acceptance, halves on
-    /// full rejection).
-    draft_len: usize,
+    /// How many draft rows the next verify pass may carry, if any.
+    gate: DraftGate,
+    /// This round's rows, in position order: the pick, the grammar-forced
+    /// run behind it (emitted with it), then `drafted` unverified rows.
+    pending: Vec<u32>,
+    drafted: usize,
     /// Grammar position for constrained sequences: masks every logit row
     /// before the pick and advances past each emitted token. `None` for
     /// unconstrained sequences.
@@ -172,6 +178,8 @@ pub struct DecodeBatch<'m> {
     /// Grammar metric handles (masked-token counter, mask-build latency,
     /// cached states, forced-token fast-path hits).
     grammar_telemetry: Option<GrammarTelemetry>,
+    /// Activation buffers of the forward pass, reused round after round.
+    scratch: ForwardScratch,
 }
 
 impl<'m> DecodeBatch<'m> {
@@ -185,6 +193,7 @@ impl<'m> DecodeBatch<'m> {
             speculation: SpeculativeConfig::disabled(),
             spec_telemetry: None,
             grammar_telemetry: None,
+            scratch: ForwardScratch::default(),
         }
     }
 
@@ -331,7 +340,9 @@ impl<'m> DecodeBatch<'m> {
             drafter,
             history,
             observed,
-            draft_len: self.speculation.max_draft,
+            gate: DraftGate::new(),
+            pending: Vec::new(),
+            drafted: 0,
             grammar,
             sink,
         });
@@ -340,31 +351,35 @@ impl<'m> DecodeBatch<'m> {
         }
     }
 
-    /// One decode round: every live sequence picks its next token from its
-    /// current logits (greedy or seeded top-k, exactly like the solo loop),
-    /// sequences that hit a stop token / the end of their task / budget /
-    /// the context edge — or whose stream nobody reads any more — retire,
-    /// and the survivors advance — speculating sequences through their own
-    /// draft-verify pass (this is the only place one runs), the rest through
-    /// one batched [`TransformerLm::step_batch`].
+    /// One decode round. Every live sequence picks its next token from its
+    /// current logits (greedy or seeded top-k, exactly like the solo loop)
+    /// and, while its grammar cursor then leaves exactly one legal token,
+    /// emits that forced run behind the pick — the automaton already knows
+    /// what the logits could only confirm. Sequences that hit a stop token /
+    /// the end of their task / budget / the context edge — or whose stream
+    /// nobody reads any more — retire. The survivors' rows (pick, forced
+    /// run, and draft rows for sequences whose drafts have been paying)
+    /// advance through one ragged forward pass; a forced row needs no logits
+    /// and has nothing to verify, a draft row is kept only if the verifier's
+    /// own pick agrees (this is the only place drafts are verified).
     ///
     /// Returns the sequences that finished this round as `(tag, tokens)`.
     pub fn step(&mut self) -> Vec<(usize, Vec<u32>)> {
         let ctx = self.model.config().context_window;
-        let model = self.model;
+        let vocab = self.model.config().vocab_size;
         let telemetry = self.telemetry.as_ref();
         let spec_telemetry = self.spec_telemetry.as_ref();
         let grammar_telemetry = self.grammar_telemetry.as_ref();
         // Dense-batch backoff: once the live batch outgrows the configured
-        // bound, the batched step already amortizes the weight traffic
-        // across rows, so per-sequence verify passes stop paying off and
-        // every sequence degrades to plain batched decoding this round.
+        // bound, the shared pass already amortizes the weight traffic
+        // across rows, so draft rows stop paying off and every sequence
+        // decodes plainly this round.
         let speculating_round =
             self.speculation.enabled() && self.seqs.len() <= self.speculation.max_draft_batch;
         let max_draft = self.speculation.max_draft;
-        let mut stepping: Vec<&mut Seq> = Vec::new();
-        let mut speculating: Vec<(&mut Seq, Vec<u32>)> = Vec::new();
         for seq in &mut self.seqs {
+            seq.pending.clear();
+            seq.drafted = 0;
             // Same conditions, in the same order, as the generate loop: the
             // budget/window check gates sampling, a stop token retires the
             // sequence before it is emitted.
@@ -372,130 +387,139 @@ impl<'m> DecodeBatch<'m> {
                 seq.done = Some(FinishReason::Length);
                 continue;
             }
-            let next = pick_token(
+            let mut next = pick_token(
                 &mut seq.logits,
                 seq.strategy,
                 &mut seq.rng,
                 seq.grammar.as_ref(),
                 grammar_telemetry,
             );
-            seq.done = pick_ends_sequence(next, &seq.stops, seq.grammar.as_ref());
-            if seq.done.is_some() {
-                continue;
-            }
-            if let Some(g) = &mut seq.grammar {
-                g.advance(next);
-            }
-            seq.out.push(next);
-            if !emit_streamed(&seq.sink, &[next]) {
-                seq.done = Some(FinishReason::Cancelled);
-                continue;
-            }
-            if seq.drafter.is_some() {
-                seq.history.push(next);
-            }
-            if let Some(t) = telemetry {
-                if !seq.first_token_seen {
+            loop {
+                seq.done = pick_ends_sequence(next, &seq.stops, seq.grammar.as_ref());
+                if seq.done.is_some() {
+                    break;
+                }
+                if let Some(g) = &mut seq.grammar {
+                    g.advance(next);
+                }
+                seq.out.push(next);
+                seq.pending.push(next);
+                if !emit_streamed(&seq.sink, &[next]) {
+                    seq.done = Some(FinishReason::Cancelled);
+                    break;
+                }
+                if seq.drafter.is_some() {
+                    seq.history.push(next);
+                }
+                if let (Some(t), false) = (telemetry, seq.first_token_seen) {
                     seq.first_token_seen = true;
                     t.ttft.observe(seq.started.elapsed().as_secs_f64());
                 }
-            }
-            if seq.out.len() >= seq.max_new || seq.pos + 1 >= ctx {
-                // The solo loop would run one more step whose logits are
-                // never consumed; skipping it leaves the output identical.
-                seq.done = Some(FinishReason::Length);
-                continue;
-            }
-            // Draft before partitioning: a sequence whose drafter has
-            // nothing to propose joins the shared batched step instead.
-            if speculating_round {
-                if let Some(drafter) = &seq.drafter {
-                    let k = seq
-                        .draft_len
-                        .min(seq.max_new - seq.out.len())
-                        .min(ctx - (seq.pos + 1));
-                    if k > 0 {
-                        let draft_start = Instant::now();
-                        let mut draft = drafter.draft(&seq.history, k);
-                        draft.truncate(k);
-                        // A constrained drafter proposes only legal
-                        // continuations of the open task: pre-truncating at
-                        // the first token the mask would reject (or that
-                        // closes the task) keeps every verify row useful
-                        // and raises the acceptance rate.
-                        if let Some(g) = &seq.grammar {
-                            draft.truncate(g.legal_prefix_len(&draft));
-                        }
-                        if let Some(t) = spec_telemetry {
-                            t.draft_overhead
-                                .observe(draft_start.elapsed().as_secs_f64());
-                        }
-                        if !draft.is_empty() {
-                            speculating.push((seq, draft));
-                            continue;
-                        }
-                    }
+                if seq.out.len() >= seq.max_new || seq.pos + seq.pending.len() >= ctx {
+                    // The solo loop would run one more step whose logits are
+                    // never consumed; skipping it leaves the output identical.
+                    seq.done = Some(FinishReason::Length);
+                    break;
+                }
+                // The solo loop's next pick would mask its logits down to
+                // this one token and take it, drawing nothing from the rng.
+                match forced_token(seq.grammar.as_ref(), grammar_telemetry) {
+                    Some(forced) => next = forced,
+                    None => break,
                 }
             }
-            stepping.push(seq);
+            if seq.done.is_some() || !speculating_round {
+                continue;
+            }
+            let Some(drafter) = &seq.drafter else {
+                continue;
+            };
+            let k = seq
+                .gate
+                .rows_wanted()
+                .min(seq.max_new - seq.out.len())
+                .min(ctx - (seq.pos + seq.pending.len()));
+            if k > 0 {
+                let draft_start = Instant::now();
+                let mut draft = drafter.draft(&seq.history, k);
+                draft.truncate(k);
+                // A constrained drafter proposes only legal continuations
+                // of the open task: pre-truncating at the first token the
+                // mask would reject (or that closes the task) keeps every
+                // verify row useful and raises the acceptance rate.
+                if let Some(g) = &seq.grammar {
+                    draft.truncate(g.legal_prefix_len(&draft));
+                }
+                if let Some(t) = spec_telemetry {
+                    t.draft_overhead
+                        .observe(draft_start.elapsed().as_secs_f64());
+                }
+                seq.drafted = draft.len();
+                seq.pending.extend_from_slice(&draft);
+            }
         }
-        let round_start = telemetry.map(|_| Instant::now());
-        let ran_forward = !speculating.is_empty() || !stepping.is_empty();
-        for (seq, draft) in speculating {
-            let first = *seq.out.last().expect("sampled token");
-            let v = verify_draft(
-                model,
-                &mut seq.cache,
-                seq.pos,
-                first,
-                &draft,
+        // A sequence that stopped this round reads no more logits: its rows
+        // stay out of the pass.
+        let mut rows: Vec<RaggedSeq<'_>> = self
+            .seqs
+            .iter_mut()
+            .filter(|seq| seq.done.is_none())
+            .map(|seq| RaggedSeq {
+                tokens: &seq.pending,
+                logits_from: seq.pending.len() - seq.drafted - 1,
+                cache: &mut seq.cache,
+            })
+            .collect();
+        let round_start = telemetry
+            .filter(|_| !rows.is_empty())
+            .map(|_| Instant::now());
+        let mut logits = &mut *self.model.forward(&mut rows, &mut self.scratch);
+        drop(rows);
+        for seq in self.seqs.iter_mut().filter(|seq| seq.done.is_none()) {
+            let (read, rest) = logits.split_at_mut((seq.drafted + 1) * vocab);
+            logits = rest;
+            let kept = seq.pending.len() - seq.drafted;
+            let (draft, drafted) = (&seq.pending[kept..], seq.drafted);
+            let (accepted, stopped) = accept_draft(
+                read,
+                draft,
                 &seq.stops,
                 seq.grammar.as_mut(),
                 grammar_telemetry,
             );
-            if let Some(t) = spec_telemetry {
-                t.verify_passes.inc();
-                t.proposed.add(draft.len() as u64);
-                t.accepted.add(v.accepted.len() as u64);
-                t.rejected.add((draft.len() - v.accepted.len()) as u64);
-                t.acceptance_length.observe(v.accepted.len() as f64);
+            let accepted_tokens = &draft[..accepted];
+            seq.logits
+                .copy_from_slice(&read[accepted * vocab..(accepted + 1) * vocab]);
+            seq.pos += kept + accepted;
+            seq.cache.truncate(seq.pos);
+            seq.out.extend_from_slice(accepted_tokens);
+            if !emit_streamed(&seq.sink, accepted_tokens) {
+                seq.done = Some(FinishReason::Cancelled);
+            } else if stopped.is_some() {
+                seq.done = stopped;
+            } else if seq.out.len() >= seq.max_new || seq.pos >= ctx {
+                seq.done = Some(FinishReason::Length);
             }
-            seq.draft_len =
-                adapt_draft_len(seq.draft_len, draft.len(), v.accepted.len(), max_draft);
-            seq.out.extend_from_slice(&v.accepted);
-            let heard = emit_streamed(&seq.sink, &v.accepted);
-            seq.history.extend_from_slice(&v.accepted);
-            seq.pos += 1 + v.accepted.len();
-            seq.logits = v.logits;
-            observe_new_history(seq);
-            let spent = seq.out.len() >= seq.max_new || seq.pos >= ctx;
-            seq.done = if heard {
-                v.stopped.or(spent.then_some(FinishReason::Length))
-            } else {
-                Some(FinishReason::Cancelled)
-            };
-        }
-        if !stepping.is_empty() {
-            let tokens: Vec<u32> = stepping
-                .iter()
-                .map(|s| *s.out.last().expect("sampled token"))
-                .collect();
-            let positions: Vec<usize> = stepping.iter().map(|s| s.pos).collect();
-            let mut caches: Vec<&mut KvCache> = stepping.iter_mut().map(|s| &mut s.cache).collect();
-            let logits = model.step_batch(&tokens, &positions, &mut caches);
-            drop(caches);
-            for (seq, row) in stepping.iter_mut().zip(logits) {
-                seq.logits = row;
-                seq.pos += 1;
-                // A drafter skipped this round (dense batch / empty draft)
-                // still hears about the emitted token.
+            if seq.drafter.is_some() {
+                seq.history.extend_from_slice(accepted_tokens);
+                // A drafter that proposed nothing this round still hears
+                // about the emitted tokens.
                 observe_new_history(seq);
             }
-        }
-        if ran_forward {
-            if let (Some(t), Some(at)) = (telemetry, round_start) {
-                t.token_latency.observe(at.elapsed().as_secs_f64());
+            if drafted > 0 {
+                let closed = seq.gate.settle(drafted, accepted, max_draft);
+                if let Some(t) = spec_telemetry {
+                    t.verify_passes.inc();
+                    t.proposed.add(drafted as u64);
+                    t.accepted.add(accepted as u64);
+                    t.rejected.add((drafted - accepted) as u64);
+                    t.acceptance_length.observe(accepted as f64);
+                    t.gate_closed.add(u64::from(closed));
+                }
             }
+        }
+        if let (Some(t), Some(at)) = (telemetry, round_start) {
+            t.token_latency.observe(at.elapsed().as_secs_f64());
         }
         let mut finished = Vec::new();
         self.seqs.retain_mut(|seq| {
@@ -1502,6 +1526,51 @@ mod tests {
             );
         }
         assert!((telemetry.batch_occupancy.get() - 0.0).abs() < f64::EPSILON);
+    }
+
+    #[test]
+    fn abandoned_stream_retires_in_the_round_of_its_forced_run() {
+        let corpus = [
+            "- name: Install nginx\n  ansible.builtin.apt:\n    name: nginx\n    state: present\n",
+            "- name: Copy config\n  copy:\n    src: files/app.conf\n    dest: /etc/app.conf\n",
+        ];
+        let tokenizer = wisdom_tokenizer::BpeTokenizer::train(corpus, 380);
+        let cfg = ModelConfig {
+            vocab_size: tokenizer.vocab_size(),
+            context_window: 96,
+            ..*tiny_model().config()
+        };
+        let model = TransformerLm::new(cfg, &mut Prng::seed_from_u64(7));
+        let request = DecodeRequest {
+            prompt: tokenizer.encode("- name: Install nginx\n"),
+            stops: vec![tokenizer.eot()],
+            opts: greedy(40),
+            grammar: GrammarIndex::build(&tokenizer, Constraint::Ansible),
+        };
+        // With a listener, a round that fuses a forced run streams all of
+        // it, in emission order.
+        let mut engine = DecodeBatch::new(&model);
+        let (sink, tokens) = mpsc::channel();
+        engine.admit_full(1, request.clone(), None, Some(sink), None);
+        let (mut heard, mut longest_round) = (Vec::new(), 0);
+        let out = loop {
+            let finished = engine.step().pop();
+            let before = heard.len();
+            heard.extend(tokens.try_iter());
+            longest_round = longest_round.max(heard.len() - before);
+            if let Some((_, out)) = finished {
+                break out;
+            }
+        };
+        assert_eq!(heard, out);
+        assert!(longest_round >= 2, "no round fused a forced run");
+        // Without one, the sequence retires in the round that notices —
+        // on its first send, not after the forced run behind the pick.
+        let (sink, tokens) = mpsc::channel();
+        drop(tokens);
+        engine.admit_full(2, request, None, Some(sink), None);
+        assert_eq!(engine.step(), vec![(2, out[..1].to_vec())]);
+        assert!(engine.is_empty());
     }
 
     #[test]

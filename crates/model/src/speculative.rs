@@ -1,24 +1,26 @@
 //! Speculative decoding: a cheap draft proposer guesses several tokens
-//! ahead, and the transformer verifies the whole guess in **one** batched
-//! prefill pass instead of one sequential [`TransformerLm::step`] per token.
+//! ahead, and the transformer verifies the whole guess in the **one**
+//! forward pass of the round instead of one sequential
+//! [`TransformerLm::step`] per token.
 //!
 //! The paper's deployment argument is latency — Ansible YAML is formulaic
 //! enough (indentation, `name:` scaffolding, FQCN prefixes) that a trivial
-//! n-gram model predicts long runs of the transformer's own output. Each
-//! round works like this:
+//! n-gram model predicts runs of the transformer's own output. Each round
+//! of a drafting sequence works like this:
 //!
-//! 1. sample the next token from the current logits exactly as the plain
-//!    greedy loop would;
+//! 1. pick the next token from the current logits exactly as the plain
+//!    greedy loop would (and emit the grammar-forced run behind it, which
+//!    needs no guessing);
 //! 2. ask a [`Speculator`] for up to `k` draft tokens continuing the
 //!    sequence;
-//! 3. score `sampled ‖ draft` in one [`TransformerLm::prefill_continue_all`]
-//!    call against the existing [`KvCache`] — `k + 1` positions for the
-//!    price of one blocked matmul chain;
+//! 3. run `picked ‖ forced ‖ draft` as rows of the round's forward pass
+//!    against the existing [`KvCache`](crate::KvCache) — a pass of r rows
+//!    costs less than r single-row passes;
 //! 4. accept the longest prefix of the draft on which the verifier's argmax
 //!    agrees, take the logits at the last verified position for free (the
-//!    "bonus" distribution the next round samples from without another
+//!    "bonus" distribution the next round picks from without another
 //!    forward pass), and roll the cache back past the rejected tokens with
-//!    [`KvCache::truncate`].
+//!    [`KvCache::truncate`](crate::KvCache::truncate).
 //!
 //! Because only tokens the verifier itself would have produced are ever
 //! emitted, greedy speculative output is **bit-for-bit identical** to plain
@@ -29,15 +31,14 @@
 //!
 //! The rounds themselves run in one place, [`crate::DecodeBatch::step`]:
 //! [`SpeculativeDecoder`] is a batch of one, so solo, batched and scheduled
-//! speculation share the draft, verify and rollback code above.
+//! speculation share the draft, verify and rollback code.
 //!
-//! Draft length adapts per sequence: `k` grows back toward
-//! [`SpeculativeConfig::max_draft`] while drafts are fully accepted and
-//! halves when a whole draft is rejected, and the batched engine skips
-//! speculation entirely once the live batch outgrows
-//! [`SpeculativeConfig::max_draft_batch`] — dense batches already amortize
-//! their forward passes across sequences, so they degrade gracefully to
-//! plain batched decoding.
+//! A draft row is not free — it costs [`DRAFT_ROW_COST`] of a round — so
+//! rows are proposed only while a sequence's drafts have paid for
+//! themselves ([`DraftGate`]), and the batched engine skips drafting
+//! entirely once the live batch outgrows
+//! [`SpeculativeConfig::max_draft_batch`]: dense batches already amortize
+//! their forward passes across sequences.
 
 use wisdom_grammar::GrammarCursor;
 use wisdom_telemetry::Registry;
@@ -46,7 +47,7 @@ use crate::batch::{DecodeBatch, DecodeRequest};
 use crate::decode::Strategy;
 use crate::ngram::NgramLm;
 use crate::telemetry::{FinishReason, GrammarTelemetry, SpeculativeTelemetry};
-use crate::transformer::{argmax, mask_logits, pick_ends_sequence, KvCache, TransformerLm};
+use crate::transformer::{argmax, mask_logits, pick_ends_sequence, TransformerLm};
 
 /// Which draft proposer speculative decoding uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -351,98 +352,110 @@ impl SpeculativeReport {
     }
 }
 
-/// Outcome of one draft verification against the model.
-pub(crate) struct Verified {
-    /// The accepted draft prefix (tokens the verifier's argmax agreed on).
-    pub accepted: Vec<u32>,
-    /// Logits following the last accepted token — the distribution the
-    /// next round samples from, obtained without another forward pass.
-    pub logits: Vec<f32>,
-    /// The greedy continuation agreed with a draft token that ends the
-    /// sequence (a stop token, or the one that closes the task of a
-    /// completion-scoped grammar): finished, and that token is not emitted.
-    pub stopped: Option<FinishReason>,
-}
-
-/// Scores `first ‖ draft` in one batched pass on top of `cache` (which must
-/// hold exactly `pos` positions), accepts the longest greedy-agreeing draft
-/// prefix, and truncates the cache back past the rejected tokens.
-///
-/// On return the cache holds `pos + 1 + accepted.len()` positions — exactly
-/// the state sequential greedy decoding would have reached after emitting
-/// `first` and the accepted tokens — and `logits` is bit-identical to the
-/// logits that sequential path would be holding.
-///
-/// When `grammar` is supplied (a cursor already advanced past `first`), each
-/// verify row is masked before its argmax — the same mask the sequential
-/// constrained loop would apply at that position — and the cursor is
-/// advanced past every accepted token, so constrained speculative output
-/// stays bit-identical to constrained sequential greedy. The bonus row is
-/// returned unmasked; the caller's next pick masks it with the cursor in
-/// exactly this post-verify state.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn verify_draft(
-    model: &TransformerLm,
-    cache: &mut KvCache,
-    pos: usize,
-    first: u32,
+/// Accepts the longest prefix of `draft` the verifier's own greedy pick
+/// agrees with. Row `i` of `rows` (`vocab`-wide, `draft.len() + 1` of them)
+/// holds the logits of the position `draft[i]` was proposed for — what the
+/// plain loop in the same state would pick from next — and is masked in
+/// place through `grammar` (a cursor standing right before `draft[0]`)
+/// exactly as that loop would mask it; the cursor advances past every
+/// accepted token. Returns how many tokens were accepted — row `accepted`
+/// is then the distribution the next round picks from, with no further
+/// forward pass — and, when the verifier agreed with a draft token that
+/// ends the sequence (a stop token, or the one closing the task of a
+/// completion-scoped grammar), why: that token is not emitted.
+pub(crate) fn accept_draft(
+    rows: &mut [f32],
     draft: &[u32],
     stops: &[u32],
     mut grammar: Option<&mut GrammarCursor>,
     grammar_telemetry: Option<&GrammarTelemetry>,
-) -> Verified {
-    debug_assert_eq!(cache.len(), pos);
-    let mut suffix = Vec::with_capacity(draft.len() + 1);
-    suffix.push(first);
-    suffix.extend_from_slice(draft);
-    let mut rows = model.prefill_continue_all(&suffix, cache);
-    let mut accepted = Vec::new();
-    let mut stopped = None;
-    for (i, &d) in draft.iter().enumerate() {
-        // Row `i` holds the logits after suffix token `i` — the plain loop
-        // in the same state would sample exactly this (masked) argmax next.
-        let forced = mask_logits(grammar.as_deref(), &mut rows[i], grammar_telemetry);
-        let t = forced.unwrap_or_else(|| argmax(&rows[i]));
+) -> (usize, Option<FinishReason>) {
+    let vocab = rows.len() / (draft.len() + 1);
+    for (i, (&d, row)) in draft.iter().zip(rows.chunks_exact_mut(vocab)).enumerate() {
+        let forced = mask_logits(grammar.as_deref(), row, grammar_telemetry);
+        let t = forced.unwrap_or_else(|| argmax(row));
         if t != d {
-            break;
+            return (i, None);
         }
-        stopped = pick_ends_sequence(t, stops, grammar.as_deref());
+        let stopped = pick_ends_sequence(t, stops, grammar.as_deref());
         if stopped.is_some() {
-            break;
+            return (i, stopped);
         }
-        accepted.push(t);
         if let Some(g) = grammar.as_deref_mut() {
             g.advance(t);
         }
     }
-    cache.truncate(pos + 1 + accepted.len());
-    let logits = std::mem::take(&mut rows[accepted.len()]);
-    Verified {
-        accepted,
-        logits,
-        stopped,
-    }
+    (draft.len(), None)
 }
 
-/// Grows/backs off the per-sequence draft length: a fully accepted draft
-/// earns one more token (up to `max_draft`), a fully rejected one halves
-/// it (never below 1 — the 2-row verify pass costs about the same as the
-/// single step it replaces).
-pub(crate) fn adapt_draft_len(
-    k_now: usize,
-    proposed: usize,
-    accepted: usize,
-    max_draft: usize,
-) -> usize {
-    if proposed == 0 {
-        return k_now;
+/// Break-even of a draft row, `DRAFT_ROW_COST.0 / DRAFT_ROW_COST.1` of a
+/// round. On the row sweep (`decode_batching` bench, int8 350M-class
+/// fixture) a verified row — its share of the projections, its attention,
+/// an LM-head row — adds about 11 µs to a pass, the engine spends about
+/// 4 µs more on it outside the pass (the legal-prefix walk, its mask and
+/// argmax), and every accepted token saves one single-row round of about
+/// 24 µs. Drafts therefore pay only while at least this share of the rows
+/// verified is accepted.
+pub(crate) const DRAFT_ROW_COST: (u32, u32) = (5, 8);
+
+/// Rounds a sequence whose drafts stopped paying decodes plainly before
+/// one draft row probes whether they would pay now.
+pub(crate) const REPROBE_ROUNDS: u32 = 32;
+
+/// Per-sequence draft sizing: how many rows the next verify pass may carry,
+/// decided from counts alone so a replay takes the same decisions. A
+/// sequence opens with a one-row probe; the length doubles (up to the
+/// configured maximum) when a whole draft is accepted and halves when none
+/// of it is, and drops to zero — the gate closes — as soon as the tokens
+/// accepted since it opened fall below [`DRAFT_ROW_COST`] times the rows
+/// verified. A closed gate re-probes with one row every [`REPROBE_ROUNDS`]
+/// rounds, on a fresh ledger.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DraftGate {
+    len: usize,
+    rows: u32,
+    accepted: u32,
+    idle: u32,
+}
+
+impl DraftGate {
+    pub(crate) fn new() -> Self {
+        Self {
+            len: 1,
+            rows: 0,
+            accepted: 0,
+            idle: 0,
+        }
     }
-    if accepted == proposed {
-        (k_now + 1).min(max_draft)
-    } else if accepted == 0 {
-        (k_now / 2).max(1)
-    } else {
-        k_now
+
+    /// Draft rows the sequence may propose this round; `0` while closed.
+    pub(crate) fn rows_wanted(&mut self) -> usize {
+        if self.len == 0 {
+            self.idle += 1;
+            if self.idle < REPROBE_ROUNDS {
+                return 0;
+            }
+            *self = Self::new();
+        }
+        self.len
+    }
+
+    /// Books one verify pass of `proposed` rows; returns whether it closed
+    /// the gate.
+    pub(crate) fn settle(&mut self, proposed: usize, accepted: usize, max_draft: usize) -> bool {
+        self.rows += proposed as u32;
+        self.accepted += accepted as u32;
+        let (cost, per) = DRAFT_ROW_COST;
+        self.len = if self.accepted * per < self.rows * cost {
+            0
+        } else if accepted == proposed {
+            (self.len * 2).min(max_draft)
+        } else if accepted == 0 {
+            self.len / 2
+        } else {
+            self.len
+        };
+        self.len == 0
     }
 }
 
@@ -610,16 +623,97 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_draft_len_grows_and_backs_off() {
-        // Full acceptance grows toward the cap.
-        assert_eq!(adapt_draft_len(3, 3, 3, 8), 4);
-        assert_eq!(adapt_draft_len(8, 8, 8, 8), 8);
-        // Total rejection halves, bottoming out at 1.
-        assert_eq!(adapt_draft_len(8, 8, 0, 8), 4);
-        assert_eq!(adapt_draft_len(1, 1, 0, 8), 1);
-        // Partial acceptance holds steady; empty proposals change nothing.
-        assert_eq!(adapt_draft_len(5, 5, 2, 8), 5);
-        assert_eq!(adapt_draft_len(5, 0, 0, 8), 5);
+    fn draft_gate_grows_closes_and_reprobes() {
+        // A sequence opens with a one-row probe; full acceptance doubles
+        // the draft up to the cap.
+        let mut gate = DraftGate::new();
+        assert_eq!(gate.rows_wanted(), 1);
+        assert!(!gate.settle(1, 1, 8));
+        assert_eq!(gate.rows_wanted(), 2);
+        assert!(!gate.settle(2, 2, 8));
+        assert!(!gate.settle(4, 4, 8));
+        assert!(!gate.settle(8, 8, 8));
+        assert_eq!(gate.rows_wanted(), 8);
+        // Partial acceptance above break-even holds the length (20 of 23
+        // rows paid so far); a wholly rejected draft halves it.
+        assert!(!gate.settle(8, 5, 8));
+        assert_eq!(gate.rows_wanted(), 8);
+        assert!(!gate.settle(8, 0, 8));
+        assert_eq!(gate.rows_wanted(), 4);
+        // Below break-even (20 accepted of 35 rows < 5/8) the gate closes…
+        assert!(gate.settle(4, 0, 8));
+        // …and stays closed for REPROBE_ROUNDS - 1 rounds, then probes with
+        // one row on a fresh ledger.
+        for _ in 1..REPROBE_ROUNDS {
+            assert_eq!(gate.rows_wanted(), 0);
+        }
+        assert_eq!(gate.rows_wanted(), 1);
+        assert!(!gate.settle(1, 1, 8));
+        assert_eq!(gate.rows_wanted(), 2);
+        // A cap of one never grows; an unpaid probe closes again at once.
+        let mut gate = DraftGate::new();
+        assert!(!gate.settle(1, 1, 1));
+        assert_eq!(gate.rows_wanted(), 1);
+        assert!(DraftGate::new().settle(1, 0, 8));
+    }
+
+    /// Proposes tokens the verifier never picks: the model's own greedy
+    /// continuation shifted by one.
+    struct AlwaysWrong {
+        right: Vec<u32>,
+        window: usize,
+        vocab: u32,
+    }
+
+    impl Speculator for AlwaysWrong {
+        fn name(&self) -> &'static str {
+            "always-wrong"
+        }
+
+        fn draft(&self, context: &[u32], k: usize) -> Vec<u32> {
+            let at = context.len() - self.window;
+            self.right[at..]
+                .iter()
+                .take(k)
+                .map(|&t| 1 + t % (self.vocab - 1))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn drafts_that_never_pay_cost_a_bounded_number_of_verify_passes() {
+        /// One opening probe, then one re-probe per REPROBE_ROUNDS rounds.
+        fn max_unpaid_verifies(rounds: usize) -> u64 {
+            1 + rounds as u64 / u64::from(REPROBE_ROUNDS)
+        }
+        let cfg = ModelConfig {
+            context_window: 160,
+            ..*tiny_model(5).config()
+        };
+        let model = TransformerLm::new(cfg, &mut Prng::seed_from_u64(5));
+        let prompt = [3u32, 1, 4, 1, 5];
+        let max_new = 120;
+        let right = model.generate(&prompt, &[], &greedy(max_new));
+        assert_eq!(right.len(), max_new);
+        let mut wrong = AlwaysWrong {
+            right: right.clone(),
+            window: prompt.len(),
+            vocab: cfg.vocab_size as u32,
+        };
+        let dec = SpeculativeDecoder::new(&model, SpeculativeConfig::ngram(8));
+        let mut req = request(&prompt, greedy(max_new));
+        req.stops.clear();
+        let (out, report) = dec.generate_with(&req, &mut wrong);
+        assert_eq!(out, right);
+        assert_eq!(report.accepted, 0);
+        assert!(report.verify_passes >= 2, "the gate never re-probed");
+        assert!(
+            report.verify_passes <= max_unpaid_verifies(max_new),
+            "{} verify passes for {max_new} rounds",
+            report.verify_passes
+        );
+        // Every unpaid pass carried exactly the one probe row.
+        assert_eq!(report.proposed, report.verify_passes);
     }
 
     #[test]

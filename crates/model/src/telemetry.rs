@@ -248,6 +248,9 @@ pub struct SpeculativeTelemetry {
     pub rejected: Arc<Counter>,
     /// `wisdom_speculative_verify_passes_total` — batched verify passes.
     pub verify_passes: Arc<Counter>,
+    /// `wisdom_speculative_gate_closed_total` — times a sequence's drafts
+    /// fell below break-even and it went back to plain rounds.
+    pub gate_closed: Arc<Counter>,
     /// `wisdom_speculative_acceptance_length` — accepted draft tokens per
     /// verify pass (0 = the whole draft was rejected).
     pub acceptance_length: Arc<Histogram>,
@@ -287,6 +290,11 @@ impl SpeculativeTelemetry {
             verify_passes: registry.counter_with(
                 "wisdom_speculative_verify_passes_total",
                 "Batched draft-verification passes run.",
+                labels,
+            ),
+            gate_closed: registry.counter_with(
+                "wisdom_speculative_gate_closed_total",
+                "Times a sequence's drafts fell below break-even and drafting stopped.",
                 labels,
             ),
             acceptance_length: registry.histogram_with(
@@ -381,6 +389,9 @@ pub struct GrammarTelemetry {
     /// `wisdom_grammar_forced_fast_path_total` — picks resolved by the
     /// single-legal-token fast path (no argmax / no sampling).
     pub forced_fast_path: Arc<Counter>,
+    /// `wisdom_grammar_fused_tokens_total` — forced picks made in the round
+    /// of the pick before them, with no logits of their own.
+    pub fused_tokens: Arc<Counter>,
 }
 
 impl GrammarTelemetry {
@@ -412,6 +423,11 @@ impl GrammarTelemetry {
             forced_fast_path: registry.counter_with(
                 "wisdom_grammar_forced_fast_path_total",
                 "Token picks resolved by the single-legal-token fast path.",
+                labels,
+            ),
+            fused_tokens: registry.counter_with(
+                "wisdom_grammar_fused_tokens_total",
+                "Forced picks made in the round of the pick before them, without logits.",
                 labels,
             ),
         }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use wisdom_prng::Prng;
 use wisdom_tensor::kernels::{
-    dot, gelu, matmul, matmul_acc, matmul_q8, matmul_q8_acc, matvec_q8_acc, softmax_row,
+    dot, gelu, matmul, matmul_acc, matmul_q8, matmul_q8_acc, softmax_row,
 };
 use wisdom_tensor::{
     clip_scale, global_grad_norm, Adam, ParamTensor, QuantMatrix, Tape, TensorRef,
@@ -330,31 +330,6 @@ impl TransformerLm {
         }
     }
 
-    /// Zero-skipping matvec counterpart of [`Self::proj_acc`] for the solo
-    /// decode step — both arms skip `x` entries that are exactly `0.0`, so
-    /// the int8 arm stays bit-identical to the f32 arm over dequantized
-    /// weights.
-    fn proj_vec_acc(
-        &self,
-        x: &[f32],
-        w: &ParamTensor,
-        qm: Option<&QuantMatrix>,
-        k: usize,
-        n: usize,
-        out: &mut [f32],
-    ) {
-        match qm {
-            Some(q) => {
-                matvec_q8_acc(x, q, out);
-                self.note_matmul(true);
-            }
-            None => {
-                matvec_acc(x, &w.data, k, n, out);
-                self.note_matmul(false);
-            }
-        }
-    }
-
     /// `out = xf (m×d) @ lm_head (d×vocab)`, overwrite semantics.
     fn head_matmul(&self, xf: &[f32], m: usize, out: &mut [f32]) {
         match self.quant.as_deref() {
@@ -670,8 +645,8 @@ impl TransformerLm {
     /// `T×d` matmuls instead of `T` matvecs, K/V land in the cache in one
     /// `extend_from_slice` per layer, and the LM-head projection is computed
     /// only for the last position. Results are bit-identical to
-    /// [`Self::prefill_sequential`] — both accumulate every output element
-    /// in the same order.
+    /// [`Self::prefill_sequential`] — both are the one forward body, which
+    /// accumulates every output element in the same order at any row count.
     ///
     /// An empty window yields an empty cache and all-zero logits (matching
     /// the historical behavior of generation from an empty prompt).
@@ -682,9 +657,6 @@ impl TransformerLm {
     /// out-of-vocabulary token.
     pub fn prefill(&self, window: &[u32]) -> (KvCache, Vec<f32>) {
         let mut cache = KvCache::new(self);
-        if window.is_empty() {
-            return (cache, vec![0.0; self.cfg.vocab_size]);
-        }
         let logits = self.prefill_continue(window, &mut cache);
         (cache, logits)
     }
@@ -692,15 +664,17 @@ impl TransformerLm {
     /// Runs `suffix` through the batched prefill pass *on top of* an already
     /// populated cache: row `r` of the suffix is processed at absolute
     /// position `cache.len() + r`, its K/V rows are appended to `cache`, and
-    /// the returned logits are for the final suffix position.
+    /// the returned logits are for the final suffix position (the earlier
+    /// rows' logits are never consumed during prefill, so their `d×vocab`
+    /// projections are skipped).
     ///
     /// This is the prefix-cache fast path: when the leading tokens of a
     /// prompt window were spliced from
     /// [`PrefixKvCache`](crate::PrefixKvCache), only the remaining suffix
     /// pays for QKV/MLP projections. Because a K/V row at position `t`
-    /// depends only on tokens `0..=t` — and the blocked kernels accumulate
-    /// every output element over k in index order, independent of the row
-    /// count of the matmul — the result is bit-identical to running
+    /// depends only on tokens `0..=t` — and the kernels accumulate every
+    /// output element over k in index order, independent of the row count
+    /// of the matmul — the result is bit-identical to running
     /// [`Self::prefill`] over the full window (`prefill` itself is the
     /// `cache.len() == 0` case of this function).
     ///
@@ -710,156 +684,218 @@ impl TransformerLm {
     /// a token is out of vocabulary. An empty suffix returns all-zero
     /// logits (no new position was evaluated).
     pub fn prefill_continue(&self, suffix: &[u32], cache: &mut KvCache) -> Vec<f32> {
-        let s_len = suffix.len();
-        let d = self.cfg.d_model;
-        let vocab = self.cfg.vocab_size;
-        let x = self.prefill_hidden(suffix, cache);
-        if x.is_empty() {
-            return vec![0.0; vocab];
+        if suffix.is_empty() {
+            return vec![0.0; self.cfg.vocab_size];
         }
-        // LM head for the final position only: the earlier rows' logits are
-        // never consumed during prefill, so S-1 d×vocab projections are
-        // skipped.
-        let xf = layer_norm_row(
-            &x[(s_len - 1) * d..s_len * d],
-            &self.lnf_g.data,
-            &self.lnf_b.data,
-        );
-        let mut logits = vec![0.0f32; vocab];
-        self.head_matmul(&xf, 1, &mut logits);
-        logits
+        let logits_from = suffix.len() - 1;
+        self.forward_one(suffix, cache, logits_from)
     }
 
     /// [`Self::prefill_continue`] returning the next-token logits at *every*
     /// suffix position, not just the last: row `r` of the result is the
-    /// distribution over the token following `suffix[r]`.
-    ///
-    /// This is the verification pass of speculative decoding
-    /// ([`crate::SpeculativeDecoder`]): `k + 1` draft positions are scored in
-    /// one batched forward pass instead of `k + 1` sequential
-    /// [`Self::step`] calls. Row `r` is bit-identical to the logits
-    /// `step(suffix[r], cache.len() + r, …)` would return — the blocked
-    /// kernels accumulate every output element over k in index order,
-    /// independent of the matmul's row count, and the final layer norm is
-    /// applied per row — so rejected draft tokens can be rolled back with
-    /// [`KvCache::truncate`] without perturbing the surviving positions.
+    /// distribution over the token following `suffix[r]`, bit-identical to
+    /// the logits `step(suffix[r], cache.len() + r, …)` would return, so
+    /// rejected draft tokens can be rolled back with [`KvCache::truncate`]
+    /// without perturbing the surviving positions.
     ///
     /// # Panics
     ///
     /// Panics if `cache.len() + suffix.len()` exceeds the context window or
     /// a token is out of vocabulary. An empty suffix returns no rows.
     pub fn prefill_continue_all(&self, suffix: &[u32], cache: &mut KvCache) -> Vec<Vec<f32>> {
-        let s_len = suffix.len();
-        let d = self.cfg.d_model;
-        let vocab = self.cfg.vocab_size;
-        let x = self.prefill_hidden(suffix, cache);
-        if x.is_empty() {
-            return Vec::new();
-        }
-        let mut xf = vec![0.0f32; s_len * d];
-        layer_norm_rows(&x, &self.lnf_g.data, &self.lnf_b.data, s_len, d, &mut xf);
-        let mut logits = vec![0.0f32; s_len * vocab];
-        self.head_matmul(&xf, s_len, &mut logits);
-        logits.chunks(vocab).map(<[f32]>::to_vec).collect()
+        self.forward_one(suffix, cache, 0)
+            .chunks(self.cfg.vocab_size)
+            .map(<[f32]>::to_vec)
+            .collect()
     }
 
-    /// The shared body of [`Self::prefill_continue`] /
-    /// [`Self::prefill_continue_all`]: runs `suffix` through every block on
-    /// top of `cache`, appends the new K/V rows, and returns the final
-    /// `S×d` hidden states (before the final layer norm / LM head). Empty
-    /// for an empty suffix.
-    fn prefill_hidden(&self, suffix: &[u32], cache: &mut KvCache) -> Vec<f32> {
-        let start = cache.len();
-        let s_len = suffix.len();
-        let t_len = start + s_len;
+    /// [`Self::forward`] for one sequence and a scratch of its own.
+    fn forward_one(&self, tokens: &[u32], cache: &mut KvCache, logits_from: usize) -> Vec<f32> {
+        let mut seqs = [RaggedSeq {
+            tokens,
+            cache,
+            logits_from,
+        }];
+        self.forward(&mut seqs, &mut ForwardScratch::default())
+            .to_vec()
+    }
+
+    /// The one forward body of the inference path. Every sequence in `seqs`
+    /// contributes its `tokens` as consecutive rows of one activation matrix
+    /// — row `r` of a sequence sits at absolute position `cache.len() + r` —
+    /// so each projection is a single matmul over all rows of all
+    /// sequences, while attention stays per sequence and causal: a row sees
+    /// its own cache (the rows appended before it in this pass included) and
+    /// nothing else. The LM head runs only over the rows something reads:
+    /// rows `logits_from..` of each sequence, returned stacked in sequence
+    /// order as `vocab`-wide rows.
+    ///
+    /// [`Self::step`], [`Self::step_batch`], the prefill family and the
+    /// decode engine's rounds are all this function, and the kernels
+    /// accumulate every output element over k in index order whatever the
+    /// row count — so a row's K/V and logits are bit-identical however the
+    /// rows around it were grouped into passes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sequence would outgrow the context window or a token is
+    /// out of vocabulary.
+    pub(crate) fn forward<'s>(
+        &self,
+        seqs: &mut [RaggedSeq<'_>],
+        s: &'s mut ForwardScratch,
+    ) -> &'s mut [f32] {
         let d = self.cfg.d_model;
-        let heads = self.cfg.n_heads;
-        let hd = self.cfg.head_dim();
         let ff = self.cfg.d_ff();
         let vocab = self.cfg.vocab_size;
-        assert!(
-            t_len <= self.cfg.context_window,
-            "prefill window {t_len} exceeds context {}",
-            self.cfg.context_window
-        );
-        if s_len == 0 {
-            return Vec::new();
+        let rows: usize = seqs.iter().map(|q| q.tokens.len()).sum();
+        for buf in [&mut s.x, &mut s.h, &mut s.q, &mut s.k, &mut s.v, &mut s.att] {
+            buf.resize(rows * d, 0.0);
         }
-        let scale = 1.0 / (hd as f32).sqrt();
+        s.m.resize(rows * ff, 0.0);
 
-        // Token + position embeddings for the suffix rows: S×d, at absolute
-        // positions `start..start + s_len`.
-        let mut x = vec![0.0f32; s_len * d];
-        for (r, &token) in suffix.iter().enumerate() {
-            let tok = token as usize;
-            assert!(tok < vocab, "token {tok} out of vocabulary");
-            let pos = start + r;
-            let row = &mut x[r * d..(r + 1) * d];
-            for (i, xv) in row.iter_mut().enumerate() {
-                *xv = self.tok_emb.data[tok * d + i] + self.pos_emb.data[pos * d + i];
-            }
-        }
-
-        let mut h = vec![0.0f32; s_len * d];
-        for (l, b) in self.blocks.iter().enumerate() {
-            let qb = self.qblock(l);
-            // attn
-            layer_norm_rows(&x, &b.ln1_g.data, &b.ln1_b.data, s_len, d, &mut h);
-            let mut q = bias_rows(&b.bq.data, s_len);
-            self.proj_acc(&h, &b.wq, qb.map(|q| &q.wq), s_len, d, d, &mut q);
-            let mut k = bias_rows(&b.bk.data, s_len);
-            self.proj_acc(&h, &b.wk, qb.map(|q| &q.wk), s_len, d, d, &mut k);
-            let mut v = bias_rows(&b.bv.data, s_len);
-            self.proj_acc(&h, &b.wv, qb.map(|q| &q.wv), s_len, d, d, &mut v);
-            cache.k[l].extend_from_slice(&k);
-            cache.v[l].extend_from_slice(&v);
-            // Causal attention: suffix position `start + r` attends to every
-            // cached position 0..=start+r (spliced prefix rows included).
-            let keys = &cache.k[l];
-            let vals = &cache.v[l];
-            let mut att = vec![0.0f32; s_len * d];
-            for hi in 0..heads {
-                let mut scores = vec![0.0f32; t_len];
-                for r in 0..s_len {
-                    let tq = start + r;
-                    let q_h = &q[r * d + hi * hd..r * d + (hi + 1) * hd];
-                    let scores = &mut scores[..=tq];
-                    for (t, s) in scores.iter_mut().enumerate() {
-                        let k_h = &keys[t * d + hi * hd..t * d + (hi + 1) * hd];
-                        *s = dot(q_h, k_h) * scale;
-                    }
-                    softmax_row(scores);
-                    let out_h = &mut att[r * d + hi * hd..r * d + (hi + 1) * hd];
-                    for (t, &w) in scores.iter().enumerate() {
-                        if w == 0.0 {
-                            continue;
-                        }
-                        let v_h = &vals[t * d + hi * hd..t * d + (hi + 1) * hd];
-                        for (o, &vv) in out_h.iter_mut().zip(v_h.iter()) {
-                            *o += w * vv;
-                        }
-                    }
+        // Token + position embeddings, one row per token.
+        let mut x_rows = s.x.chunks_exact_mut(d);
+        for seq in seqs.iter() {
+            let start = seq.cache.len();
+            assert!(
+                start + seq.tokens.len() <= self.cfg.context_window,
+                "position {} out of window",
+                start + seq.tokens.len() - 1
+            );
+            for (pos, &token) in (start..).zip(seq.tokens) {
+                let tok = token as usize;
+                assert!(tok < vocab, "token {tok} out of vocabulary");
+                let te = &self.tok_emb.data[tok * d..(tok + 1) * d];
+                let pe = &self.pos_emb.data[pos * d..(pos + 1) * d];
+                let row = x_rows.next().expect("one row per token");
+                for (xv, (&t, &p)) in row.iter_mut().zip(te.iter().zip(pe)) {
+                    *xv = t + p;
                 }
             }
-            let mut proj = bias_rows(&b.bo.data, s_len);
-            self.proj_acc(&att, &b.wo, qb.map(|q| &q.wo), s_len, d, d, &mut proj);
-            for (xv, pv) in x.iter_mut().zip(proj.iter()) {
+        }
+
+        for (l, b) in self.blocks.iter().enumerate() {
+            let qb = self.qblock(l);
+            // attn: shared projections, per-sequence causal attention.
+            layer_norm_rows(&s.x, &b.ln1_g.data, &b.ln1_b.data, d, &mut s.h);
+            fill_rows(&mut s.q, &b.bq.data);
+            self.proj_acc(&s.h, &b.wq, qb.map(|q| &q.wq), rows, d, d, &mut s.q);
+            fill_rows(&mut s.k, &b.bk.data);
+            self.proj_acc(&s.h, &b.wk, qb.map(|q| &q.wk), rows, d, d, &mut s.k);
+            fill_rows(&mut s.v, &b.bv.data);
+            self.proj_acc(&s.h, &b.wv, qb.map(|q| &q.wv), rows, d, d, &mut s.v);
+            let mut r0 = 0;
+            for seq in seqs.iter_mut() {
+                let r1 = r0 + seq.tokens.len();
+                let start = seq.cache.k[l].len() / d;
+                seq.cache.k[l].extend_from_slice(&s.k[r0 * d..r1 * d]);
+                seq.cache.v[l].extend_from_slice(&s.v[r0 * d..r1 * d]);
+                for (t_len, r) in (start + 1..).zip(r0..r1) {
+                    self.attend(
+                        &s.q[r * d..(r + 1) * d],
+                        &seq.cache.k[l][..t_len * d],
+                        &seq.cache.v[l][..t_len * d],
+                        &mut s.scores,
+                        &mut s.att[r * d..(r + 1) * d],
+                    );
+                }
+                r0 = r1;
+            }
+            fill_rows(&mut s.h, &b.bo.data);
+            self.proj_acc(&s.att, &b.wo, qb.map(|q| &q.wo), rows, d, d, &mut s.h);
+            for (xv, pv) in s.x.iter_mut().zip(s.h.iter()) {
                 *xv += pv;
             }
             // mlp
-            layer_norm_rows(&x, &b.ln2_g.data, &b.ln2_b.data, s_len, d, &mut h);
-            let mut m = bias_rows(&b.b1.data, s_len);
-            self.proj_acc(&h, &b.w1, qb.map(|q| &q.w1), s_len, d, ff, &mut m);
-            for mv in m.iter_mut() {
+            layer_norm_rows(&s.x, &b.ln2_g.data, &b.ln2_b.data, d, &mut s.h);
+            fill_rows(&mut s.m, &b.b1.data);
+            self.proj_acc(&s.h, &b.w1, qb.map(|q| &q.w1), rows, d, ff, &mut s.m);
+            for mv in s.m.iter_mut() {
                 *mv = gelu(*mv);
             }
-            let mut m2 = bias_rows(&b.b2.data, s_len);
-            self.proj_acc(&m, &b.w2, qb.map(|q| &q.w2), s_len, ff, d, &mut m2);
-            for (xv, mv) in x.iter_mut().zip(m2.iter()) {
+            fill_rows(&mut s.h, &b.b2.data);
+            self.proj_acc(&s.m, &b.w2, qb.map(|q| &q.w2), rows, ff, d, &mut s.h);
+            for (xv, mv) in s.x.iter_mut().zip(s.h.iter()) {
                 *xv += mv;
             }
         }
-        x
+
+        // Final layer norm + LM head over the rows that are read.
+        s.xf.clear();
+        let mut r0 = 0;
+        for seq in seqs.iter() {
+            let r1 = r0 + seq.tokens.len();
+            s.xf.extend_from_slice(&s.x[(r0 + seq.logits_from.min(r1 - r0)) * d..r1 * d]);
+            r0 = r1;
+        }
+        let read = s.xf.len() / d;
+        s.h.resize(read * d, 0.0);
+        layer_norm_rows(&s.xf, &self.lnf_g.data, &self.lnf_b.data, d, &mut s.h);
+        s.logits.resize(read * vocab, 0.0);
+        if read > 0 {
+            self.head_matmul(&s.h, read, &mut s.logits);
+        }
+        &mut s.logits
+    }
+
+    /// Causal attention of one row: `q` against the `t_len` cached
+    /// positions of `keys` / `vals` (the row's own included), written to
+    /// `out`. The cached-position loops run t-outer / head-inner, so the
+    /// K/V rows stream linearly and the heads' dot-product reduction chains
+    /// overlap instead of serializing on FP-add latency; each score is
+    /// `dot(q_h, k_h) * scale` and each output element accumulates over t in
+    /// ascending order, zero weights skipped.
+    fn attend(
+        &self,
+        q: &[f32],
+        keys: &[f32],
+        vals: &[f32],
+        scores: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
+        let d = self.cfg.d_model;
+        let heads = self.cfg.n_heads;
+        let hd = self.cfg.head_dim();
+        let scale = 1.0 / (hd as f32).sqrt();
+        let t_len = keys.len() / d;
+        scores.resize(heads * t_len, 0.0);
+        if hd == HEAD_DIM_FAST {
+            // Every size class uses 16-wide heads; the const-width path
+            // fully unrolls the per-head loops (same op order, so the
+            // scores and outputs are bit-identical to the generic path).
+            for (t, k_row) in keys.chunks_exact(d).enumerate() {
+                att_scores_row::<HEAD_DIM_FAST>(q, k_row, heads, t, t_len, scale, scores);
+            }
+            for hi in 0..heads {
+                softmax_row(&mut scores[hi * t_len..(hi + 1) * t_len]);
+            }
+            att_weighted_v::<HEAD_DIM_FAST>(scores, vals, d, heads, t_len, out);
+            return;
+        }
+        for (t, k_row) in keys.chunks_exact(d).enumerate() {
+            for hi in 0..heads {
+                let q_h = &q[hi * hd..(hi + 1) * hd];
+                let k_h = &k_row[hi * hd..(hi + 1) * hd];
+                scores[hi * t_len + t] = dot(q_h, k_h) * scale;
+            }
+        }
+        for hi in 0..heads {
+            softmax_row(&mut scores[hi * t_len..(hi + 1) * t_len]);
+        }
+        out.fill(0.0);
+        for (t, v_row) in vals.chunks_exact(d).enumerate() {
+            for hi in 0..heads {
+                let w = scores[hi * t_len + t];
+                if w == 0.0 {
+                    continue;
+                }
+                let out_h = &mut out[hi * hd..(hi + 1) * hd];
+                for (o, &vv) in out_h.iter_mut().zip(&v_row[hi * hd..(hi + 1) * hd]) {
+                    *o += w * vv;
+                }
+            }
+        }
     }
 
     /// Autoregressive generation. The prompt is left-truncated to fit the
@@ -904,6 +940,7 @@ impl TransformerLm {
             )
         });
         let mut rng = Prng::seed_from_u64(opts.seed);
+        let mut scratch = ForwardScratch::default();
         let mut out = Vec::new();
         while out.len() < opts.max_new_tokens && pos < ctx {
             let next = pick_token(&mut logits, opts.strategy, &mut rng, cursor.as_ref(), None);
@@ -914,7 +951,12 @@ impl TransformerLm {
                 c.advance(next);
             }
             out.push(next);
-            logits = self.step(next, pos, &mut cache);
+            let mut seqs = [RaggedSeq {
+                tokens: &[next],
+                cache: &mut cache,
+                logits_from: 0,
+            }];
+            logits.copy_from_slice(self.forward(&mut seqs, &mut scratch));
             pos += 1;
         }
         out
@@ -1026,225 +1068,77 @@ impl TransformerLm {
     /// runs `tokens[i]` at `positions[i]` against `caches[i]`, and row `i` of
     /// the result is that sequence's next-token logits.
     ///
-    /// This is the continuous-batching hot path: the `B` current tokens are
-    /// stacked into a `B×d` activation matrix so the QKV/MLP/LM-head
-    /// projections run as one blocked matmul each instead of `B` matvec
-    /// chains. Attention stays per-sequence (each row attends only to its
-    /// own cache). Every output row is bit-identical to what [`Self::step`]
-    /// would produce for that sequence alone: the blocked kernels accumulate
-    /// each output element over the k dimension in index order regardless of
-    /// the row count, and rows never mix outside their own cache.
+    /// The `B` current tokens are one row each of a single forward pass, so
+    /// the QKV/MLP/LM-head projections run as one matmul each instead of `B`
+    /// matvec chains, and every output row is bit-identical to what
+    /// [`Self::step`] would produce for that sequence alone.
     ///
     /// # Panics
     ///
     /// Panics if the slice lengths disagree, a token is out of vocabulary,
-    /// or a position is outside the context window.
+    /// or a position is outside the context window or not the next position
+    /// of its cache.
     pub fn step_batch(
         &self,
         tokens: &[u32],
         positions: &[usize],
         caches: &mut [&mut KvCache],
     ) -> Vec<Vec<f32>> {
-        let bsz = tokens.len();
-        assert_eq!(positions.len(), bsz, "positions length");
-        assert_eq!(caches.len(), bsz, "caches length");
-        if bsz == 0 {
-            return Vec::new();
-        }
-        let d = self.cfg.d_model;
-        let heads = self.cfg.n_heads;
-        let hd = self.cfg.head_dim();
-        let ff = self.cfg.d_ff();
-        let vocab = self.cfg.vocab_size;
-        let scale = 1.0 / (hd as f32).sqrt();
-
-        // Stack token + position embeddings into a B×d activation matrix.
-        let mut x = vec![0.0f32; bsz * d];
-        for (r, (&token, &pos)) in tokens.iter().zip(positions.iter()).enumerate() {
-            let tok = token as usize;
-            assert!(tok < vocab, "token {tok} out of vocabulary");
-            assert!(
-                pos < self.cfg.context_window,
-                "position {pos} out of window"
-            );
-            let row = &mut x[r * d..(r + 1) * d];
-            for (i, xv) in row.iter_mut().enumerate() {
-                *xv = self.tok_emb.data[tok * d + i] + self.pos_emb.data[pos * d + i];
-            }
-        }
-
-        let mut h = vec![0.0f32; bsz * d];
-        for (l, b) in self.blocks.iter().enumerate() {
-            let qb = self.qblock(l);
-            // attn: batched projections, per-sequence causal attention.
-            layer_norm_rows(&x, &b.ln1_g.data, &b.ln1_b.data, bsz, d, &mut h);
-            let mut q = bias_rows(&b.bq.data, bsz);
-            self.proj_acc(&h, &b.wq, qb.map(|q| &q.wq), bsz, d, d, &mut q);
-            let mut k = bias_rows(&b.bk.data, bsz);
-            self.proj_acc(&h, &b.wk, qb.map(|q| &q.wk), bsz, d, d, &mut k);
-            let mut v = bias_rows(&b.bv.data, bsz);
-            self.proj_acc(&h, &b.wv, qb.map(|q| &q.wv), bsz, d, d, &mut v);
-            let mut att = vec![0.0f32; bsz * d];
-            for (r, cache) in caches.iter_mut().enumerate() {
-                cache.k[l].extend_from_slice(&k[r * d..(r + 1) * d]);
-                cache.v[l].extend_from_slice(&v[r * d..(r + 1) * d]);
-                let t_len = cache.k[l].len() / d;
-                let out_row = &mut att[r * d..(r + 1) * d];
-                for hi in 0..heads {
-                    let q_h = &q[r * d + hi * hd..r * d + (hi + 1) * hd];
-                    let mut scores = vec![0.0f32; t_len];
-                    for (t, s) in scores.iter_mut().enumerate() {
-                        let k_h = &cache.k[l][t * d + hi * hd..t * d + (hi + 1) * hd];
-                        *s = dot(q_h, k_h) * scale;
-                    }
-                    softmax_row(&mut scores);
-                    let out_h = &mut out_row[hi * hd..(hi + 1) * hd];
-                    for (t, &w) in scores.iter().enumerate() {
-                        if w == 0.0 {
-                            continue;
-                        }
-                        let v_h = &cache.v[l][t * d + hi * hd..t * d + (hi + 1) * hd];
-                        for (o, &vv) in out_h.iter_mut().zip(v_h.iter()) {
-                            *o += w * vv;
-                        }
-                    }
+        assert_eq!(positions.len(), tokens.len(), "positions length");
+        assert_eq!(caches.len(), tokens.len(), "caches length");
+        let mut seqs: Vec<RaggedSeq<'_>> = tokens
+            .chunks(1)
+            .zip(positions)
+            .zip(caches.iter_mut())
+            .map(|((tokens, &pos), cache)| {
+                assert_eq!(cache.len(), pos, "position {pos} is not the cache's next");
+                RaggedSeq {
+                    tokens,
+                    cache,
+                    logits_from: 0,
                 }
-            }
-            let mut proj = bias_rows(&b.bo.data, bsz);
-            self.proj_acc(&att, &b.wo, qb.map(|q| &q.wo), bsz, d, d, &mut proj);
-            for (xv, pv) in x.iter_mut().zip(proj.iter()) {
-                *xv += pv;
-            }
-            // mlp: batched projections.
-            layer_norm_rows(&x, &b.ln2_g.data, &b.ln2_b.data, bsz, d, &mut h);
-            let mut m = bias_rows(&b.b1.data, bsz);
-            self.proj_acc(&h, &b.w1, qb.map(|q| &q.w1), bsz, d, ff, &mut m);
-            for mv in m.iter_mut() {
-                *mv = gelu(*mv);
-            }
-            let mut m2 = bias_rows(&b.b2.data, bsz);
-            self.proj_acc(&m, &b.w2, qb.map(|q| &q.w2), bsz, ff, d, &mut m2);
-            for (xv, mv) in x.iter_mut().zip(m2.iter()) {
-                *xv += mv;
-            }
-        }
-        let mut xf = vec![0.0f32; bsz * d];
-        layer_norm_rows(&x, &self.lnf_g.data, &self.lnf_b.data, bsz, d, &mut xf);
-        let mut logits = vec![0.0f32; bsz * vocab];
-        self.head_matmul(&xf, bsz, &mut logits);
-        logits.chunks(vocab).map(<[f32]>::to_vec).collect()
+            })
+            .collect();
+        self.forward(&mut seqs, &mut ForwardScratch::default())
+            .chunks(self.cfg.vocab_size)
+            .map(<[f32]>::to_vec)
+            .collect()
     }
 
     /// Runs one token through the model, appending to the cache, and returns
     /// the next-token logits. This is the decode step used after
-    /// [`Self::prefill`]; the cache must already hold positions `0..pos`.
+    /// [`Self::prefill`]; the cache must hold exactly positions `0..pos`.
     pub fn step(&self, token: u32, pos: usize, cache: &mut KvCache) -> Vec<f32> {
-        let d = self.cfg.d_model;
-        let heads = self.cfg.n_heads;
-        let hd = self.cfg.head_dim();
-        let scale = 1.0 / (hd as f32).sqrt();
-        let tok = token as usize;
-        assert!(tok < self.cfg.vocab_size, "token {tok} out of vocabulary");
-        assert!(
-            pos < self.cfg.context_window,
-            "position {pos} out of window"
-        );
-
-        let mut x = vec![0.0f32; d];
-        for (i, xi) in x.iter_mut().enumerate() {
-            *xi = self.tok_emb.data[tok * d + i] + self.pos_emb.data[pos * d + i];
-        }
-        for (l, b) in self.blocks.iter().enumerate() {
-            let qb = self.qblock(l);
-            // attn
-            let h = layer_norm_row(&x, &b.ln1_g.data, &b.ln1_b.data);
-            let mut q = b.bq.data.clone();
-            self.proj_vec_acc(&h, &b.wq, qb.map(|q| &q.wq), d, d, &mut q);
-            let mut k = b.bk.data.clone();
-            self.proj_vec_acc(&h, &b.wk, qb.map(|q| &q.wk), d, d, &mut k);
-            let mut v = b.bv.data.clone();
-            self.proj_vec_acc(&h, &b.wv, qb.map(|q| &q.wv), d, d, &mut v);
-            cache.k[l].extend_from_slice(&k);
-            cache.v[l].extend_from_slice(&v);
-            let t_len = cache.k[l].len() / d;
-            let mut att_out = vec![0.0f32; d];
-            // Cached-position loops run t-outer / head-inner: each score is
-            // the same `dot(q_h, k_h) * scale` and each output element still
-            // accumulates over t in ascending order (bit-identical to the
-            // head-outer form), but the K/V rows stream linearly and the
-            // heads' dot-product reduction chains overlap instead of
-            // serializing on FP-add latency.
-            let mut scores = vec![0.0f32; heads * t_len];
-            if hd == HEAD_DIM_FAST {
-                // Every size class uses 16-wide heads; the const-width path
-                // fully unrolls the per-head loops (same op order, so the
-                // scores and outputs are bit-identical to the generic path).
-                for t in 0..t_len {
-                    let k_row = &cache.k[l][t * d..(t + 1) * d];
-                    att_scores_row::<HEAD_DIM_FAST>(&q, k_row, heads, t, t_len, scale, &mut scores);
-                }
-                for hi in 0..heads {
-                    softmax_row(&mut scores[hi * t_len..(hi + 1) * t_len]);
-                }
-                att_weighted_v::<HEAD_DIM_FAST>(
-                    &scores,
-                    &cache.v[l],
-                    d,
-                    heads,
-                    t_len,
-                    &mut att_out,
-                );
-            } else {
-                for t in 0..t_len {
-                    let k_row = &cache.k[l][t * d..(t + 1) * d];
-                    for hi in 0..heads {
-                        let q_h = &q[hi * hd..(hi + 1) * hd];
-                        let k_h = &k_row[hi * hd..(hi + 1) * hd];
-                        scores[hi * t_len + t] = dot(q_h, k_h) * scale;
-                    }
-                }
-                for hi in 0..heads {
-                    softmax_row(&mut scores[hi * t_len..(hi + 1) * t_len]);
-                }
-                for t in 0..t_len {
-                    let v_row = &cache.v[l][t * d..(t + 1) * d];
-                    for hi in 0..heads {
-                        let w = scores[hi * t_len + t];
-                        if w == 0.0 {
-                            continue;
-                        }
-                        let out_h = &mut att_out[hi * hd..(hi + 1) * hd];
-                        let v_h = &v_row[hi * hd..(hi + 1) * hd];
-                        for (o, &vv) in out_h.iter_mut().zip(v_h.iter()) {
-                            *o += w * vv;
-                        }
-                    }
-                }
-            }
-            let mut proj = b.bo.data.clone();
-            self.proj_vec_acc(&att_out, &b.wo, qb.map(|q| &q.wo), d, d, &mut proj);
-            for i in 0..d {
-                x[i] += proj[i];
-            }
-            // mlp
-            let h2 = layer_norm_row(&x, &b.ln2_g.data, &b.ln2_b.data);
-            let ff = self.cfg.d_ff();
-            let mut m = b.b1.data.clone();
-            self.proj_vec_acc(&h2, &b.w1, qb.map(|q| &q.w1), d, ff, &mut m);
-            for mv in m.iter_mut() {
-                *mv = gelu(*mv);
-            }
-            let mut m2 = b.b2.data.clone();
-            self.proj_vec_acc(&m, &b.w2, qb.map(|q| &q.w2), ff, d, &mut m2);
-            for i in 0..d {
-                x[i] += m2[i];
-            }
-        }
-        let xf = layer_norm_row(&x, &self.lnf_g.data, &self.lnf_b.data);
-        let mut logits = vec![0.0f32; self.cfg.vocab_size];
-        self.head_matmul(&xf, 1, &mut logits);
-        logits
+        assert_eq!(cache.len(), pos, "position {pos} is not the cache's next");
+        self.forward_one(&[token], cache, 0)
     }
+}
+
+/// One sequence's share of a [`TransformerLm::forward`] pass.
+pub(crate) struct RaggedSeq<'a> {
+    /// Tokens to run, at absolute positions `cache.len()..`.
+    pub tokens: &'a [u32],
+    /// The sequence's cache; gains one K/V row per token.
+    pub cache: &'a mut KvCache,
+    /// First row whose next-token logits are read; the LM head skips the
+    /// rows before it.
+    pub logits_from: usize,
+}
+
+/// Activation buffers of [`TransformerLm::forward`], kept by whoever runs
+/// passes in a loop so a round allocates nothing once they have grown.
+#[derive(Debug, Default)]
+pub(crate) struct ForwardScratch {
+    x: Vec<f32>,
+    h: Vec<f32>,
+    q: Vec<f32>,
+    k: Vec<f32>,
+    v: Vec<f32>,
+    att: Vec<f32>,
+    m: Vec<f32>,
+    scores: Vec<f32>,
+    xf: Vec<f32>,
+    logits: Vec<f32>,
 }
 
 /// Per-layer key/value cache for incremental decoding.
@@ -1394,53 +1288,27 @@ fn att_weighted_v<const HD: usize>(
     }
 }
 
-/// `out += x (1×k) @ w (k×n)`.
-fn matvec_acc(x: &[f32], w: &[f32], k: usize, n: usize, out: &mut [f32]) {
-    debug_assert_eq!(x.len(), k);
-    debug_assert_eq!(w.len(), k * n);
-    debug_assert_eq!(out.len(), n);
-    for (p, &xv) in x.iter().enumerate() {
-        if xv == 0.0 {
-            continue;
-        }
-        let w_row = &w[p * n..(p + 1) * n];
-        for (o, &wv) in out.iter_mut().zip(w_row.iter()) {
-            *o += xv * wv;
-        }
+/// Fills every `bias.len()`-wide row of `out` with `bias` — the accumulator
+/// initialization for a batched `X @ W + b` projection.
+fn fill_rows(out: &mut [f32], bias: &[f32]) {
+    for row in out.chunks_exact_mut(bias.len()) {
+        row.copy_from_slice(bias);
     }
 }
 
-/// `rows` copies of `bias` stacked into one row-major buffer — the
-/// accumulator initialization for a batched `X @ W + b` projection.
-fn bias_rows(bias: &[f32], rows: usize) -> Vec<f32> {
-    let mut out = Vec::with_capacity(rows * bias.len());
-    for _ in 0..rows {
-        out.extend_from_slice(bias);
-    }
-    out
-}
-
-/// Applies [`layer_norm_row`] to each of `rows` rows of `x`, writing into
-/// `out` (same shape).
-fn layer_norm_rows(x: &[f32], gain: &[f32], bias: &[f32], rows: usize, d: usize, out: &mut [f32]) {
-    debug_assert_eq!(x.len(), rows * d);
-    debug_assert_eq!(out.len(), rows * d);
-    for t in 0..rows {
-        let normed = layer_norm_row(&x[t * d..(t + 1) * d], gain, bias);
-        out[t * d..(t + 1) * d].copy_from_slice(&normed);
-    }
-}
-
-fn layer_norm_row(x: &[f32], gain: &[f32], bias: &[f32]) -> Vec<f32> {
+/// Layer-normalizes each `d`-wide row of `x` into the same row of `out`.
+fn layer_norm_rows(x: &[f32], gain: &[f32], bias: &[f32], d: usize, out: &mut [f32]) {
     const EPS: f32 = 1e-5;
-    let n = x.len() as f32;
-    let mean: f32 = x.iter().sum::<f32>() / n;
-    let var: f32 = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
-    let rstd = 1.0 / (var + EPS).sqrt();
-    x.iter()
-        .zip(gain.iter().zip(bias.iter()))
-        .map(|(&xv, (&g, &b))| (xv - mean) * rstd * g + b)
-        .collect()
+    debug_assert_eq!(x.len(), out.len());
+    let n = d as f32;
+    for (x, out) in x.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
+        let mean: f32 = x.iter().sum::<f32>() / n;
+        let var: f32 = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
+        let rstd = 1.0 / (var + EPS).sqrt();
+        for ((o, &xv), (&g, &b)) in out.iter_mut().zip(x).zip(gain.iter().zip(bias)) {
+            *o = (xv - mean) * rstd * g + b;
+        }
+    }
 }
 
 /// Masks one logit row through an active grammar cursor, recording the
@@ -1472,6 +1340,22 @@ pub(crate) fn mask_logits(
         }
     }
     outcome.forced
+}
+
+/// The token an active cursor leaves as the only legal continuation, known
+/// before any logits exist: what [`pick_token`] would return for the next
+/// position whatever the model says. `None` for absent, bypassed or finished
+/// cursors and wherever the grammar branches.
+pub(crate) fn forced_token(
+    grammar: Option<&GrammarCursor>,
+    telemetry: Option<&GrammarTelemetry>,
+) -> Option<u32> {
+    let forced = grammar?.next_forced()?;
+    if let Some(t) = telemetry {
+        t.forced_fast_path.inc();
+        t.fused_tokens.inc();
+    }
+    Some(forced)
 }
 
 /// The one token pick shared by the solo generate loop and the batched

@@ -612,8 +612,10 @@ fn forward_stream(
 
 /// `/v1/stats`: serving/load counters for dashboards and tests — queue
 /// depth, in-flight batch size and the prefix KV cache's counters summed
-/// over the pool, the configured speculation / precision / constraint with
-/// their counters, plus `replica_count` and a per-replica breakdown.
+/// over the pool, the configured speculation (with how often its break-even
+/// gate let a verify pass run and how often it closed) / precision /
+/// constraint with their counters, plus `replica_count` and a per-replica
+/// breakdown.
 fn stats(router: &Router, bundles: &[ReplicaTelemetry], config: &ServerConfig) -> Response {
     let agg = router.pool().aggregate();
     let num = |n: usize| Json::Num(n as f64);
@@ -621,6 +623,7 @@ fn stats(router: &Router, bundles: &[ReplicaTelemetry], config: &ServerConfig) -
     let pc = agg.prefix_cache.unwrap_or_default();
     let quant_bundles = || bundles.iter().filter_map(|b| b.quant.as_ref());
     let grammar_bundles = || bundles.iter().filter_map(|b| b.grammar.as_ref());
+    let speculative_bundles = || bundles.iter().filter_map(|b| b.speculative.as_ref());
     let replicas = agg
         .replicas
         .iter()
@@ -662,6 +665,14 @@ fn stats(router: &Router, bundles: &[ReplicaTelemetry], config: &ServerConfig) -
                     (
                         "draft",
                         Json::Str(config.speculative.draft_label().to_string()),
+                    ),
+                    (
+                        "verify_passes",
+                        count(speculative_bundles().map(|s| s.verify_passes.get()).sum()),
+                    ),
+                    (
+                        "gate_closed",
+                        count(speculative_bundles().map(|s| s.gate_closed.get()).sum()),
                     ),
                 ]),
             ),
@@ -706,6 +717,10 @@ fn stats(router: &Router, bundles: &[ReplicaTelemetry], config: &ServerConfig) -
                     (
                         "forced_tokens",
                         count(grammar_bundles().map(|g| g.forced_fast_path.get()).sum()),
+                    ),
+                    (
+                        "fused_tokens",
+                        count(grammar_bundles().map(|g| g.fused_tokens.get()).sum()),
                     ),
                     (
                         "states_cached",

@@ -1,11 +1,12 @@
 //! Low-level f32 kernels shared by the autograd tape (training) and the
 //! KV-cache inference path in `wisdom-model`.
 //!
-//! All matrices are dense row-major. The dense kernels are blocked: the
-//! right-hand side is packed into contiguous column panels so the inner
-//! loop streams one panel that stays cache-resident across all output
-//! rows. Above [`PAR_MIN_MACS`] multiply-accumulates, output rows are
-//! partitioned across scoped threads.
+//! All matrices are dense row-major. The dense kernels are register-tiled
+//! over 64-wide column panels of the right-hand side; from
+//! `PACK_MIN_ROWS` rows up the panels are first packed contiguously, so
+//! the inner loop streams one panel that stays cache-resident across all
+//! output rows. Above [`PAR_MACS_PER_THREAD`] multiply-accumulates per
+//! thread, output rows are partitioned across scoped threads.
 //!
 //! Determinism contract: for every output element the k-dimension is
 //! summed in index order, and threading only ever partitions *rows*, so
@@ -18,8 +19,11 @@ const PANEL_N: usize = 64;
 
 /// Multiply-accumulate budget per worker thread: a kernel call gets one
 /// thread per this many MACs, so small products never pay spawn costs and
-/// large ones saturate the machine.
-pub const PAR_MACS_PER_THREAD: usize = 1 << 19;
+/// large ones saturate the machine. Spawning a scoped worker costs about
+/// 80 µs on the 2-vCPU reference host — as long as the tiled int8 kernel
+/// takes over 4M MACs — so nothing a 128-token context window can produce
+/// is split, and training's `batch·time`-row products still are.
+pub const PAR_MACS_PER_THREAD: usize = 1 << 21;
 
 /// Upper bound on worker threads for one kernel call.
 const PAR_MAX_THREADS: usize = 8;
@@ -90,105 +94,142 @@ const MR: usize = 4;
 /// Register-tile width (output columns per micro-kernel invocation).
 const NR: usize = 8;
 
-/// Blocked core: accumulates `rows` output rows against pre-packed
-/// panels. `a_rows` holds exactly `rows * k` values.
-///
-/// The hot path is an `MR`×`NR` register-tiled micro-kernel: each output
-/// element is loaded into a register once, accumulated over the whole `k`
-/// dimension, and stored once — so per-element summation order is exactly
-/// the classic axpy order `((init + t₀) + t₁) + …`, bit-identical to the
-/// remainder path and to a 1×n matvec.
-fn matmul_acc_packed(
-    a_rows: &[f32],
-    packed: &[f32],
-    rows: usize,
-    k: usize,
-    n: usize,
+/// Row count from which [`matmul_acc`] packs `b` into panels first. Below
+/// it the tiles read `b` row-major in place — an `NR` segment of row `p` is
+/// contiguous either way — because a `k`×`n` allocation and copy costs more
+/// than the few passes a small `m` makes over each panel.
+const PACK_MIN_ROWS: usize = 32;
+
+/// One `R`×`W` register tile of `out += a @ b`: every output element is
+/// loaded once, accumulated over the whole `k` dimension in index order
+/// (`((init + t₀) + t₁) + …`, the classic axpy order) and stored once, so
+/// the result is bit-identical at every tile shape. `a` holds the tile's
+/// `R` rows; row `p` of the right-hand side starts at `b[p * ldb]`; `nr`
+/// is the number of live columns (`< W` only in a panel's last, partial
+/// tile, which pads its `b` segment with zeros and stores `nr` columns).
+#[inline(always)]
+fn gebp_tile<const R: usize, const W: usize>(
+    a: &[&[f32]; R],
+    b: &[f32],
+    ldb: usize,
+    nr: usize,
     out: &mut [f32],
+    ldo: usize,
 ) {
-    let mut panel_off = 0;
-    for j0 in (0..n).step_by(PANEL_N) {
-        let nb = PANEL_N.min(n - j0);
-        let panel = &packed[panel_off..panel_off + k * nb];
-        panel_off += k * nb;
-        gebp_panel(a_rows, panel, rows, k, n, j0, nb, out);
+    let mut acc = [[0.0f32; W]; R];
+    for (r, acc_row) in acc.iter_mut().enumerate() {
+        acc_row[..nr].copy_from_slice(&out[r * ldo..r * ldo + nr]);
+    }
+    for p in 0..a[0].len() {
+        let mut b_seg = [0.0f32; W];
+        if nr == W {
+            b_seg.copy_from_slice(&b[p * ldb..p * ldb + W]);
+        } else {
+            b_seg[..nr].copy_from_slice(&b[p * ldb..p * ldb + nr]);
+        }
+        for (acc_row, a_row) in acc.iter_mut().zip(a.iter()) {
+            let a_rp = a_row[p];
+            for (o, &bv) in acc_row.iter_mut().zip(b_seg.iter()) {
+                *o += a_rp * bv;
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        out[r * ldo..r * ldo + nr].copy_from_slice(&acc_row[..nr]);
     }
 }
 
-/// The `MR`×`NR` register-tiled micro-kernel over one pre-packed column
-/// panel. Shared verbatim by the f32 path and the quantized path (which
-/// dequantizes its int8 panel into the same layout first), so both produce
-/// the identical per-element float-op sequence.
+/// `R` output rows against one `nb`-wide column panel: `W`-wide tiles while
+/// they fit, then `NR`-wide ones, the last of them partial. `out` starts at
+/// the tile's first row and the panel's first column.
+#[inline(always)]
+fn gebp_rows<const R: usize, const W: usize>(
+    a_rows: &[f32],
+    k: usize,
+    b: &[f32],
+    ldb: usize,
+    nb: usize,
+    out: &mut [f32],
+    ldo: usize,
+) {
+    let a: [&[f32]; R] = std::array::from_fn(|r| &a_rows[r * k..(r + 1) * k]);
+    let mut j = 0;
+    while nb - j >= W {
+        gebp_tile::<R, W>(&a, &b[j..], ldb, W, &mut out[j..], ldo);
+        j += W;
+    }
+    while j < nb {
+        let nr = NR.min(nb - j);
+        gebp_tile::<R, NR>(&a, &b[j..], ldb, nr, &mut out[j..], ldo);
+        j += nr;
+    }
+}
+
+/// The register-tiled micro-kernel over one column panel whose row `p`
+/// starts at `panel[p * ldb]` — a packed panel (`ldb == nb`) or `b` itself
+/// read in place (`ldb == n`). Shared verbatim by the f32 path and the
+/// quantized path's scratch arm (which dequantizes its int8 panel into the
+/// packed layout first), so both produce the identical per-element float-op
+/// sequence.
+///
+/// Rows go through `MR`×`NR` tiles; the up to three rows past a multiple of
+/// `MR` go through a 2-row and a 1-row tile that are wider by as much as
+/// they are shorter, so a short tile still carries eight independent
+/// accumulator chains. `out` starts at the panel's first column.
 #[allow(clippy::too_many_arguments)]
 fn gebp_panel(
     a_rows: &[f32],
     panel: &[f32],
+    ldb: usize,
     rows: usize,
     k: usize,
-    n: usize,
-    j0: usize,
     nb: usize,
     out: &mut [f32],
+    ldo: usize,
 ) {
     let mut i = 0;
-    while i < rows {
-        let mr = MR.min(rows - i);
-        let mut j = 0;
-        while j < nb {
-            let nr = NR.min(nb - j);
-            if mr == MR && nr == NR {
-                let mut acc = [[0.0f32; NR]; MR];
-                for (r, acc_row) in acc.iter_mut().enumerate() {
-                    let o = (i + r) * n + j0 + j;
-                    acc_row.copy_from_slice(&out[o..o + NR]);
-                }
-                // Iterator-driven so the per-`p` a-loads and panel
-                // segments compile without repeated index arithmetic
-                // or bounds checks.
-                let a0 = a_rows[i * k..(i + 1) * k].iter();
-                let a1 = a_rows[(i + 1) * k..(i + 2) * k].iter();
-                let a2 = a_rows[(i + 2) * k..(i + 3) * k].iter();
-                let a3 = a_rows[(i + 3) * k..(i + 4) * k].iter();
-                for ((((b_row, &a0p), &a1p), &a2p), &a3p) in
-                    panel.chunks_exact(nb).zip(a0).zip(a1).zip(a2).zip(a3)
-                {
-                    let b_seg: &[f32; NR] =
-                        b_row[j..j + NR].try_into().expect("NR-wide panel segment");
-                    let a_p = [a0p, a1p, a2p, a3p];
-                    for (acc_row, &a_rp) in acc.iter_mut().zip(a_p.iter()) {
-                        for (o, &bv) in acc_row.iter_mut().zip(b_seg.iter()) {
-                            *o += a_rp * bv;
-                        }
-                    }
-                }
-                for (r, acc_row) in acc.iter().enumerate() {
-                    let o = (i + r) * n + j0 + j;
-                    out[o..o + NR].copy_from_slice(acc_row);
-                }
-            } else {
-                // Remainder tile: same per-element accumulation order.
-                for r in 0..mr {
-                    let a_row = &a_rows[(i + r) * k..(i + r + 1) * k];
-                    for c in 0..nr {
-                        let mut acc = out[(i + r) * n + j0 + j + c];
-                        for (p, &a_rp) in a_row.iter().enumerate() {
-                            acc += a_rp * panel[p * nb + j + c];
-                        }
-                        out[(i + r) * n + j0 + j + c] = acc;
-                    }
-                }
-            }
-            j += nr;
-        }
-        i += mr;
+    while rows - i >= MR {
+        gebp_rows::<MR, NR>(
+            &a_rows[i * k..],
+            k,
+            panel,
+            ldb,
+            nb,
+            &mut out[i * ldo..],
+            ldo,
+        );
+        i += MR;
+    }
+    if rows - i >= 2 {
+        gebp_rows::<2, 16>(
+            &a_rows[i * k..],
+            k,
+            panel,
+            ldb,
+            nb,
+            &mut out[i * ldo..],
+            ldo,
+        );
+        i += 2;
+    }
+    if rows - i == 1 {
+        gebp_rows::<1, 32>(
+            &a_rows[i * k..],
+            k,
+            panel,
+            ldb,
+            nb,
+            &mut out[i * ldo..],
+            ldo,
+        );
     }
 }
 
 /// `out += a @ b` where `a` is `m×k`, `b` is `k×n`, `out` is `m×n`.
 ///
 /// Dense path: no zero-skipping (use [`matmul_acc_sparse`] when `a` is
-/// known to be mostly zeros), blocked RHS packing, and automatic row
-/// threading above [`PAR_MIN_MACS`].
+/// known to be mostly zeros), blocked RHS packing from `PACK_MIN_ROWS`
+/// rows, and automatic row threading above [`PAR_MACS_PER_THREAD`].
 ///
 /// # Panics
 ///
@@ -214,9 +255,17 @@ pub fn matmul_acc_threads(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let packed = pack_b_panels(b, k, n);
+    let packed = (m >= PACK_MIN_ROWS).then(|| pack_b_panels(b, k, n));
     for_each_row_chunk(m, n, out, threads.max(1).min(m), |r0, rows, out_rows| {
-        matmul_acc_packed(&a[r0 * k..(r0 + rows) * k], &packed, rows, k, n, out_rows);
+        let a_rows = &a[r0 * k..(r0 + rows) * k];
+        for j0 in (0..n).step_by(PANEL_N) {
+            let nb = PANEL_N.min(n - j0);
+            let (panel, ldb) = match &packed {
+                Some(packed) => (&packed[k * j0..k * (j0 + nb)], nb),
+                None => (&b[j0..], n),
+            };
+            gebp_panel(a_rows, panel, ldb, rows, k, nb, &mut out_rows[j0..], n);
+        }
     });
 }
 
@@ -502,6 +551,33 @@ pub fn matmul_q8_acc_threads(
     out: &mut [f32],
     threads: usize,
 ) {
+    matmul_q8_acc_on(a, qb, m, out, threads, simd_available());
+}
+
+/// [`matmul_q8_acc`] through the row-tiled strips' portable bodies at every
+/// row count — the scalar twin the AVX-512 bodies must equal bit for bit.
+/// Exposed, like [`matmul_q8_acc_gebp`], so the property suites can pin
+/// every dispatch arm on any host.
+#[doc(hidden)]
+pub fn matmul_q8_acc_portable_strips(a: &[f32], qb: &QuantMatrix, m: usize, out: &mut [f32]) {
+    q8_tiled(a, qb, m, out, false, false);
+}
+
+/// [`matmul_q8_acc`] through dequantize-to-scratch + GEBP at every row
+/// count (the arm hosts without AVX-512 take from [`Q8_GEBP_MIN_ROWS`]).
+#[doc(hidden)]
+pub fn matmul_q8_acc_gebp(a: &[f32], qb: &QuantMatrix, m: usize, out: &mut [f32]) {
+    q8_gebp(a, qb, m, out);
+}
+
+fn matmul_q8_acc_on(
+    a: &[f32],
+    qb: &QuantMatrix,
+    m: usize,
+    out: &mut [f32],
+    threads: usize,
+    simd: bool,
+) {
     let (k, n) = (qb.rows, qb.cols);
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(out.len(), m * n);
@@ -509,7 +585,12 @@ pub fn matmul_q8_acc_threads(
         return;
     }
     for_each_row_chunk(m, n, out, threads.max(1).min(m), |r0, rows, out_rows| {
-        matmul_q8_acc_packed(&a[r0 * k..(r0 + rows) * k], qb, rows, out_rows);
+        let a_rows = &a[r0 * k..(r0 + rows) * k];
+        if simd || rows < Q8_GEBP_MIN_ROWS {
+            q8_tiled(a_rows, qb, rows, out_rows, false, simd);
+        } else {
+            q8_gebp(a_rows, qb, rows, out_rows);
+        }
     });
 }
 
@@ -520,40 +601,51 @@ pub fn matmul_q8(a: &[f32], qb: &QuantMatrix, m: usize, out: &mut [f32]) {
 }
 
 /// `out += x (1×k) @ dequant(qb)`, skipping zero entries of `x` — the
-/// quantized counterpart of the solo decode step's zero-skipping matvec.
-/// Skipped terms and accumulation order match exactly, so it is
-/// bit-identical to that matvec over `qb.dequantize()`.
+/// quantized counterpart of a zero-skipping f32 matvec. Skipped terms and
+/// accumulation order match exactly, so it is bit-identical to that matvec
+/// over `qb.dequantize()`.
 pub fn matvec_q8_acc(x: &[f32], qb: &QuantMatrix, out: &mut [f32]) {
     debug_assert_eq!(x.len(), qb.rows);
     debug_assert_eq!(out.len(), qb.cols);
-    matvec_q8_row(x, qb, out, true);
+    q8_tiled(x, qb, 1, out, true, simd_available());
 }
 
-/// Blocked core over the pre-packed panels: the quantized counterpart of
-/// [`matmul_acc_packed`]. Each int8 panel is dequantized once via [`dq8`]
-/// into an f32 scratch panel (amortized over every `a` row, where the old
-/// in-register scheme re-dequantized per `MR`-row pass), then the shared
-/// [`gebp_panel`] micro-kernel runs over it — so the float-op sequence per
-/// output element is literally the f32 kernel's over dequantized weights,
-/// which is the bit-identity contract.
-fn matmul_q8_acc_packed(a_rows: &[f32], qb: &QuantMatrix, rows: usize, out: &mut [f32]) {
-    if rows == 1 {
-        // Single-row products (solo decode's LM head) skip the tile loop:
-        // one pass per panel, columns innermost. Per-element order is
-        // unchanged — each output element still sums over p in index order.
-        matvec_q8_row(a_rows, qb, out, false);
-        return;
+/// Whether the explicit AVX-512 strip bodies can run on this host.
+fn simd_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx512f")
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Row count from which, on a host without AVX-512, dequantizing a panel to
+/// scratch and running [`gebp_panel`] over it beats the row-tiled strips:
+/// the portable strip bodies run as wide as the f32 tiles but re-dequantize
+/// their weights once per eight rows, the scratch arm once per call (row
+/// sweep at 64×1000: 25 against 20 µs at m = 3, 75 against 50 µs at m = 8).
+/// The AVX-512 strips run four times as wide as the f32 tiles and win at
+/// every row count (28 against 48 µs at m = 8, 1.5 against 2.6 ms at
+/// m = 512), so with them the scratch arm is never taken.
+const Q8_GEBP_MIN_ROWS: usize = 3;
+
+/// The scratch arm: each int8 panel is dequantized once via [`dq8`] into
+/// an f32 scratch panel, then the shared [`gebp_panel`] micro-kernel runs
+/// over it — so the float-op sequence per output element is literally the
+/// f32 kernel's over dequantized weights, which is the bit-identity
+/// contract.
+fn q8_gebp(a_rows: &[f32], qb: &QuantMatrix, rows: usize, out: &mut [f32]) {
     let (k, n) = (qb.rows, qb.cols);
     let mut scratch = vec![0.0f32; k * PANEL_N.min(n)];
-    let mut panel_off = 0;
     for j0 in (0..n).step_by(PANEL_N) {
         let nb = PANEL_N.min(n - j0);
-        let panel = &qb.q[panel_off..panel_off + k * nb];
-        panel_off += k * nb;
+        let panel = &qb.q[k * j0..k * (j0 + nb)];
         let fpanel = &mut scratch[..k * nb];
         dequant_panel_into(qb, panel, j0, nb, fpanel);
-        gebp_panel(a_rows, fpanel, rows, k, n, j0, nb, out);
+        gebp_panel(a_rows, fpanel, nb, rows, k, nb, &mut out[j0..], n);
     }
 }
 
@@ -565,13 +657,6 @@ fn dequant_panel_into(qb: &QuantMatrix, panel: &[i8], j0: usize, nb: usize, scra
     let (k, n, qblock) = (qb.rows, qb.cols, qb.block);
     debug_assert_eq!(panel.len(), k * nb);
     debug_assert_eq!(scratch.len(), k * nb);
-    #[cfg(target_arch = "x86_64")]
-    if nb.is_multiple_of(16) && std::arch::is_x86_feature_detected!("avx512f") {
-        // SAFETY: avx512f is present (checked above); the callee asserts
-        // every slice bound its raw-pointer reads rely on.
-        unsafe { dequant_panel_avx512(qb, panel, j0, nb, scratch) };
-        return;
-    }
     let mut p0 = 0;
     let mut b = 0;
     while p0 < k {
@@ -590,93 +675,134 @@ fn dequant_panel_into(qb: &QuantMatrix, panel: &[i8], j0: usize, nb: usize, scra
     }
 }
 
-/// AVX-512 body of [`dequant_panel_into`]: 16 lanes of the identical
-/// sign-extend / convert / unfused `q*s`, `+o` chain as scalar [`dq8`], so
-/// every produced value is bit-identical to the scalar path.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn dequant_panel_avx512(
+/// The small-`m` arm, and the single-row kernel (`rows == 1`): row tiles
+/// of 8/4/2/1 over fixed-width column strips of each packed panel. Within a
+/// tile every weight vector is dequantized once per `p` — by the same
+/// unfused `q*s`, `+o` as [`dq8`] — and then multiplied into each of the
+/// tile's rows (`x*w`, `acc+`), so each output element sees exactly the
+/// float-op sequence of the single-row kernel, whatever tile its row fell
+/// into: bit-identical across tile heights, strip widths and both dispatch
+/// arms, and to the f32 kernels over [`QuantMatrix::dequantize`].
+///
+/// With `skip` (single-row only), zero `x` entries contribute nothing —
+/// term-for-term a zero-skipping matvec; without, every term is added —
+/// term-for-term the dense kernels' order.
+fn q8_tiled(
+    a_rows: &[f32],
+    qb: &QuantMatrix,
+    rows: usize,
+    out: &mut [f32],
+    skip: bool,
+    simd: bool,
+) {
+    let (k, n) = (qb.rows, qb.cols);
+    debug_assert!(!skip || rows == 1, "zero-skipping is a single-row contract");
+    if k == 0 {
+        return;
+    }
+    for j0 in (0..n).step_by(PANEL_N) {
+        let nb = PANEL_N.min(n - j0);
+        let panel = &qb.q[k * j0..k * (j0 + nb)];
+        // Panel outermost: its 4 KiB of int8 stay cache-resident across
+        // every row tile.
+        let mut i = 0;
+        while rows - i >= 8 {
+            q8_panel_rows::<8>(
+                &a_rows[i * k..],
+                qb,
+                panel,
+                j0,
+                nb,
+                &mut out[i * n..],
+                skip,
+                simd,
+            );
+            i += 8;
+        }
+        if rows - i >= 4 {
+            q8_panel_rows::<4>(
+                &a_rows[i * k..],
+                qb,
+                panel,
+                j0,
+                nb,
+                &mut out[i * n..],
+                skip,
+                simd,
+            );
+            i += 4;
+        }
+        if rows - i >= 2 {
+            q8_panel_rows::<2>(
+                &a_rows[i * k..],
+                qb,
+                panel,
+                j0,
+                nb,
+                &mut out[i * n..],
+                skip,
+                simd,
+            );
+            i += 2;
+        }
+        if rows - i == 1 {
+            q8_panel_rows::<1>(
+                &a_rows[i * k..],
+                qb,
+                panel,
+                j0,
+                nb,
+                &mut out[i * n..],
+                skip,
+                simd,
+            );
+        }
+    }
+}
+
+/// One `R`-row tile against one panel: 64/32/16/8-column strips, widest
+/// first, then a sub-8-column tail. A strip's `R`×`W` accumulators plus its
+/// hoisted per-block `(scale, offset)` rows are constant-size arrays that
+/// live in vector registers across the whole k loop; `R * W` is capped at
+/// 256 lanes (sixteen 512-bit accumulators) so they never spill.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn q8_panel_rows<const R: usize>(
+    a: &[f32],
     qb: &QuantMatrix,
     panel: &[i8],
     j0: usize,
     nb: usize,
-    scratch: &mut [f32],
+    out: &mut [f32],
+    skip: bool,
+    simd: bool,
 ) {
-    use std::arch::x86_64::*;
-    let (k, n, qblock) = (qb.rows, qb.cols, qb.block);
-    // These asserts bound every raw-pointer read/write below.
-    assert!(nb.is_multiple_of(16));
-    assert_eq!(panel.len(), k * nb);
-    assert_eq!(scratch.len(), k * nb);
-    let blocks = k.div_ceil(qblock.max(1));
-    assert!(blocks > 0 && qb.scales.len() >= (blocks - 1) * n + j0 + nb);
-    assert!(qb.offs.len() >= (blocks - 1) * n + j0 + nb);
-    let mut p0 = 0;
-    let mut b = 0;
-    while p0 < k {
-        let p1 = k.min(p0 + qblock);
-        let s_base = qb.scales.as_ptr().add(b * n + j0);
-        let o_base = qb.offs.as_ptr().add(b * n + j0);
-        for p in p0..p1 {
-            let q_base = panel.as_ptr().add(p * nb);
-            let d_base = scratch.as_mut_ptr().add(p * nb);
-            let mut c = 0;
-            while c < nb {
-                let qi = _mm_loadu_si128(q_base.add(c) as *const __m128i);
-                let qf = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(qi));
-                let s = _mm512_loadu_ps(s_base.add(c));
-                let o = _mm512_loadu_ps(o_base.add(c));
-                let w = _mm512_add_ps(_mm512_mul_ps(qf, s), o);
-                _mm512_storeu_ps(d_base.add(c), w);
-                c += 16;
-            }
-        }
-        p0 = p1;
-        b += 1;
-    }
-}
-
-/// Single-row kernel over the packed panels, columns innermost (one pass
-/// over the weights). With `skip`, zero `x` entries contribute nothing —
-/// term-for-term the solo step's sparse matvec; without, every term is
-/// added — term-for-term the dense kernels' order.
-fn matvec_q8_row(x: &[f32], qb: &QuantMatrix, out: &mut [f32], skip: bool) {
-    let (k, n, qblock) = (qb.rows, qb.cols, qb.block);
-    if k == 0 || n == 0 {
-        return;
-    }
-    let mut panel_off = 0;
-    for j0 in (0..n).step_by(PANEL_N) {
-        let nb = PANEL_N.min(n - j0);
-        let panel = &qb.q[panel_off..panel_off + k * nb];
-        panel_off += k * nb;
-        let out_seg = &mut out[j0..j0 + nb];
-        // Fixed-width column strips: a strip's accumulators plus its hoisted
-        // per-block (scale, offset) rows are small constant-size arrays, so
-        // they live in vector registers across the whole k loop instead of
-        // round-tripping through `out` on every k-row. Each strip sums its
-        // output elements over p in index order — the identical float-op
-        // sequence per element as a single columns-innermost pass.
-        let mut jj = 0;
+    let mut jj = 0;
+    if R <= 4 {
         while nb - jj >= 64 {
-            matvec_q8_strip::<64>(x, panel, nb, jj, qb, j0, skip, &mut out_seg[jj..jj + 64]);
+            q8_strip::<R, 64>(a, panel, nb, jj, qb, j0, skip, simd, out);
             jj += 64;
         }
-        if nb - jj >= 32 {
-            matvec_q8_strip::<32>(x, panel, nb, jj, qb, j0, skip, &mut out_seg[jj..jj + 32]);
-            jj += 32;
-        }
-        if nb - jj >= 16 {
-            matvec_q8_strip::<16>(x, panel, nb, jj, qb, j0, skip, &mut out_seg[jj..jj + 16]);
-            jj += 16;
-        }
-        if nb - jj >= 8 {
-            matvec_q8_strip::<8>(x, panel, nb, jj, qb, j0, skip, &mut out_seg[jj..jj + 8]);
-            jj += 8;
-        }
-        if jj < nb {
-            // Sub-8-column tail: generic-width loop, same per-element order.
-            let tail = &mut out_seg[jj..];
+    }
+    while nb - jj >= 32 {
+        q8_strip::<R, 32>(a, panel, nb, jj, qb, j0, skip, simd, out);
+        jj += 32;
+    }
+    if nb - jj >= 16 {
+        q8_strip::<R, 16>(a, panel, nb, jj, qb, j0, skip, simd, out);
+        jj += 16;
+    }
+    if nb - jj >= 8 {
+        q8_strip::<R, 8>(a, panel, nb, jj, qb, j0, skip, simd, out);
+        jj += 8;
+    }
+    if jj < nb {
+        // Sub-8-column tail: generic-width loop per row, same per-element
+        // order.
+        let (k, n, qblock) = (qb.rows, qb.cols, qb.block);
+        for r in 0..R {
+            let x = &a[r * k..(r + 1) * k];
+            let tail = &mut out[r * n + j0 + jj..r * n + j0 + nb];
             let mut p0 = 0;
             let mut b = 0;
             while p0 < k {
@@ -702,74 +828,89 @@ fn matvec_q8_row(x: &[f32], qb: &QuantMatrix, out: &mut [f32], skip: bool) {
     }
 }
 
-/// One `W`-column strip of [`matvec_q8_row`]: `out[c] += Σ_p x[p] *
-/// dq8(panel[p][jj + c])` with `p` ascending, zero `x` terms skipped when
-/// `skip` is set. `W` is a compile-time constant so `acc`, `s`, and `o` are
-/// register-resident arrays and the dequant + multiply-accumulate body
-/// vectorizes without touching memory for accumulators.
+/// One `R`×`W` strip: `out[r][c] += Σ_p a[r][p] * dq8(panel[p][jj + c])`
+/// with `p` ascending (zero terms skipped when `skip` is set, `R == 1`).
+/// `a` holds the tile's rows `k` apart, `out` its output rows `n` apart
+/// starting at column 0. This is the portable body and the reference for
+/// [`q8_strip_avx512`]: `R` and `W` are compile-time constants so `acc`,
+/// `w`, `s` and `o` are register-resident arrays and the loops vectorize
+/// without touching memory for accumulators.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn matvec_q8_strip<const W: usize>(
-    x: &[f32],
+fn q8_strip<const R: usize, const W: usize>(
+    a: &[f32],
     panel: &[i8],
     nb: usize,
     jj: usize,
     qb: &QuantMatrix,
     j0: usize,
     skip: bool,
+    simd: bool,
     out: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if W.is_multiple_of(16) && W <= 64 && std::arch::is_x86_feature_detected!("avx512f") {
-        // SAFETY: avx512f is present (checked above); the callee asserts
-        // every slice bound its raw-pointer reads rely on.
-        unsafe { matvec_q8_strip_avx512::<W>(x, panel, nb, jj, qb, j0, skip, out) };
+    if simd && W.is_multiple_of(16) {
+        // SAFETY: `simd` is only ever `simd_available()` (avx512f present);
+        // the callee asserts every slice bound its raw-pointer reads rely on.
+        unsafe { q8_strip_avx512::<R, W>(a, panel, nb, jj, qb, j0, skip, out) };
         return;
     }
+    let _ = simd;
     let (k, n, qblock) = (qb.rows, qb.cols, qb.block);
-    debug_assert_eq!(out.len(), W);
-    let mut acc = [0.0f32; W];
-    acc.copy_from_slice(out);
+    let col = j0 + jj;
+    let mut acc = [[0.0f32; W]; R];
+    for (r, acc_row) in acc.iter_mut().enumerate() {
+        acc_row.copy_from_slice(&out[r * n + col..r * n + col + W]);
+    }
     let mut p0 = 0;
     let mut b = 0;
     while p0 < k {
         let p1 = k.min(p0 + qblock);
-        let s: &[f32; W] = qb.scales[b * n + j0 + jj..][..W]
+        let s: &[f32; W] = qb.scales[b * n + col..][..W]
             .try_into()
             .expect("strip-wide scale segment");
-        let o: &[f32; W] = qb.offs[b * n + j0 + jj..][..W]
+        let o: &[f32; W] = qb.offs[b * n + col..][..W]
             .try_into()
             .expect("strip-wide offset segment");
         for p in p0..p1 {
-            let xv = x[p];
-            if skip && xv == 0.0 {
+            if R == 1 && skip && a[p] == 0.0 {
                 continue;
             }
             let q_row: &[i8; W] = panel[p * nb + jj..][..W]
                 .try_into()
                 .expect("strip-wide q row");
+            let mut w = [0.0f32; W];
             for c in 0..W {
-                acc[c] += xv * dq8(q_row[c], s[c], o[c]);
+                w[c] = dq8(q_row[c], s[c], o[c]);
+            }
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                let xv = a[r * k + p];
+                for c in 0..W {
+                    acc_row[c] += xv * w[c];
+                }
             }
         }
         p0 = p1;
         b += 1;
     }
-    out.copy_from_slice(&acc);
+    for (r, acc_row) in acc.iter().enumerate() {
+        out[r * n + col..r * n + col + W].copy_from_slice(acc_row);
+    }
 }
 
-/// Explicit AVX-512 body of [`matvec_q8_strip`], selected at runtime. Each
-/// 16-lane group performs exactly the scalar strip's per-element operation
-/// sequence — sign-extend (`vpmovsxbd`), convert (`vcvtdq2ps`), then the
-/// unfused `q*s`, `+o`, `x*w`, `acc+` multiply/add pairs — so every lane is
-/// the same IEEE op chain as the scalar path and the result is bit-identical
-/// to it (and therefore to the dequantize-on-load oracle). No FMA is used:
-/// fusing would change rounding versus the oracle's separate mul and add.
+/// Explicit AVX-512 body of [`q8_strip`], selected at runtime. Each 16-lane
+/// group performs exactly the scalar strip's per-element operation sequence
+/// — sign-extend (`vpmovsxbd`), convert (`vcvtdq2ps`), the unfused `q*s`,
+/// `+o` once per weight vector, then per row the unfused `x*w`, `acc+` — so
+/// every lane is the same IEEE op chain as the scalar path and the result is
+/// bit-identical to it (and therefore to the dequantize-on-load oracle). No
+/// FMA is used: fusing would change rounding versus the oracle's separate
+/// mul and add.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-unsafe fn matvec_q8_strip_avx512<const W: usize>(
-    x: &[f32],
+unsafe fn q8_strip_avx512<const R: usize, const W: usize>(
+    a: &[f32],
     panel: &[i8],
     nb: usize,
     jj: usize,
@@ -781,29 +922,32 @@ unsafe fn matvec_q8_strip_avx512<const W: usize>(
     use std::arch::x86_64::*;
     let (k, n, qblock) = (qb.rows, qb.cols, qb.block);
     let lanes = W / 16;
+    let col = j0 + jj;
     // These asserts bound every raw-pointer read/write below.
     assert!(
-        W.is_multiple_of(16) && lanes <= 4,
-        "strip width must be 16/32/48/64"
+        W.is_multiple_of(16) && R >= 1 && R * lanes <= 16,
+        "strip must fit sixteen 512-bit accumulators"
     );
-    assert_eq!(out.len(), W);
-    assert!(x.len() >= k);
+    assert!(a.len() >= R * k);
+    assert!(col + W <= n && out.len() >= (R - 1) * n + col + W);
     assert!(jj + W <= nb);
     assert!(panel.len() >= k * nb);
     let blocks = k.div_ceil(qblock.max(1));
-    assert!(blocks > 0 && qb.scales.len() >= (blocks - 1) * n + j0 + jj + W);
-    assert!(qb.offs.len() >= (blocks - 1) * n + j0 + jj + W);
+    assert!(blocks > 0 && qb.scales.len() >= (blocks - 1) * n + col + W);
+    assert!(qb.offs.len() >= (blocks - 1) * n + col + W);
 
-    let mut acc = [_mm512_setzero_ps(); 4];
-    for v in 0..lanes {
-        acc[v] = _mm512_loadu_ps(out.as_ptr().add(v * 16));
+    let mut acc = [[_mm512_setzero_ps(); 4]; R];
+    for r in 0..R {
+        for v in 0..lanes {
+            acc[r][v] = _mm512_loadu_ps(out.as_ptr().add(r * n + col + v * 16));
+        }
     }
     let mut p0 = 0;
     let mut b = 0;
     while p0 < k {
         let p1 = k.min(p0 + qblock);
-        let s_base = qb.scales.as_ptr().add(b * n + j0 + jj);
-        let o_base = qb.offs.as_ptr().add(b * n + j0 + jj);
+        let s_base = qb.scales.as_ptr().add(b * n + col);
+        let o_base = qb.offs.as_ptr().add(b * n + col);
         let mut s = [_mm512_setzero_ps(); 4];
         let mut o = [_mm512_setzero_ps(); 4];
         for v in 0..lanes {
@@ -811,24 +955,30 @@ unsafe fn matvec_q8_strip_avx512<const W: usize>(
             o[v] = _mm512_loadu_ps(o_base.add(v * 16));
         }
         for p in p0..p1 {
-            let xv = *x.get_unchecked(p);
-            if skip && xv == 0.0 {
+            if R == 1 && skip && *a.get_unchecked(p) == 0.0 {
                 continue;
             }
-            let xs = _mm512_set1_ps(xv);
             let q_base = panel.as_ptr().add(p * nb + jj);
+            let mut w = [_mm512_setzero_ps(); 4];
             for v in 0..lanes {
                 let qi = _mm_loadu_si128(q_base.add(v * 16) as *const __m128i);
                 let qf = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(qi));
-                let w = _mm512_add_ps(_mm512_mul_ps(qf, s[v]), o[v]);
-                acc[v] = _mm512_add_ps(acc[v], _mm512_mul_ps(xs, w));
+                w[v] = _mm512_add_ps(_mm512_mul_ps(qf, s[v]), o[v]);
+            }
+            for r in 0..R {
+                let xs = _mm512_set1_ps(*a.get_unchecked(r * k + p));
+                for v in 0..lanes {
+                    acc[r][v] = _mm512_add_ps(acc[r][v], _mm512_mul_ps(xs, w[v]));
+                }
             }
         }
         p0 = p1;
         b += 1;
     }
-    for v in 0..lanes {
-        _mm512_storeu_ps(out.as_mut_ptr().add(v * 16), acc[v]);
+    for r in 0..R {
+        for v in 0..lanes {
+            _mm512_storeu_ps(out.as_mut_ptr().add(r * n + col + v * 16), acc[r][v]);
+        }
     }
 }
 
@@ -840,6 +990,22 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
         acc += x * y;
     }
     acc
+}
+
+/// `v.floor()` for `|v| < 2³¹`, as truncate-then-fix-up: unlike
+/// `f32::floor` it needs no libm call on targets without a rounding
+/// instruction, so loops over it vectorize. Two inputs differ: `-0.0` comes
+/// back as `+0.0` (`x·log₂e + 0.5` is never `-0.0`, and [`exp_approx`] could
+/// not tell the two apart), and NaN comes back as 0 (its next subtraction
+/// turns that back into NaN).
+#[inline]
+fn floor_small(v: f32) -> f32 {
+    let t = v as i32 as f32;
+    if t > v {
+        t - 1.0
+    } else {
+        t
+    }
 }
 
 /// Fast `exp` via the standard Cephes-style range reduction
@@ -859,7 +1025,7 @@ fn exp_approx(x: f32) -> f32 {
     const P3: f32 = 4.166_579_6e-2;
     const P4: f32 = 1.666_666_6e-1;
     const P5: f32 = 5.0e-1;
-    let n = (x * LOG2E + 0.5).floor();
+    let n = floor_small(x * LOG2E + 0.5);
     // Two-step Cody-Waite reduction keeps r accurate near the split points.
     let r = x - n * LN2_HI - n * LN2_LO;
     let r2 = r * r;
@@ -872,9 +1038,14 @@ fn exp_approx(x: f32) -> f32 {
 /// In-place numerically stable softmax over one row.
 pub fn softmax_row(row: &mut [f32]) {
     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0;
+    // Two loops: the exponentials are independent and vectorize; the sum
+    // must run in index order, which would otherwise hold the whole loop
+    // scalar.
     for v in row.iter_mut() {
         *v = exp_approx(*v - max);
+    }
+    let mut sum = 0.0;
+    for v in row.iter() {
         sum += *v;
     }
     if sum > 0.0 {
@@ -891,6 +1062,7 @@ pub fn softmax_row(row: &mut [f32]) {
 /// Libm's `tanhf` dominated the MLP forward pass (one call per hidden
 /// activation); this is pure f32 mul/add/div, so it both vectorizes and
 /// stays bit-reproducible across runs.
+#[inline]
 fn tanh_approx(x: f32) -> f32 {
     // Beyond ±7.90531 f32 tanh is exactly ±1.
     let x = x.clamp(-7.905_311, 7.905_311);
@@ -912,6 +1084,7 @@ fn tanh_approx(x: f32) -> f32 {
 }
 
 /// GELU activation (tanh approximation, as used by GPT-family models).
+#[inline]
 pub fn gelu(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
     0.5 * x * (1.0 + tanh_approx(C * (x + 0.044_715 * x * x * x)))
@@ -1336,6 +1509,25 @@ mod tests {
         // indistinguishable from zero once normalized by a softmax sum.
         assert!(exp_approx(-200.0) < 1e-37);
         assert!(exp_approx(f32::NAN).is_nan());
+    }
+
+    #[test]
+    fn floor_small_is_floor_on_the_reduced_range() {
+        // Every integer of the exponent range, its neighbours one ulp
+        // either side, and a dense sweep between: the values `exp_approx`
+        // floors after clamping.
+        let mut probes: Vec<f32> = (-1300..=1300).map(|i| i as f32 * 0.1003).collect();
+        for i in -130..=130 {
+            let f = i as f32;
+            probes.extend([f, f32::from_bits(f.to_bits() + 1), f + 0.5]);
+            if f != 0.0 {
+                probes.push(f32::from_bits(f.to_bits() - 1));
+            }
+        }
+        probes.extend([0.25, -0.25, 1e-30, -1e-30]);
+        for v in probes {
+            assert_eq!(floor_small(v).to_bits(), v.floor().to_bits(), "{v}");
+        }
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! guarantees the model-level `Precision::Int8` path leans on.
 
 use proptest::prelude::*;
-use wisdom_tensor::kernels::{matmul_acc, matmul_q8_acc, matmul_q8_acc_threads, matvec_q8_acc};
+use wisdom_tensor::kernels::{
+    matmul_acc, matmul_q8_acc, matmul_q8_acc_gebp, matmul_q8_acc_portable_strips,
+    matmul_q8_acc_threads, matvec_q8_acc,
+};
 use wisdom_tensor::QuantMatrix;
 
 /// Zero-skipping reference matvec mirroring the solo decode step.
@@ -113,6 +116,70 @@ proptest! {
                 let err = (w[p * n + j] - deq[p * n + j]).abs();
                 let bound = qm.scale_at(p, j) * 0.501 + 1e-5;
                 prop_assert!(err <= bound, "({p},{j}): err {err} > bound {bound}");
+            }
+        }
+    }
+}
+
+type Q8Kernel = fn(&[f32], &QuantMatrix, usize, &mut [f32]);
+
+/// Every row count that mixes the 8/4/2/1 row tiles differently, against
+/// the serving shapes (the fixture's 64×{64, 1000} and 256×64, plus widths
+/// that end a panel on a 32-, 8- and sub-8-column strip), on every dispatch
+/// arm: whatever the host detects, the portable strip bodies called
+/// directly, and the scratch + GEBP arm.
+#[test]
+fn row_tiled_strips_bit_identical_on_every_arm() {
+    for k in [64usize, 256] {
+        for n in [8usize, 40, 64, 100, 1000] {
+            let w = pseudo(k * n, (k * 31 + n) as u64);
+            for block in [64usize, 48, 7] {
+                let qm = QuantMatrix::quantize_blocked(&w, k, n, block);
+                let deq = qm.dequantize();
+                for m in 1..=17usize {
+                    let a = pseudo(m * k, (m * 131 + n) as u64);
+                    let init = pseudo(m * n, m as u64 ^ 0x517c);
+                    let mut oracle = init.clone();
+                    matmul_acc(&a, &deq, m, k, n, &mut oracle);
+                    let arms: [(&str, Q8Kernel); 3] = [
+                        ("detected", matmul_q8_acc),
+                        ("portable strips", matmul_q8_acc_portable_strips),
+                        ("gebp", matmul_q8_acc_gebp),
+                    ];
+                    for (arm, kernel) in arms {
+                        let mut fast = init.clone();
+                        kernel(&a, &qm, m, &mut fast);
+                        assert!(
+                            bits_equal(&fast, &oracle),
+                            "{arm} arm diverged at m={m} k={k} n={n} block={block}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The f32 row-remainder tiles (2- and 1-row, wider than the 4-row tile),
+/// the in-place small-`m` arm and the packed arm all accumulate an output
+/// element in the same order: row `i` of an `m`-row product equals the
+/// one-row product of row `i`, bit for bit.
+#[test]
+fn f32_row_tiles_match_the_single_row_path() {
+    for (k, n) in [(64usize, 1000usize), (256, 64), (33, 45), (7, 130)] {
+        let b = pseudo(k * n, (k + n) as u64);
+        for m in (1..=17usize).chain([33, 35]) {
+            let a = pseudo(m * k, (m * 17 + k) as u64);
+            let init = pseudo(m * n, m as u64);
+            let mut whole = init.clone();
+            matmul_acc(&a, &b, m, k, n, &mut whole);
+            for i in 0..m {
+                let mut row = init[i * n..(i + 1) * n].to_vec();
+                matmul_acc(&a[i * k..(i + 1) * k], &b, 1, k, n, &mut row);
+                assert!(
+                    bits_equal(&whole[i * n..(i + 1) * n], &row),
+                    "row {i} of m={m} k={k} n={n} diverged from the one-row product"
+                );
             }
         }
     }

@@ -3,8 +3,10 @@
 # every bench target so bench-only breakage is caught without running
 # criterion, then the whole test suite in one invocation — every crate's
 # unit, property and agreement suites, the root integration tests and the
-# doc tests, with its wall time printed — and a build + unit-test pass of
-# the standalone benchmark package, so a change to a public type it
+# doc tests, with its wall time printed — the tensor crate's unit and
+# property suites once more with `--release` (the explicit-intrinsics
+# kernels are what ships, and a debug build never inlines them the same
+# way) — and a build + unit-test pass of the standalone benchmark package, so a change to a public type it
 # compiles against (`DecodeRequest`'s four-field literal,
 # `GenerationOptions { .., ..default() }`, `DecodeBatch::admit/step`,
 # `GrammarCursor::new/apply/advance`) fails here instead of in the
@@ -20,5 +22,6 @@ cargo bench --workspace --no-run
 suite_start=$SECONDS
 cargo test --workspace -q
 echo "cargo test --workspace -q: $((SECONDS - suite_start)) s"
+cargo test --release -q -p wisdom-tensor
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml

@@ -178,6 +178,12 @@ fn stats_endpoint_reports_speculation_config() {
     assert_eq!(spec.get("enabled").and_then(Json::as_bool), Some(true));
     assert_eq!(spec.get("k").and_then(Json::as_f64), Some(4.0));
     assert_eq!(spec.get("draft").and_then(Json::as_str), Some("ngram"));
+    // The break-even gate's state rides along: a verify pass ran only
+    // where a sequence's drafts were paying, and every closure is counted.
+    let passes = spec.get("verify_passes").and_then(Json::as_f64);
+    let closed = spec.get("gate_closed").and_then(Json::as_f64);
+    assert!(passes.is_some_and(|p| p >= 1.0), "{body}");
+    assert!(closed.is_some_and(|c| c <= passes.unwrap()), "{body}");
     // The metric family shares the scrape with the rest of the stack.
     let (status, metrics) = get(addr, "/metrics").expect("get metrics");
     assert_eq!(status, 200);
