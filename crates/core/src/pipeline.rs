@@ -6,8 +6,8 @@ use std::sync::{Arc, OnceLock};
 use wisdom_corpus::{Corpus, CorpusSpec, PromptStyle, SplitSamples};
 use wisdom_model::{
     finetune, pack_documents, pretrain, BatchConfig, BatchScheduler, Constraint, FinetuneConfig,
-    GenerationOptions, GrammarIndex, ModelConfig, PretrainConfig, SftSample, SubmitError,
-    TransformerLm,
+    GenerationOptions, GrammarIndex, GrammarStats, ModelConfig, PretrainConfig, SftSample,
+    SubmitError, TransformerLm,
 };
 use wisdom_prng::Prng;
 use wisdom_tokenizer::BpeTokenizer;
@@ -239,6 +239,17 @@ impl Wisdom {
         Some(Arc::clone(slot.get_or_init(|| {
             build(&self.tokenizer, constraint).expect("non-None constraints always compile")
         })))
+    }
+
+    /// Counters of the grammars compiled so far, summed: one index per
+    /// constraint and scope this assistant has served, each shared by every
+    /// replica and request of the process. Builds nothing.
+    pub fn grammar_stats(&self) -> GrammarStats {
+        self.grammars
+            .iter()
+            .filter_map(|slot| slot.get())
+            .map(|index| index.stats())
+            .sum()
     }
 
     /// The grammar `request` decodes under. A cursor reads its scope column

@@ -1,10 +1,18 @@
 //! Token-level projection of the byte automaton onto a live BPE vocabulary:
 //! per-state allowed-token masks with caching, a forced-token fast path,
 //! and the per-sequence [`GrammarCursor`] decode paths drive.
+//!
+//! One invariant: an automaton state is walked over the vocabulary once
+//! ([`GrammarIndex::compute_mask`]). What the walk learns — which tokens are
+//! legal and how long the canonical close is after each — is kept in the
+//! state's [`CacheEntry`]; budget-filtered masks and [`GrammarCursor::advance`]
+//! read it from there instead of walking again.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 use wisdom_tokenizer::BpeTokenizer;
 
@@ -13,35 +21,258 @@ use crate::scope::TaskScope;
 use crate::state::{ConstraintState, Machine, Mode};
 use crate::tables::Tables;
 
-/// Mask-cache capacity: cleared wholesale when full (states are tiny and
-/// rebuilds are cheap relative to an unbounded map).
+/// Entries one generation of the mask cache holds (the cache holds two). A
+/// build walks the whole vocabulary through the automaton, ~200 µs against
+/// the ~20 µs of a decode round, so the bound must never throw away states
+/// that are still in use: `offline_eval`'s pool has 4244 states, and when
+/// the map was cleared wholesale at this size, rebuilding them was half of
+/// a pass (EXPERIMENTS.md, "Every state builds its mask once").
 const CACHE_CAP: usize = 4096;
 
-/// One cached allowed-token mask.
+/// A map bounded at two generations that forgets only what went unused: the
+/// entries asked for since the last retirement are the young generation, the
+/// rest the old one. A build that finds the map full retires a generation —
+/// old is dropped, young becomes old.
+///
+/// Only builds bring a retirement closer; a hit marks its entry and adds
+/// nothing. A recycled working set between one and two generations large
+/// has to survive the few new states every pass brings: were hits to fill a
+/// generation, such a set would fill one every pass, and the next build
+/// would drop the part of it the pass had not reached yet.
+struct MaskCache<K, V> {
+    /// The value, and whether it was asked for since the last retirement.
+    entries: HashMap<K, (V, bool)>,
+    generation: usize,
+    /// Generations dropped so far.
+    dropped: u64,
+}
+
+impl<K: Hash + Eq, V: Clone> MaskCache<K, V> {
+    fn new(generation: usize) -> MaskCache<K, V> {
+        MaskCache {
+            entries: HashMap::new(),
+            generation,
+            dropped: 0,
+        }
+    }
+
+    /// The entry for `key`, which now counts as young.
+    fn get(&mut self, key: &K) -> Option<V> {
+        let (value, young) = self.entries.get_mut(key)?;
+        *young = true;
+        Some(value.clone())
+    }
+
+    /// Adds an entry (old until someone asks for it), first retiring a
+    /// generation if the map is full. Returns whether one was dropped.
+    fn insert(&mut self, key: K, value: V) -> bool {
+        let bound = 2 * self.generation;
+        let full = self.entries.len() >= bound && !self.entries.contains_key(&key);
+        if full {
+            self.entries.retain(|_, (_, young)| std::mem::take(young));
+            if self.entries.len() >= bound {
+                // Every entry was young: the working set is past the bound,
+                // and goes whole as it would from any map this size.
+                self.entries.clear();
+            }
+            self.dropped += 1;
+        }
+        self.entries.insert(key, (value, false));
+        full
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+    }
+}
+
+/// Canonical-close lengths of an entry's allowed tokens, as the excess over
+/// the entry's shortest, one per allowed token in ascending id (bitset)
+/// order, packed at the narrowest power-of-two width that holds the largest.
+/// Within one state the closes mostly differ by two or three bytes — two
+/// bits a token; a `(token, length)` list cost the serving workloads a sixth
+/// more resident memory.
+struct CloseDeltas {
+    /// Bits per delta: 0 (all closes equal), 1, 2, 4, 8 or 16.
+    width: usize,
+    words: Box<[u64]>,
+}
+
+impl CloseDeltas {
+    fn pack(deltas: impl ExactSizeIterator<Item = u32>, largest: u32) -> CloseDeltas {
+        let width = match u32::BITS - largest.leading_zeros() {
+            0 => 0,
+            bits => bits.next_power_of_two() as usize,
+        };
+        let mut words = vec![0u64; (deltas.len() * width).div_ceil(64)];
+        if width > 0 {
+            for (rank, delta) in deltas.enumerate() {
+                debug_assert!(delta <= largest);
+                words[rank * width / 64] |= u64::from(delta) << (rank * width % 64);
+            }
+        }
+        CloseDeltas {
+            width,
+            words: words.into(),
+        }
+    }
+
+    fn get(&self, rank: usize) -> u32 {
+        if self.width == 0 {
+            return 0;
+        }
+        let at = rank * self.width;
+        ((self.words[at / 64] >> (at % 64)) & ((1 << self.width) - 1)) as u32
+    }
+}
+
+/// The token ids set in a vocabulary bitmask, ascending.
+fn set_bits(mask: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    mask.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                w as u32 * 64 + bit
+            })
+        })
+    })
+}
+
+/// What one walk of the vocabulary from one automaton state found.
 struct CacheEntry {
     /// Bitmask over the vocabulary (bit set = token allowed).
-    allowed: Arc<Vec<u64>>,
+    allowed: Vec<u64>,
     allowed_count: u32,
     /// The unique allowed token when `allowed_count == 1`.
     forced: Option<u32>,
-    /// Max canonical-close length after any allowed token; the cached mask
-    /// is budget-safe whenever `remaining >= worst_close + 2`.
+    /// Min / max canonical-close length after any allowed token; the mask is
+    /// budget-safe as it stands whenever `remaining >= worst_close + 2`.
+    min_close: u32,
     worst_close: u32,
+    /// Close length after each allowed token (end-of-sequence, which needs
+    /// no close, holds a slot of 0).
+    deltas: CloseDeltas,
+}
+
+impl CacheEntry {
+    /// Length of the canonical close after `token`; `None` when the token is
+    /// not allowed here (illegal bytes, or a post-state that cannot close).
+    fn close_after(&self, token: u32) -> Option<u32> {
+        let (word, bit) = (token as usize / 64, token % 64);
+        let bits = *self.allowed.get(word)?;
+        if bits & (1 << bit) == 0 {
+            return None;
+        }
+        let before: u32 = self.allowed[..word].iter().map(|w| w.count_ones()).sum();
+        let rank = before + (bits & ((1 << bit) - 1)).count_ones();
+        Some(self.min_close + self.deltas.get(rank as usize))
+    }
+
+    /// The allowed tokens whose post-state still closes with one byte-token
+    /// per remaining slot plus the end-of-sequence slot. End-of-sequence
+    /// itself needs no room.
+    fn within_budget(&self, remaining: u32, eot: u32) -> TightMask {
+        let mut allowed = vec![0u64; self.allowed.len()];
+        let mut count = 0u32;
+        let mut first = None;
+        for (rank, id) in set_bits(&self.allowed).enumerate() {
+            if id == eot || self.min_close + self.deltas.get(rank) + 2 <= remaining {
+                allowed[id as usize / 64] |= 1 << (id % 64);
+                count += 1;
+                first = first.or(Some(id));
+            }
+        }
+        TightMask {
+            allowed,
+            count,
+            forced: first.filter(|_| count == 1),
+        }
+    }
+}
+
+/// An entry's mask filtered down to what a tight budget still admits.
+#[derive(Clone)]
+struct TightMask {
+    allowed: Vec<u64>,
+    count: u32,
+    forced: Option<u32>,
+}
+
+/// The mask of one `(state, remaining)`: the state's cached entry, plus its
+/// budget-filtered subset when the close must be forced soon.
+#[derive(Clone)]
+struct Mask {
+    entry: Arc<CacheEntry>,
+    tight: Option<TightMask>,
+}
+
+impl Mask {
+    fn allowed(&self) -> &[u64] {
+        self.tight
+            .as_ref()
+            .map_or(&self.entry.allowed, |t| &t.allowed)
+    }
+
+    fn count(&self) -> u32 {
+        self.tight
+            .as_ref()
+            .map_or(self.entry.allowed_count, |t| t.count)
+    }
+
+    fn forced(&self) -> Option<u32> {
+        self.tight.as_ref().map_or(self.entry.forced, |t| t.forced)
+    }
+}
+
+/// One cache miss: the walk it cost and what inserting its entry displaced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MaskBuild {
+    /// Time spent walking the vocabulary through the automaton.
+    pub elapsed: Duration,
+    /// Whether the insert found the cache full and retired a generation
+    /// (dropping the entries unasked for since the last retirement).
+    pub dropped_generation: bool,
 }
 
 /// Counter snapshot for `/v1/stats` and benches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GrammarStats {
-    /// Fresh masks computed.
+    /// Fresh masks computed (one walk of the vocabulary each).
     pub mask_builds: u64,
     /// Mask requests served from the state cache.
     pub cache_hits: u64,
-    /// States currently cached.
+    /// Budget-filtered masks derived from a cached entry.
+    pub derived_masks: u64,
+    /// States currently cached (both generations).
     pub states_cached: u64,
+    /// Cache generations dropped to stay within the bound.
+    pub generations_dropped: u64,
     /// Single-legal-token fast-path hits.
     pub forced_hits: u64,
     /// Total vocabulary entries masked out across all applies.
     pub masked_total: u64,
+}
+
+/// Field-wise totals: a process holds one index per constraint and scope it
+/// has served, and reports them as one.
+impl std::iter::Sum for GrammarStats {
+    fn sum<I: Iterator<Item = GrammarStats>>(stats: I) -> GrammarStats {
+        stats.fold(GrammarStats::default(), |a, b| GrammarStats {
+            mask_builds: a.mask_builds + b.mask_builds,
+            cache_hits: a.cache_hits + b.cache_hits,
+            derived_masks: a.derived_masks + b.derived_masks,
+            states_cached: a.states_cached + b.states_cached,
+            generations_dropped: a.generations_dropped + b.generations_dropped,
+            forced_hits: a.forced_hits + b.forced_hits,
+            masked_total: a.masked_total + b.masked_total,
+        })
+    }
 }
 
 /// The compiled grammar bound to a tokenizer vocabulary.
@@ -62,9 +293,10 @@ pub struct GrammarIndex {
     /// Token ids grouped by first byte; tokens containing bytes the grammar
     /// can never emit are excluded up front.
     by_first: Vec<Vec<u32>>,
-    cache: Mutex<HashMap<ConstraintState, CacheEntry>>,
+    cache: Mutex<MaskCache<ConstraintState, Arc<CacheEntry>>>,
     mask_builds: AtomicU64,
     cache_hits: AtomicU64,
+    derived_masks: AtomicU64,
     forced_hits: AtomicU64,
     masked_total: AtomicU64,
 }
@@ -139,9 +371,10 @@ impl GrammarIndex {
             vocab_size,
             eot: tokenizer.eot(),
             by_first,
-            cache: Mutex::new(HashMap::new()),
+            cache: Mutex::new(MaskCache::new(CACHE_CAP)),
             mask_builds: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
+            derived_masks: AtomicU64::new(0),
             forced_hits: AtomicU64::new(0),
             masked_total: AtomicU64::new(0),
         }))
@@ -161,10 +394,16 @@ impl GrammarIndex {
     }
 
     pub fn stats(&self) -> GrammarStats {
+        let (states_cached, generations_dropped) = {
+            let cache = self.cache.lock().expect("grammar cache lock");
+            (cache.len() as u64, cache.dropped)
+        };
         GrammarStats {
             mask_builds: self.mask_builds.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            states_cached: self.cache.lock().expect("grammar cache lock").len() as u64,
+            derived_masks: self.derived_masks.load(Ordering::Relaxed),
+            states_cached,
+            generations_dropped,
             forced_hits: self.forced_hits.load(Ordering::Relaxed),
             masked_total: self.masked_total.load(Ordering::Relaxed),
         }
@@ -214,24 +453,16 @@ impl GrammarIndex {
         Some((cur, est))
     }
 
-    /// Computes the allowed mask for `state`, keeping only tokens whose
-    /// post-state can still close within `budget` further tokens... bytes.
-    /// `budget == u32::MAX` means unfiltered.
-    fn compute_mask(&self, state: &ConstraintState, budget: u32) -> CacheEntry {
+    /// Walks every plausible token from `state` through the automaton: the
+    /// allowed set, and the canonical-close length each allowed token leaves.
+    fn compute_mask(&self, state: &ConstraintState) -> CacheEntry {
         let m = self.machine();
-        let words = self.vocab_size.div_ceil(64);
-        let mut allowed = vec![0u64; words];
-        let mut count = 0u32;
-        let mut forced = None;
-        let mut worst = 0u32;
-        let mut note = |id: u32, allowed: &mut Vec<u64>| {
-            allowed[id as usize / 64] |= 1 << (id % 64);
-            count += 1;
-            forced = if count == 1 { Some(id) } else { None };
-        };
+        // (token, close length after it), collected in walk order.
+        let mut found: Vec<(u32, u32)> = Vec::new();
         if m.accepting(state) {
-            note(self.eot, &mut allowed);
+            found.push((self.eot, 0));
         }
+        let (mut min, mut worst) = (u32::MAX, 0u32);
         for b in 0..=255u8 {
             if self.by_first[b as usize].is_empty() || m.advance(state, b).is_none() {
                 continue;
@@ -239,72 +470,70 @@ impl GrammarIndex {
             for &id in &self.by_first[b as usize] {
                 let bytes = &self.token_bytes[id as usize];
                 if let Some((_, est)) = self.advance_token(&m, state, bytes) {
-                    // The post-state must close with one byte-token per
-                    // remaining slot plus the EOS slot.
-                    if budget == u32::MAX || est + 2 <= budget {
-                        note(id, &mut allowed);
-                        worst = worst.max(est);
-                    }
+                    found.push((id, est));
+                    min = min.min(est);
+                    worst = worst.max(est);
                 }
             }
         }
-        self.mask_builds.fetch_add(1, Ordering::Relaxed);
+        let min = min.min(worst); // no byte token allowed: both 0
+        found.sort_unstable_by_key(|&(id, _)| id);
+        let mut allowed = vec![0u64; self.vocab_size.div_ceil(64)];
+        for &(id, _) in &found {
+            allowed[id as usize / 64] |= 1 << (id % 64);
+        }
+        // End-of-sequence was noted with a close of 0: its slot holds 0.
+        let deltas = CloseDeltas::pack(
+            found.iter().map(|&(_, est)| est.saturating_sub(min)),
+            worst - min,
+        );
         CacheEntry {
-            allowed: Arc::new(allowed),
-            allowed_count: count,
-            forced,
+            allowed,
+            allowed_count: found.len() as u32,
+            forced: match found[..] {
+                [(only, _)] => Some(only),
+                _ => None,
+            },
+            min_close: min,
             worst_close: worst,
+            deltas,
         }
     }
 
-    /// Allowed mask for `(state, remaining)`: cached when the budget is
-    /// comfortable, recomputed filtered when the close must be forced soon.
-    fn mask_for(
-        &self,
-        state: &ConstraintState,
-        remaining: u32,
-    ) -> (Arc<Vec<u64>>, u32, Option<u32>, bool) {
-        {
-            let cache = self.cache.lock().expect("grammar cache lock");
-            if let Some(e) = cache.get(state) {
-                if remaining >= e.worst_close + 2 {
-                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    return (Arc::clone(&e.allowed), e.allowed_count, e.forced, true);
-                }
-            }
+    /// The entry of `state`: from the cache (one lock), or built now and
+    /// cached — the only place a mask is ever computed.
+    fn entry_for(&self, state: &ConstraintState) -> (Arc<CacheEntry>, Option<MaskBuild>) {
+        if let Some(entry) = self.cache.lock().expect("grammar cache lock").get(state) {
+            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            return (entry, None);
         }
-        let tight = {
-            // Peek the cached worst_close (if any) to decide whether a
-            // budget-filtered, uncacheable mask is needed.
-            let cache = self.cache.lock().expect("grammar cache lock");
-            cache.get(state).map(|e| e.worst_close + 2 > remaining)
+        // Built outside the lock: other sequences keep hitting meanwhile.
+        let started = Instant::now();
+        let entry = Arc::new(self.compute_mask(state));
+        let elapsed = started.elapsed();
+        self.mask_builds.fetch_add(1, Ordering::Relaxed);
+        let dropped_generation = self
+            .cache
+            .lock()
+            .expect("grammar cache lock")
+            .insert(*state, Arc::clone(&entry));
+        let build = MaskBuild {
+            elapsed,
+            dropped_generation,
         };
-        if tight != Some(true) {
-            let entry = self.compute_mask(state, u32::MAX);
-            if remaining >= entry.worst_close + 2 {
-                let out = (
-                    Arc::clone(&entry.allowed),
-                    entry.allowed_count,
-                    entry.forced,
-                    false,
-                );
-                let mut cache = self.cache.lock().expect("grammar cache lock");
-                if cache.len() >= CACHE_CAP {
-                    cache.clear();
-                }
-                cache.insert(*state, entry);
-                return out;
-            }
-            // Cache the unfiltered mask for future generous budgets, then
-            // fall through to the filtered computation.
-            let mut cache = self.cache.lock().expect("grammar cache lock");
-            if cache.len() >= CACHE_CAP {
-                cache.clear();
-            }
-            cache.insert(*state, entry);
-        }
-        let entry = self.compute_mask(state, remaining);
-        (entry.allowed, entry.allowed_count, entry.forced, false)
+        (entry, Some(build))
+    }
+
+    /// Allowed mask for `(state, remaining)`: the state's entry as it stands
+    /// when the budget is comfortable, filtered by the close lengths the
+    /// entry keeps when the close must be forced soon.
+    fn mask_for(&self, state: &ConstraintState, remaining: u32) -> (Mask, Option<MaskBuild>) {
+        let (entry, build) = self.entry_for(state);
+        let tight = (remaining < entry.worst_close + 2).then(|| {
+            self.derived_masks.fetch_add(1, Ordering::Relaxed);
+            entry.within_budget(remaining, self.eot)
+        });
+        (Mask { entry, tight }, build)
     }
 }
 
@@ -315,8 +544,10 @@ pub struct MaskOutcome {
     pub forced: Option<u32>,
     /// Vocabulary entries masked to `-inf`.
     pub masked: u32,
-    /// Whether the mask came from the state cache.
-    pub cache_hit: bool,
+    /// The walk this lookup cost, when the state's mask had to be built;
+    /// `None` when it was already there — in the state cache, or looked up
+    /// earlier at this position.
+    pub built: Option<MaskBuild>,
     /// Whether the cursor actually constrained this row (false in bypass).
     pub active: bool,
 }
@@ -326,7 +557,7 @@ impl MaskOutcome {
         MaskOutcome {
             forced: None,
             masked: 0,
-            cache_hit: false,
+            built: None,
             active: false,
         }
     }
@@ -357,6 +588,9 @@ pub struct GrammarCursor {
     /// The scope closed inside a token that was advanced past (one that
     /// straddles a newline): the sequence ends at the next pick.
     closed: bool,
+    /// The mask of the current `(state, remaining)`, looked up at most once
+    /// per position: `peek`, `apply` and `advance` all read this one.
+    mask: OnceLock<Mask>,
 }
 
 impl std::fmt::Debug for GrammarCursor {
@@ -392,6 +626,7 @@ impl GrammarCursor {
             done: false,
             scope,
             closed: false,
+            mask: OnceLock::new(),
         }
     }
 
@@ -432,18 +667,43 @@ impl GrammarCursor {
         &self.index
     }
 
+    /// The mask at the current position, and the build it cost if this call
+    /// is the one that had to compute it.
+    fn mask(&self) -> (&Mask, Option<MaskBuild>) {
+        let mut built = None;
+        let mask = self.mask.get_or_init(|| {
+            let (mask, build) = self.index.mask_for(&self.state, self.remaining);
+            built = build;
+            mask
+        });
+        (mask, built)
+    }
+
+    /// What [`Self::apply`] would report at this position, before any logits
+    /// exist (`masked` is 0): the forced token if exactly one continuation
+    /// is legal, and what finding that out cost.
+    pub fn peek(&self) -> MaskOutcome {
+        if !self.is_active() {
+            return MaskOutcome::inactive();
+        }
+        let (mask, built) = self.mask();
+        let forced = mask.forced();
+        if forced.is_some() {
+            self.index.forced_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        MaskOutcome {
+            forced,
+            masked: 0,
+            built,
+            active: true,
+        }
+    }
+
     /// The single legal next token, if exactly one exists (fast path: the
     /// caller may skip the logit mask and sampling entirely, which also
     /// keeps greedy/sampled runs byte-identical on forced stretches).
     pub fn next_forced(&self) -> Option<u32> {
-        if !self.is_active() {
-            return None;
-        }
-        let (_, _, forced, _) = self.index.mask_for(&self.state, self.remaining);
-        if forced.is_some() {
-            self.index.forced_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        forced
+        self.peek().forced
     }
 
     /// Masks illegal entries of `logits` to `-inf`. The existing argmax and
@@ -454,8 +714,12 @@ impl GrammarCursor {
         if !self.is_active() {
             return MaskOutcome::inactive();
         }
-        let (allowed, count, forced, cache_hit) = self.index.mask_for(&self.state, self.remaining);
-        debug_assert!(count > 0, "grammar mask must never be empty while active");
+        let (mask, built) = self.mask();
+        debug_assert!(
+            mask.count() > 0,
+            "grammar mask must never be empty while active"
+        );
+        let allowed = mask.allowed();
         let n = logits.len().min(self.index.vocab_size);
         let mut masked = 0u32;
         for (i, l) in logits.iter_mut().enumerate().take(n) {
@@ -472,9 +736,9 @@ impl GrammarCursor {
             .masked_total
             .fetch_add(masked as u64, Ordering::Relaxed);
         MaskOutcome {
-            forced,
+            forced: mask.forced(),
             masked,
-            cache_hit,
+            built,
             active: true,
         }
     }
@@ -497,23 +761,32 @@ impl GrammarCursor {
             self.bypass = true;
             return false;
         }
+        // The state's entry says whether the token is legal here and how
+        // long the close after it is. Mirror the mask's budget filter: a
+        // token that is grammar-legal but leaves no room to close (possible
+        // for externally proposed tokens, e.g. n-gram speculative drafts) is
+        // rejected the same way the mask would have rejected it.
         let m = self.index.machine();
-        let bytes = self.index.bytes_of(token);
-        if bytes.is_empty() {
-            self.bypass = true;
-            return false;
-        }
-        // Mirror the mask's budget filter: a token that is grammar-legal but
-        // leaves no room to close (possible for externally proposed tokens,
-        // e.g. n-gram speculative drafts) is rejected the same way the mask
-        // would have rejected it.
-        match self.index.advance_token(&m, &self.state, bytes) {
-            Some((next, est)) if est + 2 <= self.remaining => {
+        let next = self
+            .mask()
+            .0
+            .entry
+            .close_after(token)
+            .filter(|est| est + 2 <= self.remaining)
+            .and_then(|_| {
+                let bytes = self.index.bytes_of(token);
+                bytes
+                    .iter()
+                    .try_fold(self.state, |st, &b| m.advance(&st, b))
+            });
+        match next {
+            Some(next) => {
                 self.state = next;
                 self.remaining -= 1;
+                self.mask = OnceLock::new();
                 true
             }
-            _ => {
+            None => {
                 self.bypass = true;
                 false
             }
@@ -556,3 +829,6 @@ impl GrammarCursor {
             .map(|_| out)
     }
 }
+
+#[cfg(test)]
+mod tests;

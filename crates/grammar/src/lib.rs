@@ -18,13 +18,16 @@
 //!   intra-line position, with a *canonical close* function that proves
 //!   every reachable state can finish within the token budget.
 //! * [`GrammarIndex`] — the automaton projected onto a live tokenizer
-//!   vocabulary: per-state allowed-token bitmasks, cached by state, with a
-//!   forced-token fast path when only one continuation is legal.
+//!   vocabulary: each state is walked over the vocabulary once, and the
+//!   allowed-token bitmask plus every allowed token's canonical-close
+//!   length stay in a two-generation cache, with a forced-token fast path
+//!   when only one continuation is legal.
 //! * [`GrammarCursor`] — the per-sequence handle decode loops drive:
 //!   `apply` masks a logit row (illegal entries to `-inf`, so the existing
 //!   argmax/top-k pickers never choose them and constrained greedy decode
 //!   is bit-identical to unconstrained whenever the unconstrained argmax is
-//!   already legal), `advance` steps past the chosen token. Cursors of a
+//!   already legal), `advance` steps past the chosen token (both read the
+//!   cached entry of the cursor's state — nothing is walked twice). Cursors of a
 //!   *completion-scoped* index ([`GrammarIndex::build_scoped`]) also say
 //!   which pick `closes` the task the prompt opened ([`TaskScope`]), so a
 //!   decode loop stops where first-task truncation would cut anyway.
@@ -36,7 +39,7 @@ mod state;
 mod tables;
 
 pub use constraint::Constraint;
-pub use index::{GrammarCursor, GrammarIndex, GrammarStats, MaskOutcome};
+pub use index::{GrammarCursor, GrammarIndex, GrammarStats, MaskBuild, MaskOutcome};
 pub use scope::TaskScope;
 pub use state::ConstraintState;
 

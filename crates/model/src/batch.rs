@@ -1571,6 +1571,26 @@ mod tests {
         engine.admit_full(2, request, None, Some(sink), None);
         assert_eq!(engine.step(), vec![(2, out[..1].to_vec())]);
         assert!(engine.is_empty());
+
+        // Every mask build is reported, whichever call met the state first:
+        // most are met by the forced-run probe, not by the logit mask.
+        let index = GrammarIndex::build(&tokenizer, Constraint::Ansible).expect("index");
+        let registry = wisdom_telemetry::Registry::new();
+        let telemetry = GrammarTelemetry::register(&registry);
+        engine.set_grammar_telemetry(telemetry.clone());
+        let request = DecodeRequest {
+            prompt: tokenizer.encode("- name: Install nginx\n"),
+            stops: vec![tokenizer.eot()],
+            opts: greedy(40),
+            grammar: Some(Arc::clone(&index)),
+        };
+        engine.admit_full(3, request, None, None, None);
+        while engine.step().is_empty() {}
+        let stats = index.stats();
+        assert!(stats.mask_builds > 0);
+        assert_eq!(telemetry.mask_build.snapshot().count(), stats.mask_builds);
+        assert!((telemetry.states_cached.get() - stats.states_cached as f64).abs() < 0.5);
+        assert!(telemetry.fused_tokens.get() > 0);
     }
 
     #[test]

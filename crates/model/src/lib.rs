@@ -66,4 +66,6 @@ pub use train::{
     PretrainConfig, ProgressFn, SftSample,
 };
 pub use transformer::{KvCache, Precision, TransformerLm};
-pub use wisdom_grammar::{Constraint, GrammarCursor, GrammarIndex, GrammarStats, MaskOutcome};
+pub use wisdom_grammar::{
+    Constraint, GrammarCursor, GrammarIndex, GrammarStats, MaskBuild, MaskOutcome,
+};

@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 
+use wisdom_grammar::{GrammarCursor, MaskOutcome};
 use wisdom_telemetry::{Counter, Gauge, Histogram, Registry};
 
 /// Why a sequence stopped decoding — the bounded `reason` label set of
@@ -384,8 +385,11 @@ pub struct GrammarTelemetry {
     /// allowed-token mask (cache hits are not observed).
     pub mask_build: Arc<Histogram>,
     /// `wisdom_grammar_states_cached` — automaton states currently in the
-    /// shared mask cache.
+    /// shared mask cache, as of this bundle's last build.
     pub states_cached: Arc<Gauge>,
+    /// `wisdom_grammar_mask_cache_rotations_total` — builds whose insert
+    /// found the mask cache full and retired a generation.
+    pub cache_rotations: Arc<Counter>,
     /// `wisdom_grammar_forced_fast_path_total` — picks resolved by the
     /// single-legal-token fast path (no argmax / no sampling).
     pub forced_fast_path: Arc<Counter>,
@@ -420,6 +424,11 @@ impl GrammarTelemetry {
                 "Automaton states currently held in the shared mask cache.",
                 labels,
             ),
+            cache_rotations: registry.counter_with(
+                "wisdom_grammar_mask_cache_rotations_total",
+                "Mask cache generations retired (states unasked for since the last are dropped).",
+                labels,
+            ),
             forced_fast_path: registry.counter_with(
                 "wisdom_grammar_forced_fast_path_total",
                 "Token picks resolved by the single-legal-token fast path.",
@@ -430,6 +439,22 @@ impl GrammarTelemetry {
                 "Forced picks made in the round of the pick before them, without logits.",
                 labels,
             ),
+        }
+    }
+
+    /// Records the mask build behind `outcome`, if its lookup missed the
+    /// cache. Builds are timed where they happen (the index's miss path),
+    /// so this holds whichever call met the state first — the forced-run
+    /// probe or the logit mask.
+    pub(crate) fn observe_build(&self, cursor: &GrammarCursor, outcome: &MaskOutcome) {
+        let Some(build) = outcome.built else {
+            return;
+        };
+        self.mask_build.observe(build.elapsed.as_secs_f64());
+        self.states_cached
+            .set(cursor.index().stats().states_cached as f64);
+        if build.dropped_generation {
+            self.cache_rotations.inc();
         }
     }
 }
@@ -517,6 +542,7 @@ mod tests {
             "wisdom_grammar_masked_tokens_total",
             "wisdom_grammar_mask_build_seconds",
             "wisdom_grammar_states_cached",
+            "wisdom_grammar_mask_cache_rotations_total",
             "wisdom_grammar_forced_fast_path_total",
             "wisdom_quant_weight_bytes",
             "wisdom_quant_weight_bytes_saved",

@@ -1324,17 +1324,10 @@ pub(crate) fn mask_logits(
     if !cursor.is_active() {
         return None;
     }
-    let start = telemetry.map(|_| std::time::Instant::now());
     let outcome = cursor.apply(logits);
     if let Some(t) = telemetry {
         t.masked_tokens.add(u64::from(outcome.masked));
-        if !outcome.cache_hit {
-            if let Some(at) = start {
-                t.mask_build.observe(at.elapsed().as_secs_f64());
-            }
-            t.states_cached
-                .set(cursor.index().stats().states_cached as f64);
-        }
+        t.observe_build(cursor, &outcome);
         if outcome.forced.is_some() {
             t.forced_fast_path.inc();
         }
@@ -1350,12 +1343,18 @@ pub(crate) fn forced_token(
     grammar: Option<&GrammarCursor>,
     telemetry: Option<&GrammarTelemetry>,
 ) -> Option<u32> {
-    let forced = grammar?.next_forced()?;
+    let cursor = grammar?;
+    let outcome = cursor.peek();
     if let Some(t) = telemetry {
-        t.forced_fast_path.inc();
-        t.fused_tokens.inc();
+        // Since forced runs are fused this is where most states are first
+        // met, so most mask builds are reported from here.
+        t.observe_build(cursor, &outcome);
+        if outcome.forced.is_some() {
+            t.forced_fast_path.inc();
+            t.fused_tokens.inc();
+        }
     }
-    Some(forced)
+    outcome.forced
 }
 
 /// The one token pick shared by the solo generate loop and the batched

@@ -441,7 +441,7 @@ fn respond(
         ("GET", "/metrics") => {
             Response::text(200, telemetry.render()).with_content_type(METRICS_CONTENT_TYPE)
         }
-        ("GET", "/v1/stats") => stats(router, bundles, config),
+        ("GET", "/v1/stats") => stats(wisdom, router, bundles, config),
         ("POST", "/v1/completions") => return completions(wisdom, router, config, request),
         ("POST", "/v1/lint") => lint(request),
         ("POST", _) | ("GET", _) => Response::text(404, "unknown endpoint"),
@@ -616,8 +616,16 @@ fn forward_stream(
 /// gate let a verify pass run and how often it closed) / precision /
 /// constraint with their counters, plus `replica_count` and a per-replica
 /// breakdown.
-fn stats(router: &Router, bundles: &[ReplicaTelemetry], config: &ServerConfig) -> Response {
+fn stats(
+    wisdom: &Wisdom,
+    router: &Router,
+    bundles: &[ReplicaTelemetry],
+    config: &ServerConfig,
+) -> Response {
     let agg = router.pool().aggregate();
+    // The mask caches are the process's, shared by every replica: read
+    // them, do not sum the replicas' gauges of them.
+    let index = wisdom.grammar_stats();
     let num = |n: usize| Json::Num(n as f64);
     let count = |n: u64| Json::Num(n as f64);
     let pc = agg.prefix_cache.unwrap_or_default();
@@ -722,12 +730,11 @@ fn stats(router: &Router, bundles: &[ReplicaTelemetry], config: &ServerConfig) -
                         "fused_tokens",
                         count(grammar_bundles().map(|g| g.fused_tokens.get()).sum()),
                     ),
-                    (
-                        "states_cached",
-                        num(grammar_bundles()
-                            .map(|g| g.states_cached.get())
-                            .sum::<f64>() as usize),
-                    ),
+                    ("states_cached", count(index.states_cached)),
+                    ("mask_builds", count(index.mask_builds)),
+                    ("cache_hits", count(index.cache_hits)),
+                    ("derived_masks", count(index.derived_masks)),
+                    ("generations_dropped", count(index.generations_dropped)),
                 ]),
             ),
             ("replica_count", num(router.pool().len())),

@@ -6,7 +6,12 @@
 # doc tests, with its wall time printed — the tensor crate's unit and
 # property suites once more with `--release` (the explicit-intrinsics
 # kernels are what ships, and a debug build never inlines them the same
-# way) — and a build + unit-test pass of the standalone benchmark package, so a change to a public type it
+# way) and the grammar crate's (its mask-equivalence property walks the
+# real vocabulary through both the entry and the filtered walk, and the
+# optimized build is the one that serves), printing how many masks the
+# recycled pool built on each pass so a change to the cache's cap or policy
+# shows in this log — and a build + unit-test pass of the standalone
+# benchmark package, so a change to a public type it
 # compiles against (`DecodeRequest`'s four-field literal,
 # `GenerationOptions { .., ..default() }`, `DecodeBatch::admit/step`,
 # `GrammarCursor::new/apply/advance`) fails here instead of in the
@@ -23,5 +28,6 @@ suite_start=$SECONDS
 cargo test --workspace -q
 echo "cargo test --workspace -q: $((SECONDS - suite_start)) s"
 cargo test --release -q -p wisdom-tensor
+cargo test --release -q -p wisdom-grammar -- --nocapture | grep -v '^$'
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml

@@ -860,6 +860,68 @@ fn constrained_completion_round_trip_and_stats_echo() {
 }
 
 #[test]
+fn stats_read_the_shared_mask_cache_once_not_once_per_replica() {
+    use ansible_wisdom::core::Constraint;
+
+    let (handle, addr) = spawn_server_with(ServerConfig {
+        constraint: Constraint::Ansible,
+        replicas: 2,
+        max_batch_size: 2,
+        ..ServerConfig::default()
+    });
+    // The indices are the process's (other tests of this file decode under
+    // them too), so the cache is bracketed rather than predicted: it only
+    // grows at this size.
+    let wisdom = tiny_wisdom();
+    let before = wisdom.grammar_stats();
+    for i in 0..6 {
+        let body = format!(r#"{{"prompt":"configure service number{i}"}}"#);
+        let (status, reply) = post(addr, "/v1/completions", &body).expect("completion");
+        assert_eq!(status, 200, "{reply}");
+    }
+    let (status, stats) = get(addr, "/v1/stats").expect("stats");
+    assert_eq!(status, 200, "{stats}");
+    let after = wisdom.grammar_stats();
+    let j = parse_json(&stats).expect("stats json");
+    assert_eq!(j.get("replica_count").and_then(Json::as_f64), Some(2.0));
+    let grammar = j.get("grammar").expect("grammar object");
+    let field = |name: &str| {
+        grammar
+            .get(name)
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("grammar.{name} missing: {stats}")) as u64
+    };
+    let cached = field("states_cached");
+    assert!(cached > 0, "{stats}");
+    assert!(
+        (before.states_cached..=after.states_cached).contains(&cached),
+        "states_cached {cached} outside {}..={}",
+        before.states_cached,
+        after.states_cached
+    );
+    assert!((before.mask_builds..=after.mask_builds).contains(&field("mask_builds")));
+    assert!(
+        field("mask_builds") >= cached,
+        "every cached state was built"
+    );
+    assert!(field("cache_hits") > 0);
+    assert!(field("derived_masks") <= after.derived_masks);
+    assert_eq!(field("generations_dropped"), 0, "far under one generation");
+
+    // The rotation counter is exposed per replica (and zero).
+    let (_, metrics) = get(addr, "/metrics").expect("metrics");
+    assert_eq!(
+        ansible_wisdom::telemetry::sample_value(
+            &metrics,
+            "wisdom_grammar_mask_cache_rotations_total{replica=\"0\"}"
+        ),
+        Some(0.0),
+        "{metrics}"
+    );
+    handle.stop();
+}
+
+#[test]
 fn invalid_constraint_is_rejected_with_400() {
     let (handle, addr) = spawn_server();
     let (status, body) = post(
