@@ -706,8 +706,9 @@ struct Shared {
     job_ready: Condvar,
     /// Signals blocked producers: queue space freed.
     space_free: Condvar,
-    /// Sequences currently decoding, published by the worker after each
-    /// admission/step round (read lock-free by [`BatchScheduler::stats`]).
+    /// Sequences the worker holds: raised under the state lock as jobs
+    /// leave the queue (so a request is never in neither count), lowered
+    /// after each step round as sequences retire.
     in_flight: AtomicUsize,
     /// Times the worker's condvar wait returned — each one is a wakeup out
     /// of idle (submission, pause toggle, or shutdown), not a poll tick.
@@ -850,6 +851,13 @@ impl BatchScheduler {
         }
     }
 
+    /// Requests queued plus sequences in flight: what a router compares
+    /// replicas by. One short lock and one atomic read, no cache counters.
+    pub fn load(&self) -> usize {
+        let state = self.shared.state.lock().expect("scheduler lock");
+        state.jobs.len() + self.shared.in_flight.load(Ordering::Relaxed)
+    }
+
     /// Whether the decode worker's loop is up and serving. False only in
     /// the startup window between `spawn` and the worker's first iteration
     /// (readiness probes return 503 until then).
@@ -941,16 +949,19 @@ impl BatchScheduler {
     }
 
     /// How many leading tokens of `prompt`'s generation window are resident
-    /// in this scheduler's prefix cache right now — the cached-prefix
-    /// summary a multi-replica router scores replicas with. Read-only: no
-    /// hit/miss counters move and no LRU state is touched. Returns 0 when
-    /// the cache is disabled.
-    pub fn cached_prefix_tokens(&self, prompt: &[u32], max_new: usize) -> usize {
-        let Some(cache) = &self.prefix_cache else {
-            return 0;
-        };
+    /// in this scheduler's prefix cache right now, and how long that window
+    /// is (the rows an admission prefills when nothing of it is cached):
+    /// `(resident, window)`, the cached-prefix summary a multi-replica
+    /// router scores replicas with. Read-only: no hit/miss counters move
+    /// and no LRU state is touched. `resident` is 0 when the cache is
+    /// disabled.
+    pub fn cached_prefix_tokens(&self, prompt: &[u32], max_new: usize) -> (usize, usize) {
         let window = self.model.generation_window(prompt, max_new);
-        cache.probe(window)
+        let resident = self
+            .prefix_cache
+            .as_ref()
+            .map_or(0, |cache| cache.probe(window));
+        (resident, window.len())
     }
 
     /// Median per-round decode latency in seconds observed so far, from the
@@ -1100,6 +1111,9 @@ fn worker_loop(
                     taken.push(job);
                 }
                 if !taken.is_empty() {
+                    shared
+                        .in_flight
+                        .store(engine.len() + taken.len(), Ordering::Relaxed);
                     shared.space_free.notify_all();
                 }
                 if let Some(t) = &telemetry {
@@ -1115,14 +1129,16 @@ fn worker_loop(
             replies.insert(tag, job.reply);
             engine.admit_full(tag, job.req, Some(job.submitted), job.sink, None);
         }
+        let finished = engine.step();
+        // Lowered before the replies go out: a caller whose wait just
+        // returned must not still find its own request counted as load.
         shared.in_flight.store(engine.len(), Ordering::Relaxed);
-        for (tag, out) in engine.step() {
+        for (tag, out) in finished {
             if let Some(tx) = replies.remove(&tag) {
                 // A dropped receiver (abandoned request) is fine.
                 let _ = tx.send(out);
             }
         }
-        shared.in_flight.store(engine.len(), Ordering::Relaxed);
     }
 }
 

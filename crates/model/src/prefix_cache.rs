@@ -22,12 +22,18 @@
 //! readers and later evictions can never corrupt an in-flight sequence.
 //!
 //! Eviction is byte-budget LRU, leaf-first (an inner node's rows are a
-//! prefix of its children's, so leaves always go first), and
-//! refcount-aware: a segment whose `Arc` is also held outside the tree —
-//! by a [`CachedPrefix`] being spliced or a [`PrefixPin`] owned by an
-//! in-flight sequence — is pinned and skipped. When everything over
-//! budget is pinned, eviction stops rather than stall admission; the
-//! budget is re-enforced on the next insert.
+//! prefix of its children's, so leaves always go first), and pin-aware: a
+//! segment also held outside the tree — by a [`CachedPrefix`] being
+//! spliced or a [`PrefixPin`] owned by an in-flight sequence — is pinned
+//! and skipped. When everything over budget is pinned, eviction stops
+//! rather than stall admission; the budget is re-enforced on the next
+//! insert.
+//!
+//! Bookkeeping costs what the request touches, never what the tree holds:
+//! `bytes`, the segment count and the pinned bytes are counters kept at the
+//! sites that change them, and the eviction order is an ordered set of the
+//! unpinned leaves keyed by `(last_used, slot)`, updated whenever a node's
+//! recency, children or pins change. No operation walks the slab.
 //!
 //! Position-exactness: cached rows bake in their absolute position (the
 //! model adds `pos_emb` rows by index), and prefill always starts at
@@ -37,7 +43,7 @@
 //! matches the untruncated prefix of a shorter prompt byte-for-byte unless
 //! the token runs (and therefore the positions) really are identical.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Arc, Mutex, Weak};
 
@@ -138,12 +144,51 @@ impl Segment {
     }
 }
 
+/// References into the tree held outside it: each entry is the slot a
+/// segment was taken from and the segment itself. A slot whose node still
+/// carries that very segment is pinned by the entry; one whose node was
+/// split or evicted since (the segment is then an orphaned copy) is not.
+#[derive(Default)]
+struct Pins {
+    held: Vec<(NodeId, Arc<Segment>)>,
+    /// The tree to account the release against; dangling for the empty
+    /// pin of a cache-less admission.
+    core: Weak<Core>,
+}
+
+impl Pins {
+    /// Gives the references back, then evicts down to the budget when
+    /// `evict` is set. Runs from `Drop`, so it never panics: a cache that
+    /// is gone or poisoned has no accounting left to keep.
+    fn release(&mut self, evict: bool) {
+        if self.held.is_empty() {
+            return;
+        }
+        let held = std::mem::take(&mut self.held);
+        let Some(core) = self.core.upgrade() else {
+            return;
+        };
+        let Ok(mut inner) = core.inner.lock() else {
+            return;
+        };
+        for (id, seg) in &held {
+            inner.unpin(*id, seg);
+        }
+        if evict {
+            inner.evict_to_budget(core.max_bytes);
+        }
+        inner.publish_gauges();
+    }
+}
+
 /// The longest cached prefix of a looked-up window: a run of segments (the
 /// last possibly used only partially) totalling [`CachedPrefix::len`]
 /// tokens. Holding this pins the segments against eviction.
 pub struct CachedPrefix {
-    /// `(segment, rows used)` along the tree path.
-    segments: Vec<(Arc<Segment>, usize)>,
+    /// The segments along the tree path.
+    pins: Pins,
+    /// Rows used of each segment in `pins`.
+    rows: Vec<usize>,
     len: usize,
 }
 
@@ -163,7 +208,7 @@ impl CachedPrefix {
     /// request's decode appends only to its private `cache`.
     pub(crate) fn splice_into(&self, cache: &mut KvCache) {
         debug_assert!(cache.is_empty(), "splice target must be fresh");
-        for (seg, rows) in &self.segments {
+        for ((_, seg), rows) in self.pins.held.iter().zip(&self.rows) {
             debug_assert_eq!(seg.k.len(), cache.k.len(), "layer count");
             let d = seg.d;
             for (dst, src) in cache.k.iter_mut().zip(seg.k.iter()) {
@@ -176,48 +221,45 @@ impl CachedPrefix {
     }
 }
 
+impl Drop for CachedPrefix {
+    fn drop(&mut self) {
+        // Unpins only: the budget is enforced by inserts and by the pins
+        // of retiring sequences, never by a reader letting go.
+        self.pins.release(false);
+    }
+}
+
 impl fmt::Debug for CachedPrefix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CachedPrefix")
             .field("len", &self.len)
-            .field("segments", &self.segments.len())
+            .field("segments", &self.pins.held.len())
             .finish()
     }
 }
 
 /// Pins the tree segments backing one in-flight sequence: while this is
-/// alive, eviction skips them (their `Arc` refcount exceeds the tree's own
-/// reference). Dropping the pin — when the sequence retires — releases the
-/// segments and re-runs eviction, so bytes parked over budget by pinned
-/// admissions are reclaimed as soon as the pins go away.
+/// alive, eviction skips them. Dropping the pin — when the sequence
+/// retires — releases the segments and re-runs eviction, so bytes parked
+/// over budget by pinned admissions are reclaimed as soon as the pins go
+/// away.
 #[derive(Default)]
 pub struct PrefixPin {
-    segments: Vec<Arc<Segment>>,
-    /// Back-reference for the drop-time eviction pass; `None` for the empty
-    /// pin of a cache-less admission.
-    core: Option<Weak<Core>>,
+    pins: Pins,
 }
 
 impl Drop for PrefixPin {
     fn drop(&mut self) {
-        if self.segments.is_empty() {
-            return;
-        }
-        // Release the refcounts *before* evicting, so the segments this pin
-        // protected become candidates.
-        self.segments.clear();
-        if let Some(core) = self.core.take().and_then(|w| w.upgrade()) {
-            let mut inner = core.inner.lock().expect("prefix cache lock");
-            inner.evict_to_budget(core.max_bytes);
-            inner.publish_gauges();
-        }
+        // Released *before* evicting, so the segments this pin protected
+        // become candidates.
+        self.pins.release(true);
     }
 }
 
 impl fmt::Debug for PrefixPin {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PrefixPin")
-            .field("segments", &self.segments.len())
+            .field("segments", &self.pins.held.len())
             .finish()
     }
 }
@@ -236,6 +278,16 @@ struct Node {
     /// Logical LRU clock value of the last lookup/insert touching this
     /// node's path.
     last_used: u64,
+    /// Live [`CachedPrefix`] / [`PrefixPin`] references to `seg` itself
+    /// (a split replaces `seg` and starts again from zero).
+    pins: usize,
+}
+
+impl Node {
+    /// Whether eviction may take this node, stored in slot `id`.
+    fn evictable(&self, id: NodeId) -> bool {
+        id != ROOT && self.children.is_empty() && self.pins == 0
+    }
 }
 
 struct Inner {
@@ -246,6 +298,14 @@ struct Inner {
     /// Bytes owned by tree segments (pinned copies held by readers after a
     /// split/evict are the readers' responsibility, not the tree's).
     bytes: usize,
+    /// Live nodes other than the root.
+    segments: usize,
+    /// Bytes of the segments with at least one pin.
+    pinned_bytes: usize,
+    /// Eviction order: `(last_used, slot)` of exactly the evictable nodes.
+    /// Every change to a node's recency, children or pins goes through
+    /// [`Inner::update`], which keeps this in step.
+    lru: BTreeSet<(u64, NodeId)>,
     /// Logical LRU clock, bumped per lookup/insert.
     tick: u64,
     hits: u64,
@@ -255,18 +315,41 @@ struct Inner {
     /// Registry handles mirroring the counters above; updated at the same
     /// sites, under the same lock. `None` until the server attaches them.
     telemetry: Option<PrefixCacheTelemetry>,
+    /// Slab slots read or written so far: what the work-bound test counts.
+    #[cfg(test)]
+    visits: std::cell::Cell<u64>,
 }
 
 impl Inner {
+    fn visit(&self) {
+        #[cfg(test)]
+        self.visits.set(self.visits.get() + 1);
+    }
+
     fn node(&self, id: NodeId) -> &Node {
+        self.visit();
         self.nodes[id].as_ref().expect("live node")
     }
 
-    fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        self.nodes[id].as_mut().expect("live node")
+    /// Applies `change` to node `id`, moving it into, out of or within the
+    /// eviction order as the change demands.
+    fn update<R>(&mut self, id: NodeId, change: impl FnOnce(&mut Node) -> R) -> R {
+        self.visit();
+        let node = self.nodes[id].as_mut().expect("live node");
+        if node.evictable(id) {
+            self.lru.remove(&(node.last_used, id));
+        }
+        let out = change(node);
+        if node.evictable(id) {
+            self.lru.insert((node.last_used, id));
+        }
+        out
     }
 
+    /// Stores `node`, which the caller has yet to link to its parent.
     fn alloc(&mut self, node: Node) -> NodeId {
+        self.visit();
+        self.segments += 1;
         if let Some(id) = self.free.pop() {
             self.nodes[id] = Some(node);
             id
@@ -276,66 +359,102 @@ impl Inner {
         }
     }
 
+    /// Takes one more reference to `id`'s segment for a holder outside
+    /// the tree, and marks the node used at `tick`.
+    fn pin(&mut self, id: NodeId, tick: u64) -> Arc<Segment> {
+        let (seg, pins) = self.update(id, |node| {
+            node.last_used = tick;
+            node.pins += 1;
+            (Arc::clone(&node.seg), node.pins)
+        });
+        if pins == 1 {
+            self.pinned_bytes += seg.bytes();
+        }
+        seg
+    }
+
+    /// Gives back a reference [`Inner::pin`] handed out. A node that was
+    /// split or evicted since no longer carries `seg` (the slot may even
+    /// hold another node by now); the holder's copy pinned nothing then.
+    fn unpin(&mut self, id: NodeId, seg: &Arc<Segment>) {
+        self.visit();
+        let carried = self
+            .nodes
+            .get(id)
+            .and_then(Option::as_ref)
+            .is_some_and(|node| Arc::ptr_eq(&node.seg, seg));
+        if !carried {
+            return;
+        }
+        let pins = self.update(id, |node| {
+            node.pins -= 1;
+            node.pins
+        });
+        if pins == 0 {
+            self.pinned_bytes -= seg.bytes();
+        }
+    }
+
     /// Splits `id`'s edge after `at` rows: `id` keeps the upper `at` rows
     /// and gains a single child holding the remainder (and `id`'s former
     /// children). Readers holding the old `Arc<Segment>` keep a valid
-    /// (now untracked) copy — copy-on-write at the tree-structure level.
-    fn split(&mut self, id: NodeId, at: usize) {
+    /// (now untracked) copy — copy-on-write at the tree-structure level —
+    /// so neither half starts out pinned. Both halves are used at `tick`:
+    /// the walk that splits a node has just reached it.
+    fn split(&mut self, id: NodeId, at: usize, tick: u64) {
         let node = self.node(id);
         debug_assert!(0 < at && at < node.seg.rows(), "split strictly inside");
         let upper = Arc::new(node.seg.slice(0, at));
         let lower = Arc::new(node.seg.slice(at, node.seg.rows()));
+        let old_bytes = node.seg.bytes();
         self.bytes += upper.bytes() + lower.bytes();
-        self.bytes -= self.node(id).seg.bytes();
-        let node = self.node_mut(id);
+        self.bytes -= old_bytes;
         let lower_first = lower.tokens[0];
-        let lower_children = std::mem::take(&mut node.children);
-        let last_used = node.last_used;
-        node.seg = upper;
         let lower_id = self.alloc(Node {
             seg: lower,
             parent: id,
-            children: lower_children,
-            last_used,
+            children: BTreeMap::new(),
+            last_used: tick,
+            pins: 0,
         });
-        let moved: Vec<NodeId> = self.node(lower_id).children.values().copied().collect();
-        for child in moved {
-            self.node_mut(child).parent = lower_id;
+        let (moved, was_pinned) = self.update(id, |node| {
+            node.seg = upper;
+            node.last_used = tick;
+            let moved = std::mem::replace(
+                &mut node.children,
+                BTreeMap::from([(lower_first, lower_id)]),
+            );
+            (moved, std::mem::take(&mut node.pins) > 0)
+        });
+        if was_pinned {
+            self.pinned_bytes -= old_bytes;
         }
-        self.node_mut(id).children.insert(lower_first, lower_id);
+        for &child in moved.values() {
+            self.visit();
+            self.nodes[child].as_mut().expect("live node").parent = lower_id;
+        }
+        self.update(lower_id, |lower| lower.children = moved);
     }
 
-    /// Evicts least-recently-used unpinned leaves until `bytes <= budget`
-    /// or nothing evictable remains (everything left is pinned).
+    /// Evicts least-recently-used unpinned leaves (ties to the lower slot)
+    /// until `bytes <= budget` or nothing evictable remains (everything
+    /// left is pinned).
     fn evict_to_budget(&mut self, budget: usize) {
         while self.bytes > budget {
-            let victim = self
-                .nodes
-                .iter()
-                .enumerate()
-                .filter_map(|(id, slot)| {
-                    let node = slot.as_ref()?;
-                    if id == ROOT || !node.children.is_empty() {
-                        return None;
-                    }
-                    // A refcount above 1 means a CachedPrefix or PrefixPin
-                    // (an in-flight sequence) also holds this segment.
-                    if Arc::strong_count(&node.seg) > 1 {
-                        return None;
-                    }
-                    Some((node.last_used, id))
-                })
-                .min();
-            let Some((_, id)) = victim else { break };
+            let Some((_, id)) = self.lru.pop_first() else {
+                break;
+            };
+            self.visit();
             let node = self.nodes[id].take().expect("victim is live");
             self.free.push(id);
             self.bytes -= node.seg.bytes();
+            self.segments -= 1;
             self.evicted_segments += 1;
             if let Some(t) = &self.telemetry {
                 t.evicted_segments.inc();
             }
             let first = node.seg.tokens[0];
-            self.node_mut(node.parent).children.remove(&first);
+            self.update(node.parent, |parent| parent.children.remove(&first));
         }
     }
 
@@ -345,22 +464,8 @@ impl Inner {
     fn publish_gauges(&self) {
         let Some(t) = &self.telemetry else { return };
         t.bytes.set(self.bytes as f64);
-        let mut segments = 0usize;
-        let mut pinned = 0usize;
-        for (id, slot) in self.nodes.iter().enumerate() {
-            let Some(node) = slot else { continue };
-            if id == ROOT {
-                continue;
-            }
-            segments += 1;
-            // A refcount above the tree's own means a CachedPrefix or an
-            // in-flight sequence's PrefixPin also holds the segment.
-            if Arc::strong_count(&node.seg) > 1 {
-                pinned += node.seg.bytes();
-            }
-        }
-        t.segments.set(segments as f64);
-        t.pinned_bytes.set(pinned as f64);
+        t.segments.set(self.segments as f64);
+        t.pinned_bytes.set(self.pinned_bytes as f64);
     }
 }
 
@@ -407,6 +512,7 @@ impl PrefixKvCache {
             parent: ROOT,
             children: BTreeMap::new(),
             last_used: 0,
+            pins: 0,
         };
         Self {
             core: Arc::new(Core {
@@ -414,12 +520,17 @@ impl PrefixKvCache {
                     nodes: vec![Some(root)],
                     free: Vec::new(),
                     bytes: 0,
+                    segments: 0,
+                    pinned_bytes: 0,
+                    lru: BTreeSet::new(),
                     tick: 0,
                     hits: 0,
                     misses: 0,
                     hit_tokens: 0,
                     evicted_segments: 0,
                     telemetry: None,
+                    #[cfg(test)]
+                    visits: std::cell::Cell::new(0),
                 }),
                 max_bytes: cfg.max_bytes.max(1),
             }),
@@ -434,7 +545,7 @@ impl PrefixKvCache {
     /// Attaches registry handles: every hit/miss/eviction from here on is
     /// mirrored into `telemetry` (under the cache lock, at the same sites
     /// as the internal counters), and the shape gauges are published after
-    /// every insert and pin-release eviction pass.
+    /// every insert and every release of a prefix or a pin.
     pub fn set_telemetry(&self, telemetry: PrefixCacheTelemetry) {
         let mut inner = self.core.inner.lock().expect("prefix cache lock");
         telemetry.budget_bytes.set(self.core.max_bytes as f64);
@@ -451,7 +562,7 @@ impl PrefixKvCache {
             hit_tokens: inner.hit_tokens,
             evicted_segments: inner.evicted_segments,
             bytes: inner.bytes,
-            segments: inner.nodes.iter().flatten().count() - 1,
+            segments: inner.segments,
             budget_bytes: self.core.max_bytes,
         }
     }
@@ -467,14 +578,13 @@ impl PrefixKvCache {
         let budget = max_tokens.min(window.len());
         let mut node_id = ROOT;
         let mut matched = 0usize;
-        let mut segments: Vec<(Arc<Segment>, usize)> = Vec::new();
+        let mut held: Vec<(NodeId, Arc<Segment>)> = Vec::new();
+        let mut rows: Vec<usize> = Vec::new();
         while matched < budget {
             let Some(&child) = inner.node(node_id).children.get(&window[matched]) else {
                 break;
             };
-            let node = inner.node_mut(child);
-            node.last_used = tick;
-            let seg = Arc::clone(&node.seg);
+            let seg = inner.pin(child, tick);
             let rest = &window[matched..];
             let take = seg
                 .tokens
@@ -486,7 +596,8 @@ impl PrefixKvCache {
             debug_assert!(take >= 1, "child keyed by first token");
             matched += take;
             let whole = take == seg.rows();
-            segments.push((seg, take));
+            held.push((child, seg));
+            rows.push(take);
             if !whole {
                 break;
             }
@@ -505,8 +616,13 @@ impl PrefixKvCache {
             t.hits.inc();
             t.hit_tokens.add(matched as u64);
         }
+        inner.publish_gauges();
         Some(CachedPrefix {
-            segments,
+            pins: Pins {
+                held,
+                core: Arc::downgrade(&self.core),
+            },
+            rows,
             len: matched,
         })
     }
@@ -553,13 +669,10 @@ impl PrefixKvCache {
     /// byte budget before returning.
     pub fn insert(&self, window: &[u32], cache: &KvCache) -> PrefixPin {
         debug_assert!(cache.len() >= window.len(), "cache covers the window");
-        let mut pin = PrefixPin {
-            segments: Vec::new(),
-            core: Some(Arc::downgrade(&self.core)),
-        };
         if window.is_empty() {
-            return pin;
+            return PrefixPin::default();
         }
+        let mut held: Vec<(NodeId, Arc<Segment>)> = Vec::new();
         let mut inner = self.core.inner.lock().expect("prefix cache lock");
         inner.tick += 1;
         let tick = inner.tick;
@@ -576,20 +689,22 @@ impl PrefixKvCache {
                         window.len(),
                     ));
                     inner.bytes += seg.bytes();
-                    pin.segments.push(Arc::clone(&seg));
+                    inner.pinned_bytes += seg.bytes();
                     let first = window[matched];
+                    // Born pinned by the pin being built.
                     let leaf = inner.alloc(Node {
-                        seg,
+                        seg: Arc::clone(&seg),
                         parent: node_id,
                         children: BTreeMap::new(),
                         last_used: tick,
+                        pins: 1,
                     });
-                    inner.node_mut(node_id).children.insert(first, leaf);
+                    held.push((leaf, seg));
+                    inner.update(node_id, |parent| parent.children.insert(first, leaf));
                     matched = window.len();
                 }
                 Some(child) => {
-                    let node = inner.node_mut(child);
-                    node.last_used = tick;
+                    let node = inner.node(child);
                     let rest = &window[matched..];
                     let lcp = node
                         .seg
@@ -601,11 +716,11 @@ impl PrefixKvCache {
                     if lcp < node.seg.rows() && matched + lcp < window.len() {
                         // Diverges mid-edge with more window to attach:
                         // split so the shared part becomes its own node.
-                        inner.split(child, lcp);
+                        inner.split(child, lcp, tick);
                     }
-                    let node = inner.node(child);
-                    pin.segments.push(Arc::clone(&node.seg));
-                    matched += lcp.min(node.seg.rows());
+                    let seg = inner.pin(child, tick);
+                    matched += lcp.min(seg.rows());
+                    held.push((child, seg));
                     if matched == window.len() || lcp == 0 {
                         // Fully consumed (possibly mid-edge: the edge's
                         // extra rows extend beyond the window, no split
@@ -620,7 +735,12 @@ impl PrefixKvCache {
         }
         inner.evict_to_budget(self.core.max_bytes);
         inner.publish_gauges();
-        pin
+        PrefixPin {
+            pins: Pins {
+                held,
+                core: Arc::downgrade(&self.core),
+            },
+        }
     }
 
     /// Cache-accelerated prefill: splices the longest cached prefix of
@@ -787,6 +907,38 @@ mod tests {
             drop(cache.insert(&w, &kv));
         }
         assert!(cache.stats().bytes <= 2 * one_window + one_window / 2);
+    }
+
+    #[test]
+    fn admission_work_is_independent_of_resident_segments() {
+        let model = tiny_model();
+        let (kv, _) = model.prefill(&[1, 2, 3, 4]);
+        let one_window = Segment::from_cache(&kv, &[1, 2, 3, 4], 0, 4).bytes();
+        // Slab slots touched by two admissions against a cache exactly
+        // full with `resident` single-segment windows: a cold one (miss,
+        // new leaf, one victim, pin released) and a warm one (hit on the
+        // newest window's head, edge split, new leaf, victims, release).
+        let visits = |resident: u32| {
+            let cache = PrefixKvCache::with_budget(resident as usize * one_window);
+            for tag in 0..resident {
+                drop(cache.insert(&[100 + tag, 2, 3, 4], &kv));
+            }
+            let full = cache.stats();
+            assert_eq!(
+                (full.segments, full.evicted_segments),
+                (resident as usize, 0)
+            );
+            let count = || cache.core.inner.lock().unwrap().visits.get();
+            let before = count();
+            assert!(cache.lookup(&[7, 2, 3, 4], 3).is_none());
+            drop(cache.insert(&[7, 2, 3, 4], &kv));
+            let warm = [100 + resident - 1, 2, 9, 9];
+            assert_eq!(cache.lookup(&warm, 3).expect("head resident").len(), 2);
+            drop(cache.insert(&warm, &kv));
+            assert!(cache.stats().evicted_segments >= 2, "both admissions evict");
+            count() - before
+        };
+        assert_eq!(visits(8), visits(8192));
     }
 
     #[test]

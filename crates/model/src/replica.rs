@@ -216,8 +216,11 @@ mod tests {
         assert_eq!(c1.hits + c1.misses, 0, "{c1:?}");
         // The probe side: replica 0 now holds the prompt's prefix,
         // replica 1 holds nothing.
-        assert!(pool.replica(0).cached_prefix_tokens(&[1, 2, 3, 4, 5], 3) > 0);
-        assert_eq!(pool.replica(1).cached_prefix_tokens(&[1, 2, 3, 4, 5], 3), 0);
+        assert!(pool.replica(0).cached_prefix_tokens(&[1, 2, 3, 4, 5], 3).0 > 0);
+        assert_eq!(
+            pool.replica(1).cached_prefix_tokens(&[1, 2, 3, 4, 5], 3),
+            (0, 5)
+        );
 
         let agg = pool.aggregate();
         assert_eq!(agg.replicas.len(), 2);

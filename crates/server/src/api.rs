@@ -34,9 +34,11 @@
 //! `ServerConfig::keepalive_max_requests`; legacy read-to-EOF clients that
 //! omit the header keep the old close-per-request behavior.
 
+use std::io::Write;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::mpsc::{self, TryRecvError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use wisdom_core::{
@@ -45,8 +47,7 @@ use wisdom_core::{
 };
 
 use crate::http::{
-    finish_chunked, read_request_opt, write_sse_event, write_sse_head, Request, Response,
-    MAX_BODY_BYTES,
+    push_sse_event, read_request_opt, Request, Response, CHUNKED_END, MAX_BODY_BYTES, SSE_HEAD,
 };
 use crate::json::{parse_json, Json};
 use crate::router::{RoutePolicy, Router, RouterConfig, RouterTelemetry};
@@ -572,23 +573,47 @@ fn completions(
 /// directly to the socket: one `{"token": …}` event per decoded token, the
 /// exact non-streaming JSON object as the final data event, then `[DONE]`.
 ///
-/// The head commits the connection to a chunked 200. A failed write means
-/// the client hung up: returning drops `stream`, and the token receiver
-/// going away is what tells the decode worker to cancel the sequence
-/// instead of decoding on for nobody.
+/// Writes leave in bursts: every wake drains the token channel and sends
+/// what it found in one write — the response head with the first of them,
+/// the final object, `[DONE]` and the terminating chunk with the last — so
+/// a forced run the engine emitted in one round costs one write, not one
+/// per token. The bytes are those of one write per event: each event is
+/// still an HTTP chunk of its own.
+///
+/// The first write commits the connection to a chunked 200. A failed write
+/// means the client hung up: returning drops `stream`, and the token
+/// receiver going away is what tells the decode worker to cancel the
+/// sequence instead of decoding on for nobody.
 fn forward_stream(
     wisdom: &Wisdom,
     telemetry: &ServerTelemetry,
-    conn: &mut TcpStream,
+    conn: &mut impl Write,
     completion: &CompletionRequest,
     stream: StreamingPending,
 ) {
     let started = Instant::now();
-    if write_sse_head(conn).is_err() {
-        return;
-    }
+    let mut wire = SSE_HEAD.to_vec();
+    // Events appended to `wire` since the last write.
+    let mut unsent = 0usize;
     let mut previous: Option<Instant> = None;
-    for token in stream.tokens.iter() {
+    loop {
+        let token = match stream.tokens.try_recv() {
+            Ok(token) => token,
+            Err(TryRecvError::Disconnected) => break,
+            Err(TryRecvError::Empty) => {
+                if unsent > 0 {
+                    if conn.write_all(&wire).and_then(|()| conn.flush()).is_err() {
+                        return;
+                    }
+                    wire.clear();
+                    unsent = 0;
+                }
+                match stream.tokens.recv() {
+                    Ok(token) => token,
+                    Err(_) => break,
+                }
+            }
+        };
         let now = Instant::now();
         match previous {
             None => telemetry
@@ -600,14 +625,14 @@ fn forward_stream(
         }
         previous = Some(now);
         let event = Json::obj(vec![("token", Json::Str(wisdom.token_text(token)))]).to_text();
-        if write_sse_event(conn, &event).is_err() {
-            return;
-        }
+        push_sse_event(&mut wire, &event);
+        unsent += 1;
     }
     let suggestion = wisdom.suggestion_from_tokens(completion, &stream.result.wait());
-    let _ = write_sse_event(conn, &completion_payload(&suggestion).to_text());
-    let _ = write_sse_event(conn, "[DONE]");
-    let _ = finish_chunked(conn);
+    push_sse_event(&mut wire, &completion_payload(&suggestion).to_text());
+    push_sse_event(&mut wire, "[DONE]");
+    wire.extend_from_slice(CHUNKED_END);
+    let _ = conn.write_all(&wire).and_then(|()| conn.flush());
 }
 
 /// `/v1/stats`: serving/load counters for dashboards and tests — queue
@@ -881,6 +906,81 @@ mod tests {
         assert!(body.contains("# TYPE wisdom_queue_wait_seconds histogram"));
         assert!(body.contains("# TYPE wisdom_batch_occupancy gauge"));
         assert!(body.contains("# TYPE wisdom_prefix_cache_hits_total counter"));
+    }
+
+    /// Keeps the bytes of each `write` call apart.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn burst_writes_carry_the_bytes_of_one_write_per_event() {
+        use crate::http::{finish_chunked, write_sse_event, write_sse_head};
+
+        let f = fixture();
+        let request = CompletionRequest::new("", "install nginx");
+        // Constrained, so the stream has a forced run in it: several
+        // tokens leaving one decode round.
+        let submit = || {
+            let decode = f
+                .wisdom
+                .decode_request_constrained(&request, Constraint::Ansible);
+            f.router.submit_streaming(decode).expect("queue has room")
+        };
+        let forward = |stream: StreamingPending| {
+            let mut writes = Writes::default();
+            forward_stream(&f.wisdom, &f.telemetry, &mut writes, &request, stream);
+            writes.0
+        };
+
+        // The reference: head, every event and the end in a write each.
+        let stream = submit();
+        let tokens: Vec<u32> = stream.tokens.iter().collect();
+        let suggestion = f
+            .wisdom
+            .suggestion_from_tokens(&request, &stream.result.wait());
+        let mut reference = Vec::new();
+        write_sse_head(&mut reference).unwrap();
+        for &token in &tokens {
+            let event = Json::obj(vec![("token", Json::Str(f.wisdom.token_text(token)))]);
+            write_sse_event(&mut reference, &event.to_text()).unwrap();
+        }
+        write_sse_event(&mut reference, &completion_payload(&suggestion).to_text()).unwrap();
+        write_sse_event(&mut reference, "[DONE]").unwrap();
+        finish_chunked(&mut reference).unwrap();
+        let grammar = f.bundles[0].grammar.as_ref().expect("grammar telemetry");
+        assert!(
+            grammar.fused_tokens.get() > 0,
+            "no forced run in the stream"
+        );
+
+        // Decoded to the end before forwarding starts: the channel holds
+        // every token and has hung up, so the whole response is one write.
+        let stream = submit();
+        while f.router.pool().replica(0).load() > 0 {
+            std::thread::yield_now();
+        }
+        let writes = forward(stream);
+        assert_eq!(writes.len(), 1);
+        assert_eq!(writes.concat(), reference);
+
+        // Forwarded while it decodes: however the wakes fall, the same
+        // bytes, every write ending on a chunk boundary, never more writes
+        // than one per token plus the closing one.
+        let writes = forward(submit());
+        assert_eq!(writes.concat(), reference);
+        assert!(writes.iter().all(|w| w.ends_with(b"\r\n")));
+        assert!(writes.len() <= tokens.len() + 1, "{} writes", writes.len());
     }
 
     #[test]

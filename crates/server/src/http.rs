@@ -135,41 +135,46 @@ impl Response {
     }
 }
 
-/// Writes the head of a chunked `text/event-stream` response — the SSE
-/// streaming path of `POST /v1/completions`. Events follow via
-/// [`write_sse_event`]; the stream ends with [`finish_chunked`]. Streaming
+/// The head of a chunked `text/event-stream` response — the SSE streaming
+/// path of `POST /v1/completions`. Events follow, one HTTP chunk each
+/// ([`push_sse_event`]); the stream ends with [`CHUNKED_END`]. Streaming
 /// responses always close the connection: their length is unknown up
 /// front, and the chunked framing already marks the end of the body.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_sse_head(stream: &mut impl Write) -> std::io::Result<()> {
+pub const SSE_HEAD: &[u8] = b"HTTP/1.1 200 OK\r\ncontent-type: text/event-stream\r\ncache-control: no-cache\r\ntransfer-encoding: chunked\r\nconnection: close\r\n\r\n";
+
+/// The zero-length chunk that terminates a chunked response.
+pub const CHUNKED_END: &[u8] = b"0\r\n\r\n";
+
+/// Appends one SSE event (`data: <payload>\n\n`) to `wire` as one HTTP
+/// chunk of its own. Several appended events leave in one write and still
+/// reach the client one event per chunk.
+pub fn push_sse_event(wire: &mut Vec<u8>, payload: &str) {
+    // "data: " + payload + "\n\n" is the chunk body.
+    write!(wire, "{:x}\r\ndata: {payload}\n\n\r\n", payload.len() + 8)
+        .expect("writing to a Vec cannot fail");
+}
+
+/// The one-write-per-event writers the server used before it wrote in
+/// bursts, framing and literals of their own: the reference the burst
+/// writer's bytes are compared against.
+#[cfg(test)]
+pub(crate) fn write_sse_head(stream: &mut impl Write) -> std::io::Result<()> {
     stream.write_all(
         b"HTTP/1.1 200 OK\r\ncontent-type: text/event-stream\r\ncache-control: no-cache\r\ntransfer-encoding: chunked\r\nconnection: close\r\n\r\n",
     )?;
     stream.flush()
 }
 
-/// Writes one SSE event (`data: <payload>\n\n`) as a single HTTP chunk and
-/// flushes, so the client sees the event as soon as the token exists.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_sse_event(stream: &mut impl Write, payload: &str) -> std::io::Result<()> {
+#[cfg(test)]
+pub(crate) fn write_sse_event(stream: &mut impl Write, payload: &str) -> std::io::Result<()> {
     // "data: " + payload + "\n\n", framed as one chunk in one write.
     let chunk = format!("{:x}\r\ndata: {payload}\n\n\r\n", payload.len() + 8);
     stream.write_all(chunk.as_bytes())?;
     stream.flush()
 }
 
-/// Terminates a chunked response (the zero-length chunk).
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn finish_chunked(stream: &mut impl Write) -> std::io::Result<()> {
+#[cfg(test)]
+pub(crate) fn finish_chunked(stream: &mut impl Write) -> std::io::Result<()> {
     stream.write_all(b"0\r\n\r\n")?;
     stream.flush()
 }
@@ -444,6 +449,17 @@ mod tests {
             "{text}"
         );
         assert!(text.ends_with("data: [DONE]\n\n\r\n0\r\n\r\n"), "{text}");
+    }
+
+    #[test]
+    fn pushed_events_are_these_bytes() {
+        let mut wire = SSE_HEAD.to_vec();
+        push_sse_event(&mut wire, "{\"token\":\"a\"}");
+        push_sse_event(&mut wire, "[DONE]");
+        wire.extend_from_slice(CHUNKED_END);
+        let head = "HTTP/1.1 200 OK\r\ncontent-type: text/event-stream\r\ncache-control: no-cache\r\ntransfer-encoding: chunked\r\nconnection: close\r\n\r\n";
+        let body = "15\r\ndata: {\"token\":\"a\"}\n\n\r\ne\r\ndata: [DONE]\n\n\r\n0\r\n\r\n";
+        assert_eq!(String::from_utf8(wire).unwrap(), format!("{head}{body}"));
     }
 
     /// Counts `write` calls; accepts everything it is given.

@@ -37,8 +37,8 @@ pub use client::{
     HttpConnection,
 };
 pub use http::{
-    finish_chunked, read_request, read_request_opt, write_sse_event, write_sse_head,
-    ParseHttpError, Request, Response, MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES,
+    read_request, read_request_opt, ParseHttpError, Request, Response, MAX_BODY_BYTES, MAX_HEADERS,
+    MAX_LINE_BYTES,
 };
 pub use json::{parse_json, Json, ParseJsonError, MAX_JSON_DEPTH};
 pub use router::{

@@ -2,20 +2,26 @@
 //!
 //! Each replica owns a private prefix KV cache, so *where* a request runs
 //! decides whether its prompt prefill is warm or cold. The router probes
-//! every replica's radix cache for the longest resident prefix of the
-//! incoming prompt and places the request on the best match — editor
-//! sessions that keep resending a growing buffer stick to one replica and
-//! keep hitting its cache, instead of spraying their working set across
-//! all caches and thrashing every one of them.
+//! every replica's radix cache for the resident prefix of the incoming
+//! prompt and follows it when it pays: when a replica already holds at
+//! least half of the request's generation window. Editor sessions that
+//! keep resending a growing buffer stick to one replica and keep hitting
+//! its cache, instead of spraying their working set across all caches and
+//! thrashing every one of them.
 //!
-//! When no replica holds any prefix (a brand-new session), placement falls
-//! back to rendezvous hashing over the prompt head: deterministic, evenly
-//! spread, and stable under replica churn (adding a replica only moves the
-//! keys the new replica wins; removing the last one moves only its keys).
-//! Ties and fallbacks prefer the least-loaded replica; a full replica
-//! spills to the next-best candidate, and only when *every* queue is full
-//! does the router shed with [`SubmitError::QueueFull`].
+//! A shorter match is not worth a queue: every prompt shares the few
+//! tokens of `- name: ` with whichever replica served the first request,
+//! and following that would put all cold traffic on one decode worker.
+//! Such a request goes to the least-loaded replica (requests queued plus
+//! sequences in flight), ties broken by rendezvous hashing over the prompt
+//! head: deterministic, evenly spread, stable under replica churn (adding
+//! a replica only moves the keys the new replica wins; removing the last
+//! one moves only its keys), and on an idle pool the same for every resend
+//! of a session. A full replica spills to the next candidate, and only
+//! when *every* queue is full does the router shed with
+//! [`SubmitError::QueueFull`].
 
+use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -25,8 +31,9 @@ use wisdom_telemetry::{Counter, Registry};
 /// How the router picks a replica for a fresh request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutePolicy {
-    /// Longest cached-prefix match wins; rendezvous hash when no replica
-    /// holds any prefix. The default, and the point of this module.
+    /// The replica holding at least half the window (the longest such
+    /// match) wins; otherwise the least-loaded replica, ties by rendezvous
+    /// hash. The default, and the point of this module.
     PrefixAffinity,
     /// Cycle through replicas regardless of cache state. The baseline the
     /// serving benchmark compares affinity against.
@@ -68,11 +75,47 @@ pub struct Placement {
     pub matched_tokens: usize,
 }
 
+/// Why a request ran where it did: the `reason` label of
+/// `wisdom_router_placements_total`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Reason {
+    /// The replica holds at least half the window.
+    Affinity,
+    /// No replica does, and this one had the least queued and in flight.
+    LeastLoaded,
+    /// Neither cache nor load decided: hash order (the rendezvous policy,
+    /// or equal loads) or, under `policy="round_robin"`, the rotation.
+    Rendezvous,
+    /// A later candidate, after the first choice's queue was full.
+    Spill,
+}
+
+impl Reason {
+    const ALL: [Reason; 4] = [
+        Reason::Affinity,
+        Reason::LeastLoaded,
+        Reason::Rendezvous,
+        Reason::Spill,
+    ];
+
+    fn as_str(self) -> &'static str {
+        match self {
+            Reason::Affinity => "affinity",
+            Reason::LeastLoaded => "least_loaded",
+            Reason::Rendezvous => "rendezvous",
+            Reason::Spill => "spill",
+        }
+    }
+}
+
 /// Router-level counters, one set per policy label.
 #[derive(Debug, Clone)]
 pub struct RouterTelemetry {
     /// Requests routed (successfully placed on some replica).
     pub requests: Arc<Counter>,
+    /// The same requests by why they ran where they did, indexed like
+    /// `Reason::ALL`.
+    placements: [Arc<Counter>; Reason::ALL.len()],
     /// Sum of cached prompt tokens found at the chosen replica — divide by
     /// `requests` for mean warm-prefix length.
     pub prefix_matched_tokens: Arc<Counter>,
@@ -93,6 +136,13 @@ impl RouterTelemetry {
                 "Requests placed on a replica by the router.",
                 labels,
             ),
+            placements: Reason::ALL.map(|reason| {
+                registry.counter_with(
+                    "wisdom_router_placements_total",
+                    "Requests placed, by why they ran where they did.",
+                    &[("policy", policy), ("reason", reason.as_str())],
+                )
+            }),
             prefix_matched_tokens: registry.counter_with(
                 "wisdom_router_prefix_matched_tokens_total",
                 "Prompt tokens found warm in the chosen replica's prefix cache.",
@@ -150,72 +200,76 @@ impl Router {
     /// returned placement is the *first choice*; submission may still
     /// spill to another replica if its queue is full.
     pub fn decide(&self, prompt: &[u32], max_new: usize) -> Placement {
-        self.candidates(prompt, max_new)[0]
+        self.candidates(prompt, max_new).0[0]
     }
 
-    /// All replicas in preference order (best first) for `prompt`.
-    fn candidates(&self, prompt: &[u32], max_new: usize) -> Vec<Placement> {
+    /// All replicas in preference order (best first) for `prompt`, and why
+    /// the first one leads.
+    fn candidates(&self, prompt: &[u32], max_new: usize) -> (Vec<Placement>, Reason) {
         let n = self.pool.len();
+        let unmatched = |replica: usize| Placement {
+            replica,
+            matched_tokens: 0,
+        };
         match self.cfg.policy {
             RoutePolicy::RoundRobin => {
                 let start = self.rr.fetch_add(1, Ordering::Relaxed) % n;
-                (0..n)
-                    .map(|i| Placement {
-                        replica: (start + i) % n,
-                        matched_tokens: 0,
-                    })
-                    .collect()
+                let order = (0..n).map(|i| unmatched((start + i) % n)).collect();
+                (order, Reason::Rendezvous)
             }
-            RoutePolicy::Rendezvous => self.hashed_order(prompt, n),
+            RoutePolicy::Rendezvous => {
+                let order = self.hashed_order(prompt, n);
+                (
+                    order.into_iter().map(unmatched).collect(),
+                    Reason::Rendezvous,
+                )
+            }
             RoutePolicy::PrefixAffinity => {
-                let matches: Vec<usize> = (0..n)
-                    .map(|i| self.pool.replica(i).cached_prefix_tokens(prompt, max_new))
-                    .collect();
-                if matches.iter().all(|&m| m == 0) {
-                    return self.hashed_order(prompt, n);
-                }
-                // Longest resident prefix first; break ties toward the
-                // shortest queue so two equally-warm replicas share load.
-                let mut order: Vec<usize> = (0..n).collect();
-                let load: Vec<usize> = (0..n)
-                    .map(|i| {
-                        let s = self.pool.replica(i).stats();
-                        s.queue_depth + s.in_flight
-                    })
-                    .collect();
-                order.sort_by(|&a, &b| {
-                    matches[b]
-                        .cmp(&matches[a])
-                        .then(load[a].cmp(&load[b]))
-                        .then(a.cmp(&b))
-                });
-                order
+                let replica = |i: usize| self.pool.replica(i);
+                // Every replica runs the same model: one window length.
+                let (matches, windows): (Vec<usize>, Vec<usize>) = (0..n)
+                    .map(|i| replica(i).cached_prefix_tokens(prompt, max_new))
+                    .unzip();
+                let window = windows[0];
+                let load: Vec<usize> = (0..n).map(|i| replica(i).load()).collect();
+                // A resident prefix is followed only when it saves at least
+                // half the prefill; anything shorter competes on load alone.
+                let paying = |i: usize| {
+                    if matches[i] > 0 && 2 * matches[i] >= window {
+                        matches[i]
+                    } else {
+                        0
+                    }
+                };
+                // Stable, so equals keep their rendezvous order.
+                let mut order = self.hashed_order(prompt, n);
+                order.sort_by_key(|&i| (Reverse(paying(i)), load[i]));
+                let first = order[0];
+                let reason = if paying(first) > 0 {
+                    Reason::Affinity
+                } else if load.iter().any(|&l| l > load[first]) {
+                    Reason::LeastLoaded
+                } else {
+                    Reason::Rendezvous
+                };
+                let order = order
                     .into_iter()
                     .map(|i| Placement {
                         replica: i,
                         matched_tokens: matches[i],
                     })
-                    .collect()
+                    .collect();
+                (order, reason)
             }
         }
     }
 
-    /// Replicas ordered by descending rendezvous score of the prompt head.
-    fn hashed_order(&self, prompt: &[u32], n: usize) -> Vec<Placement> {
+    /// Replica indices by descending rendezvous score of the prompt head.
+    fn hashed_order(&self, prompt: &[u32], n: usize) -> Vec<usize> {
         let head = &prompt[..prompt.len().min(self.cfg.hash_head)];
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            rendezvous_score(head, b)
-                .cmp(&rendezvous_score(head, a))
-                .then(a.cmp(&b))
-        });
+        order.sort_by_key(|&i| (Reverse(rendezvous_score(head, i)), i));
         order
-            .into_iter()
-            .map(|i| Placement {
-                replica: i,
-                matched_tokens: 0,
-            })
-            .collect()
     }
 
     /// Places and submits `req`, spilling to later candidates when a queue
@@ -226,8 +280,8 @@ impl Router {
     /// [`SubmitError::QueueFull`] when every replica shed the request;
     /// [`SubmitError::ShutDown`] as soon as any replica reports it.
     pub fn submit(&self, req: DecodeRequest) -> Result<Pending, SubmitError> {
-        let candidates = self.candidates(&req.prompt, req.opts.max_new_tokens);
-        self.place(&candidates, |replica| {
+        let (candidates, reason) = self.candidates(&req.prompt, req.opts.max_new_tokens);
+        self.place(&candidates, reason, |replica| {
             self.pool.replica(replica).submit(req.clone())
         })
     }
@@ -239,17 +293,19 @@ impl Router {
     ///
     /// Same as [`Router::submit`].
     pub fn submit_streaming(&self, req: DecodeRequest) -> Result<StreamingPending, SubmitError> {
-        let candidates = self.candidates(&req.prompt, req.opts.max_new_tokens);
-        self.place(&candidates, |replica| {
+        let (candidates, reason) = self.candidates(&req.prompt, req.opts.max_new_tokens);
+        self.place(&candidates, reason, |replica| {
             self.pool.replica(replica).submit_streaming(req.clone())
         })
     }
 
     /// Shared placement loop: walk candidates best-first, stop on the
-    /// first replica that accepts.
+    /// first replica that accepts. `first_choice` is why the first
+    /// candidate leads.
     fn place<T>(
         &self,
         candidates: &[Placement],
+        first_choice: Reason,
         mut submit: impl FnMut(usize) -> Result<T, SubmitError>,
     ) -> Result<T, SubmitError> {
         for (attempt, placement) in candidates.iter().enumerate() {
@@ -258,9 +314,13 @@ impl Router {
                     if let Some(t) = &self.telemetry {
                         t.requests.inc();
                         t.prefix_matched_tokens.add(placement.matched_tokens as u64);
-                        if attempt > 0 {
+                        let reason = if attempt > 0 {
                             t.overflow_reroutes.inc();
-                        }
+                            Reason::Spill
+                        } else {
+                            first_choice
+                        };
+                        t.placements[reason as usize].inc();
                     }
                     return Ok(accepted);
                 }
@@ -354,13 +414,24 @@ mod tests {
     }
 
     fn pool(n: usize) -> Arc<ReplicaPool> {
+        pool_with_queue(n, 4)
+    }
+
+    fn pool_with_queue(n: usize, queue_depth: usize) -> Arc<ReplicaPool> {
         let cfg = BatchConfig {
             max_batch_size: 2,
-            queue_depth: 4,
+            queue_depth,
             prefix_cache_bytes: 1 << 20,
             ..BatchConfig::default()
         };
         Arc::new(wisdom().replica_pool(cfg, n, &[]))
+    }
+
+    fn request(prompt: &str) -> DecodeRequest {
+        wisdom().decode_request(&wisdom_core::CompletionRequest {
+            context: String::new(),
+            prompt: prompt.to_string(),
+        })
     }
 
     #[test]
@@ -388,10 +459,7 @@ mod tests {
     fn affinity_routes_a_resend_to_the_warm_replica() {
         let pool = pool(2);
         let router = Router::new(Arc::clone(&pool), RouterConfig::default(), None);
-        let req = wisdom().decode_request(&wisdom_core::CompletionRequest {
-            context: String::new(),
-            prompt: "install nginx and enable the service".to_string(),
-        });
+        let req = request("install nginx and enable the service");
         // Warm exactly one replica, picked by the hash fallback.
         let first = router.decide(&req.prompt, req.opts.max_new_tokens);
         assert_eq!(first.matched_tokens, 0);
@@ -402,6 +470,94 @@ mod tests {
         assert!(
             second.matched_tokens > 0,
             "resend should find a warm prefix"
+        );
+        // A window at least half resident is worth a queue: the resend
+        // stays even with work parked on its replica and the other idle.
+        let warm = pool.replica(first.replica);
+        warm.set_admission_paused(true);
+        let parked = warm.submit(req.clone()).expect("queue has room");
+        assert_eq!(
+            (warm.load(), pool.replica(1 - first.replica).load()),
+            (1, 0)
+        );
+        let (order, reason) = router.candidates(&req.prompt, req.opts.max_new_tokens);
+        assert_eq!(
+            (order[0].replica, reason),
+            (first.replica, Reason::Affinity)
+        );
+        // A prompt sharing only the `- name: ` head with it is not: it
+        // takes the idle replica, and says what it found there.
+        let cold = request("create user deploy");
+        let (order, reason) = router.candidates(&cold.prompt, cold.opts.max_new_tokens);
+        let (head, _) = warm.cached_prefix_tokens(&cold.prompt, cold.opts.max_new_tokens);
+        assert!(head > 0, "the common head is resident on the warm replica");
+        assert_eq!(
+            (order[0], reason),
+            (
+                Placement {
+                    replica: 1 - first.replica,
+                    matched_tokens: 0
+                },
+                Reason::LeastLoaded
+            )
+        );
+        assert_eq!(order[1].matched_tokens, head);
+        warm.set_admission_paused(false);
+        let _ = parked.wait();
+        pool.shutdown();
+    }
+
+    #[test]
+    fn cold_prompts_sharing_only_the_head_land_on_both_replicas() {
+        let pool = pool_with_queue(2, 64);
+        let registry = Registry::new();
+        let telemetry = RouterTelemetry::register(&registry, "prefix_affinity");
+        let router = Router::new(
+            Arc::clone(&pool),
+            RouterConfig::default(),
+            Some(telemetry.clone()),
+        );
+        // One replica holds the common head, the other nothing.
+        let first = request("install nginx and enable the service");
+        let warm = router
+            .decide(&first.prompt, first.opts.max_new_tokens)
+            .replica;
+        let _ = router.submit(first).expect("submit").wait();
+        // 64 distinct prompts in flight at once: admission is paused while
+        // they are placed, so every decision sees the queues before it.
+        pool.set_admission_paused(true);
+        let pending: Vec<Pending> = (0..64u8)
+            .map(|i| {
+                // Two letters of its own first: no pair shares more than
+                // the head and a letter.
+                let (a, b) = ((b'a' + i % 26) as char, (b'a' + i / 26) as char);
+                router
+                    .submit(request(&format!("{a}{b} package install and start")))
+                    .expect("queues have room")
+            })
+            .collect();
+        let queued = [0, 1].map(|i| pool.replica(i).load());
+        assert_eq!(queued[0] + queued[1], 64);
+        assert!(
+            queued.iter().all(|q| (26..=38).contains(q)),
+            "cold prompts split {queued:?}; replica {warm} holds the common head"
+        );
+        pool.set_admission_paused(false);
+        for p in pending {
+            let _ = p.wait();
+        }
+        // Both decode workers admitted their share.
+        for (i, stats) in pool.stats().iter().enumerate() {
+            let cache = stats.prefix_cache.expect("cache on");
+            let admitted = cache.hits + cache.misses - u64::from(i == warm);
+            assert_eq!(admitted, queued[i] as u64, "replica {i}");
+        }
+        let placed = |reason: Reason| telemetry.placements[reason as usize].get();
+        assert_eq!(placed(Reason::Affinity) + placed(Reason::Spill), 0);
+        assert_eq!(placed(Reason::LeastLoaded) + placed(Reason::Rendezvous), 65);
+        assert!(
+            placed(Reason::LeastLoaded) >= 26,
+            "load decided when it differed"
         );
         pool.shutdown();
     }
@@ -431,10 +587,7 @@ mod tests {
             ..RouterConfig::default()
         };
         let router = Router::new(Arc::clone(&pool), cfg, Some(telemetry.clone()));
-        let req = wisdom().decode_request(&wisdom_core::CompletionRequest {
-            context: String::new(),
-            prompt: "restart the docker daemon".to_string(),
-        });
+        let req = request("restart the docker daemon");
         // Saturate the hash-preferred replica: admission paused so the
         // worker cannot drain mid-test, then fill its bounded queue. The
         // parked jobs resolve to empty outputs at shutdown.
@@ -454,6 +607,7 @@ mod tests {
         let pending = router.submit(req.clone()).expect("other replica accepts");
         let _ = pending.wait();
         assert_eq!(telemetry.overflow_reroutes.get(), 1);
+        assert_eq!(telemetry.placements[Reason::Spill as usize].get(), 1);
         // Saturate the survivor too: now every candidate sheds.
         fill(1 - first, &mut parked);
         assert!(matches!(router.submit(req), Err(SubmitError::QueueFull)));

@@ -670,6 +670,61 @@ fn multi_replica_server_is_deterministic_and_reports_per_replica_stats() {
 }
 
 #[test]
+fn a_burst_of_unique_prompts_moves_both_replicas() {
+    use ansible_wisdom::server::HttpConnection;
+    use ansible_wisdom::telemetry::sample_value;
+
+    let (handle, addr) = spawn_server_with(ServerConfig {
+        replicas: 2,
+        ..ServerConfig::default()
+    });
+    let admitted = || {
+        let (_, metrics) = get(addr, "/metrics").expect("metrics");
+        [0, 1].map(|i| {
+            let series = format!("wisdom_requests_admitted_total{{replica=\"{i}\"}}");
+            sample_value(&metrics, &series).unwrap_or_else(|| panic!("missing {series}"))
+        })
+    };
+    // One replica now holds the head every prompt shares (`- name: `).
+    request_completion(addr, "", "install nginx").expect("completion");
+    let before = admitted();
+    assert_eq!(before[0] + before[1], 1.0);
+
+    // Two closed-loop clients on keep-alive connections, no prompt twice
+    // and no two alike from the start: each opens with two letters of its
+    // own and fits the tiny model's 24-token window whole (20 tokens; a
+    // longer one is cut down to its tail, which they all share), so what
+    // any pair has in common — the head and a letter at most — stays far
+    // under half a window and placement is by load, not by affinity.
+    let clients: Vec<_> = (0..2u8)
+        .map(|client| {
+            std::thread::spawn(move || {
+                let mut conn = HttpConnection::connect(addr).expect("connect");
+                for i in 0..24u8 {
+                    let (a, b) = ((b'a' + i) as char, (b'y' + client) as char);
+                    let body = format!(r#"{{"prompt":"{a}{b} package install and start"}}"#);
+                    let (status, _, body) = conn.post("/v1/completions", &body).expect("post");
+                    assert_eq!(status, 200, "{body}");
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("client thread");
+    }
+    let after = admitted();
+    let moved = [after[0] - before[0], after[1] - before[1]];
+    // `scripts/check.sh` greps this line into its log.
+    println!("e2e burst admitted per replica: {moved:?}");
+    assert_eq!(moved[0] + moved[1], 48.0);
+    assert!(
+        moved.iter().all(|&m| m > 0.0),
+        "a replica sat out the burst: {moved:?}"
+    );
+    handle.stop();
+}
+
+#[test]
 fn a_batch_of_one_streams_and_reports_the_pool_shape() {
     use ansible_wisdom::server::post_sse;
 
