@@ -1,10 +1,14 @@
 //! Curation pipeline throughput: end-to-end docs/sec through
-//! parse → lint → dedup → score → shard, per worker count.
+//! parse → lint → dedup → score → shard, per worker count; then the
+//! sketching stages alone over a pool the size of the `curate_corpus`
+//! workload's.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use wisdom_corpus::{Corpus, CorpusSpec};
-use wisdom_curation::{corpus_docs, curate, score_document, CurationConfig, DocKind};
+use wisdom_curation::{
+    corpus_docs, curate, score_document, shingle_set, CurationConfig, DocKind, MinHasher, NearDedup,
+};
 
 fn bench(c: &mut Criterion) {
     let corpus = Corpus::build(&CorpusSpec {
@@ -42,6 +46,56 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(sample.len() as u64));
     group.bench_function("ansible_doc", |b| {
         b.iter(|| black_box(score_document(black_box(sample), DocKind::Ansible)))
+    });
+    drop(group);
+
+    sketch(c);
+}
+
+/// Shingling, both signature arms and the LSH index, each over every
+/// document of a corpus at the benchmark workload's scale (~1.9k docs).
+fn sketch(c: &mut Criterion) {
+    let docs = corpus_docs(&Corpus::build(&CorpusSpec::scaled(31, 1000)));
+    let config = CurationConfig::default();
+    let hasher = MinHasher::new(config.seed, config.bands, config.rows);
+    let sets: Vec<Vec<u64>> = docs
+        .iter()
+        .map(|d| shingle_set(&d.text, config.shingle_k))
+        .collect();
+    let signatures: Vec<_> = sets.iter().map(|s| hasher.signature(s)).collect();
+    let floor = NearDedup::floor_for_target(config.target_similarity, hasher.lanes());
+    println!("curation/sketch: {} docs", docs.len());
+
+    let mut group = c.benchmark_group("curation/sketch");
+    group.throughput(Throughput::Elements(docs.len() as u64));
+    group.bench_function("shingle_set", |b| {
+        b.iter(|| {
+            for d in &docs {
+                black_box(shingle_set(black_box(&d.text), config.shingle_k));
+            }
+        })
+    });
+    group.bench_function("signature", |b| {
+        b.iter(|| {
+            for s in &sets {
+                black_box(hasher.signature(black_box(s)));
+            }
+        })
+    });
+    group.bench_function("signature_portable", |b| {
+        b.iter(|| {
+            for s in &sets {
+                black_box(hasher.signature_portable(black_box(s)));
+            }
+        })
+    });
+    group.bench_function("near_dedup_offer", |b| {
+        b.iter(|| {
+            let mut near = NearDedup::new(hasher.clone(), floor);
+            for sig in &signatures {
+                black_box(near.offer(black_box(sig)));
+            }
+        })
     });
 }
 

@@ -12,6 +12,7 @@
 //! running the index behind the pipeline's order-restoring curator makes
 //! the kept set independent of worker count.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::shingle::{MinHasher, Signature};
@@ -91,15 +92,32 @@ pub enum NearVerdict {
     },
 }
 
+/// Ends a bucket chain in [`NearDedup`]'s link arena.
+const NIL: usize = usize::MAX;
+
 /// MinHash-LSH near-duplicate index over kept documents.
+///
+/// Candidates are compared band by band, each bucket in kept order, and the
+/// first candidate with the highest estimate wins a tie; the flat layout
+/// below keeps exactly that order.
 pub struct NearDedup {
     hasher: MinHasher,
     /// Estimated-Jaccard floor at which a candidate is dropped.
     floor: f64,
-    /// band key -> kept-doc indices in that bucket.
-    buckets: HashMap<(u32, u64), Vec<usize>>,
-    /// Signatures of kept documents.
+    /// Per band: bucket key -> `(first, last)` link of the bucket's chain.
+    /// The std (SipHash) hasher stays: band keys derive from corpus bytes.
+    buckets: Vec<HashMap<u64, (usize, usize)>>,
+    /// Bucket chains as `(kept index, next link)`, appended in kept order.
+    links: Vec<(usize, usize)>,
+    /// Signatures of kept documents, one allocation each: a single growing
+    /// `Vec<u64>` of them raised the pass's peak RSS by about a megabyte.
     kept: Vec<Signature>,
+    /// Kept document `i` was already compared this offer iff
+    /// `seen[i] == epoch`.
+    seen: Vec<u64>,
+    epoch: u64,
+    /// Reused buffer: the band keys of the signature being offered.
+    keys: Vec<u64>,
 }
 
 impl NearDedup {
@@ -112,10 +130,14 @@ impl NearDedup {
     /// [`floor_for_target`](Self::floor_for_target) computes `t - 2·se`.
     pub fn new(hasher: MinHasher, floor: f64) -> Self {
         Self {
+            buckets: vec![HashMap::new(); hasher.bands()],
             hasher,
             floor,
-            buckets: HashMap::new(),
+            links: Vec::new(),
             kept: Vec::new(),
+            seen: Vec::new(),
+            epoch: 0,
+            keys: Vec::new(),
         }
     }
 
@@ -143,35 +165,56 @@ impl NearDedup {
 
     /// Offers a document's signature; either indexes it as kept or rejects
     /// it as a near-duplicate of the most similar kept candidate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sig` does not have this index's lane count.
     pub fn offer(&mut self, sig: &Signature) -> NearVerdict {
-        let keys = self.hasher.band_keys(sig);
+        assert_eq!(
+            sig.0.len(),
+            self.hasher.lanes(),
+            "signature from another MinHasher"
+        );
+        self.hasher.band_keys_into(sig, &mut self.keys);
+        self.epoch += 1;
         let mut best: Option<(usize, f64)> = None;
-        let mut checked: Vec<usize> = Vec::new();
-        for (band, &key) in keys.iter().enumerate() {
-            if let Some(bucket) = self.buckets.get(&(band as u32, key)) {
-                for &idx in bucket {
-                    if checked.contains(&idx) {
-                        continue;
-                    }
-                    checked.push(idx);
-                    let est = self.hasher.estimate(sig, &self.kept[idx]);
-                    if est >= self.floor && best.map(|(_, b)| est > b).unwrap_or(true) {
-                        best = Some((idx, est));
-                    }
+        for (bucket, key) in self.buckets.iter().zip(&self.keys) {
+            let Some(&(mut link, _)) = bucket.get(key) else {
+                continue;
+            };
+            while link != NIL {
+                let (idx, next) = self.links[link];
+                link = next;
+                if self.seen[idx] == self.epoch {
+                    continue;
+                }
+                self.seen[idx] = self.epoch;
+                let est = self.hasher.estimate(sig, &self.kept[idx]);
+                if est >= self.floor && best.map(|(_, b)| est > b).unwrap_or(true) {
+                    best = Some((idx, est));
                 }
             }
         }
         if let Some((of, estimate)) = best {
             return NearVerdict::Duplicate { of, estimate };
         }
-        let idx = self.kept.len();
-        for (band, key) in keys.into_iter().enumerate() {
-            self.buckets
-                .entry((band as u32, key))
-                .or_default()
-                .push(idx);
+        let idx = self.len();
+        for (bucket, &key) in self.buckets.iter_mut().zip(&self.keys) {
+            let link = self.links.len();
+            self.links.push((idx, NIL));
+            match bucket.entry(key) {
+                Entry::Occupied(mut chain) => {
+                    let last = &mut chain.get_mut().1;
+                    self.links[*last].1 = link;
+                    *last = link;
+                }
+                Entry::Vacant(chain) => {
+                    chain.insert((link, link));
+                }
+            }
         }
         self.kept.push(sig.clone());
+        self.seen.push(0);
         NearVerdict::Kept(idx)
     }
 }

@@ -14,7 +14,7 @@
 //! * generic YAML only has to parse; a small structure component spreads
 //!   the histogram so trivial one-key files rank below real manifests.
 
-use wisdom_ansible::{detect_target, lint_value, normalize_document, LintTarget, ModuleRegistry};
+use wisdom_ansible::{detect_target, lint_value, LintTarget, ModuleRegistry};
 use wisdom_yaml::Value;
 
 /// What a document claims to be, which decides the scoring rubric.
@@ -48,10 +48,20 @@ pub struct DocScore {
 /// Counts `(task_like, module_hits)` over the document's task positions: a
 /// sequence-item mapping that is not a play header and carries a `name` key
 /// or resolves a module key is task-like; a module hit resolves one of its
-/// keys in the registry (FQCN normalization included — `apt` and
-/// `ansible.builtin.apt` both hit). Module-argument mappings are not
-/// descended into, so an `apt: {name: nginx}` args block never
-/// masquerades as an unresolved task.
+/// keys in the registry (`apt` and `ansible.builtin.apt` both hit).
+/// Module-argument mappings are not descended into, so an
+/// `apt: {name: nginx}` args block never masquerades as an unresolved task.
+///
+/// It runs on the parsed value as written, where a string argument is
+/// opaque. Walking a `normalize_document` clone instead scores one shape
+/// differently, and this walk differs there on purpose: normalization
+/// parses an unknown module's `k=v` string into a mapping of YAML values, so
+/// `my.mod: opts=[{name:y}]` would add a task `{name: y}` (one more
+/// `task_like`, a lower `module_aware`) that was never written as a task.
+/// Everywhere else the counts are the same: normalization renames module
+/// keys (which `is_module` accepts in either spelling), reorders keys
+/// (which are not counted in order) and reshapes known modules' arguments
+/// (which are not entered).
 fn module_stats(value: &Value, reg: &ModuleRegistry, task_like: &mut usize, hits: &mut usize) {
     if let Some(items) = value.as_seq() {
         for item in items {
@@ -113,10 +123,8 @@ pub fn score_document(text: &str, kind: DocKind) -> DocScore {
             quality: 0.0,
         };
     };
-    let reg = ModuleRegistry::global();
-    let normalized = normalize_document(&value);
     let (mut task_like, mut hits) = (0usize, 0usize);
-    module_stats(&normalized, reg, &mut task_like, &mut hits);
+    module_stats(&value, ModuleRegistry::global(), &mut task_like, &mut hits);
     let module_aware = if task_like == 0 {
         0.0
     } else {
@@ -212,6 +220,169 @@ mod tests {
             score_document(rich, DocKind::Generic).quality
                 > score_document(stub, DocKind::Generic).quality
         );
+    }
+
+    fn stats(value: &Value) -> (usize, usize) {
+        let (mut task_like, mut hits) = (0, 0);
+        module_stats(value, ModuleRegistry::global(), &mut task_like, &mut hits);
+        (task_like, hits)
+    }
+
+    fn assert_raw_stats_match_normalized(value: &Value) {
+        let normalized = wisdom_ansible::normalize_document(value);
+        assert_eq!(
+            stats(value),
+            stats(&normalized),
+            "module_stats differs after normalization:\n{}",
+            wisdom_yaml::emit(value)
+        );
+    }
+
+    #[test]
+    fn module_stats_on_raw_corpus_documents_match_normalized() {
+        let corpus = wisdom_corpus::Corpus::build(&wisdom_corpus::CorpusSpec {
+            seed: 5,
+            galaxy_files: 40,
+            gitlab_files: 16,
+            github_ansible_files: 24,
+            generic_files: 24,
+            pile_docs: 8,
+            pile_yaml_fraction: 0.1,
+            bigquery_docs: 8,
+            bigpython_docs: 8,
+        });
+        let mut parsed = 0;
+        for doc in crate::corpus_docs(&corpus) {
+            if let Ok(value) = wisdom_yaml::parse(&doc.text) {
+                assert_raw_stats_match_normalized(&value);
+                parsed += 1;
+            }
+        }
+        assert!(parsed > 100, "only {parsed} corpus documents parsed");
+    }
+
+    /// The one shape scored differently from the normalized walk, on
+    /// purpose: an unknown module's `k=v` string that holds a flow sequence
+    /// of mappings is an argument, not a task.
+    #[test]
+    fn kv_strings_of_unknown_modules_stay_opaque() {
+        let value =
+            wisdom_yaml::parse("- name: Outer\n  my.custom.module: opts=[{name:inner}]\n").unwrap();
+        assert_eq!(stats(&value), (1, 0));
+        assert_eq!(stats(&wisdom_ansible::normalize_document(&value)), (2, 0));
+    }
+
+    /// A random Ansible-shaped tree: plays or task lists, tasks with known
+    /// modules in either spelling, unknown modules, `k=v` / free-form /
+    /// mapping / list arguments, keywords, nested blocks, shuffled keys.
+    fn random_doc(rng: &mut wisdom_prng::Prng) -> Value {
+        fn scalar(rng: &mut wisdom_prng::Prng) -> Value {
+            const WORDS: [&str; 8] = ["nginx", "present", "yes", "0644", "/etc/x", "a=b", "", "1"];
+            match rng.range_usize(0, 4) {
+                0 => Value::Int(rng.range_usize(0, 100) as i64),
+                1 => Value::Bool(rng.chance(0.5)),
+                _ => Value::Str(WORDS[rng.range_usize(0, WORDS.len())].to_string()),
+            }
+        }
+        fn args(rng: &mut wisdom_prng::Prng, depth: usize) -> Value {
+            const KV: [&str; 6] = [
+                "name=nginx state=present",
+                "src=a dest=b mode=0644",
+                "msg='hello world'",
+                "state={{ wanted }}",
+                "systemctl restart nginx",
+                "name=x",
+            ];
+            match rng.range_usize(0, 5) {
+                0 => Value::Str(KV[rng.range_usize(0, KV.len())].to_string()),
+                1 => Value::Null,
+                2 => Value::Map(
+                    (0..rng.range_usize(0, 3))
+                        .map(|i| (["name", "state", "dest"][i].to_string(), scalar(rng)))
+                        .collect(),
+                ),
+                3 if depth < 3 => tasks(rng, depth + 1),
+                _ => scalar(rng),
+            }
+        }
+        fn task(rng: &mut wisdom_prng::Prng, depth: usize) -> Value {
+            const MODULES: [&str; 8] = [
+                "apt",
+                "ansible.builtin.apt",
+                "copy",
+                "ansible.builtin.service",
+                "shell",
+                "my.custom.module",
+                "frobnicate",
+                "hosts_helper",
+            ];
+            let mut entries: Vec<(String, Value)> = Vec::new();
+            if rng.chance(0.7) {
+                entries.push(("name".into(), Value::Str("Do it".into())));
+            }
+            if depth < 3 && rng.chance(0.15) {
+                entries.push(("block".into(), tasks(rng, depth + 1)));
+                if rng.chance(0.5) {
+                    entries.push(("rescue".into(), tasks(rng, depth + 1)));
+                }
+            } else if rng.chance(0.9) {
+                let module = MODULES[rng.range_usize(0, MODULES.len())];
+                entries.push((module.into(), args(rng, depth)));
+            }
+            for keyword in ["when", "become", "tags", "notify", "loop"] {
+                if rng.chance(0.25) {
+                    let v = if depth < 3 && rng.chance(0.3) {
+                        args(rng, depth + 1)
+                    } else {
+                        scalar(rng)
+                    };
+                    entries.push((keyword.into(), v));
+                }
+            }
+            for i in (1..entries.len()).rev() {
+                entries.swap(i, rng.range_usize(0, i + 1));
+            }
+            Value::Map(entries.into_iter().collect())
+        }
+        fn tasks(rng: &mut wisdom_prng::Prng, depth: usize) -> Value {
+            Value::Seq(
+                (0..rng.range_usize(0, 4))
+                    .map(|_| task(rng, depth))
+                    .collect(),
+            )
+        }
+        if rng.chance(0.4) {
+            let plays = (0..rng.range_usize(1, 3))
+                .map(|_| {
+                    let mut play: Vec<(String, Value)> = vec![
+                        ("hosts".into(), Value::Str("all".into())),
+                        ("name".into(), Value::Str("Play".into())),
+                    ];
+                    for key in ["tasks", "handlers", "pre_tasks", "roles"] {
+                        if rng.chance(0.5) {
+                            play.push((key.into(), tasks(rng, 1)));
+                        }
+                    }
+                    play.reverse();
+                    Value::Map(play.into_iter().collect())
+                })
+                .collect();
+            Value::Seq(plays)
+        } else if rng.chance(0.8) {
+            tasks(rng, 0)
+        } else {
+            task(rng, 0)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn module_stats_on_raw_value_match_normalized(seed in proptest::prelude::any::<u64>()) {
+            let value = random_doc(&mut wisdom_prng::Prng::seed_from_u64(seed));
+            assert_raw_stats_match_normalized(&value);
+        }
     }
 
     #[test]

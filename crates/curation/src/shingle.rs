@@ -11,10 +11,13 @@
 use wisdom_prng::Prng;
 
 /// Splits text into the word tokens shingling operates on: maximal runs of
-/// alphanumeric / `_` / `-` / `.` bytes, lowercased. YAML punctuation
-/// (colons, dashes-as-bullets, braces) is treated as separators so that
+/// alphanumeric / `_` / `.` characters, lowercased. YAML punctuation
+/// (colons, dashes, braces) is treated as separators so that
 /// formatting-only differences (flow vs block style, indentation) do not
 /// perturb the shingle set.
+///
+/// [`shingle_set`] reads the same tokens without materializing them; this
+/// is the reference its property tests compare against.
 pub fn tokenize(text: &str) -> Vec<String> {
     let mut tokens = Vec::new();
     let mut current = String::new();
@@ -31,39 +34,84 @@ pub fn tokenize(text: &str) -> Vec<String> {
     tokens
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x1000_0000_01b3;
+
 fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
     for b in bytes {
         h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// The tokens of [`tokenize`] in one buffer: each token's lowercased bytes
+/// followed by a `0xff` separator (a byte UTF-8 never contains), plus the
+/// offset where each token starts and, last, the buffer's length. Tokens
+/// `t..t + k` are then the single slice `bytes[starts[t]..starts[t + k]]`.
+///
+/// ASCII bytes are classified and lowercased without decoding; other
+/// characters go through `char::to_lowercase` encoded as UTF-8, the bytes
+/// `tokenize` produces.
+fn token_bytes(text: &str) -> (Vec<u8>, Vec<usize>) {
+    let src = text.as_bytes();
+    let mut bytes = Vec::with_capacity(src.len() + 1);
+    let mut starts = vec![0];
+    let mut in_token = false;
+    let mut i = 0;
+    while i < src.len() {
+        let b = src[i];
+        let word = if b.is_ascii() {
+            i += 1;
+            let word = b.is_ascii_alphanumeric() || b == b'_' || b == b'.';
+            if word {
+                bytes.push(b.to_ascii_lowercase());
+            }
+            word
+        } else {
+            let ch = text[i..]
+                .chars()
+                .next()
+                .expect("i advances by whole characters");
+            i += ch.len_utf8();
+            let word = ch.is_alphanumeric();
+            if word {
+                let mut utf8 = [0u8; 4];
+                for lower in ch.to_lowercase() {
+                    bytes.extend_from_slice(lower.encode_utf8(&mut utf8).as_bytes());
+                }
+            }
+            word
+        };
+        if in_token && !word {
+            bytes.push(0xff);
+            starts.push(bytes.len());
+        }
+        in_token = word;
+    }
+    if in_token {
+        bytes.push(0xff);
+        starts.push(bytes.len());
+    }
+    (bytes, starts)
 }
 
 /// The set of hashed `k`-token shingles of `text`, sorted and deduplicated.
 ///
 /// Documents shorter than `k` tokens contribute one shingle over whatever
-/// tokens they have, so even tiny files get a non-empty set.
+/// tokens they have, so even tiny files get a non-empty set. A shingle's
+/// hash is FNV-1a over each of its tokens' bytes followed by a `0xff`
+/// separator.
 pub fn shingle_set(text: &str, k: usize) -> Vec<u64> {
     assert!(k > 0, "shingle width must be positive");
-    let tokens = tokenize(text);
-    let mut set: Vec<u64> = if tokens.len() <= k {
-        let mut h = 0xcbf2_9ce4_8422_2325;
-        for t in &tokens {
-            h = fnv1a(t.as_bytes(), h);
-            h = fnv1a(&[0xff], h);
-        }
-        vec![h]
+    let (bytes, starts) = token_bytes(text);
+    let hash = |first: usize, end: usize| fnv1a(&bytes[starts[first]..starts[end]], FNV_OFFSET);
+    let tokens = starts.len() - 1;
+    let mut set: Vec<u64> = if tokens <= k {
+        vec![hash(0, tokens)]
     } else {
-        tokens
-            .windows(k)
-            .map(|w| {
-                let mut h = 0xcbf2_9ce4_8422_2325;
-                for t in w {
-                    h = fnv1a(t.as_bytes(), h);
-                    h = fnv1a(&[0xff], h);
-                }
-                h
-            })
+        (0..=tokens - k)
+            .map(|first| hash(first, first + k))
             .collect()
     };
     set.sort_unstable();
@@ -108,11 +156,32 @@ pub struct MinHasher {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Signature(pub Vec<u64>);
 
+#[inline(always)]
 fn mix64(mut x: u64) -> u64 {
     // SplitMix64 finalizer: a cheap, well-distributed 64-bit permutation.
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// Folds every shingle into `sig`, lane by lane. The lane loop is innermost
+/// and branchless so it vectorizes; its integer ops give the same result at
+/// any vector width.
+#[inline(always)]
+fn min_hash_into(lane_seeds: &[u64], shingles: &[u64], sig: &mut [u64]) {
+    for &s in shingles {
+        for (min, &seed) in sig.iter_mut().zip(lane_seeds) {
+            *min = (*min).min(mix64(s ^ seed));
+        }
+    }
+}
+
+/// [`min_hash_into`] compiled for AVX-512F/DQ, which has the 64-bit vector
+/// multiply and unsigned min the lane loop needs. Same body, no intrinsics.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn min_hash_into_avx512(lane_seeds: &[u64], shingles: &[u64], sig: &mut [u64]) {
+    min_hash_into(lane_seeds, shingles, sig);
 }
 
 impl MinHasher {
@@ -150,17 +219,30 @@ impl MinHasher {
     /// Computes the signature of a sorted shingle set.
     ///
     /// An empty set signs as all-`u64::MAX`, agreeing fully with other
-    /// empty sets and (almost surely) with nothing else.
+    /// empty sets and (almost surely) with nothing else. Hosts with
+    /// AVX-512F/DQ run the lane loop eight lanes to a vector; the result is
+    /// bit-identical to [`signature_portable`](Self::signature_portable).
     pub fn signature(&self, shingles: &[u64]) -> Signature {
-        let mut sig = vec![u64::MAX; self.lane_seeds.len()];
-        for &s in shingles {
-            for (lane, &seed) in self.lane_seeds.iter().enumerate() {
-                let h = mix64(s ^ seed);
-                if h < sig[lane] {
-                    sig[lane] = h;
-                }
-            }
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+        {
+            let mut sig = vec![u64::MAX; self.lane_seeds.len()];
+            // SAFETY: the only precondition of the twin is that the host
+            // supports the features it was compiled for, detected just above.
+            unsafe { min_hash_into_avx512(&self.lane_seeds, shingles, &mut sig) };
+            return Signature(sig);
         }
+        self.signature_portable(shingles)
+    }
+
+    /// [`signature`](Self::signature) through the portable lane loop on
+    /// every host — the twin the AVX-512 build must equal bit for bit.
+    /// Exposed so the property suites can pin both arms on any host.
+    #[doc(hidden)]
+    pub fn signature_portable(&self, shingles: &[u64]) -> Signature {
+        let mut sig = vec![u64::MAX; self.lane_seeds.len()];
+        min_hash_into(&self.lane_seeds, shingles, &mut sig);
         Signature(sig)
     }
 
@@ -171,20 +253,15 @@ impl MinHasher {
         agree as f64 / a.0.len() as f64
     }
 
-    /// The per-band bucket keys of a signature: one FNV hash over each
-    /// band's `rows` lanes. Two documents are LSH candidates iff they share
-    /// at least one band key.
-    pub fn band_keys(&self, sig: &Signature) -> Vec<u64> {
-        sig.0
-            .chunks(self.rows)
-            .map(|band| {
-                let mut h = 0xcbf2_9ce4_8422_2325;
-                for lane in band {
-                    h = fnv1a(&lane.to_le_bytes(), h);
-                }
-                h
-            })
-            .collect()
+    /// Replaces the contents of `keys` with the per-band bucket keys of a
+    /// signature: one FNV hash over each band's `rows` lanes. Two documents
+    /// are LSH candidates iff they share at least one band key.
+    pub fn band_keys_into(&self, sig: &Signature, keys: &mut Vec<u64>) {
+        keys.clear();
+        keys.extend(sig.0.chunks(self.rows).map(|band| {
+            band.iter()
+                .fold(FNV_OFFSET, |h, lane| fnv1a(&lane.to_le_bytes(), h))
+        }));
     }
 }
 
@@ -245,6 +322,8 @@ mod tests {
     fn band_keys_have_band_count() {
         let h = MinHasher::new(1, 8, 4);
         let sig = h.signature(&shingle_set("a b c d e f", 2));
-        assert_eq!(h.band_keys(&sig).len(), 8);
+        let mut keys = vec![7; 3];
+        h.band_keys_into(&sig, &mut keys);
+        assert_eq!(keys.len(), 8);
     }
 }

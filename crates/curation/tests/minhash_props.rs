@@ -8,9 +8,18 @@
 //!    least the 0.8 target;
 //! 3. documents with disjoint vocabularies are never dropped (no false
 //!    positives among genuinely distinct docs).
+//!
+//! Below those, each fast path is pinned to a reference: `shingle_set` to
+//! shingling over `tokenize`'s strings, the dispatched `signature` to the
+//! portable lane loop, and the flat `NearDedup` index to the bucket-of-
+//! vectors index it replaced.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
-use wisdom_curation::{jaccard, shingle_set, MinHasher, NearDedup, NearVerdict};
+use wisdom_curation::{
+    jaccard, shingle_set, tokenize, MinHasher, NearDedup, NearVerdict, Signature,
+};
 
 const BANDS: usize = 32;
 const ROWS: usize = 4;
@@ -121,4 +130,173 @@ proptest! {
             );
         }
     }
+}
+
+/// The reference shingler, over `tokenize`'s strings: FNV-1a over each
+/// token followed by a `0xff` separator, per `k`-token window.
+fn reference_shingle_set(text: &str, k: usize) -> Vec<u64> {
+    let fnv = |bytes: &[u8], mut h: u64| {
+        for b in bytes {
+            h ^= u64::from(*b);
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+        h
+    };
+    let hash = |window: &[String]| {
+        window.iter().fold(0xcbf2_9ce4_8422_2325, |h, t| {
+            fnv(&[0xff], fnv(t.as_bytes(), h))
+        })
+    };
+    let tokens = tokenize(text);
+    let mut set: Vec<u64> = if tokens.len() <= k {
+        vec![hash(&tokens)]
+    } else {
+        tokens.windows(k).map(hash).collect()
+    };
+    set.sort_unstable();
+    set.dedup();
+    set
+}
+
+/// The index `NearDedup` replaced: one `Vec` of kept indices per
+/// `(band, key)` bucket and a linear `checked` list per offer.
+struct ReferenceNearDedup {
+    hasher: MinHasher,
+    floor: f64,
+    buckets: HashMap<(u32, u64), Vec<usize>>,
+    kept: Vec<Signature>,
+    /// Offers whose best estimate was shared by more than one candidate.
+    ties: usize,
+}
+
+impl ReferenceNearDedup {
+    fn offer(&mut self, sig: &Signature) -> NearVerdict {
+        let mut keys = Vec::new();
+        self.hasher.band_keys_into(sig, &mut keys);
+        let mut best: Option<(usize, f64)> = None;
+        let mut estimates = Vec::new();
+        let mut checked: Vec<usize> = Vec::new();
+        for (band, &key) in keys.iter().enumerate() {
+            if let Some(bucket) = self.buckets.get(&(band as u32, key)) {
+                for &idx in bucket {
+                    if checked.contains(&idx) {
+                        continue;
+                    }
+                    checked.push(idx);
+                    let est = self.hasher.estimate(sig, &self.kept[idx]);
+                    estimates.push(est);
+                    if est >= self.floor && best.map(|(_, b)| est > b).unwrap_or(true) {
+                        best = Some((idx, est));
+                    }
+                }
+            }
+        }
+        if let Some((of, estimate)) = best {
+            if estimates.iter().filter(|&&e| e == estimate).count() > 1 {
+                self.ties += 1;
+            }
+            return NearVerdict::Duplicate { of, estimate };
+        }
+        let idx = self.kept.len();
+        for (band, key) in keys.into_iter().enumerate() {
+            self.buckets
+                .entry((band as u32, key))
+                .or_default()
+                .push(idx);
+        }
+        self.kept.push(sig.clone());
+        NearVerdict::Kept(idx)
+    }
+}
+
+/// Text over ASCII words, YAML punctuation and the characters whose
+/// lowercase mappings are awkward: `İ` (two chars), `ß`, titlecase `ǅ`,
+/// sigma in final position, ligatures, the Kelvin sign (lowercases to
+/// ASCII), non-Latin digits and letters, runs of `Ⱥ` / `Ⱦ` (whose lowercase
+/// is a byte longer), plus arbitrary code points.
+const UNICODE_TEXT: &str = "([a-zA-Z0-9_.:\\- \n{}]{0,6}[İßǅΣσςﬁﬀĲK٣४߂ⅫÅÆΩ]{0,2}[ȺȾİ]{0,24}[\u{80}-\u{2fff}]{0,1}[\u{10000}-\u{10ffff}]{0,1}){0,30}";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn shingle_set_matches_tokenize_reference(text in UNICODE_TEXT, k in 1usize..6) {
+        prop_assert_eq!(shingle_set(&text, k), reference_shingle_set(&text, k), "{:?}", text);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every lane count from 1 to 130 — below, at and past multiples of
+    /// eight — over empty, single-shingle and longer sets.
+    #[test]
+    fn signature_matches_portable_twin(
+        seed in 0u64..1_000_000,
+        shingles in prop::collection::vec(any::<u64>(), 0..64),
+    ) {
+        for lanes in 1..=130 {
+            let hasher = MinHasher::new(seed, lanes, 1);
+            for set in [&shingles[..], &shingles[..shingles.len().min(1)], &[]] {
+                prop_assert_eq!(
+                    hasher.signature(set),
+                    hasher.signature_portable(set),
+                    "{} lanes, {} shingles",
+                    lanes,
+                    set.len()
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Signatures over a four-value lane alphabet, so buckets collide and
+    /// estimates tie constantly: the flat index must return the reference
+    /// verdict — same representative, same estimate — every time.
+    #[test]
+    fn flat_near_dedup_matches_reference_index(
+        seed in 0u64..1_000_000,
+        bands in 1usize..9,
+        rows in 1usize..4,
+        floor in 0.0f64..1.0,
+        lanes_values in prop::collection::vec(0u64..4, 0..2400),
+    ) {
+        let hasher = MinHasher::new(seed, bands, rows);
+        let lanes = hasher.lanes();
+        let mut flat = NearDedup::new(hasher.clone(), floor);
+        let mut reference = ReferenceNearDedup {
+            hasher,
+            floor,
+            buckets: HashMap::new(),
+            kept: Vec::new(),
+            ties: 0,
+        };
+        for chunk in lanes_values.chunks_exact(lanes) {
+            let sig = Signature(chunk.to_vec());
+            prop_assert_eq!(flat.offer(&sig), reference.offer(&sig));
+        }
+        prop_assert_eq!(flat.len(), reference.kept.len());
+    }
+}
+
+#[test]
+fn flat_near_dedup_reference_sees_ties() {
+    let hasher = MinHasher::new(3, 4, 2);
+    let mut reference = ReferenceNearDedup {
+        hasher: hasher.clone(),
+        floor: 0.25,
+        buckets: HashMap::new(),
+        kept: Vec::new(),
+        ties: 0,
+    };
+    let mut flat = NearDedup::new(hasher, 0.25);
+    let mut rng = wisdom_prng::Prng::seed_from_u64(17);
+    for _ in 0..400 {
+        let sig = Signature((0..8).map(|_| rng.range_usize(0, 3) as u64).collect());
+        assert_eq!(flat.offer(&sig), reference.offer(&sig));
+    }
+    assert!(reference.ties > 50, "only {} tied offers", reference.ties);
 }

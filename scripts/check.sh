@@ -6,8 +6,10 @@
 # doc tests, with its wall time printed — the tensor crate's unit and
 # property suites once more with `--release` (the explicit-intrinsics
 # kernels are what ships, and a debug build never inlines them the same
-# way) and the grammar crate's (its mask-equivalence property walks the
-# real vocabulary through both the entry and the filtered walk, and the
+# way), the curation crate's (the MinHash signature's AVX-512 twin is an
+# optimized build of the portable loop, so its agreement property must run
+# where it ships) and the grammar crate's (its mask-equivalence property
+# walks the real vocabulary through both the entry and the filtered walk, and the
 # optimized build is the one that serves), printing how many masks the
 # recycled pool built on each pass so a change to the cache's cap or policy
 # shows in this log — the two-replica e2e burst once more for the line that
@@ -31,6 +33,7 @@ suite_start=$SECONDS
 cargo test --workspace -q
 echo "cargo test --workspace -q: $((SECONDS - suite_start)) s"
 cargo test --release -q -p wisdom-tensor
+cargo test --release -q -p wisdom-curation
 cargo test --release -q -p wisdom-grammar -- --nocapture | grep -v '^$'
 cargo test -q --test server_e2e a_burst_of_unique_prompts -- --nocapture | grep 'admitted per replica'
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
