@@ -1,8 +1,8 @@
 //! Continuous-batching decode scaling: aggregate greedy tokens/second and
 //! per-request latency as the number of concurrently decoded sequences
 //! grows. Batch 1 is the solo `generate` loop every request paid before the
-//! scheduler existed; the acceptance bar is ≥2× aggregate throughput at
-//! batch 8 on the 2.7B-class config (see EXPERIMENTS.md for recorded runs).
+//! scheduler existed; the served configuration's batching is measured end
+//! to end by the benchmark ledger (`model.batch.*`).
 //!
 //! The row sweep measures one forward pass of r rows on the int8 350M-class
 //! fixture shape three ways — `step_batch` (r sequences, one row each),
@@ -14,8 +14,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use wisdom_bench::bench_profile;
-use wisdom_eval::run_decode_batching;
 use wisdom_model::{
     generate_batch, DecodeRequest, GenerationOptions, KvCache, ModelConfig, Precision,
     TransformerLm,
@@ -90,11 +88,6 @@ fn row_sweep(c: &mut Criterion) {
 }
 
 fn bench(c: &mut Criterion) {
-    // Regenerate the scaling table once.
-    let profile = bench_profile();
-    let points = run_decode_batching(&profile, 48, &[1, 2, 4, 8]);
-    println!("\n{}", wisdom_eval::tables::decode_batching_text(&points));
-
     let vocab = 600;
     let ctx = 96;
     let mut rng = Prng::seed_from_u64(9);

@@ -2,8 +2,9 @@
 //! weights vs the int8-packed fast path vs the dequant-on-load oracle
 //! (int8 error, f32 kernels), for the 350M- and 2.7B-class architectures.
 //! The fast path and the oracle emit bit-identical tokens — the agreement
-//! suite pins that — so the gap between them is pure kernel speed, and the
-//! gap to f32 is the end-to-end win recorded in `BENCH_quant.json`.
+//! suite pins that — so the gap between them is pure kernel speed. The
+//! ledger measures both precisions at the served shape as
+//! `model.decode_tokens_per_s_{f32,int8}`.
 //!
 //! The row sweep pins "a pass of r rows costs less than r single-row
 //! passes" where it is decided: `matmul_q8_acc` at m rows against m calls of

@@ -1,7 +1,7 @@
-//! Multi-replica router: per-request placement cost for each policy. The
-//! prefix-affinity probe walks every replica's radix tree under its cache
-//! lock, so this is the number that bounds router throughput; rendezvous
-//! and round-robin are the cheap fallbacks it degrades to on cold pools.
+//! Multi-replica router: per-request placement cost. The prefix-affinity
+//! probe walks every replica's radix tree under its cache lock, so this is
+//! the number that bounds router throughput; `rendezvous_pick` is the hash
+//! that breaks its ties.
 //!
 //! The shared-head cold mix: 64 distinct prompts that share three tokens
 //! (what `- name: ` is to every completion) with one replica's cache and
@@ -18,7 +18,7 @@ use wisdom_model::{
     TransformerLm,
 };
 use wisdom_prng::Prng;
-use wisdom_server::{rendezvous_pick, RoutePolicy, Router, RouterConfig};
+use wisdom_server::{rendezvous_pick, Router, RouterConfig};
 
 /// Prompt `tag`: a shared 24-token head plus a tag-distinct tail, the shape
 /// an editor resend takes (routing keys on the head, affinity on the tree).
@@ -120,10 +120,10 @@ fn bench(c: &mut Criterion) {
 
     // Warm every replica's radix tree so the affinity probe measures a
     // real walk, not an empty-tree early-out.
-    let warmer = Router::new(Arc::clone(&pool), RouterConfig::default(), None);
+    let router = Router::new(Arc::clone(&pool), RouterConfig::default(), None);
     let pendings: Vec<_> = (0..8u32)
         .map(|tag| {
-            warmer
+            router
                 .submit(request(prompt(tag, 64, vocab)))
                 .expect("warmup submit")
         })
@@ -132,24 +132,11 @@ fn bench(c: &mut Criterion) {
         let _ = p.wait();
     }
 
-    let policies = [
-        ("prefix_affinity", RoutePolicy::PrefixAffinity),
-        ("rendezvous", RoutePolicy::Rendezvous),
-        ("round_robin", RoutePolicy::RoundRobin),
-    ];
     let mut group = c.benchmark_group("router_decide/4_replicas");
-    for (label, policy) in policies {
-        let router = Router::new(
-            Arc::clone(&pool),
-            RouterConfig {
-                policy,
-                ..RouterConfig::default()
-            },
-            None,
-        );
-        let p = prompt(3, 64, vocab);
-        group.bench_function(label, |b| b.iter(|| black_box(router.decide(&p, 8))));
-    }
+    let p = prompt(3, 64, vocab);
+    group.bench_function("prefix_affinity", |b| {
+        b.iter(|| black_box(router.decide(&p, 8)))
+    });
     group.finish();
 
     let mut group = c.benchmark_group("rendezvous_pick");

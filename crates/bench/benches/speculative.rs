@@ -1,14 +1,11 @@
 //! Speculative decoding: greedy generation through the n-gram/self-draft
 //! proposers with batched-prefill verification, vs the plain sequential
-//! step loop. The acceptance bar is >1 accepted draft token per verify pass
-//! on the 2.7B-class config with a warmed n-gram drafter (see
-//! EXPERIMENTS.md for recorded runs).
+//! step loop. On served traffic the ledger measures speculation as
+//! `model.speculative.*` and the `ablate.no_speculative` arm.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use wisdom_bench::bench_profile;
-use wisdom_eval::run_speculative;
 use wisdom_model::{
     DecodeRequest, GenerationOptions, ModelConfig, NgramSpeculator, SpeculativeConfig,
     SpeculativeDecoder, TransformerLm,
@@ -16,11 +13,6 @@ use wisdom_model::{
 use wisdom_prng::Prng;
 
 fn bench(c: &mut Criterion) {
-    // Regenerate the tok/s and acceptance curve once.
-    let profile = bench_profile();
-    let points = run_speculative(&profile, 64, &[0, 2, 4, 8]);
-    println!("\n{}", wisdom_eval::tables::speculative_text(&points));
-
     let vocab = 600;
     let ctx = 96;
     let tokens = 48;

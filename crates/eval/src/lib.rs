@@ -6,7 +6,8 @@
 //! * [`evaluate`] — the scoring runner (greedy decoding, first-task output
 //!   truncation, four metrics, per-generation-type breakdown);
 //! * [`run_table3`] / [`run_table4`] / [`run_table5`] /
-//!   [`run_throughput`] — the experiments;
+//!   [`run_throughput`] — the paper's experiments, plus the decoding,
+//!   int8-quality and grammar comparisons on the Table 5 harness;
 //! * [`tables`] — plain-text renderers.
 //!
 //! # Examples
@@ -31,11 +32,9 @@ pub mod tables;
 mod zoo;
 
 pub use experiments::{
-    run_curation, run_decode_batching, run_decoding_ablation, run_grammar, run_prefix_cache,
-    run_quant, run_quant_speed, run_serving, run_speculative, run_table3, run_table4, run_table5,
-    run_telemetry_overhead, run_throughput, BatchingPoint, CurationResult, CurationScalePoint,
-    GrammarResult, GrammarTypeRow, PrefixCachePoint, Progress, QuantResult, QuantSpeed, Row,
-    ServingArm, ServingResult, SpeculativePoint, TelemetryOverhead, ThroughputResult, TypeRow,
+    run_decoding_ablation, run_grammar, run_quant, run_table3, run_table4, run_table5,
+    run_throughput, GrammarResult, GrammarTypeRow, Progress, QuantResult, Row, ThroughputResult,
+    TypeRow,
 };
 pub use profile::Profile;
 pub use runner::{evaluate, postprocess, EvalResult, EvalSettings, Oracle, SampleCap};

@@ -1,9 +1,6 @@
 //! Plain-text renderers for the paper's tables.
 
-use crate::experiments::{
-    BatchingPoint, CurationResult, GrammarResult, PrefixCachePoint, QuantResult, Row,
-    ServingResult, SpeculativePoint, TelemetryOverhead, ThroughputResult, TypeRow,
-};
+use crate::experiments::{GrammarResult, QuantResult, Row, ThroughputResult, TypeRow};
 use crate::zoo::TABLE2;
 
 fn check(b: bool) -> &'static str {
@@ -132,125 +129,13 @@ pub fn throughput_text(r: &ThroughputResult) -> String {
     )
 }
 
-/// Renders the continuous-batching decode scaling curve.
-pub fn decode_batching_text(points: &[BatchingPoint]) -> String {
-    let mut out =
-        String::from("Continuous-batching decode: aggregate greedy tokens/s vs batch size\n");
-    out.push_str(&format!(
-        "{:<6} {:>16} {:>16} {:>10} {:>14}\n",
-        "Batch", "350M tok/s", "2.7B tok/s", "2.7B x", "2.7B ms/req"
-    ));
-    let base = points.first().map_or(1.0, |p| p.large_tps).max(1e-9);
-    for p in points {
-        out.push_str(&format!(
-            "{:<6} {:>16.1} {:>16.1} {:>9.2}x {:>14.1}\n",
-            p.batch,
-            p.small_tps,
-            p.large_tps,
-            p.large_tps / base,
-            p.large_latency_ms
-        ));
-    }
-    out
-}
-
-/// Renders the telemetry-overhead comparison.
-pub fn telemetry_text(r: &TelemetryOverhead) -> String {
-    format!(
-        "Telemetry overhead (batched greedy decode, {} seqs thru batch {} x {} tokens, 350M-class):\n  \
-         plain        : {:>8.1} tokens/s\n  \
-         instrumented : {:>8.1} tokens/s\n  \
-         overhead     : {:>8.2}%  (target: <1%)\n  \
-         identical out: {}\n",
-        r.batch * 4,
-        r.batch,
-        r.tokens,
-        r.plain_tps,
-        r.instrumented_tps,
-        r.overhead() * 100.0,
-        r.identical_output
-    )
-}
-
-/// Renders the prefix-cache cold-vs-warm prefill table.
-pub fn prefix_cache_text(points: &[PrefixCachePoint]) -> String {
-    let mut out =
-        String::from("Radix prefix KV cache: full-window prefill, cold vs warm (suffix-only)\n");
-    out.push_str(&format!(
-        "{:<14} {:>13} {:>13} {:>8} {:>13} {:>13} {:>8}\n",
-        "Shared",
-        "350M cold ms",
-        "350M warm ms",
-        "350M x",
-        "2.7B cold ms",
-        "2.7B warm ms",
-        "2.7B x"
-    ));
-    for p in points {
-        out.push_str(&format!(
-            "{:<14} {:>13.1} {:>13.1} {:>7.2}x {:>13.1} {:>13.1} {:>7.2}x\n",
-            format!("{}/{} tok", p.shared, p.total),
-            p.small_cold_ms,
-            p.small_warm_ms,
-            p.small_speedup(),
-            p.large_cold_ms,
-            p.large_warm_ms,
-            p.large_speedup()
-        ));
-    }
-    out
-}
-
-/// Renders the speculative-decoding tok/s and acceptance curve.
-pub fn speculative_text(points: &[SpeculativePoint]) -> String {
-    let mut out = String::from(
-        "Speculative decoding: greedy tokens/s and accepted draft tokens per verify vs k\n\
-         (order-4 n-gram drafter warmed on the model's own greedy stream; k=0 = plain loop)\n",
-    );
-    out.push_str(&format!(
-        "{:<6} {:>12} {:>10} {:>10} {:>12} {:>10} {:>10}\n",
-        "k", "350M tok/s", "350M x", "350M acc", "2.7B tok/s", "2.7B x", "2.7B acc"
-    ));
-    let small_base = points.first().map_or(1.0, |p| p.small_tps).max(1e-9);
-    let large_base = points.first().map_or(1.0, |p| p.large_tps).max(1e-9);
-    for p in points {
-        out.push_str(&format!(
-            "{:<6} {:>12.1} {:>9.2}x {:>10.2} {:>12.1} {:>9.2}x {:>10.2}\n",
-            p.k,
-            p.small_tps,
-            p.small_tps / small_base,
-            p.small_accepted,
-            p.large_tps,
-            p.large_tps / large_base,
-            p.large_accepted
-        ));
-    }
-    out
-}
-
-/// Renders the quantization experiment: per-size-class decode speed and
-/// the quality deltas on the Table 5 harness.
+/// Renders the quantization experiment: f32 vs int8 quality and their
+/// deltas on the Table 5 harness.
 pub fn quant_text(r: &QuantResult) -> String {
     let mut out = String::from(
-        "Quantized int8 inference: single-stream greedy decode, f32 vs int8-packed weights\n",
+        "Quantized int8 inference: quality on the Table 5 harness \
+         (fine-tuned CodeGen-Multi, ctx 1024), f32 vs int8-packed weights\n",
     );
-    out.push_str(&format!(
-        "{:<6} {:>11} {:>12} {:>9} {:>11} {:>12} {:>7}\n",
-        "Size", "f32 tok/s", "int8 tok/s", "speedup", "f32 MB", "int8 MB", "pack"
-    ));
-    for s in &r.speed {
-        out.push_str(&format!(
-            "{:<6} {:>11.1} {:>12.1} {:>8.2}x {:>11.2} {:>12.2} {:>6.2}x\n",
-            s.label,
-            s.f32_tps,
-            s.int8_tps,
-            s.speedup(),
-            s.f32_weight_bytes as f64 / 1e6,
-            s.int8_weight_bytes as f64 / 1e6,
-            s.compression()
-        ));
-    }
-    out.push_str("Quality on the Table 5 harness (fine-tuned CodeGen-Multi, ctx 1024):\n");
     out.push_str(&format!(
         "{:<8} {:>7} {:>6} {:>7} {:>8}\n",
         "Weights", "Schema", "EM", "BLEU", "Aware"
@@ -301,101 +186,6 @@ pub fn grammar_text(r: &GrammarResult) -> String {
     out.push_str(&format!(
         "Correctness audit over constrained completions: {}/{} parse, {}/{} lint clean\n",
         r.parsed, r.completions, r.lint_clean, r.completions
-    ));
-    out
-}
-
-/// Renders the multi-replica serving replay (SLO view).
-pub fn serving_text(r: &ServingResult) -> String {
-    let mut out = format!(
-        "Multi-replica serving replay: {} sessions x {} resends, {}-token session prefix \
-         (+{}/resend), {} new tokens/request, 2.7B-class\n\
-         Per-replica prefix-cache budget {:.2} MB (~60% of the aggregate KV working set: \
-         replicas scale cache capacity, not CPU)\n",
-        r.sessions,
-        r.resends,
-        r.prefix_tokens,
-        r.growth_tokens,
-        r.max_new,
-        r.replica_budget_bytes as f64 / 1e6,
-    );
-    out.push_str(&format!(
-        "{:<20} {:>10} {:>10} {:>10} {:>13} {:>10} {:>6} {:>9}\n",
-        "Arm", "tok/s", "TTFT p50", "TTFT p99", "warm TTFT p50", "token p50", "shed", "cache hit"
-    ));
-    for a in &r.arms {
-        out.push_str(&format!(
-            "{:<20} {:>10.1} {:>8.1}ms {:>8.1}ms {:>11.1}ms {:>8.2}ms {:>6} {:>8.0}%\n",
-            a.label,
-            a.aggregate_tps,
-            a.ttft_p50_ms,
-            a.ttft_p99_ms,
-            a.warm_ttft_p50_ms,
-            a.token_p50_ms,
-            a.shed_retries,
-            a.cache_hit_rate * 100.0
-        ));
-    }
-    out.push_str(&format!(
-        "scale-out: {:.2}x aggregate tok/s (2x affinity vs 1x)   \
-         warm TTFT p50: affinity {:.2}x faster than round-robin at 2x\n",
-        r.scaleout(),
-        r.affinity_warm_ttft_gain()
-    ));
-    out
-}
-
-/// Renders the corpus-curation experiment (throughput sweep, selectivity,
-/// recall probe, drafter warming).
-pub fn curation_text(r: &CurationResult) -> String {
-    let mut out = format!(
-        "Corpus curation: {} docs / {:.2} MB in -> {} kept ({} shards, {:.2} MB)\n\
-         drops: {} parse, {} quality, {} exact-dup ({:.1}%), {} near-dup ({:.1}%)\n",
-        r.ingested,
-        r.ingested_bytes as f64 / 1e6,
-        r.kept,
-        r.shards,
-        r.shard_bytes as f64 / 1e6,
-        r.parse_failed,
-        r.quality_rejected,
-        r.exact_dups,
-        r.exact_dup_rate * 100.0,
-        r.near_dups,
-        r.near_dup_rate * 100.0,
-    );
-    out.push_str("quality histogram (kept docs, bins of 0.1):");
-    for c in r.quality_hist {
-        out.push_str(&format!(" {c}"));
-    }
-    out.push('\n');
-    out.push_str(&format!(
-        "{:<9} {:>12} {:>12} {:>10}\n",
-        "workers", "docs/s", "MB/s", "identical"
-    ));
-    for p in &r.scale {
-        out.push_str(&format!(
-            "{:<9} {:>12.0} {:>12.2} {:>10}\n",
-            p.workers,
-            p.docs_per_sec,
-            p.bytes_per_sec / 1e6,
-            if p.identical { "yes" } else { "NO" }
-        ));
-    }
-    out.push_str(&format!(
-        "near-dup recall probe: {}/{} injected mutants caught ({:.1}%)\n",
-        r.injected_caught,
-        r.injected,
-        r.recall() * 100.0
-    ));
-    out.push_str(&format!(
-        "drafter warming (CodeGen-Multi 350M ft, k=8): warm {:.1} tok/s ({:.2} acc/verify) vs \
-         cold {:.1} tok/s ({:.2} acc/verify) vs plain {:.1} tok/s -> {:.2}x warm-over-cold\n",
-        r.warm_tps,
-        r.warm_accepted,
-        r.cold_tps,
-        r.cold_accepted,
-        r.baseline_tps,
-        r.warm_speedup()
     ));
     out
 }
@@ -469,122 +259,17 @@ mod tests {
     }
 
     #[test]
-    fn decode_batching_text_shows_scaling() {
-        let t = decode_batching_text(&[
-            crate::experiments::BatchingPoint {
-                batch: 1,
-                small_tps: 400.0,
-                large_tps: 100.0,
-                large_latency_ms: 50.0,
-            },
-            crate::experiments::BatchingPoint {
-                batch: 8,
-                small_tps: 1600.0,
-                large_tps: 250.0,
-                large_latency_ms: 160.0,
-            },
-        ]);
-        assert!(t.contains("2.50x"), "{t}");
-        assert!(t.contains("1600.0"), "{t}");
-        assert!(t.contains("160.0"), "{t}");
-    }
-
-    #[test]
-    fn speculative_text_shows_acceptance_and_speedup() {
-        let t = speculative_text(&[
-            crate::experiments::SpeculativePoint {
-                k: 0,
-                small_tps: 100.0,
-                small_accepted: 0.0,
-                large_tps: 40.0,
-                large_accepted: 0.0,
-            },
-            crate::experiments::SpeculativePoint {
-                k: 4,
-                small_tps: 250.0,
-                small_accepted: 3.5,
-                large_tps: 100.0,
-                large_accepted: 3.25,
-            },
-        ]);
-        assert!(t.contains("2.50x"), "{t}");
-        assert!(t.contains("3.50"), "{t}");
-        assert!(t.contains("3.25"), "{t}");
-    }
-
-    #[test]
-    fn quant_text_shows_speedup_and_deltas() {
+    fn quant_text_shows_signed_deltas() {
         let f32_metrics = row("x").metrics;
         let int8_metrics = MetricsSummary {
             bleu: 44.0,
             ..f32_metrics
         };
         let t = quant_text(&crate::experiments::QuantResult {
-            speed: vec![crate::experiments::QuantSpeed {
-                label: "2.7B".to_string(),
-                f32_tps: 100.0,
-                int8_tps: 250.0,
-                f32_weight_bytes: 4_000_000,
-                int8_weight_bytes: 1_000_000,
-            }],
             f32_metrics,
             int8_metrics,
         });
-        assert!(t.contains("2.50x"), "{t}");
-        assert!(t.contains("4.00x"), "{t}");
         assert!(t.contains("-1.50"), "BLEU delta: {t}");
         assert!(t.contains("+0.00"), "unchanged deltas print signed: {t}");
-    }
-
-    #[test]
-    fn serving_text_shows_scaleout_and_slo_columns() {
-        let arm = |label: &str, replicas: usize, policy: &str, tps: f64, warm: f64| {
-            crate::experiments::ServingArm {
-                label: label.to_string(),
-                replicas,
-                policy: policy.to_string(),
-                aggregate_tps: tps,
-                ttft_p50_ms: 40.0,
-                ttft_p99_ms: 90.0,
-                warm_ttft_p50_ms: warm,
-                token_p50_ms: 8.25,
-                requests: 40,
-                shed_retries: 0,
-                cache_hit_rate: 0.5,
-                cache_hit_tokens: 1000,
-            }
-        };
-        let t = serving_text(&crate::experiments::ServingResult {
-            sessions: 8,
-            resends: 5,
-            prefix_tokens: 96,
-            growth_tokens: 4,
-            max_new: 8,
-            replica_budget_bytes: 2_850_000,
-            arms: vec![
-                arm("1x prefix-affinity", 1, "prefix-affinity", 100.0, 60.0),
-                arm("2x prefix-affinity", 2, "prefix-affinity", 200.0, 20.0),
-                arm("2x round-robin", 2, "round-robin", 110.0, 50.0),
-            ],
-        });
-        assert!(t.contains("2.00x aggregate"), "{t}");
-        assert!(t.contains("2.50x faster"), "{t}");
-        assert!(t.contains("8 sessions x 5 resends"), "{t}");
-        assert!(t.contains("8.25ms"), "{t}");
-    }
-
-    #[test]
-    fn prefix_cache_text_shows_speedups() {
-        let t = prefix_cache_text(&[crate::experiments::PrefixCachePoint {
-            shared: 96,
-            total: 128,
-            small_cold_ms: 80.0,
-            small_warm_ms: 40.0,
-            large_cold_ms: 400.0,
-            large_warm_ms: 100.0,
-        }]);
-        assert!(t.contains("96/128 tok"), "{t}");
-        assert!(t.contains("2.00x"), "{t}");
-        assert!(t.contains("4.00x"), "{t}");
     }
 }

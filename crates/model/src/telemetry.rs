@@ -4,8 +4,8 @@
 //! are the pre-resolved `Arc` handles the hot path records into, so a decode
 //! step never touches the registry lock. Both bundles are optional
 //! everywhere they are accepted — the uninstrumented path stays exactly as
-//! fast as before (`wisdom-eval`'s `-- telemetry` experiment measures the
-//! instrumented/plain gap and pins it under 1%).
+//! fast as before, and attaching them never changes the decoded tokens
+//! (`instrumented_generate_batch_matches_plain` in `batch.rs`).
 
 use std::sync::Arc;
 

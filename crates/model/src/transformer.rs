@@ -1774,6 +1774,21 @@ mod tests {
         // F32 stays untouched by the accessors.
         assert_eq!(model.quant_weight_bytes(), 0);
         assert_eq!(model.precision(), Precision::F32);
+        // Packing shrinks the quantized set more than 3x at both size
+        // classes, scale/offset tables included (vocab 420 and window 32
+        // are the experiment harness's smallest profile).
+        for cfg in [
+            ModelConfig::size_350m(420, 32),
+            ModelConfig::size_2_7b(420, 32),
+        ] {
+            let int8 = TransformerLm::new(cfg, &mut rng).with_precision(Precision::Int8);
+            let packed = int8.quant_weight_bytes();
+            let f32_bytes = packed + int8.quant_weight_bytes_saved();
+            assert!(
+                f32_bytes as f64 / packed as f64 > 3.0,
+                "{cfg:?}: {f32_bytes} -> {packed} bytes"
+            );
+        }
     }
 
     #[test]

@@ -307,8 +307,6 @@ fn build_router(
     );
     let label = match config.route_policy {
         RoutePolicy::PrefixAffinity => "prefix_affinity",
-        RoutePolicy::RoundRobin => "round_robin",
-        RoutePolicy::Rendezvous => "rendezvous",
     };
     let router_telemetry = RouterTelemetry::register(telemetry.registry(), label);
     let router = Router::new(

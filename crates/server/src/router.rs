@@ -22,24 +22,19 @@
 //! [`SubmitError::QueueFull`].
 
 use std::cmp::Reverse;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use wisdom_core::{DecodeRequest, Pending, ReplicaPool, StreamingPending, SubmitError};
 use wisdom_telemetry::{Counter, Registry};
 
-/// How the router picks a replica for a fresh request.
+/// How the router picks a replica for a fresh request: a single policy,
+/// kept as an enum because configuration literals name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutePolicy {
     /// The replica holding at least half the window (the longest such
     /// match) wins; otherwise the least-loaded replica, ties by rendezvous
-    /// hash. The default, and the point of this module.
+    /// hash.
     PrefixAffinity,
-    /// Cycle through replicas regardless of cache state. The baseline the
-    /// serving benchmark compares affinity against.
-    RoundRobin,
-    /// Always rendezvous-hash the prompt head, never probe caches.
-    Rendezvous,
 }
 
 /// Router tuning knobs.
@@ -70,8 +65,7 @@ impl Default for RouterConfig {
 pub struct Placement {
     /// Chosen replica index.
     pub replica: usize,
-    /// Prompt tokens already resident in that replica's prefix cache
-    /// (0 for hash/round-robin placements).
+    /// Prompt tokens already resident in that replica's prefix cache.
     pub matched_tokens: usize,
 }
 
@@ -83,8 +77,7 @@ enum Reason {
     Affinity,
     /// No replica does, and this one had the least queued and in flight.
     LeastLoaded,
-    /// Neither cache nor load decided: hash order (the rendezvous policy,
-    /// or equal loads) or, under `policy="round_robin"`, the rotation.
+    /// Neither cache nor load decided (equal loads): hash order.
     Rendezvous,
     /// A later candidate, after the first choice's queue was full.
     Spill,
@@ -167,7 +160,6 @@ impl RouterTelemetry {
 pub struct Router {
     pool: Arc<ReplicaPool>,
     cfg: RouterConfig,
-    rr: AtomicUsize,
     telemetry: Option<RouterTelemetry>,
 }
 
@@ -181,7 +173,6 @@ impl Router {
         Router {
             pool,
             cfg,
-            rr: AtomicUsize::new(0),
             telemetry,
         }
     }
@@ -207,61 +198,41 @@ impl Router {
     /// the first one leads.
     fn candidates(&self, prompt: &[u32], max_new: usize) -> (Vec<Placement>, Reason) {
         let n = self.pool.len();
-        let unmatched = |replica: usize| Placement {
-            replica,
-            matched_tokens: 0,
+        let replica = |i: usize| self.pool.replica(i);
+        // Every replica runs the same model: one window length.
+        let (matches, windows): (Vec<usize>, Vec<usize>) = (0..n)
+            .map(|i| replica(i).cached_prefix_tokens(prompt, max_new))
+            .unzip();
+        let window = windows[0];
+        let load: Vec<usize> = (0..n).map(|i| replica(i).load()).collect();
+        // A resident prefix is followed only when it saves at least half
+        // the prefill; anything shorter competes on load alone.
+        let paying = |i: usize| {
+            if matches[i] > 0 && 2 * matches[i] >= window {
+                matches[i]
+            } else {
+                0
+            }
         };
-        match self.cfg.policy {
-            RoutePolicy::RoundRobin => {
-                let start = self.rr.fetch_add(1, Ordering::Relaxed) % n;
-                let order = (0..n).map(|i| unmatched((start + i) % n)).collect();
-                (order, Reason::Rendezvous)
-            }
-            RoutePolicy::Rendezvous => {
-                let order = self.hashed_order(prompt, n);
-                (
-                    order.into_iter().map(unmatched).collect(),
-                    Reason::Rendezvous,
-                )
-            }
-            RoutePolicy::PrefixAffinity => {
-                let replica = |i: usize| self.pool.replica(i);
-                // Every replica runs the same model: one window length.
-                let (matches, windows): (Vec<usize>, Vec<usize>) = (0..n)
-                    .map(|i| replica(i).cached_prefix_tokens(prompt, max_new))
-                    .unzip();
-                let window = windows[0];
-                let load: Vec<usize> = (0..n).map(|i| replica(i).load()).collect();
-                // A resident prefix is followed only when it saves at least
-                // half the prefill; anything shorter competes on load alone.
-                let paying = |i: usize| {
-                    if matches[i] > 0 && 2 * matches[i] >= window {
-                        matches[i]
-                    } else {
-                        0
-                    }
-                };
-                // Stable, so equals keep their rendezvous order.
-                let mut order = self.hashed_order(prompt, n);
-                order.sort_by_key(|&i| (Reverse(paying(i)), load[i]));
-                let first = order[0];
-                let reason = if paying(first) > 0 {
-                    Reason::Affinity
-                } else if load.iter().any(|&l| l > load[first]) {
-                    Reason::LeastLoaded
-                } else {
-                    Reason::Rendezvous
-                };
-                let order = order
-                    .into_iter()
-                    .map(|i| Placement {
-                        replica: i,
-                        matched_tokens: matches[i],
-                    })
-                    .collect();
-                (order, reason)
-            }
-        }
+        // Stable, so equals keep their rendezvous order.
+        let mut order = self.hashed_order(prompt, n);
+        order.sort_by_key(|&i| (Reverse(paying(i)), load[i]));
+        let first = order[0];
+        let reason = if paying(first) > 0 {
+            Reason::Affinity
+        } else if load.iter().any(|&l| l > load[first]) {
+            Reason::LeastLoaded
+        } else {
+            Reason::Rendezvous
+        };
+        let order = order
+            .into_iter()
+            .map(|i| Placement {
+                replica: i,
+                matched_tokens: matches[i],
+            })
+            .collect();
+        (order, reason)
     }
 
     /// Replica indices by descending rendezvous score of the prompt head.
@@ -563,35 +534,25 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_cycles_over_replicas() {
-        let pool = pool(3);
-        let cfg = RouterConfig {
-            policy: RoutePolicy::RoundRobin,
-            ..RouterConfig::default()
-        };
-        let router = Router::new(Arc::clone(&pool), cfg, None);
-        let picks: Vec<usize> = (0..6)
-            .map(|_| router.decide(&[1, 2, 3], 4).replica)
-            .collect();
-        assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
-        pool.shutdown();
-    }
-
-    #[test]
     fn full_first_choice_spills_and_total_outage_sheds() {
         let pool = pool(2);
         let registry = Registry::new();
-        let telemetry = RouterTelemetry::register(&registry, "rendezvous");
-        let cfg = RouterConfig {
-            policy: RoutePolicy::Rendezvous,
-            ..RouterConfig::default()
-        };
-        let router = Router::new(Arc::clone(&pool), cfg, Some(telemetry.clone()));
+        let telemetry = RouterTelemetry::register(&registry, "prefix_affinity");
+        let router = Router::new(
+            Arc::clone(&pool),
+            RouterConfig::default(),
+            Some(telemetry.clone()),
+        );
         let req = request("restart the docker daemon");
-        // Saturate the hash-preferred replica: admission paused so the
-        // worker cannot drain mid-test, then fill its bounded queue. The
-        // parked jobs resolve to empty outputs at shutdown.
+        // Warm one replica: a resend then follows it however long its
+        // queue, which is what makes a full first choice possible.
         let first = router.decide(&req.prompt, req.opts.max_new_tokens).replica;
+        let _ = router.submit(req.clone()).expect("submit").wait();
+        let (order, reason) = router.candidates(&req.prompt, req.opts.max_new_tokens);
+        assert_eq!((order[0].replica, reason), (first, Reason::Affinity));
+        // Saturate it: admission paused so the worker cannot drain
+        // mid-test, then fill its bounded queue. The parked jobs resolve to
+        // empty outputs at shutdown.
         let mut parked = Vec::new();
         let fill = |replica: usize, parked: &mut Vec<wisdom_core::Pending>| {
             pool.replica(replica).set_admission_paused(true);

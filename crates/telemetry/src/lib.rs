@@ -18,8 +18,8 @@
 //!
 //! Everything is thread-safe and `std`-only: recording a sample is one or
 //! two relaxed atomic operations, so instrumentation can sit on the decode
-//! hot path (the `-- telemetry` experiment in `wisdom-eval` pins the
-//! overhead under 1% of decode throughput).
+//! hot path (the `telemetry` criterion bench in `wisdom-bench` times plain
+//! against instrumented batched decode).
 //!
 //! # Examples
 //!

@@ -7,22 +7,20 @@
 //! ```
 //!
 //! Targets: `table1`, `table2`, `table3`, `table4`, `table5`, `tables45`,
-//! `throughput`, `batching`, `prefix`, `telemetry`, `speculative`, `quant`,
-//! `grammar`, `serving`, `curation`, `all`.
+//! `throughput`, `decoding`, `quant`, `grammar`, `all`.
 //! Profiles: `test` (seconds), `fast`, `quick` (default), `paper`.
 //!
-//! The `quant`, `grammar`, `serving`, and `curation` targets additionally
-//! write their measurements to `BENCH_quant.json` / `BENCH_grammar.json` /
-//! `BENCH_serving.json` / `BENCH_curation.json` in the working directory.
+//! The `grammar` target additionally writes its measurements to
+//! `BENCH_grammar.json` in the working directory. Serving-speed numbers
+//! (batching, prefix cache, speculation, int8 decode speed, replicas,
+//! curation) come from the composed benchmark under `benchmark/`.
 
 use std::time::Instant;
 
 use ansible_wisdom::corpus::{Corpus, CorpusStats};
 use ansible_wisdom::eval::{
-    run_curation, run_decode_batching, run_decoding_ablation, run_grammar, run_prefix_cache,
-    run_quant, run_serving, run_speculative, run_table3, run_table4, run_table5,
-    run_telemetry_overhead, run_throughput, tables, CurationResult, GrammarResult, Profile,
-    Progress, QuantResult, ServingResult, Zoo,
+    run_decoding_ablation, run_grammar, run_quant, run_table3, run_table4, run_table5,
+    run_throughput, tables, GrammarResult, Profile, Progress, Zoo,
 };
 
 fn main() {
@@ -67,9 +65,7 @@ fn main() {
         }
         "quant" => {
             let mut zoo = build_zoo(profile);
-            let r = run_quant(&mut zoo, 96, progress());
-            print!("{}", tables::quant_text(&r));
-            write_bench_quant(&r, profile_name, 96);
+            print!("{}", tables::quant_text(&run_quant(&mut zoo, progress())));
         }
         "grammar" => {
             let mut zoo = build_zoo(profile);
@@ -77,22 +73,7 @@ fn main() {
             print!("{}", tables::grammar_text(&r));
             write_bench_grammar(&r, profile_name);
         }
-        "serving" => {
-            let r = run_serving(&profile, 8, 10);
-            print!("{}", tables::serving_text(&r));
-            write_bench_serving(&r, profile_name);
-        }
-        "curation" => {
-            let mut zoo = build_zoo(profile);
-            let r = run_curation(&mut zoo, &[1, 2, 4], progress());
-            print!("{}", tables::curation_text(&r));
-            write_bench_curation(&r, profile_name);
-        }
         "throughput" => throughput(&profile),
-        "batching" => batching(&profile),
-        "prefix" => prefix(&profile),
-        "telemetry" => telemetry(&profile),
-        "speculative" => speculative(&profile),
         "all" => {
             table1(&profile);
             println!();
@@ -155,77 +136,6 @@ fn throughput(profile: &Profile) {
     print!("{}", tables::throughput_text(&r));
 }
 
-fn batching(profile: &Profile) {
-    let points = run_decode_batching(profile, 64, &[1, 2, 4, 8]);
-    print!("{}", tables::decode_batching_text(&points));
-}
-
-fn prefix(profile: &Profile) {
-    let points = run_prefix_cache(profile, &[0.25, 0.5, 0.75, 0.9375]);
-    print!("{}", tables::prefix_cache_text(&points));
-}
-
-fn telemetry(profile: &Profile) {
-    let r = run_telemetry_overhead(profile, 8, 64);
-    print!("{}", tables::telemetry_text(&r));
-}
-
-fn speculative(profile: &Profile) {
-    let points = run_speculative(profile, 64, &[0, 2, 4, 8]);
-    print!("{}", tables::speculative_text(&points));
-}
-
-/// Writes the quantization measurements to `BENCH_quant.json` so the repo
-/// records the numbers the README/EXPERIMENTS tables quote.
-fn write_bench_quant(r: &QuantResult, profile_name: &str, tokens: usize) {
-    let mut speed = String::new();
-    for (i, s) in r.speed.iter().enumerate() {
-        if i > 0 {
-            speed.push_str(",\n");
-        }
-        speed.push_str(&format!(
-            "    {{\"size\": \"{}\", \"f32_tps\": {:.1}, \"int8_tps\": {:.1}, \
-             \"speedup\": {:.3}, \"f32_weight_bytes\": {}, \"int8_weight_bytes\": {}, \
-             \"compression\": {:.3}}}",
-            s.label,
-            s.f32_tps,
-            s.int8_tps,
-            s.speedup(),
-            s.f32_weight_bytes,
-            s.int8_weight_bytes,
-            s.compression()
-        ));
-    }
-    let metrics = |m: &ansible_wisdom::metrics::MetricsSummary| {
-        format!(
-            "{{\"schema_correct\": {:.2}, \"exact_match\": {:.2}, \"bleu\": {:.2}, \
-             \"ansible_aware\": {:.2}, \"samples\": {}}}",
-            m.schema_correct, m.exact_match, m.bleu, m.ansible_aware, m.count
-        )
-    };
-    let json = format!(
-        "{{\n  \"experiment\": \"quantized int8 inference\",\n  \"profile\": \"{}\",\n  \
-         \"decode_tokens\": {},\n  \"speed\": [\n{}\n  ],\n  \
-         \"quality\": {{\n    \"harness\": \"Table 5 (fine-tuned CodeGen-Multi, ctx 1024)\",\n    \
-         \"f32\": {},\n    \"int8\": {},\n    \
-         \"deltas\": {{\"schema_correct\": {:.2}, \"exact_match\": {:.2}, \"bleu\": {:.2}, \
-         \"ansible_aware\": {:.2}}}\n  }}\n}}\n",
-        profile_name,
-        tokens,
-        speed,
-        metrics(&r.f32_metrics),
-        metrics(&r.int8_metrics),
-        r.schema_delta(),
-        r.exact_delta(),
-        r.bleu_delta(),
-        r.aware_delta()
-    );
-    match std::fs::write("BENCH_quant.json", &json) {
-        Ok(()) => eprintln!("[wrote BENCH_quant.json]"),
-        Err(e) => eprintln!("[failed to write BENCH_quant.json: {e}]"),
-    }
-}
-
 /// Writes the grammar-constrained decoding measurements to
 /// `BENCH_grammar.json` so the repo records the per-type Schema Correct
 /// deltas and the parse/lint audit the README quotes.
@@ -266,122 +176,5 @@ fn write_bench_grammar(r: &GrammarResult, profile_name: &str) {
     match std::fs::write("BENCH_grammar.json", &json) {
         Ok(()) => eprintln!("[wrote BENCH_grammar.json]"),
         Err(e) => eprintln!("[failed to write BENCH_grammar.json: {e}]"),
-    }
-}
-
-/// Writes the serving-replay measurements to `BENCH_serving.json` so the
-/// repo records the multi-replica SLO numbers the README quotes.
-fn write_bench_serving(r: &ServingResult, profile_name: &str) {
-    let mut arms = String::new();
-    for (i, a) in r.arms.iter().enumerate() {
-        if i > 0 {
-            arms.push_str(",\n");
-        }
-        arms.push_str(&format!(
-            "    {{\"arm\": \"{}\", \"replicas\": {}, \"policy\": \"{}\", \
-             \"aggregate_tps\": {:.1}, \"ttft_p50_ms\": {:.2}, \"ttft_p99_ms\": {:.2}, \
-             \"warm_ttft_p50_ms\": {:.2}, \"token_p50_ms\": {:.3}, \"requests\": {}, \
-             \"shed_retries\": {}, \"cache_hit_rate\": {:.3}, \"cache_hit_tokens\": {}}}",
-            a.label,
-            a.replicas,
-            a.policy,
-            a.aggregate_tps,
-            a.ttft_p50_ms,
-            a.ttft_p99_ms,
-            a.warm_ttft_p50_ms,
-            a.token_p50_ms,
-            a.requests,
-            a.shed_retries,
-            a.cache_hit_rate,
-            a.cache_hit_tokens
-        ));
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"multi-replica serving replay (2.7B-class, streamed greedy)\",\n  \
-         \"profile\": \"{}\",\n  \
-         \"workload\": {{\"sessions\": {}, \"resends\": {}, \"prefix_tokens\": {}, \
-         \"growth_tokens\": {}, \"max_new_tokens\": {}, \
-         \"replica_prefix_cache_bytes\": {}}},\n  \
-         \"note\": \"single-core host: scale-out wins come from aggregate prefix-cache \
-         capacity under affinity routing, not CPU parallelism\",\n  \
-         \"arms\": [\n{}\n  ],\n  \
-         \"scaleout_tps_2x_vs_1x\": {:.3},\n  \
-         \"warm_ttft_p50_affinity_gain_vs_round_robin\": {:.3}\n}}\n",
-        profile_name,
-        r.sessions,
-        r.resends,
-        r.prefix_tokens,
-        r.growth_tokens,
-        r.max_new,
-        r.replica_budget_bytes,
-        arms,
-        r.scaleout(),
-        r.affinity_warm_ttft_gain()
-    );
-    match std::fs::write("BENCH_serving.json", &json) {
-        Ok(()) => eprintln!("[wrote BENCH_serving.json]"),
-        Err(e) => eprintln!("[failed to write BENCH_serving.json: {e}]"),
-    }
-}
-
-/// Writes the curation measurements to `BENCH_curation.json`: per-worker
-/// throughput with the determinism cross-check, dedup/selectivity rates,
-/// the kept-quality histogram, the near-dup recall probe, and the
-/// drafter-warming arm.
-fn write_bench_curation(r: &CurationResult, profile_name: &str) {
-    let mut scale = String::new();
-    for (i, p) in r.scale.iter().enumerate() {
-        if i > 0 {
-            scale.push_str(",\n");
-        }
-        scale.push_str(&format!(
-            "    {{\"workers\": {}, \"docs_per_sec\": {:.1}, \"bytes_per_sec\": {:.0}, \
-             \"output_identical\": {}}}",
-            p.workers, p.docs_per_sec, p.bytes_per_sec, p.identical
-        ));
-    }
-    let hist: Vec<String> = r.quality_hist.iter().map(|c| c.to_string()).collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"streaming corpus curation\",\n  \"profile\": \"{}\",\n  \
-         \"pipeline\": {{\"ingested\": {}, \"ingested_bytes\": {}, \"kept\": {}, \
-         \"parse_failed\": {}, \"quality_rejected\": {}, \"exact_dups\": {}, \
-         \"near_dups\": {}, \"exact_dup_rate\": {:.4}, \"near_dup_rate\": {:.4}, \
-         \"shards\": {}, \"shard_bytes\": {}}},\n  \
-         \"quality_hist\": [{}],\n  \
-         \"note\": \"single-core host: worker scaling measures pipeline overhead, not \
-         parallel speedup; the determinism contract is the point of the sweep\",\n  \
-         \"scale\": [\n{}\n  ],\n  \
-         \"recall_probe\": {{\"injected\": {}, \"caught\": {}, \"recall\": {:.4}}},\n  \
-         \"drafter_warming\": {{\"model\": \"CodeGen-Multi 350M ft ctx1024\", \"k\": 8, \
-         \"warm_tps\": {:.1}, \"warm_accepted_per_verify\": {:.3}, \
-         \"cold_tps\": {:.1}, \"cold_accepted_per_verify\": {:.3}, \
-         \"plain_greedy_tps\": {:.1}, \"warm_over_cold\": {:.3}}}\n}}\n",
-        profile_name,
-        r.ingested,
-        r.ingested_bytes,
-        r.kept,
-        r.parse_failed,
-        r.quality_rejected,
-        r.exact_dups,
-        r.near_dups,
-        r.exact_dup_rate,
-        r.near_dup_rate,
-        r.shards,
-        r.shard_bytes,
-        hist.join(", "),
-        scale,
-        r.injected,
-        r.injected_caught,
-        r.recall(),
-        r.warm_tps,
-        r.warm_accepted,
-        r.cold_tps,
-        r.cold_accepted,
-        r.baseline_tps,
-        r.warm_speedup()
-    );
-    match std::fs::write("BENCH_curation.json", &json) {
-        Ok(()) => eprintln!("[wrote BENCH_curation.json]"),
-        Err(e) => eprintln!("[failed to write BENCH_curation.json: {e}]"),
     }
 }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, clippy (warnings are errors), a compile pass over
+# Repo gate: formatting, the docs' experiment targets and `BENCH_*.json`
+# names checked against the tree, clippy (warnings are errors), a compile pass over
 # every bench target so bench-only breakage is caught without running
 # criterion, then the whole test suite in one invocation — every crate's
 # unit, property and agreement suites, the root integration tests and the
@@ -27,6 +28,28 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --check
+
+# Dead names in the docs: every `experiments -- <target>` they show must be
+# a target `examples/experiments.rs` matches, and every `BENCH_*.json` they
+# name must be in the tree. Line breaks are folded first, so a command
+# wrapped across two lines is still read whole.
+docs=(README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md)
+dead=0
+for target in $(cat "${docs[@]}" | tr '\n' ' ' |
+    grep -oE 'experiments(\.rs)?[[:space:]]+--[[:space:]]+[a-z0-9]+' | awk '{print $3}' | sort -u); do
+    if ! grep -qE "\"$target\" (=>|\|)" examples/experiments.rs; then
+        echo "dead name: docs run \`experiments -- $target\`, which examples/experiments.rs does not match"
+        dead=1
+    fi
+done
+for bench in $(cat "${docs[@]}" | grep -oE 'BENCH_[A-Za-z0-9_]+\.json' | sort -u); do
+    if [[ ! -e $bench ]]; then
+        echo "dead name: docs name $bench, which is not in the tree"
+        dead=1
+    fi
+done
+[[ $dead == 0 ]]
+
 cargo clippy --workspace --all-targets -- -D warnings
 cargo bench --workspace --no-run
 suite_start=$SECONDS
