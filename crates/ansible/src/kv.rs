@@ -26,7 +26,7 @@ use wisdom_yaml::{Mapping, Value};
 /// assert_eq!(m.get("update_cache").and_then(|v| v.as_bool()), Some(true));
 /// assert!(parse_kv_args("ls -la /tmp").is_none());
 /// ```
-pub fn parse_kv_args(text: &str) -> Option<Mapping> {
+pub fn parse_kv_args(text: &str) -> Option<Mapping<'static>> {
     let tokens = split_tokens(text)?;
     if tokens.is_empty() {
         return None;
@@ -97,18 +97,18 @@ fn split_tokens(text: &str) -> Option<Vec<String>> {
     Some(tokens)
 }
 
-fn unquote(raw: &str) -> Value {
+fn unquote(raw: &str) -> Value<'static> {
     let bytes = raw.as_bytes();
     if bytes.len() >= 2 {
         let first = bytes[0];
         if (first == b'"' || first == b'\'') && bytes[bytes.len() - 1] == first {
-            return Value::Str(raw[1..raw.len() - 1].to_string());
+            return Value::from(raw[1..raw.len() - 1].to_string());
         }
     }
     wisdom_yaml::parse(&format!("v: {raw}\n"))
         .ok()
         .and_then(|v| v.as_map().and_then(|m| m.get("v").cloned()))
-        .unwrap_or_else(|| Value::Str(raw.to_string()))
+        .map_or_else(|| Value::from(raw.to_string()), Value::into_owned)
 }
 
 #[cfg(test)]

@@ -46,6 +46,43 @@ impl fmt::Display for Violation {
     }
 }
 
+/// Where the linter stands: a chain of borrowed segments on the stack,
+/// rendered (`plays[0].tasks[2].apt`) only when a violation is pushed, so a
+/// clean document formats no paths.
+#[derive(Clone, Copy)]
+enum Path<'p> {
+    /// `$`, `plays` or `tasks`.
+    Root(&'static str),
+    /// `parent.key`
+    Key(&'p Path<'p>, &'p str),
+    /// `parent[i]`
+    Index(&'p Path<'p>, usize),
+}
+
+impl<'p> Path<'p> {
+    fn key(&'p self, key: &'p str) -> Path<'p> {
+        Path::Key(self, key)
+    }
+
+    fn index(&'p self, i: usize) -> Path<'p> {
+        Path::Index(self, i)
+    }
+
+    fn violation(&self, message: impl Into<String>) -> Violation {
+        Violation::new(self.to_string(), message)
+    }
+}
+
+impl fmt::Display for Path<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Path::Root(name) => f.write_str(name),
+            Path::Key(parent, key) => write!(f, "{parent}.{key}"),
+            Path::Index(parent, i) => write!(f, "{parent}[{i}]"),
+        }
+    }
+}
+
 /// What kind of document the linter should expect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LintTarget {
@@ -93,7 +130,7 @@ pub fn lint_value(value: &Value, target: LintTarget) -> Vec<Violation> {
     let reg = ModuleRegistry::global();
     match target {
         LintTarget::Task => {
-            lint_task(value, "$", reg, &mut v);
+            lint_task(value, &Path::Root("$"), reg, &mut v);
             return v;
         }
         LintTarget::Playbook => lint_playbook(value, reg, &mut v),
@@ -130,47 +167,44 @@ fn lint_playbook(value: &Value, reg: &ModuleRegistry, out: &mut Vec<Violation>) 
         return;
     }
     for (i, item) in items.iter().enumerate() {
-        lint_play(item, &format!("plays[{i}]"), reg, out);
+        lint_play(item, &Path::Root("plays").index(i), reg, out);
     }
 }
 
-fn lint_play(value: &Value, path: &str, reg: &ModuleRegistry, out: &mut Vec<Violation>) {
+fn lint_play(value: &Value, path: &Path, reg: &ModuleRegistry, out: &mut Vec<Violation>) {
     let Some(map) = value.as_map() else {
-        out.push(Violation::new(path, "play must be a mapping"));
+        out.push(path.violation("play must be a mapping"));
         return;
     };
     if map.contains_key("import_playbook") {
         // `- import_playbook: other.yml` entries are standalone.
         for (k, _) in map.iter() {
             if k != "import_playbook" && k != "name" && k != "when" && k != "vars" && k != "tags" {
-                out.push(Violation::new(
-                    format!("{path}.{k}"),
-                    "key not allowed alongside import_playbook",
-                ));
+                out.push(
+                    path.key(k)
+                        .violation("key not allowed alongside import_playbook"),
+                );
             }
         }
         return;
     }
     if !map.contains_key("hosts") {
-        out.push(Violation::new(path, "play is missing required key 'hosts'"));
+        out.push(path.violation("play is missing required key 'hosts'"));
     }
     for (k, v) in map.iter() {
         match k {
             "tasks" | "pre_tasks" | "post_tasks" | "handlers" => {
                 let Some(items) = v.as_seq() else {
-                    out.push(Violation::new(
-                        format!("{path}.{k}"),
-                        "must be a list of tasks",
-                    ));
+                    out.push(path.key(k).violation("must be a list of tasks"));
                     continue;
                 };
                 for (i, t) in items.iter().enumerate() {
-                    lint_task_or_block(t, &format!("{path}.{k}[{i}]"), reg, out);
+                    lint_task_or_block(t, &path.key(k).index(i), reg, out);
                 }
             }
             "roles" => {
                 let Some(items) = v.as_seq() else {
-                    out.push(Violation::new(format!("{path}.roles"), "must be a list"));
+                    out.push(path.key("roles").violation("must be a list"));
                     continue;
                 };
                 for (i, r) in items.iter().enumerate() {
@@ -178,27 +212,25 @@ fn lint_play(value: &Value, path: &str, reg: &ModuleRegistry, out: &mut Vec<Viol
                         || r.as_map()
                             .is_some_and(|m| m.contains_key("role") || m.contains_key("name"));
                     if !ok {
-                        out.push(Violation::new(
-                            format!("{path}.roles[{i}]"),
-                            "role entry must be a name or a mapping with 'role'",
-                        ));
+                        out.push(
+                            path.key("roles")
+                                .index(i)
+                                .violation("role entry must be a name or a mapping with 'role'"),
+                        );
                     }
                 }
             }
             other => match play_keyword(other) {
                 Some(spec) => {
                     if !v.is_null() && !spec.kinds.accepts(v) {
-                        out.push(Violation::new(
-                            format!("{path}.{other}"),
-                            format!("expected {}", spec.kinds.describe()),
-                        ));
+                        out.push(
+                            path.key(other)
+                                .violation(format!("expected {}", spec.kinds.describe())),
+                        );
                     }
                 }
                 None => {
-                    out.push(Violation::new(
-                        format!("{path}.{other}"),
-                        "unknown play keyword",
-                    ));
+                    out.push(path.key(other).violation("unknown play keyword"));
                 }
             },
         }
@@ -215,13 +247,13 @@ fn lint_task_file(value: &Value, reg: &ModuleRegistry, out: &mut Vec<Violation>)
         return;
     }
     for (i, item) in items.iter().enumerate() {
-        lint_task_or_block(item, &format!("tasks[{i}]"), reg, out);
+        lint_task_or_block(item, &Path::Root("tasks").index(i), reg, out);
     }
 }
 
-fn lint_task_or_block(value: &Value, path: &str, reg: &ModuleRegistry, out: &mut Vec<Violation>) {
+fn lint_task_or_block(value: &Value, path: &Path, reg: &ModuleRegistry, out: &mut Vec<Violation>) {
     let Some(map) = value.as_map() else {
-        out.push(Violation::new(path, "task must be a mapping"));
+        out.push(path.violation("task must be a mapping"));
         return;
     };
     if map.keys().any(is_block_key) {
@@ -231,106 +263,101 @@ fn lint_task_or_block(value: &Value, path: &str, reg: &ModuleRegistry, out: &mut
     }
 }
 
-fn lint_block(value: &Value, path: &str, reg: &ModuleRegistry, out: &mut Vec<Violation>) {
+fn lint_block(value: &Value, path: &Path, reg: &ModuleRegistry, out: &mut Vec<Violation>) {
     let map = value.as_map().expect("caller verified mapping");
     for (k, v) in map.iter() {
         if BLOCK_KEYS.contains(&k) {
             let Some(items) = v.as_seq() else {
-                out.push(Violation::new(
-                    format!("{path}.{k}"),
-                    "must be a list of tasks",
-                ));
+                out.push(path.key(k).violation("must be a list of tasks"));
                 continue;
             };
             for (i, t) in items.iter().enumerate() {
-                lint_task_or_block(t, &format!("{path}.{k}[{i}]"), reg, out);
+                lint_task_or_block(t, &path.key(k).index(i), reg, out);
             }
         } else {
             match task_keyword(k) {
                 Some(spec) => {
                     if !v.is_null() && !spec.kinds.accepts(v) {
-                        out.push(Violation::new(
-                            format!("{path}.{k}"),
-                            format!("expected {}", spec.kinds.describe()),
-                        ));
+                        out.push(
+                            path.key(k)
+                                .violation(format!("expected {}", spec.kinds.describe())),
+                        );
                     }
                 }
                 None => {
-                    out.push(Violation::new(
-                        format!("{path}.{k}"),
-                        "key not allowed on a block",
-                    ));
+                    out.push(path.key(k).violation("key not allowed on a block"));
                 }
             }
         }
     }
 }
 
-fn lint_task(value: &Value, path: &str, reg: &ModuleRegistry, out: &mut Vec<Violation>) {
+fn lint_task(value: &Value, path: &Path, reg: &ModuleRegistry, out: &mut Vec<Violation>) {
     let Some(map) = value.as_map() else {
-        out.push(Violation::new(path, "task must be a mapping"));
+        out.push(path.violation("task must be a mapping"));
         return;
     };
     if map.is_empty() {
-        out.push(Violation::new(path, "task is empty"));
+        out.push(path.violation("task is empty"));
         return;
     }
     if map.contains_key("action") || map.contains_key("local_action") {
-        out.push(Violation::new(
-            format!("{path}.action"),
-            "legacy 'action:' syntax is not accepted by the schema",
-        ));
+        out.push(
+            path.key("action")
+                .violation("legacy 'action:' syntax is not accepted by the schema"),
+        );
     }
-    let mut module_keys: Vec<&str> = Vec::new();
+    let is_legacy_action = |k: &str| k == "action" || k == "local_action";
+    let mut module = None;
+    let mut modules = 0;
     for (k, v) in map.iter() {
-        if k == "action" || k == "local_action" {
+        if is_legacy_action(k) {
             continue;
         }
         match task_keyword(k) {
             Some(spec) => {
                 if !v.is_null() && !spec.kinds.accepts(v) {
-                    out.push(Violation::new(
-                        format!("{path}.{k}"),
-                        format!("expected {}", spec.kinds.describe()),
-                    ));
+                    out.push(
+                        path.key(k)
+                            .violation(format!("expected {}", spec.kinds.describe())),
+                    );
                 }
             }
-            None => module_keys.push(k),
+            None => {
+                modules += 1;
+                module.get_or_insert((k, v));
+            }
         }
     }
-    match module_keys.len() {
-        0 => out.push(Violation::new(path, "task has no module")),
-        1 => lint_module_invocation(
-            module_keys[0],
-            map.get(module_keys[0]).expect("key from iteration"),
-            path,
-            reg,
-            out,
-        ),
-        _ => out.push(Violation::new(
-            path,
-            format!("task has multiple modules: {}", module_keys.join(", ")),
-        )),
+    match module {
+        None => out.push(path.violation("task has no module")),
+        Some((name, args)) if modules == 1 => lint_module_invocation(name, args, path, reg, out),
+        Some(_) => {
+            let names: Vec<&str> = map
+                .keys()
+                .filter(|k| !is_legacy_action(k) && task_keyword(k).is_none())
+                .collect();
+            out.push(path.violation(format!("task has multiple modules: {}", names.join(", "))));
+        }
     }
 }
 
 fn lint_module_invocation(
     name: &str,
     args: &Value,
-    path: &str,
+    path: &Path,
     reg: &ModuleRegistry,
     out: &mut Vec<Violation>,
 ) {
-    let mpath = format!("{path}.{name}");
+    let mpath = path.key(name);
     let Some(spec) = reg.get(name) else {
-        out.push(Violation::new(&mpath, "unknown module"));
+        out.push(mpath.violation("unknown module"));
         return;
     };
     match args {
         Value::Str(_) => {
             if !spec.free_form {
-                out.push(Violation::new(
-                    &mpath,
+                out.push(mpath.violation(
                     "string arguments (legacy k=v form) are not accepted; use a parameter mapping",
                 ));
             }
@@ -338,10 +365,7 @@ fn lint_module_invocation(
         Value::Null => {
             // Acceptable only when nothing is required (e.g. `setup:`).
             for p in spec.params.iter().filter(|p| p.required) {
-                out.push(Violation::new(
-                    format!("{mpath}.{}", p.name),
-                    "missing required parameter",
-                ));
+                out.push(mpath.key(p.name).violation("missing required parameter"));
             }
         }
         Value::Map(params) => {
@@ -349,33 +373,24 @@ fn lint_module_invocation(
             // fine for command/shell (cmd:), so validate params either way.
             for (pname, pvalue) in params.iter() {
                 match spec.params.iter().find(|p| p.name == pname) {
-                    None => out.push(Violation::new(
-                        format!("{mpath}.{pname}"),
-                        "unknown parameter",
-                    )),
+                    None => out.push(mpath.key(pname).violation("unknown parameter")),
                     Some(p) => {
                         if !param_accepts(p.kind, pvalue) {
-                            out.push(Violation::new(
-                                format!("{mpath}.{pname}"),
-                                format!("parameter has wrong type (expected {:?})", p.kind),
-                            ));
+                            out.push(mpath.key(pname).violation(format!(
+                                "parameter has wrong type (expected {:?})",
+                                p.kind
+                            )));
                         }
                     }
                 }
             }
             for p in spec.params.iter().filter(|p| p.required) {
                 if !params.contains_key(p.name) {
-                    out.push(Violation::new(
-                        format!("{mpath}.{}", p.name),
-                        "missing required parameter",
-                    ));
+                    out.push(mpath.key(p.name).violation("missing required parameter"));
                 }
             }
         }
-        _ => out.push(Violation::new(
-            &mpath,
-            "module arguments must be a mapping or a free-form string",
-        )),
+        _ => out.push(mpath.violation("module arguments must be a mapping or a free-form string")),
     }
 }
 
@@ -556,6 +571,34 @@ mod tests {
     fn roles_entries() {
         ok("- hosts: all\n  roles:\n    - common\n    - role: nginx\n");
         bad("- hosts: all\n  roles:\n    - 5\n", "role entry");
+    }
+
+    #[test]
+    fn violation_paths_are_rendered_in_full() {
+        let src = "- hosts: all\n  tasks:\n    - name: a\n      ping: {}\n    - block:\n        - ansible.builtin.apt:\n            stat: present\n      bogus: 1\n  roles:\n    - 5\n";
+        let found: Vec<String> = lint_str(src, LintTarget::Auto)
+            .iter()
+            .map(Violation::to_string)
+            .collect();
+        assert_eq!(
+            found,
+            [
+                "plays[0].tasks[1].block[0].ansible.builtin.apt.stat: unknown parameter",
+                "plays[0].tasks[1].block[0].ansible.builtin.apt.name: missing required parameter",
+                "plays[0].tasks[1].bogus: key not allowed on a block",
+                "plays[0].roles[0]: role entry must be a name or a mapping with 'role'",
+            ]
+        );
+        let found = lint_str("name: x\napt: name=x\n", LintTarget::Task);
+        assert_eq!(
+            found[0].to_string(),
+            "$.apt: string arguments (legacy k=v form) are not accepted; use a parameter mapping"
+        );
+        let found = lint_str("- ping: {}\n  setup:\n  when: [x]\n", LintTarget::Auto);
+        assert_eq!(
+            found.iter().map(Violation::to_string).collect::<Vec<_>>(),
+            ["tasks[0]: task has multiple modules: ping, setup"]
+        );
     }
 
     #[test]

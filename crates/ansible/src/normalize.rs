@@ -58,11 +58,11 @@ const PLAY_KEY_ORDER: &[&str] = &[
 /// );
 /// # Ok::<(), wisdom_yaml::ParseYamlError>(())
 /// ```
-pub fn normalize_document(value: &Value) -> Value {
+pub fn normalize_document(value: &Value) -> Value<'static> {
     match detect_target(value) {
         LintTarget::Playbook => {
             let Some(items) = value.as_seq() else {
-                return value.clone();
+                return value.clone().into_owned();
             };
             Value::Seq(items.iter().map(normalize_play).collect())
         }
@@ -89,18 +89,18 @@ pub fn standardize(src: &str) -> Result<String, ParseYamlError> {
 }
 
 /// Normalizes one play mapping.
-pub fn normalize_play(value: &Value) -> Value {
+pub fn normalize_play(value: &Value) -> Value<'static> {
     let Some(map) = value.as_map() else {
-        return value.clone();
+        return value.clone().into_owned();
     };
     let mut out = Mapping::new();
     for (k, v) in map.iter() {
         let nv = match k {
             "tasks" | "pre_tasks" | "post_tasks" | "handlers" => match v.as_seq() {
                 Some(items) => Value::Seq(items.iter().map(normalize_task).collect()),
-                None => v.clone(),
+                None => v.clone().into_owned(),
             },
-            _ => v.clone(),
+            _ => v.clone().into_owned(),
         };
         out.insert(k.to_string(), nv);
     }
@@ -110,9 +110,9 @@ pub fn normalize_play(value: &Value) -> Value {
 
 /// Normalizes one task (or block) mapping: FQCN module key, dict-ified
 /// arguments, canonical key order.
-pub fn normalize_task(value: &Value) -> Value {
+pub fn normalize_task(value: &Value) -> Value<'static> {
     let Some(map) = value.as_map() else {
-        return value.clone();
+        return value.clone().into_owned();
     };
     if map.keys().any(is_block_key) {
         // Blocks: normalize the inner task lists, keep keyword order but put
@@ -122,10 +122,10 @@ pub fn normalize_task(value: &Value) -> Value {
             let nv = if is_block_key(k) {
                 match v.as_seq() {
                     Some(items) => Value::Seq(items.iter().map(normalize_task).collect()),
-                    None => v.clone(),
+                    None => v.clone().into_owned(),
                 }
             } else {
-                v.clone()
+                v.clone().into_owned()
             };
             out.insert(k.to_string(), nv);
         }
@@ -141,7 +141,7 @@ pub fn normalize_task(value: &Value) -> Value {
             let args = normalize_args(k, v, reg);
             out.insert(fqcn, args);
         } else {
-            out.insert(k.to_string(), v.clone());
+            out.insert(k.to_string(), v.clone().into_owned());
         }
     }
     if let Some(mk) = &module_key {
@@ -155,14 +155,14 @@ pub fn normalize_task(value: &Value) -> Value {
 
 /// Converts legacy `k=v` string args into a mapping for non-free-form
 /// modules; leaves free-form strings and mappings untouched.
-fn normalize_args(module: &str, args: &Value, reg: &ModuleRegistry) -> Value {
+fn normalize_args(module: &str, args: &Value, reg: &ModuleRegistry) -> Value<'static> {
     let free_form = reg.get(module).map(|m| m.free_form).unwrap_or(false);
     match args {
         Value::Str(s) if !free_form => match parse_kv_args(s) {
             Some(m) => Value::Map(m),
-            None => args.clone(),
+            None => args.clone().into_owned(),
         },
-        _ => args.clone(),
+        _ => args.clone().into_owned(),
     }
 }
 

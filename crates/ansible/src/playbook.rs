@@ -73,7 +73,7 @@ impl TaskItem {
     }
 
     /// Renders back to a YAML node.
-    pub fn to_value(&self) -> Value {
+    pub fn to_value(&self) -> Value<'static> {
         match self {
             TaskItem::Task(t) => t.to_value(),
             TaskItem::Block(b) => b.to_value(),
@@ -101,7 +101,7 @@ pub struct Block {
     /// Tasks always executed.
     pub always: Vec<TaskItem>,
     /// Remaining keywords (`when`, `become`, …) in source order.
-    pub keywords: Mapping,
+    pub keywords: Mapping<'static>,
 }
 
 impl Block {
@@ -129,7 +129,7 @@ impl Block {
                     _ => unreachable!("is_block_key covers all"),
                 }
             } else if k != "name" {
-                block.keywords.insert(k.to_string(), v.clone());
+                block.keywords.insert(k.to_string(), v.clone().into_owned());
             }
         }
         if block.block.is_empty() && block.rescue.is_empty() && block.always.is_empty() {
@@ -139,26 +139,26 @@ impl Block {
     }
 
     /// Renders back to a YAML node.
-    pub fn to_value(&self) -> Value {
+    pub fn to_value(&self) -> Value<'static> {
         let mut m = Mapping::new();
         if let Some(name) = &self.name {
-            m.insert("name".to_string(), Value::Str(name.clone()));
+            m.insert("name", Value::from(name.clone()));
         }
         if !self.block.is_empty() {
             m.insert(
-                "block".to_string(),
+                "block",
                 Value::Seq(self.block.iter().map(TaskItem::to_value).collect()),
             );
         }
         if !self.rescue.is_empty() {
             m.insert(
-                "rescue".to_string(),
+                "rescue",
                 Value::Seq(self.rescue.iter().map(TaskItem::to_value).collect()),
             );
         }
         if !self.always.is_empty() {
             m.insert(
-                "always".to_string(),
+                "always",
                 Value::Seq(self.always.iter().map(TaskItem::to_value).collect()),
             );
         }
@@ -207,7 +207,7 @@ pub struct Play {
     pub handlers: Vec<TaskItem>,
     /// Every play-level key as written (including `hosts`, `vars`, `roles`),
     /// except the task lists; preserves source order for round-tripping.
-    pub keywords: Mapping,
+    pub keywords: Mapping<'static>,
 }
 
 impl Play {
@@ -246,7 +246,8 @@ impl Play {
                 }
                 "name" => {}
                 other => {
-                    play.keywords.insert(other.to_string(), v.clone());
+                    play.keywords
+                        .insert(other.to_string(), v.clone().into_owned());
                 }
             }
         }
@@ -254,35 +255,35 @@ impl Play {
     }
 
     /// Renders back to a YAML node in the canonical key order.
-    pub fn to_value(&self) -> Value {
+    pub fn to_value(&self) -> Value<'static> {
         let mut m = Mapping::new();
         if let Some(name) = &self.name {
-            m.insert("name".to_string(), Value::Str(name.clone()));
+            m.insert("name", Value::from(name.clone()));
         }
         for (k, v) in self.keywords.iter() {
             m.insert(k.to_string(), v.clone());
         }
         if !self.pre_tasks.is_empty() {
             m.insert(
-                "pre_tasks".to_string(),
+                "pre_tasks",
                 Value::Seq(self.pre_tasks.iter().map(TaskItem::to_value).collect()),
             );
         }
         if !self.tasks.is_empty() {
             m.insert(
-                "tasks".to_string(),
+                "tasks",
                 Value::Seq(self.tasks.iter().map(TaskItem::to_value).collect()),
             );
         }
         if !self.post_tasks.is_empty() {
             m.insert(
-                "post_tasks".to_string(),
+                "post_tasks",
                 Value::Seq(self.post_tasks.iter().map(TaskItem::to_value).collect()),
             );
         }
         if !self.handlers.is_empty() {
             m.insert(
-                "handlers".to_string(),
+                "handlers",
                 Value::Seq(self.handlers.iter().map(TaskItem::to_value).collect()),
             );
         }
@@ -353,7 +354,7 @@ impl Playbook {
     }
 
     /// Renders back to a YAML node.
-    pub fn to_value(&self) -> Value {
+    pub fn to_value(&self) -> Value<'static> {
         Value::Seq(self.plays.iter().map(Play::to_value).collect())
     }
 

@@ -63,9 +63,9 @@ pub struct Task {
     /// Module key as written (may be a short alias or an FQCN).
     pub module: String,
     /// Module arguments: a mapping, a free-form string, or null.
-    pub args: Value,
+    pub args: Value<'static>,
     /// Remaining task keywords, in source order.
-    pub keywords: Mapping,
+    pub keywords: Mapping<'static>,
 }
 
 impl Task {
@@ -88,12 +88,16 @@ impl Task {
             0 => Err(ParseTaskError::MissingModule),
             1 => {
                 let module = candidates[0].to_string();
-                let args = map.get(&module).cloned().unwrap_or(Value::Null);
+                let args = map
+                    .get(&module)
+                    .cloned()
+                    .unwrap_or(Value::Null)
+                    .into_owned();
                 let name = map.get("name").and_then(|v| v.as_str()).map(String::from);
                 let mut keywords = Mapping::new();
                 for (k, v) in map.iter() {
                     if k != module && k != "name" {
-                        keywords.insert(k.to_string(), v.clone());
+                        keywords.insert(k.to_string(), v.clone().into_owned());
                     }
                 }
                 Ok(Task {
@@ -126,10 +130,10 @@ impl Task {
 
     /// Renders the task back to a YAML mapping in canonical key order:
     /// `name`, module, keywords.
-    pub fn to_value(&self) -> Value {
+    pub fn to_value(&self) -> Value<'static> {
         let mut m = Mapping::new();
         if let Some(name) = &self.name {
-            m.insert("name".to_string(), Value::Str(name.clone()));
+            m.insert("name", Value::from(name.clone()));
         }
         m.insert(self.module.clone(), self.args.clone());
         for (k, v) in self.keywords.iter() {

@@ -1,8 +1,10 @@
-//! Baseline YAML parsing throughput: docs/sec and MB/s over a
-//! representative corpus slice.
+//! YAML parsing throughput: docs/sec and MB/s over a representative corpus
+//! slice.
 //!
-//! The zero-copy parser rewrite on the roadmap needs a recorded baseline to
-//! beat; this bench pins it. Documents come from the synthetic corpus
+//! The parser borrows its line index and tree from the source, so this
+//! measures line splitting plus tree building with no per-line or per-key
+//! copies; EXPERIMENTS.md records it against the owned-tree parser it
+//! replaced. Documents come from the synthetic corpus
 //! generators (galaxy roles, crawled Ansible, generic YAML) so the mix of
 //! indentation depth, sequence density and scalar shapes matches what the
 //! curation pipeline and tokenizer actually feed the parser.

@@ -261,12 +261,12 @@ pub fn generate_playbook(
     let mut keywords = Mapping::new();
     keywords.insert(
         "hosts".to_string(),
-        Value::Str(scenario.hosts(rng).to_string()),
+        Value::from(scenario.hosts(rng).to_string()),
     );
     if scenario == Scenario::NetworkDevice {
         keywords.insert(
             "connection".to_string(),
-            Value::Str("ansible.netcommon.network_cli".to_string()),
+            Value::from("ansible.netcommon.network_cli"),
         );
         keywords.insert("gather_facts".to_string(), Value::Bool(false));
     } else {
@@ -286,7 +286,7 @@ pub fn generate_playbook(
                     product.port
                 })),
             );
-            vars.insert("app_env".to_string(), Value::Str("production".to_string()));
+            vars.insert("app_env".to_string(), Value::from("production"));
             keywords.insert("vars".to_string(), Value::Map(vars));
         }
     }

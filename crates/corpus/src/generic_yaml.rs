@@ -6,11 +6,11 @@
 use wisdom_prng::Prng;
 use wisdom_yaml::{EmitOptions, Mapping, Value};
 
-fn s(v: impl Into<String>) -> Value {
-    Value::Str(v.into())
+fn s(v: impl Into<String>) -> Value<'static> {
+    Value::from(v.into())
 }
 
-fn m(pairs: Vec<(&str, Value)>) -> Value {
+fn m(pairs: Vec<(&str, Value<'static>)>) -> Value<'static> {
     let mut out = Mapping::new();
     for (k, v) in pairs {
         out.insert(k.to_string(), v);
@@ -57,7 +57,7 @@ pub fn generate_generic_of(kind: GenericKind, rng: &mut Prng) -> String {
     .emit(&value)
 }
 
-fn ci_workflow(rng: &mut Prng) -> Value {
+fn ci_workflow(rng: &mut Prng) -> Value<'static> {
     let lang = *rng.choice(&["node", "python", "go", "rust"]);
     let (setup, build, test) = match lang {
         "node" => ("actions/setup-node@v3", "npm ci", "npm test"),
@@ -108,7 +108,7 @@ fn ci_workflow(rng: &mut Prng) -> Value {
     ])
 }
 
-fn k8s_manifest(rng: &mut Prng) -> Value {
+fn k8s_manifest(rng: &mut Prng) -> Value<'static> {
     let app = *rng.choice(&["web", "api", "worker", "frontend", "cache"]);
     let image = *rng.choice(&["nginx:1.25", "redis:7", "example/api:2.3.1", "postgres:15"]);
     let replicas = *rng.choice(&[1i64, 2, 3, 5]);
@@ -156,7 +156,7 @@ fn k8s_manifest(rng: &mut Prng) -> Value {
     ])
 }
 
-fn docker_compose(rng: &mut Prng) -> Value {
+fn docker_compose(rng: &mut Prng) -> Value<'static> {
     let mut services = Mapping::new();
     let n = rng.range_usize(1, 4);
     let choices = [
@@ -184,7 +184,7 @@ fn docker_compose(rng: &mut Prng) -> Value {
     ])
 }
 
-fn app_config(rng: &mut Prng) -> Value {
+fn app_config(rng: &mut Prng) -> Value<'static> {
     let level = *rng.choice(&["info", "debug", "warning"]);
     let port = *rng.choice(&[8000i64, 8080, 9000, 3000]);
     m(vec![

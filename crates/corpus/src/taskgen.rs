@@ -146,11 +146,11 @@ fn module_name(short: &str, fqcn: &str, ctx: &FileCtx) -> String {
     if ctx.use_fqcn { fqcn } else { short }.to_string()
 }
 
-fn str_val(s: impl Into<String>) -> Value {
-    Value::Str(s.into())
+fn str_val(s: impl Into<String>) -> Value<'static> {
+    Value::from(s.into())
 }
 
-fn map(pairs: Vec<(&str, Value)>) -> Value {
+fn map(pairs: Vec<(&str, Value<'static>)>) -> Value<'static> {
     let mut m = Mapping::new();
     for (k, v) in pairs {
         m.insert(k.to_string(), v);
@@ -158,7 +158,7 @@ fn map(pairs: Vec<(&str, Value)>) -> Value {
     Value::Map(m)
 }
 
-fn new_task(name: String, module: String, args: Value) -> Task {
+fn new_task(name: String, module: String, args: Value<'static>) -> Task {
     Task {
         name: Some(name),
         module,
@@ -839,7 +839,7 @@ fn maybe_add_keywords(task: &mut Task, kind: TaskKind, ctx: &FileCtx, rng: &mut 
                 Platform::Generic => "ansible_facts['os_family'] is defined",
             };
             task.keywords
-                .insert("when".to_string(), Value::Str(cond.to_string()));
+                .insert("when".to_string(), Value::from(cond.to_string()));
         }
         2 => {
             let tag = *rng.choice(&["setup", "config", "deploy", "security"]);
@@ -865,7 +865,7 @@ fn maybe_legacy_kv(task: &mut Task, ctx: &FileCtx, rng: &mut Prng) {
     let mut parts = Vec::new();
     for (k, v) in args.iter() {
         let rendered = match v {
-            Value::Str(s) if !s.contains(' ') && !s.is_empty() => s.clone(),
+            Value::Str(s) if !s.contains(' ') && !s.is_empty() => s.to_string(),
             Value::Int(i) => i.to_string(),
             Value::Bool(b) => if *b { "yes" } else { "no" }.to_string(),
             _ => return, // lists/maps/spaces don't fit k=v; keep mapping form
@@ -875,7 +875,7 @@ fn maybe_legacy_kv(task: &mut Task, ctx: &FileCtx, rng: &mut Prng) {
     if parts.is_empty() {
         return;
     }
-    task.args = Value::Str(parts.join(" "));
+    task.args = Value::from(parts.join(" "));
 }
 
 /// Picks a random product suitable for the given scenario family.

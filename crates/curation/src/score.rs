@@ -275,16 +275,16 @@ mod tests {
     /// A random Ansible-shaped tree: plays or task lists, tasks with known
     /// modules in either spelling, unknown modules, `k=v` / free-form /
     /// mapping / list arguments, keywords, nested blocks, shuffled keys.
-    fn random_doc(rng: &mut wisdom_prng::Prng) -> Value {
-        fn scalar(rng: &mut wisdom_prng::Prng) -> Value {
+    fn random_doc(rng: &mut wisdom_prng::Prng) -> Value<'static> {
+        fn scalar(rng: &mut wisdom_prng::Prng) -> Value<'static> {
             const WORDS: [&str; 8] = ["nginx", "present", "yes", "0644", "/etc/x", "a=b", "", "1"];
             match rng.range_usize(0, 4) {
                 0 => Value::Int(rng.range_usize(0, 100) as i64),
                 1 => Value::Bool(rng.chance(0.5)),
-                _ => Value::Str(WORDS[rng.range_usize(0, WORDS.len())].to_string()),
+                _ => Value::from(WORDS[rng.range_usize(0, WORDS.len())]),
             }
         }
-        fn args(rng: &mut wisdom_prng::Prng, depth: usize) -> Value {
+        fn args(rng: &mut wisdom_prng::Prng, depth: usize) -> Value<'static> {
             const KV: [&str; 6] = [
                 "name=nginx state=present",
                 "src=a dest=b mode=0644",
@@ -294,18 +294,18 @@ mod tests {
                 "name=x",
             ];
             match rng.range_usize(0, 5) {
-                0 => Value::Str(KV[rng.range_usize(0, KV.len())].to_string()),
+                0 => Value::from(KV[rng.range_usize(0, KV.len())]),
                 1 => Value::Null,
                 2 => Value::Map(
                     (0..rng.range_usize(0, 3))
-                        .map(|i| (["name", "state", "dest"][i].to_string(), scalar(rng)))
+                        .map(|i| (["name", "state", "dest"][i], scalar(rng)))
                         .collect(),
                 ),
                 3 if depth < 3 => tasks(rng, depth + 1),
                 _ => scalar(rng),
             }
         }
-        fn task(rng: &mut wisdom_prng::Prng, depth: usize) -> Value {
+        fn task(rng: &mut wisdom_prng::Prng, depth: usize) -> Value<'static> {
             const MODULES: [&str; 8] = [
                 "apt",
                 "ansible.builtin.apt",
@@ -316,18 +316,18 @@ mod tests {
                 "frobnicate",
                 "hosts_helper",
             ];
-            let mut entries: Vec<(String, Value)> = Vec::new();
+            let mut entries: Vec<(&str, Value)> = Vec::new();
             if rng.chance(0.7) {
-                entries.push(("name".into(), Value::Str("Do it".into())));
+                entries.push(("name", Value::from("Do it")));
             }
             if depth < 3 && rng.chance(0.15) {
-                entries.push(("block".into(), tasks(rng, depth + 1)));
+                entries.push(("block", tasks(rng, depth + 1)));
                 if rng.chance(0.5) {
-                    entries.push(("rescue".into(), tasks(rng, depth + 1)));
+                    entries.push(("rescue", tasks(rng, depth + 1)));
                 }
             } else if rng.chance(0.9) {
                 let module = MODULES[rng.range_usize(0, MODULES.len())];
-                entries.push((module.into(), args(rng, depth)));
+                entries.push((module, args(rng, depth)));
             }
             for keyword in ["when", "become", "tags", "notify", "loop"] {
                 if rng.chance(0.25) {
@@ -336,7 +336,7 @@ mod tests {
                     } else {
                         scalar(rng)
                     };
-                    entries.push((keyword.into(), v));
+                    entries.push((keyword, v));
                 }
             }
             for i in (1..entries.len()).rev() {
@@ -344,7 +344,7 @@ mod tests {
             }
             Value::Map(entries.into_iter().collect())
         }
-        fn tasks(rng: &mut wisdom_prng::Prng, depth: usize) -> Value {
+        fn tasks(rng: &mut wisdom_prng::Prng, depth: usize) -> Value<'static> {
             Value::Seq(
                 (0..rng.range_usize(0, 4))
                     .map(|_| task(rng, depth))
@@ -354,13 +354,11 @@ mod tests {
         if rng.chance(0.4) {
             let plays = (0..rng.range_usize(1, 3))
                 .map(|_| {
-                    let mut play: Vec<(String, Value)> = vec![
-                        ("hosts".into(), Value::Str("all".into())),
-                        ("name".into(), Value::Str("Play".into())),
-                    ];
+                    let mut play: Vec<(&str, Value)> =
+                        vec![("hosts", Value::from("all")), ("name", Value::from("Play"))];
                     for key in ["tasks", "handlers", "pre_tasks", "roles"] {
                         if rng.chance(0.5) {
-                            play.push((key.into(), tasks(rng, 1)));
+                            play.push((key, tasks(rng, 1)));
                         }
                     }
                     play.reverse();

@@ -18,6 +18,9 @@
 //! and aliases, complex (non-scalar) mapping keys, tags, and multi-line flow
 //! collections. Inputs using those produce a [`ParseYamlError`].
 //!
+//! A parsed [`Value`] borrows its keys and scalars from the source text;
+//! [`Value::into_owned`] detaches it.
+//!
 //! # Examples
 //!
 //! ```
@@ -80,16 +83,13 @@ mod round_trip_tests {
     #[test]
     fn round_trip_nested() {
         let mut inner = Mapping::new();
-        inner.insert("name".into(), Value::Str("httpd".into()));
-        inner.insert("state".into(), Value::Str("latest".into()));
+        inner.insert("name", Value::Str("httpd".into()));
+        inner.insert("state", Value::Str("latest".into()));
         let mut task = Mapping::new();
+        task.insert("name", Value::Str("Ensure apache is installed".into()));
+        task.insert("ansible.builtin.yum", Value::Map(inner));
         task.insert(
-            "name".into(),
-            Value::Str("Ensure apache is installed".into()),
-        );
-        task.insert("ansible.builtin.yum".into(), Value::Map(inner));
-        task.insert(
-            "notify".into(),
+            "notify",
             Value::Seq(vec![Value::Str("restart apache".into())]),
         );
         let doc = Value::Seq(vec![Value::Map(task)]);
@@ -101,9 +101,9 @@ mod round_trip_tests {
         assert_round_trip(&Value::Seq(vec![]));
         assert_round_trip(&Value::Map(Mapping::new()));
         let mut m = Mapping::new();
-        m.insert("empty_list".into(), Value::Seq(vec![]));
-        m.insert("empty_map".into(), Value::Map(Mapping::new()));
-        m.insert("nothing".into(), Value::Null);
+        m.insert("empty_list", Value::Seq(vec![]));
+        m.insert("empty_map", Value::Map(Mapping::new()));
+        m.insert("nothing", Value::Null);
         assert_round_trip(&Value::Map(m));
     }
 }

@@ -1,10 +1,23 @@
 //! Regression tests on realistic YAML fragments seen in public Ansible and
 //! DevOps content — the shapes the corpus generator and model outputs must
-//! survive.
+//! survive. Every input is also parsed by the owned-tree oracle, which must
+//! agree with the crate on the tree, the error and the emitted text.
 
-use wisdom_yaml::{parse, parse_documents, Value};
+mod oracle;
 
-fn get<'a>(v: &'a Value, path: &[&str]) -> &'a Value {
+use wisdom_yaml::{ParseYamlError, Value};
+
+fn parse(src: &str) -> Result<Value<'_>, ParseYamlError> {
+    oracle::assert_agrees(src);
+    wisdom_yaml::parse(src)
+}
+
+fn parse_documents(src: &str) -> Result<Vec<Value<'_>>, ParseYamlError> {
+    oracle::assert_agrees(src);
+    wisdom_yaml::parse_documents(src)
+}
+
+fn get<'v, 'a>(v: &'v Value<'a>, path: &[&str]) -> &'v Value<'a> {
     let mut cur = v;
     for key in path {
         cur = cur

@@ -19,13 +19,13 @@ fn scalar_string() -> impl Strategy<Value = String> {
     ]
 }
 
-fn value_strategy() -> impl Strategy<Value = Value> {
+fn value_strategy() -> impl Strategy<Value = Value<'static>> {
     let leaf = prop_oneof![
         Just(Value::Null),
         any::<bool>().prop_map(Value::Bool),
         any::<i64>().prop_map(Value::Int),
         (-1.0e9f64..1.0e9).prop_map(Value::Float),
-        scalar_string().prop_map(Value::Str),
+        scalar_string().prop_map(Value::from),
     ];
     leaf.prop_recursive(4, 48, 6, |inner| {
         prop_oneof![

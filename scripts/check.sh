@@ -13,7 +13,9 @@
 # walks the real vocabulary through both the entry and the filtered walk, and the
 # optimized build is the one that serves), printing how many masks the
 # recycled pool built on each pass so a change to the cache's cap or policy
-# shows in this log — the two-replica e2e burst once more for the line that
+# shows in this log — the YAML crate's suites (the hostile-bytes mutation
+# suite runs its fixed case budget where the parser ships, and agrees with
+# the owned-tree oracle there) — the two-replica e2e burst once more for the line that
 # says how many of its unique prompts each replica admitted (a router that
 # follows the common `- name: ` head again reads [48.0, 0.0] here) — and a
 # build + unit-test pass of the standalone
@@ -58,6 +60,7 @@ echo "cargo test --workspace -q: $((SECONDS - suite_start)) s"
 cargo test --release -q -p wisdom-tensor
 cargo test --release -q -p wisdom-curation
 cargo test --release -q -p wisdom-grammar -- --nocapture | grep -v '^$'
+cargo test --release -q -p wisdom-yaml
 cargo test -q --test server_e2e a_burst_of_unique_prompts -- --nocapture | grep 'admitted per replica'
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml

@@ -70,7 +70,7 @@ proptest! {
             }
             reversed.insert(task.module.clone(), task.args.clone());
             if let Some(name) = &task.name {
-                reversed.insert("name".to_string(), Value::Str(name.clone()));
+                reversed.insert("name", Value::from(name.clone()));
             }
             let shuffled = ansible_wisdom::yaml::emit(&Value::Seq(vec![Value::Map(reversed)]));
             let score = ansible_aware(&gold, &shuffled);

@@ -843,6 +843,32 @@ fn a_megabyte_of_brackets_is_a_400_or_a_finding_never_a_crash() {
 }
 
 #[test]
+fn under_indented_block_scalars_are_findings_and_every_handler_survives() {
+    // A block-scalar line indented less than its explicit indentation
+    // indicator, holding multi-byte text: the owned-tree parser sliced it
+    // inside a character and panicked the handler thread linting it, so
+    // `worker_threads` such posts left a server that accepted connections
+    // nobody served.
+    let config = ServerConfig::default();
+    let workers = config.worker_threads;
+    let (handle, addr) = spawn_server_with(config);
+    let inputs = ["a: |2\n éé\n", "- |3\n  éé\n", "a: >2\n é\n"];
+    for content in inputs.iter().cycle().take(workers + 1) {
+        let body = Json::obj(vec![("content", Json::Str(content.to_string()))]).to_text();
+        let (status, reply) = post(addr, "/v1/lint", &body).expect("lint");
+        assert_eq!(status, 200, "{content:?}: {reply}");
+        let j = parse_json(&reply).expect("lint json");
+        assert!(
+            matches!(j.get("findings"), Some(Json::Arr(items)) if !items.is_empty()),
+            "{content:?}: {reply}"
+        );
+    }
+    let (status, body) = get(addr, "/healthz").expect("healthz");
+    assert_eq!((status, body.as_str()), (200, "ok"));
+    handle.stop();
+}
+
+#[test]
 fn oversized_request_body_is_rejected_with_413() {
     use std::io::{Read, Write};
     let (handle, addr) = spawn_server();
