@@ -12,12 +12,15 @@
 //! running the index behind the pipeline's order-restoring curator makes
 //! the kept set independent of worker count.
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::shingle::{MinHasher, Signature};
 
-fn fnv1a(text: &str) -> u64 {
+/// The hash [`ExactDedup`] buckets a text by. Pipeline workers compute it
+/// off the curator thread and hand it to [`ExactDedup::insert_hashed`].
+pub(crate) fn content_hash(text: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in text.as_bytes() {
         h ^= u64::from(*b);
@@ -26,7 +29,8 @@ fn fnv1a(text: &str) -> u64 {
     h
 }
 
-/// Content-confirmed exact-duplicate filter.
+/// Content-confirmed exact-duplicate filter. It borrows the texts it has
+/// seen rather than copying them, so they must outlive the filter.
 ///
 /// # Examples
 ///
@@ -39,13 +43,15 @@ fn fnv1a(text: &str) -> u64 {
 /// assert!(dedup.insert("- name: Pong\n"));
 /// ```
 #[derive(Debug, Default, Clone)]
-pub struct ExactDedup {
-    /// hash -> texts seen with that hash (singleton except under collision).
-    buckets: HashMap<u64, Vec<String>>,
-    len: usize,
+pub struct ExactDedup<'a> {
+    /// hash -> the first text seen with that hash.
+    first: HashMap<u64, &'a str>,
+    /// Later distinct texts whose hash was already taken. Scanned only
+    /// after a hash hit whose first text differs, so empty in practice.
+    collided: Vec<(u64, &'a str)>,
 }
 
-impl ExactDedup {
+impl<'a> ExactDedup<'a> {
     /// Creates an empty filter.
     pub fn new() -> Self {
         Self::default()
@@ -55,24 +61,41 @@ impl ExactDedup {
     /// returns `false` for an exact duplicate. A hash hit alone is never
     /// enough to reject: the candidate bucket's contents are compared
     /// byte-for-byte first.
-    pub fn insert(&mut self, text: &str) -> bool {
-        let bucket = self.buckets.entry(fnv1a(text)).or_default();
-        if bucket.iter().any(|seen| seen == text) {
-            return false;
+    pub fn insert(&mut self, text: &'a str) -> bool {
+        self.insert_hashed(content_hash(text), text)
+    }
+
+    /// [`insert`](Self::insert) with `hash == content_hash(text)` already
+    /// computed.
+    pub(crate) fn insert_hashed(&mut self, hash: u64, text: &'a str) -> bool {
+        match self.first.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(text);
+                true
+            }
+            Entry::Occupied(slot) => {
+                if *slot.get() == text
+                    || self
+                        .collided
+                        .iter()
+                        .any(|&(h, seen)| h == hash && seen == text)
+                {
+                    return false;
+                }
+                self.collided.push((hash, text));
+                true
+            }
         }
-        bucket.push(text.to_string());
-        self.len += 1;
-        true
     }
 
     /// Distinct documents recorded so far.
     pub fn len(&self) -> usize {
-        self.len
+        self.first.len() + self.collided.len()
     }
 
     /// Whether no document has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.first.is_empty()
     }
 }
 
@@ -175,10 +198,22 @@ impl NearDedup {
             self.hasher.lanes(),
             "signature from another MinHasher"
         );
-        self.hasher.band_keys_into(sig, &mut self.keys);
+        let mut keys = std::mem::take(&mut self.keys);
+        self.hasher.band_keys_into(sig, &mut keys);
+        let verdict = self.offer_keyed(Cow::Borrowed(sig), &keys);
+        self.keys = keys;
+        verdict
+    }
+
+    /// [`offer`](Self::offer) with the signature's band keys already
+    /// computed (`keys` as [`MinHasher::band_keys_into`] fills it). An owned
+    /// signature is stored without a copy if it is kept.
+    pub(crate) fn offer_keyed(&mut self, sig: Cow<'_, Signature>, keys: &[u64]) -> NearVerdict {
+        debug_assert_eq!(sig.0.len(), self.hasher.lanes());
+        debug_assert_eq!(keys.len(), self.buckets.len());
         self.epoch += 1;
         let mut best: Option<(usize, f64)> = None;
-        for (bucket, key) in self.buckets.iter().zip(&self.keys) {
+        for (bucket, key) in self.buckets.iter().zip(keys) {
             let Some(&(mut link, _)) = bucket.get(key) else {
                 continue;
             };
@@ -189,7 +224,7 @@ impl NearDedup {
                     continue;
                 }
                 self.seen[idx] = self.epoch;
-                let est = self.hasher.estimate(sig, &self.kept[idx]);
+                let est = self.hasher.estimate(&sig, &self.kept[idx]);
                 if est >= self.floor && best.map(|(_, b)| est > b).unwrap_or(true) {
                     best = Some((idx, est));
                 }
@@ -199,7 +234,7 @@ impl NearDedup {
             return NearVerdict::Duplicate { of, estimate };
         }
         let idx = self.len();
-        for (bucket, &key) in self.buckets.iter_mut().zip(&self.keys) {
+        for (bucket, &key) in self.buckets.iter_mut().zip(keys) {
             let link = self.links.len();
             self.links.push((idx, NIL));
             match bucket.entry(key) {
@@ -213,7 +248,7 @@ impl NearDedup {
                 }
             }
         }
-        self.kept.push(sig.clone());
+        self.kept.push(sig.into_owned());
         self.seen.push(0);
         NearVerdict::Kept(idx)
     }
@@ -226,15 +261,15 @@ mod tests {
 
     #[test]
     fn exact_dedup_confirms_content_not_just_hash() {
-        // With a content-confirming filter, distinct texts are kept even if
-        // their hashes collide; simulate by checking the bucket path
-        // directly: two distinct strings must both be inserted regardless
-        // of bucket assignment.
+        // Every text under one hash: membership must still be decided by
+        // the bytes.
         let mut d = ExactDedup::new();
-        assert!(d.insert("a"));
-        assert!(d.insert("b"));
-        assert!(!d.insert("a"));
-        assert_eq!(d.len(), 2);
+        assert!(d.insert_hashed(7, "a"));
+        assert!(d.insert_hashed(7, "b"));
+        assert!(d.insert_hashed(7, "c"));
+        assert!(!d.insert_hashed(7, "a"));
+        assert!(!d.insert_hashed(7, "c"));
+        assert_eq!(d.len(), 3);
     }
 
     fn sig_of(text: &str, h: &MinHasher) -> Signature {

@@ -7,21 +7,23 @@
 //! millions of documents:
 //!
 //! ```text
-//! ingest ──▶ [bounded queue] ──▶ parse + lint + score + MinHash  (N workers)
-//!                                        │
+//!   input (borrowed) ──▶ atomic chunk cursor ──▶ parse + lint + score +
+//!                        MinHash + band keys + content hash  (N workers)
+//!                                        │  one message per chunk
 //!                                 [bounded queue]
 //!                                        ▼
-//!                        curator (sequence-order restored):
+//!                          curator (chunk order restored):
 //!                exact dedup (content-confirmed) ▶ MinHash-LSH
 //!                near-dedup ▶ quality floor ▶ deterministic shards
 //! ```
 //!
-//! * **Streaming & backpressured** — stages talk over bounded
-//!   `crossbeam::channel`s; a slow curator throttles ingest instead of
+//! * **Streaming & backpressured** — workers claim runs of consecutive
+//!   documents and hand each run's facts over as one message on a bounded
+//!   `crossbeam::channel`; a slow curator throttles the workers instead of
 //!   buffering the corpus in memory.
 //! * **Deterministic at any worker count** — workers compute only pure
 //!   per-document facts; every order-sensitive decision happens on one
-//!   curator thread behind a sequence-number reorder buffer, so shard
+//!   curator thread behind a chunk-index reorder buffer, so shard
 //!   bytes and the stats manifest are byte-identical for 1, 2 or 16
 //!   workers (pinned by `tests/pipeline_determinism.rs`).
 //! * **Content-confirmed exact dedup** — a hash selects a bucket, bytes

@@ -1,17 +1,23 @@
-//! The streaming curation pipeline: ingest → parse/lint/score (parallel
+//! The streaming curation pipeline: parse/lint/score/sketch (parallel
 //! workers) → exact dedup → MinHash near-dedup → deterministic sharding.
 //!
-//! Stages are connected by bounded MPMC channels (`crossbeam::channel`),
-//! so a slow stage backpressures the ones before it instead of buffering
-//! the whole corpus. The parallel stage computes only *pure* per-document
-//! facts (parse/lint/score results and the MinHash signature); every
-//! order-sensitive decision — exact dedup, near dedup, quality filtering,
-//! sharding — happens on the single curator thread behind a sequence-number
-//! reorder buffer. Workers therefore only change *when* a document's facts
+//! Threads exchange chunks, not documents. The input stays borrowed for
+//! the whole pass; workers claim runs of `CHUNK` consecutive documents
+//! through one atomic cursor and compute every *pure* per-document fact —
+//! parse/lint/score results, the MinHash signature, its LSH band keys and
+//! the exact-dedup content hash. Each chunk's facts reach the curator as
+//! one message on a bounded channel (`crossbeam::channel`), so a slow
+//! curator backpressures the workers instead of buffering the corpus.
+//! Every order-sensitive decision — exact dedup, near dedup, quality
+//! filtering, sharding — happens on the single curator thread, which
+//! restores chunk order and admits documents in input order, reading texts
+//! in place. Workers therefore only change *when* a document's facts
 //! arrive, never *what* is decided from them, and the kept sequence, shard
 //! bytes and manifest are byte-identical for any worker count.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -19,7 +25,7 @@ use crossbeam::channel::{bounded, Receiver};
 use wisdom_corpus::Corpus;
 use wisdom_telemetry::{Counter, Gauge, Histogram, Registry};
 
-use crate::dedup::{ExactDedup, NearDedup, NearVerdict};
+use crate::dedup::{content_hash, ExactDedup, NearDedup, NearVerdict};
 use crate::score::{score_document, DocKind, DocScore};
 use crate::shard::{Shard, ShardWriter};
 use crate::shingle::{shingle_set, MinHasher, Signature};
@@ -40,9 +46,10 @@ pub struct InputDoc {
 /// curated output.
 #[derive(Debug, Clone)]
 pub struct CurationConfig {
-    /// Parallel parse/lint/score workers.
+    /// Parallel parse/lint/score/sketch workers.
     pub workers: usize,
-    /// Capacity of each inter-stage channel (the backpressure window).
+    /// Documents the channel from the workers to the curator may hold (the
+    /// backpressure window), rounded up to whole chunks.
     pub queue_depth: usize,
     /// Documents per output shard.
     pub shard_docs: usize,
@@ -132,7 +139,7 @@ impl CurationTelemetry {
         let queue = |name: &str| {
             registry.gauge_with(
                 "wisdom_curation_queue_depth",
-                "Bounded-channel depth between curation stages.",
+                "Documents waiting: unclaimed (parse) or in the chunk channel (curate).",
                 &[("queue", name)],
             )
         };
@@ -283,236 +290,316 @@ impl CurationReport {
     }
 }
 
-struct RawDoc {
-    seq: usize,
-    doc: InputDoc,
+/// Consecutive documents a worker claims at once, and so the unit the
+/// threads exchange: one channel message carries one chunk's facts. On the
+/// benchmark corpus a pass took the same time within noise at 16, 32, 64
+/// and 128; 64 makes ~30 hand-offs a pass and leaves a short last chunk.
+const CHUNK: usize = 64;
+
+/// The pure facts a worker computes for one document.
+struct Facts {
+    score: DocScore,
+    /// [`content_hash`] of the text, for exact dedup.
+    hash: u64,
+    signature: Signature,
 }
 
-struct ProcDoc {
-    seq: usize,
-    doc: InputDoc,
-    score: DocScore,
-    signature: Signature,
+/// One chunk's facts: a worker's whole hand-off to the curator.
+struct ChunkFacts {
+    /// Documents `index * CHUNK ..` of the input, at most `CHUNK` of them.
+    index: usize,
+    facts: Vec<Facts>,
+    /// The LSH band keys of every document in `facts`, `bands` each, back
+    /// to back in the same order.
+    band_keys: Vec<u64>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Chunk messages the curator received on this thread: the count the
+    /// hand-off test reads. `curate` runs its curator on the caller's thread.
+    static HANDOFFS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Runs the full pipeline over `docs` and returns the report.
 ///
 /// # Panics
 ///
-/// Panics if `config.workers == 0`.
+/// Panics if `config.workers == 0` or `config.queue_depth == 0`, and if a
+/// worker panics (the curator then names the chunk it never received).
 pub fn curate(docs: Vec<InputDoc>, config: &CurationConfig) -> CurationReport {
     assert!(config.workers > 0, "at least one worker required");
     let hasher = MinHasher::new(config.seed, config.bands, config.rows);
-    let telemetry = config.telemetry.clone();
+    let chunks = docs.len().div_ceil(CHUNK);
+    // `queue_depth` counts documents; the channel holds whole chunks.
+    let (tx, rx) = bounded::<ChunkFacts>(config.queue_depth.div_ceil(CHUNK));
+    // The next chunk to claim. `Relaxed` suffices: it hands out indices and
+    // publishes no data (the input was published by the spawn).
+    let cursor = AtomicUsize::new(0);
+    // Documents sent to the curator and not yet received (telemetry only).
+    let queued = AtomicUsize::new(0);
 
-    let (raw_tx, raw_rx) = bounded::<RawDoc>(config.queue_depth);
-    let (proc_tx, proc_rx) = bounded::<ProcDoc>(config.queue_depth);
-
-    crossbeam::scope(|scope| {
-        // Ingest: assign sequence numbers and feed the bounded queue.
-        {
-            let raw_tx = raw_tx.clone();
-            let telemetry = telemetry.clone();
-            scope.spawn(move |_| {
-                for (seq, doc) in docs.into_iter().enumerate() {
-                    if let Some(t) = &telemetry {
-                        t.ingested.inc();
-                        t.ingested_bytes.add(doc.text.len() as u64);
-                        t.parse_queue.set(raw_tx.len() as f64);
-                    }
-                    if raw_tx.send(RawDoc { seq, doc }).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(raw_tx);
-
-        // Parallel parse/lint/score/sketch workers: pure per-document work.
+    let (mut report, kept_seq) = crossbeam::scope(|scope| {
         for _ in 0..config.workers {
-            let raw_rx = raw_rx.clone();
-            let proc_tx = proc_tx.clone();
-            let hasher = hasher.clone();
-            let telemetry = telemetry.clone();
-            let shingle_k = config.shingle_k;
-            scope.spawn(move |_| {
-                while let Ok(RawDoc { seq, doc }) = raw_rx.recv() {
-                    let started = Instant::now();
-                    let score = score_document(&doc.text, doc.kind);
-                    let signature = hasher.signature(&shingle_set(&doc.text, shingle_k));
-                    if let Some(t) = &telemetry {
-                        t.processed.inc();
-                        t.process_seconds.observe(started.elapsed().as_secs_f64());
-                        t.curate_queue.set(proc_tx.len() as f64);
-                    }
-                    if proc_tx
-                        .send(ProcDoc {
-                            seq,
-                            doc,
-                            score,
-                            signature,
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
+            let tx = tx.clone();
+            let (docs, hasher, cursor, queued) = (&docs, &hasher, &cursor, &queued);
+            scope.spawn(move |_| loop {
+                let index = cursor.fetch_add(1, Ordering::Relaxed);
+                if index >= chunks {
+                    break;
+                }
+                let chunk = sketch_chunk(index, docs, hasher, config);
+                if let Some(t) = &config.telemetry {
+                    let docs = chunk.facts.len();
+                    t.curate_queue
+                        .set((queued.fetch_add(docs, Ordering::Relaxed) + docs) as f64);
+                }
+                if tx.send(chunk).is_err() {
+                    break;
                 }
             });
         }
-        drop(raw_rx);
-        drop(proc_tx);
-
-        // Curator: restore ingest order, then decide keeps/drops serially so
-        // the output is independent of worker scheduling.
-        curator(proc_rx, config, &hasher, telemetry.as_ref())
+        drop(tx);
+        Curator::new(&docs, config, &hasher).run(rx, chunks, &queued)
     })
-    .expect("curation scope")
+    .expect("curation scope");
+
+    if config.keep_texts {
+        // Move the kept texts out of the input instead of copying them.
+        let mut kept = kept_seq.into_iter().peekable();
+        report.kept_docs = docs
+            .into_iter()
+            .enumerate()
+            .filter(|&(seq, _)| kept.next_if_eq(&seq).is_some())
+            .map(|(_, doc)| (doc.source, doc.text))
+            .collect();
+    }
+    report
 }
 
-fn curator(
-    proc_rx: Receiver<ProcDoc>,
-    config: &CurationConfig,
+/// A worker's job for chunk `index`: every pure per-document fact.
+fn sketch_chunk(
+    index: usize,
+    docs: &[InputDoc],
     hasher: &MinHasher,
-    telemetry: Option<&CurationTelemetry>,
-) -> CurationReport {
-    let floor = NearDedup::floor_for_target(config.target_similarity, hasher.lanes());
-    let mut exact = ExactDedup::new();
-    let mut near = NearDedup::new(hasher.clone(), floor);
-    let mut writer = ShardWriter::new(config.shard_docs);
-    // Maps `NearDedup` kept-indices back to ingest sequence numbers.
-    let mut kept_seq: Vec<usize> = Vec::new();
+    config: &CurationConfig,
+) -> ChunkFacts {
+    let start = index * CHUNK;
+    let end = docs.len().min(start + CHUNK);
+    let run = &docs[start..end];
+    let telemetry = config.telemetry.as_ref();
+    if let Some(t) = telemetry {
+        t.ingested.add(run.len() as u64);
+        t.ingested_bytes
+            .add(run.iter().map(|doc| doc.text.len() as u64).sum());
+        t.parse_queue.set((docs.len() - end) as f64);
+    }
+    let mut band_keys = Vec::with_capacity(run.len() * hasher.bands());
+    let facts = run
+        .iter()
+        .map(|doc| {
+            let started = telemetry.map(|_| Instant::now());
+            let signature = hasher.signature(&shingle_set(&doc.text, config.shingle_k));
+            hasher.push_band_keys(&signature, &mut band_keys);
+            let facts = Facts {
+                score: score_document(&doc.text, doc.kind),
+                hash: content_hash(&doc.text),
+                signature,
+            };
+            if let (Some(t), Some(started)) = (telemetry, started) {
+                t.process_seconds.observe(started.elapsed().as_secs_f64());
+            }
+            facts
+        })
+        .collect();
+    if let Some(t) = telemetry {
+        t.processed.add(run.len() as u64);
+    }
+    ChunkFacts {
+        index,
+        facts,
+        band_keys,
+    }
+}
 
-    let mut report = CurationReport {
-        ingested: 0,
-        ingested_bytes: 0,
-        parse_failed: 0,
-        quality_rejected: 0,
-        exact_dups: 0,
-        near_dups: 0,
-        kept: 0,
-        kept_bytes: 0,
-        quality_hist: [0; 10],
-        per_source: Vec::new(),
-        shards: Vec::new(),
-        kept_docs: Vec::new(),
-        near_dup_pairs: Vec::new(),
-    };
+/// The single thread that makes every order-dependent decision. It reads
+/// texts and sources in place in the input, which outlives it.
+struct Curator<'a> {
+    docs: &'a [InputDoc],
+    config: &'a CurationConfig,
+    exact: ExactDedup<'a>,
+    near: NearDedup,
+    writer: ShardWriter,
+    /// Maps `NearDedup` kept-indices back to ingest sequence numbers.
+    kept_seq: Vec<usize>,
+    report: CurationReport,
+}
 
-    let mut pending: HashMap<usize, ProcDoc> = HashMap::new();
-    let mut next_seq = 0usize;
-    while let Ok(proc_doc) = proc_rx.recv() {
-        pending.insert(proc_doc.seq, proc_doc);
-        while let Some(p) = pending.remove(&next_seq) {
-            next_seq += 1;
-            let started = Instant::now();
-            admit(
-                p,
-                config,
-                &mut exact,
-                &mut near,
-                &mut kept_seq,
-                &mut writer,
-                &mut report,
-                telemetry,
-            );
-            if let Some(t) = telemetry {
+impl<'a> Curator<'a> {
+    fn new(docs: &'a [InputDoc], config: &'a CurationConfig, hasher: &MinHasher) -> Self {
+        let floor = NearDedup::floor_for_target(config.target_similarity, hasher.lanes());
+        Self {
+            docs,
+            config,
+            exact: ExactDedup::new(),
+            near: NearDedup::new(hasher.clone(), floor),
+            writer: ShardWriter::new(config.shard_docs),
+            kept_seq: Vec::new(),
+            report: CurationReport {
+                ingested: 0,
+                ingested_bytes: 0,
+                parse_failed: 0,
+                quality_rejected: 0,
+                exact_dups: 0,
+                near_dups: 0,
+                kept: 0,
+                kept_bytes: 0,
+                quality_hist: [0; 10],
+                per_source: Vec::new(),
+                shards: Vec::new(),
+                kept_docs: Vec::new(),
+                near_dup_pairs: Vec::new(),
+            },
+        }
+    }
+
+    /// Admits the `chunks` chunks arriving on `rx` in chunk order. Returns
+    /// the report (without `kept_docs`) and the kept documents' sequence
+    /// numbers, ascending.
+    fn run(
+        mut self,
+        rx: Receiver<ChunkFacts>,
+        chunks: usize,
+        queued: &AtomicUsize,
+    ) -> (CurationReport, Vec<usize>) {
+        let mut pending: HashMap<usize, ChunkFacts> = HashMap::new();
+        let mut next = 0usize;
+        // No hang: a worker blocks only in `send`, on the channel this loop
+        // drains, and the cursor hands out each chunk index once, so every
+        // worker leaves its loop after finitely many chunks and drops its
+        // sender, returning or unwinding from a panic. `recv` therefore
+        // fails once every chunk that will ever be sent has arrived.
+        while let Ok(chunk) = rx.recv() {
+            #[cfg(test)]
+            HANDOFFS.with(|n| n.set(n.get() + 1));
+            if let Some(t) = &self.config.telemetry {
+                let docs = chunk.facts.len();
+                t.curate_queue
+                    .set((queued.fetch_sub(docs, Ordering::Relaxed) - docs) as f64);
+            }
+            pending.insert(chunk.index, chunk);
+            while let Some(chunk) = pending.remove(&next) {
+                self.admit_chunk(chunk);
+                next += 1;
+            }
+        }
+        // Every sender is gone: a chunk still owed is one whose worker
+        // panicked before sending it. Never return a report without it.
+        assert!(
+            next == chunks,
+            "curation chunk {next} of {chunks} never arrived: its worker stopped before sending it"
+        );
+
+        self.report.shards = self.writer.finish();
+        (self.report, self.kept_seq)
+    }
+
+    fn admit_chunk(&mut self, chunk: ChunkFacts) {
+        let bands = self.config.bands;
+        let first = chunk.index * CHUNK;
+        for ((offset, facts), keys) in chunk
+            .facts
+            .into_iter()
+            .enumerate()
+            .zip(chunk.band_keys.chunks_exact(bands))
+        {
+            let started = self.config.telemetry.as_ref().map(|_| Instant::now());
+            self.admit(first + offset, facts, keys);
+            if let (Some(t), Some(started)) = (&self.config.telemetry, started) {
                 t.curate_seconds.observe(started.elapsed().as_secs_f64());
             }
         }
     }
-    debug_assert!(pending.is_empty(), "curator drained out of order");
 
-    report.shards = writer.finish();
-    report
-}
+    fn admit(&mut self, seq: usize, facts: Facts, keys: &[u64]) {
+        let doc = &self.docs[seq];
+        let report = &mut self.report;
+        report.ingested += 1;
+        report.ingested_bytes += doc.text.len();
+        let source_idx = match report
+            .per_source
+            .iter()
+            .position(|(name, _)| *name == doc.source)
+        {
+            Some(i) => i,
+            None => {
+                report
+                    .per_source
+                    .push((doc.source.clone(), SourceCounts::default()));
+                report.per_source.len() - 1
+            }
+        };
+        report.per_source[source_idx].1.ingested += 1;
 
-#[allow(clippy::too_many_arguments)]
-fn admit(
-    p: ProcDoc,
-    config: &CurationConfig,
-    exact: &mut ExactDedup,
-    near: &mut NearDedup,
-    kept_seq: &mut Vec<usize>,
-    writer: &mut ShardWriter,
-    report: &mut CurationReport,
-    telemetry: Option<&CurationTelemetry>,
-) {
-    report.ingested += 1;
-    report.ingested_bytes += p.doc.text.len();
-    let source_idx = match report
-        .per_source
-        .iter()
-        .position(|(name, _)| *name == p.doc.source)
-    {
-        Some(i) => i,
-        None => {
-            report
-                .per_source
-                .push((p.doc.source.clone(), SourceCounts::default()));
-            report.per_source.len() - 1
-        }
-    };
-    report.per_source[source_idx].1.ingested += 1;
+        let drop_reason = if !facts.score.parsed {
+            Some(DropReason::Parse)
+        } else if facts.score.quality < self.config.min_quality {
+            Some(DropReason::Quality)
+        } else if !self.exact.insert_hashed(facts.hash, &doc.text) {
+            Some(DropReason::ExactDup)
+        } else {
+            match self.near.offer_keyed(Cow::Owned(facts.signature), keys) {
+                NearVerdict::Kept(idx) => {
+                    debug_assert_eq!(idx, self.kept_seq.len());
+                    self.kept_seq.push(seq);
+                    None
+                }
+                NearVerdict::Duplicate { of, estimate } => {
+                    report
+                        .near_dup_pairs
+                        .push((seq, self.kept_seq[of], estimate));
+                    Some(DropReason::NearDup)
+                }
+            }
+        };
 
-    let drop_reason = if !p.score.parsed {
-        Some(DropReason::Parse)
-    } else if p.score.quality < config.min_quality {
-        Some(DropReason::Quality)
-    } else if !exact.insert(&p.doc.text) {
-        Some(DropReason::ExactDup)
-    } else {
-        match near.offer(&p.signature) {
-            NearVerdict::Kept(idx) => {
-                debug_assert_eq!(idx, kept_seq.len());
-                kept_seq.push(p.seq);
-                None
+        let telemetry = self.config.telemetry.as_ref();
+        match drop_reason {
+            Some(DropReason::Parse) => {
+                report.parse_failed += 1;
+                if let Some(t) = telemetry {
+                    t.dropped_parse.inc();
+                }
             }
-            NearVerdict::Duplicate { of, estimate } => {
-                report.near_dup_pairs.push((p.seq, kept_seq[of], estimate));
-                Some(DropReason::NearDup)
+            Some(DropReason::Quality) => {
+                report.quality_rejected += 1;
+                if let Some(t) = telemetry {
+                    t.dropped_quality.inc();
+                }
             }
-        }
-    };
-
-    match drop_reason {
-        Some(DropReason::Parse) => {
-            report.parse_failed += 1;
-            if let Some(t) = telemetry {
-                t.dropped_parse.inc();
+            Some(DropReason::ExactDup) => {
+                report.exact_dups += 1;
+                if let Some(t) = telemetry {
+                    t.dropped_exact.inc();
+                }
             }
-        }
-        Some(DropReason::Quality) => {
-            report.quality_rejected += 1;
-            if let Some(t) = telemetry {
-                t.dropped_quality.inc();
+            Some(DropReason::NearDup) => {
+                report.near_dups += 1;
+                if let Some(t) = telemetry {
+                    t.dropped_near.inc();
+                }
             }
-        }
-        Some(DropReason::ExactDup) => {
-            report.exact_dups += 1;
-            if let Some(t) = telemetry {
-                t.dropped_exact.inc();
-            }
-        }
-        Some(DropReason::NearDup) => {
-            report.near_dups += 1;
-            if let Some(t) = telemetry {
-                t.dropped_near.inc();
-            }
-        }
-        None => {
-            let text_len = p.doc.text.len() as u64;
-            report.kept += 1;
-            report.kept_bytes += p.doc.text.len();
-            report.per_source[source_idx].1.kept += 1;
-            let bin = ((p.score.quality * 10.0) as usize).min(9);
-            report.quality_hist[bin] += 1;
-            writer.add(&p.doc.source, &p.doc.text);
-            if config.keep_texts {
-                report.kept_docs.push((p.doc.source.clone(), p.doc.text));
-            }
-            if let Some(t) = telemetry {
-                t.kept.inc();
-                t.kept_bytes.add(text_len);
+            None => {
+                report.kept += 1;
+                report.kept_bytes += doc.text.len();
+                report.per_source[source_idx].1.kept += 1;
+                let bin = ((facts.score.quality * 10.0) as usize).min(9);
+                report.quality_hist[bin] += 1;
+                self.writer.add(&doc.source, &doc.text);
+                if let Some(t) = telemetry {
+                    t.kept.inc();
+                    t.kept_bytes.add(doc.text.len() as u64);
+                }
             }
         }
     }
@@ -675,6 +762,82 @@ mod tests {
         assert_eq!(
             sample("wisdom_curation_dropped_total{reason=\"exact_dup\"}") as usize,
             report.exact_dups
+        );
+        assert_eq!(
+            sample("wisdom_curation_bytes_total{stage=\"ingest\"}") as usize,
+            report.ingested_bytes
+        );
+        // Both stage histograms observe every document once.
+        for stage in ["process", "curate"] {
+            assert_eq!(
+                sample(&format!(
+                    "wisdom_curation_stage_seconds_count{{stage=\"{stage}\"}}"
+                )) as usize,
+                report.ingested,
+                "{stage}"
+            );
+        }
+        // After the pass nothing is unclaimed and nothing is queued.
+        assert_eq!(sample("wisdom_curation_queue_depth{queue=\"parse\"}"), 0.0);
+        assert_eq!(sample("wisdom_curation_queue_depth{queue=\"curate\"}"), 0.0);
+    }
+
+    #[test]
+    fn a_pass_hands_over_one_message_per_chunk() {
+        let corpus = Corpus::build(&wisdom_corpus::CorpusSpec::scaled(0xF00D, 4000));
+        let docs = corpus_docs(&corpus);
+        let bound = docs.len().div_ceil(CHUNK);
+        let mut per_pass = Vec::new();
+        for workers in [1, 2, 4] {
+            for queue_depth in [1, 64, 256] {
+                let config = CurationConfig {
+                    workers,
+                    queue_depth,
+                    keep_texts: false,
+                    ..CurationConfig::default()
+                };
+                HANDOFFS.with(|n| n.set(0));
+                let report = curate(docs.clone(), &config);
+                assert_eq!(report.ingested, docs.len());
+                let handoffs = HANDOFFS.with(|n| n.get());
+                assert!(
+                    handoffs <= bound,
+                    "{handoffs} hand-offs for {} documents at {workers} workers, queue depth {queue_depth}",
+                    docs.len()
+                );
+                per_pass.push(handoffs);
+            }
+        }
+        // scripts/check.sh prints this line, so a change to the hand-off
+        // unit shows in the gate's log.
+        println!(
+            "curation: {} docs, {} hand-offs per pass",
+            docs.len(),
+            per_pass.iter().max().expect("nine passes")
+        );
+    }
+
+    #[test]
+    fn a_chunk_whose_worker_died_is_named_not_skipped() {
+        // A zero shingle width panics every worker on its first document,
+        // so chunk 0 is owed when the last sender goes.
+        let docs: Vec<InputDoc> = (0..3 * CHUNK)
+            .map(|i| doc("galaxy", DocKind::Generic, &format!("key_{i}: {i}\n")))
+            .collect();
+        let config = CurationConfig {
+            workers: 2,
+            shingle_k: 0,
+            ..CurationConfig::default()
+        };
+        let payload = std::panic::catch_unwind(|| curate(docs, &config))
+            .expect_err("a pass missing a chunk must not return a report");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(
+            message.contains("curation chunk 0 of 3 never arrived"),
+            "panic message: {message:?}"
         );
     }
 

@@ -60,8 +60,8 @@ impl ShardWriter {
 
     /// Appends one document, sealing the current shard if it is full.
     pub fn add(&mut self, source: &str, text: &str) {
-        let header = format!("# doc source={} bytes={}\n", source, text.len());
-        self.current.extend_from_slice(header.as_bytes());
+        writeln!(self.current, "# doc source={} bytes={}", source, text.len())
+            .expect("writing to a Vec cannot fail");
         self.current.extend_from_slice(text.as_bytes());
         if !text.ends_with('\n') {
             self.current.push(b'\n');

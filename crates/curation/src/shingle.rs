@@ -258,6 +258,12 @@ impl MinHasher {
     /// are LSH candidates iff they share at least one band key.
     pub fn band_keys_into(&self, sig: &Signature, keys: &mut Vec<u64>) {
         keys.clear();
+        self.push_band_keys(sig, keys);
+    }
+
+    /// Appends a signature's band keys to `keys`, so one buffer can carry
+    /// the keys of many documents back to back.
+    pub(crate) fn push_band_keys(&self, sig: &Signature, keys: &mut Vec<u64>) {
         keys.extend(sig.0.chunks(self.rows).map(|band| {
             band.iter()
                 .fold(FNV_OFFSET, |h, lane| fnv1a(&lane.to_le_bytes(), h))

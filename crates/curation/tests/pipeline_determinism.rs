@@ -9,12 +9,16 @@
 //!   exact-dup drops (no false drops);
 //! * the curated output of the test corpus equals a recorded golden
 //!   fingerprint, so a changed keep/drop decision fails even when every
-//!   worker count agrees on it.
+//!   worker count agrees on it;
+//! * inputs cut at and around the pipeline's chunk edges, with duplicates
+//!   straddling them, give the report a sequential replay of the public
+//!   pieces gives, at every worker count and queue depth.
 
 use wisdom_corpus::{Corpus, CorpusSpec};
 use wisdom_curation::{
-    corpus_docs, curate, jaccard, shingle_set, CurationConfig, CurationReport, CurationTelemetry,
-    DocKind, InputDoc,
+    corpus_docs, curate, jaccard, score_document, shingle_set, CurationConfig, CurationReport,
+    CurationTelemetry, DocKind, ExactDedup, InputDoc, MinHasher, NearDedup, NearVerdict,
+    ShardWriter, SourceCounts,
 };
 use wisdom_prng::Prng;
 use wisdom_telemetry::Registry;
@@ -242,4 +246,140 @@ fn zero_false_drops_on_a_distinct_corpus() {
     assert_eq!(report.near_dups, 0, "false near-dup drops");
     assert_eq!(report.exact_dups, 0, "false exact-dup drops");
     assert_eq!(report.kept, 60);
+}
+
+/// The pipeline's chunk length (the private `CHUNK` in `src/pipeline.rs`):
+/// workers claim, and hand over, this many consecutive documents at once.
+const CHUNK: usize = 64;
+
+/// What `curate` must return, computed one document at a time from the
+/// crate's public pieces: score → shingle/sign → exact → near → shard.
+fn sequential_reference(docs: &[InputDoc], config: &CurationConfig) -> CurationReport {
+    let hasher = MinHasher::new(config.seed, config.bands, config.rows);
+    let floor = NearDedup::floor_for_target(config.target_similarity, hasher.lanes());
+    let mut exact = ExactDedup::new();
+    let mut near = NearDedup::new(hasher.clone(), floor);
+    let mut writer = ShardWriter::new(config.shard_docs);
+    let mut kept_seq = Vec::new();
+    let mut report = CurationReport {
+        ingested: 0,
+        ingested_bytes: 0,
+        parse_failed: 0,
+        quality_rejected: 0,
+        exact_dups: 0,
+        near_dups: 0,
+        kept: 0,
+        kept_bytes: 0,
+        quality_hist: [0; 10],
+        per_source: Vec::new(),
+        shards: Vec::new(),
+        kept_docs: Vec::new(),
+        near_dup_pairs: Vec::new(),
+    };
+    for (seq, doc) in docs.iter().enumerate() {
+        report.ingested += 1;
+        report.ingested_bytes += doc.text.len();
+        let source = match report.per_source.iter().position(|(s, _)| *s == doc.source) {
+            Some(i) => i,
+            None => {
+                report
+                    .per_source
+                    .push((doc.source.clone(), SourceCounts::default()));
+                report.per_source.len() - 1
+            }
+        };
+        report.per_source[source].1.ingested += 1;
+        let score = score_document(&doc.text, doc.kind);
+        let signature = hasher.signature(&shingle_set(&doc.text, config.shingle_k));
+        if !score.parsed {
+            report.parse_failed += 1;
+            continue;
+        }
+        if score.quality < config.min_quality {
+            report.quality_rejected += 1;
+            continue;
+        }
+        if !exact.insert(&doc.text) {
+            report.exact_dups += 1;
+            continue;
+        }
+        match near.offer(&signature) {
+            NearVerdict::Kept(_) => kept_seq.push(seq),
+            NearVerdict::Duplicate { of, estimate } => {
+                report.near_dups += 1;
+                report.near_dup_pairs.push((seq, kept_seq[of], estimate));
+                continue;
+            }
+        }
+        report.kept += 1;
+        report.kept_bytes += doc.text.len();
+        report.per_source[source].1.kept += 1;
+        report.quality_hist[((score.quality * 10.0) as usize).min(9)] += 1;
+        writer.add(&doc.source, &doc.text);
+        if config.keep_texts {
+            report
+                .kept_docs
+                .push((doc.source.clone(), doc.text.clone()));
+        }
+    }
+    report.shards = writer.finish();
+    report
+}
+
+/// The first `len` corpus documents with duplicates placed across chunk
+/// edges: a copy of the first document last (first chunk to last), and at
+/// every edge inside the input an exact copy of the document before it and
+/// a near copy of the one before that.
+fn cut_with_edge_duplicates(corpus: &[InputDoc], len: usize) -> Vec<InputDoc> {
+    let mut docs = corpus[..len].to_vec();
+    if len >= 2 {
+        docs[len - 1] = docs[0].clone();
+    }
+    for edge in (CHUNK..len).step_by(CHUNK) {
+        docs[edge] = docs[edge - 1].clone();
+        if edge + 1 < len {
+            let mut near = docs[edge - 2].clone();
+            near.text.push_str("# mirrored across a chunk edge\n");
+            docs[edge + 1] = near;
+        }
+    }
+    docs
+}
+
+#[test]
+fn chunk_edges_do_not_change_a_decision() {
+    let corpus = corpus_docs(&Corpus::build(&CorpusSpec::scaled(23, 4000)));
+    for len in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5] {
+        let docs = cut_with_edge_duplicates(&corpus, len);
+        let reference = sequential_reference(&docs, &config(1));
+        assert_eq!(reference.ingested, len);
+        if len == 3 * CHUNK + 5 {
+            // The injected pairs really are caught across the edges.
+            assert!(reference.exact_dups >= 4, "{}", reference.exact_dups);
+            assert!(
+                reference
+                    .near_dup_pairs
+                    .iter()
+                    .any(|&(dropped, kept, _)| dropped / CHUNK != kept / CHUNK),
+                "{:?}",
+                reference.near_dup_pairs
+            );
+        }
+        for workers in [1, 2, 4] {
+            for queue_depth in [1, 8, 64] {
+                let report = curate(
+                    docs.clone(),
+                    &CurationConfig {
+                        workers,
+                        queue_depth,
+                        ..config(1)
+                    },
+                );
+                assert_eq!(
+                    report, reference,
+                    "{len} documents, {workers} workers, queue depth {queue_depth}"
+                );
+            }
+        }
+    }
 }

@@ -9,7 +9,9 @@
 # kernels are what ships, and a debug build never inlines them the same
 # way), the curation crate's (the MinHash signature's AVX-512 twin is an
 # optimized build of the portable loop, so its agreement property must run
-# where it ships) and the grammar crate's (its mask-equivalence property
+# where it ships, and its hand-off test once more for the line that says
+# how many channel messages a pass over 784 documents took) and the
+# grammar crate's (its mask-equivalence property
 # walks the real vocabulary through both the entry and the filtered walk, and the
 # optimized build is the one that serves), printing how many masks the
 # recycled pool built on each pass so a change to the cache's cap or policy
@@ -59,6 +61,7 @@ cargo test --workspace -q
 echo "cargo test --workspace -q: $((SECONDS - suite_start)) s"
 cargo test --release -q -p wisdom-tensor
 cargo test --release -q -p wisdom-curation
+cargo test --release -q -p wisdom-curation --lib a_pass_hands_over_one_message_per_chunk -- --nocapture | grep 'hand-offs per pass'
 cargo test --release -q -p wisdom-grammar -- --nocapture | grep -v '^$'
 cargo test --release -q -p wisdom-yaml
 cargo test -q --test server_e2e a_burst_of_unique_prompts -- --nocapture | grep 'admitted per replica'
