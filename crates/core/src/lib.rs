@@ -25,8 +25,8 @@ pub use pipeline::{TrainPhase, Wisdom, WisdomConfig};
 pub use service::CompletionRequest;
 pub use suggestion::{truncate_first_task, Suggestion};
 pub use wisdom_model::{
-    BatchConfig, BatchScheduler, BatchTelemetry, Constraint, DecodeRequest, DraftKind,
-    GrammarIndex, GrammarStats, GrammarTelemetry, Pending, PoolStats, Precision, PrefixCacheStats,
+    BatchConfig, BatchScheduler, BatchTelemetry, Constraint, DecodeRequest, GrammarIndex,
+    GrammarStats, GrammarTelemetry, Pending, PoolStats, Precision, PrefixCacheStats,
     PrefixCacheTelemetry, QuantTelemetry, ReplicaPool, ReplicaTelemetry, SchedulerStats,
     SpeculativeConfig, SpeculativeTelemetry, StreamingPending, SubmitError,
 };

@@ -232,16 +232,6 @@ pub struct CurationReport {
 }
 
 impl CurationReport {
-    /// Fraction of ingested documents dropped as exact duplicates.
-    pub fn exact_dup_rate(&self) -> f64 {
-        self.exact_dups as f64 / (self.ingested.max(1)) as f64
-    }
-
-    /// Fraction of ingested documents dropped as near duplicates.
-    pub fn near_dup_rate(&self) -> f64 {
-        self.near_dups as f64 / (self.ingested.max(1)) as f64
-    }
-
     /// Renders the deterministic stats manifest (JSON). Everything in it is
     /// a pure function of input + config, so it is committed alongside the
     /// shards and compared across worker counts in tests.

@@ -40,7 +40,9 @@ use wisdom_prng::Prng;
 
 use crate::decode::{GenerationOptions, Strategy};
 use crate::prefix_cache::{PrefixCacheStats, PrefixKvCache, PrefixPin};
-use crate::speculative::{accept_draft, DraftGate, SpeculativeConfig, Speculator};
+use crate::speculative::{
+    accept_draft, DraftGate, NgramSpeculator, SpeculativeConfig, Speculator, MAX_DRAFT_BATCH,
+};
 use crate::telemetry::{
     BatchTelemetry, FinishReason, GrammarTelemetry, ReplicaTelemetry, SpeculativeTelemetry,
 };
@@ -88,7 +90,7 @@ impl PartialEq for DecodeRequest {
 }
 
 /// One in-flight sequence inside a [`DecodeBatch`].
-struct Seq<'m> {
+struct Seq {
     /// Caller-chosen id returned with the finished output.
     tag: usize,
     cache: KvCache,
@@ -113,15 +115,8 @@ struct Seq<'m> {
     /// it retires, so eviction can't drop shared state mid-decode.
     _pin: PrefixPin,
     /// Per-sequence draft proposer — `Some` only for greedy sequences
-    /// admitted while speculation is configured. Built from the config, or
-    /// lent by the caller for the sequence's lifetime
-    /// ([`crate::SpeculativeDecoder::generate_with`]).
-    drafter: Option<Box<dyn Speculator + 'm>>,
-    /// Prompt window + emitted tokens, maintained for drafting.
-    history: Vec<u32>,
-    /// Tokens up to this index of `history` were already reported to the
-    /// drafter's online-adaptation hook.
-    observed: usize,
+    /// admitted while speculation is configured.
+    drafter: Option<Box<dyn Speculator>>,
     /// How many draft rows the next verify pass may carry, if any.
     gate: DraftGate,
     /// This round's rows, in position order: the pick, the grammar-forced
@@ -148,23 +143,11 @@ fn emit_streamed(sink: &Option<mpsc::Sender<u32>>, tokens: &[u32]) -> bool {
     }
 }
 
-/// Reports history tokens past the drafter's watermark to its
-/// online-adaptation hook (each emitted token exactly once).
-fn observe_new_history(seq: &mut Seq<'_>) {
-    if let Some(drafter) = &mut seq.drafter {
-        if seq.observed < seq.history.len() {
-            let (ctx_part, new_part) = seq.history.split_at(seq.observed);
-            drafter.observe(ctx_part, new_part);
-            seq.observed = seq.history.len();
-        }
-    }
-}
-
 /// The continuous-batching decode engine: in-flight sequences with
 /// per-sequence KV caches, stepped together.
 pub struct DecodeBatch<'m> {
     model: &'m TransformerLm,
-    seqs: Vec<Seq<'m>>,
+    seqs: Vec<Seq>,
     /// Shared prefix KV cache consulted/populated at admission (optional).
     prefix_cache: Option<Arc<PrefixKvCache>>,
     /// Metric handles; `None` keeps the hot path entirely uninstrumented.
@@ -257,23 +240,23 @@ impl<'m> DecodeBatch<'m> {
         self.admit_full(tag, req, None, None, None);
     }
 
-    /// [`Self::admit`] with what the scheduler and the solo speculative
-    /// decoder add to a request. With `submitted` (the request's submission
-    /// time), queue wait is recorded at admission and TTFT is measured from
-    /// then instead of from the start of prefill. Every token the sequence
+    /// [`Self::admit`] with what the scheduler (and a test) add to a
+    /// request. With `submitted` (the request's submission time), queue
+    /// wait is recorded at admission and TTFT is measured from then instead
+    /// of from the start of prefill. Every token the sequence
     /// emits is also sent on `sink` as soon as it is chosen (before the next
     /// forward pass), enabling SSE streaming; the sink is dropped when the
     /// sequence retires, which disconnects the receiver — that is the
     /// end-of-stream signal. A speculating sequence drafts with `drafter`
-    /// instead of one built from the config (and warmed on its prompt
-    /// window). Generated tokens are unaffected by all three.
+    /// instead of an n-gram drafter warmed on its prompt window. Generated
+    /// tokens are unaffected by all three.
     pub(crate) fn admit_full(
         &mut self,
         tag: usize,
         req: DecodeRequest,
         submitted: Option<Instant>,
         sink: Option<mpsc::Sender<u32>>,
-        drafter: Option<Box<dyn Speculator + 'm>>,
+        drafter: Option<Box<dyn Speculator>>,
     ) {
         assert!(
             !matches!(req.opts.strategy, Strategy::Beam { .. }),
@@ -303,16 +286,9 @@ impl<'m> DecodeBatch<'m> {
         let drafter = (self.speculation.enabled() && matches!(req.opts.strategy, Strategy::Greedy))
             .then(|| {
                 drafter.unwrap_or_else(|| {
-                    self.speculation
-                        .build_speculator(self.model.config().vocab_size, window)
+                    Box::new(NgramSpeculator::new(self.model.config().vocab_size, window))
                 })
             });
-        let history = if drafter.is_some() {
-            window.to_vec()
-        } else {
-            Vec::new()
-        };
-        let observed = history.len();
         // Budget mirrors the solo loop's effective room: the request's
         // token budget capped by what the context window can still absorb.
         let ctx = self.model.config().context_window;
@@ -338,8 +314,6 @@ impl<'m> DecodeBatch<'m> {
             first_token_seen: false,
             _pin: pin,
             drafter,
-            history,
-            observed,
             gate: DraftGate::new(),
             pending: Vec::new(),
             drafted: 0,
@@ -370,12 +344,11 @@ impl<'m> DecodeBatch<'m> {
         let telemetry = self.telemetry.as_ref();
         let spec_telemetry = self.spec_telemetry.as_ref();
         let grammar_telemetry = self.grammar_telemetry.as_ref();
-        // Dense-batch backoff: once the live batch outgrows the configured
-        // bound, the shared pass already amortizes the weight traffic
-        // across rows, so draft rows stop paying off and every sequence
-        // decodes plainly this round.
-        let speculating_round =
-            self.speculation.enabled() && self.seqs.len() <= self.speculation.max_draft_batch;
+        // Dense-batch backoff: once the live batch outgrows the bound, the
+        // shared pass already amortizes the weight traffic across rows, so
+        // draft rows stop paying off and every sequence decodes plainly
+        // this round.
+        let speculating_round = self.speculation.enabled() && self.seqs.len() <= MAX_DRAFT_BATCH;
         let max_draft = self.speculation.max_draft;
         for seq in &mut self.seqs {
             seq.pending.clear();
@@ -408,9 +381,6 @@ impl<'m> DecodeBatch<'m> {
                     seq.done = Some(FinishReason::Cancelled);
                     break;
                 }
-                if seq.drafter.is_some() {
-                    seq.history.push(next);
-                }
                 if let (Some(t), false) = (telemetry, seq.first_token_seen) {
                     seq.first_token_seen = true;
                     t.ttft.observe(seq.started.elapsed().as_secs_f64());
@@ -441,8 +411,7 @@ impl<'m> DecodeBatch<'m> {
                 .min(ctx - (seq.pos + seq.pending.len()));
             if k > 0 {
                 let draft_start = Instant::now();
-                let mut draft = drafter.draft(&seq.history, k);
-                draft.truncate(k);
+                let mut draft = drafter.draft(&seq.pending, k);
                 // A constrained drafter proposes only legal continuations
                 // of the open task: pre-truncating at the first token the
                 // mask would reject (or that closes the task) keeps every
@@ -500,11 +469,10 @@ impl<'m> DecodeBatch<'m> {
             } else if seq.out.len() >= seq.max_new || seq.pos >= ctx {
                 seq.done = Some(FinishReason::Length);
             }
-            if seq.drafter.is_some() {
-                seq.history.extend_from_slice(accepted_tokens);
+            if let Some(drafter) = &mut seq.drafter {
                 // A drafter that proposed nothing this round still hears
                 // about the emitted tokens.
-                observe_new_history(seq);
+                drafter.observe(&seq.pending[..kept + accepted]);
             }
             if drafted > 0 {
                 let closed = seq.gate.settle(drafted, accepted, max_draft);
@@ -1361,7 +1329,10 @@ mod tests {
     #[test]
     fn speculative_batch_matches_plain_and_records_telemetry() {
         let model = tiny_model();
-        let requests: Vec<DecodeRequest> = vec![vec![1, 2, 3, 1, 2, 3], vec![4, 5, 4, 5], vec![6]]
+        // The last prompt already holds the model's own continuation, so
+        // the drafter warmed on it proposes what the verifier will pick.
+        let echo = [&[1, 2, 3][..], &model.generate(&[1, 2, 3], &[], &greedy(8))].concat();
+        let requests: Vec<DecodeRequest> = vec![vec![1, 2, 3, 1, 2, 3], vec![4, 5, 4, 5], echo]
             .into_iter()
             .map(|p| DecodeRequest {
                 prompt: p,
@@ -1371,10 +1342,7 @@ mod tests {
             })
             .collect();
         let plain = generate_batch(&model, requests.clone(), 2);
-        for spec in [
-            SpeculativeConfig::ngram(4),
-            SpeculativeConfig::self_draft(3),
-        ] {
+        for spec in [SpeculativeConfig::ngram(3), SpeculativeConfig::ngram(4)] {
             let mut engine = DecodeBatch::new(&model);
             engine.set_speculation(spec);
             let speculated = engine.run(requests.clone(), 2);
@@ -1387,7 +1355,7 @@ mod tests {
         let sched = BatchScheduler::spawn_with(
             Arc::new(model),
             BatchConfig {
-                speculative: SpeculativeConfig::self_draft(3),
+                speculative: SpeculativeConfig::ngram(3),
                 ..BatchConfig::default()
             },
             ReplicaTelemetry {
@@ -1395,15 +1363,15 @@ mod tests {
                 ..Default::default()
             },
         );
-        let out = sched.generate(&[1, 2, 3, 1, 2, 3], &[0], &greedy(8));
-        assert_eq!(out, plain[0]);
+        for (req, want) in requests.into_iter().zip(&plain) {
+            assert_eq!(&sched.submit(req).expect("queued").wait(), want);
+        }
+        let (proposed, accepted) = (spec_telemetry.proposed.get(), spec_telemetry.accepted.get());
+        assert_eq!(proposed, accepted + spec_telemetry.rejected.get());
+        // Both the accept and the rollback branch ran.
         assert!(
-            spec_telemetry.verify_passes.get() >= 1,
-            "repetitive prompt must trigger at least one verify pass"
-        );
-        assert_eq!(
-            spec_telemetry.proposed.get(),
-            spec_telemetry.accepted.get() + spec_telemetry.rejected.get()
+            proposed > accepted && accepted > 0,
+            "{proposed} / {accepted}"
         );
         assert_eq!(
             spec_telemetry.acceptance_length.snapshot().count(),
@@ -1448,23 +1416,43 @@ mod tests {
     #[test]
     fn dense_batches_back_off_to_plain_decoding() {
         let model = tiny_model();
-        // max_draft_batch 1: with two live sequences nothing speculates,
-        // with one it does — outputs must be identical either way.
-        let mut spec = SpeculativeConfig::self_draft(3);
-        spec.max_draft_batch = 1;
-        let requests: Vec<DecodeRequest> = vec![vec![1, 2, 1, 2, 1], vec![3, 4, 3, 4, 3]]
-            .into_iter()
-            .map(|p| DecodeRequest {
-                prompt: p,
-                stops: vec![0],
-                opts: greedy(6),
+        // One sequence more than MAX_DRAFT_BATCH: while all five are live
+        // nothing speculates; once the short ones retire the rest do —
+        // outputs must be identical either way.
+        let requests: Vec<DecodeRequest> = (0..=MAX_DRAFT_BATCH as u32)
+            .map(|i| DecodeRequest {
+                prompt: vec![1 + i, 2, 1 + i, 2, 1 + i],
+                stops: vec![],
+                opts: greedy(2 + 2 * i as usize),
                 grammar: None,
             })
             .collect();
-        let plain = generate_batch(&model, requests.clone(), 2);
+        let plain = generate_batch(&model, requests.clone(), requests.len());
+        let counters = SpeculativeTelemetry::register(&wisdom_telemetry::Registry::new());
         let mut engine = DecodeBatch::new(&model);
-        engine.set_speculation(spec);
-        assert_eq!(engine.run(requests, 2), plain);
+        engine.set_speculation(SpeculativeConfig::ngram(3));
+        engine.set_speculative_telemetry(counters.clone());
+        for (tag, req) in requests.into_iter().enumerate() {
+            engine.admit(tag, req);
+        }
+        let mut out = vec![Vec::new(); plain.len()];
+        let mut dense_rounds = 0;
+        while !engine.is_empty() {
+            let dense = engine.len() > MAX_DRAFT_BATCH;
+            for (tag, tokens) in engine.step() {
+                out[tag] = tokens;
+            }
+            if dense {
+                dense_rounds += 1;
+                assert_eq!(counters.verify_passes.get(), 0, "a dense round drafted");
+            }
+        }
+        assert_eq!(out, plain);
+        assert!(dense_rounds > 0);
+        assert!(
+            counters.verify_passes.get() > 0,
+            "the sparse rounds never drafted"
+        );
     }
 
     #[test]

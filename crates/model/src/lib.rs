@@ -50,10 +50,7 @@ pub use prefix_cache::{
 };
 pub use replica::{PoolStats, ReplicaPool};
 pub use retrieval::RetrievalModel;
-pub use speculative::{
-    DraftKind, NgramSpeculator, SelfDraftSpeculator, SpeculativeConfig, SpeculativeDecoder,
-    SpeculativeReport, Speculator,
-};
+pub use speculative::SpeculativeConfig;
 pub use telemetry::{
     BatchTelemetry, FinishReason, GrammarTelemetry, PrefixCacheTelemetry, QuantTelemetry,
     ReplicaTelemetry, SpeculativeTelemetry,

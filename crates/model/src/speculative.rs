@@ -1,18 +1,19 @@
 //! Speculative decoding: a cheap draft proposer guesses several tokens
 //! ahead, and the transformer verifies the whole guess in the **one**
 //! forward pass of the round instead of one sequential
-//! [`TransformerLm::step`] per token.
+//! [`TransformerLm::step`](crate::TransformerLm::step) per token.
 //!
 //! The paper's deployment argument is latency — Ansible YAML is formulaic
 //! enough (indentation, `name:` scaffolding, FQCN prefixes) that a trivial
-//! n-gram model predicts runs of the transformer's own output. Each round
-//! of a drafting sequence works like this:
+//! n-gram model predicts runs of the transformer's own output. The rounds
+//! run in one place, [`crate::DecodeBatch::step`]; each round of a drafting
+//! sequence works like this:
 //!
 //! 1. pick the next token from the current logits exactly as the plain
 //!    greedy loop would (and emit the grammar-forced run behind it, which
 //!    needs no guessing);
-//! 2. ask a [`Speculator`] for up to `k` draft tokens continuing the
-//!    sequence;
+//! 2. ask the sequence's n-gram drafter for up to `k` draft tokens
+//!    continuing it;
 //! 3. run `picked ‖ forced ‖ draft` as rows of the round's forward pass
 //!    against the existing [`KvCache`](crate::KvCache) — a pass of r rows
 //!    costs less than r single-row passes;
@@ -20,113 +21,56 @@
 //!    agrees, take the logits at the last verified position for free (the
 //!    "bonus" distribution the next round picks from without another
 //!    forward pass), and roll the cache back past the rejected tokens with
-//!    [`KvCache::truncate`](crate::KvCache::truncate).
+//!    [`KvCache::truncate`](crate::KvCache::truncate);
+//! 5. count the round's emitted tokens into the drafter.
 //!
 //! Because only tokens the verifier itself would have produced are ever
 //! emitted, greedy speculative output is **bit-for-bit identical** to plain
-//! greedy [`TransformerLm::generate`] at any draft quality — a bad
-//! speculator costs speed, never correctness
+//! greedy [`TransformerLm::generate`](crate::TransformerLm::generate) at
+//! any draft quality — a bad draft costs speed, never correctness
 //! (`tests/speculative_agreement.rs` pins this, including through the
-//! continuous-batching engine and the prefix cache).
-//!
-//! The rounds themselves run in one place, [`crate::DecodeBatch::step`]:
-//! [`SpeculativeDecoder`] is a batch of one, so solo, batched and scheduled
-//! speculation share the draft, verify and rollback code.
+//! prefix cache).
 //!
 //! A draft row is not free — it costs [`DRAFT_ROW_COST`] of a round — so
 //! rows are proposed only while a sequence's drafts have paid for
-//! themselves ([`DraftGate`]), and the batched engine skips drafting
-//! entirely once the live batch outgrows
-//! [`SpeculativeConfig::max_draft_batch`]: dense batches already amortize
-//! their forward passes across sequences.
+//! themselves ([`DraftGate`]), and the engine skips drafting entirely once
+//! the live batch outgrows [`MAX_DRAFT_BATCH`]: dense batches already
+//! amortize their forward passes across sequences.
 
 use wisdom_grammar::GrammarCursor;
-use wisdom_telemetry::Registry;
 
-use crate::batch::{DecodeBatch, DecodeRequest};
-use crate::decode::Strategy;
 use crate::ngram::NgramLm;
-use crate::telemetry::{FinishReason, GrammarTelemetry, SpeculativeTelemetry};
-use crate::transformer::{argmax, mask_logits, pick_ends_sequence, TransformerLm};
+use crate::telemetry::{FinishReason, GrammarTelemetry};
+use crate::transformer::{argmax, mask_logits, pick_ends_sequence};
 
-/// Which draft proposer speculative decoding uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DraftKind {
-    /// [`NgramSpeculator`]: a stupid-backoff [`NgramLm`] of the given order,
-    /// warmed on the prompt window at admission and — when `online` —
-    /// updated from every accepted token, so the draft distribution tracks
-    /// what the verifier actually emits.
-    Ngram {
-        /// N-gram order (3 = trigram).
-        order: usize,
-        /// Keep learning from accepted output during decoding.
-        online: bool,
-    },
-    /// [`SelfDraftSpeculator`]: suffix lookup over the prompt plus the
-    /// generated tokens themselves — zero training, exploits the heavy
-    /// self-repetition of structured output.
-    SelfDraft {
-        /// Shortest trailing match worth proposing from.
-        min_match: usize,
-        /// Longest trailing match attempted first.
-        max_match: usize,
-    },
-}
+/// Order of the drafter's n-gram model: it predicts from the last three
+/// tokens, backing off to shorter contexts.
+const ORDER: usize = 4;
+
+/// Largest live batch that still speculates. Above this, every sequence
+/// takes the plain batched step: per-sequence verify rows stop paying off
+/// once the batched matmul is already amortizing weights across many rows.
+pub(crate) const MAX_DRAFT_BATCH: usize = 4;
 
 /// Speculation sizing. `Copy` so it rides inside
 /// [`BatchConfig`](crate::BatchConfig) and the server's config verbatim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpeculativeConfig {
     /// Maximum draft tokens proposed per verify pass; `0` disables
-    /// speculation entirely (the batched engine then never builds a
-    /// drafter, leaving the plain decode path untouched).
+    /// speculation entirely (the engine then never builds a drafter,
+    /// leaving the plain decode path untouched).
     pub max_draft: usize,
-    /// The draft proposer to build per sequence.
-    pub draft: DraftKind,
-    /// Largest live batch that still speculates. Above this, every sequence
-    /// takes the plain batched step: per-sequence verify passes stop paying
-    /// off once the batched matmul is already amortizing weights across
-    /// many rows.
-    pub max_draft_batch: usize,
 }
 
 impl SpeculativeConfig {
     /// Speculation off: [`Default`] for batch and server configs.
     pub fn disabled() -> Self {
-        Self {
-            max_draft: 0,
-            draft: DraftKind::SelfDraft {
-                min_match: 2,
-                max_match: 4,
-            },
-            max_draft_batch: 4,
-        }
+        Self { max_draft: 0 }
     }
 
-    /// N-gram drafting (order 4, online adaptation) with up to `max_draft`
-    /// tokens per verify pass.
+    /// N-gram drafting with up to `max_draft` tokens per verify pass.
     pub fn ngram(max_draft: usize) -> Self {
-        Self {
-            max_draft,
-            draft: DraftKind::Ngram {
-                order: 4,
-                online: true,
-            },
-            max_draft_batch: 4,
-        }
-    }
-
-    /// Self-drafting (match lengths 2..=4) with up to `max_draft` tokens
-    /// per verify pass.
-    pub fn self_draft(max_draft: usize) -> Self {
-        Self {
-            max_draft,
-            draft: DraftKind::SelfDraft {
-                min_match: 2,
-                max_match: 4,
-            },
-            max_draft_batch: 4,
-        }
+        Self { max_draft }
     }
 
     /// Whether speculation is on at all.
@@ -134,125 +78,63 @@ impl SpeculativeConfig {
         self.max_draft > 0
     }
 
-    /// Stable label for stats/metrics: `"ngram"`, `"self-draft"`, or
-    /// `"off"` when disabled.
+    /// Stable label for stats/metrics: `"ngram"`, or `"off"` when disabled.
     pub fn draft_label(&self) -> &'static str {
-        if !self.enabled() {
-            return "off";
-        }
-        match self.draft {
-            DraftKind::Ngram { .. } => "ngram",
-            DraftKind::SelfDraft { .. } => "self-draft",
-        }
-    }
-
-    /// Builds the per-sequence draft proposer this config describes,
-    /// warming an n-gram drafter on `warm` (the sequence's prompt window).
-    pub fn build_speculator(&self, vocab_size: usize, warm: &[u32]) -> Box<dyn Speculator> {
-        match self.draft {
-            DraftKind::Ngram { order, online } => {
-                let mut s = NgramSpeculator::new(order.max(1), vocab_size, online);
-                s.warm(warm);
-                Box::new(s)
-            }
-            DraftKind::SelfDraft {
-                min_match,
-                max_match,
-            } => Box::new(SelfDraftSpeculator::new(min_match, max_match)),
+        if self.enabled() {
+            "ngram"
+        } else {
+            "off"
         }
     }
 }
 
-impl Default for SpeculativeConfig {
-    fn default() -> Self {
-        Self::disabled()
-    }
+/// A sequence's draft proposer. Its proposals are only ever *verified*,
+/// never trusted, so a wrong draft costs a shorter accepted prefix, not a
+/// wrong output. [`NgramSpeculator`] is the one the engine builds; the
+/// trait is the seam a test uses to substitute a drafter of its own.
+pub(crate) trait Speculator: Send {
+    /// Proposes up to `k` tokens continuing the sequence: the tokens
+    /// reported to [`Self::observe`] so far, then `fresh` (the round's
+    /// emitted tokens, not reported yet). Fewer than `k` — or none — is
+    /// fine.
+    fn draft(&self, fresh: &[u32], k: usize) -> Vec<u32>;
+
+    /// `emitted` continued the sequence this round. Called once per round,
+    /// after the round's draft, so each emitted token is reported exactly
+    /// once.
+    fn observe(&mut self, emitted: &[u32]);
 }
 
-/// A draft proposer. Implementations are cheap next-token guessers — their
-/// proposals are only ever *verified*, never trusted, so a wrong draft
-/// costs a shorter accepted prefix, not a wrong output.
-pub trait Speculator: Send {
-    /// Stable name for metrics/stats.
-    fn name(&self) -> &'static str;
-
-    /// Proposes up to `k` tokens continuing `context` (prompt window plus
-    /// everything generated so far). Fewer than `k` — or none — is fine.
-    fn draft(&self, context: &[u32], k: usize) -> Vec<u32>;
-
-    /// Online-adaptation hook: `new` tokens were emitted as a continuation
-    /// of `context` (each emitted token is reported exactly once). The
-    /// default implementation ignores it.
-    fn observe(&mut self, _context: &[u32], _new: &[u32]) {}
-}
-
-/// A lent drafter drafts for one sequence and keeps what it learned: its
-/// online state carries over to the caller's next generation.
-impl<S: Speculator + ?Sized> Speculator for &mut S {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn draft(&self, context: &[u32], k: usize) -> Vec<u32> {
-        (**self).draft(context, k)
-    }
-
-    fn observe(&mut self, context: &[u32], new: &[u32]) {
-        (**self).observe(context, new);
-    }
-}
-
-/// Draft proposer backed by a stupid-backoff [`NgramLm`].
+/// Draft proposer backed by a stupid-backoff [`NgramLm`] of order 4,
+/// warmed on the sequence's prompt window and counting every token the
+/// sequence emits, so formulaic continuations become predictable after a
+/// single sighting.
 ///
-/// Warm it on a corpus ([`Self::warm`], or wrap an already-trained model
-/// with [`Self::from_lm`]); with `online` set it also keeps counting every
-/// token the verifier accepts, so formulaic continuations become
-/// predictable after a single sighting.
-#[derive(Debug, Clone)]
-pub struct NgramSpeculator {
+/// It keeps only the short token tail a draft or the next count reads, not
+/// the sequence's history.
+#[derive(Debug)]
+pub(crate) struct NgramSpeculator {
     lm: NgramLm,
-    online: bool,
+    /// The last `ORDER - 1` tokens counted (fewer only while the sequence
+    /// is shorter than that).
+    tail: Vec<u32>,
 }
 
 impl NgramSpeculator {
-    /// An empty n-gram drafter of the given order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order == 0` (see [`NgramLm::new`]).
-    pub fn new(order: usize, vocab_size: usize, online: bool) -> Self {
-        Self {
-            lm: NgramLm::new(order, vocab_size),
-            online,
-        }
-    }
-
-    /// Wraps an already-trained n-gram model (e.g. corpus-warmed).
-    pub fn from_lm(lm: NgramLm, online: bool) -> Self {
-        Self { lm, online }
-    }
-
-    /// Accumulates counts from `tokens` (corpus or prompt warm-up).
-    pub fn warm(&mut self, tokens: &[u32]) {
-        self.lm.observe(tokens);
-    }
-
-    /// The wrapped n-gram model.
-    pub fn lm(&self) -> &NgramLm {
-        &self.lm
+    /// A drafter warmed on `window`, the sequence's prompt window.
+    pub(crate) fn new(vocab_size: usize, window: &[u32]) -> Self {
+        let mut s = Self {
+            lm: NgramLm::new(ORDER, vocab_size),
+            tail: Vec::new(),
+        };
+        s.observe(window);
+        s
     }
 }
 
 impl Speculator for NgramSpeculator {
-    fn name(&self) -> &'static str {
-        "ngram"
-    }
-
-    fn draft(&self, context: &[u32], k: usize) -> Vec<u32> {
-        // Only the trailing `order - 1` tokens matter for prediction; carry
-        // a short tail instead of cloning the whole context.
-        let tail = context.len().saturating_sub(self.lm.order());
-        let mut ctx = context[tail..].to_vec();
+    fn draft(&self, fresh: &[u32], k: usize) -> Vec<u32> {
+        let mut ctx: Vec<u32> = self.tail.iter().chain(fresh).copied().collect();
         let mut out = Vec::with_capacity(k);
         while out.len() < k {
             let Some(t) = self.lm.predict(&ctx) else {
@@ -264,91 +146,13 @@ impl Speculator for NgramSpeculator {
         out
     }
 
-    fn observe(&mut self, context: &[u32], new: &[u32]) {
-        if self.online {
-            self.lm.observe_continuation(context, new);
-        }
-    }
-}
-
-/// Zero-training draft proposer: looks the sequence's own trailing tokens
-/// up *in the sequence itself* (prompt plus generated suffix) and proposes
-/// whatever followed the most recent earlier occurrence.
-///
-/// Longest match first: the trailing `max_match`-gram is searched, then
-/// progressively shorter tails down to `min_match`. Structured output
-/// (YAML keys, repeated scaffolding) makes this surprisingly effective for
-/// something that holds no state at all.
-#[derive(Debug, Clone, Copy)]
-pub struct SelfDraftSpeculator {
-    min_match: usize,
-    max_match: usize,
-}
-
-impl SelfDraftSpeculator {
-    /// Matching tail lengths to attempt, longest first. Both bounds are
-    /// clamped to at least 1 and ordered.
-    pub fn new(min_match: usize, max_match: usize) -> Self {
-        let min_match = min_match.max(1);
-        Self {
-            min_match,
-            max_match: max_match.max(min_match),
-        }
-    }
-}
-
-impl Speculator for SelfDraftSpeculator {
-    fn name(&self) -> &'static str {
-        "self-draft"
-    }
-
-    fn draft(&self, context: &[u32], k: usize) -> Vec<u32> {
-        let len = context.len();
-        for m in (self.min_match..=self.max_match).rev() {
-            if len < m + 1 {
-                continue;
-            }
-            let pattern = &context[len - m..];
-            // Most recent earlier occurrence wins; the trailing occurrence
-            // itself (start `len - m`) is excluded.
-            for i in (0..len - m).rev() {
-                if &context[i..i + m] == pattern {
-                    let follow = &context[i + m..(i + m + k).min(len)];
-                    if !follow.is_empty() {
-                        return follow.to_vec();
-                    }
-                }
-            }
-        }
-        Vec::new()
-    }
-}
-
-/// Counters from one speculative generation: what the engine recorded into
-/// a [`SpeculativeTelemetry`] of the generation's own.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SpeculativeReport {
-    /// Draft tokens proposed across all verify passes.
-    pub proposed: u64,
-    /// Draft tokens accepted (the verifier agreed).
-    pub accepted: u64,
-    /// Draft tokens rejected (or dropped at a stop token).
-    pub rejected: u64,
-    /// Batched verify passes run.
-    pub verify_passes: u64,
-    /// Wall-clock seconds spent inside [`Speculator::draft`].
-    pub draft_seconds: f64,
-}
-
-impl SpeculativeReport {
-    /// Mean accepted draft tokens per verify pass — the headline
-    /// speculation metric (each pass also yields one normally-sampled
-    /// token, so end-to-end tokens per forward pass is this plus one).
-    pub fn accepted_per_verify(&self) -> f64 {
-        if self.verify_passes == 0 {
-            return 0.0;
-        }
-        self.accepted as f64 / self.verify_passes as f64
+    fn observe(&mut self, emitted: &[u32]) {
+        // A count reaches back at most `ORDER - 1` tokens, so counting
+        // against the tail is counting against the whole history.
+        self.lm.observe_continuation(&self.tail, emitted);
+        self.tail.extend_from_slice(emitted);
+        let cut = self.tail.len().saturating_sub(ORDER - 1);
+        self.tail.drain(..cut);
     }
 }
 
@@ -459,113 +263,17 @@ impl DraftGate {
     }
 }
 
-/// Greedy speculative generation over a single sequence: a
-/// [`DecodeBatch`] of one, so the draft-verify rounds are the engine's own.
-///
-/// Output is bit-for-bit identical to [`TransformerLm::generate_constrained`]
-/// on the same request; non-greedy strategies (and a disabled config) decode
-/// without drafting.
-///
-/// # Examples
-///
-/// ```
-/// use wisdom_model::{
-///     DecodeRequest, GenerationOptions, ModelConfig, SpeculativeConfig, SpeculativeDecoder,
-///     TransformerLm,
-/// };
-/// use wisdom_prng::Prng;
-///
-/// let cfg = ModelConfig { vocab_size: 32, d_model: 16, n_layers: 1, n_heads: 2, context_window: 24 };
-/// let model = TransformerLm::new(cfg, &mut Prng::seed_from_u64(7));
-/// let opts = GenerationOptions { max_new_tokens: 8, ..Default::default() };
-/// let request = DecodeRequest { prompt: vec![1, 2, 3, 1, 2, 3], stops: vec![0], opts, grammar: None };
-///
-/// let decoder = SpeculativeDecoder::new(&model, SpeculativeConfig::self_draft(4));
-/// let (out, report) = decoder.generate(&request);
-/// // Speculation never changes tokens — only how many forward passes they cost.
-/// assert_eq!(out, model.generate(&request.prompt, &request.stops, &opts));
-/// assert_eq!(report.accepted + report.rejected, report.proposed);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct SpeculativeDecoder<'m> {
-    model: &'m TransformerLm,
-    cfg: SpeculativeConfig,
-}
-
-impl<'m> SpeculativeDecoder<'m> {
-    /// A decoder over `model` with the given speculation sizing.
-    pub fn new(model: &'m TransformerLm, cfg: SpeculativeConfig) -> Self {
-        Self { model, cfg }
-    }
-
-    /// The speculation sizing.
-    pub fn config(&self) -> SpeculativeConfig {
-        self.cfg
-    }
-
-    /// Generates like [`TransformerLm::generate_constrained`], speculating
-    /// on greedy requests, and returns the speculation counters alongside
-    /// the tokens. The drafter is built from the config and warmed on the
-    /// prompt window; use [`Self::generate_with`] to supply a corpus-warmed
-    /// one instead.
-    ///
-    /// Under a grammar (`request.grammar`) the same masks the sequential
-    /// constrained loop applies gate both the emitted token and every
-    /// verify-row argmax, and drafts are pre-truncated to their
-    /// grammar-legal prefix.
-    pub fn generate(&self, request: &DecodeRequest) -> (Vec<u32>, SpeculativeReport) {
-        self.decode(request, None)
-    }
-
-    /// [`Self::generate`] with a caller-supplied (typically corpus-warmed)
-    /// drafter, which keeps whatever it learns online for the caller's next
-    /// generation.
-    pub fn generate_with(
-        &self,
-        request: &DecodeRequest,
-        speculator: &mut dyn Speculator,
-    ) -> (Vec<u32>, SpeculativeReport) {
-        self.decode(request, Some(Box::new(speculator)))
-    }
-
-    fn decode(
-        &self,
-        request: &DecodeRequest,
-        drafter: Option<Box<dyn Speculator + '_>>,
-    ) -> (Vec<u32>, SpeculativeReport) {
-        if matches!(request.opts.strategy, Strategy::Beam { .. }) {
-            let out = self
-                .model
-                .generate(&request.prompt, &request.stops, &request.opts);
-            return (out, SpeculativeReport::default());
-        }
-        let counters = SpeculativeTelemetry::register(&Registry::new());
-        let mut engine = DecodeBatch::new(self.model);
-        engine.set_speculation(self.cfg);
-        engine.set_speculative_telemetry(counters.clone());
-        engine.admit_full(0, request.clone(), None, None, drafter);
-        let out = loop {
-            if let Some((_, out)) = engine.step().pop() {
-                break out;
-            }
-        };
-        let report = SpeculativeReport {
-            proposed: counters.proposed.get(),
-            accepted: counters.accepted.get(),
-            rejected: counters.rejected.get(),
-            verify_passes: counters.verify_passes.get(),
-            draft_seconds: counters.draft_overhead.snapshot().sum,
-        };
-        (out, report)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{DecodeBatch, DecodeRequest};
     use crate::config::ModelConfig;
-    use crate::decode::GenerationOptions;
+    use crate::decode::{GenerationOptions, Strategy};
+    use crate::telemetry::SpeculativeTelemetry;
+    use crate::transformer::TransformerLm;
+    use proptest::prelude::*;
     use wisdom_prng::Prng;
+    use wisdom_telemetry::Registry;
     use wisdom_tensor::{Adam, AdamConfig};
 
     fn tiny_model(seed: u64) -> TransformerLm {
@@ -595,31 +303,104 @@ mod tests {
         }
     }
 
-    #[test]
-    fn self_draft_finds_recent_repetition() {
-        let s = SelfDraftSpeculator::new(2, 4);
-        // ... 1 2 3 4 ... 1 2 -> proposes 3 4 (after the earlier "1 2").
-        assert_eq!(s.draft(&[9, 1, 2, 3, 4, 7, 1, 2], 2), vec![3, 4]);
-        // No repetition: nothing proposed.
-        assert!(s.draft(&[1, 2, 3, 4, 5], 3).is_empty());
-        // Proposal is capped at the end of the context (and may run into
-        // the trailing occurrence itself — the cycle continues through it).
-        assert_eq!(s.draft(&[5, 6, 7, 5, 6], 8), vec![7, 5, 6]);
+    /// Decodes `request` alone through the engine under `cfg` (drafting
+    /// with `drafter` instead of the n-gram drafter when given), counting
+    /// into `counters`.
+    fn speculate(
+        model: &TransformerLm,
+        cfg: SpeculativeConfig,
+        request: &DecodeRequest,
+        drafter: Option<Box<dyn Speculator>>,
+        counters: &SpeculativeTelemetry,
+    ) -> Vec<u32> {
+        let mut engine = DecodeBatch::new(model);
+        engine.set_speculation(cfg);
+        engine.set_speculative_telemetry(counters.clone());
+        engine.admit_full(0, request.clone(), None, None, drafter);
+        loop {
+            if let Some((_, out)) = engine.step().pop() {
+                return out;
+            }
+        }
     }
 
     #[test]
     fn ngram_speculator_chains_predictions_and_learns_online() {
-        let mut s = NgramSpeculator::new(3, 20, true);
-        s.warm(&[1, 2, 3, 4, 1, 2, 3, 4]);
+        let mut s = NgramSpeculator::new(20, &[1, 2, 3, 4, 1, 2, 3, 4]);
+        assert_eq!(s.tail, [2, 3, 4]);
+        // The round's fresh tokens extend the counted tail.
         assert_eq!(s.draft(&[1, 2], 3), vec![3, 4, 1]);
-        // Online observation extends what it can draft.
-        s.observe(&[1, 2, 3, 4], &[15, 16, 17]);
+        assert_eq!(s.draft(&[], 2), vec![1, 2]);
+        // Observing counts the emitted tokens against the tail, which keeps
+        // only what the next count or draft reads.
+        s.observe(&[15, 16, 17]);
+        assert_eq!(s.tail, [15, 16, 17]);
         assert_eq!(s.draft(&[4, 15], 2), vec![16, 17]);
-        // Offline drafter ignores the hook.
-        let mut frozen = NgramSpeculator::new(3, 20, false);
-        frozen.observe(&[1, 2, 3], &[7, 7, 7]);
-        assert_eq!(frozen.lm().predict(&[3]), None);
-        assert!(frozen.draft(&[1, 2, 3], 4).is_empty());
+    }
+
+    /// The reference route: the whole history, a watermark of what the
+    /// model has counted, a draft over the full history, and the round's
+    /// tokens counted (`observe_continuation(history[..observed],
+    /// history[observed..])`) only after the round's draft.
+    struct HistoryDrafter {
+        lm: NgramLm,
+        history: Vec<u32>,
+        observed: usize,
+    }
+
+    impl HistoryDrafter {
+        fn draft(&self, k: usize) -> Vec<u32> {
+            let tail = self.history.len().saturating_sub(self.lm.order());
+            let mut ctx = self.history[tail..].to_vec();
+            let mut out = Vec::new();
+            while out.len() < k {
+                let Some(t) = self.lm.predict(&ctx) else {
+                    break;
+                };
+                out.push(t);
+                ctx.push(t);
+            }
+            out
+        }
+
+        fn observe_new_history(&mut self) {
+            let (ctx, new) = self.history.split_at(self.observed);
+            self.lm.observe_continuation(ctx, new);
+            self.observed = self.history.len();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Over random streams, round chunkings and draft lengths, the
+        /// tail-keeping drafter proposes exactly what the history-keeping
+        /// one does, round after round.
+        #[test]
+        fn tail_drafter_matches_the_history_drafter(
+            window in prop::collection::vec(0u32..6, 0..8),
+            rounds in prop::collection::vec(
+                (prop::collection::vec(0u32..6, 1..4), prop::collection::vec(0u32..6, 0..4), 0usize..5),
+                1..24,
+            ),
+        ) {
+            let mut reference = HistoryDrafter {
+                lm: NgramLm::new(ORDER, 6),
+                history: window.clone(),
+                observed: 0,
+            };
+            reference.observe_new_history();
+            let mut drafter = NgramSpeculator::new(6, &window);
+            for (picked, accepted, k) in rounds {
+                reference.history.extend_from_slice(&picked);
+                prop_assert_eq!(drafter.draft(&picked, k), reference.draft(k));
+                reference.history.extend_from_slice(&accepted);
+                reference.observe_new_history();
+                let emitted: Vec<u32> = picked.iter().chain(&accepted).copied().collect();
+                drafter.observe(&emitted);
+                prop_assert!(drafter.tail.len() < ORDER);
+            }
+        }
     }
 
     #[test]
@@ -661,22 +442,22 @@ mod tests {
     /// continuation shifted by one.
     struct AlwaysWrong {
         right: Vec<u32>,
-        window: usize,
+        /// Tokens the sequence emitted in earlier rounds.
+        seen: usize,
         vocab: u32,
     }
 
     impl Speculator for AlwaysWrong {
-        fn name(&self) -> &'static str {
-            "always-wrong"
-        }
-
-        fn draft(&self, context: &[u32], k: usize) -> Vec<u32> {
-            let at = context.len() - self.window;
-            self.right[at..]
+        fn draft(&self, fresh: &[u32], k: usize) -> Vec<u32> {
+            self.right[self.seen + fresh.len()..]
                 .iter()
                 .take(k)
                 .map(|&t| 1 + t % (self.vocab - 1))
                 .collect()
+        }
+
+        fn observe(&mut self, emitted: &[u32]) {
+            self.seen += emitted.len();
         }
     }
 
@@ -695,56 +476,69 @@ mod tests {
         let max_new = 120;
         let right = model.generate(&prompt, &[], &greedy(max_new));
         assert_eq!(right.len(), max_new);
-        let mut wrong = AlwaysWrong {
+        let wrong = AlwaysWrong {
             right: right.clone(),
-            window: prompt.len(),
+            seen: 0,
             vocab: cfg.vocab_size as u32,
         };
-        let dec = SpeculativeDecoder::new(&model, SpeculativeConfig::ngram(8));
         let mut req = request(&prompt, greedy(max_new));
         req.stops.clear();
-        let (out, report) = dec.generate_with(&req, &mut wrong);
+        let report = SpeculativeTelemetry::register(&Registry::new());
+        let cfg = SpeculativeConfig::ngram(8);
+        let out = speculate(&model, cfg, &req, Some(Box::new(wrong)), &report);
         assert_eq!(out, right);
-        assert_eq!(report.accepted, 0);
-        assert!(report.verify_passes >= 2, "the gate never re-probed");
+        let verify_passes = report.verify_passes.get();
+        assert_eq!(report.accepted.get(), 0);
+        assert!(verify_passes >= 2, "the gate never re-probed");
         assert!(
-            report.verify_passes <= max_unpaid_verifies(max_new),
-            "{} verify passes for {max_new} rounds",
-            report.verify_passes
+            verify_passes <= max_unpaid_verifies(max_new),
+            "{verify_passes} verify passes for {max_new} rounds"
         );
         // Every unpaid pass carried exactly the one probe row.
-        assert_eq!(report.proposed, report.verify_passes);
+        assert_eq!(report.proposed.get(), verify_passes);
     }
 
     #[test]
     fn speculative_greedy_is_bit_identical_to_plain_generate() {
         let model = tiny_model(42);
+        // A prompt that already holds the model's own continuation warms
+        // the drafter on what the verifier will pick.
+        let echo = |p: &[u32]| [p, &model.generate(p, &[], &greedy(8))].concat();
         let prompts: Vec<Vec<u32>> = vec![
             vec![1, 2, 3, 1, 2, 3, 1, 2],
             vec![5],
             vec![],
             (0..40).map(|i| (i % 13) as u32).collect(),
+            echo(&[]),
+            echo(&[7]),
         ];
+        let counters = SpeculativeTelemetry::register(&Registry::new());
         for cfg in [
+            SpeculativeConfig::ngram(2),
             SpeculativeConfig::ngram(4),
-            SpeculativeConfig::self_draft(3),
             SpeculativeConfig::disabled(),
         ] {
-            let dec = SpeculativeDecoder::new(&model, cfg);
             for p in &prompts {
                 for max_new in [0, 1, 5, 16] {
                     let plain = model.generate(p, &[0], &greedy(max_new));
-                    let (spec, _) = dec.generate(&request(p, greedy(max_new)));
+                    let spec =
+                        speculate(&model, cfg, &request(p, greedy(max_new)), None, &counters);
                     assert_eq!(spec, plain, "cfg {cfg:?} prompt {p:?} max_new {max_new}");
                 }
             }
         }
+        // Both the accept and the rollback branch ran.
+        let (proposed, accepted) = (counters.proposed.get(), counters.accepted.get());
+        assert!(
+            proposed > accepted && accepted > 0,
+            "{proposed} / {accepted}"
+        );
     }
 
     #[test]
     fn memorized_model_accepts_more_than_one_token_per_verify() {
-        // Train until the model reproduces the cycle, then warm the drafter
-        // on the same pattern: every draft should verify in full.
+        // Train until the model reproduces the cycle the prompt warms the
+        // drafter on: every draft should verify in full.
         let mut model = tiny_model(3);
         let mut adam = Adam::new(AdamConfig {
             lr: 1e-2,
@@ -755,18 +549,23 @@ mod tests {
         for _ in 0..150 {
             model.train_step(&tokens, &targets, 1, 8, &mut adam, 1.0);
         }
-        let dec = SpeculativeDecoder::new(&model, SpeculativeConfig::ngram(4));
-        let (out, report) = dec.generate(&request(&[5, 6, 7, 8], greedy(12)));
+        let report = SpeculativeTelemetry::register(&Registry::new());
+        let req = request(&[5, 6, 7, 8], greedy(12));
+        let out = speculate(&model, SpeculativeConfig::ngram(4), &req, None, &report);
         assert_eq!(out, model.generate(&[5, 6, 7, 8], &[0], &greedy(12)));
+        let (accepted, verify_passes) = (report.accepted.get(), report.verify_passes.get());
         assert!(
-            report.accepted_per_verify() > 1.0,
-            "memorized cycle should speculate well: {report:?}"
+            accepted > verify_passes,
+            "memorized cycle should speculate well: {accepted} accepted in {verify_passes} passes"
         );
-        assert_eq!(report.accepted + report.rejected, report.proposed);
+        assert_eq!(
+            report.accepted.get() + report.rejected.get(),
+            report.proposed.get()
+        );
     }
 
     #[test]
-    fn non_greedy_strategies_delegate_to_plain_generate() {
+    fn non_greedy_strategies_never_draft() {
         let model = tiny_model(9);
         let opts = GenerationOptions {
             max_new_tokens: 6,
@@ -776,9 +575,11 @@ mod tests {
             },
             seed: 11,
         };
-        let dec = SpeculativeDecoder::new(&model, SpeculativeConfig::ngram(4));
-        let (out, report) = dec.generate(&request(&[1, 2, 3], opts));
+        let report = SpeculativeTelemetry::register(&Registry::new());
+        let req = request(&[1, 2, 3], opts);
+        let out = speculate(&model, SpeculativeConfig::ngram(4), &req, None, &report);
         assert_eq!(out, model.generate(&[1, 2, 3], &[0], &opts));
-        assert_eq!(report, SpeculativeReport::default());
+        assert_eq!(report.proposed.get(), 0);
+        assert_eq!(report.verify_passes.get(), 0);
     }
 }

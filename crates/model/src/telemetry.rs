@@ -235,8 +235,7 @@ impl PrefixCacheTelemetry {
 }
 
 /// Handles for the speculative-decoding path (the batched engine's verify
-/// rounds). [`crate::SpeculativeReport`] is a per-generation reading of
-/// these counters.
+/// rounds).
 #[derive(Debug, Clone)]
 pub struct SpeculativeTelemetry {
     /// `wisdom_speculative_proposed_tokens_total` — draft tokens proposed.

@@ -1192,7 +1192,7 @@ impl KvCache {
     /// This shrinks only the *logical* length — `Vec::truncate` keeps the
     /// buffers' capacity, so re-decoding over the discarded positions never
     /// reallocates. Speculative decoding uses this to drop rejected draft
-    /// tokens ([`crate::SpeculativeDecoder`]); it is equally suited to any
+    /// tokens ([`crate::DecodeBatch::step`]); it is equally suited to any
     /// retry path that rewinds a sequence to an earlier position.
     pub fn truncate(&mut self, len: usize) {
         let floats = len * self.d;

@@ -17,11 +17,12 @@ use std::sync::{Arc, OnceLock};
 use proptest::prelude::*;
 use wisdom_ansible::{lint_str, LintTarget};
 use wisdom_model::{
-    generate_batch, pretrain, BatchConfig, BatchScheduler, Constraint, DecodeRequest,
-    GenerationOptions, GrammarCursor, GrammarIndex, ModelConfig, PretrainConfig, SpeculativeConfig,
-    SpeculativeDecoder, Strategy, TransformerLm,
+    generate_batch, pretrain, BatchConfig, BatchScheduler, Constraint, DecodeBatch, DecodeRequest,
+    GenerationOptions, GrammarCursor, GrammarIndex, ModelConfig, PretrainConfig, ReplicaTelemetry,
+    SpeculativeConfig, SpeculativeTelemetry, Strategy, TransformerLm,
 };
 use wisdom_prng::Prng;
+use wisdom_telemetry::Registry;
 use wisdom_tokenizer::BpeTokenizer;
 use wisdom_yaml::parse;
 
@@ -254,31 +255,32 @@ fn solo_batched_and_speculative_constrained_decodes_agree() {
     let batched = generate_batch(&f.model, requests.clone(), PROMPTS.len());
     assert_eq!(batched, solo, "batched constrained decode must match solo");
 
-    // Speculative: both drafter kinds, both verified against the same
-    // sequential-constrained oracle.
-    for cfg in [
-        SpeculativeConfig::ngram(4),
-        SpeculativeConfig::self_draft(3),
-    ] {
-        let dec = SpeculativeDecoder::new(&f.model, cfg);
-        for (p, want) in PROMPTS.iter().zip(&solo) {
-            let (got, _) = dec.generate(&DecodeRequest {
-                prompt: f.tokenizer.encode(p),
-                stops: stops.to_vec(),
-                opts,
-                grammar: Some(Arc::clone(&f.ansible)),
-            });
-            assert_eq!(&got, want, "speculative ({cfg:?}) must match solo on {p:?}");
+    // Speculative, one sequence at a time and all together, verified
+    // against the same sequential-constrained oracle.
+    let counters = SpeculativeTelemetry::register(&Registry::new());
+    for cfg in [SpeculativeConfig::ngram(4), SpeculativeConfig::ngram(8)] {
+        let mut engine = DecodeBatch::new(&f.model);
+        engine.set_speculation(cfg);
+        engine.set_speculative_telemetry(counters.clone());
+        for (req, want) in requests.iter().zip(&solo) {
+            let got = engine.run(vec![req.clone()], 1);
+            assert_eq!(&got[0], want, "speculative ({cfg:?}) must match solo");
         }
+        let got = engine.run(requests.clone(), PROMPTS.len());
+        assert_eq!(got, solo, "batched speculative ({cfg:?}) must match solo");
     }
 
     // Through a speculative scheduler: constrained requests multiplexed on
     // the decode worker still match.
-    let sched = BatchScheduler::spawn(
+    let sched = BatchScheduler::spawn_with(
         Arc::clone(&f.model),
         BatchConfig {
-            speculative: SpeculativeConfig::self_draft(3),
+            speculative: SpeculativeConfig::ngram(3),
             ..BatchConfig::default()
+        },
+        ReplicaTelemetry {
+            speculative: Some(counters.clone()),
+            ..Default::default()
         },
     );
     for (req, want) in requests.iter().zip(&solo) {
@@ -286,6 +288,12 @@ fn solo_batched_and_speculative_constrained_decodes_agree() {
         assert_eq!(&pending.wait(), want, "scheduler constrained decode");
     }
     sched.shutdown();
+    // Drafts were both accepted and rolled back.
+    let (proposed, accepted) = (counters.proposed.get(), counters.accepted.get());
+    assert!(
+        proposed > accepted && accepted > 0,
+        "{accepted} of {proposed} drafts accepted"
+    );
 }
 
 #[test]

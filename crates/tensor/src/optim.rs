@@ -114,11 +114,6 @@ impl Adam {
         Self { cfg, t: 0 }
     }
 
-    /// Current step count.
-    pub fn step_count(&self) -> u64 {
-        self.t
-    }
-
     /// Overrides the learning rate (used by schedules).
     pub fn set_lr(&mut self, lr: f32) {
         self.cfg.lr = lr;

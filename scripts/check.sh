@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, the docs' experiment targets and `BENCH_*.json`
-# names checked against the tree, clippy (warnings are errors), a compile pass over
+# Repo gate: formatting, the docs' experiment targets, `BENCH_*.json`
+# names and Rust item names checked against the tree, clippy (warnings are errors), a compile pass over
 # every bench target so bench-only breakage is caught without running
 # criterion, then the whole test suite in one invocation — every crate's
 # unit, property and agreement suites, the root integration tests and the
@@ -49,6 +49,34 @@ done
 for bench in $(cat "${docs[@]}" | grep -oE 'BENCH_[A-Za-z0-9_]+\.json' | sort -u); do
     if [[ ! -e $bench ]]; then
         echo "dead name: docs name $bench, which is not in the tree"
+        dead=1
+    fi
+done
+# Every Rust item name they show in backticks — `UpperCamel` or
+# `UpperCamel::item`, bare or followed by `(` / `<` — must be defined in
+# the code (a type, trait, variant, fn, const, field or module), or be one
+# of the std names below.
+std_names=" Arc Box Cow Vec VecDeque String HashMap HashSet BTreeMap BTreeSet Option Some None
+    Result Ok Err Mutex Condvar RwLock AtomicBool AtomicU64 AtomicUsize Ordering Release Instant
+    Duration Iterator Send Sync Clone Copy Default Debug Display PartialEq Eq Hash Drop From "
+defined=$({
+    grep -rhoE '\b(struct|enum|trait|type|union|fn|const|static|mod)[[:space:]]+[A-Za-z_][A-Za-z0-9_]*' \
+        crates vendor benchmark/src tests examples --include='*.rs' | awk '{print $2}'
+    # Enum variants (and struct literals) open a line; fields are `name:`.
+    grep -rhoE '^[[:space:]]*[A-Z][A-Za-z0-9]*[[:space:]]*([({,]|$)' \
+        crates vendor benchmark/src tests examples --include='*.rs' | grep -oE '[A-Z][A-Za-z0-9]*'
+    grep -rhoE '^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?[a-z_][a-z0-9_]*:[[:space:]]' \
+        crates vendor benchmark/src tests examples --include='*.rs' | grep -oE '[a-z_][a-z0-9_]*:' | tr -d :
+} | sort -u)
+for token in $(cat "${docs[@]}" | grep -oE '`[A-Z][a-z][A-Za-z0-9]*(::[A-Za-z_][A-Za-z0-9_]*)?[`(<]' |
+    tr -d '`(<' | sort -u); do
+    name=${token%%::*}
+    item=${token#"$name"}
+    item=${item#::}
+    [[ $std_names == *" $name "* ]] && continue
+    if ! grep -qxF "$name" <<<"$defined" || { [[ -n $item ]] && ! grep -qxF "$item" <<<"$defined"; }; then
+        echo "dead name: the docs name \`$token\`, which no code under crates/, vendor/, benchmark/src, tests/ or examples/ defines:"
+        grep -nE "\`$token[\`(<]" "${docs[@]}" | cut -c1-120
         dead=1
     fi
 done

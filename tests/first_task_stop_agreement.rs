@@ -11,8 +11,9 @@
 //!   shorter exactly when the sequence finished as `task_closed`;
 //! * `Suggestion::from_raw` of both outputs is equal field for field, and
 //!   is what `Wisdom::complete_constrained` returns;
-//! * solo, batched, speculative (n-gram and self-draft), scheduled and
-//!   streamed decodes under the scoped index agree token for token;
+//! * solo, batched, speculative (one sequence at a time and batched),
+//!   scheduled and streamed decodes under the scoped index agree token for
+//!   token, and the speculating ones both accept and roll back drafts;
 //! * over HTTP, the streamed token events concatenate to text whose
 //!   first-task truncation is the final event's completion.
 
@@ -24,7 +25,7 @@ use ansible_wisdom::core::{
 };
 use ansible_wisdom::model::{
     generate_batch, pretrain, BatchScheduler, DecodeBatch, FinishReason, GrammarIndex, ModelConfig,
-    PretrainConfig, ReplicaTelemetry, SpeculativeConfig, SpeculativeDecoder, Strategy,
+    PretrainConfig, ReplicaTelemetry, SpeculativeConfig, SpeculativeTelemetry, Strategy,
     TransformerLm,
 };
 use ansible_wisdom::prng::Prng;
@@ -228,6 +229,7 @@ fn every_decode_path_stops_on_the_same_token() {
     let model = Arc::new(wisdom.model().clone());
     let registry = Registry::new();
     let telemetry = BatchTelemetry::register(&registry);
+    let speculative = SpeculativeTelemetry::register(&registry);
     let scheduler = BatchScheduler::spawn_with(
         Arc::clone(&model),
         BatchConfig {
@@ -237,13 +239,11 @@ fn every_decode_path_stops_on_the_same_token() {
         },
         ReplicaTelemetry {
             batch: Some(telemetry.clone()),
+            speculative: Some(speculative.clone()),
             ..Default::default()
         },
     );
-    let drafts = [
-        SpeculativeConfig::ngram(8),
-        SpeculativeConfig::self_draft(8),
-    ];
+    let drafts = [SpeculativeConfig::ngram(2), SpeculativeConfig::ngram(8)];
     let mut closed = 0;
     for constraint in [Constraint::Ansible, Constraint::Yaml] {
         let unscoped =
@@ -271,15 +271,15 @@ fn every_decode_path_stops_on_the_same_token() {
             for draft in drafts {
                 let mut engine = DecodeBatch::new(&model);
                 engine.set_speculation(draft);
+                engine.set_speculative_telemetry(speculative.clone());
                 assert_eq!(
                     engine.run(decodes.clone(), 3),
                     want,
                     "{label} batched {draft:?}"
                 );
-                let decoder = SpeculativeDecoder::new(&model, draft);
                 for (d, want) in decodes.iter().zip(&want) {
-                    let (got, _) = decoder.generate(d);
-                    assert_eq!(&got, want, "{label} solo {draft:?}");
+                    let got = engine.run(vec![d.clone()], 1);
+                    assert_eq!(&got[0], want, "{label} solo {draft:?}");
                 }
             }
             // Scheduled, plain and streamed, all in flight together.
@@ -315,6 +315,12 @@ fn every_decode_path_stops_on_the_same_token() {
         .sum();
     assert_eq!(by_reason, telemetry.completed.get());
     assert_eq!(telemetry.finished(FinishReason::Cancelled).get(), 0);
+    // Drafts were both accepted and rolled back.
+    let (proposed, accepted) = (speculative.proposed.get(), speculative.accepted.get());
+    assert!(
+        proposed > accepted && accepted > 0,
+        "{accepted} of {proposed} drafts accepted"
+    );
 }
 
 #[test]
