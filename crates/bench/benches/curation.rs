@@ -7,7 +7,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 use wisdom_corpus::{Corpus, CorpusSpec};
 use wisdom_curation::{
-    corpus_docs, curate, score_document, shingle_set, CurationConfig, DocKind, MinHasher, NearDedup,
+    corpus_docs, curate, score_document, shingle_set, CurationConfig, DocKind, ExactDedup,
+    MinHasher, NearDedup,
 };
 
 fn bench(c: &mut Criterion) {
@@ -52,8 +53,9 @@ fn bench(c: &mut Criterion) {
     sketch(c);
 }
 
-/// Shingling, both signature arms and the LSH index, each over every
-/// document of a corpus at the benchmark workload's scale (~1.9k docs).
+/// Shingling, both signature arms, the exact-dedup filter and the LSH
+/// index, each over every document of a corpus at the benchmark workload's
+/// scale (~1.9k docs).
 fn sketch(c: &mut Criterion) {
     let docs = corpus_docs(&Corpus::build(&CorpusSpec::scaled(31, 1000)));
     let config = CurationConfig::default();
@@ -86,6 +88,14 @@ fn sketch(c: &mut Criterion) {
         b.iter(|| {
             for s in &sets {
                 black_box(hasher.signature_portable(black_box(s)));
+            }
+        })
+    });
+    group.bench_function("exact_dedup_insert", |b| {
+        b.iter(|| {
+            let mut exact = ExactDedup::new();
+            for d in &docs {
+                black_box(exact.insert(black_box(&d.text)));
             }
         })
     });

@@ -13,20 +13,82 @@
 //! the kept set independent of worker count.
 
 use std::borrow::Cow;
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 use crate::shingle::{MinHasher, Signature};
 
-/// The hash [`ExactDedup`] buckets a text by. Pipeline workers compute it
-/// off the curator thread and hand it to [`ExactDedup::insert_hashed`].
-pub(crate) fn content_hash(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
+/// An odd constant with well-spread bits (2^64 / φ).
+const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The full 128-bit product of `a` and `b`, its halves XORed: every input
+/// bit reaches the middle of the result.
+#[inline(always)]
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let full = u128::from(a) * u128::from(b);
+    (full as u64) ^ ((full >> 64) as u64)
+}
+
+/// A keyed folded-multiply hash: [`ExactDedup`]'s content hash and the
+/// `BuildHasher` of the dedup stages' maps.
+///
+/// Its key is drawn from std's randomly seeded `RandomState`, one per
+/// filter or index, so no corpus can be crafted to collide under it: not
+/// in a map's buckets (band keys and content hashes derive from corpus
+/// bytes), nor in the content hash, which would force [`ExactDedup`]'s
+/// linear `collided` scan. No verdict can depend on the key. The content
+/// hash only picks a bucket and the bytes decide, and nothing iterates the
+/// maps, so two filters or indexes with different keys decide alike.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FoldHash {
+    key: u64,
+}
+
+impl Default for FoldHash {
+    fn default() -> Self {
+        Self {
+            key: RandomState::new().hash_one(MULTIPLIER),
+        }
     }
-    h
+}
+
+impl BuildHasher for FoldHash {
+    type Hasher = FoldHasher;
+
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher(self.key)
+    }
+}
+
+/// [`FoldHash`]'s hasher: one folded multiply per 8 bytes.
+pub(crate) struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // The length first, so zero padding of the last word cannot alias.
+        self.write_u64(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = folded_multiply(self.0 ^ x, MULTIPLIER);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Content-confirmed exact-duplicate filter. It borrows the texts it has
@@ -44,8 +106,10 @@ pub(crate) fn content_hash(text: &str) -> u64 {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct ExactDedup<'a> {
+    /// Keys the content hash; drawn per filter.
+    content: FoldHash,
     /// hash -> the first text seen with that hash.
-    first: HashMap<u64, &'a str>,
+    first: HashMap<u64, &'a str, FoldHash>,
     /// Later distinct texts whose hash was already taken. Scanned only
     /// after a hash hit whose first text differs, so empty in practice.
     collided: Vec<(u64, &'a str)>,
@@ -62,11 +126,18 @@ impl<'a> ExactDedup<'a> {
     /// enough to reject: the candidate bucket's contents are compared
     /// byte-for-byte first.
     pub fn insert(&mut self, text: &'a str) -> bool {
-        self.insert_hashed(content_hash(text), text)
+        self.insert_hashed(self.content.hash_one(text), text)
     }
 
-    /// [`insert`](Self::insert) with `hash == content_hash(text)` already
-    /// computed.
+    /// The keyed hash this filter buckets texts by. Pipeline workers
+    /// hash off the curator thread with it and hand the hash to
+    /// [`insert_hashed`](Self::insert_hashed).
+    pub(crate) fn content_hasher(&self) -> FoldHash {
+        self.content
+    }
+
+    /// [`insert`](Self::insert) with `hash` already computed as
+    /// `self.content_hasher().hash_one(text)`.
     pub(crate) fn insert_hashed(&mut self, hash: u64, text: &'a str) -> bool {
         match self.first.entry(hash) {
             Entry::Vacant(slot) => {
@@ -128,8 +199,9 @@ pub struct NearDedup {
     /// Estimated-Jaccard floor at which a candidate is dropped.
     floor: f64,
     /// Per band: bucket key -> `(first, last)` link of the bucket's chain.
-    /// The std (SipHash) hasher stays: band keys derive from corpus bytes.
-    buckets: Vec<HashMap<u64, (usize, usize)>>,
+    /// Band keys derive from corpus bytes; the maps' [`FoldHash`] key is
+    /// drawn per index, so no corpus can crowd one bucket.
+    buckets: Vec<HashMap<u64, (usize, usize), FoldHash>>,
     /// Bucket chains as `(kept index, next link)`, appended in kept order.
     links: Vec<(usize, usize)>,
     /// Signatures of kept documents, one allocation each: a single growing
@@ -153,7 +225,7 @@ impl NearDedup {
     /// [`floor_for_target`](Self::floor_for_target) computes `t - 2·se`.
     pub fn new(hasher: MinHasher, floor: f64) -> Self {
         Self {
-            buckets: vec![HashMap::new(); hasher.bands()],
+            buckets: vec![HashMap::default(); hasher.bands()],
             hasher,
             floor,
             links: Vec::new(),
@@ -270,6 +342,30 @@ mod tests {
         assert!(!d.insert_hashed(7, "a"));
         assert!(!d.insert_hashed(7, "c"));
         assert_eq!(d.len(), 3);
+    }
+
+    #[test]
+    fn each_filter_draws_its_own_key() {
+        let (a, b) = (FoldHash::default(), FoldHash::default());
+        assert_ne!(a.key, b.key);
+        let text = "- name: Ping\n  ansible.builtin.ping: {}\n";
+        assert_eq!(a.hash_one(text), a.hash_one(text));
+        assert_ne!(a.hash_one(text), b.hash_one(text));
+    }
+
+    #[test]
+    fn zero_padding_does_not_alias() {
+        let mut hashes: Vec<u64> = ["", "\0", "a", "a\0", "abcdefgh", "abcdefgh\0"]
+            .iter()
+            .map(|text| {
+                let mut hasher = FoldHash::default().build_hasher();
+                hasher.write(text.as_bytes());
+                hasher.finish()
+            })
+            .collect();
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), 6);
     }
 
     fn sig_of(text: &str, h: &MinHasher) -> Signature {

@@ -17,6 +17,7 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -25,7 +26,7 @@ use crossbeam::channel::{bounded, Receiver};
 use wisdom_corpus::Corpus;
 use wisdom_telemetry::{Counter, Gauge, Histogram, Registry};
 
-use crate::dedup::{content_hash, ExactDedup, NearDedup, NearVerdict};
+use crate::dedup::{ExactDedup, FoldHash, NearDedup, NearVerdict};
 use crate::score::{score_document, DocKind, DocScore};
 use crate::shard::{Shard, ShardWriter};
 use crate::shingle::{shingle_set, MinHasher, Signature};
@@ -289,7 +290,7 @@ const CHUNK: usize = 64;
 /// The pure facts a worker computes for one document.
 struct Facts {
     score: DocScore,
-    /// [`content_hash`] of the text, for exact dedup.
+    /// The text's exact-dedup content hash, under the pass's key.
     hash: u64,
     signature: Signature,
 }
@@ -329,6 +330,10 @@ pub fn curate(docs: Vec<InputDoc>, config: &CurationConfig) -> CurationReport {
     // Documents sent to the curator and not yet received (telemetry only).
     let queued = AtomicUsize::new(0);
 
+    let curator = Curator::new(&docs, config, &hasher);
+    // The key the curator's exact-dedup filter drew for this pass.
+    let content = curator.exact.content_hasher();
+
     let (mut report, kept_seq) = crossbeam::scope(|scope| {
         for _ in 0..config.workers {
             let tx = tx.clone();
@@ -338,7 +343,7 @@ pub fn curate(docs: Vec<InputDoc>, config: &CurationConfig) -> CurationReport {
                 if index >= chunks {
                     break;
                 }
-                let chunk = sketch_chunk(index, docs, hasher, config);
+                let chunk = sketch_chunk(index, docs, hasher, content, config);
                 if let Some(t) = &config.telemetry {
                     let docs = chunk.facts.len();
                     t.curate_queue
@@ -350,7 +355,7 @@ pub fn curate(docs: Vec<InputDoc>, config: &CurationConfig) -> CurationReport {
             });
         }
         drop(tx);
-        Curator::new(&docs, config, &hasher).run(rx, chunks, &queued)
+        curator.run(rx, chunks, &queued)
     })
     .expect("curation scope");
 
@@ -372,6 +377,7 @@ fn sketch_chunk(
     index: usize,
     docs: &[InputDoc],
     hasher: &MinHasher,
+    content: FoldHash,
     config: &CurationConfig,
 ) -> ChunkFacts {
     let start = index * CHUNK;
@@ -393,7 +399,7 @@ fn sketch_chunk(
             hasher.push_band_keys(&signature, &mut band_keys);
             let facts = Facts {
                 score: score_document(&doc.text, doc.kind),
-                hash: content_hash(&doc.text),
+                hash: content.hash_one(&doc.text),
                 signature,
             };
             if let (Some(t), Some(started)) = (telemetry, started) {
@@ -647,6 +653,7 @@ pub fn disk_docs(root: &std::path::Path) -> std::io::Result<Vec<InputDoc>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::unframe;
 
     fn doc(source: &str, kind: DocKind, text: &str) -> InputDoc {
         InputDoc {
@@ -845,6 +852,37 @@ mod tests {
             .map(|d| d.source.rsplit('/').next().unwrap())
             .collect();
         assert_eq!(names, vec!["a.yaml", "b.yml", "c.yml"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    #[cfg(unix)] // line breaks and backslashes in file names
+    fn file_names_with_header_syntax_survive_the_shards() {
+        let dir =
+            std::env::temp_dir().join(format!("wisdom-curation-names-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let names = [
+            "x bytes=1.yml",
+            "line\nbreak.yml",
+            "carriage\r\nreturn bytes=7.yaml",
+            "back\\slash\\n.yml",
+        ];
+        for (i, name) in names.iter().enumerate() {
+            let text = format!("entry_{i}:\n  owner: team_{i}\n  tier_{i}: level_{i}\n");
+            std::fs::write(dir.join(name), text).expect("write");
+        }
+        let docs = disk_docs(&dir).expect("walk");
+        assert_eq!(docs.len(), names.len());
+        let config = CurationConfig {
+            min_quality: 0.0,
+            ..CurationConfig::default()
+        };
+        let report = curate(docs.clone(), &config);
+        assert_eq!(report.kept, names.len());
+        let framed: Vec<(String, String)> = report.shards.iter().flat_map(unframe).collect();
+        let expected: Vec<(String, String)> =
+            docs.into_iter().map(|d| (d.source, d.text)).collect();
+        assert_eq!(framed, expected);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

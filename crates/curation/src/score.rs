@@ -66,19 +66,23 @@ fn module_stats(value: &Value, reg: &ModuleRegistry, task_like: &mut usize, hits
     if let Some(items) = value.as_seq() {
         for item in items {
             let Some(map) = item.as_map() else { continue };
+            // Each key is resolved once: a module key makes the item a
+            // module hit; any other value is recursed into to reach nested
+            // task lists (`tasks:`, `block:`, `rescue:`…) without entering
+            // module args.
+            let mut resolves = false;
+            for (k, v) in map.iter() {
+                if reg.is_module(k) {
+                    resolves = true;
+                } else {
+                    module_stats(v, reg, task_like, hits);
+                }
+            }
             let is_play = map.contains_key("hosts") || map.contains_key("import_playbook");
-            let resolves = map.keys().any(|k| reg.is_module(k));
             if !is_play && (resolves || map.contains_key("name")) {
                 *task_like += 1;
                 if resolves {
                     *hits += 1;
-                }
-            }
-            // Recurse through non-module values to reach nested task lists
-            // (`tasks:`, `block:`, `rescue:`…) without entering module args.
-            for (k, v) in map.iter() {
-                if !reg.is_module(k) {
-                    module_stats(v, reg, task_like, hits);
                 }
             }
         }

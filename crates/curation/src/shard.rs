@@ -6,8 +6,12 @@
 //! function of the kept document sequence, independent of how many workers
 //! produced it. Each document is framed by a comment header carrying its
 //! source channel and byte length, so shards remain valid YAML streams for
-//! tokenizer training while staying mechanically splittable.
+//! tokenizer training while staying mechanically splittable. The header is
+//! one line whatever the source label holds: `\`, line feed and carriage
+//! return are escaped as `\\`, `\n` and `\r`, and the length is the number
+//! after the header's last ` bytes=`.
 
+use std::borrow::Cow;
 use std::io::Write as _;
 use std::path::Path;
 
@@ -60,6 +64,7 @@ impl ShardWriter {
 
     /// Appends one document, sealing the current shard if it is full.
     pub fn add(&mut self, source: &str, text: &str) {
+        let source = escape_label(source);
         writeln!(self.current, "# doc source={} bytes={}", source, text.len())
             .expect("writing to a Vec cannot fail");
         self.current.extend_from_slice(text.as_bytes());
@@ -94,6 +99,43 @@ impl ShardWriter {
     }
 }
 
+/// A source label as a frame header carries it: on one line, with `\`,
+/// line feed and carriage return escaped. Any other label is unchanged.
+fn escape_label(source: &str) -> Cow<'_, str> {
+    if !source.contains(['\\', '\n', '\r']) {
+        return Cow::Borrowed(source);
+    }
+    let mut out = String::with_capacity(source.len() + 8);
+    for ch in source.chars() {
+        match ch {
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            ch => out.push(ch),
+        }
+    }
+    Cow::Owned(out)
+}
+
+/// Inverts [`escape_label`].
+fn unescape_label(label: &str) -> String {
+    let mut out = String::with_capacity(label.len());
+    let mut chars = label.chars();
+    while let Some(ch) = chars.next() {
+        if ch != '\\' {
+            out.push(ch);
+            continue;
+        }
+        match chars.next() {
+            Some('n') => out.push('\n'),
+            Some('r') => out.push('\r'),
+            Some(escaped) => out.push(escaped),
+            None => out.push('\\'),
+        }
+    }
+    out
+}
+
 /// Writes shards to `dir` (created if missing), one file per shard.
 pub fn write_shards(dir: &Path, shards: &[Shard]) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
@@ -116,10 +158,10 @@ pub fn unframe(shard: &Shard) -> Vec<(String, String)> {
         let Some(src) = header.strip_prefix("# doc source=") else {
             break;
         };
-        let (source, len) = src.split_once(" bytes=").expect("framed header");
+        let (source, len) = src.rsplit_once(" bytes=").expect("framed header");
         let len: usize = len.parse().expect("framed length");
         let body = &rest[body_start..body_start + len];
-        out.push((source.to_string(), body.to_string()));
+        out.push((unescape_label(source), body.to_string()));
         let mut next = body_start + len;
         if rest.as_bytes().get(next) == Some(&b'\n') && !body.ends_with('\n') {
             next += 1;
@@ -163,18 +205,23 @@ mod tests {
 
     #[test]
     fn unframe_round_trips() {
-        let mut w = ShardWriter::new(4);
         let docs = [
             ("galaxy", "- name: First\n  ping: {}\n"),
             ("generic", "no trailing newline"),
             ("gitlab", "---\n- name: Doc marker inside\n"),
+            // Labels holding header syntax: a ` bytes=`, line breaks, and
+            // backslashes before `n` and at the end.
+            ("disk:x bytes=1.yml", "a: 1\n"),
+            ("disk:two\nlines\r\n bytes=9", "b: 2\n"),
+            ("disk:back\\slash\\n\\", "c: 3\n"),
         ];
+        let mut w = ShardWriter::new(8);
         for (s, t) in docs {
             w.add(s, t);
         }
         let shards = w.finish();
         let back = unframe(&shards[0]);
-        assert_eq!(back.len(), 3);
+        assert_eq!(back.len(), docs.len());
         for ((src, text), (s, t)) in back.iter().zip(docs) {
             assert_eq!(src, s);
             assert_eq!(text, t);

@@ -45,55 +45,77 @@ fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
     h
 }
 
-/// The tokens of [`tokenize`] in one buffer: each token's lowercased bytes
-/// followed by a `0xff` separator (a byte UTF-8 never contains), plus the
-/// offset where each token starts and, last, the buffer's length. Tokens
-/// `t..t + k` are then the single slice `bytes[starts[t]..starts[t + k]]`.
-///
-/// ASCII bytes are classified and lowercased without decoding; other
-/// characters go through `char::to_lowercase` encoded as UTF-8, the bytes
-/// `tokenize` produces.
-fn token_bytes(text: &str) -> (Vec<u8>, Vec<usize>) {
+/// `tokenize`'s word bytes of the ASCII range, lowercased; 0 for a
+/// separator.
+const ASCII_WORD: [u8; 128] = {
+    let mut table = [0u8; 128];
+    let mut b = 0;
+    while b < 128 {
+        let c = b as u8;
+        if c.is_ascii_alphanumeric() || c == b'_' || c == b'.' {
+            table[b] = c.to_ascii_lowercase();
+        }
+        b += 1;
+    }
+    table
+};
+
+/// FNV-1a chains [`shingle_set`] advances side by side in registers; `k`
+/// chains take `k.div_ceil(LANES)` blocks.
+const LANES: usize = 4;
+
+/// Advances every chain of a block by one byte.
+#[inline(always)]
+fn feed(block: &mut [u64; LANES], b: u8) {
+    for h in block {
+        *h = (*h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+}
+
+/// The character starting at byte `i` of `text`.
+#[inline]
+fn char_at(text: &str, i: usize) -> char {
+    text[i..]
+        .chars()
+        .next()
+        .expect("i advances by whole characters")
+}
+
+/// Feeds the token at byte `start` of `text` (the run of word characters
+/// there) and its `0xff` separator to every chain of `block`, and returns
+/// the byte the token ends at. ASCII bytes are classified and lowercased in
+/// place; other characters go through `char::to_lowercase` as UTF-8, the
+/// bytes [`tokenize`] produces.
+#[inline(always)]
+fn feed_token(text: &str, start: usize, block: &mut [u64; LANES]) -> usize {
     let src = text.as_bytes();
-    let mut bytes = Vec::with_capacity(src.len() + 1);
-    let mut starts = vec![0];
-    let mut in_token = false;
-    let mut i = 0;
-    while i < src.len() {
-        let b = src[i];
-        let word = if b.is_ascii() {
-            i += 1;
-            let word = b.is_ascii_alphanumeric() || b == b'_' || b == b'.';
-            if word {
-                bytes.push(b.to_ascii_lowercase());
+    let mut chains = *block;
+    let mut i = start;
+    while let Some(&b) = src.get(i) {
+        if b.is_ascii() {
+            let lower = ASCII_WORD[usize::from(b)];
+            if lower == 0 {
+                break;
             }
-            word
+            feed(&mut chains, lower);
+            i += 1;
         } else {
-            let ch = text[i..]
-                .chars()
-                .next()
-                .expect("i advances by whole characters");
+            let ch = char_at(text, i);
+            if !ch.is_alphanumeric() {
+                break;
+            }
             i += ch.len_utf8();
-            let word = ch.is_alphanumeric();
-            if word {
-                let mut utf8 = [0u8; 4];
-                for lower in ch.to_lowercase() {
-                    bytes.extend_from_slice(lower.encode_utf8(&mut utf8).as_bytes());
+            let mut utf8 = [0u8; 4];
+            for lower in ch.to_lowercase() {
+                for &b in lower.encode_utf8(&mut utf8).as_bytes() {
+                    feed(&mut chains, b);
                 }
             }
-            word
-        };
-        if in_token && !word {
-            bytes.push(0xff);
-            starts.push(bytes.len());
         }
-        in_token = word;
     }
-    if in_token {
-        bytes.push(0xff);
-        starts.push(bytes.len());
-    }
-    (bytes, starts)
+    feed(&mut chains, 0xff);
+    *block = chains;
+    i
 }
 
 /// The set of hashed `k`-token shingles of `text`, sorted and deduplicated.
@@ -101,19 +123,60 @@ fn token_bytes(text: &str) -> (Vec<u8>, Vec<usize>) {
 /// Documents shorter than `k` tokens contribute one shingle over whatever
 /// tokens they have, so even tiny files get a non-empty set. A shingle's
 /// hash is FNV-1a over each of its tokens' bytes followed by a `0xff`
-/// separator.
+/// separator (a byte UTF-8 never contains).
+///
+/// One pass over the text: chain `t % k` starts at token `t`, each token's
+/// bytes advance all `k` chains in lockstep, and the end of token `t` emits
+/// the chain started at token `t + 1 - k`, which the next token restarts.
+/// Chains not yet started carry garbage their start overwrites.
 pub fn shingle_set(text: &str, k: usize) -> Vec<u64> {
     assert!(k > 0, "shingle width must be positive");
-    let (bytes, starts) = token_bytes(text);
-    let hash = |first: usize, end: usize| fnv1a(&bytes[starts[first]..starts[end]], FNV_OFFSET);
-    let tokens = starts.len() - 1;
-    let mut set: Vec<u64> = if tokens <= k {
-        vec![hash(0, tokens)]
-    } else {
-        (0..=tokens - k)
-            .map(|first| hash(first, first + k))
-            .collect()
-    };
+    let src = text.as_bytes();
+    let mut blocks = vec![[FNV_OFFSET; LANES]; k.div_ceil(LANES)];
+    // About one token per eight bytes of YAML.
+    let mut set = Vec::with_capacity(src.len() / 8 + 1);
+    // Tokens read so far, and the chain the next token starts.
+    let (mut tokens, mut next) = (0usize, 0usize);
+    let mut i = 0;
+    loop {
+        // Separators.
+        while let Some(&b) = src.get(i) {
+            if b.is_ascii() {
+                if ASCII_WORD[usize::from(b)] != 0 {
+                    break;
+                }
+                i += 1;
+            } else {
+                let ch = char_at(text, i);
+                if ch.is_alphanumeric() {
+                    break;
+                }
+                i += ch.len_utf8();
+            }
+        }
+        if i == src.len() {
+            break;
+        }
+        blocks[next / LANES][next % LANES] = FNV_OFFSET;
+        let mut end = i;
+        for block in &mut blocks {
+            end = feed_token(text, i, block);
+        }
+        i = end;
+        tokens += 1;
+        next = if next + 1 == k { 0 } else { next + 1 };
+        if tokens >= k {
+            set.push(blocks[next / LANES][next % LANES]);
+        }
+    }
+    if tokens < k {
+        // Chain 0 started at the first token and has read every one since.
+        set.push(if tokens == 0 {
+            FNV_OFFSET
+        } else {
+            blocks[0][0]
+        });
+    }
     set.sort_unstable();
     set.dedup();
     set

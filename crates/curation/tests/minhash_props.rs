@@ -17,8 +17,10 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
+use wisdom_corpus::{Corpus, CorpusSpec};
 use wisdom_curation::{
-    jaccard, shingle_set, tokenize, MinHasher, NearDedup, NearVerdict, Signature,
+    corpus_docs, jaccard, shingle_set, tokenize, ExactDedup, MinHasher, NearDedup, NearVerdict,
+    Signature,
 };
 
 const BANDS: usize = 32;
@@ -220,8 +222,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn shingle_set_matches_tokenize_reference(text in UNICODE_TEXT, k in 1usize..6) {
+    fn shingle_set_matches_tokenize_reference(text in UNICODE_TEXT, k in 1usize..9) {
         prop_assert_eq!(shingle_set(&text, k), reference_shingle_set(&text, k), "{:?}", text);
+    }
+}
+
+/// The one-pass shingler agrees with the reference on every document of
+/// the benchmark workload's corpus, at every width the chains' register
+/// blocks split differently.
+#[test]
+fn shingle_set_matches_reference_on_the_benchmark_corpus() {
+    let corpus = Corpus::build(&CorpusSpec::scaled(0xF00D, 1000));
+    let docs = corpus_docs(&corpus);
+    assert!(docs.len() > 1000, "{} documents", docs.len());
+    for k in 1..=6 {
+        for doc in &docs {
+            assert_eq!(
+                shingle_set(&doc.text, k),
+                reference_shingle_set(&doc.text, k),
+                "k = {k}: {:?}",
+                doc.text
+            );
+        }
     }
 }
 
@@ -299,4 +321,44 @@ fn flat_near_dedup_reference_sees_ties() {
         assert_eq!(flat.offer(&sig), reference.offer(&sig));
     }
     assert!(reference.ties > 50, "only {} tied offers", reference.ties);
+}
+
+/// Each filter and index draws its own hash key, and no verdict may depend
+/// on it: two instances in one process decide every offer alike, on the
+/// benchmark corpus with an exact copy of every document after it.
+#[test]
+fn instances_with_different_hash_keys_decide_alike() {
+    let corpus = Corpus::build(&CorpusSpec::scaled(0xF00D, 1000));
+    let docs = corpus_docs(&corpus);
+    let texts: Vec<&str> = docs
+        .iter()
+        .flat_map(|d| [d.text.as_str(), d.text.as_str()])
+        .collect();
+    let (mut a, mut b) = (ExactDedup::new(), ExactDedup::new());
+    let exact_a: Vec<bool> = texts.iter().map(|t| a.insert(t)).collect();
+    let exact_b: Vec<bool> = texts.iter().map(|t| b.insert(t)).collect();
+    assert_eq!(exact_a, exact_b);
+    assert_eq!(a.len(), b.len());
+    assert!(exact_a.iter().filter(|&&fresh| !fresh).count() >= docs.len());
+
+    let hasher = MinHasher::new(9, BANDS, ROWS);
+    let floor = NearDedup::floor_for_target(0.8, hasher.lanes());
+    let mut a = NearDedup::new(hasher.clone(), floor);
+    let mut b = NearDedup::new(hasher.clone(), floor);
+    let signatures: Vec<Signature> = docs
+        .iter()
+        .map(|d| hasher.signature(&shingle_set(&d.text, 3)))
+        .collect();
+    let near_a: Vec<NearVerdict> = signatures.iter().map(|s| a.offer(s)).collect();
+    let near_b: Vec<NearVerdict> = signatures.iter().map(|s| b.offer(s)).collect();
+    assert_eq!(near_a, near_b);
+    let dropped = near_a
+        .iter()
+        .filter(|v| matches!(v, NearVerdict::Duplicate { .. }))
+        .count();
+    assert!(
+        dropped > 0 && a.len() > dropped,
+        "{dropped} of {} dropped",
+        docs.len()
+    );
 }

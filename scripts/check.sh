@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Repo gate: formatting, the docs' experiment targets, `BENCH_*.json`
-# names and Rust item names checked against the tree, clippy (warnings are errors), a compile pass over
-# every bench target so bench-only breakage is caught without running
-# criterion, then the whole test suite in one invocation — every crate's
-# unit, property and agreement suites, the root integration tests and the
+# names, Rust item names and metric families checked against the tree,
+# clippy (warnings are errors), a compile pass over every bench target so
+# bench-only breakage is caught without running criterion, then the whole
+# test suite in one invocation — every crate's unit, property and agreement
+# suites, the root integration tests and the
 # doc tests, with its wall time printed — the tensor crate's unit and
 # property suites once more with `--release` (the explicit-intrinsics
 # kernels are what ships, and a debug build never inlines them the same
@@ -77,6 +78,24 @@ for token in $(cat "${docs[@]}" | grep -oE '`[A-Z][a-z][A-Za-z0-9]*(::[A-Za-z_][
     if ! grep -qxF "$name" <<<"$defined" || { [[ -n $item ]] && ! grep -qxF "$item" <<<"$defined"; }; then
         echo "dead name: the docs name \`$token\`, which no code under crates/, vendor/, benchmark/src, tests/ or examples/ defines:"
         grep -nE "\`$token[\`(<]" "${docs[@]}" | cut -c1-120
+        dead=1
+    fi
+done
+# Every metric family they show in backticks — `wisdom_…`, with a
+# histogram series' `_count` / `_sum` / `_bucket` suffix folded into its
+# family, and `wisdom_grammar_*` read as "some family with this prefix" —
+# must be a string literal under crates/*/src. A crate path followed by
+# `::` (`wisdom_yaml::parse`) is not a metric.
+for token in $(cat "${docs[@]}" | grep -oE '`wisdom_[a-z0-9_]+(::)?' | grep -v '::$' | tr -d '`' | sort -u); do
+    family=$(sed -E 's/_(count|sum|bucket)$//' <<<"$token")
+    if [[ $family == *_ ]]; then
+        pattern="\"$family[a-z0-9_]+\""
+    else
+        pattern="\"($family|$token)\""
+    fi
+    if ! grep -rqE "$pattern" crates/*/src --include='*.rs'; then
+        echo "dead name: the docs name the metric \`$token\`, which no string literal under crates/*/src names:"
+        grep -nE "\`$token" "${docs[@]}" | cut -c1-120
         dead=1
     fi
 done
