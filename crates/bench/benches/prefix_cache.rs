@@ -1,14 +1,15 @@
-//! Radix prefix KV cache: cold full-window prefill vs warm prefill that
-//! splices the cached shared prefix and computes only the suffix, at four
-//! shared-prefix lengths. On served traffic the ledger measures the cache
-//! as `model.prefix_cache.*`.
+//! Paged prefix KV cache: cold full-window prefill vs warm prefill that
+//! starts from the cached shared pages and computes only the suffix, at
+//! four shared-prefix lengths. On served traffic the ledger measures the
+//! cache as `model.prefix_cache.*`.
 //!
-//! `prefix_cache/admission` times the cache's own bookkeeping for one cold
-//! admission — miss, new leaf, one eviction, pin release, gauges published
-//! — against a cache exactly full with 16 / 1 024 / 8 192 resident
-//! segments. It must stay within a few times its smallest value (two
-//! ordered-map updates and a victim that has gone cold, never a walk of
-//! the tree: the scans this replaced read 0.4 / 4.5 / 189 µs).
+//! `prefix_cache/admission` times one cold admission — miss, a one-page
+//! prefill, the page indexed, one eviction, the release when the sequence
+//! drops, gauges published — against a cache exactly full with 16 / 1 024
+//! / 8 192 resident pages, next to the same prefill with no cache
+//! (`uncached`). The three rows must stay within a few times each other:
+//! the index work is a few map and ordered-set updates, never a walk of the
+//! index (the radix tree's scans once read 0.4 / 4.5 / 189 µs here).
 
 use std::cell::Cell;
 use std::hint::black_box;
@@ -20,11 +21,15 @@ use wisdom_telemetry::Registry;
 
 /// Family member `tag`: `shared` common tokens plus a tag-distinct suffix,
 /// so warm lookups hit exactly the shared prefix and never a sibling tail.
+/// The suffix opens with `tag`'s two low base-`vocab` digits, so no two of
+/// the first `vocab²` members share a token past the prefix.
 fn window(model: &TransformerLm, shared: usize, tag: u32) -> Vec<u32> {
     let ctx = model.config().context_window;
     let vocab = model.config().vocab_size as u32;
     let mut w: Vec<u32> = (0..shared as u32).map(|i| (i * 31 + 3) % vocab).collect();
-    w.extend((0..(ctx - shared) as u32).map(|j| (tag * 97 + j * 13 + 5) % vocab));
+    w.extend([tag % vocab, tag / vocab % vocab]);
+    w.extend((2..(ctx - shared) as u32).map(|j| (j * 13 + 5) % vocab));
+    w.truncate(ctx);
     w
 }
 
@@ -72,45 +77,54 @@ fn bench(c: &mut Criterion) {
     }
 }
 
-/// One cold admission's bookkeeping at growing residency. The windows
-/// differ in their first token, so every resident segment hangs off the
-/// root and every admission evicts exactly the oldest one.
+/// One cold admission at growing residency, against the same prefill with
+/// no cache. The windows differ in their first page, so every admission
+/// misses, indexes one page and evicts exactly the oldest one.
 fn admission(c: &mut Criterion) {
-    const ROWS: usize = 8;
+    // One page of four tokens, and one token past it.
+    const ROWS: usize = 5;
     let cfg = ModelConfig {
         vocab_size: 32,
-        d_model: 32,
-        n_layers: 2,
-        n_heads: 2,
+        d_model: 16,
+        n_layers: 1,
+        n_heads: 1,
         context_window: ROWS,
     };
     let model = TransformerLm::new(cfg, &mut Prng::seed_from_u64(9));
-    let (kv, _) = model.prefill(&[1; ROWS]);
-    let window = |tag: u32| -> Vec<u32> { (0..ROWS as u32).map(|i| tag * 16 + i).collect() };
-    // What one resident window weighs: measured, not derived.
-    let one_window = {
+    let window = |tag: u32| -> Vec<u32> {
+        let mut w: Vec<u32> = (0..4).map(|i| (tag >> (5 * i)) & 31).collect();
+        w.push(0);
+        w
+    };
+    // What one indexed page weighs: measured, not derived.
+    let one_page = {
         let probe = PrefixKvCache::default();
-        drop(probe.insert(&window(0), &kv));
+        drop(probe.prefill(&model, &window(0)));
         probe.stats().bytes
     };
 
     let mut group = c.benchmark_group("prefix_cache/admission");
     group.throughput(Throughput::Elements(1));
+    let tag = Cell::new(0u32);
+    group.bench_function("uncached", |b| {
+        b.iter(|| {
+            tag.set(tag.get() + 1);
+            black_box(model.prefill(&window(tag.get())))
+        })
+    });
     for resident in [16u32, 1_024, 8_192] {
-        let cache = PrefixKvCache::with_budget(resident as usize * one_window);
+        let cache = PrefixKvCache::with_budget(resident as usize * one_page);
         // Gauges attached, as on a serving replica.
         cache.set_telemetry(PrefixCacheTelemetry::register(&Registry::new()));
         for tag in 0..resident {
-            drop(cache.insert(&window(tag), &kv));
+            drop(cache.prefill(&model, &window(tag)));
         }
         assert_eq!(cache.stats().segments, resident as usize);
         let tag = Cell::new(resident);
         group.bench_with_input(BenchmarkId::new("resident", resident), &resident, |b, _| {
             b.iter(|| {
                 tag.set(tag.get() + 1);
-                let w = window(tag.get());
-                black_box(cache.lookup(&w, ROWS - 1));
-                drop(black_box(cache.insert(&w, &kv)));
+                drop(black_box(cache.prefill(&model, &window(tag.get()))));
             })
         });
         assert_eq!(cache.stats().segments, resident as usize, "one in, one out");

@@ -31,7 +31,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -39,7 +39,7 @@ use wisdom_grammar::{Constraint, GrammarCursor, GrammarIndex};
 use wisdom_prng::Prng;
 
 use crate::decode::{GenerationOptions, Strategy};
-use crate::prefix_cache::{PrefixCacheStats, PrefixKvCache, PrefixPin};
+use crate::prefix_cache::{PrefixCacheStats, PrefixKvCache};
 use crate::speculative::{
     accept_draft, DraftGate, NgramSpeculator, SpeculativeConfig, Speculator, MAX_DRAFT_BATCH,
 };
@@ -104,16 +104,13 @@ struct Seq {
     strategy: Strategy,
     rng: Prng,
     /// Set, with the reason, in the round the sequence stops decoding; it
-    /// retires (cache, pins and sink dropped) at the end of that round.
+    /// retires (cache and sink dropped) at the end of that round.
     done: Option<FinishReason>,
     /// When the request entered the system (submission time via the
     /// scheduler, admission time otherwise) — the TTFT origin.
     started: Instant,
     /// Whether the first generated token has been recorded for TTFT.
     first_token_seen: bool,
-    /// Pins the prefix-cache segments backing this sequence's prompt until
-    /// it retires, so eviction can't drop shared state mid-decode.
-    _pin: PrefixPin,
     /// Per-sequence draft proposer — `Some` only for greedy sequences
     /// admitted while speculation is configured.
     drafter: Option<Box<dyn Speculator>>,
@@ -273,16 +270,13 @@ impl<'m> DecodeBatch<'m> {
             .model
             .generation_window(&req.prompt, req.opts.max_new_tokens);
         let pos = window.len();
-        let (cache, logits, pin) = match &self.prefix_cache {
+        let (cache, logits) = match &self.prefix_cache {
             Some(pc) => pc.prefill(self.model, window),
-            None => {
-                let (cache, logits) = self.model.prefill(window);
-                (cache, logits, PrefixPin::default())
-            }
+            None => self.model.prefill(window),
         };
-        // Speculation composes with the prefix cache because the spliced
-        // rows above are private copies: rolling rejected draft rows back
-        // out of `cache` can never touch shared tree segments.
+        // Speculation composes with the prefix cache because a cache copies
+        // a shared page before writing into it: rolling rejected draft rows
+        // back and re-decoding never touches the index's pages.
         let drafter = (self.speculation.enabled() && matches!(req.opts.strategy, Strategy::Greedy))
             .then(|| {
                 drafter.unwrap_or_else(|| {
@@ -312,7 +306,6 @@ impl<'m> DecodeBatch<'m> {
             done: None,
             started,
             first_token_seen: false,
-            _pin: pin,
             drafter,
             gate: DraftGate::new(),
             pending: Vec::new(),
@@ -1016,6 +1009,26 @@ impl fmt::Debug for BatchScheduler {
     }
 }
 
+/// Marks the scheduler shut down when its decode worker exits, by
+/// returning or by unwinding: later submissions fail with
+/// [`SubmitError::ShutDown`] instead of queueing for a thread that is gone,
+/// queued jobs resolve empty, and readiness reads false.
+struct WorkerExit<'a>(&'a Shared);
+
+impl Drop for WorkerExit<'_> {
+    fn drop(&mut self) {
+        let shared = self.0;
+        shared.worker_ready.store(false, Ordering::Release);
+        shared.in_flight.store(0, Ordering::Relaxed);
+        // Every update of the state is a single push, pop or flag store, so
+        // a lock poisoned mid-update still guards a valid queue.
+        let mut state = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.shutdown = true;
+        state.jobs.clear();
+        shared.space_free.notify_all();
+    }
+}
+
 fn worker_loop(
     model: &TransformerLm,
     shared: &Shared,
@@ -1045,6 +1058,9 @@ fn worker_loop(
     }
     let mut next_tag = 0usize;
     let mut replies: HashMap<usize, mpsc::Sender<Vec<u32>>> = HashMap::new();
+    // Declared after `replies`, so it runs before their senders drop: a
+    // waiter resolved by a dying worker finds the scheduler already shut.
+    let _stopped = WorkerExit(shared);
     shared.worker_ready.store(true, Ordering::Release);
     loop {
         // Admission happens between decode steps: take whatever is waiting,
@@ -1217,6 +1233,48 @@ mod tests {
                 .unwrap_err(),
             SubmitError::ShutDown
         );
+    }
+
+    #[test]
+    fn a_worker_that_panics_shuts_its_scheduler_down() {
+        let model = tiny_model();
+        let vocab = model.config().vocab_size as u32;
+        let sched = Arc::new(BatchScheduler::spawn(
+            Arc::new(model),
+            BatchConfig::default(),
+        ));
+        // An out-of-vocabulary token trips `forward`'s assert on the worker.
+        let poisoned = DecodeRequest {
+            prompt: vec![1, vocab],
+            stops: vec![0],
+            opts: greedy(4),
+            grammar: None,
+        };
+        let pending = sched.submit(poisoned).expect("queued");
+        assert!(
+            pending.wait().is_empty(),
+            "the dead worker's job resolves empty"
+        );
+        // A later request is refused (or resolves) instead of waiting
+        // forever for a worker that is gone.
+        let (tx, rx) = mpsc::channel();
+        let submitter = Arc::clone(&sched);
+        let thread = std::thread::spawn(move || {
+            let req = DecodeRequest {
+                prompt: vec![1, 2, 3],
+                stops: vec![0],
+                opts: greedy(4),
+                grammar: None,
+            };
+            let _ = tx.send(submitter.submit(req).map(Pending::wait));
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("submit returned");
+        thread.join().expect("submitter finished");
+        assert_eq!(outcome, Err(SubmitError::ShutDown));
+        assert!(!sched.worker_ready());
+        assert_eq!(sched.load(), 0);
     }
 
     #[test]

@@ -45,9 +45,7 @@ pub use checkpoint::{load_checkpoint, save_checkpoint, LoadCheckpointError};
 pub use config::ModelConfig;
 pub use decode::{GenerationOptions, LmTextGenerator, Strategy, TextGenerator};
 pub use ngram::{NgramLm, NgramTextGenerator};
-pub use prefix_cache::{
-    CachedPrefix, PrefixCacheConfig, PrefixCacheStats, PrefixKvCache, PrefixPin,
-};
+pub use prefix_cache::{PrefixCacheStats, PrefixKvCache};
 pub use replica::{PoolStats, ReplicaPool};
 pub use retrieval::RetrievalModel;
 pub use speculative::SpeculativeConfig;

@@ -1,5 +1,6 @@
-//! Radix-tree prefix KV cache: copy-on-write reuse of prompt KV state
-//! across requests.
+//! Prefix KV cache: an exact index over the K/V pages live sequences
+//! already hold, so a prompt that repeats a cached prefix starts out holding
+//! those very pages.
 //!
 //! Every Wisdom prompt is built from a shared scaffold — the
 //! `- name: <NL>` completion format plus, for the context-carrying
@@ -8,304 +9,144 @@
 //! at position `t` depends only on tokens `0..=t`, so two prompts that
 //! share a prefix share the prefix's K/V rows *exactly*.
 //!
-//! [`PrefixKvCache`] exploits that with a radix tree (compressed trie)
-//! keyed by token sequences. Each edge owns an immutable [`Segment`]: the
-//! edge's token run plus the per-layer K/V rows those positions produced.
-//! [`PrefixKvCache::lookup`] walks the tree and returns the longest cached
-//! prefix of an incoming window; [`PrefixKvCache::prefill`] splices those
-//! rows into a fresh [`KvCache`] and runs
-//! [`TransformerLm::prefill_continue`] over the *suffix only*.
+//! A sequence's [`KvCache`] is a run of fixed-size pages. [`PrefixKvCache`]
+//! maps `(parent page id, the page's tokens)` to a full page and stores the
+//! same `Arc` the sequence holds. The parent id stands for the parent's key
+//! in turn, so a key names the whole token run up to the page's end at its
+//! positions; ids are minted per registered page and never reused, so no
+//! key can name a page computed from other tokens.
+//! [`PrefixKvCache::lookup`] clones the longest indexed run of a window's
+//! pages into a fresh cache, no rows copied; [`PrefixKvCache::prefill`]
+//! then runs [`TransformerLm::prefill_continue`] over the suffix only and
+//! indexes the window's full pages (the partial last page stays private).
 //!
-//! Copy-on-write discipline: segments are shared as `Arc<Segment>` and
-//! never mutated — splicing copies rows out into the request's private
-//! cache, and decode appends only to that private cache, so concurrent
-//! readers and later evictions can never corrupt an in-flight sequence.
+//! Copy-on-write: a cache writes only into a page it holds alone and copies
+//! a shared one first — an indexed page always counts as shared — so no
+//! sequence ever sees another's rows change, whatever the index evicts.
 //!
-//! Eviction is byte-budget LRU, leaf-first (an inner node's rows are a
-//! prefix of its children's, so leaves always go first), and pin-aware: a
-//! segment also held outside the tree — by a [`CachedPrefix`] being
-//! spliced or a [`PrefixPin`] owned by an in-flight sequence — is pinned
-//! and skipped. When everything over budget is pinned, eviction stops
-//! rather than stall admission; the budget is re-enforced on the next
-//! insert.
+//! Holder counts: each indexed page counts the caches holding it, moved
+//! when a cache takes, clones or drops the page (the one hook between the
+//! two). A held page is pinned. Eviction keeps the bytes within budget by
+//! taking the least-recently-used unheld page, deepest first when recency
+//! is equal (a walk touches a page with all its ancestors, so a parent is
+//! never older than its child). When everything left is held it stops; the
+//! budget is re-enforced on the next insert and whenever a holder lets go.
 //!
-//! Bookkeeping costs what the request touches, never what the tree holds:
-//! `bytes`, the segment count and the pinned bytes are counters kept at the
-//! sites that change them, and the eviction order is an ordered set of the
-//! unpinned leaves keyed by `(last_used, slot)`, updated whenever a node's
-//! recency, children or pins change. No operation walks the slab.
+//! Bookkeeping costs what the request touches, never what the index holds:
+//! `bytes` and the pinned bytes are counters kept at the sites that change
+//! them, the page count is the map's length, and the eviction order is an
+//! ordered set of exactly the unheld pages. No operation walks the index.
 //!
 //! Position-exactness: cached rows bake in their absolute position (the
 //! model adds `pos_emb` rows by index), and prefill always starts at
-//! position 0 of the *left-truncated* generation window. Keying the tree
+//! position 0 of the *left-truncated* generation window. Keying the index
 //! by that window means a prompt longer than the context window is
 //! automatically re-keyed by its truncated tail — a truncated window never
 //! matches the untruncated prefix of a shorter prompt byte-for-byte unless
 //! the token runs (and therefore the positions) really are identical.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 use crate::telemetry::PrefixCacheTelemetry;
-use crate::transformer::{KvCache, TransformerLm};
-
-/// Sizing for a [`PrefixKvCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefixCacheConfig {
-    /// Byte budget for tree-owned K/V segments; eviction keeps the total at
-    /// or under this (except for bytes pinned by in-flight sequences).
-    pub max_bytes: usize,
-}
-
-impl Default for PrefixCacheConfig {
-    fn default() -> Self {
-        Self {
-            max_bytes: 64 << 20,
-        }
-    }
-}
+use crate::transformer::{KvCache, Page, PageRef, TransformerLm, PAGE_TOKENS};
 
 /// Counters surfaced through `GET /v1/stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefixCacheStats {
-    /// Lookups that matched at least one cached token.
+    /// Lookups that matched at least one page.
     pub hits: u64,
     /// Lookups that matched nothing.
     pub misses: u64,
     /// Total prompt tokens served from cache instead of recomputed.
     pub hit_tokens: u64,
-    /// Segments discarded by LRU eviction.
+    /// Pages discarded by LRU eviction.
     pub evicted_segments: u64,
-    /// Bytes currently owned by the tree.
+    /// Bytes of the indexed pages (K/V rows plus their key tokens).
     pub bytes: usize,
-    /// Segments currently in the tree.
+    /// Pages currently indexed.
     pub segments: usize,
     /// The configured byte budget.
     pub budget_bytes: usize,
 }
 
-/// One radix-tree edge's payload: an immutable token run and the per-layer
-/// K/V rows those positions produced. Shared via `Arc`, never mutated.
+/// An indexed page's key: its parent's id (0 for a window's first page)
+/// and its own tokens.
+type Key = (u64, [u32; PAGE_TOKENS]);
+
+fn key(parent: u64, tokens: &[u32]) -> Key {
+    (parent, tokens.try_into().expect("one page of tokens"))
+}
+
+/// Bytes an indexed page accounts for: its K/V rows plus its key's tokens.
+fn page_bytes(page: &Page) -> usize {
+    page.bytes() + PAGE_TOKENS * std::mem::size_of::<u32>()
+}
+
+struct Entry {
+    page: Arc<Page>,
+    id: u64,
+    /// Pages before it in a window.
+    depth: usize,
+    /// Logical LRU clock value of the last lookup/insert reaching it.
+    last_used: u64,
+    /// Caches holding the page.
+    holders: usize,
+}
+
+/// Where a registered page sits: the index and the key it is filed under.
 #[derive(Debug)]
-struct Segment {
-    tokens: Vec<u32>,
-    /// Row width (`d_model`).
-    d: usize,
-    /// Per-layer keys, `tokens.len() * d` floats each.
-    k: Vec<Vec<f32>>,
-    /// Per-layer values, same shape as `k`.
-    v: Vec<Vec<f32>>,
-}
-
-impl Segment {
-    fn rows(&self) -> usize {
-        self.tokens.len()
-    }
-
-    /// Heap bytes owned by this segment (tokens + K/V floats).
-    fn bytes(&self) -> usize {
-        let floats: usize = self.k.iter().chain(self.v.iter()).map(Vec::len).sum();
-        floats * std::mem::size_of::<f32>() + self.tokens.len() * std::mem::size_of::<u32>()
-    }
-
-    /// Rows `from..to` of `cache`, labeled with the matching `tokens` run.
-    fn from_cache(cache: &KvCache, tokens: &[u32], from: usize, to: usize) -> Segment {
-        let d = cache.d;
-        let slice = |layers: &[Vec<f32>]| -> Vec<Vec<f32>> {
-            layers
-                .iter()
-                .map(|layer| layer[from * d..to * d].to_vec())
-                .collect()
-        };
-        Segment {
-            tokens: tokens.to_vec(),
-            d,
-            k: slice(&cache.k),
-            v: slice(&cache.v),
-        }
-    }
-
-    /// Rows `from..to` of this segment as a new segment.
-    fn slice(&self, from: usize, to: usize) -> Segment {
-        let d = self.d;
-        let slice = |layers: &[Vec<f32>]| -> Vec<Vec<f32>> {
-            layers
-                .iter()
-                .map(|layer| layer[from * d..to * d].to_vec())
-                .collect()
-        };
-        Segment {
-            tokens: self.tokens[from..to].to_vec(),
-            d,
-            k: slice(&self.k),
-            v: slice(&self.v),
-        }
-    }
-}
-
-/// References into the tree held outside it: each entry is the slot a
-/// segment was taken from and the segment itself. A slot whose node still
-/// carries that very segment is pinned by the entry; one whose node was
-/// split or evicted since (the segment is then an orphaned copy) is not.
-#[derive(Default)]
-struct Pins {
-    held: Vec<(NodeId, Arc<Segment>)>,
-    /// The tree to account the release against; dangling for the empty
-    /// pin of a cache-less admission.
+pub(crate) struct Registration {
     core: Weak<Core>,
+    key: Key,
 }
 
-impl Pins {
-    /// Gives the references back, then evicts down to the budget when
-    /// `evict` is set. Runs from `Drop`, so it never panics: a cache that
-    /// is gone or poisoned has no accounting left to keep.
-    fn release(&mut self, evict: bool) {
-        if self.held.is_empty() {
-            return;
-        }
-        let held = std::mem::take(&mut self.held);
+impl Registration {
+    /// One more cache holds the page.
+    pub(crate) fn hold(&self) {
+        self.with_index(|inner, _| {
+            inner.update(&self.key, |e| e.holders += 1);
+        });
+    }
+
+    /// A cache let go of the page, which may now be evictable: eviction
+    /// re-runs.
+    pub(crate) fn release(&self) {
+        self.with_index(|inner, budget| {
+            inner.update(&self.key, |e| e.holders = e.holders.saturating_sub(1));
+            inner.evict_to_budget(budget);
+        });
+    }
+
+    /// Runs `f` on the index, then republishes its gauges. Called from a
+    /// page hold's `Clone` and `Drop`, so it never panics: an index that is
+    /// gone or poisoned has no accounting left to keep.
+    fn with_index(&self, f: impl FnOnce(&mut Inner, usize)) {
         let Some(core) = self.core.upgrade() else {
             return;
         };
         let Ok(mut inner) = core.inner.lock() else {
             return;
         };
-        for (id, seg) in &held {
-            inner.unpin(*id, seg);
-        }
-        if evict {
-            inner.evict_to_budget(core.max_bytes);
-        }
+        f(&mut inner, core.max_bytes);
         inner.publish_gauges();
     }
 }
 
-/// The longest cached prefix of a looked-up window: a run of segments (the
-/// last possibly used only partially) totalling [`CachedPrefix::len`]
-/// tokens. Holding this pins the segments against eviction.
-pub struct CachedPrefix {
-    /// The segments along the tree path.
-    pins: Pins,
-    /// Rows used of each segment in `pins`.
-    rows: Vec<usize>,
-    len: usize,
-}
-
-impl CachedPrefix {
-    /// Number of prompt tokens this prefix covers.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the prefix covers no tokens (lookup never returns this).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Copies the cached rows into `cache` (which must be empty): the
-    /// copy-on-write read side. The tree's segments stay untouched; the
-    /// request's decode appends only to its private `cache`.
-    pub(crate) fn splice_into(&self, cache: &mut KvCache) {
-        debug_assert!(cache.is_empty(), "splice target must be fresh");
-        for ((_, seg), rows) in self.pins.held.iter().zip(&self.rows) {
-            debug_assert_eq!(seg.k.len(), cache.k.len(), "layer count");
-            let d = seg.d;
-            for (dst, src) in cache.k.iter_mut().zip(seg.k.iter()) {
-                dst.extend_from_slice(&src[..rows * d]);
-            }
-            for (dst, src) in cache.v.iter_mut().zip(seg.v.iter()) {
-                dst.extend_from_slice(&src[..rows * d]);
-            }
-        }
-    }
-}
-
-impl Drop for CachedPrefix {
-    fn drop(&mut self) {
-        // Unpins only: the budget is enforced by inserts and by the pins
-        // of retiring sequences, never by a reader letting go.
-        self.pins.release(false);
-    }
-}
-
-impl fmt::Debug for CachedPrefix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CachedPrefix")
-            .field("len", &self.len)
-            .field("segments", &self.pins.held.len())
-            .finish()
-    }
-}
-
-/// Pins the tree segments backing one in-flight sequence: while this is
-/// alive, eviction skips them. Dropping the pin — when the sequence
-/// retires — releases the segments and re-runs eviction, so bytes parked
-/// over budget by pinned admissions are reclaimed as soon as the pins go
-/// away.
-#[derive(Default)]
-pub struct PrefixPin {
-    pins: Pins,
-}
-
-impl Drop for PrefixPin {
-    fn drop(&mut self) {
-        // Released *before* evicting, so the segments this pin protected
-        // become candidates.
-        self.pins.release(true);
-    }
-}
-
-impl fmt::Debug for PrefixPin {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PrefixPin")
-            .field("segments", &self.pins.held.len())
-            .finish()
-    }
-}
-
-/// Slab index of a live radix-tree node.
-type NodeId = usize;
-
-const ROOT: NodeId = 0;
-
-struct Node {
-    seg: Arc<Segment>,
-    parent: NodeId,
-    /// Child edges keyed by their first token (edges of one node never
-    /// share a first token, so one lookup step is one map probe).
-    children: BTreeMap<u32, NodeId>,
-    /// Logical LRU clock value of the last lookup/insert touching this
-    /// node's path.
-    last_used: u64,
-    /// Live [`CachedPrefix`] / [`PrefixPin`] references to `seg` itself
-    /// (a split replaces `seg` and starts again from zero).
-    pins: usize,
-}
-
-impl Node {
-    /// Whether eviction may take this node, stored in slot `id`.
-    fn evictable(&self, id: NodeId) -> bool {
-        id != ROOT && self.children.is_empty() && self.pins == 0
-    }
-}
-
 struct Inner {
-    /// Slab of nodes; `None` entries are free slots. `nodes[ROOT]` is the
-    /// empty-segment root and is never evicted.
-    nodes: Vec<Option<Node>>,
-    free: Vec<NodeId>,
-    /// Bytes owned by tree segments (pinned copies held by readers after a
-    /// split/evict are the readers' responsibility, not the tree's).
+    pages: HashMap<Key, Entry>,
+    /// Eviction order: `(last_used, Reverse(depth), key)` of exactly the
+    /// unheld pages. Every change to a page's recency or holders goes
+    /// through [`Inner::update`], which keeps this in step.
+    lru: BTreeSet<(u64, Reverse<usize>, Key)>,
+    /// The last page id minted.
+    last_id: u64,
+    /// Bytes of the indexed pages.
     bytes: usize,
-    /// Live nodes other than the root.
-    segments: usize,
-    /// Bytes of the segments with at least one pin.
+    /// Bytes of the indexed pages with at least one holder.
     pinned_bytes: usize,
-    /// Eviction order: `(last_used, slot)` of exactly the evictable nodes.
-    /// Every change to a node's recency, children or pins goes through
-    /// [`Inner::update`], which keeps this in step.
-    lru: BTreeSet<(u64, NodeId)>,
     /// Logical LRU clock, bumped per lookup/insert.
     tick: u64,
     hits: u64,
@@ -315,7 +156,7 @@ struct Inner {
     /// Registry handles mirroring the counters above; updated at the same
     /// sites, under the same lock. `None` until the server attaches them.
     telemetry: Option<PrefixCacheTelemetry>,
-    /// Slab slots read or written so far: what the work-bound test counts.
+    /// Pages read or written so far: what the work-bound test counts.
     #[cfg(test)]
     visits: std::cell::Cell<u64>,
 }
@@ -326,159 +167,90 @@ impl Inner {
         self.visits.set(self.visits.get() + 1);
     }
 
-    fn node(&self, id: NodeId) -> &Node {
+    /// Applies `change` to `key`'s page, if indexed, moving it into, out of
+    /// or within the eviction order and the pinned bytes as the change
+    /// demands.
+    fn update<R>(&mut self, key: &Key, change: impl FnOnce(&mut Entry) -> R) -> Option<R> {
         self.visit();
-        self.nodes[id].as_ref().expect("live node")
+        let entry = self.pages.get_mut(key)?;
+        let rank = |e: &Entry| (e.last_used, Reverse(e.depth), *key);
+        let (was_held, before) = (entry.holders > 0, rank(entry));
+        let out = change(entry);
+        let (held, bytes) = (entry.holders > 0, page_bytes(&entry.page));
+        if !was_held {
+            self.lru.remove(&before);
+        }
+        if !held {
+            self.lru.insert(rank(entry));
+        }
+        match (was_held, held) {
+            (false, true) => self.pinned_bytes += bytes,
+            (true, false) => self.pinned_bytes -= bytes,
+            _ => {}
+        }
+        Some(out)
     }
 
-    /// Applies `change` to node `id`, moving it into, out of or within the
-    /// eviction order as the change demands.
-    fn update<R>(&mut self, id: NodeId, change: impl FnOnce(&mut Node) -> R) -> R {
-        self.visit();
-        let node = self.nodes[id].as_mut().expect("live node");
-        if node.evictable(id) {
-            self.lru.remove(&(node.last_used, id));
-        }
-        let out = change(node);
-        if node.evictable(id) {
-            self.lru.insert((node.last_used, id));
-        }
-        out
+    /// Files `page` under `key` with a fresh id, held by every cache that
+    /// holds it now, and returns the id.
+    fn register(&mut self, key: Key, depth: usize, tick: u64, page: Arc<Page>) -> u64 {
+        self.last_id += 1;
+        let holders = Arc::strong_count(&page) - 1;
+        self.bytes += page_bytes(&page);
+        self.lru.insert((tick, Reverse(depth), key));
+        self.pages.insert(
+            key,
+            Entry {
+                page,
+                id: self.last_id,
+                depth,
+                last_used: tick,
+                holders: 0,
+            },
+        );
+        self.update(&key, |e| e.holders = holders);
+        self.last_id
     }
 
-    /// Stores `node`, which the caller has yet to link to its parent.
-    fn alloc(&mut self, node: Node) -> NodeId {
-        self.visit();
-        self.segments += 1;
-        if let Some(id) = self.free.pop() {
-            self.nodes[id] = Some(node);
-            id
-        } else {
-            self.nodes.push(Some(node));
-            self.nodes.len() - 1
-        }
-    }
-
-    /// Takes one more reference to `id`'s segment for a holder outside
-    /// the tree, and marks the node used at `tick`.
-    fn pin(&mut self, id: NodeId, tick: u64) -> Arc<Segment> {
-        let (seg, pins) = self.update(id, |node| {
-            node.last_used = tick;
-            node.pins += 1;
-            (Arc::clone(&node.seg), node.pins)
-        });
-        if pins == 1 {
-            self.pinned_bytes += seg.bytes();
-        }
-        seg
-    }
-
-    /// Gives back a reference [`Inner::pin`] handed out. A node that was
-    /// split or evicted since no longer carries `seg` (the slot may even
-    /// hold another node by now); the holder's copy pinned nothing then.
-    fn unpin(&mut self, id: NodeId, seg: &Arc<Segment>) {
-        self.visit();
-        let carried = self
-            .nodes
-            .get(id)
-            .and_then(Option::as_ref)
-            .is_some_and(|node| Arc::ptr_eq(&node.seg, seg));
-        if !carried {
-            return;
-        }
-        let pins = self.update(id, |node| {
-            node.pins -= 1;
-            node.pins
-        });
-        if pins == 0 {
-            self.pinned_bytes -= seg.bytes();
-        }
-    }
-
-    /// Splits `id`'s edge after `at` rows: `id` keeps the upper `at` rows
-    /// and gains a single child holding the remainder (and `id`'s former
-    /// children). Readers holding the old `Arc<Segment>` keep a valid
-    /// (now untracked) copy — copy-on-write at the tree-structure level —
-    /// so neither half starts out pinned. Both halves are used at `tick`:
-    /// the walk that splits a node has just reached it.
-    fn split(&mut self, id: NodeId, at: usize, tick: u64) {
-        let node = self.node(id);
-        debug_assert!(0 < at && at < node.seg.rows(), "split strictly inside");
-        let upper = Arc::new(node.seg.slice(0, at));
-        let lower = Arc::new(node.seg.slice(at, node.seg.rows()));
-        let old_bytes = node.seg.bytes();
-        self.bytes += upper.bytes() + lower.bytes();
-        self.bytes -= old_bytes;
-        let lower_first = lower.tokens[0];
-        let lower_id = self.alloc(Node {
-            seg: lower,
-            parent: id,
-            children: BTreeMap::new(),
-            last_used: tick,
-            pins: 0,
-        });
-        let (moved, was_pinned) = self.update(id, |node| {
-            node.seg = upper;
-            node.last_used = tick;
-            let moved = std::mem::replace(
-                &mut node.children,
-                BTreeMap::from([(lower_first, lower_id)]),
-            );
-            (moved, std::mem::take(&mut node.pins) > 0)
-        });
-        if was_pinned {
-            self.pinned_bytes -= old_bytes;
-        }
-        for &child in moved.values() {
-            self.visit();
-            self.nodes[child].as_mut().expect("live node").parent = lower_id;
-        }
-        self.update(lower_id, |lower| lower.children = moved);
-    }
-
-    /// Evicts least-recently-used unpinned leaves (ties to the lower slot)
+    /// Evicts least-recently-used unheld pages (deepest first among equals)
     /// until `bytes <= budget` or nothing evictable remains (everything
-    /// left is pinned).
+    /// left is held).
     fn evict_to_budget(&mut self, budget: usize) {
         while self.bytes > budget {
-            let Some((_, id)) = self.lru.pop_first() else {
+            let Some((_, _, key)) = self.lru.pop_first() else {
                 break;
             };
             self.visit();
-            let node = self.nodes[id].take().expect("victim is live");
-            self.free.push(id);
-            self.bytes -= node.seg.bytes();
-            self.segments -= 1;
+            let entry = self.pages.remove(&key).expect("ranked pages are indexed");
+            self.bytes -= page_bytes(&entry.page);
             self.evicted_segments += 1;
             if let Some(t) = &self.telemetry {
                 t.evicted_segments.inc();
             }
-            let first = node.seg.tokens[0];
-            self.update(node.parent, |parent| parent.children.remove(&first));
         }
     }
 
-    /// Republishes the tree-shape gauges (bytes, segment count, pinned
-    /// bytes) into the registry handles. Called under the cache lock after
-    /// any mutation that can change them.
+    /// Republishes the index-shape gauges (bytes, page count, pinned bytes)
+    /// into the registry handles. Called under the cache lock after any
+    /// mutation that can change them.
     fn publish_gauges(&self) {
         let Some(t) = &self.telemetry else { return };
         t.bytes.set(self.bytes as f64);
-        t.segments.set(self.segments as f64);
+        t.segments.set(self.pages.len() as f64);
         t.pinned_bytes.set(self.pinned_bytes as f64);
     }
 }
 
-/// The lock-guarded tree plus its budget, shared between the cache handle
-/// and the weak back-references held by pins.
+/// The lock-guarded index plus its budget, shared between the cache handle
+/// and the weak back-references of registered pages.
 struct Core {
     inner: Mutex<Inner>,
     max_bytes: usize,
 }
 
-/// A shared, byte-bounded radix-tree cache of prompt-prefix KV state.
+/// A shared, byte-bounded index of prompt-prefix K/V pages.
 ///
-/// Thread-safe: one mutex guards the tree (admission is effectively
+/// Thread-safe: one mutex guards the index (admission is effectively
 /// single-threaded through the scheduler worker; the lock exists so the
 /// stats endpoint and tests can read concurrently).
 pub struct PrefixKvCache {
@@ -495,34 +267,21 @@ impl fmt::Debug for PrefixKvCache {
 
 impl Default for PrefixKvCache {
     fn default() -> Self {
-        Self::new(PrefixCacheConfig::default())
+        Self::with_budget(64 << 20)
     }
 }
 
 impl PrefixKvCache {
-    /// An empty cache with the given sizing.
-    pub fn new(cfg: PrefixCacheConfig) -> Self {
-        let root = Node {
-            seg: Arc::new(Segment {
-                tokens: Vec::new(),
-                d: 0,
-                k: Vec::new(),
-                v: Vec::new(),
-            }),
-            parent: ROOT,
-            children: BTreeMap::new(),
-            last_used: 0,
-            pins: 0,
-        };
+    /// An empty cache bounded to `max_bytes` of indexed pages.
+    pub fn with_budget(max_bytes: usize) -> Self {
         Self {
             core: Arc::new(Core {
                 inner: Mutex::new(Inner {
-                    nodes: vec![Some(root)],
-                    free: Vec::new(),
-                    bytes: 0,
-                    segments: 0,
-                    pinned_bytes: 0,
+                    pages: HashMap::new(),
                     lru: BTreeSet::new(),
+                    last_id: 0,
+                    bytes: 0,
+                    pinned_bytes: 0,
                     tick: 0,
                     hits: 0,
                     misses: 0,
@@ -532,22 +291,21 @@ impl PrefixKvCache {
                     #[cfg(test)]
                     visits: std::cell::Cell::new(0),
                 }),
-                max_bytes: cfg.max_bytes.max(1),
+                max_bytes: max_bytes.max(1),
             }),
         }
     }
 
-    /// An empty cache bounded to `max_bytes` of K/V segments.
-    pub fn with_budget(max_bytes: usize) -> Self {
-        Self::new(PrefixCacheConfig { max_bytes })
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.core.inner.lock().expect("prefix cache lock")
     }
 
     /// Attaches registry handles: every hit/miss/eviction from here on is
     /// mirrored into `telemetry` (under the cache lock, at the same sites
     /// as the internal counters), and the shape gauges are published after
-    /// every insert and every release of a prefix or a pin.
+    /// every lookup, insert and change of a page's holders.
     pub fn set_telemetry(&self, telemetry: PrefixCacheTelemetry) {
-        let mut inner = self.core.inner.lock().expect("prefix cache lock");
+        let mut inner = self.lock();
         telemetry.budget_bytes.set(self.core.max_bytes as f64);
         inner.telemetry = Some(telemetry);
         inner.publish_gauges();
@@ -555,225 +313,156 @@ impl PrefixKvCache {
 
     /// Current counters.
     pub fn stats(&self) -> PrefixCacheStats {
-        let inner = self.core.inner.lock().expect("prefix cache lock");
+        let inner = self.lock();
         PrefixCacheStats {
             hits: inner.hits,
             misses: inner.misses,
             hit_tokens: inner.hit_tokens,
             evicted_segments: inner.evicted_segments,
             bytes: inner.bytes,
-            segments: inner.segments,
+            segments: inner.pages.len(),
             budget_bytes: self.core.max_bytes,
         }
     }
 
-    /// The longest cached prefix of `window`, at most `max_tokens` long
-    /// (callers cap at `window.len() - 1` so the final position — whose
-    /// logits are not cached — is always recomputed). Returns `None` on a
-    /// zero-length match; counts a hit or miss either way.
-    pub fn lookup(&self, window: &[u32], max_tokens: usize) -> Option<CachedPrefix> {
-        let mut inner = self.core.inner.lock().expect("prefix cache lock");
+    /// Puts the longest indexed run of `window`'s pages, at most
+    /// `max_tokens` long, into `cache` (which must be empty) and returns
+    /// the tokens it covers — a whole number of pages. Callers cap at
+    /// `window.len() - 1` so the final position, whose logits are not
+    /// cached, is always recomputed. Counts a hit, or a miss when no page
+    /// matched.
+    pub fn lookup(&self, window: &[u32], max_tokens: usize, cache: &mut KvCache) -> usize {
+        debug_assert!(cache.is_empty(), "lookup fills a fresh cache");
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        let budget = max_tokens.min(window.len());
-        let mut node_id = ROOT;
-        let mut matched = 0usize;
-        let mut held: Vec<(NodeId, Arc<Segment>)> = Vec::new();
-        let mut rows: Vec<usize> = Vec::new();
-        while matched < budget {
-            let Some(&child) = inner.node(node_id).children.get(&window[matched]) else {
+        let mut parent = 0;
+        for tokens in window[..max_tokens.min(window.len())].chunks_exact(PAGE_TOKENS) {
+            let taken = inner.update(&key(parent, tokens), |e| {
+                e.last_used = tick;
+                e.holders += 1;
+                (e.id, Arc::clone(&e.page))
+            });
+            let Some((id, page)) = taken else {
                 break;
             };
-            let seg = inner.pin(child, tick);
-            let rest = &window[matched..];
-            let take = seg
-                .tokens
-                .iter()
-                .zip(rest.iter())
-                .take_while(|(a, b)| a == b)
-                .count()
-                .min(budget - matched);
-            debug_assert!(take >= 1, "child keyed by first token");
-            matched += take;
-            let whole = take == seg.rows();
-            held.push((child, seg));
-            rows.push(take);
-            if !whole {
-                break;
-            }
-            node_id = child;
+            cache.push_page(page);
+            parent = id;
         }
+        let matched = cache.len();
         if matched == 0 {
             inner.misses += 1;
             if let Some(t) = &inner.telemetry {
                 t.misses.inc();
             }
-            return None;
-        }
-        inner.hits += 1;
-        inner.hit_tokens += matched as u64;
-        if let Some(t) = &inner.telemetry {
-            t.hits.inc();
-            t.hit_tokens.add(matched as u64);
+        } else {
+            inner.hits += 1;
+            inner.hit_tokens += matched as u64;
+            if let Some(t) = &inner.telemetry {
+                t.hits.inc();
+                t.hit_tokens.add(matched as u64);
+            }
         }
         inner.publish_gauges();
-        Some(CachedPrefix {
-            pins: Pins {
-                held,
-                core: Arc::downgrade(&self.core),
-            },
-            rows,
-            len: matched,
-        })
+        matched
     }
 
-    /// The number of leading `window` tokens currently resident in the
-    /// tree, without disturbing anything: no hit/miss counters, no LRU
-    /// touch, no pinning. This is the cached-prefix summary a multi-replica
-    /// router consults when scoring replicas for prefix affinity — a probe
-    /// must not advertise itself as reuse (that would inflate the hit rate)
-    /// nor refresh recency (that would let routing queries keep segments
-    /// alive that no admission ever splices).
+    /// The number of leading `window` tokens currently indexed, without
+    /// disturbing anything: no hit/miss counters, no LRU touch, no holder.
+    /// This is the cached-prefix summary a multi-replica router consults
+    /// when scoring replicas for prefix affinity — a probe must not
+    /// advertise itself as reuse (that would inflate the hit rate) nor
+    /// refresh recency (that would let routing queries keep pages alive
+    /// that no admission ever takes).
     pub fn probe(&self, window: &[u32]) -> usize {
-        let inner = self.core.inner.lock().expect("prefix cache lock");
-        let mut node_id = ROOT;
-        let mut matched = 0usize;
-        while matched < window.len() {
-            let Some(&child) = inner.node(node_id).children.get(&window[matched]) else {
+        let inner = self.lock();
+        let mut parent = 0;
+        let mut matched = 0;
+        for tokens in window.chunks_exact(PAGE_TOKENS) {
+            inner.visit();
+            let Some(entry) = inner.pages.get(&key(parent, tokens)) else {
                 break;
             };
-            let node = inner.node(child);
-            let rest = &window[matched..];
-            let take = node
-                .seg
-                .tokens
-                .iter()
-                .zip(rest.iter())
-                .take_while(|(a, b)| a == b)
-                .count();
-            matched += take;
-            if take < node.seg.rows() {
-                break;
-            }
-            node_id = child;
+            parent = entry.id;
+            matched += PAGE_TOKENS;
         }
         matched
     }
 
-    /// Records `window`'s K/V rows (taken from `cache`, which must hold at
-    /// least `window.len()` positions) in the tree, sharing existing
-    /// segments and splitting edges where the window diverges mid-edge.
-    /// Returns a [`PrefixPin`] holding every segment on the window's path —
-    /// the caller keeps it alive for the sequence's lifetime so eviction
-    /// cannot drop state backing an in-flight decode. Evicts down to the
-    /// byte budget before returning.
-    pub fn insert(&self, window: &[u32], cache: &KvCache) -> PrefixPin {
+    /// Indexes `window`'s full pages, taken from `cache`: a cache that
+    /// [`Self::lookup`] started from this index and a prefill completed, so
+    /// it holds `window`'s positions and every page past the looked-up run
+    /// is its own. Where the index already holds a page under the same key,
+    /// the cache takes the index's page in place of its own copy, so the
+    /// cache ends up holding exactly the indexed run; the other pages are
+    /// registered as they are. The partial last page stays private. Evicts
+    /// down to the byte budget before returning.
+    pub(crate) fn insert(&self, window: &[u32], cache: &mut KvCache) {
         debug_assert!(cache.len() >= window.len(), "cache covers the window");
-        if window.is_empty() {
-            return PrefixPin::default();
-        }
-        let mut held: Vec<(NodeId, Arc<Segment>)> = Vec::new();
-        let mut inner = self.core.inner.lock().expect("prefix cache lock");
+        // Holds the cache gives up, dropped once the lock is released (a
+        // hold on a registered page reports back to its index).
+        let mut displaced = Vec::new();
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        let mut node_id = ROOT;
-        let mut matched = 0usize;
-        while matched < window.len() {
-            match inner.node(node_id).children.get(&window[matched]).copied() {
+        let mut parent = 0;
+        let pages = window.chunks_exact(PAGE_TOKENS).zip(cache.pages.iter_mut());
+        for (depth, (tokens, slot)) in pages.enumerate() {
+            let key = key(parent, tokens);
+            let indexed = inner.update(&key, |e| {
+                e.last_used = tick;
+                let other = !Arc::ptr_eq(&e.page, &slot.0);
+                e.holders += usize::from(other);
+                (e.id, other.then(|| Arc::clone(&e.page)))
+            });
+            parent = match indexed {
+                Some((id, theirs)) => {
+                    if let Some(page) = theirs {
+                        displaced.push(std::mem::replace(slot, PageRef(page)));
+                    }
+                    id
+                }
                 None => {
-                    // New leaf for the whole remainder.
-                    let seg = Arc::new(Segment::from_cache(
-                        cache,
-                        &window[matched..],
-                        matched,
-                        window.len(),
-                    ));
-                    inner.bytes += seg.bytes();
-                    inner.pinned_bytes += seg.bytes();
-                    let first = window[matched];
-                    // Born pinned by the pin being built.
-                    let leaf = inner.alloc(Node {
-                        seg: Arc::clone(&seg),
-                        parent: node_id,
-                        children: BTreeMap::new(),
-                        last_used: tick,
-                        pins: 1,
-                    });
-                    held.push((leaf, seg));
-                    inner.update(node_id, |parent| parent.children.insert(first, leaf));
-                    matched = window.len();
+                    let filed = Registration {
+                        core: Arc::downgrade(&self.core),
+                        key,
+                    };
+                    // A page this index does not hold under its key was
+                    // computed by the admission itself.
+                    slot.0.entry.set(filed).expect("a fresh page");
+                    inner.register(key, depth, tick, Arc::clone(&slot.0))
                 }
-                Some(child) => {
-                    let node = inner.node(child);
-                    let rest = &window[matched..];
-                    let lcp = node
-                        .seg
-                        .tokens
-                        .iter()
-                        .zip(rest.iter())
-                        .take_while(|(a, b)| a == b)
-                        .count();
-                    if lcp < node.seg.rows() && matched + lcp < window.len() {
-                        // Diverges mid-edge with more window to attach:
-                        // split so the shared part becomes its own node.
-                        inner.split(child, lcp, tick);
-                    }
-                    let seg = inner.pin(child, tick);
-                    matched += lcp.min(seg.rows());
-                    held.push((child, seg));
-                    if matched == window.len() || lcp == 0 {
-                        // Fully consumed (possibly mid-edge: the edge's
-                        // extra rows extend beyond the window, no split
-                        // needed) — or an impossible zero match, guarded
-                        // against looping.
-                        debug_assert!(lcp > 0, "child keyed by first token");
-                        break;
-                    }
-                    node_id = child;
-                }
-            }
+            };
         }
         inner.evict_to_budget(self.core.max_bytes);
         inner.publish_gauges();
-        PrefixPin {
-            pins: Pins {
-                held,
-                core: Arc::downgrade(&self.core),
-            },
-        }
+        drop(inner);
+        drop(displaced);
     }
 
-    /// Cache-accelerated prefill: splices the longest cached prefix of
+    /// Cache-accelerated prefill: takes the longest cached prefix of
     /// `window` into a fresh [`KvCache`], runs
     /// [`TransformerLm::prefill_continue`] over the remaining suffix only,
-    /// and records the full window back into the tree.
+    /// and indexes the window's full pages.
     ///
-    /// Returns `(cache, final-position logits, pin)`. The caller holds the
-    /// pin for the sequence's lifetime. Output is bit-identical to
-    /// `model.prefill(window)` for any cache state: cached rows are exact
-    /// copies of what the full pass would have produced at those positions.
+    /// Returns `(cache, final-position logits)`. Output is bit-identical to
+    /// `model.prefill(window)` for any cache state: the cached pages hold
+    /// exactly the rows the full pass would have produced at those
+    /// positions.
     ///
     /// # Panics
     ///
     /// Panics if `window` exceeds the model's context window or contains an
     /// out-of-vocabulary token (as [`TransformerLm::prefill`] would).
-    pub fn prefill(&self, model: &TransformerLm, window: &[u32]) -> (KvCache, Vec<f32>, PrefixPin) {
+    pub fn prefill(&self, model: &TransformerLm, window: &[u32]) -> (KvCache, Vec<f32>) {
         if window.is_empty() {
-            let (cache, logits) = model.prefill(window);
-            return (cache, logits, PrefixPin::default());
+            return model.prefill(window);
         }
-        // The final position's logits are not cached, so always leave at
-        // least one suffix token for the live pass to evaluate.
-        let hit = self.lookup(window, window.len() - 1);
         let mut cache = KvCache::new(model);
-        let matched = hit.as_ref().map_or(0, CachedPrefix::len);
-        if let Some(prefix) = &hit {
-            prefix.splice_into(&mut cache);
-        }
+        let matched = self.lookup(window, window.len() - 1, &mut cache);
         let logits = model.prefill_continue(&window[matched..], &mut cache);
-        drop(hit);
-        let pin = self.insert(window, &cache);
-        (cache, logits, pin)
+        self.insert(window, &mut cache);
+        (cache, logits)
     }
 }
 
@@ -795,147 +484,165 @@ mod tests {
         TransformerLm::new(cfg, &mut rng)
     }
 
-    #[test]
-    fn lookup_on_empty_cache_misses() {
-        let cache = PrefixKvCache::default();
-        assert!(cache.lookup(&[1, 2, 3], 2).is_none());
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (0, 1));
-        assert_eq!(s.bytes, 0);
-        assert_eq!(s.segments, 0);
+    /// Every cached K/V float of `cache`, as bits, layer by layer.
+    fn bits(cache: &KvCache) -> Vec<u32> {
+        (0..2)
+            .flat_map(|l| cache.layer(l, cache.len()).collect::<Vec<_>>())
+            .flat_map(|(k, v)| k.iter().chain(v).map(|x| x.to_bits()).collect::<Vec<_>>())
+            .collect()
+    }
+
+    /// What one indexed page weighs: measured, not derived.
+    fn one_page(model: &TransformerLm) -> usize {
+        let probe = PrefixKvCache::default();
+        let (mut kv, _) = model.prefill(&[1, 2, 3, 4]);
+        probe.insert(&[1, 2, 3, 4], &mut kv);
+        probe.stats().bytes
     }
 
     #[test]
-    fn insert_then_lookup_shares_prefix() {
+    fn lookup_on_empty_cache_misses() {
         let model = tiny_model();
         let cache = PrefixKvCache::default();
-        let window = [1u32, 2, 3, 4, 5];
-        let (kv, _) = model.prefill(&window);
-        let _pin = cache.insert(&window, &kv);
-        assert_eq!(cache.stats().segments, 1);
+        assert_eq!(
+            cache.lookup(&[1, 2, 3, 4, 5], 4, &mut KvCache::new(&model)),
+            0
+        );
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (0, 1));
+        assert_eq!((s.bytes, s.segments), (0, 0));
+    }
 
-        // Full prefix of a longer window.
-        let hit = cache.lookup(&[1, 2, 3, 4, 5, 6, 7], 6).expect("hit");
-        assert_eq!(hit.len(), 5);
-        // Partial (mid-edge) prefix.
-        let hit = cache.lookup(&[1, 2, 3, 9], 3).expect("hit");
-        assert_eq!(hit.len(), 3);
-        // Diverging first token misses.
-        assert!(cache.lookup(&[2, 2, 3], 2).is_none());
+    #[test]
+    fn insert_then_lookup_shares_whole_pages() {
+        let model = tiny_model();
+        let cache = PrefixKvCache::default();
+        let window = [1u32, 2, 3, 4, 5, 6, 7, 8, 9];
+        let (mut kv, _) = model.prefill(&window);
+        cache.insert(&window, &mut kv);
+        // Two full pages indexed; the ninth token's page stays private.
+        assert_eq!(cache.stats().segments, 2);
+        let hit = |w: &[u32], max: usize| cache.lookup(w, max, &mut KvCache::new(&model));
+        assert_eq!(hit(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10], 9), 8);
+        // Capped inside the second page: the first page only.
+        assert_eq!(hit(&[1, 2, 3, 4, 5, 6, 7, 8], 7), 4);
+        // Diverging inside the second page: the first page only.
+        assert_eq!(hit(&[1, 2, 3, 4, 5, 6, 0, 8, 9], 8), 4);
+        // Less than a page matched, or a diverging first token: misses.
+        assert_eq!(hit(&[1, 2, 3, 0, 5], 4), 0);
+        assert_eq!(hit(&[1, 2, 3, 4], 3), 0);
+        assert_eq!(hit(&[2, 2, 3, 4, 5], 4), 0);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.hit_tokens), (3, 3, 16));
     }
 
     #[test]
     fn probe_reports_resident_prefix_without_touching_stats() {
         let model = tiny_model();
         let cache = PrefixKvCache::default();
-        let window = [1u32, 2, 3, 4, 5];
-        let (kv, _) = model.prefill(&window);
-        let _pin = cache.insert(&window, &kv);
+        let window = [1u32, 2, 3, 4, 5, 6, 7, 8];
+        let (mut kv, _) = model.prefill(&window);
+        cache.insert(&window, &mut kv);
         let before = cache.stats();
 
-        // Full residency, mid-edge partial match, and a clean miss.
-        assert_eq!(cache.probe(&[1, 2, 3, 4, 5, 6, 7]), 5);
-        assert_eq!(cache.probe(&[1, 2, 3, 9]), 3);
-        assert_eq!(cache.probe(&[2, 2, 3]), 0);
+        // Full residency, a page-granular partial match, and clean misses.
+        assert_eq!(cache.probe(&[1, 2, 3, 4, 5, 6, 7, 8, 9]), 8);
+        assert_eq!(cache.probe(&[1, 2, 3, 4, 5, 9]), 4);
+        assert_eq!(cache.probe(&[1, 2, 3]), 0);
+        assert_eq!(cache.probe(&[2, 2, 3, 4]), 0);
         assert_eq!(cache.probe(&[]), 0);
 
         // Probing is invisible: no hit/miss movement, no byte churn.
-        let after = cache.stats();
-        assert_eq!(
-            (before.hits, before.misses, before.hit_tokens, before.bytes),
-            (after.hits, after.misses, after.hit_tokens, after.bytes)
-        );
+        assert_eq!(cache.stats(), before);
     }
 
     #[test]
-    fn insert_splits_edges_and_preserves_rows() {
+    fn a_warm_admission_holds_the_index_pages() {
         let model = tiny_model();
         let cache = PrefixKvCache::default();
-        let a = [1u32, 2, 3, 4, 5, 6];
-        let b = [1u32, 2, 3, 9, 9];
-        let (kv_a, _) = model.prefill(&a);
-        let (kv_b, _) = model.prefill(&b);
-        let _pa = cache.insert(&a, &kv_a);
-        let _pb = cache.insert(&b, &kv_b);
-        // Shared [1,2,3] node plus two divergent tails.
-        assert_eq!(cache.stats().segments, 3);
-        // Both windows still fully resolvable, and spliced rows match the
-        // cold prefill bit-for-bit.
-        for (w, kv) in [(&a[..], &kv_a), (&b[..], &kv_b)] {
-            let hit = cache.lookup(w, w.len()).expect("hit");
-            assert_eq!(hit.len(), w.len());
-            let mut spliced = KvCache::new(&model);
-            hit.splice_into(&mut spliced);
-            assert_eq!(spliced.len(), w.len());
-            for l in 0..spliced.k.len() {
-                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&spliced.k[l]), bits(&kv.k[l]), "layer {l} keys");
-                assert_eq!(bits(&spliced.v[l]), bits(&kv.v[l]), "layer {l} values");
-            }
+        let window = [1u32, 2, 3, 4, 5, 6, 7, 8, 9, 10];
+        let (first, _) = cache.prefill(&model, &window);
+        let (warm, logits) = cache.prefill(&model, &window);
+        let (cold, cold_logits) = model.prefill(&window);
+        let inner = cache.lock();
+        let mut parent = 0;
+        for (i, tokens) in window.chunks_exact(PAGE_TOKENS).enumerate() {
+            let entry = &inner.pages[&key(parent, tokens)];
+            // Both admissions hold the index's own page: nothing copied.
+            assert!(Arc::ptr_eq(&entry.page, &warm.pages[i].0), "page {i}");
+            assert!(Arc::ptr_eq(&entry.page, &first.pages[i].0), "page {i}");
+            assert_eq!(entry.holders, 2);
+            parent = entry.id;
         }
+        // The partial last page is each sequence's own.
+        assert!(!Arc::ptr_eq(&warm.pages[2].0, &first.pages[2].0));
+        assert_eq!(inner.pinned_bytes, inner.bytes);
+        drop(inner);
+        assert_eq!(bits(&warm), bits(&cold));
+        let to_bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(to_bits(&logits), to_bits(&cold_logits));
+        drop((first, warm));
+        assert_eq!(cache.lock().pinned_bytes, 0, "no holder left");
     }
 
     #[test]
-    fn eviction_respects_budget_and_skips_pinned() {
+    fn eviction_respects_budget_and_skips_held_pages() {
         let model = tiny_model();
-        let (kv, _) = model.prefill(&[1, 2, 3, 4]);
-        let one_window = Segment::from_cache(&kv, &[1, 2, 3, 4], 0, 4).bytes();
-        // Budget fits roughly two windows.
-        let cache = PrefixKvCache::with_budget(2 * one_window + one_window / 2);
+        let page = one_page(&model);
+        // Budget fits two pages and a half.
+        let budget = 2 * page + page / 2;
+        let cache = PrefixKvCache::with_budget(budget);
 
-        // Hold a pin on the first window; it must survive any pressure.
-        let (_kv1, _lg1, pin) = cache.prefill(&model, &[1, 2, 3, 4]);
+        // A live sequence holds the first window's page; it must survive
+        // any pressure.
+        let (held, _) = cache.prefill(&model, &[1, 2, 3, 4, 5]);
         for start in 10u32..16 {
-            let w = [start, start + 1, 2, 3];
-            let (kv, _) = model.prefill(&w);
-            drop(cache.insert(&w, &kv));
+            let w = [start, start + 1, 2, 3, 4];
+            drop(cache.prefill(&model, &w));
         }
         let s = cache.stats();
         assert!(s.evicted_segments > 0, "pressure must evict: {s:?}");
-        assert!(
-            s.bytes <= 2 * one_window + one_window / 2,
-            "over budget: {s:?}"
-        );
-        let hit = cache.lookup(&[1, 2, 3, 4, 5], 4).expect("pinned survives");
-        assert_eq!(hit.len(), 4);
-        drop(pin);
+        assert!(s.bytes <= budget, "over budget: {s:?}");
+        assert_eq!(cache.probe(&[1, 2, 3, 4, 5]), 4, "held page survives");
+        drop(held);
 
-        // Unpinned now: enough pressure evicts it too.
+        // Unheld now: enough pressure evicts it too.
         for start in 10u32..16 {
             let w = [start, start + 1, 2, 3, 4, 5];
-            let (kv, _) = model.prefill(&w);
-            drop(cache.insert(&w, &kv));
+            drop(cache.prefill(&model, &w));
         }
-        assert!(cache.stats().bytes <= 2 * one_window + one_window / 2);
+        assert!(cache.stats().bytes <= budget);
+        assert_eq!(cache.probe(&[1, 2, 3, 4, 5]), 0);
     }
 
     #[test]
-    fn admission_work_is_independent_of_resident_segments() {
+    fn admission_work_is_independent_of_resident_pages() {
         let model = tiny_model();
-        let (kv, _) = model.prefill(&[1, 2, 3, 4]);
-        let one_window = Segment::from_cache(&kv, &[1, 2, 3, 4], 0, 4).bytes();
-        // Slab slots touched by two admissions against a cache exactly
-        // full with `resident` single-segment windows: a cold one (miss,
-        // new leaf, one victim, pin released) and a warm one (hit on the
-        // newest window's head, edge split, new leaf, victims, release).
+        let page = one_page(&model);
+        // Index entries touched by two admissions against a cache exactly
+        // full with `resident` one-page windows: a cold one (miss, new
+        // page, one victim, release) and a warm one (hit on the newest
+        // window's page, new page, victims, release).
         let visits = |resident: u32| {
-            let cache = PrefixKvCache::with_budget(resident as usize * one_window);
+            let cache = PrefixKvCache::with_budget(resident as usize * page);
+            // A distinct first page per tag (the vocabulary is 20 tokens).
+            let head = |tag: u32| [tag % 20, tag / 20 % 20, tag / 400 % 20, tag / 8000 + 1];
             for tag in 0..resident {
-                drop(cache.insert(&[100 + tag, 2, 3, 4], &kv));
+                let [a, b, c, d] = head(tag);
+                drop(cache.prefill(&model, &[a, b, c, d, 0]));
             }
             let full = cache.stats();
             assert_eq!(
                 (full.segments, full.evicted_segments),
                 (resident as usize, 0)
             );
-            let count = || cache.core.inner.lock().unwrap().visits.get();
+            let count = || cache.lock().visits.get();
             let before = count();
-            assert!(cache.lookup(&[7, 2, 3, 4], 3).is_none());
-            drop(cache.insert(&[7, 2, 3, 4], &kv));
-            let warm = [100 + resident - 1, 2, 9, 9];
-            assert_eq!(cache.lookup(&warm, 3).expect("head resident").len(), 2);
-            drop(cache.insert(&warm, &kv));
+            drop(cache.prefill(&model, &[7, 7, 7, 7, 7]));
+            let [a, b, c, d] = head(resident - 1);
+            drop(cache.prefill(&model, &[a, b, c, d, 9, 9, 9, 9, 9]));
             assert!(cache.stats().evicted_segments >= 2, "both admissions evict");
+            assert_eq!(cache.stats().hit_tokens, 4, "the warm one hit");
             count() - before
         };
         assert_eq!(visits(8), visits(8192));
@@ -946,22 +653,21 @@ mod tests {
         let registry = wisdom_telemetry::Registry::new();
         let telemetry = PrefixCacheTelemetry::register(&registry);
         let model = tiny_model();
-        let (kv, _) = model.prefill(&[1, 2, 3, 4]);
-        let one_window = Segment::from_cache(&kv, &[1, 2, 3, 4], 0, 4).bytes();
-        let cache = PrefixKvCache::with_budget(2 * one_window + one_window / 2);
+        let page = one_page(&model);
+        let cache = PrefixKvCache::with_budget(2 * page + page / 2);
         cache.set_telemetry(telemetry.clone());
         assert!((telemetry.budget_bytes.get() - cache.stats().budget_bytes as f64).abs() < 0.5);
 
         // One miss, one insert, one hit — then eviction pressure.
-        assert!(cache.lookup(&[1, 2, 3], 2).is_none());
-        let (_kv, _lg, pin) = cache.prefill(&model, &[1, 2, 3, 4]);
-        assert!(cache.lookup(&[1, 2, 3, 4, 5], 4).is_some());
-        assert!(telemetry.pinned_bytes.get() > 0.0, "live pin shows up");
-        drop(pin);
+        let (held, _) = cache.prefill(&model, &[1, 2, 3, 4, 5]);
+        assert_eq!(
+            cache.lookup(&[1, 2, 3, 4, 5], 4, &mut KvCache::new(&model)),
+            4
+        );
+        assert!(telemetry.pinned_bytes.get() > 0.0, "a live holder shows up");
+        drop(held);
         for start in 10u32..16 {
-            let w = [start, start + 1, 2, 3];
-            let (kv, _) = model.prefill(&w);
-            drop(cache.insert(&w, &kv));
+            drop(cache.prefill(&model, &[start, start + 1, 2, 3, 4]));
         }
 
         let s = cache.stats();
@@ -974,7 +680,7 @@ mod tests {
         assert!((telemetry.segments.get() - s.segments as f64).abs() < 0.5);
         assert!(
             (telemetry.pinned_bytes.get() - 0.0).abs() < 0.5,
-            "all pins released"
+            "every holder let go"
         );
     }
 
@@ -987,20 +693,22 @@ mod tests {
             vec![1, 2, 3, 4, 9, 9],
             vec![1, 2, 3],
             vec![1, 2, 3, 4, 5, 6, 7, 8],
+            vec![1, 2, 3, 4, 5, 6, 7, 8, 1, 2],
             vec![],
             vec![4],
         ];
         for round in 0..2 {
             for w in &windows {
                 let (kv_cold, lg_cold) = model.prefill(w);
-                let (kv_warm, lg_warm, _pin) = cache.prefill(&model, w);
-                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&lg_cold), bits(&lg_warm), "round {round} window {w:?}");
+                let (kv_warm, lg_warm) = cache.prefill(&model, w);
+                let to_bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    to_bits(&lg_cold),
+                    to_bits(&lg_warm),
+                    "round {round} window {w:?}"
+                );
                 assert_eq!(kv_cold.len(), kv_warm.len());
-                for l in 0..kv_cold.k.len() {
-                    assert_eq!(bits(&kv_cold.k[l]), bits(&kv_warm.k[l]));
-                    assert_eq!(bits(&kv_cold.v[l]), bits(&kv_warm.v[l]));
-                }
+                assert_eq!(bits(&kv_cold), bits(&kv_warm), "round {round} window {w:?}");
             }
         }
         let s = cache.stats();

@@ -168,12 +168,12 @@ pub struct PrefixCacheTelemetry {
     pub hit_tokens: Arc<Counter>,
     /// `wisdom_prefix_cache_evicted_segments_total`.
     pub evicted_segments: Arc<Counter>,
-    /// `wisdom_prefix_cache_bytes` — bytes currently owned by the tree.
+    /// `wisdom_prefix_cache_bytes` — bytes of the pages currently indexed.
     pub bytes: Arc<Gauge>,
-    /// `wisdom_prefix_cache_segments` — segments currently in the tree.
+    /// `wisdom_prefix_cache_segments` — pages currently indexed.
     pub segments: Arc<Gauge>,
-    /// `wisdom_prefix_cache_pinned_bytes` — bytes pinned by in-flight
-    /// sequences (eviction-exempt).
+    /// `wisdom_prefix_cache_pinned_bytes` — bytes of indexed pages that
+    /// in-flight sequences hold (eviction-exempt).
     pub pinned_bytes: Arc<Gauge>,
     /// `wisdom_prefix_cache_budget_bytes` — the configured byte budget.
     pub budget_bytes: Arc<Gauge>,
@@ -207,22 +207,22 @@ impl PrefixCacheTelemetry {
             ),
             evicted_segments: registry.counter_with(
                 "wisdom_prefix_cache_evicted_segments_total",
-                "Prefix-cache segments discarded by LRU eviction.",
+                "Prefix-cache pages discarded by LRU eviction.",
                 labels,
             ),
             bytes: registry.gauge_with(
                 "wisdom_prefix_cache_bytes",
-                "Bytes currently owned by the prefix-cache tree.",
+                "Bytes of the pages the prefix cache indexes.",
                 labels,
             ),
             segments: registry.gauge_with(
                 "wisdom_prefix_cache_segments",
-                "Segments currently in the prefix-cache tree.",
+                "Pages the prefix cache indexes.",
                 labels,
             ),
             pinned_bytes: registry.gauge_with(
                 "wisdom_prefix_cache_pinned_bytes",
-                "Prefix-cache bytes pinned by in-flight sequences.",
+                "Prefix-cache bytes held by in-flight sequences.",
                 labels,
             ),
             budget_bytes: registry.gauge_with(

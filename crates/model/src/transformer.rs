@@ -2,7 +2,7 @@
 //! stand-in), with a tape-based training path and a fast KV-cache inference
 //! path.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use wisdom_prng::Prng;
 use wisdom_tensor::kernels::{
@@ -16,6 +16,7 @@ use wisdom_grammar::{GrammarCursor, GrammarIndex};
 
 use crate::config::ModelConfig;
 use crate::decode::{GenerationOptions, Strategy};
+use crate::prefix_cache::Registration;
 use crate::telemetry::{FinishReason, GrammarTelemetry, QuantTelemetry};
 
 /// Numeric precision of the weight matrices the inference path multiplies
@@ -642,9 +643,9 @@ impl TransformerLm {
     /// next-token logits for the final position.
     ///
     /// This is the inference fast path: QKV and MLP projections are single
-    /// `T×d` matmuls instead of `T` matvecs, K/V land in the cache in one
-    /// `extend_from_slice` per layer, and the LM-head projection is computed
-    /// only for the last position. Results are bit-identical to
+    /// `T×d` matmuls instead of `T` matvecs, K/V land in the cache's pages
+    /// row by row, and the LM-head projection is computed only for the last
+    /// position. Results are bit-identical to
     /// [`Self::prefill_sequential`] — both are the one forward body, which
     /// accumulates every output element in the same order at any row count.
     ///
@@ -668,8 +669,8 @@ impl TransformerLm {
     /// rows' logits are never consumed during prefill, so their `d×vocab`
     /// projections are skipped).
     ///
-    /// This is the prefix-cache fast path: when the leading tokens of a
-    /// prompt window were spliced from
+    /// This is the prefix-cache fast path: when the leading pages of a
+    /// prompt window came from
     /// [`PrefixKvCache`](crate::PrefixKvCache), only the remaining suffix
     /// pays for QKV/MLP projections. Because a K/V row at position `t`
     /// depends only on tokens `0..=t` — and the kernels accumulate every
@@ -774,6 +775,10 @@ impl TransformerLm {
                 }
             }
         }
+        // Every token checked: the caches grow to hold the pass's rows.
+        for seq in seqs.iter_mut() {
+            seq.cache.grow(seq.tokens.len());
+        }
 
         for (l, b) in self.blocks.iter().enumerate() {
             let qb = self.qblock(l);
@@ -788,14 +793,14 @@ impl TransformerLm {
             let mut r0 = 0;
             for seq in seqs.iter_mut() {
                 let r1 = r0 + seq.tokens.len();
-                let start = seq.cache.k[l].len() / d;
-                seq.cache.k[l].extend_from_slice(&s.k[r0 * d..r1 * d]);
-                seq.cache.v[l].extend_from_slice(&s.v[r0 * d..r1 * d]);
+                let start = seq.cache.len() - seq.tokens.len();
+                seq.cache
+                    .write(l, start, &s.k[r0 * d..r1 * d], &s.v[r0 * d..r1 * d]);
                 for (t_len, r) in (start + 1..).zip(r0..r1) {
                     self.attend(
                         &s.q[r * d..(r + 1) * d],
-                        &seq.cache.k[l][..t_len * d],
-                        &seq.cache.v[l][..t_len * d],
+                        seq.cache.layer(l, t_len),
+                        t_len,
                         &mut s.scores,
                         &mut s.att[r * d..(r + 1) * d],
                     );
@@ -840,17 +845,19 @@ impl TransformerLm {
     }
 
     /// Causal attention of one row: `q` against the `t_len` cached
-    /// positions of `keys` / `vals` (the row's own included), written to
-    /// `out`. The cached-position loops run t-outer / head-inner, so the
-    /// K/V rows stream linearly and the heads' dot-product reduction chains
-    /// overlap instead of serializing on FP-add latency; each score is
-    /// `dot(q_h, k_h) * scale` and each output element accumulates over t in
-    /// ascending order, zero weights skipped.
-    fn attend(
+    /// positions of `pages` (the row's own included), written to `out`.
+    /// `pages` yields each page's key and value rows in ascending position
+    /// order, so the reductions see exactly the rows of one contiguous
+    /// buffer in the same order. The score loop runs t-outer / head-inner,
+    /// so the K/V rows stream linearly and the heads' dot-product reduction
+    /// chains overlap instead of serializing on FP-add latency; each score
+    /// is `dot(q_h, k_h) * scale` and each output element accumulates over t
+    /// in ascending order, zero weights skipped.
+    fn attend<'c>(
         &self,
         q: &[f32],
-        keys: &[f32],
-        vals: &[f32],
+        pages: impl Iterator<Item = (&'c [f32], &'c [f32])> + Clone,
+        t_len: usize,
         scores: &mut Vec<f32>,
         out: &mut [f32],
     ) {
@@ -858,22 +865,22 @@ impl TransformerLm {
         let heads = self.cfg.n_heads;
         let hd = self.cfg.head_dim();
         let scale = 1.0 / (hd as f32).sqrt();
-        let t_len = keys.len() / d;
         scores.resize(heads * t_len, 0.0);
+        let key_rows = pages.clone().flat_map(|(k, _)| k.chunks_exact(d));
         if hd == HEAD_DIM_FAST {
             // Every size class uses 16-wide heads; the const-width path
             // fully unrolls the per-head loops (same op order, so the
             // scores and outputs are bit-identical to the generic path).
-            for (t, k_row) in keys.chunks_exact(d).enumerate() {
+            for (t, k_row) in key_rows.enumerate() {
                 att_scores_row::<HEAD_DIM_FAST>(q, k_row, heads, t, t_len, scale, scores);
             }
             for hi in 0..heads {
                 softmax_row(&mut scores[hi * t_len..(hi + 1) * t_len]);
             }
-            att_weighted_v::<HEAD_DIM_FAST>(scores, vals, d, heads, t_len, out);
+            att_weighted_v::<HEAD_DIM_FAST>(scores, pages, d, heads, t_len, out);
             return;
         }
-        for (t, k_row) in keys.chunks_exact(d).enumerate() {
+        for (t, k_row) in key_rows.enumerate() {
             for hi in 0..heads {
                 let q_h = &q[hi * hd..(hi + 1) * hd];
                 let k_h = &k_row[hi * hd..(hi + 1) * hd];
@@ -884,7 +891,7 @@ impl TransformerLm {
             softmax_row(&mut scores[hi * t_len..(hi + 1) * t_len]);
         }
         out.fill(0.0);
-        for (t, v_row) in vals.chunks_exact(d).enumerate() {
+        for (t, v_row) in pages.flat_map(|(_, v)| v.chunks_exact(d)).enumerate() {
             for hi in 0..heads {
                 let w = scores[hi * t_len + t];
                 if w == 0.0 {
@@ -1141,88 +1148,183 @@ pub(crate) struct ForwardScratch {
     logits: Vec<f32>,
 }
 
-/// Per-layer key/value cache for incremental decoding.
-///
-/// Created empty by [`KvCache::new`], filled in one shot by
-/// [`TransformerLm::prefill`], and appended to by [`TransformerLm::step`].
+/// Positions per K/V page: the unit sequences share and the prefix index
+/// caches. 4 is the largest power of two at which the agreement suites'
+/// shared prefixes (7–8-token windows at a 12-token context) still fill a
+/// page.
+pub(crate) const PAGE_TOKENS: usize = 4;
+
+/// [`PAGE_TOKENS`] positions of K/V for every layer: layer `l`'s key rows
+/// start at float `2l · PAGE_TOKENS · d_model`, its value rows right after
+/// them. Shared behind an `Arc` by every cache (and the prefix index) that
+/// holds it, and written only by a holder that has it to itself.
 #[derive(Debug)]
+pub(crate) struct Page {
+    kv: Vec<f32>,
+    /// Where the page is indexed, once a prefix index registers it.
+    pub(crate) entry: OnceLock<Registration>,
+}
+
+impl Page {
+    /// K/V bytes the page owns.
+    pub(crate) fn bytes(&self) -> usize {
+        self.kv.len() * std::mem::size_of::<f32>()
+    }
+}
+
+impl Clone for Page {
+    /// The rows, not the registration: a copy belongs to no index.
+    fn clone(&self) -> Self {
+        Page {
+            kv: self.kv.clone(),
+            entry: OnceLock::new(),
+        }
+    }
+}
+
+/// A cache's hold on one page. Taking (cloning) and dropping a hold on an
+/// indexed page moves the page's holder count in its index — the one hook
+/// between a sequence and the prefix index.
+#[derive(Debug)]
+pub(crate) struct PageRef(pub(crate) Arc<Page>);
+
+impl Clone for PageRef {
+    fn clone(&self) -> Self {
+        if let Some(entry) = self.0.entry.get() {
+            entry.hold();
+        }
+        PageRef(Arc::clone(&self.0))
+    }
+}
+
+impl Drop for PageRef {
+    fn drop(&mut self) {
+        if let Some(entry) = self.0.entry.get() {
+            entry.release();
+        }
+    }
+}
+
+impl PageRef {
+    /// The page, to write: copied first unless this hold is its only one.
+    /// An indexed page is always copied (the index holds it too).
+    fn make_mut(&mut self) -> &mut Page {
+        if self.0.entry.get().is_some() {
+            *self = PageRef(Arc::new(Page::clone(&self.0)));
+        }
+        Arc::make_mut(&mut self.0)
+    }
+}
+
+/// A sequence's key/value cache: its positions in fixed-size pages, in
+/// order, plus how many positions are filled.
+///
+/// Created empty by [`KvCache::new`], filled by [`TransformerLm::prefill`]
+/// (or, past a cached prefix, by [`TransformerLm::prefill_continue`]) and
+/// appended to by [`TransformerLm::step`]. A clone shares every page with
+/// the original until one of them writes into a shared page, which it
+/// copies first; a prefix served by
+/// [`PrefixKvCache`](crate::PrefixKvCache) is the index's own pages.
+#[derive(Debug, Clone)]
 pub struct KvCache {
-    pub(crate) k: Vec<Vec<f32>>,
-    pub(crate) v: Vec<Vec<f32>>,
-    /// Row width (`d_model`), for converting buffer lengths to positions.
-    pub(crate) d: usize,
-    /// Per-layer capacity in floats (`context_window * d_model`), restored
-    /// on every clone so neither decode nor beam branching reallocates.
-    cap: usize,
+    pub(crate) pages: Vec<PageRef>,
+    len: usize,
+    /// Row width (`d_model`).
+    d: usize,
+    /// Floats per page: K and V rows of every layer.
+    page_floats: usize,
 }
 
 impl KvCache {
-    /// An empty cache with every layer pre-reserved to hold a full context
-    /// window, so decoding never reallocates.
+    /// An empty cache for `model`'s shape.
     pub fn new(model: &TransformerLm) -> Self {
         let d = model.cfg.d_model;
-        let cap = model.cfg.context_window * d;
         Self {
-            k: (0..model.cfg.n_layers)
-                .map(|_| Vec::with_capacity(cap))
-                .collect(),
-            v: (0..model.cfg.n_layers)
-                .map(|_| Vec::with_capacity(cap))
-                .collect(),
+            pages: Vec::with_capacity(model.cfg.context_window.div_ceil(PAGE_TOKENS)),
+            len: 0,
             d,
-            cap,
+            page_floats: 2 * model.cfg.n_layers * PAGE_TOKENS * d,
         }
     }
 
     /// Number of positions currently cached.
     pub fn len(&self) -> usize {
-        self.k
-            .first()
-            .map_or(0, |layer| layer.len() / self.d.max(1))
+        self.len
     }
 
     /// Whether no positions are cached yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
-    /// Rolls the cache back to its first `len` positions, discarding the
-    /// K/V rows past them. A no-op when `len >= self.len()`.
-    ///
-    /// This shrinks only the *logical* length — `Vec::truncate` keeps the
-    /// buffers' capacity, so re-decoding over the discarded positions never
-    /// reallocates. Speculative decoding uses this to drop rejected draft
-    /// tokens ([`crate::DecodeBatch::step`]); it is equally suited to any
-    /// retry path that rewinds a sequence to an earlier position.
+    /// Rolls the cache back to its first `len` positions, letting go of the
+    /// pages past them. A no-op when `len >= self.len()`. Speculative
+    /// decoding uses this to drop rejected draft tokens
+    /// ([`crate::DecodeBatch::step`]); the next write into a page still
+    /// shared copies it first.
     pub fn truncate(&mut self, len: usize) {
-        let floats = len * self.d;
-        for layer in self.k.iter_mut().chain(self.v.iter_mut()) {
-            layer.truncate(floats);
+        if len >= self.len {
+            return;
         }
+        self.len = len;
+        // Deepest page first, so an index never finds a page unheld while
+        // its descendants are still held.
+        while self.pages.len() > len.div_ceil(PAGE_TOKENS) {
+            self.pages.pop();
+        }
+    }
+
+    /// Appends a whole shared page; the cache must end on a page boundary.
+    pub(crate) fn push_page(&mut self, page: Arc<Page>) {
+        debug_assert_eq!(self.len, self.pages.len() * PAGE_TOKENS, "page-aligned");
+        self.pages.push(PageRef(page));
+        self.len += PAGE_TOKENS;
+    }
+
+    /// Extends the cache by `rows` positions whose K/V the caller writes
+    /// next, layer by layer, with [`Self::write`].
+    fn grow(&mut self, rows: usize) {
+        self.len += rows;
+        while self.pages.len() * PAGE_TOKENS < self.len {
+            self.pages.push(PageRef(Arc::new(Page {
+                kv: vec![0.0; self.page_floats],
+                entry: OnceLock::new(),
+            })));
+        }
+    }
+
+    /// Writes layer `l`'s key and value rows for positions `start..`.
+    fn write(&mut self, l: usize, start: usize, keys: &[f32], vals: &[f32]) {
+        let d = self.d;
+        for (pos, (k, v)) in (start..).zip(keys.chunks_exact(d).zip(vals.chunks_exact(d))) {
+            let page = self.pages[pos / PAGE_TOKENS].make_mut();
+            let at = (2 * l * PAGE_TOKENS + pos % PAGE_TOKENS) * d;
+            page.kv[at..at + d].copy_from_slice(k);
+            let at = at + PAGE_TOKENS * d;
+            page.kv[at..at + d].copy_from_slice(v);
+        }
+    }
+
+    /// Layer `l`'s key and value rows of positions `0..t_len`, page by page
+    /// in position order.
+    pub(crate) fn layer(
+        &self,
+        l: usize,
+        t_len: usize,
+    ) -> impl Iterator<Item = (&[f32], &[f32])> + Clone {
+        let block = PAGE_TOKENS * self.d;
+        let pages = self.pages[..t_len.div_ceil(PAGE_TOKENS)].iter();
+        pages.enumerate().map(move |(i, page)| {
+            let rows = (t_len - i * PAGE_TOKENS).min(PAGE_TOKENS) * self.d;
+            let keys = &page.0.kv[2 * l * block..][..rows];
+            (keys, &page.0.kv[(2 * l + 1) * block..][..rows])
+        })
     }
 }
 
-/// `derive(Clone)` would shrink each layer to its length (`Vec::clone` does
-/// not preserve capacity), making every cloned beam re-grow its buffers
-/// during decode. Clone manually with the full reservation instead.
-impl Clone for KvCache {
-    fn clone(&self) -> Self {
-        let with_cap = |layers: &[Vec<f32>]| {
-            layers
-                .iter()
-                .map(|layer| {
-                    let mut c = Vec::with_capacity(self.cap.max(layer.len()));
-                    c.extend_from_slice(layer);
-                    c
-                })
-                .collect()
-        };
-        Self {
-            k: with_cap(&self.k),
-            v: with_cap(&self.v),
-            d: self.d,
-            cap: self.cap,
-        }
+impl Drop for KvCache {
+    fn drop(&mut self) {
+        self.truncate(0);
     }
 }
 
@@ -1258,33 +1360,37 @@ fn att_scores_row<const HD: usize>(
 /// The weighted-V reduction for all heads: `att_out[hi] = Σ_t
 /// scores[hi][t] * v_h(t)` with `t` ascending and zero weights skipped —
 /// the same terms in the same per-element order as the t-outer form
-/// (`att_out` starts at zero), but each head's accumulator is a
-/// register-resident array instead of a memory round-trip per cached
-/// position.
+/// (`att_out` starts at zero), but page by page: each head's accumulator
+/// is a register-resident array across a page's rows instead of a memory
+/// round-trip per cached position, and each page's value rows are read
+/// once for all heads.
 #[inline(always)]
-fn att_weighted_v<const HD: usize>(
+fn att_weighted_v<'c, const HD: usize>(
     scores: &[f32],
-    v_cache: &[f32],
+    pages: impl Iterator<Item = (&'c [f32], &'c [f32])>,
     d: usize,
     heads: usize,
     t_len: usize,
     att_out: &mut [f32],
 ) {
-    for hi in 0..heads {
-        let mut acc = [0.0f32; HD];
-        let s_row = &scores[hi * t_len..(hi + 1) * t_len];
-        for (t, &w) in s_row.iter().enumerate() {
-            if w == 0.0 {
-                continue;
+    att_out.fill(0.0);
+    let mut t0 = 0;
+    for (_, vals) in pages {
+        for (hi, out) in att_out.chunks_exact_mut(HD).take(heads).enumerate() {
+            let out: &mut [f32; HD] = out.try_into().expect("head-width out");
+            let mut acc = *out;
+            for (v_row, &w) in vals.chunks_exact(d).zip(&scores[hi * t_len + t0..]) {
+                if w == 0.0 {
+                    continue;
+                }
+                let v_h: &[f32; HD] = v_row[hi * HD..][..HD].try_into().expect("head-width v");
+                for c in 0..HD {
+                    acc[c] += w * v_h[c];
+                }
             }
-            let v_h: &[f32; HD] = v_cache[t * d + hi * HD..][..HD]
-                .try_into()
-                .expect("head-width v");
-            for c in 0..HD {
-                acc[c] += w * v_h[c];
-            }
+            *out = acc;
         }
-        att_out[hi * HD..(hi + 1) * HD].copy_from_slice(&acc);
+        t0 += vals.len() / d;
     }
 }
 
@@ -1594,36 +1700,31 @@ mod tests {
         assert!(out.len() <= 4);
     }
 
+    /// Every cached K/V float of `cache`, as bits, layer by layer.
+    fn bits(cache: &KvCache) -> Vec<u32> {
+        (0..tiny_cfg().n_layers)
+            .flat_map(|l| cache.layer(l, cache.len()).collect::<Vec<_>>())
+            .flat_map(|(k, v)| k.iter().chain(v).map(|x| x.to_bits()).collect::<Vec<_>>())
+            .collect()
+    }
+
     #[test]
-    fn kv_cache_truncate_rolls_back_without_reallocating() {
+    fn kv_cache_truncate_rolls_back_to_a_fresh_decode() {
         let cfg = tiny_cfg();
         let mut rng = Prng::seed_from_u64(21);
         let model = TransformerLm::new(cfg, &mut rng);
         let (mut cache, _) = model.prefill(&[3, 7, 1, 11, 5]);
         assert_eq!(cache.len(), 5);
-        let caps: Vec<usize> = cache
-            .k
-            .iter()
-            .chain(cache.v.iter())
-            .map(Vec::capacity)
-            .collect();
 
-        // Advance three positions, then rewind past them.
-        for (i, &t) in [2u32, 4, 6].iter().enumerate() {
+        // Advance four positions, then rewind past them: the pages past
+        // the new length go.
+        for (i, &t) in [2u32, 4, 6, 8].iter().enumerate() {
             let _ = model.step(t, 5 + i, &mut cache);
         }
-        assert_eq!(cache.len(), 8);
+        assert_eq!((cache.len(), cache.pages.len()), (9, 3));
         cache.truncate(5);
-        assert_eq!(cache.len(), 5);
+        assert_eq!((cache.len(), cache.pages.len()), (5, 2));
         assert!(!cache.is_empty());
-        // Logical rollback only: every buffer keeps its full reservation.
-        let caps_after: Vec<usize> = cache
-            .k
-            .iter()
-            .chain(cache.v.iter())
-            .map(Vec::capacity)
-            .collect();
-        assert_eq!(caps, caps_after, "truncate must not reallocate");
 
         // Re-decoding from the rewound cache is bit-identical to a fresh
         // decode from the same five positions.
@@ -1634,12 +1735,49 @@ mod tests {
             replay.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
             expect.iter().map(|f| f.to_bits()).collect::<Vec<_>>()
         );
+        assert_eq!(bits(&cache), bits(&fresh));
 
         // Truncating past the end is a no-op; truncating to zero empties.
         cache.truncate(100);
         assert_eq!(cache.len(), 6);
         cache.truncate(0);
-        assert!(cache.is_empty());
+        assert!(cache.is_empty() && cache.pages.is_empty());
+    }
+
+    #[test]
+    fn a_cloned_cache_shares_pages_until_one_side_writes() {
+        let cfg = tiny_cfg();
+        let mut rng = Prng::seed_from_u64(23);
+        let model = TransformerLm::new(cfg, &mut rng);
+        let prompt = [3u32, 7, 1, 11, 5, 2];
+        // Six positions: one full page and the middle of the second.
+        let (mut original, _) = model.prefill(&prompt);
+        let before = bits(&original);
+        let mut clone = original.clone();
+        for (a, b) in original.pages.iter().zip(&clone.pages) {
+            assert!(Arc::ptr_eq(&a.0, &b.0), "a clone copies no rows");
+        }
+
+        // The clone writes first, into the shared half-full page, then
+        // rolls back into the full page and writes there too: the
+        // original's rows stay as they were.
+        let _ = model.step(9, 6, &mut clone);
+        let _ = model.step(4, 7, &mut clone);
+        assert_eq!(bits(&original), before);
+        clone.truncate(3);
+        let _ = model.step(8, 3, &mut clone);
+        let _ = model.step(6, 4, &mut clone);
+        assert_eq!(bits(&original), before);
+        assert!(!Arc::ptr_eq(&original.pages[0].0, &clone.pages[0].0));
+
+        // The original decodes on over its own pages.
+        let _ = model.step(12, 6, &mut original);
+        let _ = model.step(1, 7, &mut original);
+        assert_eq!(
+            bits(&original),
+            bits(&model.prefill(&[3, 7, 1, 11, 5, 2, 12, 1]).0)
+        );
+        assert_eq!(bits(&clone), bits(&model.prefill(&[3, 7, 1, 8, 6]).0));
     }
 
     #[test]

@@ -1,40 +1,40 @@
 //! The prefix cache's incremental bookkeeping against a full recount.
 //!
-//! [`Oracle`] is the cache as it was before its counters and eviction
-//! order became incremental: the same radix tree over token runs only
-//! (no K/V rows), with `bytes`, the segment count and the pinned bytes
-//! recounted by walking the slab, a reference count per segment standing
-//! in for `Arc::strong_count`, and every eviction victim found by a full
-//! scan for the smallest `(last_used, slot)` among the unpinned leaves.
-//! Random insert / lookup / release traces over budgets small enough to
-//! evict on most steps must leave the real cache and the oracle with the
-//! same counters, the same gauges and the same resident prefix of every
-//! window the trace used — the last is what pins the victim *sequence*:
-//! a different victim leaves a different window short.
+//! [`Oracle`] is the page index with nothing kept incrementally: pages are
+//! found by scanning every indexed page for a `(parent id, tokens)` match,
+//! `bytes`, the page count and the pinned bytes are recounted by walking
+//! the index, every page's holders are recounted from the page-id lists of
+//! the caches a trace keeps alive, and every eviction victim is found by a
+//! full scan for the least-recently-used unheld page, deepest first among
+//! equals. Random admission / lookup / clone / truncate / release traces
+//! over budgets small enough to evict on most steps must leave the real
+//! cache and the oracle with the same counters, the same gauges and the
+//! same resident prefix of every window the trace used — the last is what
+//! pins the victim *sequence*: a different victim leaves a different
+//! window short.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use wisdom_model::{
-    CachedPrefix, KvCache, ModelConfig, PrefixCacheTelemetry, PrefixKvCache, PrefixPin,
-    TransformerLm,
-};
+use wisdom_model::{KvCache, ModelConfig, PrefixCacheTelemetry, PrefixKvCache, TransformerLm};
 use wisdom_prng::Prng;
 use wisdom_telemetry::Registry;
 
 const D_MODEL: usize = 16;
 const N_LAYERS: usize = 2;
-/// Longest window a trace uses.
-const MAX_WINDOW: usize = 8;
-/// Heap bytes one cached row owns: K and V floats per layer plus its token.
-const ROW_BYTES: usize = 2 * N_LAYERS * D_MODEL * 4 + 4;
+/// Positions per page: the engine's page size.
+const PAGE_TOKENS: usize = 4;
+/// Longest window a trace uses: the model's context window.
+const MAX_WINDOW: usize = 12;
+/// Bytes one indexed page accounts for: K and V floats per layer plus a
+/// token, per position.
+const PAGE_BYTES: usize = PAGE_TOKENS * (2 * N_LAYERS * D_MODEL * 4 + 4);
 
-/// K/V rows to cut segments from. Their contents are irrelevant here: the
-/// bookkeeping depends on token runs and row counts only.
-fn rows() -> &'static KvCache {
-    static ROWS: OnceLock<KvCache> = OnceLock::new();
-    ROWS.get_or_init(|| {
+fn model() -> &'static TransformerLm {
+    static MODEL: OnceLock<TransformerLm> = OnceLock::new();
+    MODEL.get_or_init(|| {
         let cfg = ModelConfig {
             vocab_size: 20,
             d_model: D_MODEL,
@@ -42,316 +42,261 @@ fn rows() -> &'static KvCache {
             n_heads: 2,
             context_window: MAX_WINDOW,
         };
-        let model = TransformerLm::new(cfg, &mut Prng::seed_from_u64(3));
-        model.prefill(&[1; MAX_WINDOW]).0
+        TransformerLm::new(cfg, &mut Prng::seed_from_u64(3))
     })
 }
 
-const ROOT: usize = 0;
-
-struct RefNode {
+struct RefPage {
+    parent: u64,
     tokens: Vec<u32>,
-    /// Identity of the segment allocation; a split mints two new ones.
-    arc: u64,
-    parent: usize,
-    children: BTreeMap<u32, usize>,
+    depth: usize,
     last_used: u64,
 }
 
 #[derive(Default)]
 struct Oracle {
-    nodes: Vec<Option<RefNode>>,
-    free: Vec<usize>,
+    /// Indexed pages by id.
+    pages: BTreeMap<u64, RefPage>,
     budget: usize,
+    last_id: u64,
     tick: u64,
-    next_arc: u64,
-    /// Holders outside the tree, per segment allocation.
-    refs: HashMap<u64, usize>,
     hits: u64,
     misses: u64,
     hit_tokens: u64,
     evicted: u64,
 }
 
-fn lcp(a: &[u32], b: &[u32]) -> usize {
-    a.iter().zip(b).take_while(|(x, y)| x == y).count()
-}
-
 impl Oracle {
     fn new(budget: usize) -> Oracle {
-        let mut oracle = Oracle {
+        Oracle {
             budget: budget.max(1),
             ..Oracle::default()
-        };
-        oracle.nodes.push(Some(RefNode {
-            tokens: Vec::new(),
-            arc: 0,
-            parent: ROOT,
-            children: BTreeMap::new(),
-            last_used: 0,
-        }));
-        oracle
-    }
-
-    fn node(&self, id: usize) -> &RefNode {
-        self.nodes[id].as_ref().expect("live node")
-    }
-
-    fn node_mut(&mut self, id: usize) -> &mut RefNode {
-        self.nodes[id].as_mut().expect("live node")
-    }
-
-    fn mint(&mut self) -> u64 {
-        self.next_arc += 1;
-        self.next_arc
-    }
-
-    fn alloc(&mut self, node: RefNode) -> usize {
-        if let Some(id) = self.free.pop() {
-            self.nodes[id] = Some(node);
-            id
-        } else {
-            self.nodes.push(Some(node));
-            self.nodes.len() - 1
         }
     }
 
-    fn live(&self) -> impl Iterator<Item = (usize, &RefNode)> {
-        self.nodes
+    fn find(&self, parent: u64, tokens: &[u32]) -> Option<u64> {
+        self.pages
             .iter()
-            .enumerate()
-            .filter_map(|(id, slot)| Some((id, slot.as_ref()?)))
-            .filter(|(id, _)| *id != ROOT)
+            .find(|(_, p)| p.parent == parent && p.tokens == tokens)
+            .map(|(&id, _)| id)
     }
 
-    fn pinned(&self, node: &RefNode) -> bool {
-        self.refs.get(&node.arc).is_some_and(|&n| n > 0)
+    fn holders(id: u64, held: &[&[u64]]) -> usize {
+        held.iter()
+            .flat_map(|ids| ids.iter())
+            .filter(|&&h| h == id)
+            .count()
     }
 
     fn bytes(&self) -> usize {
-        self.live().map(|(_, n)| n.tokens.len() * ROW_BYTES).sum()
+        self.pages.len() * PAGE_BYTES
     }
 
-    fn segments(&self) -> usize {
-        self.live().count()
+    fn pinned_bytes(&self, held: &[&[u64]]) -> usize {
+        let pinned = self.pages.keys().filter(|&&id| Self::holders(id, held) > 0);
+        pinned.count() * PAGE_BYTES
     }
 
-    fn pinned_bytes(&self) -> usize {
-        self.live()
-            .filter(|(_, n)| self.pinned(n))
-            .map(|(_, n)| n.tokens.len() * ROW_BYTES)
-            .sum()
-    }
-
-    fn split(&mut self, id: usize, at: usize) {
-        let (upper_arc, lower_arc) = (self.mint(), self.mint());
-        let node = self.node_mut(id);
-        let lower_tokens = node.tokens.split_off(at);
-        let lower_first = lower_tokens[0];
-        let lower_children = std::mem::take(&mut node.children);
-        let last_used = node.last_used;
-        node.arc = upper_arc;
-        let lower_id = self.alloc(RefNode {
-            tokens: lower_tokens,
-            arc: lower_arc,
-            parent: id,
-            children: lower_children,
-            last_used,
-        });
-        let moved: Vec<usize> = self.node(lower_id).children.values().copied().collect();
-        for child in moved {
-            self.node_mut(child).parent = lower_id;
-        }
-        self.node_mut(id).children.insert(lower_first, lower_id);
-    }
-
-    fn evict_to_budget(&mut self) {
+    fn evict_to_budget(&mut self, held: &[&[u64]]) {
         while self.bytes() > self.budget {
             let victim = self
-                .live()
-                .filter(|(_, n)| n.children.is_empty() && !self.pinned(n))
-                .map(|(id, n)| (n.last_used, id))
-                .min();
-            let Some((_, id)) = victim else { break };
-            let node = self.nodes[id].take().expect("victim is live");
-            self.free.push(id);
+                .pages
+                .iter()
+                .filter(|(&id, _)| Self::holders(id, held) == 0)
+                .min_by_key(|(&id, p)| (p.last_used, Reverse(p.depth), id))
+                .map(|(&id, _)| id);
+            let Some(id) = victim else { break };
+            self.pages.remove(&id);
             self.evicted += 1;
-            self.node_mut(node.parent).children.remove(&node.tokens[0]);
         }
     }
 
-    fn hold(&mut self, arc: u64) {
-        *self.refs.entry(arc).or_default() += 1;
-    }
-
-    /// The segment allocations a hit holds, or `None` on a miss.
-    fn lookup(&mut self, window: &[u32], max_tokens: usize) -> Option<Vec<u64>> {
+    /// The page ids a lookup hands its cache.
+    fn lookup(&mut self, window: &[u32], max_tokens: usize) -> Vec<u64> {
         self.tick += 1;
-        let tick = self.tick;
-        let budget = max_tokens.min(window.len());
-        let (mut node_id, mut matched, mut held) = (ROOT, 0usize, Vec::new());
-        while matched < budget {
-            let Some(&child) = self.node(node_id).children.get(&window[matched]) else {
+        let mut ids = Vec::new();
+        for tokens in window[..max_tokens.min(window.len())].chunks_exact(PAGE_TOKENS) {
+            let Some(id) = self.find(ids.last().copied().unwrap_or(0), tokens) else {
                 break;
             };
-            let node = self.node_mut(child);
-            node.last_used = tick;
-            let (arc, rows) = (node.arc, node.tokens.len());
-            let take = lcp(&node.tokens, &window[matched..]).min(budget - matched);
-            self.hold(arc);
-            held.push(arc);
-            matched += take;
-            if take != rows {
-                break;
-            }
-            node_id = child;
+            self.pages.get_mut(&id).expect("found").last_used = self.tick;
+            ids.push(id);
         }
-        if matched == 0 {
+        if ids.is_empty() {
             self.misses += 1;
-            return None;
+        } else {
+            self.hits += 1;
+            self.hit_tokens += (ids.len() * PAGE_TOKENS) as u64;
         }
-        self.hits += 1;
-        self.hit_tokens += matched as u64;
-        Some(held)
+        ids
     }
 
-    /// The segment allocations the returned pin holds.
-    fn insert(&mut self, window: &[u32]) -> Vec<u64> {
-        let mut held = Vec::new();
+    /// The page ids an admission's cache ends up holding: the lookup's,
+    /// then the window's full pages, each the index's own.
+    fn admit(&mut self, window: &[u32], held: &[&[u64]]) -> Vec<u64> {
         if window.is_empty() {
-            return held;
+            return Vec::new();
         }
+        self.lookup(window, window.len() - 1);
         self.tick += 1;
-        let tick = self.tick;
-        let (mut node_id, mut matched) = (ROOT, 0usize);
-        while matched < window.len() {
-            match self.node(node_id).children.get(&window[matched]).copied() {
-                None => {
-                    let arc = self.mint();
-                    self.hold(arc);
-                    held.push(arc);
-                    let leaf = self.alloc(RefNode {
-                        tokens: window[matched..].to_vec(),
-                        arc,
-                        parent: node_id,
-                        children: BTreeMap::new(),
-                        last_used: tick,
-                    });
-                    self.node_mut(node_id)
-                        .children
-                        .insert(window[matched], leaf);
-                    matched = window.len();
-                }
-                Some(child) => {
-                    self.node_mut(child).last_used = tick;
-                    let shared = lcp(&self.node(child).tokens, &window[matched..]);
-                    if shared < self.node(child).tokens.len() && matched + shared < window.len() {
-                        self.split(child, shared);
-                    }
-                    let (arc, rows) = (self.node(child).arc, self.node(child).tokens.len());
-                    self.hold(arc);
-                    held.push(arc);
-                    matched += shared.min(rows);
-                    if matched == window.len() {
-                        break;
-                    }
-                    node_id = child;
-                }
-            }
+        let mut ids: Vec<u64> = Vec::new();
+        for (depth, tokens) in window.chunks_exact(PAGE_TOKENS).enumerate() {
+            let parent = ids.last().copied().unwrap_or(0);
+            let id = self.find(parent, tokens).unwrap_or_else(|| {
+                self.last_id += 1;
+                self.pages.insert(
+                    self.last_id,
+                    RefPage {
+                        parent,
+                        tokens: tokens.to_vec(),
+                        depth,
+                        last_used: 0,
+                    },
+                );
+                self.last_id
+            });
+            self.pages.get_mut(&id).expect("indexed").last_used = self.tick;
+            ids.push(id);
         }
-        self.evict_to_budget();
-        held
+        let mut all = held.to_vec();
+        all.push(&ids);
+        self.evict_to_budget(&all);
+        ids
     }
 
-    fn release(&mut self, held: &[u64], evict: bool) {
-        for arc in held {
-            *self.refs.get_mut(arc).expect("held allocation") -= 1;
-        }
-        if evict && !held.is_empty() {
-            self.evict_to_budget();
+    /// Lets go of `ids`' pages past the first `keep`, deepest first,
+    /// evicting after each.
+    fn release(&mut self, ids: &mut Vec<u64>, keep: usize, others: &[&[u64]]) {
+        while ids.len() > keep {
+            ids.pop();
+            let mut all = others.to_vec();
+            all.push(ids);
+            self.evict_to_budget(&all);
         }
     }
 
     fn probe(&self, window: &[u32]) -> usize {
-        let (mut node_id, mut matched) = (ROOT, 0usize);
-        while matched < window.len() {
-            let Some(&child) = self.node(node_id).children.get(&window[matched]) else {
+        let mut parent = 0;
+        let mut matched = 0;
+        for tokens in window.chunks_exact(PAGE_TOKENS) {
+            let Some(id) = self.find(parent, tokens) else {
                 break;
             };
-            let node = self.node(child);
-            let take = lcp(&node.tokens, &window[matched..]);
-            matched += take;
-            if take < node.tokens.len() {
-                break;
-            }
-            node_id = child;
+            parent = id;
+            matched += PAGE_TOKENS;
         }
         matched
     }
 }
 
+/// Windows that share prefixes: the head of one of three stems (the first
+/// two share a page) and a short tail.
+fn window(stem: usize, cut: usize, tail: &[u32]) -> Vec<u32> {
+    const STEMS: [[u32; MAX_WINDOW]; 3] = [
+        [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2],
+        [0, 1, 2, 0, 2, 2, 1, 0, 0, 1, 1, 2],
+        [1, 1, 0, 2, 0, 1, 2, 2, 1, 0, 2, 0],
+    ];
+    let mut w = STEMS[stem][..cut].to_vec();
+    w.extend(tail);
+    w.truncate(MAX_WINDOW);
+    w
+}
+
+#[test]
+fn pages_are_four_tokens_and_weigh_what_the_oracle_says() {
+    let cache = PrefixKvCache::default();
+    for w in [&[1u32, 2, 3][..], &[1, 2, 3, 4, 5, 6, 7]] {
+        drop(cache.prefill(model(), w));
+    }
+    let s = cache.stats();
+    assert_eq!((s.segments, s.bytes), (1, PAGE_BYTES));
+    assert_eq!(cache.probe(&[1, 2, 3, 4, 5]), PAGE_TOKENS);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// `kind` 0–2 inserts and keeps the pin, 3 inserts and drops it at
-    /// once (an admission that retires immediately), 4–5 look up and keep
-    /// the hit, 6 drops the `pick`-th live pin, 7 the `pick`-th live hit.
-    /// Three-token alphabet and windows up to eight rows: prefixes are
-    /// shared, edges split, and budgets of 1–40 rows evict on most steps,
-    /// often with every candidate pinned.
+    /// `kind` 0–2 admits a window and keeps its cache, 3 admits one and
+    /// drops it at once (a sequence that retires immediately), 4–5 look up
+    /// and keep the cache, 6 drops the `pick`-th kept cache, 7 truncates
+    /// it, 8 clones it. Budgets of 1 byte to ten pages evict on most steps,
+    /// often with every candidate held.
     #[test]
     fn counters_and_victims_match_a_full_recount(
         ops in prop::collection::vec(
-            (0u32..8, prop::collection::vec(0u32..3, 0..MAX_WINDOW + 1), 0usize..64),
+            (
+                0u32..9,
+                (0usize..3, 0..MAX_WINDOW + 1, prop::collection::vec(0u32..3, 0..5)),
+                0usize..64,
+            ),
             1..80,
         ),
-        budget_rows in 1usize..40,
+        budget in 1usize..10 * PAGE_BYTES,
     ) {
-        let budget = budget_rows * ROW_BYTES;
         let cache = PrefixKvCache::with_budget(budget);
         let registry = Registry::new();
         let gauges = PrefixCacheTelemetry::register(&registry);
         cache.set_telemetry(gauges.clone());
         let mut oracle = Oracle::new(budget);
-        let mut pins: Vec<(PrefixPin, Vec<u64>)> = Vec::new();
-        let mut hits: Vec<(CachedPrefix, Vec<u64>)> = Vec::new();
-        let universe: Vec<&Vec<u32>> = ops.iter().map(|(_, w, _)| w).collect();
+        // Live caches and the page ids each holds, in position order.
+        let mut kept: Vec<(KvCache, Vec<u64>)> = Vec::new();
+        let universe: Vec<Vec<u32>> =
+            ops.iter().map(|(_, (s, c, t), _)| window(*s, *c, t)).collect();
 
-        for (step, (kind, window, pick)) in ops.iter().enumerate() {
+        for (step, ((kind, _, pick), window)) in ops.iter().zip(&universe).enumerate() {
+            let held = |kept: &[(KvCache, Vec<u64>)]| -> Vec<Vec<u64>> {
+                kept.iter().map(|(_, ids)| ids.clone()).collect()
+            };
             match kind {
                 0..=3 => {
-                    let pin = cache.insert(window, rows());
-                    let held = oracle.insert(window);
-                    pins.push((pin, held));
+                    let others = held(&kept);
+                    let refs: Vec<&[u64]> = others.iter().map(Vec::as_slice).collect();
+                    let (kv, _) = cache.prefill(model(), window);
+                    let ids = oracle.admit(window, &refs);
+                    kept.push((kv, ids));
                     if *kind == 3 {
-                        let (pin, held) = pins.pop().expect("just pushed");
-                        drop(pin);
-                        oracle.release(&held, true);
+                        let (kv, mut ids) = kept.pop().expect("just pushed");
+                        drop(kv);
+                        oracle.release(&mut ids, 0, &refs);
                     }
                 }
                 4 | 5 => {
                     let max_tokens = pick % (MAX_WINDOW + 1);
-                    let hit = cache.lookup(window, max_tokens);
-                    let held = oracle.lookup(window, max_tokens);
-                    prop_assert_eq!(hit.is_some(), held.is_some(), "step {}", step);
-                    if let (Some(hit), Some(held)) = (hit, held) {
-                        prop_assert_eq!(hit.len(), oracle.probe(window).min(max_tokens));
-                        hits.push((hit, held));
+                    let mut kv = KvCache::new(model());
+                    let matched = cache.lookup(window, max_tokens, &mut kv);
+                    let ids = oracle.lookup(window, max_tokens);
+                    prop_assert_eq!(matched, ids.len() * PAGE_TOKENS, "step {}", step);
+                    prop_assert_eq!(kv.len(), matched);
+                    kept.push((kv, ids));
+                }
+                6..=8 if !kept.is_empty() => {
+                    let at = pick % kept.len();
+                    let (mut kv, mut ids) = kept.swap_remove(at);
+                    let others = held(&kept);
+                    let refs: Vec<&[u64]> = others.iter().map(Vec::as_slice).collect();
+                    match kind {
+                        6 => {
+                            drop(kv);
+                            oracle.release(&mut ids, 0, &refs);
+                        }
+                        7 => {
+                            let len = pick % (kv.len() + 1);
+                            kv.truncate(len);
+                            oracle.release(&mut ids, len.div_ceil(PAGE_TOKENS), &refs);
+                            kept.push((kv, ids));
+                        }
+                        _ => {
+                            kept.push((kv.clone(), ids.clone()));
+                            kept.push((kv, ids));
+                        }
                     }
-                }
-                6 if !pins.is_empty() => {
-                    let (pin, held) = pins.swap_remove(pick % pins.len());
-                    drop(pin);
-                    oracle.release(&held, true);
-                }
-                7 if !hits.is_empty() => {
-                    let (hit, held) = hits.swap_remove(pick % hits.len());
-                    drop(hit);
-                    oracle.release(&held, false);
                 }
                 _ => {}
             }
 
+            let others = held(&kept);
+            let refs: Vec<&[u64]> = others.iter().map(Vec::as_slice).collect();
             let stats = cache.stats();
             prop_assert_eq!(
                 (stats.hits, stats.misses, stats.hit_tokens, stats.evicted_segments),
@@ -360,15 +305,15 @@ proptest! {
             );
             prop_assert_eq!(
                 (stats.bytes, stats.segments),
-                (oracle.bytes(), oracle.segments()),
+                (oracle.bytes(), oracle.pages.len()),
                 "step {}", step
             );
             prop_assert_eq!(
                 (gauges.bytes.get(), gauges.segments.get(), gauges.pinned_bytes.get()),
                 (
                     oracle.bytes() as f64,
-                    oracle.segments() as f64,
-                    oracle.pinned_bytes() as f64,
+                    oracle.pages.len() as f64,
+                    oracle.pinned_bytes(&refs) as f64,
                 ),
                 "step {}", step
             );
@@ -381,17 +326,16 @@ proptest! {
             }
         }
 
-        // Every holder gone: nothing stays pinned.
-        for (pin, held) in pins.drain(..) {
-            drop(pin);
-            oracle.release(&held, true);
-        }
-        for (hit, held) in hits.drain(..) {
-            drop(hit);
-            oracle.release(&held, false);
+        // Every holder gone: nothing stays pinned, and the budget holds.
+        while let Some((kv, mut ids)) = kept.pop() {
+            let others = kept.iter().map(|(_, ids)| ids.clone()).collect::<Vec<_>>();
+            let refs: Vec<&[u64]> = others.iter().map(Vec::as_slice).collect();
+            drop(kv);
+            oracle.release(&mut ids, 0, &refs);
         }
         prop_assert_eq!(gauges.pinned_bytes.get(), 0.0);
-        prop_assert_eq!(oracle.pinned_bytes(), 0);
+        prop_assert_eq!(oracle.pinned_bytes(&[]), 0);
+        prop_assert!(cache.stats().bytes <= budget);
         prop_assert_eq!(cache.stats().evicted_segments, oracle.evicted);
         for window in &universe {
             prop_assert_eq!(cache.probe(window), oracle.probe(window));

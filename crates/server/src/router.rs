@@ -456,12 +456,13 @@ mod tests {
             (order[0].replica, reason),
             (first.replica, Reason::Affinity)
         );
-        // A prompt sharing only the `- name: ` head with it is not: it
+        // A prompt sharing less than half its window with it is not: it
         // takes the idle replica, and says what it found there.
-        let cold = request("create user deploy");
+        let cold = request("install nginx from the upstream");
         let (order, reason) = router.candidates(&cold.prompt, cold.opts.max_new_tokens);
-        let (head, _) = warm.cached_prefix_tokens(&cold.prompt, cold.opts.max_new_tokens);
-        assert!(head > 0, "the common head is resident on the warm replica");
+        let (head, window) = warm.cached_prefix_tokens(&cold.prompt, cold.opts.max_new_tokens);
+        assert!(head > 0, "the shared head is resident on the warm replica");
+        assert!(2 * head < window, "{head} of {window} tokens resident");
         assert_eq!(
             (order[0], reason),
             (

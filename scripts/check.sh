@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo gate: formatting, the docs' experiment targets, `BENCH_*.json`
-# names, Rust item names and metric families checked against the tree,
+# names, Rust item names, metric families and ledger metric names checked
+# against the tree,
 # clippy (warnings are errors), a compile pass over every bench target so
 # bench-only breakage is caught without running criterion, then the whole
 # test suite in one invocation — every crate's unit, property and agreement
@@ -99,6 +100,40 @@ for token in $(cat "${docs[@]}" | grep -oE '`wisdom_[a-z0-9_]+(::)?' | grep -v '
         dead=1
     fi
 done
+# Every ledger metric they show in backticks — a name that starts with one
+# of the layers `BENCHMARK.json` lists (`model.prefix_cache.hit_token_share`)
+# — must be one `BENCHMARK.json` lists, after `{a,b}` groups are expanded.
+# `prefix.*` must be the prefix of a listed metric, and so must `ablate.<arm>`
+# name an arm; FQCNs (`ansible.builtin.copy`) and file names are not metrics.
+expand_groups() {
+    if [[ $1 =~ ^([^{]*)\{([^{}]*)\}(.*)$ ]]; then
+        local head=${BASH_REMATCH[1]} tail=${BASH_REMATCH[3]} alt
+        local -a alts
+        IFS=, read -ra alts <<<"${BASH_REMATCH[2]}"
+        for alt in "${alts[@]}"; do
+            expand_groups "$head$alt$tail"
+        done
+    else
+        echo "$1"
+    fi
+}
+ledger=$(grep -oE '"name": *"[a-z0-9_.]+"' BENCHMARK.json | cut -d'"' -f4)
+layers=$(grep -oE '^[a-z]+\.' <<<"$ledger" | tr -d . | sort -u | paste -sd'|')
+while read -r token; do
+    [[ $token =~ ^ansible\.[a-z0-9_]+\. || $token =~ \.(rs|json|md|toml|sh)$ ]] && continue
+    while read -r name; do
+        if [[ $name == *.\* ]]; then
+            [[ $'\n'$ledger == *$'\n'"${name%\*}"* ]] && continue
+        elif [[ $name =~ ^ablate\.[a-z0-9_]+$ ]]; then
+            [[ $'\n'$ledger == *$'\n'"$name."* ]] && continue
+        else
+            [[ $'\n'$ledger$'\n' == *$'\n'"$name"$'\n'* ]] && continue
+        fi
+        echo "dead name: the docs name the ledger metric \`$name\`, which BENCHMARK.json does not list:"
+        grep -nF "\`$token\`" "${docs[@]}" | cut -c1-120
+        dead=1
+    done < <(expand_groups "$token")
+done < <(cat "${docs[@]}" | grep -oE "\`($layers)\.[A-Za-z0-9_.{},*]+\`" | tr -d '`' | sort -u)
 [[ $dead == 0 ]]
 
 cargo clippy --workspace --all-targets -- -D warnings
