@@ -7,7 +7,9 @@ use wisdom_corpus::{FileCtx, GenericKind};
 use wisdom_metrics::{ansible_aware, sentence_bleu};
 use wisdom_model::{ModelConfig, TransformerLm};
 use wisdom_prng::Prng;
-use wisdom_tensor::kernels::{matmul, matmul_acc_sparse, matmul_acc_threads, matmul_q8};
+use wisdom_tensor::kernels::{
+    attend, attend_portable, matmul, matmul_acc_sparse, matmul_acc_threads, matmul_q8, PageLayout,
+};
 use wisdom_tensor::QuantMatrix;
 use wisdom_tokenizer::BpeTokenizer;
 
@@ -113,6 +115,52 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
+
+    // One layer's attention at the 350M-class shape (4 heads of 16, 4-position
+    // pages): one decode row over t_len cached positions, and the 64 rows
+    // of a 64-token prefill (row r over positions 0..=r).
+    let (heads, hd, tokens) = (4, 16, 4);
+    let layout = PageLayout::new(heads, hd, tokens);
+    let d = heads * hd;
+    let value = |i: usize| ((i * 37 + 11) % 97) as f32 * 0.02 - 1.0;
+    let pages: Vec<Vec<f32>> = (0..128 / tokens)
+        .map(|p| {
+            let mut block = vec![0.0; layout.floats()];
+            for t in 0..tokens {
+                let row: Vec<f32> = (0..d).map(|c| value((p * tokens + t) * d + c)).collect();
+                let v: Vec<f32> = row.iter().map(|x| -x).collect();
+                layout.write(&mut block, t, &row, &v);
+            }
+            block
+        })
+        .collect();
+    let q: Vec<f32> = (0..d).map(|c| value(c + 5)).collect();
+    let (mut scratch, mut att) = (Vec::new(), vec![0.0f32; d]);
+    for t_len in [8usize, 64, 128] {
+        c.bench_function(&format!("attention/decode_row/{t_len}"), |b| {
+            b.iter(|| {
+                let blocks = pages.iter().map(Vec::as_slice);
+                attend(layout, &q, blocks, t_len, &mut scratch, &mut att);
+                black_box(att[0])
+            })
+        });
+    }
+    c.bench_function("attention/decode_row_portable/128", |b| {
+        b.iter(|| {
+            let blocks = pages.iter().map(Vec::as_slice);
+            attend_portable(layout, &q, blocks, 128, &mut scratch, &mut att);
+            black_box(att[0])
+        })
+    });
+    c.bench_function("attention/prefill/64", |b| {
+        b.iter(|| {
+            for t_len in 1..=64 {
+                let blocks = pages.iter().map(Vec::as_slice);
+                attend(layout, &q, blocks, t_len, &mut scratch, &mut att);
+            }
+            black_box(att[0])
+        })
+    });
 
     // Batched prompt prefill vs the sequential step loop on the 350M-class
     // architecture with a full-context prompt.

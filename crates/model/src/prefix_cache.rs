@@ -484,14 +484,6 @@ mod tests {
         TransformerLm::new(cfg, &mut rng)
     }
 
-    /// Every cached K/V float of `cache`, as bits, layer by layer.
-    fn bits(cache: &KvCache) -> Vec<u32> {
-        (0..2)
-            .flat_map(|l| cache.layer(l, cache.len()).collect::<Vec<_>>())
-            .flat_map(|(k, v)| k.iter().chain(v).map(|x| x.to_bits()).collect::<Vec<_>>())
-            .collect()
-    }
-
     /// What one indexed page weighs: measured, not derived.
     fn one_page(model: &TransformerLm) -> usize {
         let probe = PrefixKvCache::default();
@@ -578,7 +570,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&warm.pages[2].0, &first.pages[2].0));
         assert_eq!(inner.pinned_bytes, inner.bytes);
         drop(inner);
-        assert_eq!(bits(&warm), bits(&cold));
+        assert_eq!(warm.bits(), cold.bits());
         let to_bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(to_bits(&logits), to_bits(&cold_logits));
         drop((first, warm));
@@ -708,7 +700,7 @@ mod tests {
                     "round {round} window {w:?}"
                 );
                 assert_eq!(kv_cold.len(), kv_warm.len());
-                assert_eq!(bits(&kv_cold), bits(&kv_warm), "round {round} window {w:?}");
+                assert_eq!(kv_cold.bits(), kv_warm.bits(), "round {round} window {w:?}");
             }
         }
         let s = cache.stats();

@@ -6,7 +6,7 @@ use std::sync::{Arc, OnceLock};
 
 use wisdom_prng::Prng;
 use wisdom_tensor::kernels::{
-    dot, gelu, matmul, matmul_acc, matmul_q8, matmul_q8_acc, softmax_row,
+    attend, gelu, matmul, matmul_acc, matmul_q8, matmul_q8_acc, softmax_row, PageLayout,
 };
 use wisdom_tensor::{
     clip_scale, global_grad_norm, Adam, ParamTensor, QuantMatrix, Tape, TensorRef,
@@ -797,7 +797,8 @@ impl TransformerLm {
                 seq.cache
                     .write(l, start, &s.k[r0 * d..r1 * d], &s.v[r0 * d..r1 * d]);
                 for (t_len, r) in (start + 1..).zip(r0..r1) {
-                    self.attend(
+                    attend(
+                        seq.cache.layout,
                         &s.q[r * d..(r + 1) * d],
                         seq.cache.layer(l, t_len),
                         t_len,
@@ -842,67 +843,6 @@ impl TransformerLm {
             self.head_matmul(&s.h, read, &mut s.logits);
         }
         &mut s.logits
-    }
-
-    /// Causal attention of one row: `q` against the `t_len` cached
-    /// positions of `pages` (the row's own included), written to `out`.
-    /// `pages` yields each page's key and value rows in ascending position
-    /// order, so the reductions see exactly the rows of one contiguous
-    /// buffer in the same order. The score loop runs t-outer / head-inner,
-    /// so the K/V rows stream linearly and the heads' dot-product reduction
-    /// chains overlap instead of serializing on FP-add latency; each score
-    /// is `dot(q_h, k_h) * scale` and each output element accumulates over t
-    /// in ascending order, zero weights skipped.
-    fn attend<'c>(
-        &self,
-        q: &[f32],
-        pages: impl Iterator<Item = (&'c [f32], &'c [f32])> + Clone,
-        t_len: usize,
-        scores: &mut Vec<f32>,
-        out: &mut [f32],
-    ) {
-        let d = self.cfg.d_model;
-        let heads = self.cfg.n_heads;
-        let hd = self.cfg.head_dim();
-        let scale = 1.0 / (hd as f32).sqrt();
-        scores.resize(heads * t_len, 0.0);
-        let key_rows = pages.clone().flat_map(|(k, _)| k.chunks_exact(d));
-        if hd == HEAD_DIM_FAST {
-            // Every size class uses 16-wide heads; the const-width path
-            // fully unrolls the per-head loops (same op order, so the
-            // scores and outputs are bit-identical to the generic path).
-            for (t, k_row) in key_rows.enumerate() {
-                att_scores_row::<HEAD_DIM_FAST>(q, k_row, heads, t, t_len, scale, scores);
-            }
-            for hi in 0..heads {
-                softmax_row(&mut scores[hi * t_len..(hi + 1) * t_len]);
-            }
-            att_weighted_v::<HEAD_DIM_FAST>(scores, pages, d, heads, t_len, out);
-            return;
-        }
-        for (t, k_row) in key_rows.enumerate() {
-            for hi in 0..heads {
-                let q_h = &q[hi * hd..(hi + 1) * hd];
-                let k_h = &k_row[hi * hd..(hi + 1) * hd];
-                scores[hi * t_len + t] = dot(q_h, k_h) * scale;
-            }
-        }
-        for hi in 0..heads {
-            softmax_row(&mut scores[hi * t_len..(hi + 1) * t_len]);
-        }
-        out.fill(0.0);
-        for (t, v_row) in pages.flat_map(|(_, v)| v.chunks_exact(d)).enumerate() {
-            for hi in 0..heads {
-                let w = scores[hi * t_len + t];
-                if w == 0.0 {
-                    continue;
-                }
-                let out_h = &mut out[hi * hd..(hi + 1) * hd];
-                for (o, &vv) in out_h.iter_mut().zip(&v_row[hi * hd..(hi + 1) * hd]) {
-                    *o += w * vv;
-                }
-            }
-        }
     }
 
     /// Autoregressive generation. The prompt is left-truncated to fit the
@@ -1154,10 +1094,14 @@ pub(crate) struct ForwardScratch {
 /// page.
 pub(crate) const PAGE_TOKENS: usize = 4;
 
-/// [`PAGE_TOKENS`] positions of K/V for every layer: layer `l`'s key rows
-/// start at float `2l · PAGE_TOKENS · d_model`, its value rows right after
-/// them. Shared behind an `Arc` by every cache (and the prefix index) that
-/// holds it, and written only by a holder that has it to itself.
+/// [`PAGE_TOKENS`] positions of K/V for every layer: layer `l`'s block of
+/// `PageLayout::floats` starts at float `l · floats` and holds its keys
+/// lane-major (`[c][t][h]`, so one row's scores for the page are
+/// `head_dim` vector steps) and then its value rows (see [`PageLayout`];
+/// its `write` fills a block and [`attend`] reads it). Rows past a
+/// sequence's length are stale or zero and read by nothing. Shared behind
+/// an `Arc` by every cache (and the prefix index) that holds it, and
+/// written only by a holder that has it to itself.
 #[derive(Debug)]
 pub(crate) struct Page {
     kv: Vec<f32>,
@@ -1217,7 +1161,9 @@ impl PageRef {
 }
 
 /// A sequence's key/value cache: its positions in fixed-size pages, in
-/// order, plus how many positions are filled.
+/// order, plus how many positions are filled. A page's keys are stored
+/// lane-major per layer ([`PageLayout`]); the forward pass writes rows
+/// through the layout and [`attend`] reads them.
 ///
 /// Created empty by [`KvCache::new`], filled by [`TransformerLm::prefill`]
 /// (or, past a cached prefix, by [`TransformerLm::prefill_continue`]) and
@@ -1229,21 +1175,22 @@ impl PageRef {
 pub struct KvCache {
     pub(crate) pages: Vec<PageRef>,
     len: usize,
-    /// Row width (`d_model`).
-    d: usize,
-    /// Floats per page: K and V rows of every layer.
+    /// Where one layer's K/V sit in a page.
+    layout: PageLayout,
+    /// Floats per page: one layout block per layer.
     page_floats: usize,
 }
 
 impl KvCache {
     /// An empty cache for `model`'s shape.
     pub fn new(model: &TransformerLm) -> Self {
-        let d = model.cfg.d_model;
+        let cfg = &model.cfg;
+        let layout = PageLayout::new(cfg.n_heads, cfg.head_dim(), PAGE_TOKENS);
         Self {
-            pages: Vec::with_capacity(model.cfg.context_window.div_ceil(PAGE_TOKENS)),
+            pages: Vec::with_capacity(cfg.context_window.div_ceil(PAGE_TOKENS)),
             len: 0,
-            d,
-            page_floats: 2 * model.cfg.n_layers * PAGE_TOKENS * d,
+            layout,
+            page_floats: cfg.n_layers * layout.floats(),
         }
     }
 
@@ -1260,8 +1207,9 @@ impl KvCache {
     /// Rolls the cache back to its first `len` positions, letting go of the
     /// pages past them. A no-op when `len >= self.len()`. Speculative
     /// decoding uses this to drop rejected draft tokens
-    /// ([`crate::DecodeBatch::step`]); the next write into a page still
-    /// shared copies it first.
+    /// ([`crate::DecodeBatch::step`]); the rows past `len` in the last kept
+    /// page stay behind, read by nothing until overwritten, and the next
+    /// write into a page still shared copies it first.
     pub fn truncate(&mut self, len: usize) {
         if len >= self.len {
             return;
@@ -1295,102 +1243,51 @@ impl KvCache {
 
     /// Writes layer `l`'s key and value rows for positions `start..`.
     fn write(&mut self, l: usize, start: usize, keys: &[f32], vals: &[f32]) {
-        let d = self.d;
+        let layout = self.layout;
+        let (d, floats) = (layout.width(), layout.floats());
         for (pos, (k, v)) in (start..).zip(keys.chunks_exact(d).zip(vals.chunks_exact(d))) {
             let page = self.pages[pos / PAGE_TOKENS].make_mut();
-            let at = (2 * l * PAGE_TOKENS + pos % PAGE_TOKENS) * d;
-            page.kv[at..at + d].copy_from_slice(k);
-            let at = at + PAGE_TOKENS * d;
-            page.kv[at..at + d].copy_from_slice(v);
+            layout.write(
+                &mut page.kv[l * floats..][..floats],
+                pos % PAGE_TOKENS,
+                k,
+                v,
+            );
         }
     }
 
-    /// Layer `l`'s key and value rows of positions `0..t_len`, page by page
-    /// in position order.
-    pub(crate) fn layer(
-        &self,
-        l: usize,
-        t_len: usize,
-    ) -> impl Iterator<Item = (&[f32], &[f32])> + Clone {
-        let block = PAGE_TOKENS * self.d;
-        let pages = self.pages[..t_len.div_ceil(PAGE_TOKENS)].iter();
-        pages.enumerate().map(move |(i, page)| {
-            let rows = (t_len - i * PAGE_TOKENS).min(PAGE_TOKENS) * self.d;
-            let keys = &page.0.kv[2 * l * block..][..rows];
-            (keys, &page.0.kv[(2 * l + 1) * block..][..rows])
-        })
+    /// Layer `l`'s blocks of the pages holding positions `0..t_len`, in
+    /// position order.
+    pub(crate) fn layer(&self, l: usize, t_len: usize) -> impl Iterator<Item = &[f32]> + Clone {
+        let floats = self.layout.floats();
+        self.pages[..t_len.div_ceil(PAGE_TOKENS)]
+            .iter()
+            .map(move |page| &page.0.kv[l * floats..][..floats])
+    }
+
+    /// Every live position's K and V floats, as bits, layer by layer: what
+    /// two caches holding the same sequence agree on. Rows a rollback left
+    /// past the length are not read.
+    #[cfg(test)]
+    pub(crate) fn bits(&self) -> Vec<u32> {
+        let floats = self.layout.floats();
+        let mut bits = Vec::new();
+        for l in 0..self.page_floats / floats {
+            for pos in 0..self.len {
+                let block = &self.pages[pos / PAGE_TOKENS].0.kv[l * floats..][..floats];
+                let t = pos % PAGE_TOKENS;
+                let key = self.layout.key(block, t);
+                let row = key.iter().chain(self.layout.value(block, t));
+                bits.extend(row.map(|x| x.to_bits()));
+            }
+        }
+        bits
     }
 }
 
 impl Drop for KvCache {
     fn drop(&mut self) {
         self.truncate(0);
-    }
-}
-
-/// Head width shared by every size class (`d_model / n_heads` is 16 for the
-/// 350M, 2.7B, and 6B configs); the decode step's attention loops specialize
-/// on it so the per-head arithmetic fully unrolls.
-const HEAD_DIM_FAST: usize = 16;
-
-/// One cached position's attention scores for all heads: `scores[hi][t] =
-/// dot(q_h, k_h) * scale` with the dot product summed in index order —
-/// bit-identical to [`dot`] over the same slices.
-#[inline(always)]
-fn att_scores_row<const HD: usize>(
-    q: &[f32],
-    k_row: &[f32],
-    heads: usize,
-    t: usize,
-    t_len: usize,
-    scale: f32,
-    scores: &mut [f32],
-) {
-    for hi in 0..heads {
-        let q_h: &[f32; HD] = q[hi * HD..][..HD].try_into().expect("head-width q");
-        let k_h: &[f32; HD] = k_row[hi * HD..][..HD].try_into().expect("head-width k");
-        let mut s = 0.0f32;
-        for c in 0..HD {
-            s += q_h[c] * k_h[c];
-        }
-        scores[hi * t_len + t] = s * scale;
-    }
-}
-
-/// The weighted-V reduction for all heads: `att_out[hi] = Σ_t
-/// scores[hi][t] * v_h(t)` with `t` ascending and zero weights skipped —
-/// the same terms in the same per-element order as the t-outer form
-/// (`att_out` starts at zero), but page by page: each head's accumulator
-/// is a register-resident array across a page's rows instead of a memory
-/// round-trip per cached position, and each page's value rows are read
-/// once for all heads.
-#[inline(always)]
-fn att_weighted_v<'c, const HD: usize>(
-    scores: &[f32],
-    pages: impl Iterator<Item = (&'c [f32], &'c [f32])>,
-    d: usize,
-    heads: usize,
-    t_len: usize,
-    att_out: &mut [f32],
-) {
-    att_out.fill(0.0);
-    let mut t0 = 0;
-    for (_, vals) in pages {
-        for (hi, out) in att_out.chunks_exact_mut(HD).take(heads).enumerate() {
-            let out: &mut [f32; HD] = out.try_into().expect("head-width out");
-            let mut acc = *out;
-            for (v_row, &w) in vals.chunks_exact(d).zip(&scores[hi * t_len + t0..]) {
-                if w == 0.0 {
-                    continue;
-                }
-                let v_h: &[f32; HD] = v_row[hi * HD..][..HD].try_into().expect("head-width v");
-                for c in 0..HD {
-                    acc[c] += w * v_h[c];
-                }
-            }
-            *out = acc;
-        }
-        t0 += vals.len() / d;
     }
 }
 
@@ -1700,14 +1597,6 @@ mod tests {
         assert!(out.len() <= 4);
     }
 
-    /// Every cached K/V float of `cache`, as bits, layer by layer.
-    fn bits(cache: &KvCache) -> Vec<u32> {
-        (0..tiny_cfg().n_layers)
-            .flat_map(|l| cache.layer(l, cache.len()).collect::<Vec<_>>())
-            .flat_map(|(k, v)| k.iter().chain(v).map(|x| x.to_bits()).collect::<Vec<_>>())
-            .collect()
-    }
-
     #[test]
     fn kv_cache_truncate_rolls_back_to_a_fresh_decode() {
         let cfg = tiny_cfg();
@@ -1735,7 +1624,7 @@ mod tests {
             replay.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
             expect.iter().map(|f| f.to_bits()).collect::<Vec<_>>()
         );
-        assert_eq!(bits(&cache), bits(&fresh));
+        assert_eq!(cache.bits(), fresh.bits());
 
         // Truncating past the end is a no-op; truncating to zero empties.
         cache.truncate(100);
@@ -1752,7 +1641,7 @@ mod tests {
         let prompt = [3u32, 7, 1, 11, 5, 2];
         // Six positions: one full page and the middle of the second.
         let (mut original, _) = model.prefill(&prompt);
-        let before = bits(&original);
+        let before = original.bits();
         let mut clone = original.clone();
         for (a, b) in original.pages.iter().zip(&clone.pages) {
             assert!(Arc::ptr_eq(&a.0, &b.0), "a clone copies no rows");
@@ -1763,21 +1652,21 @@ mod tests {
         // original's rows stay as they were.
         let _ = model.step(9, 6, &mut clone);
         let _ = model.step(4, 7, &mut clone);
-        assert_eq!(bits(&original), before);
+        assert_eq!(original.bits(), before);
         clone.truncate(3);
         let _ = model.step(8, 3, &mut clone);
         let _ = model.step(6, 4, &mut clone);
-        assert_eq!(bits(&original), before);
+        assert_eq!(original.bits(), before);
         assert!(!Arc::ptr_eq(&original.pages[0].0, &clone.pages[0].0));
 
         // The original decodes on over its own pages.
         let _ = model.step(12, 6, &mut original);
         let _ = model.step(1, 7, &mut original);
         assert_eq!(
-            bits(&original),
-            bits(&model.prefill(&[3, 7, 1, 11, 5, 2, 12, 1]).0)
+            original.bits(),
+            model.prefill(&[3, 7, 1, 11, 5, 2, 12, 1]).0.bits()
         );
-        assert_eq!(bits(&clone), bits(&model.prefill(&[3, 7, 1, 8, 6]).0));
+        assert_eq!(clone.bits(), model.prefill(&[3, 7, 1, 8, 6]).0.bits());
     }
 
     #[test]

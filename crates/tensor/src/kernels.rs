@@ -14,6 +14,10 @@
 //! (including the single-threaded path). `tests/determinism.rs` and the
 //! thread-agreement tests below rely on this.
 
+mod attention;
+
+pub use attention::{attend, attend_portable, PageLayout, HEAD_DIM_FAST};
+
 /// Column-panel width for the blocked kernels.
 const PANEL_N: usize = 64;
 
@@ -1008,28 +1012,38 @@ fn floor_small(v: f32) -> f32 {
     }
 }
 
+/// [`exp_approx`]'s input range: outside it f32 exp overflows / flushes to
+/// zero anyway; the upper bound keeps the reduced exponent n within i8
+/// range.
+const EXP_MIN: f32 = -87.336_54;
+const EXP_MAX: f32 = 88.376_26;
+/// `ln 2` split for the two-step Cody-Waite reduction, which keeps r
+/// accurate near the split points.
+const LN2_HI: f32 = 0.693_359_4;
+const LN2_LO: f32 = -2.121_944_4e-4;
+/// [`exp_approx`]'s degree-5 polynomial on the reduced argument, highest
+/// coefficient first.
+const EXP_POLY: [f32; 6] = [
+    1.987_569_1e-4,
+    1.398_199_9e-3,
+    8.333_452e-3,
+    4.166_579_6e-2,
+    1.666_666_6e-1,
+    5.0e-1,
+];
+
 /// Fast `exp` via the standard Cephes-style range reduction
 /// (`x = n·ln2 + r`, degree-5 polynomial on `r`, exponent-bit scaling by
 /// `2^n`), accurate to ~1e-6 relative. Pure f32 arithmetic: vectorizes and
 /// stays bit-reproducible, unlike libm's `expf`, which dominated softmax.
+#[inline]
 fn exp_approx(x: f32) -> f32 {
-    // Outside this range f32 exp overflows / flushes to zero anyway; the
-    // upper bound keeps the reduced exponent n within i8 range.
-    let x = x.clamp(-87.336_54, 88.376_26);
-    const LOG2E: f32 = std::f32::consts::LOG2_E;
-    const LN2_HI: f32 = 0.693_359_4;
-    const LN2_LO: f32 = -2.121_944_4e-4;
-    const P0: f32 = 1.987_569_1e-4;
-    const P1: f32 = 1.398_199_9e-3;
-    const P2: f32 = 8.333_452e-3;
-    const P3: f32 = 4.166_579_6e-2;
-    const P4: f32 = 1.666_666_6e-1;
-    const P5: f32 = 5.0e-1;
-    let n = floor_small(x * LOG2E + 0.5);
-    // Two-step Cody-Waite reduction keeps r accurate near the split points.
+    let x = x.clamp(EXP_MIN, EXP_MAX);
+    let n = floor_small(x * std::f32::consts::LOG2_E + 0.5);
     let r = x - n * LN2_HI - n * LN2_LO;
     let r2 = r * r;
-    let p = ((((P0 * r + P1) * r + P2) * r + P3) * r + P4) * r + P5;
+    let [p0, p1, p2, p3, p4, p5] = EXP_POLY;
+    let p = ((((p0 * r + p1) * r + p2) * r + p3) * r + p4) * r + p5;
     let y = p * r2 + r + 1.0;
     // 2^n via direct exponent-bit construction; n is in [-126, 127] here.
     y * f32::from_bits(((n as i32 + 127) as u32) << 23)

@@ -9,10 +9,14 @@
 # doc tests, with its wall time printed — the tensor crate's unit and
 # property suites once more with `--release` (the explicit-intrinsics
 # kernels are what ships, and a debug build never inlines them the same
-# way), the curation crate's (the MinHash signature's AVX-512 twin is an
-# optimized build of the portable loop, so its agreement property must run
-# where it ships, and its hand-off test once more for the line that says
-# how many channel messages a pass over 784 documents took) and the
+# way; its attention property suite pins the AVX-512 body and the portable
+# one to the row-major oracle), the model crate's served-shape agreement
+# suite and golden logits digest (4 and 7 heads of 16, the width the
+# attention kernel's vector body takes), timed, the curation crate's
+# (the MinHash signature's AVX-512 twin is an optimized build of the
+# portable loop, so its agreement property must run where it ships, and
+# its hand-off test once more for the line that says how many channel
+# messages a pass over 784 documents took) and the
 # grammar crate's (its mask-equivalence property
 # walks the real vocabulary through both the entry and the filtered walk, and the
 # optimized build is the one that serves), printing how many masks the
@@ -142,6 +146,9 @@ suite_start=$SECONDS
 cargo test --workspace -q
 echo "cargo test --workspace -q: $((SECONDS - suite_start)) s"
 cargo test --release -q -p wisdom-tensor
+served_start=$SECONDS
+cargo test --release -q -p wisdom-model --test served_shape_agreement --test logits_digest
+echo "served-shape agreement + logits digest (release): $((SECONDS - served_start)) s"
 cargo test --release -q -p wisdom-curation
 cargo test --release -q -p wisdom-curation --lib a_pass_hands_over_one_message_per_chunk -- --nocapture | grep 'hand-offs per pass'
 cargo test --release -q -p wisdom-grammar -- --nocapture | grep -v '^$'
