@@ -8,7 +8,9 @@
 //!   its own KV cache), picks one token per sequence per round, and runs
 //!   every surviving sequence's rows — its pick, the grammar-forced run
 //!   behind it, its draft — through one ragged forward pass, so a round
-//!   costs one matmul per projection however many rows ride it.
+//!   costs one matmul per projection however many rows ride it. A
+//!   beam-search request is one sequence to admission and `width` rows to
+//!   the pass: its live beams share their prompt's cache pages.
 //! * [`DecodeBatch::run`] ([`generate_batch`] on a plain engine) —
 //!   synchronous fan-in over a fixed request list (the evaluation harness
 //!   path): admits up to `max_batch_size` sequences, refills the batch as
@@ -37,6 +39,7 @@ use std::time::{Duration, Instant};
 
 use wisdom_grammar::{Constraint, GrammarCursor, GrammarIndex};
 use wisdom_prng::Prng;
+use wisdom_tensor::kernels::softmax_row;
 
 use crate::decode::{GenerationOptions, Strategy};
 use crate::prefix_cache::{PrefixCacheStats, PrefixKvCache};
@@ -47,8 +50,8 @@ use crate::telemetry::{
     BatchTelemetry, FinishReason, GrammarTelemetry, ReplicaTelemetry, SpeculativeTelemetry,
 };
 use crate::transformer::{
-    forced_token, pick_ends_sequence, pick_token, ForwardScratch, KvCache, Precision, RaggedSeq,
-    TransformerLm,
+    forced_token, mask_logits, pick_ends_sequence, pick_token, top_k, ForwardScratch, KvCache,
+    Precision, RaggedSeq, TransformerLm,
 };
 
 /// One generation request at the token level.
@@ -63,7 +66,8 @@ pub struct DecodeRequest {
     pub opts: GenerationOptions,
     /// Grammar the completion must satisfy: a shared compiled
     /// [`GrammarIndex`] whose per-sequence cursor masks every logit row, or
-    /// `None` for unconstrained decoding. Beam requests ignore it.
+    /// `None` for unconstrained decoding. Each beam of a beam request keeps
+    /// its own cursor and expands only by tokens legal under it.
     pub grammar: Option<Arc<GrammarIndex>>,
 }
 
@@ -131,6 +135,103 @@ struct Seq {
     sink: Option<mpsc::Sender<u32>>,
 }
 
+/// One live beam of a [`BeamGroup`]: its tokens, the logits its next
+/// expansion reads, its cache (sharing pages with its siblings') and its
+/// own grammar position. Its last token is its row in the pass.
+struct Beam {
+    out: Vec<u32>,
+    logits: Vec<f32>,
+    cache: KvCache,
+    grammar: Option<GrammarCursor>,
+    log_prob: f64,
+}
+
+/// A beam-search request in flight: its live beams and the best finished
+/// beam so far. It is one sequence to admission; each live beam is one row
+/// of the pass.
+struct BeamGroup {
+    tag: usize,
+    width: usize,
+    stops: Vec<u32>,
+    max_new: usize,
+    /// The beams the last selection kept, in selection order. Empty once
+    /// the search is over.
+    live: Vec<Beam>,
+    /// Tokens, length-normalised score and finish reason of the best beam
+    /// that has finished.
+    best: (Vec<u32>, f64, FinishReason),
+    sink: Option<mpsc::Sender<u32>>,
+    started: Instant,
+}
+
+impl BeamGroup {
+    /// One round of beam search: every live beam is expanded by its
+    /// `width` most probable continuations — only those its grammar cursor
+    /// allows, each scored from the unmasked row — and the best `width`
+    /// of those survive. A continuation that [`pick_ends_sequence`] ends
+    /// finishes its parent; one that fills the budget or the window
+    /// finishes itself, without a pass. The rest become the live beams,
+    /// whose new tokens are their rows this round; the beams they replace
+    /// drop their pages.
+    fn select(&mut self, ctx: usize, grammar_telemetry: Option<&GrammarTelemetry>) {
+        let live = std::mem::take(&mut self.live);
+        let mut candidates: Vec<(usize, u32, f64)> = Vec::new();
+        for (bi, beam) in live.iter().enumerate() {
+            let mut probs = beam.logits.clone();
+            softmax_row(&mut probs);
+            // The mask overwrites only illegal entries (with -inf), so every
+            // legal candidate keeps its unmasked probability.
+            mask_logits(beam.grammar.as_ref(), &mut probs, grammar_telemetry);
+            for t in top_k(&probs, self.width) {
+                if probs[t] != f32::NEG_INFINITY {
+                    let lp = beam.log_prob + f64::from(probs[t].max(1e-20)).ln();
+                    candidates.push((bi, t as u32, lp));
+                }
+            }
+        }
+        candidates.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
+        candidates.truncate(self.width);
+        for (bi, token, log_prob) in candidates {
+            let parent = &live[bi];
+            if let Some(reason) = pick_ends_sequence(token, &self.stops, parent.grammar.as_ref()) {
+                self.offer(parent.out.clone(), log_prob, reason);
+                continue;
+            }
+            let out = [&parent.out[..], &[token]].concat();
+            if out.len() >= self.max_new {
+                self.offer(out, log_prob, FinishReason::Length);
+                continue;
+            }
+            let mut grammar = parent.grammar.clone();
+            if let Some(g) = &mut grammar {
+                g.advance(token);
+            }
+            self.live.push(Beam {
+                out,
+                logits: vec![0.0; parent.logits.len()],
+                cache: parent.cache.clone(),
+                grammar,
+                log_prob,
+            });
+        }
+        // At the window's edge the survivors' logits would never be read.
+        if live.first().is_some_and(|beam| beam.cache.len() + 1 >= ctx) {
+            for beam in std::mem::take(&mut self.live) {
+                self.offer(beam.out, beam.log_prob, FinishReason::Length);
+            }
+        }
+    }
+
+    /// Keeps a finished beam if its log-probability per token beats every
+    /// earlier one's.
+    fn offer(&mut self, tokens: Vec<u32>, log_prob: f64, reason: FinishReason) {
+        let score = log_prob / (tokens.len().max(1) as f64);
+        if score > self.best.1 {
+            self.best = (tokens, score, reason);
+        }
+    }
+}
+
 /// Forwards freshly emitted tokens to the sequence's streaming sink, if any.
 /// Returns `false` once the receiver is gone (the stream was abandoned).
 fn emit_streamed(sink: &Option<mpsc::Sender<u32>>, tokens: &[u32]) -> bool {
@@ -145,6 +246,8 @@ fn emit_streamed(sink: &Option<mpsc::Sender<u32>>, tokens: &[u32]) -> bool {
 pub struct DecodeBatch<'m> {
     model: &'m TransformerLm,
     seqs: Vec<Seq>,
+    /// Beam-search requests in flight.
+    beams: Vec<BeamGroup>,
     /// Shared prefix KV cache consulted/populated at admission (optional).
     prefix_cache: Option<Arc<PrefixKvCache>>,
     /// Metric handles; `None` keeps the hot path entirely uninstrumented.
@@ -168,6 +271,7 @@ impl<'m> DecodeBatch<'m> {
         Self {
             model,
             seqs: Vec::new(),
+            beams: Vec::new(),
             prefix_cache: None,
             telemetry: None,
             speculation: SpeculativeConfig::disabled(),
@@ -215,24 +319,21 @@ impl<'m> DecodeBatch<'m> {
         self.grammar_telemetry = Some(telemetry);
     }
 
-    /// Number of sequences currently in flight.
+    /// Number of sequences currently in flight (a beam-search request is
+    /// one, however many beams it has live).
     pub fn len(&self) -> usize {
-        self.seqs.len()
+        self.seqs.len() + self.beams.len()
     }
 
     /// Whether no sequences are in flight.
     pub fn is_empty(&self) -> bool {
-        self.seqs.is_empty()
+        self.seqs.is_empty() && self.beams.is_empty()
     }
 
     /// Admits a request into the batch: prefills its prompt window (one
     /// batched forward pass) and registers the sequence for decoding. The
     /// `tag` comes back from [`Self::step`] when the sequence finishes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a beam-search request — beams branch their caches and take
-    /// the solo [`TransformerLm::generate`] path instead.
+    /// A beam-search request starts as one beam on that prefilled cache.
     pub fn admit(&mut self, tag: usize, req: DecodeRequest) {
         self.admit_full(tag, req, None, None, None);
     }
@@ -255,10 +356,6 @@ impl<'m> DecodeBatch<'m> {
         sink: Option<mpsc::Sender<u32>>,
         drafter: Option<Box<dyn Speculator>>,
     ) {
-        assert!(
-            !matches!(req.opts.strategy, Strategy::Beam { .. }),
-            "beam requests take the direct generate path"
-        );
         let started = submitted.unwrap_or_else(Instant::now);
         if let Some(t) = &self.telemetry {
             if let Some(at) = submitted {
@@ -278,11 +375,7 @@ impl<'m> DecodeBatch<'m> {
         // a shared page before writing into it: rolling rejected draft rows
         // back and re-decoding never touches the index's pages.
         let drafter = (self.speculation.enabled() && matches!(req.opts.strategy, Strategy::Greedy))
-            .then(|| {
-                drafter.unwrap_or_else(|| {
-                    Box::new(NgramSpeculator::new(self.model.config().vocab_size, window))
-                })
-            });
+            .then(|| drafter.unwrap_or_else(|| Box::new(NgramSpeculator::new(window))));
         // Budget mirrors the solo loop's effective room: the request's
         // token budget capped by what the context window can still absorb.
         let ctx = self.model.config().context_window;
@@ -293,28 +386,50 @@ impl<'m> DecodeBatch<'m> {
                 req.opts.max_new_tokens.min(ctx.saturating_sub(pos)),
             )
         });
-        self.seqs.push(Seq {
-            tag,
-            cache,
-            logits,
-            pos,
-            out: Vec::new(),
-            stops: req.stops,
-            max_new: req.opts.max_new_tokens,
-            strategy: req.opts.strategy,
-            rng: Prng::seed_from_u64(req.opts.seed),
-            done: None,
-            started,
-            first_token_seen: false,
-            drafter,
-            gate: DraftGate::new(),
-            pending: Vec::new(),
-            drafted: 0,
-            grammar,
-            sink,
-        });
+        if let Strategy::Beam { width } = req.opts.strategy {
+            // A zero budget leaves nothing to search: the group finishes
+            // empty in its first round.
+            let root = (req.opts.max_new_tokens > 0).then_some(Beam {
+                out: Vec::new(),
+                logits,
+                cache,
+                grammar,
+                log_prob: 0.0,
+            });
+            self.beams.push(BeamGroup {
+                tag,
+                width: width.max(1),
+                stops: req.stops,
+                max_new: req.opts.max_new_tokens,
+                live: root.into_iter().collect(),
+                best: (Vec::new(), f64::NEG_INFINITY, FinishReason::Length),
+                sink,
+                started,
+            });
+        } else {
+            self.seqs.push(Seq {
+                tag,
+                cache,
+                logits,
+                pos,
+                out: Vec::new(),
+                stops: req.stops,
+                max_new: req.opts.max_new_tokens,
+                strategy: req.opts.strategy,
+                rng: Prng::seed_from_u64(req.opts.seed),
+                done: None,
+                started,
+                first_token_seen: false,
+                drafter,
+                gate: DraftGate::new(),
+                pending: Vec::new(),
+                drafted: 0,
+                grammar,
+                sink,
+            });
+        }
         if let Some(t) = &self.telemetry {
-            t.batch_occupancy.set(self.seqs.len() as f64);
+            t.batch_occupancy.set(self.len() as f64);
         }
     }
 
@@ -328,7 +443,10 @@ impl<'m> DecodeBatch<'m> {
     /// run, and draft rows for sequences whose drafts have been paying)
     /// advance through one ragged forward pass; a forced row needs no logits
     /// and has nothing to verify, a draft row is kept only if the verifier's
-    /// own pick agrees (this is the only place drafts are verified).
+    /// own pick agrees (this is the only place drafts are verified). A
+    /// beam-search request instead keeps its best `width` one-token
+    /// extensions as its rows, and finishes with its best beam once none is
+    /// left to extend.
     ///
     /// Returns the sequences that finished this round as `(tag, tokens)`.
     pub fn step(&mut self) -> Vec<(usize, Vec<u32>)> {
@@ -420,8 +538,20 @@ impl<'m> DecodeBatch<'m> {
                 seq.pending.extend_from_slice(&draft);
             }
         }
+        for group in &mut self.beams {
+            group.select(ctx, grammar_telemetry);
+        }
         // A sequence that stopped this round reads no more logits: its rows
         // stay out of the pass.
+        let beam_rows = self
+            .beams
+            .iter_mut()
+            .flat_map(|g| &mut g.live)
+            .map(|beam| RaggedSeq {
+                tokens: &beam.out[beam.out.len() - 1..],
+                logits_from: 0,
+                cache: &mut beam.cache,
+            });
         let mut rows: Vec<RaggedSeq<'_>> = self
             .seqs
             .iter_mut()
@@ -431,6 +561,7 @@ impl<'m> DecodeBatch<'m> {
                 logits_from: seq.pending.len() - seq.drafted - 1,
                 cache: &mut seq.cache,
             })
+            .chain(beam_rows)
             .collect();
         let round_start = telemetry
             .filter(|_| !rows.is_empty())
@@ -479,6 +610,11 @@ impl<'m> DecodeBatch<'m> {
                 }
             }
         }
+        for beam in self.beams.iter_mut().flat_map(|g| &mut g.live) {
+            let (read, rest) = logits.split_at_mut(vocab);
+            logits = rest;
+            beam.logits.copy_from_slice(read);
+        }
         if let (Some(t), Some(at)) = (telemetry, round_start) {
             t.token_latency.observe(at.elapsed().as_secs_f64());
         }
@@ -493,22 +629,39 @@ impl<'m> DecodeBatch<'m> {
             finished.push((seq.tag, std::mem::take(&mut seq.out)));
             false
         });
+        self.beams.retain_mut(|group| {
+            if !group.live.is_empty() {
+                return true;
+            }
+            let (out, reason) = (std::mem::take(&mut group.best.0), group.best.2);
+            // The stream ends here either way; a listener gets the winner
+            // in one piece.
+            emit_streamed(&group.sink, &out);
+            if let Some(t) = telemetry {
+                if !out.is_empty() {
+                    t.ttft.observe(group.started.elapsed().as_secs_f64());
+                }
+                t.finished(reason).inc();
+            }
+            finished.push((group.tag, out));
+            false
+        });
         if let Some(t) = telemetry {
             t.completed.add(finished.len() as u64);
-            t.batch_occupancy.set(self.seqs.len() as f64);
+            t.batch_occupancy.set(self.len() as f64);
         }
         finished
     }
 
     /// Decodes every request through this engine, continuously refilled to
-    /// at most `max_batch_size` sequences, and returns the outputs in input
-    /// order — with whatever prefix cache, speculation and metric handles
-    /// the engine was configured with. Beam requests fall back to the solo
-    /// path (their caches branch per beam).
+    /// at most `max_batch_size` sequences (a beam request counts as one),
+    /// and returns the outputs in input order — with whatever prefix cache,
+    /// speculation and metric handles the engine was configured with.
     ///
-    /// Each output is bit-identical to `model.generate` run alone on that
-    /// request: neither the cache, nor speculation
+    /// Each output is bit-identical to that request decoded alone: neither
+    /// batch company, nor the cache, nor speculation
     /// (`tests/speculative_agreement.rs`), nor telemetry changes a token.
+    /// This is also how [`TransformerLm::generate`] decodes a beam request.
     ///
     /// # Panics
     ///
@@ -524,10 +677,6 @@ impl<'m> DecodeBatch<'m> {
                 let Some((tag, req)) = queue.next() else {
                     break;
                 };
-                if matches!(req.opts.strategy, Strategy::Beam { .. }) {
-                    results[tag] = self.model.generate(&req.prompt, &req.stops, &req.opts);
-                    continue;
-                }
                 self.admit(tag, req);
             }
             if self.is_empty() {
@@ -542,8 +691,7 @@ impl<'m> DecodeBatch<'m> {
 }
 
 /// Decodes every request through one continuously refilled batch of at most
-/// `max_batch_size` sequences, returning outputs in input order. Beam
-/// requests fall back to the solo path (their caches branch per beam).
+/// `max_batch_size` sequences, returning outputs in input order.
 ///
 /// Each output is bit-identical to `model.generate` run alone on that
 /// request. This is [`DecodeBatch::run`] on a plain engine; configure one
@@ -826,23 +974,14 @@ impl BatchScheduler {
         self.shared.worker_ready.load(Ordering::Acquire)
     }
 
-    /// Enqueues a request without blocking.
-    ///
-    /// Beam requests run to completion on the calling thread (the batched
-    /// engine multiplexes greedy/top-k only) and return an already-resolved
-    /// [`Pending`].
+    /// Enqueues a request without blocking. Every strategy, beam search
+    /// included, queues here and decodes on the worker.
     ///
     /// # Errors
     ///
     /// [`SubmitError::QueueFull`] when the bounded queue is at capacity,
     /// [`SubmitError::ShutDown`] after shutdown.
     pub fn submit(&self, req: DecodeRequest) -> Result<Pending, SubmitError> {
-        if matches!(req.opts.strategy, Strategy::Beam { .. }) {
-            let out = self.model.generate(&req.prompt, &req.stops, &req.opts);
-            let (tx, rx) = mpsc::channel();
-            let _ = tx.send(out);
-            return Ok(Pending { rx });
-        }
         self.enqueue(req, None).map(|rx| Pending { rx })
     }
 
@@ -850,29 +989,16 @@ impl BatchScheduler {
     /// result: each decoded token is delivered on
     /// [`StreamingPending::tokens`] the moment it is chosen, and the channel
     /// disconnects when the sequence retires. The final result is
-    /// bit-identical to [`Self::submit`] for the same request.
-    ///
-    /// Beam requests decode on the calling thread (as in [`Self::submit`])
-    /// and deliver their whole output through the stream at once.
+    /// bit-identical to [`Self::submit`] for the same request. A beam
+    /// request delivers its winning beam through the stream in one piece
+    /// when the search ends, so a beam stream nobody reads any more is
+    /// noticed only then.
     ///
     /// # Errors
     ///
     /// Same as [`Self::submit`].
     pub fn submit_streaming(&self, req: DecodeRequest) -> Result<StreamingPending, SubmitError> {
         let (sink, tokens) = mpsc::channel();
-        if matches!(req.opts.strategy, Strategy::Beam { .. }) {
-            let out = self.model.generate(&req.prompt, &req.stops, &req.opts);
-            for &t in &out {
-                let _ = sink.send(t);
-            }
-            drop(sink);
-            let (tx, rx) = mpsc::channel();
-            let _ = tx.send(out);
-            return Ok(StreamingPending {
-                tokens,
-                result: Pending { rx },
-            });
-        }
         let rx = self.enqueue(req, Some(sink))?;
         Ok(StreamingPending {
             tokens,
@@ -1711,23 +1837,82 @@ mod tests {
         assert_eq!(streamed.result.wait(), solo);
     }
 
+    fn beam_request(width: usize, max_new: usize) -> DecodeRequest {
+        DecodeRequest {
+            prompt: vec![1, 2],
+            stops: vec![0],
+            opts: GenerationOptions {
+                max_new_tokens: max_new,
+                strategy: Strategy::Beam { width },
+                ..Default::default()
+            },
+            grammar: None,
+        }
+    }
+
     #[test]
-    fn beam_requests_take_the_direct_path() {
+    fn beam_submissions_after_shutdown_are_refused() {
+        let sched = BatchScheduler::spawn(Arc::new(tiny_model()), BatchConfig::default());
+        sched.shutdown();
+        assert_eq!(
+            sched.submit(beam_request(2, 4)).unwrap_err(),
+            SubmitError::ShutDown
+        );
+        assert_eq!(
+            sched.submit_streaming(beam_request(2, 4)).unwrap_err(),
+            SubmitError::ShutDown
+        );
+    }
+
+    #[test]
+    fn paused_beam_submissions_fill_the_queue() {
         let model = Arc::new(tiny_model());
-        let sched = BatchScheduler::spawn(Arc::clone(&model), BatchConfig::default());
-        let opts = GenerationOptions {
-            max_new_tokens: 4,
-            strategy: Strategy::Beam { width: 2 },
-            ..Default::default()
-        };
-        let pending = sched
-            .submit(DecodeRequest {
-                prompt: vec![1, 2],
-                stops: vec![0],
-                opts,
-                grammar: None,
-            })
-            .expect("beam submit");
-        assert_eq!(pending.wait(), model.generate(&[1, 2], &[0], &opts));
+        let sched = BatchScheduler::spawn(
+            Arc::clone(&model),
+            BatchConfig {
+                queue_depth: 2,
+                ..BatchConfig::default()
+            },
+        );
+        sched.set_admission_paused(true);
+        let a = sched.submit(beam_request(2, 4)).expect("queued 1");
+        let b = sched
+            .submit_streaming(beam_request(3, 5))
+            .expect("queued 2");
+        assert_eq!(sched.stats().queue_depth, 2);
+        assert_eq!(
+            sched.submit(beam_request(2, 4)).unwrap_err(),
+            SubmitError::QueueFull
+        );
+        sched.set_admission_paused(false);
+        let solo = |req: DecodeRequest| model.generate(&req.prompt, &req.stops, &req.opts);
+        assert_eq!(a.wait(), solo(beam_request(2, 4)));
+        assert_eq!(b.result.wait(), solo(beam_request(3, 5)));
+    }
+
+    #[test]
+    fn a_beam_request_is_admitted_and_completed_once() {
+        let registry = wisdom_telemetry::Registry::new();
+        let telemetry = BatchTelemetry::register(&registry);
+        let sched = BatchScheduler::spawn_with(
+            Arc::new(tiny_model()),
+            BatchConfig::default(),
+            ReplicaTelemetry {
+                batch: Some(telemetry.clone()),
+                ..Default::default()
+            },
+        );
+        let out = sched.submit(beam_request(3, 6)).expect("queued").wait();
+        assert!(!out.is_empty());
+        assert_eq!(telemetry.admitted.get(), 1);
+        assert_eq!(telemetry.completed.get(), 1);
+        assert_eq!(telemetry.queue_wait.snapshot().count(), 1);
+        assert_eq!(telemetry.ttft.snapshot().count(), 1);
+        let by_reason: u64 = FinishReason::ALL
+            .iter()
+            .map(|&r| telemetry.finished(r).get())
+            .sum();
+        assert_eq!(by_reason, 1);
+        assert_eq!(sched.load(), 0);
     }
 }

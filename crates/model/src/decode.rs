@@ -54,9 +54,9 @@ impl Default for GenerationOptions {
 
 /// A text-in / text-out code completion engine.
 ///
-/// Implemented by the transformer (via [`LmTextGenerator`]), the n-gram
-/// baseline, and the retrieval stand-in for Codex, so the evaluation harness
-/// can score them uniformly.
+/// Implemented by the transformer (via [`LmTextGenerator`]) and the
+/// retrieval stand-in for Codex, so the evaluation harness can score them
+/// uniformly.
 pub trait TextGenerator: Send + Sync {
     /// Completes `prompt`, returning only the newly generated text.
     fn complete(&self, prompt: &str, opts: &GenerationOptions) -> String;

@@ -1,15 +1,16 @@
 //! Language models for Ansible Wisdom.
 //!
-//! Three model families play the roles of the paper's systems:
+//! Two model families play the roles of the paper's systems, both scored
+//! through the common [`TextGenerator`] trait:
 //!
 //! * [`TransformerLm`] — the decoder-only GPT-architecture model standing in
 //!   for CodeGen/Wisdom checkpoints, with tape-based training
 //!   ([`pretrain`] / [`finetune`]) and KV-cache inference;
-//! * [`NgramLm`] — a classical back-off baseline;
 //! * [`RetrievalModel`] — the contamination-aware stand-in for
 //!   Codex-Davinci-002.
 //!
-//! All are scored through the common [`TextGenerator`] trait.
+//! [`NgramLm`] is no model of the paper's: it only proposes the speculative
+//! decoder's drafts.
 //!
 //! # Examples
 //!
@@ -44,7 +45,7 @@ pub use batch::{
 pub use checkpoint::{load_checkpoint, save_checkpoint, LoadCheckpointError};
 pub use config::ModelConfig;
 pub use decode::{GenerationOptions, LmTextGenerator, Strategy, TextGenerator};
-pub use ngram::{NgramLm, NgramTextGenerator};
+pub use ngram::NgramLm;
 pub use prefix_cache::{PrefixCacheStats, PrefixKvCache};
 pub use replica::{PoolStats, ReplicaPool};
 pub use retrieval::RetrievalModel;

@@ -1,14 +1,7 @@
-//! An interpolated back-off n-gram language model: the classical baseline
-//! against which the transformer's gains are measured, and a fast stand-in
-//! where a neural model would be overkill.
+//! A stupid-backoff n-gram language model over token ids: the speculative
+//! decoder's draft proposer.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use wisdom_prng::Prng;
-use wisdom_tokenizer::BpeTokenizer;
-
-use crate::decode::{GenerationOptions, Strategy, TextGenerator};
 
 /// Token-level n-gram model with stupid-backoff scoring.
 ///
@@ -17,7 +10,7 @@ use crate::decode::{GenerationOptions, Strategy, TextGenerator};
 /// ```
 /// use wisdom_model::NgramLm;
 ///
-/// let mut lm = NgramLm::new(3, 100);
+/// let mut lm = NgramLm::new(3);
 /// lm.observe(&[1, 2, 3, 4, 1, 2, 3, 4]);
 /// // After seeing "1 2 3" -> 4 twice, prediction follows suit.
 /// assert_eq!(lm.predict(&[1, 2, 3]), Some(4));
@@ -25,7 +18,6 @@ use crate::decode::{GenerationOptions, Strategy, TextGenerator};
 #[derive(Debug, Clone)]
 pub struct NgramLm {
     order: usize,
-    vocab_size: usize,
     /// For each context length 0..order, counts of (context, next).
     counts: Vec<HashMap<Vec<u32>, HashMap<u32, u32>>>,
 }
@@ -36,18 +28,12 @@ impl NgramLm {
     /// # Panics
     ///
     /// Panics if `order == 0`.
-    pub fn new(order: usize, vocab_size: usize) -> Self {
+    pub fn new(order: usize) -> Self {
         assert!(order > 0, "order must be at least 1");
         Self {
             order,
-            vocab_size,
             counts: (0..order).map(|_| HashMap::new()).collect(),
         }
-    }
-
-    /// The model order.
-    pub fn order(&self) -> usize {
-        self.order
     }
 
     /// Accumulates counts from a token sequence.
@@ -67,9 +53,9 @@ impl NgramLm {
     /// ```
     /// use wisdom_model::NgramLm;
     ///
-    /// let mut whole = NgramLm::new(3, 100);
+    /// let mut whole = NgramLm::new(3);
     /// whole.observe(&[1, 2, 3, 4, 1, 2, 3, 4]);
-    /// let mut chunked = NgramLm::new(3, 100);
+    /// let mut chunked = NgramLm::new(3);
     /// chunked.observe(&[1, 2, 3]);
     /// chunked.observe_continuation(&[1, 2, 3], &[4, 1, 2, 3, 4]);
     /// assert_eq!(chunked.predict(&[1, 2, 3]), whole.predict(&[1, 2, 3]));
@@ -129,95 +115,6 @@ impl NgramLm {
         }
         Vec::new()
     }
-
-    /// Generates up to `max_new` tokens, stopping at `stop`.
-    pub fn generate(&self, prompt: &[u32], stop: u32, opts: &GenerationOptions) -> Vec<u32> {
-        let mut ctx = prompt.to_vec();
-        let mut out = Vec::new();
-        let mut rng = Prng::seed_from_u64(opts.seed);
-        while out.len() < opts.max_new_tokens {
-            let next = match opts.strategy {
-                Strategy::Greedy => self.predict(&ctx),
-                Strategy::TopK { k, .. } => {
-                    let mut scores = self.next_scores(&ctx);
-                    scores
-                        .sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-                    scores.truncate(k.max(1));
-                    if scores.is_empty() {
-                        None
-                    } else {
-                        let weights: Vec<f64> = scores.iter().map(|s| s.1).collect();
-                        Some(scores[rng.weighted_index(&weights)].0)
-                    }
-                }
-                // Beam search is a transformer-path feature; the n-gram
-                // baseline degrades to greedy.
-                Strategy::Beam { .. } => self.predict(&ctx),
-            };
-            let Some(next) = next else { break };
-            if next == stop {
-                break;
-            }
-            out.push(next);
-            ctx.push(next);
-        }
-        out
-    }
-
-    /// Vocabulary size this model was configured with.
-    pub fn vocab_size(&self) -> usize {
-        self.vocab_size
-    }
-}
-
-/// An [`NgramLm`] paired with a tokenizer for text completion.
-#[derive(Debug, Clone)]
-pub struct NgramTextGenerator {
-    name: String,
-    lm: NgramLm,
-    tokenizer: Arc<BpeTokenizer>,
-}
-
-impl NgramTextGenerator {
-    /// Trains an n-gram model over `texts` and wraps it for text completion.
-    pub fn train<'a, I>(
-        name: impl Into<String>,
-        order: usize,
-        tokenizer: Arc<BpeTokenizer>,
-        texts: I,
-    ) -> Self
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        let mut lm = NgramLm::new(order, tokenizer.vocab_size());
-        for t in texts {
-            let mut ids = tokenizer.encode(t);
-            ids.push(tokenizer.eot());
-            lm.observe(&ids);
-        }
-        Self {
-            name: name.into(),
-            lm,
-            tokenizer,
-        }
-    }
-
-    /// The underlying n-gram model.
-    pub fn lm(&self) -> &NgramLm {
-        &self.lm
-    }
-}
-
-impl TextGenerator for NgramTextGenerator {
-    fn complete(&self, prompt: &str, opts: &GenerationOptions) -> String {
-        let ids = self.tokenizer.encode(prompt);
-        let out = self.lm.generate(&ids, self.tokenizer.eot(), opts);
-        self.tokenizer.decode(&out)
-    }
-
-    fn model_name(&self) -> String {
-        self.name.clone()
-    }
 }
 
 #[cfg(test)]
@@ -226,7 +123,7 @@ mod tests {
 
     #[test]
     fn memorizes_repeated_pattern() {
-        let mut lm = NgramLm::new(3, 10);
+        let mut lm = NgramLm::new(3);
         lm.observe(&[1, 2, 3, 1, 2, 3, 1, 2, 3]);
         assert_eq!(lm.predict(&[1, 2]), Some(3));
         assert_eq!(lm.predict(&[2, 3]), Some(1));
@@ -234,7 +131,7 @@ mod tests {
 
     #[test]
     fn backs_off_to_shorter_context() {
-        let mut lm = NgramLm::new(3, 10);
+        let mut lm = NgramLm::new(3);
         lm.observe(&[5, 1, 7, 5, 2, 7, 5, 3, 7]);
         // Context [9, 9] unseen -> backoff to unigram distribution where 5
         // and 7 dominate equally; prediction must still be produced.
@@ -243,50 +140,13 @@ mod tests {
 
     #[test]
     fn untrained_predicts_none() {
-        let lm = NgramLm::new(2, 10);
+        let lm = NgramLm::new(2);
         assert_eq!(lm.predict(&[1]), None);
-        assert!(lm
-            .generate(&[1], 0, &GenerationOptions::default())
-            .is_empty());
-    }
-
-    #[test]
-    fn generation_stops_at_stop_token() {
-        let mut lm = NgramLm::new(2, 10);
-        lm.observe(&[1, 2, 0, 1, 2, 0]);
-        let out = lm.generate(
-            &[1],
-            0,
-            &GenerationOptions {
-                max_new_tokens: 10,
-                ..Default::default()
-            },
-        );
-        assert_eq!(out, vec![2]);
-    }
-
-    #[test]
-    fn text_generator_round_trip() {
-        let corpus = [
-            "- name: Install nginx\n  apt:\n    name: nginx\n",
-            "- name: Install nginx\n  apt:\n    name: nginx\n",
-        ];
-        let tok = Arc::new(BpeTokenizer::train(corpus.iter().copied(), 350));
-        let g = NgramTextGenerator::train("ngram", 4, tok, corpus.iter().copied());
-        let out = g.complete(
-            "- name: Install nginx\n",
-            &GenerationOptions {
-                max_new_tokens: 30,
-                ..Default::default()
-            },
-        );
-        assert!(out.contains("apt"), "got: {out:?}");
-        assert_eq!(g.model_name(), "ngram");
     }
 
     #[test]
     #[should_panic(expected = "order")]
     fn zero_order_panics() {
-        let _ = NgramLm::new(0, 10);
+        let _ = NgramLm::new(0);
     }
 }

@@ -122,9 +122,9 @@ pub(crate) struct NgramSpeculator {
 
 impl NgramSpeculator {
     /// A drafter warmed on `window`, the sequence's prompt window.
-    pub(crate) fn new(vocab_size: usize, window: &[u32]) -> Self {
+    pub(crate) fn new(window: &[u32]) -> Self {
         let mut s = Self {
-            lm: NgramLm::new(ORDER, vocab_size),
+            lm: NgramLm::new(ORDER),
             tail: Vec::new(),
         };
         s.observe(window);
@@ -326,7 +326,7 @@ mod tests {
 
     #[test]
     fn ngram_speculator_chains_predictions_and_learns_online() {
-        let mut s = NgramSpeculator::new(20, &[1, 2, 3, 4, 1, 2, 3, 4]);
+        let mut s = NgramSpeculator::new(&[1, 2, 3, 4, 1, 2, 3, 4]);
         assert_eq!(s.tail, [2, 3, 4]);
         // The round's fresh tokens extend the counted tail.
         assert_eq!(s.draft(&[1, 2], 3), vec![3, 4, 1]);
@@ -350,7 +350,7 @@ mod tests {
 
     impl HistoryDrafter {
         fn draft(&self, k: usize) -> Vec<u32> {
-            let tail = self.history.len().saturating_sub(self.lm.order());
+            let tail = self.history.len().saturating_sub(ORDER);
             let mut ctx = self.history[tail..].to_vec();
             let mut out = Vec::new();
             while out.len() < k {
@@ -385,12 +385,12 @@ mod tests {
             ),
         ) {
             let mut reference = HistoryDrafter {
-                lm: NgramLm::new(ORDER, 6),
+                lm: NgramLm::new(ORDER),
                 history: window.clone(),
                 observed: 0,
             };
             reference.observe_new_history();
-            let mut drafter = NgramSpeculator::new(6, &window);
+            let mut drafter = NgramSpeculator::new(&window);
             for (picked, accepted, k) in rounds {
                 reference.history.extend_from_slice(&picked);
                 prop_assert_eq!(drafter.draft(&picked, k), reference.draft(k));

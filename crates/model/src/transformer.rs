@@ -6,7 +6,7 @@ use std::sync::{Arc, OnceLock};
 
 use wisdom_prng::Prng;
 use wisdom_tensor::kernels::{
-    attend, gelu, matmul, matmul_acc, matmul_q8, matmul_q8_acc, softmax_row, PageLayout,
+    attend, gelu, matmul, matmul_acc, matmul_q8, matmul_q8_acc, PageLayout,
 };
 use wisdom_tensor::{
     clip_scale, global_grad_norm, Adam, ParamTensor, QuantMatrix, Tape, TensorRef,
@@ -14,6 +14,7 @@ use wisdom_tensor::{
 
 use wisdom_grammar::{GrammarCursor, GrammarIndex};
 
+use crate::batch::{DecodeBatch, DecodeRequest};
 use crate::config::ModelConfig;
 use crate::decode::{GenerationOptions, Strategy};
 use crate::prefix_cache::Registration;
@@ -863,8 +864,9 @@ impl TransformerLm {
     /// unconstrained argmax is already grammar-legal the pick — and hence
     /// the whole greedy output — is bit-identical to [`Self::generate`].
     ///
-    /// Beam search is exempt: it scores whole continuations rather than
-    /// per-row picks, and falls through unconstrained.
+    /// A beam request decodes as a batch of one through
+    /// [`DecodeBatch::run`]: each beam expands only by tokens its own
+    /// cursor allows, and is scored from the unmasked row.
     pub fn generate_constrained(
         &self,
         prompt: &[u32],
@@ -872,13 +874,19 @@ impl TransformerLm {
         opts: &GenerationOptions,
         grammar: Option<&Arc<GrammarIndex>>,
     ) -> Vec<u32> {
+        if let Strategy::Beam { .. } = opts.strategy {
+            let request = DecodeRequest {
+                prompt: prompt.to_vec(),
+                stops: stops.to_vec(),
+                opts: *opts,
+                grammar: grammar.cloned(),
+            };
+            return DecodeBatch::new(self).run(vec![request], 1).remove(0);
+        }
         let ctx = self.cfg.context_window;
         let window = self.generation_window(prompt, opts.max_new_tokens);
         let (mut cache, mut logits) = self.prefill(window);
         let mut pos = window.len();
-        if let Strategy::Beam { width } = opts.strategy {
-            return self.beam_generate(logits, cache, pos, stops, width.max(1), opts);
-        }
         let mut cursor = grammar.map(|g| {
             GrammarCursor::new(
                 Arc::clone(g),
@@ -923,92 +931,6 @@ impl TransformerLm {
         let reserve = max_new_tokens.min(ctx / 2);
         let start = prompt.len().saturating_sub(ctx - reserve.max(1));
         &prompt[start..]
-    }
-
-    /// Beam search continuation from a prefilled cache. Scores are
-    /// length-normalized log-probabilities; beams that emit a stop token are
-    /// finalized and compete with live beams at the end.
-    fn beam_generate(
-        &self,
-        first_logits: Vec<f32>,
-        cache: KvCache,
-        start_pos: usize,
-        stops: &[u32],
-        width: usize,
-        opts: &GenerationOptions,
-    ) -> Vec<u32> {
-        struct Beam {
-            tokens: Vec<u32>,
-            log_prob: f64,
-            cache: KvCache,
-            logits: Vec<f32>,
-        }
-        let norm = |b: &Beam| b.log_prob / (b.tokens.len().max(1) as f64);
-        let mut live = vec![Beam {
-            tokens: Vec::new(),
-            log_prob: 0.0,
-            cache,
-            logits: first_logits,
-        }];
-        let mut done: Vec<(Vec<u32>, f64)> = Vec::new();
-        let ctx = self.cfg.context_window;
-        let mut pos = start_pos;
-        while !live.is_empty() && pos < ctx {
-            if live.iter().all(|b| b.tokens.len() >= opts.max_new_tokens) {
-                break;
-            }
-            // Expand every live beam by its top-`width` continuations.
-            let mut candidates: Vec<(usize, u32, f64)> = Vec::new();
-            for (bi, beam) in live.iter().enumerate() {
-                let mut probs = beam.logits.clone();
-                softmax_row(&mut probs);
-                let mut idx: Vec<usize> = (0..probs.len()).collect();
-                idx.sort_by(|&a, &b| {
-                    probs[b]
-                        .partial_cmp(&probs[a])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                for &t in idx.iter().take(width) {
-                    let lp = beam.log_prob + f64::from(probs[t].max(1e-20)).ln();
-                    candidates.push((bi, t as u32, lp));
-                }
-            }
-            candidates.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
-            candidates.truncate(width);
-            let mut next_live = Vec::with_capacity(width);
-            for (bi, tok, lp) in candidates {
-                let parent = &live[bi];
-                if stops.contains(&tok) {
-                    done.push((
-                        parent.tokens.clone(),
-                        lp / (parent.tokens.len().max(1) as f64),
-                    ));
-                    continue;
-                }
-                let mut tokens = parent.tokens.clone();
-                tokens.push(tok);
-                let mut cache = parent.cache.clone();
-                let logits = self.step(tok, pos, &mut cache);
-                let beam = Beam {
-                    tokens,
-                    log_prob: lp,
-                    cache,
-                    logits,
-                };
-                if beam.tokens.len() >= opts.max_new_tokens {
-                    done.push((beam.tokens.clone(), norm(&beam)));
-                } else {
-                    next_live.push(beam);
-                }
-            }
-            live = next_live;
-            pos += 1;
-        }
-        for b in &live {
-            done.push((b.tokens.clone(), norm(b)));
-        }
-        done.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        done.into_iter().map(|(t, _)| t).next().unwrap_or_default()
     }
 
     /// One decode step for a whole batch of independent sequences: row `i`
@@ -1416,23 +1338,28 @@ pub(crate) fn argmax(xs: &[f32]) -> u32 {
     best as u32
 }
 
-pub(crate) fn sample_top_k(logits: &[f32], k: usize, temperature: f32, rng: &mut Prng) -> u32 {
-    let k = k.max(1).min(logits.len());
-    let mut idx: Vec<usize> = (0..logits.len()).collect();
-    // Descending by logit, ties broken by ascending index — the same order a
-    // stable descending sort produces, but as a total order so the top-k can
-    // be partitioned out in O(n) before sorting only those k entries.
+/// The indices of the `k` largest entries of `row`, largest first, ties
+/// broken by ascending index — the order a stable descending sort gives,
+/// but as a total order, so the top `k` are partitioned out in O(n) before
+/// only those are sorted. Shared by top-k sampling and beam expansion.
+pub(crate) fn top_k(row: &[f32], k: usize) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..row.len()).collect();
     let cmp = |&a: &usize, &b: &usize| {
-        logits[b]
-            .partial_cmp(&logits[a])
+        row[b]
+            .partial_cmp(&row[a])
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.cmp(&b))
     };
     if k < idx.len() {
-        idx.select_nth_unstable_by(k - 1, cmp);
+        idx.select_nth_unstable_by(k.saturating_sub(1), cmp);
         idx.truncate(k);
     }
     idx.sort_unstable_by(cmp);
+    idx
+}
+
+pub(crate) fn sample_top_k(logits: &[f32], k: usize, temperature: f32, rng: &mut Prng) -> u32 {
+    let idx = top_k(logits, k.max(1));
     let t = temperature.max(1e-3);
     let mut probs: Vec<f64> = idx.iter().map(|&i| f64::from(logits[i] / t)).collect();
     let max = probs.iter().copied().fold(f64::NEG_INFINITY, f64::max);

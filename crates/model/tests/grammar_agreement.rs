@@ -372,3 +372,88 @@ proptest! {
         }
     }
 }
+
+fn beam(max_new: usize, width: usize) -> GenerationOptions {
+    GenerationOptions {
+        max_new_tokens: max_new,
+        strategy: Strategy::Beam { width },
+        seed: 0,
+    }
+}
+
+/// A fresh cursor at the window a decode of `ids` under `max_new` starts
+/// from: the prompt tail it prefills, and the budget that window leaves.
+fn fresh_cursor(
+    f: &Fixture,
+    index: &Arc<GrammarIndex>,
+    ids: &[u32],
+    max_new: usize,
+) -> GrammarCursor {
+    let ctx = f.model.config().context_window;
+    let reserve = max_new.min(ctx / 2);
+    let window = &ids[ids.len().saturating_sub(ctx - reserve.max(1))..];
+    GrammarCursor::new(Arc::clone(index), window, max_new.min(ctx - window.len()))
+}
+
+/// Every width-4 beam completion under the `ansible` grammar is a whole,
+/// lint-clean document: its tokens drive a fresh cursor to `accepting()`.
+/// Each beam expands only by the tokens its own cursor allows. (A budget
+/// too small for any close leaves the cursor in bypass, as for greedy.)
+#[test]
+fn constrained_beam_completions_accept_and_lint_clean() {
+    let f = fixture();
+    let stops = stops(&f.tokenizer);
+    let mut checked = 0;
+    for prompt in DOC_PROMPTS {
+        let ids = f.tokenizer.encode(prompt);
+        for max_new in [16, 24, 40] {
+            let mut cursor = fresh_cursor(f, &f.ansible, &ids, max_new);
+            if !cursor.is_active() {
+                continue;
+            }
+            let out =
+                f.model
+                    .generate_constrained(&ids, &stops, &beam(max_new, 4), Some(&f.ansible));
+            for (i, &t) in out.iter().enumerate() {
+                assert!(
+                    cursor.advance(t),
+                    "{prompt:?}: token {i} of {out:?} is illegal"
+                );
+            }
+            let text = document(f, prompt, &out);
+            assert!(cursor.accepting(), "{prompt:?} ends unclosed:\n{text}");
+            let violations = lint_str(&text, LintTarget::Auto);
+            assert!(
+                violations.is_empty(),
+                "beam completion must lint clean, got {violations:?}:\n{text}"
+            );
+            checked += 1;
+        }
+    }
+    assert!(
+        checked >= DOC_PROMPTS.len(),
+        "only {checked} budgets activate a cursor"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A constrained beam of width one is constrained greedy decoding: its
+    /// one candidate per round is the best legal token of the row.
+    #[test]
+    fn width_one_constrained_beam_is_constrained_greedy(
+        which in 0usize..(DOC_PROMPTS.len() + PROMPTS.len()),
+        max_new in 0usize..48,
+        yaml in any::<bool>(),
+    ) {
+        let f = fixture();
+        let stops = stops(&f.tokenizer);
+        let prompt = DOC_PROMPTS.iter().chain(&PROMPTS).nth(which).unwrap();
+        let ids = f.tokenizer.encode(prompt);
+        let index = if yaml { &f.yaml } else { &f.ansible };
+        let greedy_out = f.model.generate_constrained(&ids, &stops, &greedy(max_new), Some(index));
+        let beam_out = f.model.generate_constrained(&ids, &stops, &beam(max_new, 1), Some(index));
+        prop_assert_eq!(beam_out, greedy_out, "prompt {:?} max_new {}", prompt, max_new);
+    }
+}

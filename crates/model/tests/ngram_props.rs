@@ -33,8 +33,8 @@ proptest! {
         stream in prop::collection::vec(0u32..VOCAB as u32, 0..40),
         order in 1usize..5,
     ) {
-        let mut a = NgramLm::new(order, VOCAB);
-        let mut b = NgramLm::new(order, VOCAB);
+        let mut a = NgramLm::new(order);
+        let mut b = NgramLm::new(order);
         a.observe(&stream);
         b.observe(&stream);
         for ctx in probe_contexts(&stream, order) {
@@ -51,7 +51,7 @@ proptest! {
         context in prop::collection::vec(0u32..VOCAB as u32, 0..6),
         order in 1usize..5,
     ) {
-        let mut lm = NgramLm::new(order, VOCAB);
+        let mut lm = NgramLm::new(order);
         lm.observe(&stream);
         let t = lm.predict(&context);
         prop_assert!(t.is_some(), "non-empty observation must back off to a unigram");
@@ -69,7 +69,7 @@ proptest! {
         context in prop::collection::vec(0u32..VOCAB as u32, 0..6),
         order in 1usize..5,
     ) {
-        let lm = NgramLm::new(order, VOCAB);
+        let lm = NgramLm::new(order);
         prop_assert_eq!(lm.predict(&context), None);
     }
 
@@ -85,16 +85,16 @@ proptest! {
         order in 1usize..5,
     ) {
         let whole: Vec<u32> = a.iter().chain(b.iter()).copied().collect();
-        let mut reference = NgramLm::new(order, VOCAB);
+        let mut reference = NgramLm::new(order);
         reference.observe(&whole);
 
-        let mut chunked = NgramLm::new(order, VOCAB);
+        let mut chunked = NgramLm::new(order);
         chunked.observe(&a);
         chunked.observe_continuation(&a, &b);
 
         // A second, differently-placed split of the same stream.
         let cut = split2.min(whole.len());
-        let mut chunked2 = NgramLm::new(order, VOCAB);
+        let mut chunked2 = NgramLm::new(order);
         chunked2.observe(&whole[..cut]);
         chunked2.observe_continuation(&whole[..cut], &whole[cut..]);
 

@@ -25,7 +25,11 @@
 # suite runs its fixed case budget where the parser ships, and agrees with
 # the owned-tree oracle there) — the two-replica e2e burst once more for the line that
 # says how many of its unique prompts each replica admitted (a router that
-# follows the common `- name: ` head again reads [48.0, 0.0] here) — and a
+# follows the common `- name: ` head again reads [48.0, 0.0] here) — the
+# decoding ablation at the `test` profile, whose greedy / beam-4 / top-k
+# rows must equal `scripts/decoding-ablation-test.txt` byte for byte (the
+# run is deterministic, so a change that moves a decoded token of any
+# strategy shows as a moved row) — and a
 # build + unit-test pass of the standalone
 # benchmark package, so a change to a public type it
 # compiles against (`DecodeRequest`'s four-field literal,
@@ -154,5 +158,7 @@ cargo test --release -q -p wisdom-curation --lib a_pass_hands_over_one_message_p
 cargo test --release -q -p wisdom-grammar -- --nocapture | grep -v '^$'
 cargo test --release -q -p wisdom-yaml
 cargo test -q --test server_e2e a_burst_of_unique_prompts -- --nocapture | grep 'admitted per replica'
+cargo run --release -q --example experiments -- decoding test 2>/dev/null |
+    grep '^  CodeGen-Multi \[' | diff scripts/decoding-ablation-test.txt -
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
