@@ -15,9 +15,8 @@ use std::cell::Cell;
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use wisdom_model::{ModelConfig, PrefixCacheTelemetry, PrefixKvCache, TransformerLm};
+use wisdom_model::{ModelConfig, PrefixKvCache, TransformerLm};
 use wisdom_prng::Prng;
-use wisdom_telemetry::Registry;
 
 /// Family member `tag`: `shared` common tokens plus a tag-distinct suffix,
 /// so warm lookups hit exactly the shared prefix and never a sibling tail.
@@ -114,8 +113,6 @@ fn admission(c: &mut Criterion) {
     });
     for resident in [16u32, 1_024, 8_192] {
         let cache = PrefixKvCache::with_budget(resident as usize * one_page);
-        // Gauges attached, as on a serving replica.
-        cache.set_telemetry(PrefixCacheTelemetry::register(&Registry::new()));
         for tag in 0..resident {
             drop(cache.prefill(&model, &window(tag)));
         }

@@ -70,7 +70,7 @@ fn cold_mix(c: &mut Criterion, model: &Arc<TransformerLm>, vocab: u32) {
         prefix_cache_bytes: 4 << 20,
         ..BatchConfig::default()
     };
-    let pool = Arc::new(ReplicaPool::spawn(Arc::clone(model), cfg, 2));
+    let pool = Arc::new(ReplicaPool::spawn(Arc::clone(model), cfg, 2, &[]));
     let router = Router::new(Arc::clone(&pool), RouterConfig::default(), None);
     let _ = router
         .submit(request(cold_prompt(1_000, 32, vocab)))
@@ -116,7 +116,7 @@ fn bench(c: &mut Criterion) {
         prefix_cache_bytes: 4 << 20,
         ..BatchConfig::default()
     };
-    let pool = Arc::new(ReplicaPool::spawn(Arc::clone(&model), cfg, 4));
+    let pool = Arc::new(ReplicaPool::spawn(Arc::clone(&model), cfg, 4, &[]));
 
     // Warm every replica's radix tree so the affinity probe measures a
     // real walk, not an empty-tree early-out.

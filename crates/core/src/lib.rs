@@ -25,10 +25,10 @@ pub use pipeline::{TrainPhase, Wisdom, WisdomConfig};
 pub use service::CompletionRequest;
 pub use suggestion::{truncate_first_task, Suggestion};
 pub use wisdom_model::{
-    BatchConfig, BatchScheduler, BatchTelemetry, Constraint, DecodeRequest, GrammarIndex,
-    GrammarStats, GrammarTelemetry, Pending, PoolStats, Precision, PrefixCacheStats,
-    PrefixCacheTelemetry, QuantTelemetry, ReplicaPool, ReplicaTelemetry, SchedulerStats,
-    SpeculativeConfig, SpeculativeTelemetry, StreamingPending, SubmitError,
+    BatchConfig, BatchScheduler, BatchTelemetry, Constraint, DecodeRequest, DecodeTelemetry,
+    GrammarIndex, GrammarStats, GrammarTelemetry, Pending, PoolStats, Precision, PrefixCacheStats,
+    PrefixCacheTelemetry, QuantTelemetry, ReplicaPool, SchedulerStats, SpeculativeConfig,
+    SpeculativeTelemetry, StreamingPending, SubmitError,
 };
 
 /// Lints a whole document (playbook or task file, auto-detected) with the

@@ -331,37 +331,37 @@ impl Wisdom {
         self.scheduler_with(cfg, None)
     }
 
-    /// [`Wisdom::scheduler`] with metric handles: the scheduler records
-    /// queue wait, TTFT, per-round decode latency, occupancy, and
-    /// admitted/completed/shed/wakeup counts into `telemetry`. A non-default
-    /// [`BatchConfig::precision`] converts the scheduler's model copy at
-    /// spawn — this assistant's own model stays f32. For the other metric
-    /// bundles (prefix cache, speculation, quantization, grammar) spawn a
-    /// one-replica [`Wisdom::replica_pool`].
+    /// [`Wisdom::scheduler`] recording its scheduler metrics (queue wait,
+    /// TTFT, per-round decode latency, occupancy, admitted/completed/shed/
+    /// wakeup counts) into `telemetry` when given; every other handle, and
+    /// these when not, is a private [`wisdom_model::DecodeTelemetry`]
+    /// bundle the scheduler exposes ([`BatchScheduler::telemetry`]). A
+    /// non-default [`BatchConfig::precision`] converts the scheduler's model
+    /// copy at spawn — this assistant's own model stays f32.
     pub fn scheduler_with(
         &self,
         cfg: BatchConfig,
         telemetry: Option<wisdom_model::BatchTelemetry>,
     ) -> BatchScheduler {
-        let telemetry = wisdom_model::ReplicaTelemetry {
-            batch: telemetry,
-            ..Default::default()
-        };
-        BatchScheduler::spawn_with(Arc::new(self.model.clone()), cfg, telemetry)
+        let mut bundle = wisdom_model::DecodeTelemetry::default();
+        if let Some(batch) = telemetry {
+            bundle.batch = batch;
+        }
+        BatchScheduler::spawn(Arc::new(self.model.clone()), cfg, bundle)
     }
 
     /// Spawns `n` independent [`BatchScheduler`] replicas over this
-    /// assistant's model (one weights `Arc` shared by all f32 replicas),
-    /// attaching `telemetry[i]` to replica `i`. Each replica gets its own
+    /// assistant's model, replica `i` recording into `telemetry[i]` (a
+    /// private bundle when missing). Each replica gets its own model copy,
     /// prefix cache, queue, and decode worker — the serving layer's
     /// prefix-affinity router places requests across them.
     pub fn replica_pool(
         &self,
         cfg: BatchConfig,
         n: usize,
-        telemetry: &[wisdom_model::ReplicaTelemetry],
+        telemetry: &[wisdom_model::DecodeTelemetry],
     ) -> wisdom_model::ReplicaPool {
-        wisdom_model::ReplicaPool::spawn_with(Arc::new(self.model.clone()), cfg, n, telemetry)
+        wisdom_model::ReplicaPool::spawn(Arc::new(self.model.clone()), cfg, n, telemetry)
     }
 
     /// [`Wisdom::complete_constrained`] through a [`BatchScheduler`]:

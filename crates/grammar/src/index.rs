@@ -253,10 +253,6 @@ pub struct GrammarStats {
     pub states_cached: u64,
     /// Cache generations dropped to stay within the bound.
     pub generations_dropped: u64,
-    /// Single-legal-token fast-path hits.
-    pub forced_hits: u64,
-    /// Total vocabulary entries masked out across all applies.
-    pub masked_total: u64,
 }
 
 /// Field-wise totals: a process holds one index per constraint and scope it
@@ -269,8 +265,6 @@ impl std::iter::Sum for GrammarStats {
             derived_masks: a.derived_masks + b.derived_masks,
             states_cached: a.states_cached + b.states_cached,
             generations_dropped: a.generations_dropped + b.generations_dropped,
-            forced_hits: a.forced_hits + b.forced_hits,
-            masked_total: a.masked_total + b.masked_total,
         })
     }
 }
@@ -297,8 +291,6 @@ pub struct GrammarIndex {
     mask_builds: AtomicU64,
     cache_hits: AtomicU64,
     derived_masks: AtomicU64,
-    forced_hits: AtomicU64,
-    masked_total: AtomicU64,
 }
 
 impl std::fmt::Debug for GrammarIndex {
@@ -375,8 +367,6 @@ impl GrammarIndex {
             mask_builds: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             derived_masks: AtomicU64::new(0),
-            forced_hits: AtomicU64::new(0),
-            masked_total: AtomicU64::new(0),
         }))
     }
 
@@ -404,8 +394,6 @@ impl GrammarIndex {
             derived_masks: self.derived_masks.load(Ordering::Relaxed),
             states_cached,
             generations_dropped,
-            forced_hits: self.forced_hits.load(Ordering::Relaxed),
-            masked_total: self.masked_total.load(Ordering::Relaxed),
         }
     }
 
@@ -687,12 +675,8 @@ impl GrammarCursor {
             return MaskOutcome::inactive();
         }
         let (mask, built) = self.mask();
-        let forced = mask.forced();
-        if forced.is_some() {
-            self.index.forced_hits.fetch_add(1, Ordering::Relaxed);
-        }
         MaskOutcome {
-            forced,
+            forced: mask.forced(),
             masked: 0,
             built,
             active: true,
@@ -732,9 +716,6 @@ impl GrammarCursor {
             *l = f32::NEG_INFINITY;
             masked += 1;
         }
-        self.index
-            .masked_total
-            .fetch_add(masked as u64, Ordering::Relaxed);
         MaskOutcome {
             forced: mask.forced(),
             masked,

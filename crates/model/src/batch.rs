@@ -31,11 +31,11 @@
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use wisdom_grammar::{Constraint, GrammarCursor, GrammarIndex};
 use wisdom_prng::Prng;
@@ -46,9 +46,7 @@ use crate::prefix_cache::{PrefixCacheStats, PrefixKvCache};
 use crate::speculative::{
     accept_draft, DraftGate, NgramSpeculator, SpeculativeConfig, Speculator, MAX_DRAFT_BATCH,
 };
-use crate::telemetry::{
-    BatchTelemetry, FinishReason, GrammarTelemetry, ReplicaTelemetry, SpeculativeTelemetry,
-};
+use crate::telemetry::{DecodeTelemetry, FinishReason, GrammarTelemetry, SpeculativeTelemetry};
 use crate::transformer::{
     forced_token, mask_logits, pick_ends_sequence, pick_token, top_k, ForwardScratch, KvCache,
     Precision, RaggedSeq, TransformerLm,
@@ -173,7 +171,7 @@ impl BeamGroup {
     /// finishes itself, without a pass. The rest become the live beams,
     /// whose new tokens are their rows this round; the beams they replace
     /// drop their pages.
-    fn select(&mut self, ctx: usize, grammar_telemetry: Option<&GrammarTelemetry>) {
+    fn select(&mut self, ctx: usize, grammar_telemetry: &GrammarTelemetry) {
         let live = std::mem::take(&mut self.live);
         let mut candidates: Vec<(usize, u32, f64)> = Vec::new();
         for (bi, beam) in live.iter().enumerate() {
@@ -181,7 +179,7 @@ impl BeamGroup {
             softmax_row(&mut probs);
             // The mask overwrites only illegal entries (with -inf), so every
             // legal candidate keeps its unmasked probability.
-            mask_logits(beam.grammar.as_ref(), &mut probs, grammar_telemetry);
+            mask_logits(beam.grammar.as_ref(), &mut probs, Some(grammar_telemetry));
             for t in top_k(&probs, self.width) {
                 if probs[t] != f32::NEG_INFINITY {
                     let lp = beam.log_prob + f64::from(probs[t].max(1e-20)).ln();
@@ -250,35 +248,21 @@ pub struct DecodeBatch<'m> {
     beams: Vec<BeamGroup>,
     /// Shared prefix KV cache consulted/populated at admission (optional).
     prefix_cache: Option<Arc<PrefixKvCache>>,
-    /// Metric handles; `None` keeps the hot path entirely uninstrumented.
-    telemetry: Option<BatchTelemetry>,
+    /// Metric handles admissions, rounds, drafts, masks and retirements
+    /// record into.
+    telemetry: DecodeTelemetry,
     /// Speculation sizing; disabled by default, in which case no sequence
     /// ever gets a drafter and the decode path is unchanged.
     speculation: SpeculativeConfig,
-    /// Speculation metric handles (verify counters, acceptance histogram,
-    /// draft-overhead timer).
-    spec_telemetry: Option<SpeculativeTelemetry>,
-    /// Grammar metric handles (masked-token counter, mask-build latency,
-    /// cached states, forced-token fast-path hits).
-    grammar_telemetry: Option<GrammarTelemetry>,
     /// Activation buffers of the forward pass, reused round after round.
     scratch: ForwardScratch,
 }
 
 impl<'m> DecodeBatch<'m> {
-    /// An empty batch over `model`.
+    /// An empty batch over `model`, recording into a private
+    /// [`DecodeTelemetry::default`] bundle ([`Self::telemetry`]).
     pub fn new(model: &'m TransformerLm) -> Self {
-        Self {
-            model,
-            seqs: Vec::new(),
-            beams: Vec::new(),
-            prefix_cache: None,
-            telemetry: None,
-            speculation: SpeculativeConfig::disabled(),
-            spec_telemetry: None,
-            grammar_telemetry: None,
-            scratch: ForwardScratch::default(),
-        }
+        Self::with_telemetry(model, None, DecodeTelemetry::default())
     }
 
     /// An empty batch whose admissions reuse (and feed) `cache`: prompt
@@ -286,16 +270,31 @@ impl<'m> DecodeBatch<'m> {
     /// Outputs stay bit-identical to [`Self::new`] — cached K/V rows are
     /// exact copies of what a cold prefill computes at those positions.
     pub fn with_prefix_cache(model: &'m TransformerLm, cache: Arc<PrefixKvCache>) -> Self {
+        Self::with_telemetry(model, Some(cache), DecodeTelemetry::default())
+    }
+
+    /// An empty batch over `model` and `prefix_cache` that records into
+    /// `telemetry`: a scheduler's worker engine.
+    fn with_telemetry(
+        model: &'m TransformerLm,
+        prefix_cache: Option<Arc<PrefixKvCache>>,
+        telemetry: DecodeTelemetry,
+    ) -> Self {
         Self {
-            prefix_cache: Some(cache),
-            ..Self::new(model)
+            model,
+            seqs: Vec::new(),
+            beams: Vec::new(),
+            prefix_cache,
+            telemetry,
+            speculation: SpeculativeConfig::disabled(),
+            scratch: ForwardScratch::default(),
         }
     }
 
-    /// Attaches metric handles: admissions, decode rounds, and retirements
-    /// are recorded from here on. Generated tokens are unaffected.
-    pub fn set_telemetry(&mut self, telemetry: BatchTelemetry) {
-        self.telemetry = Some(telemetry);
+    /// The handles this engine records into. Generated tokens never depend
+    /// on them.
+    pub fn telemetry(&self) -> &DecodeTelemetry {
+        &self.telemetry
     }
 
     /// Enables speculative decoding for subsequently admitted greedy
@@ -306,17 +305,11 @@ impl<'m> DecodeBatch<'m> {
         self.speculation = cfg;
     }
 
-    /// Attaches speculation metric handles (proposed/accepted/rejected
-    /// counters, acceptance-length histogram, draft-overhead timer).
+    /// Records speculation (proposed/accepted/rejected counters,
+    /// acceptance-length histogram, draft-overhead timer) into `telemetry`
+    /// in place of this engine's own [`DecodeTelemetry::speculative`].
     pub fn set_speculative_telemetry(&mut self, telemetry: SpeculativeTelemetry) {
-        self.spec_telemetry = Some(telemetry);
-    }
-
-    /// Attaches grammar metric handles (masked-token counter, mask-build
-    /// latency histogram, cached-state gauge, forced fast-path counter).
-    /// Generated tokens are unaffected.
-    pub fn set_grammar_telemetry(&mut self, telemetry: GrammarTelemetry) {
-        self.grammar_telemetry = Some(telemetry);
+        self.telemetry.speculative = telemetry;
     }
 
     /// Number of sequences currently in flight (a beam-search request is
@@ -357,12 +350,11 @@ impl<'m> DecodeBatch<'m> {
         drafter: Option<Box<dyn Speculator>>,
     ) {
         let started = submitted.unwrap_or_else(Instant::now);
-        if let Some(t) = &self.telemetry {
-            if let Some(at) = submitted {
-                t.queue_wait.observe(at.elapsed().as_secs_f64());
-            }
-            t.admitted.inc();
+        let t = &self.telemetry.batch;
+        if let Some(at) = submitted {
+            t.queue_wait.observe(at.elapsed().as_secs_f64());
         }
+        t.admitted.inc();
         let window = self
             .model
             .generation_window(&req.prompt, req.opts.max_new_tokens);
@@ -428,9 +420,7 @@ impl<'m> DecodeBatch<'m> {
                 sink,
             });
         }
-        if let Some(t) = &self.telemetry {
-            t.batch_occupancy.set(self.len() as f64);
-        }
+        self.telemetry.batch.batch_occupancy.set(self.len() as f64);
     }
 
     /// One decode round. Every live sequence picks its next token from its
@@ -452,9 +442,9 @@ impl<'m> DecodeBatch<'m> {
     pub fn step(&mut self) -> Vec<(usize, Vec<u32>)> {
         let ctx = self.model.config().context_window;
         let vocab = self.model.config().vocab_size;
-        let telemetry = self.telemetry.as_ref();
-        let spec_telemetry = self.spec_telemetry.as_ref();
-        let grammar_telemetry = self.grammar_telemetry.as_ref();
+        let telemetry = &self.telemetry.batch;
+        let spec_telemetry = &self.telemetry.speculative;
+        let grammar_telemetry = &self.telemetry.grammar;
         // Dense-batch backoff: once the live batch outgrows the bound, the
         // shared pass already amortizes the weight traffic across rows, so
         // draft rows stop paying off and every sequence decodes plainly
@@ -476,7 +466,7 @@ impl<'m> DecodeBatch<'m> {
                 seq.strategy,
                 &mut seq.rng,
                 seq.grammar.as_ref(),
-                grammar_telemetry,
+                Some(grammar_telemetry),
             );
             loop {
                 seq.done = pick_ends_sequence(next, &seq.stops, seq.grammar.as_ref());
@@ -492,9 +482,9 @@ impl<'m> DecodeBatch<'m> {
                     seq.done = Some(FinishReason::Cancelled);
                     break;
                 }
-                if let (Some(t), false) = (telemetry, seq.first_token_seen) {
+                if !seq.first_token_seen {
                     seq.first_token_seen = true;
-                    t.ttft.observe(seq.started.elapsed().as_secs_f64());
+                    telemetry.ttft.observe(seq.started.elapsed().as_secs_f64());
                 }
                 if seq.out.len() >= seq.max_new || seq.pos + seq.pending.len() >= ctx {
                     // The solo loop would run one more step whose logits are
@@ -530,10 +520,9 @@ impl<'m> DecodeBatch<'m> {
                 if let Some(g) = &seq.grammar {
                     draft.truncate(g.legal_prefix_len(&draft));
                 }
-                if let Some(t) = spec_telemetry {
-                    t.draft_overhead
-                        .observe(draft_start.elapsed().as_secs_f64());
-                }
+                spec_telemetry
+                    .draft_overhead
+                    .observe(draft_start.elapsed().as_secs_f64());
                 seq.drafted = draft.len();
                 seq.pending.extend_from_slice(&draft);
             }
@@ -563,9 +552,7 @@ impl<'m> DecodeBatch<'m> {
             })
             .chain(beam_rows)
             .collect();
-        let round_start = telemetry
-            .filter(|_| !rows.is_empty())
-            .map(|_| Instant::now());
+        let round_start = (!rows.is_empty()).then(Instant::now);
         let mut logits = &mut *self.model.forward(&mut rows, &mut self.scratch);
         drop(rows);
         for seq in self.seqs.iter_mut().filter(|seq| seq.done.is_none()) {
@@ -600,14 +587,12 @@ impl<'m> DecodeBatch<'m> {
             }
             if drafted > 0 {
                 let closed = seq.gate.settle(drafted, accepted, max_draft);
-                if let Some(t) = spec_telemetry {
-                    t.verify_passes.inc();
-                    t.proposed.add(drafted as u64);
-                    t.accepted.add(accepted as u64);
-                    t.rejected.add((drafted - accepted) as u64);
-                    t.acceptance_length.observe(accepted as f64);
-                    t.gate_closed.add(u64::from(closed));
-                }
+                spec_telemetry.verify_passes.inc();
+                spec_telemetry.proposed.add(drafted as u64);
+                spec_telemetry.accepted.add(accepted as u64);
+                spec_telemetry.rejected.add((drafted - accepted) as u64);
+                spec_telemetry.acceptance_length.observe(accepted as f64);
+                spec_telemetry.gate_closed.add(u64::from(closed));
             }
         }
         for beam in self.beams.iter_mut().flat_map(|g| &mut g.live) {
@@ -615,17 +600,15 @@ impl<'m> DecodeBatch<'m> {
             logits = rest;
             beam.logits.copy_from_slice(read);
         }
-        if let (Some(t), Some(at)) = (telemetry, round_start) {
-            t.token_latency.observe(at.elapsed().as_secs_f64());
+        if let Some(at) = round_start {
+            telemetry.token_latency.observe(at.elapsed().as_secs_f64());
         }
         let mut finished = Vec::new();
         self.seqs.retain_mut(|seq| {
             let Some(reason) = seq.done else {
                 return true;
             };
-            if let Some(t) = telemetry {
-                t.finished(reason).inc();
-            }
+            telemetry.finished(reason).inc();
             finished.push((seq.tag, std::mem::take(&mut seq.out)));
             false
         });
@@ -637,26 +620,24 @@ impl<'m> DecodeBatch<'m> {
             // The stream ends here either way; a listener gets the winner
             // in one piece.
             emit_streamed(&group.sink, &out);
-            if let Some(t) = telemetry {
-                if !out.is_empty() {
-                    t.ttft.observe(group.started.elapsed().as_secs_f64());
-                }
-                t.finished(reason).inc();
+            if !out.is_empty() {
+                telemetry
+                    .ttft
+                    .observe(group.started.elapsed().as_secs_f64());
             }
+            telemetry.finished(reason).inc();
             finished.push((group.tag, out));
             false
         });
-        if let Some(t) = telemetry {
-            t.completed.add(finished.len() as u64);
-            t.batch_occupancy.set(self.len() as f64);
-        }
+        telemetry.completed.add(finished.len() as u64);
+        telemetry.batch_occupancy.set(self.len() as f64);
         finished
     }
 
     /// Decodes every request through this engine, continuously refilled to
     /// at most `max_batch_size` sequences (a beam request counts as one),
-    /// and returns the outputs in input order — with whatever prefix cache,
-    /// speculation and metric handles the engine was configured with.
+    /// and returns the outputs in input order — with whatever prefix cache
+    /// and speculation the engine was configured with.
     ///
     /// Each output is bit-identical to that request decoded alone: neither
     /// batch company, nor the cache, nor speculation
@@ -695,7 +676,7 @@ impl<'m> DecodeBatch<'m> {
 ///
 /// Each output is bit-identical to `model.generate` run alone on that
 /// request. This is [`DecodeBatch::run`] on a plain engine; configure one
-/// (prefix cache, speculation, metric handles) and call `run` for the rest.
+/// (prefix cache, speculation) and call `run` for the rest.
 pub fn generate_batch(
     model: &TransformerLm,
     requests: Vec<DecodeRequest>,
@@ -813,15 +794,10 @@ struct Shared {
     state: Mutex<SchedulerState>,
     /// Signals the worker: job queued, pause toggled, or shutdown.
     job_ready: Condvar,
-    /// Signals blocked producers: queue space freed.
-    space_free: Condvar,
     /// Sequences the worker holds: raised under the state lock as jobs
     /// leave the queue (so a request is never in neither count), lowered
     /// after each step round as sequences retire.
     in_flight: AtomicUsize,
-    /// Times the worker's condvar wait returned — each one is a wakeup out
-    /// of idle (submission, pause toggle, or shutdown), not a poll tick.
-    wakeups: AtomicU64,
     /// Set by the worker thread once its decode loop is running; readiness
     /// probes (`GET /readyz`) read this without touching the model.
     worker_ready: AtomicBool,
@@ -834,7 +810,8 @@ pub struct SchedulerStats {
     pub queue_depth: usize,
     /// Sequences currently being decoded together.
     pub in_flight: usize,
-    /// Decode-worker condvar wakeups since spawn (idle exits, not polls).
+    /// Decode-worker condvar wakeups since spawn (idle exits, not polls):
+    /// the scheduler's `wisdom_scheduler_wakeups_total` series.
     pub wakeups: u64,
     /// Prefix-cache counters, when a cache is enabled.
     pub prefix_cache: Option<PrefixCacheStats>,
@@ -851,60 +828,48 @@ pub struct BatchScheduler {
     model: Arc<TransformerLm>,
     cfg: BatchConfig,
     prefix_cache: Option<Arc<PrefixKvCache>>,
-    telemetry: Option<BatchTelemetry>,
+    telemetry: DecodeTelemetry,
     worker: Option<JoinHandle<()>>,
 }
 
 impl BatchScheduler {
-    /// Starts the decode worker over `model`. A nonzero
-    /// [`BatchConfig::prefix_cache_bytes`] enables a shared prefix KV cache
-    /// that admissions consult and populate.
-    pub fn spawn(model: Arc<TransformerLm>, cfg: BatchConfig) -> Self {
-        Self::spawn_with(model, cfg, ReplicaTelemetry::default())
-    }
-
-    /// [`Self::spawn`] with metric handles; every bundle in `telemetry` is
-    /// optional. The worker and the submission path record queue wait, TTFT,
+    /// Starts the decode worker over `model`, recording into `telemetry`.
+    /// The worker and the submission path record queue wait, TTFT,
     /// per-round decode latency, occupancy, and
-    /// admitted/completed/shed/wakeup counts into `telemetry.batch`; the
-    /// prefix cache records into `telemetry.prefix_cache`; speculation
-    /// metrics (verify counters, acceptance-length histogram, draft-overhead
-    /// timer) go to `telemetry.speculative` when
-    /// [`BatchConfig::speculative`] is enabled, quantization metrics (weight
-    /// bytes saved, quantized-matmul share) to `telemetry.quant`, and
-    /// grammar metrics to `telemetry.grammar`.
+    /// admitted/completed/shed/wakeup counts into `telemetry.batch`,
+    /// speculation into `telemetry.speculative` and grammar masking into
+    /// `telemetry.grammar`. A nonzero [`BatchConfig::prefix_cache_bytes`]
+    /// enables a shared prefix KV cache that admissions consult and
+    /// populate; it counts into `telemetry.prefix_cache`.
     ///
-    /// When [`BatchConfig::precision`] differs from the model's current
-    /// precision, the scheduler's copy of the model is converted once here
-    /// (the caller's model is untouched).
-    pub fn spawn_with(
-        model: Arc<TransformerLm>,
+    /// The scheduler's model is converted to [`BatchConfig::precision`]
+    /// and counts its projections into `telemetry.quant`: in place when
+    /// `model` is the only reference, on a copy otherwise (the caller's
+    /// model is untouched).
+    pub fn spawn(
+        mut model: Arc<TransformerLm>,
         cfg: BatchConfig,
-        telemetry: ReplicaTelemetry,
+        telemetry: DecodeTelemetry,
     ) -> Self {
         let cfg = BatchConfig {
             max_batch_size: cfg.max_batch_size.max(1),
             queue_depth: cfg.queue_depth.max(1),
             ..cfg
         };
-        let model = if model.precision() != cfg.precision || telemetry.quant.is_some() {
-            let mut m = (*model).clone();
-            m.set_precision(cfg.precision);
-            m.set_quant_telemetry(telemetry.quant.clone());
-            Arc::new(m)
-        } else {
-            model
-        };
-        if let Some(qt) = &telemetry.quant {
-            qt.weight_bytes.set(model.quant_weight_bytes() as f64);
-            qt.weight_bytes_saved
-                .set(model.quant_weight_bytes_saved() as f64);
-        }
-        let prefix_cache = (cfg.prefix_cache_bytes > 0)
-            .then(|| Arc::new(PrefixKvCache::with_budget(cfg.prefix_cache_bytes)));
-        if let (Some(cache), Some(t)) = (&prefix_cache, &telemetry.prefix_cache) {
-            cache.set_telemetry(t.clone());
-        }
+        let m = Arc::make_mut(&mut model);
+        m.set_precision(cfg.precision);
+        m.set_quant_telemetry(Some(telemetry.quant.clone()));
+        let quant = &telemetry.quant;
+        quant.weight_bytes.set(model.quant_weight_bytes() as f64);
+        quant
+            .weight_bytes_saved
+            .set(model.quant_weight_bytes_saved() as f64);
+        let prefix_cache = (cfg.prefix_cache_bytes > 0).then(|| {
+            Arc::new(PrefixKvCache::new(
+                cfg.prefix_cache_bytes,
+                telemetry.prefix_cache.clone(),
+            ))
+        });
         let shared = Arc::new(Shared {
             state: Mutex::new(SchedulerState {
                 jobs: VecDeque::new(),
@@ -912,25 +877,31 @@ impl BatchScheduler {
                 paused: false,
             }),
             job_ready: Condvar::new(),
-            space_free: Condvar::new(),
             in_flight: AtomicUsize::new(0),
-            wakeups: AtomicU64::new(0),
             worker_ready: AtomicBool::new(false),
         });
         let worker_shared = Arc::clone(&shared);
         let worker_model = Arc::clone(&model);
         let worker_cache = prefix_cache.clone();
-        let batch_telemetry = telemetry.batch.clone();
+        let worker_telemetry = telemetry.clone();
         let worker = std::thread::Builder::new()
             .name("wisdom-decode".to_string())
-            .spawn(move || worker_loop(&worker_model, &worker_shared, cfg, worker_cache, telemetry))
+            .spawn(move || {
+                worker_loop(
+                    &worker_model,
+                    &worker_shared,
+                    cfg,
+                    worker_cache,
+                    worker_telemetry,
+                )
+            })
             .expect("spawn decode worker");
         Self {
             shared,
             model,
             cfg,
             prefix_cache,
-            telemetry: batch_telemetry,
+            telemetry,
             worker: Some(worker),
         }
     }
@@ -945,6 +916,11 @@ impl BatchScheduler {
         self.prefix_cache.as_ref()
     }
 
+    /// The handles this scheduler, its worker and its cache record into.
+    pub fn telemetry(&self) -> &DecodeTelemetry {
+        &self.telemetry
+    }
+
     /// Current load: queued requests, in-flight batch size, and the prefix
     /// cache's counters.
     pub fn stats(&self) -> SchedulerStats {
@@ -955,7 +931,7 @@ impl BatchScheduler {
         SchedulerStats {
             queue_depth,
             in_flight: self.shared.in_flight.load(Ordering::Relaxed),
-            wakeups: self.shared.wakeups.load(Ordering::Relaxed),
+            wakeups: self.telemetry.batch.wakeups.get(),
             prefix_cache: self.prefix_cache.as_deref().map(PrefixKvCache::stats),
         }
     }
@@ -1016,9 +992,7 @@ impl BatchScheduler {
             return Err(SubmitError::ShutDown);
         }
         if state.jobs.len() >= self.cfg.queue_depth {
-            if let Some(t) = &self.telemetry {
-                t.shed.inc();
-            }
+            self.telemetry.batch.shed.inc();
             return Err(SubmitError::QueueFull);
         }
         let (tx, rx) = mpsc::channel();
@@ -1028,9 +1002,10 @@ impl BatchScheduler {
             sink,
             submitted: Instant::now(),
         });
-        if let Some(t) = &self.telemetry {
-            t.queue_depth.set(state.jobs.len() as f64);
-        }
+        self.telemetry
+            .batch
+            .queue_depth
+            .set(state.jobs.len() as f64);
         self.shared.job_ready.notify_one();
         Ok(rx)
     }
@@ -1052,47 +1027,15 @@ impl BatchScheduler {
     }
 
     /// Median per-round decode latency in seconds observed so far, from the
-    /// attached telemetry's token-latency histogram. `None` when the
-    /// scheduler is uninstrumented or no decode round has completed yet —
-    /// callers (the `Retry-After` estimator) fall back to a configured
-    /// constant.
+    /// token-latency histogram. `None` when no decode round has completed
+    /// yet — callers (the `Retry-After` estimator) fall back to a
+    /// configured constant.
     pub fn decode_token_p50(&self) -> Option<f64> {
-        let snap = self.telemetry.as_ref()?.token_latency.snapshot();
+        let snap = self.telemetry.batch.token_latency.snapshot();
         if snap.count() == 0 {
             return None;
         }
         Some(snap.p50())
-    }
-
-    /// Blocking convenience wrapper: waits for queue space instead of
-    /// failing, then waits for the result. Output is bit-identical to
-    /// `model.generate(prompt, stops, opts)`.
-    pub fn generate(&self, prompt: &[u32], stops: &[u32], opts: &GenerationOptions) -> Vec<u32> {
-        loop {
-            let req = DecodeRequest {
-                prompt: prompt.to_vec(),
-                stops: stops.to_vec(),
-                opts: *opts,
-                grammar: None,
-            };
-            match self.submit(req) {
-                Ok(pending) => return pending.wait(),
-                Err(SubmitError::ShutDown) => return Vec::new(),
-                Err(SubmitError::QueueFull) => {
-                    let state = self.shared.state.lock().expect("scheduler lock");
-                    if state.jobs.len() >= self.cfg.queue_depth && !state.shutdown {
-                        // Re-checked under the lock; a worker admission
-                        // between our failed submit and here just means we
-                        // retry immediately. Timeout guards a lost wakeup.
-                        let _ = self
-                            .shared
-                            .space_free
-                            .wait_timeout(state, Duration::from_millis(50))
-                            .expect("scheduler lock");
-                    }
-                }
-            }
-        }
     }
 
     /// Test hook: pauses/resumes admission from the queue into the running
@@ -1114,7 +1057,6 @@ impl BatchScheduler {
         // empty output.
         state.jobs.clear();
         self.shared.job_ready.notify_all();
-        self.shared.space_free.notify_all();
     }
 }
 
@@ -1151,7 +1093,6 @@ impl Drop for WorkerExit<'_> {
         let mut state = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
         state.shutdown = true;
         state.jobs.clear();
-        shared.space_free.notify_all();
     }
 }
 
@@ -1160,28 +1101,11 @@ fn worker_loop(
     shared: &Shared,
     cfg: BatchConfig,
     prefix_cache: Option<Arc<PrefixKvCache>>,
-    telemetry: ReplicaTelemetry,
+    telemetry: DecodeTelemetry,
 ) {
-    let mut engine = match prefix_cache {
-        Some(cache) => DecodeBatch::with_prefix_cache(model, cache),
-        None => DecodeBatch::new(model),
-    };
+    let batch = telemetry.batch.clone();
+    let mut engine = DecodeBatch::with_telemetry(model, prefix_cache, telemetry);
     engine.set_speculation(cfg.speculative);
-    let ReplicaTelemetry {
-        batch: telemetry,
-        speculative,
-        grammar,
-        ..
-    } = telemetry;
-    if let Some(t) = &telemetry {
-        engine.set_telemetry(t.clone());
-    }
-    if let Some(t) = speculative {
-        engine.set_speculative_telemetry(t);
-    }
-    if let Some(t) = grammar {
-        engine.set_grammar_telemetry(t);
-    }
     let mut next_tag = 0usize;
     let mut replies: HashMap<usize, mpsc::Sender<Vec<u32>>> = HashMap::new();
     // Declared after `replies`, so it runs before their senders drop: a
@@ -1207,10 +1131,7 @@ fn worker_loop(
                     break;
                 }
                 state = shared.job_ready.wait(state).expect("scheduler lock");
-                shared.wakeups.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &telemetry {
-                    t.wakeups.inc();
-                }
+                batch.wakeups.inc();
             }
             let mut taken = Vec::new();
             if !state.paused {
@@ -1224,11 +1145,8 @@ fn worker_loop(
                     shared
                         .in_flight
                         .store(engine.len() + taken.len(), Ordering::Relaxed);
-                    shared.space_free.notify_all();
                 }
-                if let Some(t) = &telemetry {
-                    t.queue_depth.set(state.jobs.len() as f64);
-                }
+                batch.queue_depth.set(state.jobs.len() as f64);
             }
             taken
         };
@@ -1256,7 +1174,7 @@ fn worker_loop(
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
-    use crate::telemetry::QuantTelemetry;
+    use std::time::Duration;
 
     fn tiny_model() -> TransformerLm {
         let cfg = ModelConfig {
@@ -1274,6 +1192,16 @@ mod tests {
         GenerationOptions {
             max_new_tokens: max_new,
             ..Default::default()
+        }
+    }
+
+    /// A greedy request that stops at token 0.
+    fn request(prompt: &[u32], max_new: usize) -> DecodeRequest {
+        DecodeRequest {
+            prompt: prompt.to_vec(),
+            stops: vec![0],
+            opts: greedy(max_new),
+            grammar: None,
         }
     }
 
@@ -1300,8 +1228,12 @@ mod tests {
     #[test]
     fn scheduler_round_trips_requests() {
         let model = Arc::new(tiny_model());
-        let sched = BatchScheduler::spawn(Arc::clone(&model), BatchConfig::default());
-        let out = sched.generate(&[1, 2, 3], &[0], &greedy(5));
+        let sched = BatchScheduler::spawn(
+            Arc::clone(&model),
+            BatchConfig::default(),
+            DecodeTelemetry::default(),
+        );
+        let out = sched.submit(request(&[1, 2, 3], 5)).expect("queued").wait();
         let solo = model.generate(&[1, 2, 3], &[0], &greedy(5));
         assert_eq!(out, solo);
     }
@@ -1316,6 +1248,7 @@ mod tests {
                 queue_depth: 2,
                 ..BatchConfig::default()
             },
+            DecodeTelemetry::default(),
         );
         sched.set_admission_paused(true);
         let req = || DecodeRequest {
@@ -1336,7 +1269,8 @@ mod tests {
     #[test]
     fn scheduler_shutdown_resolves_waiters() {
         let model = Arc::new(tiny_model());
-        let sched = BatchScheduler::spawn(model, BatchConfig::default());
+        let sched =
+            BatchScheduler::spawn(model, BatchConfig::default(), DecodeTelemetry::default());
         sched.set_admission_paused(true);
         let pending = sched
             .submit(DecodeRequest {
@@ -1368,6 +1302,7 @@ mod tests {
         let sched = Arc::new(BatchScheduler::spawn(
             Arc::new(model),
             BatchConfig::default(),
+            DecodeTelemetry::default(),
         ));
         // An out-of-vocabulary token trips `forward`'s assert on the worker.
         let poisoned = DecodeRequest {
@@ -1406,7 +1341,11 @@ mod tests {
     #[test]
     fn scheduler_reports_stats_and_prefix_hits() {
         let model = Arc::new(tiny_model());
-        let sched = BatchScheduler::spawn(Arc::clone(&model), BatchConfig::default());
+        let sched = BatchScheduler::spawn(
+            Arc::clone(&model),
+            BatchConfig::default(),
+            DecodeTelemetry::default(),
+        );
         let idle = sched.stats();
         assert_eq!((idle.queue_depth, idle.in_flight), (0, 0));
         let cache_stats = idle.prefix_cache.expect("cache enabled by default");
@@ -1415,8 +1354,10 @@ mod tests {
         // The same prompt twice: the second admission must hit the cache,
         // and the output must still match the solo path exactly.
         let solo = model.generate(&[1, 2, 3, 4, 5], &[0], &greedy(4));
-        assert_eq!(sched.generate(&[1, 2, 3, 4, 5], &[0], &greedy(4)), solo);
-        assert_eq!(sched.generate(&[1, 2, 3, 4, 5], &[0], &greedy(4)), solo);
+        for _ in 0..2 {
+            let pending = sched.submit(request(&[1, 2, 3, 4, 5], 4));
+            assert_eq!(pending.expect("queued").wait(), solo);
+        }
         let s = sched.stats().prefix_cache.expect("cache enabled");
         assert!(s.hits >= 1, "repeat prompt must hit: {s:?}");
         assert!(s.bytes > 0 && s.bytes <= s.budget_bytes);
@@ -1428,6 +1369,7 @@ mod tests {
                 prefix_cache_bytes: 0,
                 ..BatchConfig::default()
             },
+            DecodeTelemetry::default(),
         );
         assert!(plain.stats().prefix_cache.is_none());
         assert!(plain.prefix_cache().is_none());
@@ -1435,35 +1377,32 @@ mod tests {
 
     #[test]
     fn scheduler_telemetry_records_requests_wakeups_and_sheds() {
-        let registry = wisdom_telemetry::Registry::new();
-        let telemetry = BatchTelemetry::register(&registry);
         let model = Arc::new(tiny_model());
-        let sched = BatchScheduler::spawn_with(
+        let sched = BatchScheduler::spawn(
             Arc::clone(&model),
             BatchConfig {
                 max_batch_size: 2,
                 queue_depth: 1,
                 ..BatchConfig::default()
             },
-            ReplicaTelemetry {
-                batch: Some(telemetry.clone()),
-                ..Default::default()
-            },
+            DecodeTelemetry::default(),
         );
+        let telemetry = &sched.telemetry().batch;
         // The ready flag flips once the worker loop is up.
         while !sched.worker_ready() {
             std::thread::yield_now();
         }
 
         let solo = model.generate(&[1, 2, 3], &[0], &greedy(5));
-        assert_eq!(sched.generate(&[1, 2, 3], &[0], &greedy(5)), solo);
+        let pending = sched.submit(request(&[1, 2, 3], 5)).expect("queued");
+        assert_eq!(pending.wait(), solo);
         assert_eq!(telemetry.admitted.get(), 1);
         assert_eq!(telemetry.completed.get(), 1);
         assert_eq!(telemetry.queue_wait.snapshot().count(), 1);
         assert_eq!(telemetry.ttft.snapshot().count(), 1);
         assert!(telemetry.token_latency.snapshot().count() >= 1);
-        // The idle exit that picked the job up is a counted wakeup, in both
-        // the lock-free stats field and the registry counter.
+        // The idle exit that picked the job up is a counted wakeup, and the
+        // stats snapshot reads the registry counter.
         let stats = sched.stats();
         assert!(stats.wakeups >= 1, "{stats:?}");
         assert_eq!(telemetry.wakeups.get(), stats.wakeups);
@@ -1486,8 +1425,6 @@ mod tests {
 
     #[test]
     fn instrumented_generate_batch_matches_plain() {
-        let registry = wisdom_telemetry::Registry::new();
-        let telemetry = BatchTelemetry::register(&registry);
         let model = tiny_model();
         let req = |p: &[u32]| DecodeRequest {
             prompt: p.to_vec(),
@@ -1498,9 +1435,9 @@ mod tests {
         let requests = vec![req(&[1, 2, 3]), req(&[4, 5]), req(&[6])];
         let plain = generate_batch(&model, requests.clone(), 2);
         let mut engine = DecodeBatch::new(&model);
-        engine.set_telemetry(telemetry.clone());
         let instrumented = engine.run(requests, 2);
         assert_eq!(plain, instrumented, "telemetry must not change tokens");
+        let telemetry = &engine.telemetry().batch;
         assert_eq!(telemetry.admitted.get(), 3);
         assert_eq!(telemetry.completed.get(), 3);
         // No scheduler in this path: TTFT is still recorded (from admission)
@@ -1533,20 +1470,16 @@ mod tests {
             assert_eq!(plain, speculated, "speculation must not change tokens");
         }
 
-        // Through the scheduler, with metric handles attached.
-        let registry = wisdom_telemetry::Registry::new();
-        let spec_telemetry = SpeculativeTelemetry::register(&registry);
-        let sched = BatchScheduler::spawn_with(
+        // Through the scheduler, reading its metric handles.
+        let sched = BatchScheduler::spawn(
             Arc::new(model),
             BatchConfig {
                 speculative: SpeculativeConfig::ngram(3),
                 ..BatchConfig::default()
             },
-            ReplicaTelemetry {
-                speculative: Some(spec_telemetry.clone()),
-                ..Default::default()
-            },
+            DecodeTelemetry::default(),
         );
+        let spec_telemetry = &sched.telemetry().speculative;
         for (req, want) in requests.into_iter().zip(&plain) {
             assert_eq!(&sched.submit(req).expect("queued").wait(), want);
         }
@@ -1566,19 +1499,15 @@ mod tests {
     #[test]
     fn scheduler_converts_precision_and_reports_quant_metrics() {
         let model = Arc::new(tiny_model());
-        let registry = wisdom_telemetry::Registry::new();
-        let qt = QuantTelemetry::register(&registry);
-        let sched = BatchScheduler::spawn_with(
+        let sched = BatchScheduler::spawn(
             Arc::clone(&model),
             BatchConfig {
                 precision: Precision::Int8,
                 ..BatchConfig::default()
             },
-            ReplicaTelemetry {
-                quant: Some(qt.clone()),
-                ..Default::default()
-            },
+            DecodeTelemetry::default(),
         );
+        let qt = &sched.telemetry().quant;
         assert_eq!(sched.config().precision, Precision::Int8);
         assert!(qt.weight_bytes.get() > 0.0);
         assert!(qt.weight_bytes_saved.get() > 0.0);
@@ -1586,7 +1515,10 @@ mod tests {
         assert_eq!(model.precision(), Precision::F32);
 
         // Served output matches the dequant oracle decoded solo.
-        let out = sched.generate(&[1, 2, 3, 4], &[0], &greedy(6));
+        let out = sched
+            .submit(request(&[1, 2, 3, 4], 6))
+            .expect("queued")
+            .wait();
         let oracle = (*model).clone().with_precision(Precision::Int8Dequant);
         let solo = oracle.generate(&[1, 2, 3, 4], &[0], &greedy(6));
         assert_eq!(out, solo, "int8 scheduler must match the dequant oracle");
@@ -1642,13 +1574,12 @@ mod tests {
     #[test]
     fn streamed_tokens_match_the_pending_result() {
         let model = Arc::new(tiny_model());
-        let sched = BatchScheduler::spawn(Arc::clone(&model), BatchConfig::default());
-        let req = |p: &[u32]| DecodeRequest {
-            prompt: p.to_vec(),
-            stops: vec![0],
-            opts: greedy(6),
-            grammar: None,
-        };
+        let sched = BatchScheduler::spawn(
+            Arc::clone(&model),
+            BatchConfig::default(),
+            DecodeTelemetry::default(),
+        );
+        let req = |p: &[u32]| request(p, 6);
         // Streamed and plain submissions of the same request, concurrently.
         let streamed = sched.submit_streaming(req(&[1, 2, 3])).expect("submit");
         let plain = sched.submit(req(&[1, 2, 3])).expect("submit");
@@ -1668,7 +1599,7 @@ mod tests {
             .generate(&[4, 5], &[0], &greedy(6))
             .starts_with(&partial));
         assert_eq!(
-            sched.generate(&[1, 2, 3], &[0], &greedy(6)),
+            sched.submit(req(&[1, 2, 3])).expect("queued").wait(),
             result,
             "the worker keeps serving after a cancellation"
         );
@@ -1677,8 +1608,6 @@ mod tests {
     #[test]
     fn abandoned_stream_retires_within_one_round() {
         let model = tiny_model();
-        let registry = wisdom_telemetry::Registry::new();
-        let telemetry = BatchTelemetry::register(&registry);
         let request = DecodeRequest {
             prompt: vec![1, 2, 3],
             stops: vec![],
@@ -1687,9 +1616,8 @@ mod tests {
         };
         for spec in [SpeculativeConfig::disabled(), SpeculativeConfig::ngram(4)] {
             let mut engine = DecodeBatch::new(&model);
-            engine.set_telemetry(telemetry.clone());
             engine.set_speculation(spec);
-            let before = telemetry.finished(FinishReason::Cancelled).get();
+            let telemetry = engine.telemetry().batch.clone();
             let (sink, tokens) = mpsc::channel();
             engine.admit_full(7, request.clone(), None, Some(sink), None);
             assert!(
@@ -1708,12 +1636,9 @@ mod tests {
             assert_eq!(out[0], first);
             assert!(out.len() < 10, "{spec:?}: decoded {}", out.len());
             assert!(engine.is_empty());
-            assert_eq!(
-                telemetry.finished(FinishReason::Cancelled).get(),
-                before + 1
-            );
+            assert_eq!(telemetry.finished(FinishReason::Cancelled).get(), 1);
+            assert!((telemetry.batch_occupancy.get() - 0.0).abs() < f64::EPSILON);
         }
-        assert!((telemetry.batch_occupancy.get() - 0.0).abs() < f64::EPSILON);
     }
 
     #[test]
@@ -1763,9 +1688,8 @@ mod tests {
         // Every mask build is reported, whichever call met the state first:
         // most are met by the forced-run probe, not by the logit mask.
         let index = GrammarIndex::build(&tokenizer, Constraint::Ansible).expect("index");
-        let registry = wisdom_telemetry::Registry::new();
-        let telemetry = GrammarTelemetry::register(&registry);
-        engine.set_grammar_telemetry(telemetry.clone());
+        let mut engine = DecodeBatch::new(&model);
+        let telemetry = engine.telemetry().grammar.clone();
         let request = DecodeRequest {
             prompt: tokenizer.encode("- name: Install nginx\n"),
             stops: vec![tokenizer.eot()],
@@ -1785,7 +1709,9 @@ mod tests {
     fn finish_reasons_are_counted_once_per_sequence() {
         let model = tiny_model();
         let registry = wisdom_telemetry::Registry::new();
-        let telemetry = BatchTelemetry::register(&registry);
+        let mut engine =
+            DecodeBatch::with_telemetry(&model, None, DecodeTelemetry::register(&registry, &[]));
+        let telemetry = engine.telemetry().batch.clone();
         let solo = model.generate(&[1, 2, 3], &[], &greedy(6));
         let request = |stops: Vec<u32>| DecodeRequest {
             prompt: vec![1, 2, 3],
@@ -1795,8 +1721,6 @@ mod tests {
         };
         // One sequence runs out of budget, one stops at its third token.
         let requests = vec![request(vec![]), request(vec![solo[2]])];
-        let mut engine = DecodeBatch::new(&model);
-        engine.set_telemetry(telemetry.clone());
         let out = engine.run(requests, 2);
         assert_eq!(out, vec![solo.clone(), solo[..2].to_vec()]);
         assert_eq!(telemetry.finished(FinishReason::Length).get(), 1);
@@ -1817,7 +1741,11 @@ mod tests {
     #[test]
     fn streaming_beam_requests_deliver_whole_output() {
         let model = Arc::new(tiny_model());
-        let sched = BatchScheduler::spawn(Arc::clone(&model), BatchConfig::default());
+        let sched = BatchScheduler::spawn(
+            Arc::clone(&model),
+            BatchConfig::default(),
+            DecodeTelemetry::default(),
+        );
         let opts = GenerationOptions {
             max_new_tokens: 4,
             strategy: Strategy::Beam { width: 2 },
@@ -1852,7 +1780,11 @@ mod tests {
 
     #[test]
     fn beam_submissions_after_shutdown_are_refused() {
-        let sched = BatchScheduler::spawn(Arc::new(tiny_model()), BatchConfig::default());
+        let sched = BatchScheduler::spawn(
+            Arc::new(tiny_model()),
+            BatchConfig::default(),
+            DecodeTelemetry::default(),
+        );
         sched.shutdown();
         assert_eq!(
             sched.submit(beam_request(2, 4)).unwrap_err(),
@@ -1873,6 +1805,7 @@ mod tests {
                 queue_depth: 2,
                 ..BatchConfig::default()
             },
+            DecodeTelemetry::default(),
         );
         sched.set_admission_paused(true);
         let a = sched.submit(beam_request(2, 4)).expect("queued 1");
@@ -1892,16 +1825,12 @@ mod tests {
 
     #[test]
     fn a_beam_request_is_admitted_and_completed_once() {
-        let registry = wisdom_telemetry::Registry::new();
-        let telemetry = BatchTelemetry::register(&registry);
-        let sched = BatchScheduler::spawn_with(
+        let sched = BatchScheduler::spawn(
             Arc::new(tiny_model()),
             BatchConfig::default(),
-            ReplicaTelemetry {
-                batch: Some(telemetry.clone()),
-                ..Default::default()
-            },
+            DecodeTelemetry::default(),
         );
+        let telemetry = &sched.telemetry().batch;
         let out = sched.submit(beam_request(3, 6)).expect("queued").wait();
         assert!(!out.is_empty());
         assert_eq!(telemetry.admitted.get(), 1);

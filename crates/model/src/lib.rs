@@ -51,8 +51,8 @@ pub use replica::{PoolStats, ReplicaPool};
 pub use retrieval::RetrievalModel;
 pub use speculative::SpeculativeConfig;
 pub use telemetry::{
-    BatchTelemetry, FinishReason, GrammarTelemetry, PrefixCacheTelemetry, QuantTelemetry,
-    ReplicaTelemetry, SpeculativeTelemetry,
+    BatchTelemetry, DecodeTelemetry, FinishReason, GrammarTelemetry, PrefixCacheTelemetry,
+    QuantTelemetry, SpeculativeTelemetry,
 };
 // Re-exported so the serving layers (`wisdom-core`, `wisdom-server`) can
 // build and attach grammar constraints without a direct `wisdom-grammar`

@@ -50,10 +50,11 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
-use crate::telemetry::PrefixCacheTelemetry;
+use crate::telemetry::{DecodeTelemetry, PrefixCacheTelemetry};
 use crate::transformer::{KvCache, Page, PageRef, TransformerLm, PAGE_TOKENS};
 
-/// Counters surfaced through `GET /v1/stats`.
+/// Counters surfaced through `GET /v1/stats`: a snapshot of the cache's
+/// [`PrefixCacheTelemetry`] handles and its index shape.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefixCacheStats {
     /// Lookups that matched at least one page.
@@ -149,13 +150,9 @@ struct Inner {
     pinned_bytes: usize,
     /// Logical LRU clock, bumped per lookup/insert.
     tick: u64,
-    hits: u64,
-    misses: u64,
-    hit_tokens: u64,
-    evicted_segments: u64,
-    /// Registry handles mirroring the counters above; updated at the same
-    /// sites, under the same lock. `None` until the server attaches them.
-    telemetry: Option<PrefixCacheTelemetry>,
+    /// Where the hit, miss and eviction counts live; the gauges are
+    /// republished under the lock.
+    telemetry: PrefixCacheTelemetry,
     /// Pages read or written so far: what the work-bound test counts.
     #[cfg(test)]
     visits: std::cell::Cell<u64>,
@@ -223,10 +220,7 @@ impl Inner {
             self.visit();
             let entry = self.pages.remove(&key).expect("ranked pages are indexed");
             self.bytes -= page_bytes(&entry.page);
-            self.evicted_segments += 1;
-            if let Some(t) = &self.telemetry {
-                t.evicted_segments.inc();
-            }
+            self.telemetry.evicted_segments.inc();
         }
     }
 
@@ -234,7 +228,7 @@ impl Inner {
     /// into the registry handles. Called under the cache lock after any
     /// mutation that can change them.
     fn publish_gauges(&self) {
-        let Some(t) = &self.telemetry else { return };
+        let t = &self.telemetry;
         t.bytes.set(self.bytes as f64);
         t.segments.set(self.pages.len() as f64);
         t.pinned_bytes.set(self.pinned_bytes as f64);
@@ -272,26 +266,35 @@ impl Default for PrefixKvCache {
 }
 
 impl PrefixKvCache {
-    /// An empty cache bounded to `max_bytes` of indexed pages.
+    /// An empty cache bounded to `max_bytes` of indexed pages, counting
+    /// into a private [`DecodeTelemetry::default`] bundle.
     pub fn with_budget(max_bytes: usize) -> Self {
+        Self::new(max_bytes, DecodeTelemetry::default().prefix_cache)
+    }
+
+    /// An empty cache bounded to `max_bytes` of indexed pages that counts
+    /// its hits, misses and evictions in `telemetry` and publishes its
+    /// shape gauges there after every lookup, insert and change of a
+    /// page's holders.
+    pub fn new(max_bytes: usize, telemetry: PrefixCacheTelemetry) -> Self {
+        let max_bytes = max_bytes.max(1);
+        telemetry.budget_bytes.set(max_bytes as f64);
+        let inner = Inner {
+            pages: HashMap::new(),
+            lru: BTreeSet::new(),
+            last_id: 0,
+            bytes: 0,
+            pinned_bytes: 0,
+            tick: 0,
+            telemetry,
+            #[cfg(test)]
+            visits: std::cell::Cell::new(0),
+        };
+        inner.publish_gauges();
         Self {
             core: Arc::new(Core {
-                inner: Mutex::new(Inner {
-                    pages: HashMap::new(),
-                    lru: BTreeSet::new(),
-                    last_id: 0,
-                    bytes: 0,
-                    pinned_bytes: 0,
-                    tick: 0,
-                    hits: 0,
-                    misses: 0,
-                    hit_tokens: 0,
-                    evicted_segments: 0,
-                    telemetry: None,
-                    #[cfg(test)]
-                    visits: std::cell::Cell::new(0),
-                }),
-                max_bytes: max_bytes.max(1),
+                inner: Mutex::new(inner),
+                max_bytes,
             }),
         }
     }
@@ -300,25 +303,15 @@ impl PrefixKvCache {
         self.core.inner.lock().expect("prefix cache lock")
     }
 
-    /// Attaches registry handles: every hit/miss/eviction from here on is
-    /// mirrored into `telemetry` (under the cache lock, at the same sites
-    /// as the internal counters), and the shape gauges are published after
-    /// every lookup, insert and change of a page's holders.
-    pub fn set_telemetry(&self, telemetry: PrefixCacheTelemetry) {
-        let mut inner = self.lock();
-        telemetry.budget_bytes.set(self.core.max_bytes as f64);
-        inner.telemetry = Some(telemetry);
-        inner.publish_gauges();
-    }
-
     /// Current counters.
     pub fn stats(&self) -> PrefixCacheStats {
         let inner = self.lock();
+        let t = &inner.telemetry;
         PrefixCacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            hit_tokens: inner.hit_tokens,
-            evicted_segments: inner.evicted_segments,
+            hits: t.hits.get(),
+            misses: t.misses.get(),
+            hit_tokens: t.hit_tokens.get(),
+            evicted_segments: t.evicted_segments.get(),
             bytes: inner.bytes,
             segments: inner.pages.len(),
             budget_bytes: self.core.max_bytes,
@@ -350,18 +343,12 @@ impl PrefixKvCache {
             parent = id;
         }
         let matched = cache.len();
+        let t = &inner.telemetry;
         if matched == 0 {
-            inner.misses += 1;
-            if let Some(t) = &inner.telemetry {
-                t.misses.inc();
-            }
+            t.misses.inc();
         } else {
-            inner.hits += 1;
-            inner.hit_tokens += matched as u64;
-            if let Some(t) = &inner.telemetry {
-                t.hits.inc();
-                t.hit_tokens.add(matched as u64);
-            }
+            t.hits.inc();
+            t.hit_tokens.add(matched as u64);
         }
         inner.publish_gauges();
         matched
@@ -643,11 +630,10 @@ mod tests {
     #[test]
     fn telemetry_mirrors_internal_counters() {
         let registry = wisdom_telemetry::Registry::new();
-        let telemetry = PrefixCacheTelemetry::register(&registry);
+        let telemetry = DecodeTelemetry::register(&registry, &[]).prefix_cache;
         let model = tiny_model();
         let page = one_page(&model);
-        let cache = PrefixKvCache::with_budget(2 * page + page / 2);
-        cache.set_telemetry(telemetry.clone());
+        let cache = PrefixKvCache::new(2 * page + page / 2, telemetry.clone());
         assert!((telemetry.budget_bytes.get() - cache.stats().budget_bytes as f64).abs() < 0.5);
 
         // One miss, one insert, one hit — then eviction pressure.

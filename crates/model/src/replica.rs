@@ -1,9 +1,9 @@
 //! Multi-replica serving: N independent [`BatchScheduler`]s over one model.
 //!
 //! Each replica owns its own decode worker, bounded queue, prefix KV cache,
-//! speculative config, and precision — replicas share nothing but the
-//! (immutable) model weights, so there is no cross-replica locking on the
-//! decode path. What N replicas buy on top of N decode workers is N× the
+//! speculative config, model copy and metric handles — replicas share
+//! nothing mutable, so there is no cross-replica locking on the decode
+//! path. What N replicas buy on top of N decode workers is N× the
 //! aggregate prefix-cache capacity: a router that keeps each session's
 //! resends on the replica already holding its prefix turns a working set
 //! that thrashes one cache into N partitions that each fit
@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use crate::batch::{BatchConfig, BatchScheduler, SchedulerStats};
 use crate::prefix_cache::PrefixCacheStats;
-use crate::telemetry::ReplicaTelemetry;
+use crate::telemetry::DecodeTelemetry;
 use crate::transformer::TransformerLm;
 
 /// Aggregated load across a pool, plus the per-replica snapshots it was
@@ -40,38 +40,33 @@ pub struct PoolStats {
     pub replicas: Vec<SchedulerStats>,
 }
 
-/// N independent continuous-batching schedulers over one shared model.
+/// N independent continuous-batching schedulers over one model.
 ///
-/// Spawning converts the model per replica only when
-/// [`BatchConfig::precision`] requires it (the schedulers share one `Arc`
-/// otherwise), so an f32 pool costs one copy of the weights total.
+/// Each replica converts its own copy of the model to
+/// [`BatchConfig::precision`], so its projections count into its own
+/// [`DecodeTelemetry::quant`].
 pub struct ReplicaPool {
     replicas: Vec<BatchScheduler>,
 }
 
 impl ReplicaPool {
-    /// Spawns `n` (at least 1) uninstrumented replicas, each configured
-    /// with `cfg` — so each gets its *own* prefix cache of
-    /// `cfg.prefix_cache_bytes` bytes, its own queue of `cfg.queue_depth`
-    /// slots, and its own decode worker.
-    pub fn spawn(model: Arc<TransformerLm>, cfg: BatchConfig, n: usize) -> Self {
-        Self::spawn_with(model, cfg, n, &[])
-    }
-
-    /// [`Self::spawn`] attaching `telemetry[i]` to replica `i` (missing
-    /// entries leave that replica uninstrumented).
-    pub fn spawn_with(
+    /// Spawns `n` (at least 1) replicas, each configured with `cfg` — so
+    /// each gets its *own* prefix cache of `cfg.prefix_cache_bytes` bytes,
+    /// its own queue of `cfg.queue_depth` slots, and its own decode worker —
+    /// and recording into `telemetry[i]` (a missing entry records into a
+    /// private [`DecodeTelemetry::default`] bundle).
+    pub fn spawn(
         model: Arc<TransformerLm>,
         cfg: BatchConfig,
         n: usize,
-        telemetry: &[ReplicaTelemetry],
+        telemetry: &[DecodeTelemetry],
     ) -> Self {
-        let n = n.max(1);
-        let mut replicas = Vec::with_capacity(n);
-        for i in 0..n {
-            let t = telemetry.get(i).cloned().unwrap_or_default();
-            replicas.push(BatchScheduler::spawn_with(Arc::clone(&model), cfg, t));
-        }
+        let replicas = (0..n.max(1))
+            .map(|i| {
+                let t = telemetry.get(i).cloned().unwrap_or_default();
+                BatchScheduler::spawn(Arc::clone(&model), cfg, t)
+            })
+            .collect();
         Self { replicas }
     }
 
@@ -187,15 +182,27 @@ mod tests {
         }
     }
 
+    fn request(prompt: &[u32], max_new: usize) -> DecodeRequest {
+        DecodeRequest {
+            prompt: prompt.to_vec(),
+            stops: vec![0],
+            opts: greedy(max_new),
+            grammar: None,
+        }
+    }
+
     #[test]
     fn every_replica_matches_solo_generate() {
         let model = Arc::new(tiny_model());
-        let pool = ReplicaPool::spawn(Arc::clone(&model), BatchConfig::default(), 3);
+        let pool = ReplicaPool::spawn(Arc::clone(&model), BatchConfig::default(), 3, &[]);
         assert_eq!(pool.len(), 3);
         let solo = model.generate(&[1, 2, 3, 4], &[0], &greedy(5));
         for i in 0..pool.len() {
             assert_eq!(
-                pool.replica(i).generate(&[1, 2, 3, 4], &[0], &greedy(5)),
+                pool.replica(i)
+                    .submit(request(&[1, 2, 3, 4], 5))
+                    .expect("queued")
+                    .wait(),
                 solo,
                 "replica {i}"
             );
@@ -205,10 +212,12 @@ mod tests {
     #[test]
     fn replicas_have_independent_caches_and_queues() {
         let model = Arc::new(tiny_model());
-        let pool = ReplicaPool::spawn(Arc::clone(&model), BatchConfig::default(), 2);
+        let pool = ReplicaPool::spawn(Arc::clone(&model), BatchConfig::default(), 2, &[]);
         // Warm replica 0 only; replica 1's cache must stay untouched.
-        pool.replica(0).generate(&[1, 2, 3, 4, 5], &[0], &greedy(3));
-        pool.replica(0).generate(&[1, 2, 3, 4, 5], &[0], &greedy(3));
+        for _ in 0..2 {
+            let warm = pool.replica(0).submit(request(&[1, 2, 3, 4, 5], 3));
+            warm.expect("queued").wait();
+        }
         let stats = pool.stats();
         let c0 = stats[0].prefix_cache.expect("cache on");
         let c1 = stats[1].prefix_cache.expect("cache on");
@@ -232,7 +241,7 @@ mod tests {
     #[test]
     fn pool_streaming_matches_result() {
         let model = Arc::new(tiny_model());
-        let pool = ReplicaPool::spawn(Arc::clone(&model), BatchConfig::default(), 2);
+        let pool = ReplicaPool::spawn(Arc::clone(&model), BatchConfig::default(), 2, &[]);
         let req = DecodeRequest {
             prompt: vec![1, 2, 3],
             stops: vec![0],
@@ -252,7 +261,7 @@ mod tests {
     #[test]
     fn pool_shutdown_and_readiness() {
         let model = Arc::new(tiny_model());
-        let pool = ReplicaPool::spawn(model, BatchConfig::default(), 2);
+        let pool = ReplicaPool::spawn(model, BatchConfig::default(), 2, &[]);
         while !pool.worker_ready() {
             std::thread::yield_now();
         }

@@ -172,11 +172,11 @@ pub(crate) fn accept_draft(
     draft: &[u32],
     stops: &[u32],
     mut grammar: Option<&mut GrammarCursor>,
-    grammar_telemetry: Option<&GrammarTelemetry>,
+    grammar_telemetry: &GrammarTelemetry,
 ) -> (usize, Option<FinishReason>) {
     let vocab = rows.len() / (draft.len() + 1);
     for (i, (&d, row)) in draft.iter().zip(rows.chunks_exact_mut(vocab)).enumerate() {
-        let forced = mask_logits(grammar.as_deref(), row, grammar_telemetry);
+        let forced = mask_logits(grammar.as_deref(), row, Some(grammar_telemetry));
         let t = forced.unwrap_or_else(|| argmax(row));
         if t != d {
             return (i, None);

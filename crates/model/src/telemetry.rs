@@ -1,10 +1,11 @@
-//! Metric handle bundles for the decode path.
+//! Metric handles for the decode path.
 //!
-//! The serving stack owns one [`wisdom_telemetry::Registry`]; these bundles
-//! are the pre-resolved `Arc` handles the hot path records into, so a decode
-//! step never touches the registry lock. Both bundles are optional
-//! everywhere they are accepted — the uninstrumented path stays exactly as
-//! fast as before, and attaching them never changes the decoded tokens
+//! The serving stack owns one [`wisdom_telemetry::Registry`];
+//! [`DecodeTelemetry`] is the set of pre-resolved `Arc` handles one decode
+//! engine records into, so a decode step never touches the registry lock.
+//! Every engine, scheduler, pool replica and prefix cache holds one — a
+//! default bundle records into a private registry nobody renders — and
+//! recording never changes the decoded tokens
 //! (`instrumented_generate_batch_matches_plain` in `batch.rs`).
 
 use std::sync::Arc;
@@ -47,8 +48,210 @@ impl FinishReason {
     }
 }
 
-/// Handles for the continuous-batching scheduler and decode engine.
-/// Cloning shares the underlying metrics.
+/// Every metric one decode engine records: the handles of one replica (or
+/// of a single-replica server). Cloning shares the underlying metrics.
+#[derive(Debug, Clone)]
+pub struct DecodeTelemetry {
+    /// Scheduler metrics (queue wait, TTFT, per-round decode latency, …).
+    pub batch: BatchTelemetry,
+    /// Prefix-cache metrics, recorded by the replica's own cache.
+    pub prefix_cache: PrefixCacheTelemetry,
+    /// Speculative-decoding metrics.
+    pub speculative: SpeculativeTelemetry,
+    /// Quantization metrics.
+    pub quant: QuantTelemetry,
+    /// Grammar-constrained-decoding metrics.
+    pub grammar: GrammarTelemetry,
+}
+
+/// A bundle on a private registry: it counts, but no exposition shows it.
+impl Default for DecodeTelemetry {
+    fn default() -> DecodeTelemetry {
+        DecodeTelemetry::register(&Registry::new(), &[])
+    }
+}
+
+impl DecodeTelemetry {
+    /// Registers (or re-resolves) every decode-path family in `registry`,
+    /// with `labels` on every series: a multi-replica pool registers one
+    /// bundle per replica with `[("replica", "<i>")]`, so the same family
+    /// names carry per-replica series side by side.
+    pub fn register(registry: &Registry, labels: &[(&str, &str)]) -> DecodeTelemetry {
+        let counter = |name: &str, help: &str| registry.counter_with(name, help, labels);
+        let gauge = |name: &str, help: &str| registry.gauge_with(name, help, labels);
+        let histogram = |name: &str, help: &str, buckets: &[f64]| {
+            registry.histogram_with(name, help, labels, buckets)
+        };
+        let latency = Histogram::latency_buckets();
+        let finished = FinishReason::ALL.map(|reason| {
+            let mut labels = labels.to_vec();
+            labels.push(("reason", reason.as_str()));
+            registry.counter_with(
+                "wisdom_decode_finished_total",
+                "Sequences retired from the decode batch, by finish reason.",
+                &labels,
+            )
+        });
+        DecodeTelemetry {
+            batch: BatchTelemetry {
+                queue_wait: histogram(
+                    "wisdom_queue_wait_seconds",
+                    "Time from request submission to admission into the decode batch.",
+                    &latency,
+                ),
+                ttft: histogram(
+                    "wisdom_ttft_seconds",
+                    "Time from request submission to the first generated token.",
+                    &latency,
+                ),
+                token_latency: histogram(
+                    "wisdom_decode_token_seconds",
+                    "Duration of one batched decode round (per-token latency).",
+                    &latency,
+                ),
+                batch_occupancy: gauge(
+                    "wisdom_batch_occupancy",
+                    "Sequences currently being decoded together.",
+                ),
+                queue_depth: gauge(
+                    "wisdom_queue_depth",
+                    "Requests waiting in the bounded submission queue.",
+                ),
+                admitted: counter(
+                    "wisdom_requests_admitted_total",
+                    "Requests admitted into the decode batch.",
+                ),
+                completed: counter(
+                    "wisdom_requests_completed_total",
+                    "Requests decoded to completion.",
+                ),
+                shed: counter(
+                    "wisdom_requests_shed_total",
+                    "Submissions rejected because the queue was full.",
+                ),
+                wakeups: counter(
+                    "wisdom_scheduler_wakeups_total",
+                    "Decode-worker condvar wakeups.",
+                ),
+                finished,
+            },
+            prefix_cache: PrefixCacheTelemetry {
+                hits: counter(
+                    "wisdom_prefix_cache_hits_total",
+                    "Prefix-cache lookups that matched at least one token.",
+                ),
+                misses: counter(
+                    "wisdom_prefix_cache_misses_total",
+                    "Prefix-cache lookups that matched nothing.",
+                ),
+                hit_tokens: counter(
+                    "wisdom_prefix_cache_hit_tokens_total",
+                    "Prompt tokens served from the prefix cache instead of recomputed.",
+                ),
+                evicted_segments: counter(
+                    "wisdom_prefix_cache_evicted_segments_total",
+                    "Prefix-cache pages discarded by LRU eviction.",
+                ),
+                bytes: gauge(
+                    "wisdom_prefix_cache_bytes",
+                    "Bytes of the pages the prefix cache indexes.",
+                ),
+                segments: gauge(
+                    "wisdom_prefix_cache_segments",
+                    "Pages the prefix cache indexes.",
+                ),
+                pinned_bytes: gauge(
+                    "wisdom_prefix_cache_pinned_bytes",
+                    "Prefix-cache bytes held by in-flight sequences.",
+                ),
+                budget_bytes: gauge(
+                    "wisdom_prefix_cache_budget_bytes",
+                    "Configured prefix-cache byte budget.",
+                ),
+            },
+            speculative: SpeculativeTelemetry {
+                proposed: counter(
+                    "wisdom_speculative_proposed_tokens_total",
+                    "Draft tokens proposed to the verifier.",
+                ),
+                accepted: counter(
+                    "wisdom_speculative_accepted_tokens_total",
+                    "Draft tokens accepted by the verifier.",
+                ),
+                rejected: counter(
+                    "wisdom_speculative_rejected_tokens_total",
+                    "Draft tokens rejected and rolled back.",
+                ),
+                verify_passes: counter(
+                    "wisdom_speculative_verify_passes_total",
+                    "Batched draft-verification passes run.",
+                ),
+                gate_closed: counter(
+                    "wisdom_speculative_gate_closed_total",
+                    "Times a sequence's drafts fell below break-even and drafting stopped.",
+                ),
+                acceptance_length: histogram(
+                    "wisdom_speculative_acceptance_length",
+                    "Accepted draft tokens per verify pass.",
+                    &[0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0],
+                ),
+                draft_overhead: histogram(
+                    "wisdom_speculative_draft_seconds",
+                    "Time spent proposing drafts, per decode round.",
+                    &latency,
+                ),
+            },
+            quant: QuantTelemetry {
+                weight_bytes: gauge(
+                    "wisdom_quant_weight_bytes",
+                    "Packed int8 weight bytes resident (values plus per-block scales).",
+                ),
+                weight_bytes_saved: gauge(
+                    "wisdom_quant_weight_bytes_saved",
+                    "f32 weight bytes replaced by int8 packing, minus the packed bytes.",
+                ),
+                matmuls_int8: counter(
+                    "wisdom_quant_matmuls_int8_total",
+                    "Weight projections run through the quantized int8 kernels.",
+                ),
+                matmuls_f32: counter(
+                    "wisdom_quant_matmuls_f32_total",
+                    "Weight projections run through the f32 blocked kernels.",
+                ),
+            },
+            grammar: GrammarTelemetry {
+                masked_tokens: counter(
+                    "wisdom_grammar_masked_tokens_total",
+                    "Vocabulary entries masked to -inf across constrained logit rows.",
+                ),
+                mask_build: histogram(
+                    "wisdom_grammar_mask_build_seconds",
+                    "Latency of building a fresh allowed-token mask (cache misses only).",
+                    &latency,
+                ),
+                states_cached: gauge(
+                    "wisdom_grammar_states_cached",
+                    "Automaton states currently held in the shared mask cache.",
+                ),
+                cache_rotations: counter(
+                    "wisdom_grammar_mask_cache_rotations_total",
+                    "Mask cache generations retired (states unasked for since the last are dropped).",
+                ),
+                forced_fast_path: counter(
+                    "wisdom_grammar_forced_fast_path_total",
+                    "Token picks resolved by the single-legal-token fast path.",
+                ),
+                fused_tokens: counter(
+                    "wisdom_grammar_fused_tokens_total",
+                    "Forced picks made in the round of the pick before them, without logits.",
+                ),
+            },
+        }
+    }
+}
+
+/// Handles for the continuous-batching scheduler and decode engine
+/// ([`DecodeTelemetry::batch`]). Cloning shares the underlying metrics.
 #[derive(Debug, Clone)]
 pub struct BatchTelemetry {
     /// `wisdom_queue_wait_seconds` — submission to admission into the batch.
@@ -76,77 +279,10 @@ pub struct BatchTelemetry {
 }
 
 impl BatchTelemetry {
-    /// Registers (or re-resolves) the scheduler metric family in `registry`.
+    /// The [`DecodeTelemetry::batch`] handles of an unlabeled bundle
+    /// registered in `registry`.
     pub fn register(registry: &Registry) -> BatchTelemetry {
-        Self::register_labeled(registry, &[])
-    }
-
-    /// [`Self::register`] with a label set on every series — the
-    /// multi-replica pool registers one bundle per replica with
-    /// `[("replica", "<i>")]`, so the same family names carry per-replica
-    /// series side by side.
-    pub fn register_labeled(registry: &Registry, labels: &[(&str, &str)]) -> BatchTelemetry {
-        let buckets = Histogram::latency_buckets();
-        let finished = FinishReason::ALL.map(|reason| {
-            let mut labels = labels.to_vec();
-            labels.push(("reason", reason.as_str()));
-            registry.counter_with(
-                "wisdom_decode_finished_total",
-                "Sequences retired from the decode batch, by finish reason.",
-                &labels,
-            )
-        });
-        BatchTelemetry {
-            queue_wait: registry.histogram_with(
-                "wisdom_queue_wait_seconds",
-                "Time from request submission to admission into the decode batch.",
-                labels,
-                &buckets,
-            ),
-            ttft: registry.histogram_with(
-                "wisdom_ttft_seconds",
-                "Time from request submission to the first generated token.",
-                labels,
-                &buckets,
-            ),
-            token_latency: registry.histogram_with(
-                "wisdom_decode_token_seconds",
-                "Duration of one batched decode round (per-token latency).",
-                labels,
-                &buckets,
-            ),
-            batch_occupancy: registry.gauge_with(
-                "wisdom_batch_occupancy",
-                "Sequences currently being decoded together.",
-                labels,
-            ),
-            queue_depth: registry.gauge_with(
-                "wisdom_queue_depth",
-                "Requests waiting in the bounded submission queue.",
-                labels,
-            ),
-            admitted: registry.counter_with(
-                "wisdom_requests_admitted_total",
-                "Requests admitted into the decode batch.",
-                labels,
-            ),
-            completed: registry.counter_with(
-                "wisdom_requests_completed_total",
-                "Requests decoded to completion.",
-                labels,
-            ),
-            shed: registry.counter_with(
-                "wisdom_requests_shed_total",
-                "Submissions rejected because the queue was full.",
-                labels,
-            ),
-            wakeups: registry.counter_with(
-                "wisdom_scheduler_wakeups_total",
-                "Decode-worker condvar wakeups.",
-                labels,
-            ),
-            finished,
-        }
+        DecodeTelemetry::register(registry, &[]).batch
     }
 
     /// The `wisdom_decode_finished_total` series for `reason`.
@@ -155,9 +291,9 @@ impl BatchTelemetry {
     }
 }
 
-/// Handles for the shared prefix KV cache. Counters mirror the cache's
-/// internal [`crate::PrefixCacheStats`]; gauges are republished after every
-/// insert/eviction pass under the cache lock.
+/// Handles for the shared prefix KV cache ([`DecodeTelemetry::prefix_cache`]):
+/// the cache's hit, miss and eviction counts live here, and its gauges are
+/// republished after every insert/eviction pass under the cache lock.
 #[derive(Debug, Clone)]
 pub struct PrefixCacheTelemetry {
     /// `wisdom_prefix_cache_hits_total`.
@@ -179,63 +315,8 @@ pub struct PrefixCacheTelemetry {
     pub budget_bytes: Arc<Gauge>,
 }
 
-impl PrefixCacheTelemetry {
-    /// Registers (or re-resolves) the prefix-cache metric family in
-    /// `registry`.
-    pub fn register(registry: &Registry) -> PrefixCacheTelemetry {
-        Self::register_labeled(registry, &[])
-    }
-
-    /// [`Self::register`] with a label set on every series (per-replica
-    /// caches label with `[("replica", "<i>")]`).
-    pub fn register_labeled(registry: &Registry, labels: &[(&str, &str)]) -> PrefixCacheTelemetry {
-        PrefixCacheTelemetry {
-            hits: registry.counter_with(
-                "wisdom_prefix_cache_hits_total",
-                "Prefix-cache lookups that matched at least one token.",
-                labels,
-            ),
-            misses: registry.counter_with(
-                "wisdom_prefix_cache_misses_total",
-                "Prefix-cache lookups that matched nothing.",
-                labels,
-            ),
-            hit_tokens: registry.counter_with(
-                "wisdom_prefix_cache_hit_tokens_total",
-                "Prompt tokens served from the prefix cache instead of recomputed.",
-                labels,
-            ),
-            evicted_segments: registry.counter_with(
-                "wisdom_prefix_cache_evicted_segments_total",
-                "Prefix-cache pages discarded by LRU eviction.",
-                labels,
-            ),
-            bytes: registry.gauge_with(
-                "wisdom_prefix_cache_bytes",
-                "Bytes of the pages the prefix cache indexes.",
-                labels,
-            ),
-            segments: registry.gauge_with(
-                "wisdom_prefix_cache_segments",
-                "Pages the prefix cache indexes.",
-                labels,
-            ),
-            pinned_bytes: registry.gauge_with(
-                "wisdom_prefix_cache_pinned_bytes",
-                "Prefix-cache bytes held by in-flight sequences.",
-                labels,
-            ),
-            budget_bytes: registry.gauge_with(
-                "wisdom_prefix_cache_budget_bytes",
-                "Configured prefix-cache byte budget.",
-                labels,
-            ),
-        }
-    }
-}
-
 /// Handles for the speculative-decoding path (the batched engine's verify
-/// rounds).
+/// rounds, [`DecodeTelemetry::speculative`]).
 #[derive(Debug, Clone)]
 pub struct SpeculativeTelemetry {
     /// `wisdom_speculative_proposed_tokens_total` — draft tokens proposed.
@@ -261,59 +342,15 @@ pub struct SpeculativeTelemetry {
 }
 
 impl SpeculativeTelemetry {
-    /// Registers (or re-resolves) the speculative-decoding metric family
-    /// in `registry`.
+    /// The [`DecodeTelemetry::speculative`] handles of an unlabeled bundle
+    /// registered in `registry`.
     pub fn register(registry: &Registry) -> SpeculativeTelemetry {
-        Self::register_labeled(registry, &[])
-    }
-
-    /// [`Self::register`] with a label set on every series (per-replica
-    /// speculation labels with `[("replica", "<i>")]`).
-    pub fn register_labeled(registry: &Registry, labels: &[(&str, &str)]) -> SpeculativeTelemetry {
-        let length_buckets = [0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0];
-        SpeculativeTelemetry {
-            proposed: registry.counter_with(
-                "wisdom_speculative_proposed_tokens_total",
-                "Draft tokens proposed to the verifier.",
-                labels,
-            ),
-            accepted: registry.counter_with(
-                "wisdom_speculative_accepted_tokens_total",
-                "Draft tokens accepted by the verifier.",
-                labels,
-            ),
-            rejected: registry.counter_with(
-                "wisdom_speculative_rejected_tokens_total",
-                "Draft tokens rejected and rolled back.",
-                labels,
-            ),
-            verify_passes: registry.counter_with(
-                "wisdom_speculative_verify_passes_total",
-                "Batched draft-verification passes run.",
-                labels,
-            ),
-            gate_closed: registry.counter_with(
-                "wisdom_speculative_gate_closed_total",
-                "Times a sequence's drafts fell below break-even and drafting stopped.",
-                labels,
-            ),
-            acceptance_length: registry.histogram_with(
-                "wisdom_speculative_acceptance_length",
-                "Accepted draft tokens per verify pass.",
-                labels,
-                &length_buckets,
-            ),
-            draft_overhead: registry.histogram_with(
-                "wisdom_speculative_draft_seconds",
-                "Time spent proposing drafts, per decode round.",
-                labels,
-                &Histogram::latency_buckets(),
-            ),
-        }
+        DecodeTelemetry::register(registry, &[]).speculative
     }
 }
 
-/// Handles for the weight-quantization path ([`crate::Precision`]).
+/// Handles for the weight-quantization path ([`crate::Precision`],
+/// [`DecodeTelemetry::quant`]).
 ///
 /// The gauges are published once when a scheduler converts its model; the
 /// counters tick on every projection matmul, splitting decode work between
@@ -334,47 +371,12 @@ pub struct QuantTelemetry {
     pub matmuls_f32: Arc<Counter>,
 }
 
-impl QuantTelemetry {
-    /// Registers (or re-resolves) the quantization metric family in
-    /// `registry`.
-    pub fn register(registry: &Registry) -> QuantTelemetry {
-        Self::register_labeled(registry, &[])
-    }
-
-    /// [`Self::register`] with a label set on every series (per-replica
-    /// quantization labels with `[("replica", "<i>")]`).
-    pub fn register_labeled(registry: &Registry, labels: &[(&str, &str)]) -> QuantTelemetry {
-        QuantTelemetry {
-            weight_bytes: registry.gauge_with(
-                "wisdom_quant_weight_bytes",
-                "Packed int8 weight bytes resident (values plus per-block scales).",
-                labels,
-            ),
-            weight_bytes_saved: registry.gauge_with(
-                "wisdom_quant_weight_bytes_saved",
-                "f32 weight bytes replaced by int8 packing, minus the packed bytes.",
-                labels,
-            ),
-            matmuls_int8: registry.counter_with(
-                "wisdom_quant_matmuls_int8_total",
-                "Weight projections run through the quantized int8 kernels.",
-                labels,
-            ),
-            matmuls_f32: registry.counter_with(
-                "wisdom_quant_matmuls_f32_total",
-                "Weight projections run through the f32 blocked kernels.",
-                labels,
-            ),
-        }
-    }
-}
-
 /// Handles for grammar-constrained decoding
-/// ([`wisdom_grammar::GrammarCursor`] masking inside the decode loops).
+/// ([`wisdom_grammar::GrammarCursor`] masking inside the decode loops,
+/// [`DecodeTelemetry::grammar`]).
 ///
-/// Mask application is on the per-token hot path, so the bundle mirrors the
-/// others: pre-resolved `Arc` handles, recorded only when a cursor is
-/// actually active — unconstrained decoding records nothing.
+/// Recorded only when a cursor is actually active — unconstrained decoding
+/// records nothing.
 #[derive(Debug, Clone)]
 pub struct GrammarTelemetry {
     /// `wisdom_grammar_masked_tokens_total` — vocabulary entries set to
@@ -398,49 +400,6 @@ pub struct GrammarTelemetry {
 }
 
 impl GrammarTelemetry {
-    /// Registers (or re-resolves) the grammar metric family in `registry`.
-    pub fn register(registry: &Registry) -> GrammarTelemetry {
-        Self::register_labeled(registry, &[])
-    }
-
-    /// [`Self::register`] with a label set on every series (per-replica
-    /// grammar metrics label with `[("replica", "<i>")]`).
-    pub fn register_labeled(registry: &Registry, labels: &[(&str, &str)]) -> GrammarTelemetry {
-        GrammarTelemetry {
-            masked_tokens: registry.counter_with(
-                "wisdom_grammar_masked_tokens_total",
-                "Vocabulary entries masked to -inf across constrained logit rows.",
-                labels,
-            ),
-            mask_build: registry.histogram_with(
-                "wisdom_grammar_mask_build_seconds",
-                "Latency of building a fresh allowed-token mask (cache misses only).",
-                labels,
-                &Histogram::latency_buckets(),
-            ),
-            states_cached: registry.gauge_with(
-                "wisdom_grammar_states_cached",
-                "Automaton states currently held in the shared mask cache.",
-                labels,
-            ),
-            cache_rotations: registry.counter_with(
-                "wisdom_grammar_mask_cache_rotations_total",
-                "Mask cache generations retired (states unasked for since the last are dropped).",
-                labels,
-            ),
-            forced_fast_path: registry.counter_with(
-                "wisdom_grammar_forced_fast_path_total",
-                "Token picks resolved by the single-legal-token fast path.",
-                labels,
-            ),
-            fused_tokens: registry.counter_with(
-                "wisdom_grammar_fused_tokens_total",
-                "Forced picks made in the round of the pick before them, without logits.",
-                labels,
-            ),
-        }
-    }
-
     /// Records the mask build behind `outcome`, if its lookup missed the
     /// cache. Builds are timed where they happen (the index's miss path),
     /// so this holds whichever call met the state first — the forced-run
@@ -458,24 +417,6 @@ impl GrammarTelemetry {
     }
 }
 
-/// One scheduler's metric handles ([`crate::BatchScheduler::spawn_with`]),
-/// typically registered with a `replica="<i>"` label so one registry
-/// exposes every replica's series side by side. All handles are optional; a
-/// default bundle leaves the replica uninstrumented.
-#[derive(Debug, Clone, Default)]
-pub struct ReplicaTelemetry {
-    /// Scheduler metrics (queue wait, TTFT, per-round decode latency, …).
-    pub batch: Option<BatchTelemetry>,
-    /// Prefix-cache metrics, attached to the replica's own cache.
-    pub prefix_cache: Option<PrefixCacheTelemetry>,
-    /// Speculative-decoding metrics.
-    pub speculative: Option<SpeculativeTelemetry>,
-    /// Quantization metrics.
-    pub quant: Option<QuantTelemetry>,
-    /// Grammar-constrained-decoding metrics.
-    pub grammar: Option<GrammarTelemetry>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,59 +424,57 @@ mod tests {
     #[test]
     fn register_twice_shares_handles() {
         let registry = Registry::new();
-        let a = BatchTelemetry::register(&registry);
-        let b = BatchTelemetry::register(&registry);
-        a.admitted.inc();
-        assert_eq!(b.admitted.get(), 1);
-        let pa = PrefixCacheTelemetry::register(&registry);
-        let pb = PrefixCacheTelemetry::register(&registry);
-        pa.hits.inc();
-        assert_eq!(pb.hits.get(), 1);
-        let sa = SpeculativeTelemetry::register(&registry);
-        let sb = SpeculativeTelemetry::register(&registry);
-        sa.accepted.inc();
-        assert_eq!(sb.accepted.get(), 1);
-        let qa = QuantTelemetry::register(&registry);
-        let qb = QuantTelemetry::register(&registry);
-        qa.matmuls_int8.inc();
-        qa.weight_bytes.set(128.0);
-        assert_eq!(qb.matmuls_int8.get(), 1);
-        assert_eq!(qb.weight_bytes.get(), 128.0);
-        let ga = GrammarTelemetry::register(&registry);
-        let gb = GrammarTelemetry::register(&registry);
-        ga.masked_tokens.add(5);
-        ga.forced_fast_path.inc();
-        assert_eq!(gb.masked_tokens.get(), 5);
-        assert_eq!(gb.forced_fast_path.get(), 1);
+        let a = DecodeTelemetry::register(&registry, &[]);
+        let b = DecodeTelemetry::register(&registry, &[]);
+        a.batch.admitted.inc();
+        assert_eq!(b.batch.admitted.get(), 1);
+        a.prefix_cache.hits.inc();
+        assert_eq!(b.prefix_cache.hits.get(), 1);
+        a.speculative.accepted.inc();
+        assert_eq!(b.speculative.accepted.get(), 1);
+        a.quant.matmuls_int8.inc();
+        a.quant.weight_bytes.set(128.0);
+        assert_eq!(b.quant.matmuls_int8.get(), 1);
+        assert_eq!(b.quant.weight_bytes.get(), 128.0);
+        a.grammar.masked_tokens.add(5);
+        a.grammar.forced_fast_path.inc();
+        assert_eq!(b.grammar.masked_tokens.get(), 5);
+        assert_eq!(b.grammar.forced_fast_path.get(), 1);
+        // The single-bundle registrations re-resolve the same handles.
+        assert_eq!(BatchTelemetry::register(&registry).admitted.get(), 1);
+        assert_eq!(SpeculativeTelemetry::register(&registry).accepted.get(), 1);
     }
 
     #[test]
     fn labeled_bundles_keep_per_replica_series_distinct() {
         let registry = Registry::new();
-        let r0 = BatchTelemetry::register_labeled(&registry, &[("replica", "0")]);
-        let r1 = BatchTelemetry::register_labeled(&registry, &[("replica", "1")]);
-        r0.admitted.inc();
-        r0.admitted.inc();
-        r1.admitted.inc();
-        assert_eq!(r0.admitted.get(), 2);
-        assert_eq!(r1.admitted.get(), 1);
+        let r0 = DecodeTelemetry::register(&registry, &[("replica", "0")]);
+        let r1 = DecodeTelemetry::register(&registry, &[("replica", "1")]);
+        r0.batch.admitted.inc();
+        r0.batch.admitted.inc();
+        r1.batch.admitted.inc();
+        assert_eq!(r0.batch.admitted.get(), 2);
+        assert_eq!(r1.batch.admitted.get(), 1);
         let text = registry.render();
         assert!(text.contains("wisdom_requests_admitted_total{replica=\"0\"} 2"));
         assert!(text.contains("wisdom_requests_admitted_total{replica=\"1\"} 1"));
+        // No unlabeled series next to the labeled ones.
+        assert!(
+            !text
+                .lines()
+                .any(|l| l.starts_with("wisdom_requests_admitted_total ")),
+            "{text}"
+        );
         // Re-registering the same label set re-resolves the same handles.
-        let again = BatchTelemetry::register_labeled(&registry, &[("replica", "0")]);
-        again.admitted.inc();
-        assert_eq!(r0.admitted.get(), 3);
+        let again = DecodeTelemetry::register(&registry, &[("replica", "0")]);
+        again.batch.admitted.inc();
+        assert_eq!(r0.batch.admitted.get(), 3);
     }
 
     #[test]
     fn registered_names_render() {
         let registry = Registry::new();
-        let _ = BatchTelemetry::register(&registry);
-        let _ = PrefixCacheTelemetry::register(&registry);
-        let _ = SpeculativeTelemetry::register(&registry);
-        let _ = QuantTelemetry::register(&registry);
-        let _ = GrammarTelemetry::register(&registry);
+        let _ = DecodeTelemetry::register(&registry, &[]);
         let text = registry.render();
         for name in [
             "wisdom_grammar_masked_tokens_total",

@@ -1266,18 +1266,16 @@ pub(crate) fn mask_logits(
 /// cursors and wherever the grammar branches.
 pub(crate) fn forced_token(
     grammar: Option<&GrammarCursor>,
-    telemetry: Option<&GrammarTelemetry>,
+    telemetry: &GrammarTelemetry,
 ) -> Option<u32> {
     let cursor = grammar?;
     let outcome = cursor.peek();
-    if let Some(t) = telemetry {
-        // Since forced runs are fused this is where most states are first
-        // met, so most mask builds are reported from here.
-        t.observe_build(cursor, &outcome);
-        if outcome.forced.is_some() {
-            t.forced_fast_path.inc();
-            t.fused_tokens.inc();
-        }
+    // Since forced runs are fused this is where most states are first met,
+    // so most mask builds are reported from here.
+    telemetry.observe_build(cursor, &outcome);
+    if outcome.forced.is_some() {
+        telemetry.forced_fast_path.inc();
+        telemetry.fused_tokens.inc();
     }
     outcome.forced
 }

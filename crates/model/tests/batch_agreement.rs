@@ -7,8 +7,8 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use wisdom_model::{
-    generate_batch, BatchConfig, BatchScheduler, DecodeBatch, DecodeRequest, GenerationOptions,
-    ModelConfig, Strategy, TransformerLm,
+    generate_batch, BatchConfig, BatchScheduler, DecodeBatch, DecodeRequest, DecodeTelemetry,
+    GenerationOptions, ModelConfig, Strategy, TransformerLm,
 };
 use wisdom_prng::Prng;
 
@@ -153,6 +153,7 @@ fn scheduler_under_concurrent_submissions_matches_solo() {
             queue_depth: 32,
             ..BatchConfig::default()
         },
+        DecodeTelemetry::default(),
     );
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..12u32)
@@ -161,7 +162,14 @@ fn scheduler_under_concurrent_submissions_matches_solo() {
                 let model = &model;
                 scope.spawn(move || {
                     let prompt: Vec<u32> = (0..(i % 7)).map(|j| (i + j) % VOCAB as u32).collect();
-                    let out = sched.generate(&prompt, &STOPS, &greedy(6));
+                    let req = DecodeRequest {
+                        prompt: prompt.clone(),
+                        stops: STOPS.to_vec(),
+                        opts: greedy(6),
+                        grammar: None,
+                    };
+                    // Twelve submissions never fill the 32-slot queue.
+                    let out = sched.submit(req).expect("queued").wait();
                     let solo = model.generate(&prompt, &STOPS, &greedy(6));
                     assert_eq!(out, solo, "request {i}");
                 })

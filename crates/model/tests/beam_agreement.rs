@@ -11,8 +11,8 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use wisdom_model::{
-    BatchConfig, BatchScheduler, DecodeBatch, DecodeRequest, GenerationOptions, KvCache,
-    ModelConfig, PrefixKvCache, Strategy, TransformerLm,
+    BatchConfig, BatchScheduler, DecodeBatch, DecodeRequest, DecodeTelemetry, GenerationOptions,
+    KvCache, ModelConfig, PrefixKvCache, Strategy, TransformerLm,
 };
 use wisdom_prng::Prng;
 use wisdom_tensor::kernels::softmax_row;
@@ -293,6 +293,7 @@ proptest! {
                 prefix_cache_bytes: if cached { 1 << 20 } else { 0 },
                 ..BatchConfig::default()
             },
+            DecodeTelemetry::default(),
         );
         if streaming {
             let pending: Vec<_> = requests

@@ -21,12 +21,11 @@
 use std::sync::{Arc, OnceLock};
 
 use wisdom_model::{
-    BatchConfig, BatchScheduler, Constraint, DecodeBatch, DecodeRequest, GenerationOptions,
-    GrammarCursor, GrammarIndex, GrammarTelemetry, ModelConfig, SpeculativeConfig, Strategy,
-    TransformerLm,
+    BatchConfig, BatchScheduler, Constraint, DecodeBatch, DecodeRequest, DecodeTelemetry,
+    GenerationOptions, GrammarCursor, GrammarIndex, GrammarTelemetry, ModelConfig,
+    SpeculativeConfig, Strategy, TransformerLm,
 };
 use wisdom_prng::Prng;
-use wisdom_telemetry::Registry;
 use wisdom_tokenizer::BpeTokenizer;
 
 const CORPUS: [&str; 4] = [
@@ -105,9 +104,8 @@ fn oracle(f: &Fixture, req: &DecodeRequest) -> Vec<u32> {
 /// same rounds; returns the output and the grammar counters of the plain
 /// run.
 fn engine(f: &Fixture, req: &DecodeRequest) -> (Vec<u32>, GrammarTelemetry) {
-    let counters = GrammarTelemetry::register(&Registry::new());
     let mut plain = DecodeBatch::new(&f.model);
-    plain.set_grammar_telemetry(counters.clone());
+    let counters = plain.telemetry().grammar.clone();
     let out = plain.run(vec![req.clone()], 1).remove(0);
     let mut drafting = DecodeBatch::new(&f.model);
     drafting.set_speculation(SpeculativeConfig::ngram(4));
@@ -293,6 +291,7 @@ fn streamed_tokens_arrive_in_emission_order() {
             speculative: SpeculativeConfig::ngram(4),
             ..BatchConfig::default()
         },
+        DecodeTelemetry::default(),
     );
     for prompt in PROMPTS {
         let ids = f.tokenizer.encode(prompt);

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use wisdom_ansible::{lint_str, LintTarget};
 use wisdom_model::{
     generate_batch, pretrain, BatchConfig, BatchScheduler, Constraint, DecodeBatch, DecodeRequest,
-    GenerationOptions, GrammarCursor, GrammarIndex, ModelConfig, PretrainConfig, ReplicaTelemetry,
+    DecodeTelemetry, GenerationOptions, GrammarCursor, GrammarIndex, ModelConfig, PretrainConfig,
     SpeculativeConfig, SpeculativeTelemetry, Strategy, TransformerLm,
 };
 use wisdom_prng::Prng;
@@ -272,15 +272,15 @@ fn solo_batched_and_speculative_constrained_decodes_agree() {
 
     // Through a speculative scheduler: constrained requests multiplexed on
     // the decode worker still match.
-    let sched = BatchScheduler::spawn_with(
+    let sched = BatchScheduler::spawn(
         Arc::clone(&f.model),
         BatchConfig {
             speculative: SpeculativeConfig::ngram(3),
             ..BatchConfig::default()
         },
-        ReplicaTelemetry {
-            speculative: Some(counters.clone()),
-            ..Default::default()
+        DecodeTelemetry {
+            speculative: counters.clone(),
+            ..DecodeTelemetry::default()
         },
     );
     for (req, want) in requests.iter().zip(&solo) {

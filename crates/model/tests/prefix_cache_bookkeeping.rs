@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use wisdom_model::{KvCache, ModelConfig, PrefixCacheTelemetry, PrefixKvCache, TransformerLm};
+use wisdom_model::{DecodeTelemetry, KvCache, ModelConfig, PrefixKvCache, TransformerLm};
 use wisdom_prng::Prng;
 use wisdom_telemetry::Registry;
 
@@ -234,10 +234,9 @@ proptest! {
         ),
         budget in 1usize..10 * PAGE_BYTES,
     ) {
-        let cache = PrefixKvCache::with_budget(budget);
         let registry = Registry::new();
-        let gauges = PrefixCacheTelemetry::register(&registry);
-        cache.set_telemetry(gauges.clone());
+        let gauges = DecodeTelemetry::register(&registry, &[]).prefix_cache;
+        let cache = PrefixKvCache::new(budget, gauges.clone());
         let mut oracle = Oracle::new(budget);
         // Live caches and the page ids each holds, in position order.
         let mut kept: Vec<(KvCache, Vec<u64>)> = Vec::new();

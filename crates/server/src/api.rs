@@ -42,8 +42,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use wisdom_core::{
-    BatchConfig, CompletionRequest, Constraint, Precision, ReplicaTelemetry, SpeculativeConfig,
-    StreamingPending, SubmitError, Suggestion, Wisdom,
+    BatchConfig, BatchScheduler, CompletionRequest, Constraint, DecodeTelemetry, Precision,
+    SpeculativeConfig, StreamingPending, SubmitError, Suggestion, Wisdom,
 };
 
 use crate::http::{
@@ -126,9 +126,6 @@ pub struct WisdomServer {
     shutdown: Arc<AtomicBool>,
     config: ServerConfig,
     router: Arc<Router>,
-    /// Per-replica telemetry bundles the pool's schedulers record into;
-    /// `/v1/stats` sums quantization gauges across them.
-    bundles: Arc<Vec<ReplicaTelemetry>>,
     telemetry: Arc<ServerTelemetry>,
     /// Test hook: while set, `GET /readyz` reports 503 regardless of the
     /// decode worker's actual state.
@@ -161,6 +158,16 @@ impl ServerHandle {
     /// The server's metric registry and access log.
     pub fn telemetry(&self) -> &ServerTelemetry {
         &self.telemetry
+    }
+
+    /// The decode-path handles replica `i` records into: the series
+    /// `GET /metrics` shows for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the server runs fewer than `i + 1` replicas.
+    pub fn decode_telemetry(&self, i: usize) -> &DecodeTelemetry {
+        self.router.pool().replica(i).telemetry()
     }
 
     /// Test hook: pause/resume admission from the decode queue into the
@@ -201,14 +208,13 @@ impl WisdomServer {
         config: ServerConfig,
     ) -> std::io::Result<WisdomServer> {
         let telemetry = ServerTelemetry::new();
-        let (router, bundles) = build_router(&wisdom, &config, &telemetry);
+        let router = build_router(&wisdom, &config, &telemetry);
         Ok(WisdomServer {
             wisdom,
             listener: TcpListener::bind(addr)?,
             shutdown: Arc::new(AtomicBool::new(false)),
             config,
             router: Arc::new(router),
-            bundles: Arc::new(bundles),
             telemetry: Arc::new(telemetry),
             forced_unready: Arc::new(AtomicBool::new(false)),
         })
@@ -235,7 +241,6 @@ impl WisdomServer {
             shutdown,
             config,
             router,
-            bundles,
             telemetry,
             forced_unready,
         } = self;
@@ -247,7 +252,6 @@ impl WisdomServer {
                 let rx = Arc::clone(&rx);
                 let wisdom = &wisdom;
                 let router = &router;
-                let bundles = &bundles;
                 let telemetry = &telemetry;
                 let forced_unready = &forced_unready;
                 scope.spawn(move || loop {
@@ -257,7 +261,6 @@ impl WisdomServer {
                     handle_connection(
                         wisdom,
                         router,
-                        bundles,
                         &config,
                         telemetry,
                         forced_unready,
@@ -284,15 +287,9 @@ impl WisdomServer {
 }
 
 /// The replica pool `config` describes, spawned over `wisdom`'s model and
-/// recording into `telemetry`'s registry, behind its router; with the
-/// per-replica bundles the pool records into.
-fn build_router(
-    wisdom: &Wisdom,
-    config: &ServerConfig,
-    telemetry: &ServerTelemetry,
-) -> (Router, Vec<ReplicaTelemetry>) {
+/// recording into `telemetry`'s registry, behind its router.
+fn build_router(wisdom: &Wisdom, config: &ServerConfig, telemetry: &ServerTelemetry) -> Router {
     let replicas = config.replicas.max(1);
-    let bundles = telemetry.replica_bundles(replicas);
     let pool = wisdom.replica_pool(
         BatchConfig {
             max_batch_size: config.max_batch_size,
@@ -303,21 +300,20 @@ fn build_router(
             constraint: config.constraint,
         },
         replicas,
-        &bundles,
+        &telemetry.replica_bundles(replicas),
     );
     let label = match config.route_policy {
         RoutePolicy::PrefixAffinity => "prefix_affinity",
     };
     let router_telemetry = RouterTelemetry::register(telemetry.registry(), label);
-    let router = Router::new(
+    Router::new(
         Arc::new(pool),
         RouterConfig {
             policy: config.route_policy,
             ..RouterConfig::default()
         },
         Some(router_telemetry),
-    );
-    (router, bundles)
+    )
 }
 
 /// Serves one connection: a keep-alive loop when the client asks for it
@@ -327,7 +323,6 @@ fn build_router(
 fn handle_connection(
     wisdom: &Wisdom,
     router: &Router,
-    bundles: &[ReplicaTelemetry],
     config: &ServerConfig,
     telemetry: &ServerTelemetry,
     forced_unready: &AtomicBool,
@@ -344,7 +339,7 @@ fn handle_connection(
             Ok(Some(request)) => {
                 served += 1;
                 let ready = !forced_unready.load(Ordering::SeqCst) && router.pool().worker_ready();
-                let reply = respond(wisdom, router, bundles, config, telemetry, ready, &request);
+                let reply = respond(wisdom, router, config, telemetry, ready, &request);
                 let (status, keep) = match reply {
                     Reply::Whole(response) => {
                         let keep = wants_keep_alive(&request)
@@ -407,7 +402,6 @@ enum Reply {
 fn respond(
     wisdom: &Wisdom,
     router: &Router,
-    bundles: &[ReplicaTelemetry],
     config: &ServerConfig,
     telemetry: &ServerTelemetry,
     ready: bool,
@@ -426,7 +420,7 @@ fn respond(
         ("GET", "/metrics") => {
             Response::text(200, telemetry.render()).with_content_type(METRICS_CONTENT_TYPE)
         }
-        ("GET", "/v1/stats") => stats(wisdom, router, bundles, config),
+        ("GET", "/v1/stats") => stats(wisdom, router, config),
         ("POST", "/v1/completions") => return completions(wisdom, router, config, request),
         ("POST", "/v1/lint") => lint(request),
         ("POST", _) | ("GET", _) => Response::text(404, "unknown endpoint"),
@@ -625,12 +619,7 @@ fn forward_stream(
 /// gate let a verify pass run and how often it closed) / precision /
 /// constraint with their counters, plus `replica_count` and a per-replica
 /// breakdown.
-fn stats(
-    wisdom: &Wisdom,
-    router: &Router,
-    bundles: &[ReplicaTelemetry],
-    config: &ServerConfig,
-) -> Response {
+fn stats(wisdom: &Wisdom, router: &Router, config: &ServerConfig) -> Response {
     let agg = router.pool().aggregate();
     // The mask caches are the process's, shared by every replica: read
     // them, do not sum the replicas' gauges of them.
@@ -638,9 +627,16 @@ fn stats(
     let num = |n: usize| Json::Num(n as f64);
     let count = |n: u64| Json::Num(n as f64);
     let pc = agg.prefix_cache.unwrap_or_default();
-    let quant_bundles = || bundles.iter().filter_map(|b| b.quant.as_ref());
-    let grammar_bundles = || bundles.iter().filter_map(|b| b.grammar.as_ref());
-    let speculative_bundles = || bundles.iter().filter_map(|b| b.speculative.as_ref());
+    let bundles = || {
+        router
+            .pool()
+            .replicas()
+            .iter()
+            .map(BatchScheduler::telemetry)
+    };
+    let quant_bundles = || bundles().map(|b| &b.quant);
+    let grammar_bundles = || bundles().map(|b| &b.grammar);
+    let speculative_bundles = || bundles().map(|b| &b.speculative);
     let replicas = agg
         .replicas
         .iter()
@@ -764,7 +760,6 @@ mod tests {
     struct Fixture {
         wisdom: Wisdom,
         router: Router,
-        bundles: Vec<ReplicaTelemetry>,
         config: ServerConfig,
         telemetry: ServerTelemetry,
     }
@@ -778,11 +773,10 @@ mod tests {
                 ..ServerConfig::default()
             };
             let telemetry = ServerTelemetry::with_logger(wisdom_telemetry::Logger::default());
-            let (router, bundles) = build_router(&wisdom, &config, &telemetry);
+            let router = build_router(&wisdom, &config, &telemetry);
             Fixture {
                 wisdom,
                 router,
-                bundles,
                 config,
                 telemetry,
             }
@@ -794,7 +788,6 @@ mod tests {
         let reply = respond(
             &f.wisdom,
             &f.router,
-            &f.bundles,
             &f.config,
             &f.telemetry,
             ready,
@@ -942,7 +935,7 @@ mod tests {
         write_sse_event(&mut reference, &completion_payload(&suggestion).to_text()).unwrap();
         write_sse_event(&mut reference, "[DONE]").unwrap();
         finish_chunked(&mut reference).unwrap();
-        let grammar = f.bundles[0].grammar.as_ref().expect("grammar telemetry");
+        let grammar = &f.router.pool().replica(0).telemetry().grammar;
         assert!(
             grammar.fused_tokens.get() > 0,
             "no forced run in the stream"

@@ -308,7 +308,7 @@ impl Router {
     /// Suggested client back-off when shedding: the smallest per-replica
     /// estimate of how long its current queue takes to drain, from queue
     /// depth × recent decode-token p50. Falls back to `fallback` seconds
-    /// on a cold (never-decoded or uninstrumented) pool.
+    /// on a cold (never-decoded) pool.
     pub fn retry_after_secs(&self, fallback: u64) -> u64 {
         self.pool
             .replicas()

@@ -3,16 +3,13 @@
 //!
 //! [`ServerTelemetry`] is created at bind time and threaded through every
 //! connection handler. It owns the [`Registry`] that `GET /metrics` renders
-//! and the pre-resolved handle bundles the scheduler and prefix cache
-//! record into, so one scrape sees the whole stack: HTTP, scheduler, decode
-//! engine, and cache.
+//! and registers there the [`DecodeTelemetry`] bundle each replica's
+//! scheduler, engine and prefix cache record into, so one scrape sees the
+//! whole stack: HTTP, scheduler, decode engine, and cache.
 
 use std::sync::Arc;
 
-use wisdom_core::{
-    BatchTelemetry, GrammarTelemetry, PrefixCacheTelemetry, QuantTelemetry, ReplicaTelemetry,
-    SpeculativeTelemetry,
-};
+use wisdom_core::DecodeTelemetry;
 use wisdom_telemetry::{Counter, Histogram, Logger, Registry};
 
 /// The Prometheus text exposition content type served by `GET /metrics`.
@@ -43,18 +40,6 @@ fn route_label(path: &str) -> &'static str {
 #[derive(Debug, Clone)]
 pub struct ServerTelemetry {
     registry: Arc<Registry>,
-    /// Scheduler/decode-engine handles, passed into the batch scheduler.
-    pub batch: BatchTelemetry,
-    /// Prefix-cache handles, attached to the scheduler's cache.
-    pub prefix_cache: PrefixCacheTelemetry,
-    /// Speculative-decoding handles, passed into the batch scheduler.
-    pub speculative: SpeculativeTelemetry,
-    /// Weight-quantization handles (resident/saved bytes, quantized-matmul
-    /// share), passed into the batch scheduler.
-    pub quant: QuantTelemetry,
-    /// Grammar-constrained-decoding handles (masked tokens, mask-build
-    /// latency, cached automaton states), passed into the batch scheduler.
-    pub grammar: GrammarTelemetry,
     /// Structured access/error log (`WISDOM_LOG=info|debug`).
     pub logger: Logger,
     /// `wisdom_request_duration_seconds{route=…}`, pre-resolved per known
@@ -70,8 +55,9 @@ pub struct ServerTelemetry {
 }
 
 impl ServerTelemetry {
-    /// A fresh registry with the full serving-stack metric families
-    /// registered, logging per the `WISDOM_LOG` environment variable.
+    /// A fresh registry with the HTTP-layer metric families registered,
+    /// logging per the `WISDOM_LOG` environment variable. The decode
+    /// families arrive with [`Self::replica_bundles`].
     pub fn new() -> ServerTelemetry {
         ServerTelemetry::with_logger(Logger::from_env())
     }
@@ -80,11 +66,6 @@ impl ServerTelemetry {
     /// capturing one).
     pub fn with_logger(logger: Logger) -> ServerTelemetry {
         let registry = Arc::new(Registry::new());
-        let batch = BatchTelemetry::register(&registry);
-        let prefix_cache = PrefixCacheTelemetry::register(&registry);
-        let speculative = SpeculativeTelemetry::register(&registry);
-        let quant = QuantTelemetry::register(&registry);
-        let grammar = GrammarTelemetry::register(&registry);
         let buckets = Histogram::latency_buckets();
         let request_duration = KNOWN_ROUTES
             .iter()
@@ -117,11 +98,6 @@ impl ServerTelemetry {
         );
         ServerTelemetry {
             registry,
-            batch,
-            prefix_cache,
-            speculative,
-            quant,
-            grammar,
             logger,
             request_duration,
             requests_total,
@@ -130,38 +106,17 @@ impl ServerTelemetry {
         }
     }
 
-    /// Telemetry bundles for an `n`-replica pool. One replica records into
-    /// the unlabeled server-wide bundles; more than one registers a labeled
-    /// `replica="i"` series set per replica in the same families, so one
-    /// scrape shows both per-replica and (summed by the scraper)
-    /// aggregate behavior.
-    pub fn replica_bundles(&self, n: usize) -> Vec<ReplicaTelemetry> {
-        if n <= 1 {
-            return vec![ReplicaTelemetry {
-                batch: Some(self.batch.clone()),
-                prefix_cache: Some(self.prefix_cache.clone()),
-                speculative: Some(self.speculative.clone()),
-                quant: Some(self.quant.clone()),
-                grammar: Some(self.grammar.clone()),
-            }];
-        }
-        (0..n)
+    /// One [`DecodeTelemetry`] per replica of an `n`-replica pool,
+    /// registered in this registry. A single replica's series are
+    /// unlabeled; with more than one, every series carries its replica's
+    /// `replica="i"` label and no unlabeled series exists, so one scrape
+    /// shows per-replica and (summed by the scraper) aggregate behavior.
+    pub fn replica_bundles(&self, n: usize) -> Vec<DecodeTelemetry> {
+        (0..n.max(1))
             .map(|i| {
-                let idx = i.to_string();
-                let labels: &[(&str, &str)] = &[("replica", &idx)];
-                ReplicaTelemetry {
-                    batch: Some(BatchTelemetry::register_labeled(&self.registry, labels)),
-                    prefix_cache: Some(PrefixCacheTelemetry::register_labeled(
-                        &self.registry,
-                        labels,
-                    )),
-                    speculative: Some(SpeculativeTelemetry::register_labeled(
-                        &self.registry,
-                        labels,
-                    )),
-                    quant: Some(QuantTelemetry::register_labeled(&self.registry, labels)),
-                    grammar: Some(GrammarTelemetry::register_labeled(&self.registry, labels)),
-                }
+                let replica = i.to_string();
+                let labels: &[(&str, &str)] = if n > 1 { &[("replica", &replica)] } else { &[] };
+                DecodeTelemetry::register(&self.registry, labels)
             })
             .collect()
     }
@@ -261,9 +216,10 @@ mod tests {
     #[test]
     fn scheduler_and_cache_families_share_the_registry() {
         let t = ServerTelemetry::with_logger(Logger::capture(LogLevel::Off));
-        t.batch.admitted.inc();
-        t.prefix_cache.hits.inc();
-        t.speculative.accepted.add(3);
+        let replica = t.replica_bundles(1).remove(0);
+        replica.batch.admitted.inc();
+        replica.prefix_cache.hits.inc();
+        replica.speculative.accepted.add(3);
         let text = t.render();
         assert_eq!(
             sample_value(&text, "wisdom_requests_admitted_total"),

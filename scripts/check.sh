@@ -31,8 +31,8 @@
 # run is deterministic, so a change that moves a decoded token of any
 # strategy shows as a moved row) — and a
 # build + unit-test pass of the standalone
-# benchmark package, so a change to a public type it
-# compiles against (`DecodeRequest`'s four-field literal,
+# benchmark package (its committed Cargo.lock restored afterwards), so a
+# change to a public type it compiles against (`DecodeRequest`'s four-field literal,
 # `GenerationOptions { .., ..default() }`, `DecodeBatch::admit/step`,
 # `GrammarCursor::new/apply/advance`) fails here instead of in the
 # benchmark driver. A suite too slow for this gate is marked `#[ignore]`
@@ -160,5 +160,10 @@ cargo test --release -q -p wisdom-yaml
 cargo test -q --test server_e2e a_burst_of_unique_prompts -- --nocapture | grep 'admitted per replica'
 cargo run --release -q --example experiments -- decoding test 2>/dev/null |
     grep '^  CodeGen-Multi \[' | diff scripts/decoding-ablation-test.txt -
+# Cargo re-resolves the benchmark's own lock file on this build; the
+# committed one is put back on exit, so the gate leaves benchmark/ as it was.
+lock_copy=$(mktemp)
+cp benchmark/Cargo.lock "$lock_copy"
+trap 'cp "$lock_copy" benchmark/Cargo.lock; rm -f "$lock_copy"' EXIT
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml

@@ -20,17 +20,16 @@
 use std::sync::{Arc, OnceLock};
 
 use ansible_wisdom::core::{
-    truncate_first_task, BatchConfig, BatchTelemetry, CompletionRequest, Constraint, DecodeRequest,
-    Suggestion, Wisdom, WisdomConfig,
+    truncate_first_task, BatchConfig, CompletionRequest, Constraint, DecodeRequest,
+    DecodeTelemetry, Suggestion, Wisdom, WisdomConfig,
 };
 use ansible_wisdom::model::{
     generate_batch, pretrain, BatchScheduler, DecodeBatch, FinishReason, GrammarIndex, ModelConfig,
-    PretrainConfig, ReplicaTelemetry, SpeculativeConfig, SpeculativeTelemetry, Strategy,
-    TransformerLm,
+    PretrainConfig, SpeculativeConfig, Strategy, TransformerLm,
 };
 use ansible_wisdom::prng::Prng;
 use ansible_wisdom::server::{get, parse_json, post_sse, Json, ServerConfig, WisdomServer};
-use ansible_wisdom::telemetry::{sample_value, Registry};
+use ansible_wisdom::telemetry::sample_value;
 use ansible_wisdom::tokenizer::BpeTokenizer;
 
 const TASKS: [&str; 6] = [
@@ -227,22 +226,21 @@ fn scoped_tokens_are_a_prefix_and_the_suggestion_is_unchanged() {
 fn every_decode_path_stops_on_the_same_token() {
     let wisdom = wisdom();
     let model = Arc::new(wisdom.model().clone());
-    let registry = Registry::new();
-    let telemetry = BatchTelemetry::register(&registry);
-    let speculative = SpeculativeTelemetry::register(&registry);
-    let scheduler = BatchScheduler::spawn_with(
+    let telemetry = DecodeTelemetry::default();
+    let scheduler = BatchScheduler::spawn(
         Arc::clone(&model),
         BatchConfig {
             max_batch_size: 3,
             speculative: SpeculativeConfig::ngram(8),
             ..BatchConfig::default()
         },
-        ReplicaTelemetry {
-            batch: Some(telemetry.clone()),
-            speculative: Some(speculative.clone()),
-            ..Default::default()
-        },
+        telemetry.clone(),
     );
+    let DecodeTelemetry {
+        batch: telemetry,
+        speculative,
+        ..
+    } = telemetry;
     let drafts = [SpeculativeConfig::ngram(2), SpeculativeConfig::ngram(8)];
     let mut closed = 0;
     for constraint in [Constraint::Ansible, Constraint::Yaml] {

@@ -670,6 +670,67 @@ fn multi_replica_server_is_deterministic_and_reports_per_replica_stats() {
 }
 
 #[test]
+fn a_multi_replica_scrape_has_no_unlabeled_decode_series() {
+    use ansible_wisdom::model::DecodeTelemetry;
+    use ansible_wisdom::telemetry::{sample_value, Registry};
+
+    // The decode families, read off one bundle's own exposition.
+    let registry = Registry::new();
+    DecodeTelemetry::register(&registry, &[]);
+    let decode_families: Vec<String> = registry
+        .render()
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .filter_map(|rest| rest.split(' ').next())
+        .map(str::to_string)
+        .collect();
+    assert!(decode_families.len() >= 30, "{decode_families:?}");
+
+    let (handle, addr) = spawn_server_with(ServerConfig {
+        replicas: 2,
+        ..ServerConfig::default()
+    });
+    request_completion(addr, "", "install nginx").expect("completion");
+    let (status, metrics) = get(addr, "/metrics").expect("metrics");
+    assert_eq!(status, 200);
+    // Every sample of a decode family belongs to a replica: an unlabeled
+    // series next to the labeled ones would never move.
+    let phantoms: Vec<&str> = metrics
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .filter(|line| {
+            let name = line.split(['{', ' ']).next().unwrap_or(line);
+            decode_families.iter().any(|family| {
+                name.strip_prefix(family.as_str())
+                    .is_some_and(|rest| ["", "_bucket", "_sum", "_count"].contains(&rest))
+            })
+        })
+        .filter(|line| !line.contains("replica=\""))
+        .collect();
+    assert!(phantoms.is_empty(), "unlabeled decode series: {phantoms:?}");
+    assert_eq!(
+        sample_value(&metrics, "wisdom_requests_admitted_total"),
+        None
+    );
+    assert_eq!(
+        sample_value(&metrics, "wisdom_prefix_cache_budget_bytes"),
+        None
+    );
+    let admitted = |i: usize| {
+        sample_value(
+            &metrics,
+            &format!("wisdom_requests_admitted_total{{replica=\"{i}\"}}"),
+        )
+    };
+    assert_eq!(
+        admitted(0).zip(admitted(1)).map(|(a, b)| a + b),
+        Some(1.0),
+        "{metrics}"
+    );
+    handle.stop();
+}
+
+#[test]
 fn a_burst_of_unique_prompts_moves_both_replicas() {
     use ansible_wisdom::server::HttpConnection;
     use ansible_wisdom::telemetry::sample_value;
@@ -1089,7 +1150,7 @@ fn abandoned_stream_is_cancelled_long_before_its_budget() {
     let handle = server.handle();
     let addr = handle.addr();
     std::thread::spawn(move || server.serve());
-    let batch = &handle.telemetry().batch;
+    let batch = &handle.decode_telemetry(0).batch;
 
     // A stream read to the end: what the whole budget costs.
     let body = r#"{"prompt":"install nginx","stream":true}"#;
