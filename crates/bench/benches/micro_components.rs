@@ -8,7 +8,7 @@ use wisdom_metrics::{ansible_aware, sentence_bleu};
 use wisdom_model::{ModelConfig, TransformerLm};
 use wisdom_prng::Prng;
 use wisdom_tensor::kernels::{
-    attend, attend_portable, matmul, matmul_acc_sparse, matmul_acc_threads, matmul_q8, PageLayout,
+    attend, attend_portable, matmul, matmul_acc_threads, matmul_q8, PageLayout,
 };
 use wisdom_tensor::QuantMatrix;
 use wisdom_tokenizer::BpeTokenizer;
@@ -70,20 +70,11 @@ fn bench(c: &mut Criterion) {
             black_box(out[0])
         })
     });
-    // Blocked dense kernel vs the former zero-skipping naive kernel, on the
-    // same dense operands, single-threaded so only the loop structure
-    // differs.
+    // The blocked dense kernel pinned to one thread.
     c.bench_function("tensor/matmul_128_blocked_1thread", |b| {
         b.iter(|| {
             out.fill(0.0);
             matmul_acc_threads(&a, &bm, m, m, m, &mut out, 1);
-            black_box(out[0])
-        })
-    });
-    c.bench_function("tensor/matmul_128_naive", |b| {
-        b.iter(|| {
-            out.fill(0.0);
-            matmul_acc_sparse(&a, &bm, m, m, m, &mut out);
             black_box(out[0])
         })
     });
@@ -162,16 +153,13 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // Batched prompt prefill vs the sequential step loop on the 350M-class
-    // architecture with a full-context prompt.
+    // Batched prompt prefill on the 350M-class architecture with a
+    // full-context prompt.
     let cfg = ModelConfig::size_350m(500, 64);
     let model = TransformerLm::new(cfg, &mut rng);
     let window: Vec<u32> = (0..64u32).map(|i| (i * 17 + 3) % 500).collect();
     c.bench_function("model/prefill_batched_ctx64", |b| {
         b.iter(|| black_box(model.prefill(&window)))
-    });
-    c.bench_function("model/prefill_step_loop_ctx64", |b| {
-        b.iter(|| black_box(model.prefill_sequential(&window)))
     });
 }
 

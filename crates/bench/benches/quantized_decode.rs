@@ -1,16 +1,13 @@
-//! Quantized decode: single-stream greedy KV-cache decoding with f32
-//! weights vs the int8-packed fast path vs the dequant-on-load oracle
-//! (int8 error, f32 kernels), for the 350M- and 2.7B-class architectures.
-//! The fast path and the oracle emit bit-identical tokens — the agreement
-//! suite pins that — so the gap between them is pure kernel speed. The
-//! ledger measures both precisions at the served shape as
+//! Quantized decode: single-stream KV-cache decoding with f32 weights vs
+//! the int8-packed fast path, for the 350M- and 2.7B-class architectures.
+//! The ledger measures both precisions at the served shape as
 //! `model.decode_tokens_per_s_{f32,int8}`.
 //!
 //! The row sweep pins "a pass of r rows costs less than r single-row
 //! passes" where it is decided: `matmul_q8_acc` at m rows against m calls of
 //! `matvec_q8_acc` at the fixture's LM-head shape (64×1000), and batched
-//! `prefill` against `prefill_sequential` from 8 to 64 tokens on the int8
-//! 350M-class fixture shape (EXPERIMENTS.md, "Rounds that pay").
+//! `prefill` from 8 to 64 tokens on the int8 350M-class fixture shape
+//! (EXPERIMENTS.md, "Rounds that pay").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -61,9 +58,6 @@ fn row_sweep(c: &mut Criterion) {
         group.bench_function(&format!("prefill/{len}"), |b| {
             b.iter(|| black_box(model.prefill(&window)))
         });
-        group.bench_function(&format!("prefill_sequential/{len}"), |b| {
-            b.iter(|| black_box(model.prefill_sequential(&window)))
-        });
     }
     group.finish();
 }
@@ -92,11 +86,7 @@ fn bench(c: &mut Criterion) {
         let f32_model = TransformerLm::new(cfg, &mut rng);
         let variants = [
             ("f32", f32_model.clone()),
-            ("int8", f32_model.clone().with_precision(Precision::Int8)),
-            (
-                "int8-dequant",
-                f32_model.with_precision(Precision::Int8Dequant),
-            ),
+            ("int8", f32_model.with_precision(Precision::Int8)),
         ];
         for (precision, model) in &variants {
             group.bench_with_input(BenchmarkId::new(*precision, label), model, |b, m| {

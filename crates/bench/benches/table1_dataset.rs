@@ -1,6 +1,6 @@
-//! Table 1: dataset construction. Regenerates the per-source file counts
-//! once, then benchmarks corpus building and its pieces (file generation,
-//! dedup, standardization).
+//! Table 1: dataset construction. Benchmarks corpus building and its pieces
+//! (file generation, dedup, standardization); `experiments -- table1`
+//! prints the table.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -8,14 +8,7 @@ use wisdom_bench::bench_profile;
 use wisdom_corpus::{Corpus, FileCtx, SplitSamples};
 use wisdom_prng::Prng;
 
-fn regenerate_table1() {
-    let corpus = Corpus::build(&bench_profile().corpus_spec());
-    println!("\n{}", corpus.table1());
-}
-
 fn bench(c: &mut Criterion) {
-    regenerate_table1();
-
     let spec = bench_profile().corpus_spec();
     c.bench_function("table1/corpus_build", |b| {
         b.iter(|| Corpus::build(black_box(&spec)))

@@ -1,19 +1,16 @@
-//! Table 3: few-shot evaluation. Regenerates the table once at bench scale,
-//! then benchmarks the pieces that dominate the experiment: one pre-training
-//! step and one few-shot completion + scoring pass.
+//! Table 3: few-shot evaluation. Benchmarks the pieces that dominate the
+//! experiment: one pre-training step and one few-shot completion + scoring
+//! pass; `experiments -- table3` prints the table.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use wisdom_bench::bench_profile;
 use wisdom_corpus::{PromptStyle, Sample};
-use wisdom_eval::{evaluate, run_table3, spec, tables, EvalSettings, SampleCap, SizeClass, Zoo};
+use wisdom_eval::{evaluate, spec, EvalSettings, SampleCap, SizeClass, Zoo};
 use wisdom_model::{GenerationOptions, TextGenerator};
 
 fn bench(c: &mut Criterion) {
-    // Regenerate the full table once (bench-profile scale).
     let mut zoo = Zoo::build(bench_profile());
-    let rows = run_table3(&mut zoo, None);
-    println!("\n{}", tables::table3_text(&rows));
 
     // Benchmark a single pre-training step on the Ansible stream.
     let model_spec = *spec("Wisdom-Ansible", SizeClass::S350m).expect("spec");

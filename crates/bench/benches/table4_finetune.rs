@@ -1,18 +1,16 @@
-//! Table 4: fine-tuned evaluation. Regenerates the table once at bench
-//! scale (context-window grid, prefix ablation, data fractions), then
-//! benchmarks a fine-tuning step and the prompt-encoding path.
+//! Table 4: fine-tuned evaluation. Benchmarks a fine-tuning step and the
+//! prompt-encoding path; `experiments -- table4` prints the table
+//! (context-window grid, prefix ablation, data fractions).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use wisdom_bench::bench_profile;
 use wisdom_corpus::PromptStyle;
-use wisdom_eval::{run_table4, spec, tables, SizeClass, Zoo};
+use wisdom_eval::{spec, SizeClass, Zoo};
 use wisdom_model::{finetune, FinetuneConfig, SftSample};
 
 fn bench(c: &mut Criterion) {
     let mut zoo = Zoo::build(bench_profile());
-    let rows = run_table4(&mut zoo, None);
-    println!("\n{}", tables::table4_text(&rows));
 
     // Benchmark one full (tiny) fine-tune: the unit Table 4 repeats 12x.
     let model_spec = *spec("CodeGen-Multi", SizeClass::S350m).expect("spec");

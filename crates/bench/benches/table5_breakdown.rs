@@ -1,20 +1,14 @@
-//! Table 5: per-generation-type breakdown. Regenerates the table once, then
-//! benchmarks the scoring path for each generation type (sample extraction,
-//! reconstruction, all four metrics).
+//! Table 5: per-generation-type breakdown. Benchmarks the scoring path for
+//! each generation type (sample extraction, reconstruction, all four
+//! metrics); `experiments -- table5` prints the table.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use wisdom_bench::bench_profile;
 use wisdom_corpus::{extract_samples, FileCtx, GenType};
-use wisdom_eval::{run_table5, tables, Zoo};
 use wisdom_metrics::score_sample;
 use wisdom_prng::Prng;
 
 fn bench(c: &mut Criterion) {
-    let mut zoo = Zoo::build(bench_profile());
-    let rows = run_table5(&mut zoo, None);
-    println!("\n{}", tables::table5_text(&rows));
-
     // Per-type scoring micro-benchmarks on generated content.
     let mut rng = Prng::seed_from_u64(3);
     let ctx = FileCtx::galaxy(&mut rng);

@@ -1,21 +1,14 @@
 //! The §4.3 throughput figure: the paper chose the 350M model because it
 //! decodes ~1.9× faster than the 2.7B model on a single GPU. This bench
-//! measures greedy KV-cache decoding for all three scaled size classes and
-//! prints the speedup series.
+//! times KV-cache decoding and batched prefill for all three scaled size
+//! classes (`experiments -- throughput` prints the speedup figure).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use wisdom_bench::bench_profile;
-use wisdom_eval::run_throughput;
 use wisdom_model::{GenerationOptions, ModelConfig, Strategy, TransformerLm};
 use wisdom_prng::Prng;
 
 fn bench(c: &mut Criterion) {
-    // Regenerate the figure once.
-    let profile = bench_profile();
-    let result = run_throughput(&profile, 64);
-    println!("\n{}", wisdom_eval::tables::throughput_text(&result));
-
     let vocab = 600;
     let ctx = 96;
     let mut rng = Prng::seed_from_u64(9);
@@ -49,7 +42,7 @@ fn bench(c: &mut Criterion) {
     group.finish();
 
     // Prefill: prompt tokens absorbed per second on a context-window-length
-    // prompt, batched pass vs the sequential step-loop baseline.
+    // prompt in one batched pass.
     let window: Vec<u32> = (0..ctx as u32)
         .map(|i| (i * 31 + 3) % vocab as u32)
         .collect();
@@ -58,9 +51,6 @@ fn bench(c: &mut Criterion) {
     for (label, model) in &models {
         group.bench_with_input(BenchmarkId::new("batched", label), model, |b, m| {
             b.iter(|| black_box(m.prefill(&window)))
-        });
-        group.bench_with_input(BenchmarkId::new("sequential", label), model, |b, m| {
-            b.iter(|| black_box(m.prefill_sequential(&window)))
         });
     }
     group.finish();

@@ -1,8 +1,8 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! Each bench regenerates its paper table once (printed to stdout so the
-//! rows are inspectable) and then measures the representative hot
-//! operations with Criterion. See `benches/` for the per-table targets.
+//! Each bench measures the representative hot operations of one paper
+//! table or serving layer with Criterion; the `experiments` example prints
+//! the tables themselves. See `benches/` for the per-table targets.
 
 use wisdom_eval::Profile;
 

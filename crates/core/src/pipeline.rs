@@ -184,7 +184,6 @@ impl Wisdom {
                     lr: config.finetune_lr,
                     max_grad_norm: 1.0,
                     seed: config.seed,
-                    ..Default::default()
                 },
                 Some(&mut fwd),
             );

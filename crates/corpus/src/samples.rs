@@ -113,18 +113,6 @@ impl Sample {
         }
         out
     }
-
-    /// The full file text this sample came from, reconstructed with `body`
-    /// in place of the expected completion.
-    pub fn full_text(&self, body: &str) -> String {
-        format!(
-            "{}{}- name: {}\n{}",
-            self.context,
-            " ".repeat(self.name_indent),
-            self.nl,
-            body
-        )
-    }
 }
 
 /// 80/10/10 split of files (the paper's Galaxy split), then per-split sample
@@ -170,14 +158,6 @@ impl SplitSamples {
             }
         }
         out
-    }
-
-    /// Test samples of one generation type.
-    pub fn test_of(&self, gen_type: GenType) -> Vec<&Sample> {
-        self.test
-            .iter()
-            .filter(|s| s.gen_type == gen_type)
-            .collect()
     }
 }
 
@@ -356,6 +336,13 @@ mod tests {
     use crate::filegen::{emit_task_file, generate_playbook, generate_role_file};
     use crate::taskgen::FileCtx;
 
+    /// The file text a sample came from: its context, prompt line and
+    /// expected completion, re-assembled.
+    fn full_text(s: &Sample) -> String {
+        let indent = " ".repeat(s.name_indent);
+        format!("{}{indent}- name: {}\n{}", s.context, s.nl, s.expected)
+    }
+
     const TASK_FILE: &str = "---\n- name: Ensure apache is at the latest version\n  ansible.builtin.yum:\n    name: httpd\n    state: latest\n- name: Write the apache config file\n  ansible.builtin.template:\n    src: /srv/httpd.j2\n    dest: /etc/httpd.conf\n";
 
     #[test]
@@ -420,7 +407,7 @@ mod tests {
             assert_eq!(s.name_indent, 4);
             assert!(s.context.starts_with("---\n"));
             // Context + prompt + expected must re-assemble into the file.
-            let full = s.full_text(&s.expected);
+            let full = full_text(s);
             assert!(
                 text.starts_with(&full) || full == text,
                 "reassembly mismatch\nfile:\n{text}\nreassembled:\n{full}"
@@ -436,7 +423,7 @@ mod tests {
         let text = emit_task_file(&tasks);
         let samples = extract_samples(&text);
         let last = samples.last().expect("role file yields samples");
-        assert_eq!(last.full_text(&last.expected), text);
+        assert_eq!(full_text(last), text);
     }
 
     #[test]
@@ -479,26 +466,6 @@ mod tests {
         let mut seen = HashSet::new();
         for s in split.train.iter().chain(&split.valid).chain(&split.test) {
             assert!(seen.insert(s.clone()));
-        }
-    }
-
-    #[test]
-    fn test_of_filters_by_type() {
-        let mut rng = Prng::seed_from_u64(8);
-        let mut files = Vec::new();
-        for _ in 0..40 {
-            let ctx = FileCtx::galaxy(&mut rng);
-            match rng.range_usize(0, 3) {
-                0 => files.push(generate_playbook(&ctx, &mut rng, 1, 2).to_yaml()),
-                1 => files.push(generate_playbook(&ctx, &mut rng, 3, 5).to_yaml()),
-                _ => files.push(emit_task_file(&generate_role_file(&ctx, &mut rng))),
-            }
-        }
-        let split = SplitSamples::build(&files, 9);
-        let all: Vec<GenType> = split.test.iter().map(|s| s.gen_type).collect();
-        for gt in GenType::ALL {
-            let filtered = split.test_of(gt);
-            assert_eq!(filtered.len(), all.iter().filter(|&&g| g == gt).count());
         }
     }
 }

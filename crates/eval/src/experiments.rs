@@ -352,22 +352,13 @@ pub fn run_decoding_ablation(zoo: &mut Zoo, mut progress: Progress<'_>) -> Vec<R
 }
 
 /// The §4.3 throughput comparison: single-stream greedy decode speed of the
-/// 350M-class vs the 2.7B-class architecture (the paper measured ~1.9×),
-/// plus prompt-prefill throughput (batched forward vs the sequential
-/// step-loop baseline) on a context-window-length prompt.
+/// 350M-class vs the 2.7B-class architecture (the paper measured ~1.9×).
 #[derive(Debug, Clone, Copy)]
 pub struct ThroughputResult {
     /// Decode tokens/second for the 350M-class model.
     pub small_tps: f64,
     /// Decode tokens/second for the 2.7B-class model.
     pub large_tps: f64,
-    /// Batched-prefill tokens/second for the 350M-class model.
-    pub small_prefill_tps: f64,
-    /// Batched-prefill tokens/second for the 2.7B-class model.
-    pub large_prefill_tps: f64,
-    /// Sequential (one step per token) prefill tokens/second for the
-    /// 2.7B-class model — the baseline the batched pass is judged against.
-    pub large_prefill_seq_tps: f64,
 }
 
 impl ThroughputResult {
@@ -375,15 +366,9 @@ impl ThroughputResult {
     pub fn speedup(&self) -> f64 {
         self.small_tps / self.large_tps
     }
-
-    /// Speedup of batched prefill over the sequential step loop on the
-    /// 2.7B-class model.
-    pub fn prefill_speedup(&self) -> f64 {
-        self.large_prefill_tps / self.large_prefill_seq_tps
-    }
 }
 
-/// Measures generation and prefill throughput for the two size classes.
+/// Measures decode throughput for the two size classes.
 pub fn run_throughput(profile: &Profile, tokens: usize) -> ThroughputResult {
     let ctx = profile.ctx(1024);
     let vocab = profile.vocab_size;
@@ -393,35 +378,7 @@ pub fn run_throughput(profile: &Profile, tokens: usize) -> ThroughputResult {
     ThroughputResult {
         small_tps: measure_tps(&small, tokens),
         large_tps: measure_tps(&large, tokens),
-        small_prefill_tps: measure_prefill_tps(&small, true),
-        large_prefill_tps: measure_prefill_tps(&large, true),
-        large_prefill_seq_tps: measure_prefill_tps(&large, false),
     }
-}
-
-/// Prefill tokens/second over a context-window-length prompt, via the
-/// batched pass (`batched`) or the sequential step loop.
-fn measure_prefill_tps(model: &TransformerLm, batched: bool) -> f64 {
-    let ctx = model.config().context_window;
-    let vocab = model.config().vocab_size as u32;
-    let window: Vec<u32> = (0..ctx as u32).map(|i| (i * 31 + 3) % vocab).collect();
-    let run = |w: &[u32]| {
-        if batched {
-            model.prefill(w)
-        } else {
-            model.prefill_sequential(w)
-        }
-    };
-    let _ = run(&window); // warm-up
-                          // Best of three: a single timed region is at the mercy of transient
-                          // scheduler contention (e.g. the parallel test harness).
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let _ = std::hint::black_box(run(&window));
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    ctx as f64 / best.max(1e-9)
 }
 
 fn measure_tps(model: &TransformerLm, tokens: usize) -> f64 {
@@ -669,13 +626,7 @@ mod tests {
     #[test]
     fn throughput_measures_every_rate() {
         let r = run_throughput(&Profile::test(), 24);
-        for rate in [
-            r.small_tps,
-            r.large_tps,
-            r.small_prefill_tps,
-            r.large_prefill_tps,
-            r.large_prefill_seq_tps,
-        ] {
+        for rate in [r.small_tps, r.large_tps] {
             assert!(rate.is_finite() && rate > 0.0, "{r:?}");
         }
     }

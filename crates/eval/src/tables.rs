@@ -115,17 +115,10 @@ pub fn throughput_text(r: &ThroughputResult) -> String {
         "Generation throughput (single CPU stream, KV-cache greedy-path):\n  \
          decode  350M-class: {:>8.1} tokens/s\n  \
          decode  2.7B-class: {:>8.1} tokens/s\n  \
-         decode speedup:     {:>8.2}x  (paper: ~1.9x on one GPU)\n  \
-         prefill 350M-class: {:>8.1} tokens/s (batched)\n  \
-         prefill 2.7B-class: {:>8.1} tokens/s (batched) vs {:.1} tokens/s (sequential)\n  \
-         prefill speedup:    {:>8.2}x  (batched vs step loop, 2.7B-class)\n",
+         decode speedup:     {:>8.2}x  (paper: ~1.9x on one GPU)\n",
         r.small_tps,
         r.large_tps,
-        r.speedup(),
-        r.small_prefill_tps,
-        r.large_prefill_tps,
-        r.large_prefill_seq_tps,
-        r.prefill_speedup()
+        r.speedup()
     )
 }
 
@@ -249,13 +242,9 @@ mod tests {
         let t = throughput_text(&crate::experiments::ThroughputResult {
             small_tps: 200.0,
             large_tps: 100.0,
-            small_prefill_tps: 900.0,
-            large_prefill_tps: 600.0,
-            large_prefill_seq_tps: 150.0,
         });
         assert!(t.contains("2.00x"));
-        assert!(t.contains("4.00x"), "prefill speedup column: {t}");
-        assert!(t.contains("600.0"));
+        assert!(t.contains("200.0"));
     }
 
     #[test]

@@ -449,7 +449,6 @@ impl Zoo {
             lr: self.profile.finetune_lr,
             max_grad_norm: 1.0,
             seed: self.profile.seed ^ hash_name(&key),
-            ..Default::default()
         };
         finetune_with_epochs(
             &mut model,

@@ -800,15 +800,6 @@ impl GrammarCursor {
         }
         n
     }
-
-    /// Test/bench hook: the canonical close bytes from the current state.
-    pub fn canonical_close(&self) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
-        self.index
-            .machine()
-            .close_len(&self.state, Some(&mut out))
-            .map(|_| out)
-    }
 }
 
 #[cfg(test)]

@@ -1519,7 +1519,10 @@ mod tests {
             .submit(request(&[1, 2, 3, 4], 6))
             .expect("queued")
             .wait();
-        let oracle = (*model).clone().with_precision(Precision::Int8Dequant);
+        let oracle = (*model)
+            .clone()
+            .with_precision(Precision::Int8)
+            .with_precision(Precision::F32);
         let solo = oracle.generate(&[1, 2, 3, 4], &[0], &greedy(6));
         assert_eq!(out, solo, "int8 scheduler must match the dequant oracle");
         assert!(

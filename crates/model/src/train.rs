@@ -52,11 +52,6 @@ pub struct FinetuneConfig {
     pub max_grad_norm: f32,
     /// Shuffling seed.
     pub seed: u64,
-    /// When true, mask the loss to completion tokens only (classic SFT).
-    /// The paper fine-tunes as plain code completion, so the default is
-    /// full-sequence loss (prompt + completion), which also teaches the
-    /// model to *read* the natural-language name tokens.
-    pub completion_loss_only: bool,
 }
 
 impl Default for FinetuneConfig {
@@ -67,7 +62,6 @@ impl Default for FinetuneConfig {
             lr: 1e-3,
             max_grad_norm: 1.0,
             seed: 0,
-            completion_loss_only: false,
         }
     }
 }
@@ -190,10 +184,8 @@ pub fn finetune_with_epochs(
     }
     let ctx = model.config().context_window;
     // Pre-encode every sample as (tokens, targets).
-    let encoded: Vec<(Vec<u32>, Vec<usize>)> = samples
-        .iter()
-        .map(|s| encode_sft(s, eot, ctx, cfg.completion_loss_only))
-        .collect();
+    let encoded: Vec<(Vec<u32>, Vec<usize>)> =
+        samples.iter().map(|s| encode_sft(s, eot, ctx)).collect();
     let mut adam = Adam::new(AdamConfig {
         lr: cfg.lr,
         ..Default::default()
@@ -250,38 +242,23 @@ pub fn finetune_with_epochs(
     epoch_losses
 }
 
-/// Builds `(tokens, targets)` for one SFT sample: next-token targets, with
-/// prompt positions masked to `usize::MAX` when `mask_prompt` is set.
-fn encode_sft(
-    sample: &SftSample,
-    eot: u32,
-    ctx: usize,
-    mask_prompt: bool,
-) -> (Vec<u32>, Vec<usize>) {
+/// Builds `(tokens, targets)` for one SFT sample: next-token targets over
+/// the whole sequence. The paper fine-tunes as plain code completion, so
+/// prompt tokens carry loss too, which also teaches the model to *read* the
+/// natural-language name tokens.
+fn encode_sft(sample: &SftSample, eot: u32, ctx: usize) -> (Vec<u32>, Vec<usize>) {
     let mut seq: Vec<u32> = Vec::with_capacity(sample.prompt.len() + sample.completion.len() + 1);
     seq.extend_from_slice(&sample.prompt);
-    let prompt_len = seq.len();
     seq.extend_from_slice(&sample.completion);
     seq.push(eot);
     // Left-truncate, keeping at least one prompt token before the completion.
-    let (seq, prompt_len) = if seq.len() > ctx + 1 {
-        let cut = seq.len() - (ctx + 1);
-        let cut = cut.min(prompt_len.saturating_sub(1));
-        (seq[cut..].to_vec(), prompt_len - cut)
-    } else {
-        (seq, prompt_len)
-    };
-    let len = seq.len() - 1;
-    let tokens = seq[..len].to_vec();
-    let targets: Vec<usize> = (0..len)
-        .map(|i| {
-            if mask_prompt && i + 1 < prompt_len {
-                usize::MAX
-            } else {
-                seq[i + 1] as usize
-            }
-        })
-        .collect();
+    let cut = seq
+        .len()
+        .saturating_sub(ctx + 1)
+        .min(sample.prompt.len().saturating_sub(1));
+    let seq = &seq[cut..];
+    let tokens = seq[..seq.len() - 1].to_vec();
+    let targets = seq[1..].iter().map(|&t| t as usize).collect();
     (tokens, targets)
 }
 
@@ -341,14 +318,14 @@ mod tests {
     }
 
     #[test]
-    fn encode_sft_masks_prompt() {
+    fn encode_sft_targets_the_whole_sequence() {
         let s = SftSample {
             prompt: vec![10, 11, 12],
             completion: vec![20, 21],
         };
-        let (tokens, targets) = encode_sft(&s, 0, 16, true);
+        let (tokens, targets) = encode_sft(&s, 0, 16);
         assert_eq!(tokens, vec![10, 11, 12, 20, 21]);
-        assert_eq!(targets, vec![usize::MAX, usize::MAX, 20, 21, 0]);
+        assert_eq!(targets, vec![11, 12, 20, 21, 0]);
     }
 
     #[test]
@@ -357,12 +334,14 @@ mod tests {
             prompt: (0..20).collect(),
             completion: vec![25, 26],
         };
-        let (tokens, targets) = encode_sft(&s, 0, 8, true);
+        let (tokens, targets) = encode_sft(&s, 0, 8);
         assert_eq!(tokens.len(), 8);
         // Completion tokens and eot target must survive.
         assert!(tokens.ends_with(&[25, 26]));
         assert_eq!(targets[targets.len() - 1], 0);
         assert_eq!(targets[targets.len() - 2], 26);
+        // Truncated prompt positions still carry loss.
+        assert_eq!(targets[0], tokens[1] as usize);
     }
 
     #[test]
@@ -372,7 +351,7 @@ mod tests {
             completion: (2..30).collect(),
         };
         let ctx = 8;
-        let (tokens, _) = encode_sft(&s, 0, ctx, true);
+        let (tokens, _) = encode_sft(&s, 0, ctx);
         // Keeps at least the single prompt token; sequence may exceed ctx —
         // the batcher caps time at ctx, so just verify structure here.
         assert_eq!(tokens[0], 1);

@@ -32,20 +32,14 @@ pub enum Precision {
     /// inference path runs the quantized GEBP kernels, dequantizing
     /// in-register. ~4x smaller weight working set; f32 storage is freed.
     Int8,
-    /// The agreement oracle for [`Precision::Int8`]: the same matrices are
-    /// quantized then immediately dequantized back to f32 at conversion
-    /// time, and inference runs the unmodified f32 kernels. Bit-identical
-    /// outputs to `Int8`, none of the speed.
-    Int8Dequant,
 }
 
 impl Precision {
-    /// Stable lowercase name (used by `/v1/stats` and config parsing).
+    /// Stable lowercase name (used by `/v1/stats`).
     pub fn as_str(self) -> &'static str {
         match self {
             Precision::F32 => "f32",
             Precision::Int8 => "int8",
-            Precision::Int8Dequant => "int8-dequant",
         }
     }
 }
@@ -53,21 +47,6 @@ impl Precision {
 impl std::fmt::Display for Precision {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for Precision {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "f32" => Ok(Precision::F32),
-            "int8" => Ok(Precision::Int8),
-            "int8-dequant" | "int8_dequant" => Ok(Precision::Int8Dequant),
-            other => Err(format!(
-                "unknown precision {other:?}; expected f32, int8, or int8-dequant"
-            )),
-        }
     }
 }
 
@@ -203,10 +182,10 @@ impl TransformerLm {
     ///
     /// `F32 → Int8` packs wq/wk/wv/wo/w1/w2 and the LM head to per-block
     /// int8 and frees their f32 storage (embeddings, biases, and layer
-    /// norms stay f32); `F32 → Int8Dequant` round-trips the same matrices
-    /// through the quantizer but keeps f32 storage and the f32 kernels.
-    /// Transitions *out of* `Int8` restore the dequantized values — the
-    /// pre-quantization weights are discarded at packing time.
+    /// norms stay f32). `Int8 → F32` restores the dequantized values — the
+    /// pre-quantization weights are discarded at packing time — so
+    /// `with_precision(Int8).with_precision(F32)` is the f32-kernel oracle
+    /// the int8 path agrees with bit for bit.
     pub fn set_precision(&mut self, precision: Precision) {
         if precision == self.precision {
             return;
@@ -224,17 +203,6 @@ impl TransformerLm {
         }
         match precision {
             Precision::F32 => {}
-            Precision::Int8Dequant => {
-                for b in &mut self.blocks {
-                    for w in [
-                        &mut b.wq, &mut b.wk, &mut b.wv, &mut b.wo, &mut b.w1, &mut b.w2,
-                    ] {
-                        w.data = QuantMatrix::quantize(&w.data, w.rows, w.cols).dequantize();
-                    }
-                }
-                let h = &mut self.lm_head;
-                h.data = QuantMatrix::quantize(&h.data, h.rows, h.cols).dequantize();
-            }
             Precision::Int8 => {
                 fn pack(w: &mut ParamTensor) -> QuantMatrix {
                     let q = QuantMatrix::quantize(&w.data, w.rows, w.cols);
@@ -554,7 +522,7 @@ impl TransformerLm {
 
     /// Evaluation loss on one batch (no gradient computation).
     ///
-    /// Targets equal to `usize::MAX` are ignored (padding / prompt masking).
+    /// Targets equal to `usize::MAX` are ignored (padding).
     pub fn loss(&self, tokens: &[u32], targets: &[usize], batch: usize, time: usize) -> f32 {
         let mut tape = Tape::new();
         let (loss, _, _) = self.forward_tape(&mut tape, tokens, targets, batch, time);
@@ -615,30 +583,6 @@ impl TransformerLm {
         self.prefill(&prompt[start..]).1
     }
 
-    /// Reference implementation of [`Self::next_token_logits`]: the same
-    /// truncated window pushed through [`Self::step`] one token at a time.
-    /// Kept public as the baseline the batched prefill is benchmarked and
-    /// cross-checked against.
-    pub fn next_token_logits_sequential(&self, prompt: &[u32]) -> Vec<f32> {
-        let start = prompt.len().saturating_sub(self.cfg.context_window);
-        self.prefill_sequential(&prompt[start..]).1
-    }
-
-    /// Sequential counterpart of [`Self::prefill`]: runs `window` through
-    /// [`Self::step`] token by token. Same `(cache, logits)` contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` exceeds the context window.
-    pub fn prefill_sequential(&self, window: &[u32]) -> (KvCache, Vec<f32>) {
-        let mut cache = KvCache::new(self);
-        let mut logits = vec![0.0; self.cfg.vocab_size];
-        for (pos, &tok) in window.iter().enumerate() {
-            logits = self.step(tok, pos, &mut cache);
-        }
-        (cache, logits)
-    }
-
     /// Runs the whole (pre-truncated) prompt `window` through the model in
     /// one batched forward pass, returning the filled KV cache and the
     /// next-token logits for the final position.
@@ -646,8 +590,8 @@ impl TransformerLm {
     /// This is the inference fast path: QKV and MLP projections are single
     /// `T×d` matmuls instead of `T` matvecs, K/V land in the cache's pages
     /// row by row, and the LM-head projection is computed only for the last
-    /// position. Results are bit-identical to
-    /// [`Self::prefill_sequential`] — both are the one forward body, which
+    /// position. Results are bit-identical to running `window` through
+    /// [`Self::step`] token by token — both are the one forward body, which
     /// accumulates every output element in the same order at any row count.
     ///
     /// An empty window yields an empty cache and all-zero logits (matching
@@ -1749,14 +1693,14 @@ mod tests {
         let mut rng = Prng::seed_from_u64(31);
         let model = TransformerLm::new(cfg, &mut rng);
         let int8 = model.clone().with_precision(Precision::Int8);
-        let oracle = model.clone().with_precision(Precision::Int8Dequant);
+        let oracle = int8.clone().with_precision(Precision::F32);
         let prompt = [3u32, 7, 1, 11, 5];
         let a = int8.next_token_logits(&prompt);
         let b = oracle.next_token_logits(&prompt);
         assert_eq!(
             a.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
             b.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-            "int8 fast path must match the dequant-on-load oracle"
+            "int8 fast path must match its round trip back to f32"
         );
     }
 
@@ -1765,29 +1709,38 @@ mod tests {
         let cfg = tiny_cfg();
         let mut rng = Prng::seed_from_u64(32);
         let model = TransformerLm::new(cfg, &mut rng);
-        let oracle = model.clone().with_precision(Precision::Int8Dequant);
-        let mut round = model.clone();
-        round.set_precision(Precision::Int8);
-        round.set_precision(Precision::F32);
-        // Leaving Int8 restores the dequantized values — exactly the
-        // weights the oracle model holds.
-        for ((_, a, _, _), (_, b, _, _)) in round.named_parameters().zip(oracle.named_parameters())
-        {
-            assert_eq!(
-                a.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-                b.iter().map(|f| f.to_bits()).collect::<Vec<_>>()
-            );
-        }
+        let round = model
+            .clone()
+            .with_precision(Precision::Int8)
+            .with_precision(Precision::F32);
+        assert_eq!(round.precision(), Precision::F32);
         assert!(round.quant.is_none());
+        // Leaving Int8 restores the dequantized packing of every quantized
+        // matrix, bit for bit, and leaves every other parameter untouched:
+        // the round trip is the quantize-then-dequantize oracle.
+        let bits = |w: &[f32]| w.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let quantized = ["wq", "wk", "wv", "wo", "w1", "w2", "lm_head"];
+        let mut packed = 0;
+        for ((name, orig, rows, cols), (_, back, _, _)) in
+            model.named_parameters().zip(round.named_parameters())
+        {
+            let field = name.rsplit('.').next().unwrap();
+            let want = if quantized.contains(&field) {
+                packed += 1;
+                QuantMatrix::quantize(orig, rows, cols).dequantize()
+            } else {
+                orig.to_vec()
+            };
+            assert_eq!(bits(back), bits(&want), "{name}");
+        }
+        assert_eq!(packed, 6 * cfg.n_layers + 1);
     }
 
     #[test]
-    fn precision_parses_and_prints() {
-        for p in [Precision::F32, Precision::Int8, Precision::Int8Dequant] {
-            assert_eq!(p.as_str().parse::<Precision>().unwrap(), p);
+    fn precision_prints_its_name() {
+        for p in [Precision::F32, Precision::Int8] {
             assert_eq!(p.to_string(), p.as_str());
         }
-        assert!("fp16".parse::<Precision>().is_err());
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! are three implementations of the same function; this suite pins them
 //! together.
 
+mod step_loop;
+
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -43,7 +45,7 @@ fn prefill_matches_sequential_bit_for_bit() {
     for len in 0..=CTX {
         let prompt: Vec<u32> = (0..len).map(|i| (i * 7 % VOCAB) as u32).collect();
         let (cache_b, logits_b) = model.prefill(&prompt);
-        let (cache_s, logits_s) = model.prefill_sequential(&prompt);
+        let (cache_s, logits_s) = step_loop::prefill(model, &prompt);
         assert_bit_identical(&logits_b, &logits_s, &format!("len={len}"));
         assert_eq!(cache_b.len(), len);
         assert_eq!(cache_b.len(), cache_s.len());
@@ -75,7 +77,7 @@ fn prefill_cache_supports_decode_continuation() {
     let prompt: Vec<u32> = vec![3, 1, 4, 1, 5, 9, 2, 6];
     let (mut cache, _) = model.prefill(&prompt[..prompt.len() - 1]);
     let stepped = model.step(prompt[prompt.len() - 1], prompt.len() - 1, &mut cache);
-    let (cache_s, sequential) = model.prefill_sequential(&prompt);
+    let (cache_s, sequential) = step_loop::prefill(model, &prompt);
     assert_bit_identical(&stepped, &sequential, "decode continuation");
     assert_eq!(cache.len(), cache_s.len());
 }
@@ -92,7 +94,9 @@ proptest! {
     ) {
         let model = tiny_model();
         let fast = model.next_token_logits(&prompt);
-        let slow = model.next_token_logits_sequential(&prompt);
+        let start = prompt.len().saturating_sub(CTX);
+        let window = &prompt[start..];
+        let (_, slow) = step_loop::prefill(model, window);
         for (i, (a, b)) in fast.iter().zip(slow.iter()).enumerate() {
             prop_assert_eq!(
                 a.to_bits(),
@@ -103,9 +107,7 @@ proptest! {
                 b
             );
         }
-        if !prompt.is_empty() {
-            let start = prompt.len().saturating_sub(CTX);
-            let window = &prompt[start..];
+        if !window.is_empty() {
             let all = model.batch_logits(window, 1, window.len());
             let last = &all[(window.len() - 1) * VOCAB..];
             for (a, b) in fast.iter().zip(last.iter()) {

@@ -1,6 +1,6 @@
 //! The int8 agreement suite: an [`Precision::Int8`] model (packed weights,
 //! quantized GEBP/matvec kernels) must be bit-identical to the
-//! [`Precision::Int8Dequant`] oracle (the same weights quantized then
+//! `with_precision(Int8).with_precision(F32)` oracle (the same packing
 //! dequantized back to f32, run through the unmodified f32 kernels) on
 //! every inference entry point — prefill, prefill_continue (any split),
 //! prefill_continue_all, step, step_batch, next_token_logits, and full
@@ -42,7 +42,7 @@ fn int8_model() -> &'static TransformerLm {
 
 fn oracle_model() -> &'static TransformerLm {
     static MODEL: OnceLock<TransformerLm> = OnceLock::new();
-    MODEL.get_or_init(|| base_model().clone().with_precision(Precision::Int8Dequant))
+    MODEL.get_or_init(|| int8_model().clone().with_precision(Precision::F32))
 }
 
 fn assert_bit_identical(a: &[f32], b: &[f32], what: &str) {

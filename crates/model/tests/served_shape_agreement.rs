@@ -10,7 +10,10 @@
 //! - prefix cache: warm admissions equal cold ones;
 //! - speculation: drafts accepted and rolled back mid-page leave every
 //!   output equal to plain greedy decoding;
-//! - quant: int8 equals its dequantize-on-load oracle.
+//! - quant: int8 equals its round trip back to f32 (the same packing,
+//!   dequantized, through the f32 kernels).
+
+mod step_loop;
 
 use std::sync::{Arc, OnceLock};
 
@@ -72,7 +75,7 @@ fn prefill_matches_the_step_loop_at_every_length() {
         for len in 0..=CTX {
             let p = prompt(len, 3);
             let (cache, batched) = model.prefill(&p);
-            let (_, sequential) = model.prefill_sequential(&p);
+            let (_, sequential) = step_loop::prefill(model, &p);
             assert_eq!(
                 bits(&batched),
                 bits(&sequential),
@@ -190,7 +193,7 @@ fn speculation_matches_plain_greedy_decoding() {
 fn int8_matches_its_dequantized_oracle() {
     for model in shapes() {
         let int8 = model.clone().with_precision(Precision::Int8);
-        let oracle = model.clone().with_precision(Precision::Int8Dequant);
+        let oracle = int8.clone().with_precision(Precision::F32);
         for len in 1..=CTX {
             let p = prompt(len, 9);
             let (mut cache_q, q) = int8.prefill(&p[..len - 1]);

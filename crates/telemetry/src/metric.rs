@@ -117,11 +117,6 @@ impl Timer {
         self.armed = false;
         elapsed
     }
-
-    /// Abandons the span without recording (e.g. the request was shed).
-    pub fn discard(mut self) {
-        self.armed = false;
-    }
 }
 
 impl Drop for Timer {
@@ -197,7 +192,6 @@ mod tests {
         drop(Timer::start(Arc::clone(&h)));
         let d = Timer::start(Arc::clone(&h)).stop();
         assert!(d.as_secs_f64() >= 0.0);
-        Timer::start(Arc::clone(&h)).discard();
         assert_eq!(h.snapshot().count(), 2);
     }
 }

@@ -231,8 +231,7 @@ fn gebp_panel(
 
 /// `out += a @ b` where `a` is `m×k`, `b` is `k×n`, `out` is `m×n`.
 ///
-/// Dense path: no zero-skipping (use [`matmul_acc_sparse`] when `a` is
-/// known to be mostly zeros), blocked RHS packing from `PACK_MIN_ROWS`
+/// Dense path: no zero-skipping, blocked RHS packing from `PACK_MIN_ROWS`
 /// rows, and automatic row threading above [`PAR_MACS_PER_THREAD`].
 ///
 /// # Panics
@@ -271,30 +270,6 @@ pub fn matmul_acc_threads(
             gebp_panel(a_rows, panel, ldb, rows, k, nb, &mut out_rows[j0..], n);
         }
     });
-}
-
-/// `out += a @ b`, skipping zero entries of `a`.
-///
-/// The former default kernel, kept for operands that are structurally
-/// sparse (one-hot rows, masked gradients): the branch is a win there and
-/// a ~15% tax on dense inputs.
-pub fn matmul_acc_sparse(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (p, &a_ip) in a_row.iter().enumerate() {
-            if a_ip == 0.0 {
-                continue;
-            }
-            let b_row = &b[p * n..(p + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                *o += a_ip * bv;
-            }
-        }
-    }
 }
 
 /// `out = a @ b` (overwrites `out`).
@@ -1130,6 +1105,25 @@ mod tests {
         }
     }
 
+    /// `out += a @ b`, skipping zero entries of `a`: the naive zero-skipping
+    /// reference the dense kernel must match bit for bit on sparse operands
+    /// (one-hot rows, masked gradients).
+    fn matmul_acc_sparse(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+        for i in 0..m {
+            let a_row = &a[i * k..(i + 1) * k];
+            let out_row = &mut out[i * n..(i + 1) * n];
+            for (p, &a_ip) in a_row.iter().enumerate() {
+                if a_ip == 0.0 {
+                    continue;
+                }
+                let b_row = &b[p * n..(p + 1) * n];
+                for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
+                    *o += a_ip * bv;
+                }
+            }
+        }
+    }
+
     /// Deterministic pseudo-random matrix filler.
     fn fill(len: usize, seed: u64) -> Vec<f32> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -1228,9 +1222,9 @@ mod tests {
 
     #[test]
     fn sparse_one_hot_rows_pick_b_rows_exactly() {
-        // One-hot `a` rows (the embedding-gradient shape the sparse kernel
-        // exists for): row i of the product is exactly the selected row of
-        // `b`, bit for bit, and the skip branch touches nothing else.
+        // One-hot `a` rows (the embedding-gradient shape): row i of the
+        // product is exactly the selected row of `b`, bit for bit, and the
+        // skip branch touches nothing else.
         let k = 9;
         let n = 33;
         let b = fill(k * n, 77);

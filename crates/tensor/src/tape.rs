@@ -350,7 +350,7 @@ impl Tape {
     /// Fused softmax + mean cross-entropy loss over rows of `logits`.
     ///
     /// Rows whose target is `usize::MAX` are ignored (used to mask padding
-    /// and prompt positions during fine-tuning).
+    /// during fine-tuning).
     ///
     /// # Panics
     ///

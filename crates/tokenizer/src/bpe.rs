@@ -209,15 +209,6 @@ impl BpeTokenizer {
         out
     }
 
-    /// Decodes, stopping at (and excluding) the first `<|endoftext|>`.
-    pub fn decode_until_eot(&self, ids: &[u32]) -> String {
-        let end = ids
-            .iter()
-            .position(|&id| id == self.eot())
-            .unwrap_or(ids.len());
-        self.decode(&ids[..end])
-    }
-
     /// Serializes the tokenizer to a plain-text format (one merge per line).
     pub fn to_text(&self) -> String {
         let mut s = String::from("wisdom-bpe v1\n");
@@ -456,15 +447,6 @@ mod tests {
         assert_eq!(tok.pad(), 2);
         let ids = tok.encode("anything at all");
         assert!(ids.iter().all(|&id| id >= 3));
-    }
-
-    #[test]
-    fn decode_until_eot_stops() {
-        let tok = BpeTokenizer::train(sample_corpus(), 300);
-        let mut ids = tok.encode("keep this");
-        ids.push(tok.eot());
-        ids.extend(tok.encode("drop this"));
-        assert_eq!(tok.decode_until_eot(&ids), "keep this");
     }
 
     #[test]

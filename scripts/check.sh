@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo gate: formatting, the docs' experiment targets, `BENCH_*.json`
-# names, Rust item names, metric families and ledger metric names checked
-# against the tree,
+# names, Rust item names (`UpperCamel` paths and bare `snake_case`),
+# metric families and ledger metric names checked against the tree,
 # clippy (warnings are errors), a compile pass over every bench target so
 # bench-only breakage is caught without running criterion, then the whole
 # test suite in one invocation — every crate's unit, property and agreement
@@ -87,6 +87,30 @@ for token in $(cat "${docs[@]}" | grep -oE '`[A-Z][a-z][A-Za-z0-9]*(::[A-Za-z_][
     if ! grep -qxF "$name" <<<"$defined" || { [[ -n $item ]] && ! grep -qxF "$item" <<<"$defined"; }; then
         echo "dead name: the docs name \`$token\`, which no code under crates/, vendor/, benchmark/src, tests/ or examples/ defines:"
         grep -nE "\`$token[\`(<]" "${docs[@]}" | cut -c1-120
+        dead=1
+    fi
+done
+# Every bare snake_case name they show in backticks with an underscore in it
+# — `prefill_continue`, bare or followed by `(` — must be defined the same
+# way, or be a Rust file's stem (a test, bench or example target), a name
+# the code spells inside a string literal (a label value, a JSON key, a
+# bench id), a workload or a dot-separated part of a metric name in
+# `BENCHMARK.json`, or one of the non-Rust words below. `wisdom_…` names
+# are the metric step's.
+snake_names=" hash_one pop_first pop_last try_recv write_all parking_lot "
+snake_defined=$({
+    echo "$defined"
+    find crates vendor benchmark/src tests examples -name '*.rs' -exec basename {} .rs \;
+    grep -rhoE '"[^"]*"' crates vendor benchmark/src tests examples --include='*.rs' |
+        grep -oE '[a-z][a-z0-9]*(_[a-z0-9]+)+'
+    grep -oE '"name": *"[a-z0-9_.]+"' BENCHMARK.json | cut -d'"' -f4 | tr . '\n'
+} | sort -u)
+for token in $(cat "${docs[@]}" | grep -oE '`[a-z][a-z0-9]*(_[a-z0-9]+)+[`(]' | tr -d '`(' |
+    grep -v '^wisdom_' | sort -u); do
+    [[ $snake_names == *" $token "* ]] && continue
+    if ! grep -qxF "$token" <<<"$snake_defined"; then
+        echo "dead name: the docs name \`$token\`, which no code under crates/, vendor/, benchmark/src, tests/ or examples/ defines:"
+        grep -nE "\`$token[\`(]" "${docs[@]}" | cut -c1-120
         dead=1
     fi
 done
