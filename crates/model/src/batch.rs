@@ -33,7 +33,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -502,7 +502,7 @@ impl<'m> DecodeBatch<'m> {
             if seq.done.is_some() || !speculating_round {
                 continue;
             }
-            let Some(drafter) = &seq.drafter else {
+            let Some(drafter) = &mut seq.drafter else {
                 continue;
             };
             let k = seq
@@ -803,6 +803,16 @@ struct Shared {
     worker_ready: AtomicBool,
 }
 
+impl Shared {
+    /// The scheduler state, also when a thread panicked holding it: every
+    /// update under this lock is a single push, pop, clear or flag store,
+    /// so a poisoned lock still guards a valid queue, and the callers —
+    /// handler threads, the worker, its exit guard — keep working.
+    fn lock(&self) -> MutexGuard<'_, SchedulerState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// A point-in-time snapshot of scheduler load, served by `GET /v1/stats`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SchedulerStats {
@@ -924,12 +934,8 @@ impl BatchScheduler {
     /// Current load: queued requests, in-flight batch size, and the prefix
     /// cache's counters.
     pub fn stats(&self) -> SchedulerStats {
-        let queue_depth = {
-            let state = self.shared.state.lock().expect("scheduler lock");
-            state.jobs.len()
-        };
         SchedulerStats {
-            queue_depth,
+            queue_depth: self.shared.lock().jobs.len(),
             in_flight: self.shared.in_flight.load(Ordering::Relaxed),
             wakeups: self.telemetry.batch.wakeups.get(),
             prefix_cache: self.prefix_cache.as_deref().map(PrefixKvCache::stats),
@@ -939,8 +945,7 @@ impl BatchScheduler {
     /// Requests queued plus sequences in flight: what a router compares
     /// replicas by. One short lock and one atomic read, no cache counters.
     pub fn load(&self) -> usize {
-        let state = self.shared.state.lock().expect("scheduler lock");
-        state.jobs.len() + self.shared.in_flight.load(Ordering::Relaxed)
+        self.shared.lock().jobs.len() + self.shared.in_flight.load(Ordering::Relaxed)
     }
 
     /// Whether the decode worker's loop is up and serving. False only in
@@ -987,7 +992,7 @@ impl BatchScheduler {
         req: DecodeRequest,
         sink: Option<mpsc::Sender<u32>>,
     ) -> Result<mpsc::Receiver<Vec<u32>>, SubmitError> {
-        let mut state = self.shared.state.lock().expect("scheduler lock");
+        let mut state = self.shared.lock();
         if state.shutdown {
             return Err(SubmitError::ShutDown);
         }
@@ -1043,7 +1048,7 @@ impl BatchScheduler {
     /// [`SubmitError::QueueFull`]) but nothing new starts decoding.
     #[doc(hidden)]
     pub fn set_admission_paused(&self, paused: bool) {
-        let mut state = self.shared.state.lock().expect("scheduler lock");
+        let mut state = self.shared.lock();
         state.paused = paused;
         self.shared.job_ready.notify_all();
     }
@@ -1051,7 +1056,7 @@ impl BatchScheduler {
     /// Asks the worker to stop. Queued and in-flight requests resolve to
     /// empty outputs; later submissions fail with [`SubmitError::ShutDown`].
     pub fn shutdown(&self) {
-        let mut state = self.shared.state.lock().expect("scheduler lock");
+        let mut state = self.shared.lock();
         state.shutdown = true;
         // Dropping the queued reply senders resolves their waiters with an
         // empty output.
@@ -1088,9 +1093,7 @@ impl Drop for WorkerExit<'_> {
         let shared = self.0;
         shared.worker_ready.store(false, Ordering::Release);
         shared.in_flight.store(0, Ordering::Relaxed);
-        // Every update of the state is a single push, pop or flag store, so
-        // a lock poisoned mid-update still guards a valid queue.
-        let mut state = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = shared.lock();
         state.shutdown = true;
         state.jobs.clear();
     }
@@ -1119,7 +1122,7 @@ fn worker_loop(
         // condvar, so an empty scheduler burns no CPU and every wait exit
         // is a counted wakeup, not a poll tick.
         let admitted: Vec<Job> = {
-            let mut state = shared.state.lock().expect("scheduler lock");
+            let mut state = shared.lock();
             loop {
                 if state.shutdown {
                     // Dropping the queued and in-flight reply senders
@@ -1130,7 +1133,10 @@ fn worker_loop(
                 if !engine.is_empty() || (!state.paused && !state.jobs.is_empty()) {
                     break;
                 }
-                state = shared.job_ready.wait(state).expect("scheduler lock");
+                state = shared
+                    .job_ready
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
                 batch.wakeups.inc();
             }
             let mut taken = Vec::new();
@@ -1336,6 +1342,44 @@ mod tests {
         assert_eq!(outcome, Err(SubmitError::ShutDown));
         assert!(!sched.worker_ready());
         assert_eq!(sched.load(), 0);
+    }
+
+    #[test]
+    fn every_scheduler_method_returns_after_a_worker_panic() {
+        let model = tiny_model();
+        let vocab = model.config().vocab_size as u32;
+        let sched = Arc::new(BatchScheduler::spawn(
+            Arc::new(model),
+            BatchConfig::default(),
+            DecodeTelemetry::default(),
+        ));
+        // The worker dies on an out-of-vocabulary token…
+        let pending = sched.submit(request(&[1, vocab], 4)).expect("queued");
+        assert!(pending.wait().is_empty());
+        // …and a handler thread dies holding the scheduler lock.
+        let holder = Arc::clone(&sched);
+        let handler = std::thread::spawn(move || {
+            let _state = holder.shared.lock();
+            panic!("a handler panics holding the scheduler lock");
+        });
+        assert!(handler.join().is_err());
+        assert!(sched.shared.state.is_poisoned());
+        // Every public method still answers on the caller's thread.
+        let refused = Err(SubmitError::ShutDown);
+        assert_eq!(sched.submit(request(&[1, 2, 3], 4)).map(|_| ()), refused);
+        let streamed = sched.submit_streaming(request(&[1, 2, 3], 4));
+        assert_eq!(streamed.map(|_| ()), refused);
+        let stats = sched.stats();
+        assert_eq!((stats.queue_depth, stats.in_flight), (0, 0));
+        assert!(stats.prefix_cache.is_some());
+        assert_eq!(sched.load(), 0);
+        assert!(!sched.worker_ready());
+        sched.set_admission_paused(true);
+        sched.set_admission_paused(false);
+        assert_eq!(sched.cached_prefix_tokens(&[1, 2, 3], 4), (0, 3));
+        assert_eq!(sched.decode_token_p50(), None);
+        sched.shutdown();
+        drop(Arc::into_inner(sched).expect("the last handle"));
     }
 
     #[test]

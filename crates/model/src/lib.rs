@@ -9,8 +9,10 @@
 //! * [`RetrievalModel`] — the contamination-aware stand-in for
 //!   Codex-Davinci-002.
 //!
-//! [`NgramLm`] is no model of the paper's: it only proposes the speculative
-//! decoder's drafts.
+//! Greedy decoding may speculate ([`SpeculativeConfig`]): each sequence's
+//! drafter reads an order-4 n-gram model straight off the tokens the
+//! sequence has been shown — its prompt window and its output — and the
+//! transformer verifies the drafts in the round's one forward pass.
 //!
 //! # Examples
 //!
@@ -29,7 +31,6 @@ mod batch;
 mod checkpoint;
 mod config;
 mod decode;
-mod ngram;
 mod prefix_cache;
 mod replica;
 mod retrieval;
@@ -45,7 +46,6 @@ pub use batch::{
 pub use checkpoint::{load_checkpoint, save_checkpoint, LoadCheckpointError};
 pub use config::ModelConfig;
 pub use decode::{GenerationOptions, LmTextGenerator, Strategy, TextGenerator};
-pub use ngram::NgramLm;
 pub use prefix_cache::{PrefixCacheStats, PrefixKvCache};
 pub use replica::{PoolStats, ReplicaPool};
 pub use retrieval::RetrievalModel;

@@ -48,7 +48,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 use crate::telemetry::{DecodeTelemetry, PrefixCacheTelemetry};
 use crate::transformer::{KvCache, Page, PageRef, TransformerLm, PAGE_TOKENS};
@@ -123,14 +123,12 @@ impl Registration {
 
     /// Runs `f` on the index, then republishes its gauges. Called from a
     /// page hold's `Clone` and `Drop`, so it never panics: an index that is
-    /// gone or poisoned has no accounting left to keep.
+    /// gone has no accounting left to keep.
     fn with_index(&self, f: impl FnOnce(&mut Inner, usize)) {
         let Some(core) = self.core.upgrade() else {
             return;
         };
-        let Ok(mut inner) = core.inner.lock() else {
-            return;
-        };
+        let mut inner = core.lock();
         f(&mut inner, core.max_bytes);
         inner.publish_gauges();
     }
@@ -242,6 +240,20 @@ struct Core {
     max_bytes: usize,
 }
 
+impl Core {
+    /// The index, also when a thread panicked holding it. Nothing under
+    /// this lock calls the model or reads caller input: the only panics
+    /// there are checks on the index's own bookkeeping (an `expect`, a
+    /// debug-build underflow), which fire only on a bug. One leaves at
+    /// worst byte counts or an eviction order that are off — every key
+    /// still maps to the page computed for it — so readers on handler
+    /// threads (`stats`, `probe`), admissions and page holds dropped
+    /// during an unwind keep working instead of panicking in turn.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// A shared, byte-bounded index of prompt-prefix K/V pages.
 ///
 /// Thread-safe: one mutex guards the index (admission is effectively
@@ -300,7 +312,7 @@ impl PrefixKvCache {
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.core.inner.lock().expect("prefix cache lock")
+        self.core.lock()
     }
 
     /// Current counters.
@@ -513,6 +525,28 @@ mod tests {
         assert_eq!(hit(&[2, 2, 3, 4, 5], 4), 0);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.hit_tokens), (3, 3, 16));
+    }
+
+    #[test]
+    fn a_poisoned_index_keeps_serving() {
+        let model = tiny_model();
+        let cache = std::sync::Arc::new(PrefixKvCache::default());
+        let window = [1u32, 2, 3, 4, 5, 6, 7, 8, 9];
+        let (held, _) = cache.prefill(&model, &window);
+        let holder = std::sync::Arc::clone(&cache);
+        let died = std::thread::spawn(move || {
+            let _inner = holder.lock();
+            panic!("a thread panics holding the index");
+        });
+        assert!(died.join().is_err());
+        assert!(cache.core.inner.is_poisoned());
+        // Readers, admissions and a dropped hold all still work.
+        assert_eq!(cache.stats().segments, 2);
+        assert_eq!(cache.probe(&window), 8);
+        let (warm, logits) = cache.prefill(&model, &window);
+        assert_eq!(logits, model.prefill(&window).1);
+        drop((held, warm));
+        assert_eq!(cache.lock().pinned_bytes, 0);
     }
 
     #[test]

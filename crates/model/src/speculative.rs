@@ -22,7 +22,7 @@
 //!    "bonus" distribution the next round picks from without another
 //!    forward pass), and roll the cache back past the rejected tokens with
 //!    [`KvCache::truncate`](crate::KvCache::truncate);
-//! 5. count the round's emitted tokens into the drafter.
+//! 5. append the round's emitted tokens to the drafter's stream.
 //!
 //! Because only tokens the verifier itself would have produced are ever
 //! emitted, greedy speculative output is **bit-for-bit identical** to plain
@@ -39,7 +39,6 @@
 
 use wisdom_grammar::GrammarCursor;
 
-use crate::ngram::NgramLm;
 use crate::telemetry::{FinishReason, GrammarTelemetry};
 use crate::transformer::{argmax, mask_logits, pick_ends_sequence};
 
@@ -97,7 +96,7 @@ pub(crate) trait Speculator: Send {
     /// reported to [`Self::observe`] so far, then `fresh` (the round's
     /// emitted tokens, not reported yet). Fewer than `k` — or none — is
     /// fine.
-    fn draft(&self, fresh: &[u32], k: usize) -> Vec<u32>;
+    fn draft(&mut self, fresh: &[u32], k: usize) -> Vec<u32>;
 
     /// `emitted` continued the sequence this round. Called once per round,
     /// after the round's draft, so each emitted token is reported exactly
@@ -105,54 +104,87 @@ pub(crate) trait Speculator: Send {
     fn observe(&mut self, emitted: &[u32]);
 }
 
-/// Draft proposer backed by a stupid-backoff [`NgramLm`] of order 4,
-/// warmed on the sequence's prompt window and counting every token the
-/// sequence emits, so formulaic continuations become predictable after a
-/// single sighting.
+/// Draft proposer that reads an order-4 stupid-backoff n-gram model
+/// straight off the tokens it has been shown: the sequence's prompt
+/// window, then every token the sequence emits, so formulaic
+/// continuations become predictable after a single sighting.
 ///
-/// It keeps only the short token tail a draft or the next count reads, not
-/// the sequence's history.
+/// There is no count table. Each drafted token takes one pass over the
+/// stream: the longest context (up to `ORDER - 1` tokens of stream ‖
+/// `fresh` ‖ the tokens drafted so far) that occurs in the stream followed
+/// by a token wins, and its most frequent continuation is the draft, ties
+/// going to the smaller id. Counts come from the stream alone; `fresh` and
+/// drafted tokens are context only.
 #[derive(Debug)]
 pub(crate) struct NgramSpeculator {
-    lm: NgramLm,
-    /// The last `ORDER - 1` tokens counted (fewer only while the sequence
-    /// is shorter than that).
-    tail: Vec<u32>,
+    /// Every token counted: the prompt window, then each round's emitted
+    /// tokens.
+    stream: Vec<u32>,
+    /// The continuations of the best context a pass has found, kept so the
+    /// allocation is reused from one drafted token to the next.
+    hits: Vec<u32>,
 }
 
 impl NgramSpeculator {
-    /// A drafter warmed on `window`, the sequence's prompt window.
+    /// A drafter that has been shown `window`, the sequence's prompt window.
     pub(crate) fn new(window: &[u32]) -> Self {
-        let mut s = Self {
-            lm: NgramLm::new(ORDER),
-            tail: Vec::new(),
-        };
-        s.observe(window);
-        s
+        Self {
+            stream: window.to_vec(),
+            hits: Vec::new(),
+        }
+    }
+
+    /// The most frequent token to follow the longest suffix of the context
+    /// `newest_first` (at most `ORDER - 1` tokens, newest first) that the
+    /// stream holds with a continuation; `None` while the stream is empty.
+    fn predict(&mut self, newest_first: &[u32]) -> Option<u32> {
+        let Self { stream, hits } = self;
+        hits.clear();
+        let mut best = 0;
+        for (i, &next) in stream.iter().enumerate() {
+            // How many of the context's newest tokens end right before `i`.
+            let matched = newest_first
+                .iter()
+                .zip(stream[..i].iter().rev())
+                .take_while(|(a, b)| a == b)
+                .count();
+            if matched > best {
+                best = matched;
+                hits.clear();
+            }
+            if matched == best {
+                hits.push(next);
+            }
+        }
+        hits.sort_unstable();
+        hits.chunk_by(|a, b| a == b)
+            .max_by(|a, b| a.len().cmp(&b.len()).then(b[0].cmp(&a[0])))
+            .map(|run| run[0])
     }
 }
 
 impl Speculator for NgramSpeculator {
-    fn draft(&self, fresh: &[u32], k: usize) -> Vec<u32> {
-        let mut ctx: Vec<u32> = self.tail.iter().chain(fresh).copied().collect();
+    fn draft(&mut self, fresh: &[u32], k: usize) -> Vec<u32> {
         let mut out = Vec::with_capacity(k);
         while out.len() < k {
-            let Some(t) = self.lm.predict(&ctx) else {
+            // The newest `ORDER - 1` tokens of stream ‖ fresh ‖ drafted.
+            let mut ctx = [0; ORDER - 1];
+            let mut len = 0;
+            let newest = out.iter().rev().chain(fresh.iter().rev());
+            for (slot, &t) in ctx.iter_mut().zip(newest.chain(self.stream.iter().rev())) {
+                *slot = t;
+                len += 1;
+            }
+            let Some(t) = self.predict(&ctx[..len]) else {
                 break;
             };
             out.push(t);
-            ctx.push(t);
         }
         out
     }
 
     fn observe(&mut self, emitted: &[u32]) {
-        // A count reaches back at most `ORDER - 1` tokens, so counting
-        // against the tail is counting against the whole history.
-        self.lm.observe_continuation(&self.tail, emitted);
-        self.tail.extend_from_slice(emitted);
-        let cut = self.tail.len().saturating_sub(ORDER - 1);
-        self.tail.drain(..cut);
+        self.stream.extend_from_slice(emitted);
     }
 }
 
@@ -272,6 +304,7 @@ mod tests {
     use crate::telemetry::SpeculativeTelemetry;
     use crate::transformer::TransformerLm;
     use proptest::prelude::*;
+    use std::collections::HashMap;
     use wisdom_prng::Prng;
     use wisdom_telemetry::Registry;
     use wisdom_tensor::{Adam, AdamConfig};
@@ -327,19 +360,66 @@ mod tests {
     #[test]
     fn ngram_speculator_chains_predictions_and_learns_online() {
         let mut s = NgramSpeculator::new(&[1, 2, 3, 4, 1, 2, 3, 4]);
-        assert_eq!(s.tail, [2, 3, 4]);
-        // The round's fresh tokens extend the counted tail.
+        // The round's fresh tokens extend the context, not the stream.
         assert_eq!(s.draft(&[1, 2], 3), vec![3, 4, 1]);
         assert_eq!(s.draft(&[], 2), vec![1, 2]);
-        // Observing counts the emitted tokens against the tail, which keeps
-        // only what the next count or draft reads.
+        assert_eq!(s.stream, [1, 2, 3, 4, 1, 2, 3, 4]);
+        // Observing appends the emitted tokens, which a draft then reads.
         s.observe(&[15, 16, 17]);
-        assert_eq!(s.tail, [15, 16, 17]);
         assert_eq!(s.draft(&[4, 15], 2), vec![16, 17]);
+        // An unseen context backs off to the most frequent token, ties to
+        // the smaller id.
+        assert_eq!(s.draft(&[99], 1), vec![1]);
+        assert_eq!(NgramSpeculator::new(&[]).draft(&[1, 2], 4), vec![]);
     }
 
-    /// The reference route: the whole history, a watermark of what the
-    /// model has counted, a draft over the full history, and the round's
+    /// The count table the stream drafter replaced: for every context
+    /// length below `ORDER`, counts of (context, next) over the observed
+    /// stream, predicting by stupid backoff.
+    #[derive(Default)]
+    struct NgramLm {
+        counts: [HashMap<Vec<u32>, HashMap<u32, u32>>; ORDER],
+    }
+
+    impl NgramLm {
+        /// Counts the positions of `new` as a continuation of `context`,
+        /// with contexts reaching back into `context` across the boundary.
+        fn observe_continuation(&mut self, context: &[u32], new: &[u32]) {
+            let joined: Vec<u32> = context.iter().chain(new).copied().collect();
+            for i in context.len()..joined.len() {
+                for (ctx_len, table) in self.counts.iter_mut().enumerate().take(i + 1) {
+                    let ctx = joined[i - ctx_len..i].to_vec();
+                    *table.entry(ctx).or_default().entry(joined[i]).or_insert(0) += 1;
+                }
+            }
+        }
+
+        /// Most likely next token: the longest context with counts wins,
+        /// scored `BACKOFF^skipped * count / total`, ties to the smaller id.
+        fn predict(&self, context: &[u32]) -> Option<u32> {
+            const BACKOFF: f64 = 0.4;
+            let mut weight = 1.0;
+            for ctx_len in (0..ORDER).rev() {
+                if context.len() < ctx_len {
+                    continue;
+                }
+                let ctx = &context[context.len() - ctx_len..];
+                if let Some(nexts) = self.counts[ctx_len].get(ctx) {
+                    let total: u32 = nexts.values().sum();
+                    let score = |c: u32| weight * f64::from(c) / f64::from(total);
+                    return nexts
+                        .iter()
+                        .max_by(|a, b| score(*a.1).total_cmp(&score(*b.1)).then(b.0.cmp(a.0)))
+                        .map(|(&t, _)| t);
+                }
+                weight *= BACKOFF;
+            }
+            None
+        }
+    }
+
+    /// The count-table route: the whole history, a watermark of what the
+    /// table has counted, a draft over the full history, and the round's
     /// tokens counted (`observe_continuation(history[..observed],
     /// history[observed..])`) only after the round's draft.
     struct HistoryDrafter {
@@ -370,35 +450,129 @@ mod tests {
         }
     }
 
+    /// Token ids below 1001 folded into an alphabet of 2, 5, 16 or 1001
+    /// ids: small alphabets repeat contexts of every order, the widest
+    /// backs off to unigrams almost everywhere.
+    fn alphabet() -> impl prop::strategy::Strategy<Value = u32> {
+        prop_oneof![Just(2u32), Just(5), Just(16), Just(1001)]
+    }
+
+    fn tokens(alphabet: u32, ids: &[u32]) -> Vec<u32> {
+        ids.iter().map(|t| t % alphabet).collect()
+    }
+
+    /// Every context a draft can start from: each tail of the stream up to
+    /// `ORDER` tokens, plus the empty context and one the stream never
+    /// shows.
+    fn probe_contexts(stream: &[u32]) -> Vec<Vec<u32>> {
+        let mut ctxs = vec![Vec::new(), vec![u32::MAX]];
+        for end in 0..=stream.len() {
+            for len in 1..=ORDER.min(end) {
+                ctxs.push(stream[end - len..end].to_vec());
+            }
+        }
+        ctxs
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Over random streams, round chunkings and draft lengths, the
-        /// tail-keeping drafter proposes exactly what the history-keeping
-        /// one does, round after round.
+        /// Over random prompt windows up to the fixture's 128-token
+        /// context, round chunkings and draft lengths of 0 to 8, the stream
+        /// drafter proposes exactly what the count table does, round after
+        /// round.
         #[test]
-        fn tail_drafter_matches_the_history_drafter(
-            window in prop::collection::vec(0u32..6, 0..8),
+        fn stream_drafter_matches_the_count_table_drafter(
+            alphabet in alphabet(),
+            window in prop::collection::vec(0u32..1001, 0..129),
             rounds in prop::collection::vec(
-                (prop::collection::vec(0u32..6, 1..4), prop::collection::vec(0u32..6, 0..4), 0usize..5),
+                (
+                    prop::collection::vec(0u32..1001, 1..6),
+                    prop::collection::vec(0u32..1001, 0..9),
+                    0usize..9,
+                ),
                 1..24,
             ),
         ) {
+            let window = tokens(alphabet, &window);
             let mut reference = HistoryDrafter {
-                lm: NgramLm::new(ORDER),
+                lm: NgramLm::default(),
                 history: window.clone(),
                 observed: 0,
             };
             reference.observe_new_history();
             let mut drafter = NgramSpeculator::new(&window);
             for (picked, accepted, k) in rounds {
+                let (picked, accepted) = (tokens(alphabet, &picked), tokens(alphabet, &accepted));
                 reference.history.extend_from_slice(&picked);
                 prop_assert_eq!(drafter.draft(&picked, k), reference.draft(k));
                 reference.history.extend_from_slice(&accepted);
                 reference.observe_new_history();
-                let emitted: Vec<u32> = picked.iter().chain(&accepted).copied().collect();
-                drafter.observe(&emitted);
-                prop_assert!(drafter.tail.len() < ORDER);
+                drafter.observe(&[picked, accepted].concat());
+            }
+        }
+
+        /// A draft depends on the stream and its context alone: a drafter
+        /// that has drafted before proposes what a fresh one does.
+        #[test]
+        fn drafts_are_a_function_of_the_stream(
+            alphabet in alphabet(),
+            stream in prop::collection::vec(0u32..1001, 0..60),
+            k in 0usize..9,
+        ) {
+            let stream = tokens(alphabet, &stream);
+            let mut used = NgramSpeculator::new(&stream);
+            for ctx in probe_contexts(&stream) {
+                let want = NgramSpeculator::new(&stream).draft(&ctx, k);
+                prop_assert_eq!(used.draft(&ctx, k), want, "context {:?}", ctx);
+            }
+        }
+
+        /// Backoff reaches unigrams: a drafter shown any token drafts all
+        /// `k` tokens from every context, even one never seen, and each is
+        /// a token of the stream; a drafter shown nothing drafts nothing.
+        #[test]
+        fn backoff_always_drafts_observed_tokens(
+            alphabet in alphabet(),
+            stream in prop::collection::vec(0u32..1001, 0..40),
+            fresh in prop::collection::vec(0u32..1001, 0..6),
+            k in 0usize..9,
+        ) {
+            let (stream, fresh) = (tokens(alphabet, &stream), tokens(alphabet, &fresh));
+            let draft = NgramSpeculator::new(&stream).draft(&fresh, k);
+            prop_assert_eq!(draft.len(), if stream.is_empty() { 0 } else { k });
+            prop_assert!(
+                draft.iter().all(|t| stream.contains(t)),
+                "drafted {:?} from {:?}",
+                draft,
+                stream
+            );
+        }
+
+        /// Showing the stream in chunks is showing it whole: a drafter
+        /// warmed on `a` that observes `b`, and one warmed on nothing that
+        /// observes `a ++ b` split elsewhere, draft like one warmed on
+        /// `a ++ b` from every context.
+        #[test]
+        fn chunked_observation_matches_the_whole_stream(
+            alphabet in alphabet(),
+            a in prop::collection::vec(0u32..1001, 0..25),
+            b in prop::collection::vec(0u32..1001, 0..25),
+            cut in 0usize..51,
+            k in 0usize..9,
+        ) {
+            let whole = tokens(alphabet, &[a.clone(), b.clone()].concat());
+            let cut = cut.min(whole.len());
+            let mut reference = NgramSpeculator::new(&whole);
+            let mut chunked = NgramSpeculator::new(&tokens(alphabet, &a));
+            chunked.observe(&tokens(alphabet, &b));
+            let mut chunked2 = NgramSpeculator::new(&[]);
+            chunked2.observe(&whole[..cut]);
+            chunked2.observe(&whole[cut..]);
+            for ctx in probe_contexts(&whole) {
+                let want = reference.draft(&ctx, k);
+                prop_assert_eq!(chunked.draft(&ctx, k), want.clone(), "context {:?}", ctx);
+                prop_assert_eq!(chunked2.draft(&ctx, k), want, "context {:?}", ctx);
             }
         }
     }
@@ -448,7 +622,7 @@ mod tests {
     }
 
     impl Speculator for AlwaysWrong {
-        fn draft(&self, fresh: &[u32], k: usize) -> Vec<u32> {
+        fn draft(&mut self, fresh: &[u32], k: usize) -> Vec<u32> {
             self.right[self.seen + fresh.len()..]
                 .iter()
                 .take(k)

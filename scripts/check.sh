@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo gate: formatting, the docs' experiment targets, `BENCH_*.json`
-# names, Rust item names (`UpperCamel` paths and bare `snake_case`),
+# names, Rust item names (`UpperCamel` paths, bare `snake_case` and bare
+# single words),
 # metric families and ledger metric names checked against the tree,
 # clippy (warnings are errors), a compile pass over every bench target so
 # bench-only breakage is caught without running criterion, then the whole
@@ -12,7 +13,8 @@
 # way; its attention property suite pins the AVX-512 body and the portable
 # one to the row-major oracle), the model crate's served-shape agreement
 # suite and golden logits digest (4 and 7 heads of 16, the width the
-# attention kernel's vector body takes), timed, the curation crate's
+# attention kernel's vector body takes) and its golden draft digest
+# (speculative decoding on a memorizing model), timed, the curation crate's
 # (the MinHash signature's AVX-512 twin is an optimized build of the
 # portable loop, so its agreement property must run where it ships, and
 # its hand-off test once more for the line that says how many channel
@@ -114,6 +116,27 @@ for token in $(cat "${docs[@]}" | grep -oE '`[a-z][a-z0-9]*(_[a-z0-9]+)+[`(]' | 
         dead=1
     fi
 done
+# Every bare single-word name they show in backticks — `prefill`, bare or
+# followed by `(` — must pass the same way, be a vendored crate, or be a
+# whole string literal in the code (a label value, a JSON key, an
+# `experiments` target). Short hex commit ids pass, and so do the words
+# below: std, libm and instruction names, tools and crates the docs name
+# without the tree defining them, and two data fragments (`lo` of the
+# quantization formula, `bc` of a YAML example).
+word_names=" ceil min mul xor shift unsafe mpsc expf floorf tanhf cmp rand serde lo bc "
+word_defined=$({
+    echo "$snake_defined"
+    ls vendor
+    grep -rhoE '"[a-z][a-z0-9]*"' crates vendor benchmark/src tests examples --include='*.rs' | tr -d '"'
+} | sort -u)
+for token in $(cat "${docs[@]}" | grep -oE '`[a-z][a-z0-9]*[`(]' | tr -d '`(' | sort -u); do
+    [[ $word_names == *" $token "* || $token =~ ^[0-9a-f]{7,}$ ]] && continue
+    if ! grep -qxF "$token" <<<"$word_defined"; then
+        echo "dead name: the docs name \`$token\`, which no code under crates/, vendor/, benchmark/src, tests/ or examples/ defines:"
+        grep -nE "\`$token[\`(]" "${docs[@]}" | cut -c1-120
+        dead=1
+    fi
+done
 # Every metric family they show in backticks — `wisdom_…`, with a
 # histogram series' `_count` / `_sum` / `_bucket` suffix folded into its
 # family, and `wisdom_grammar_*` read as "some family with this prefix" —
@@ -175,8 +198,9 @@ cargo test --workspace -q
 echo "cargo test --workspace -q: $((SECONDS - suite_start)) s"
 cargo test --release -q -p wisdom-tensor
 served_start=$SECONDS
-cargo test --release -q -p wisdom-model --test served_shape_agreement --test logits_digest
-echo "served-shape agreement + logits digest (release): $((SECONDS - served_start)) s"
+cargo test --release -q -p wisdom-model --test served_shape_agreement --test logits_digest \
+    --test draft_digest
+echo "served-shape agreement + logits and draft digests (release): $((SECONDS - served_start)) s"
 cargo test --release -q -p wisdom-curation
 cargo test --release -q -p wisdom-curation --lib a_pass_hands_over_one_message_per_chunk -- --nocapture | grep 'hand-offs per pass'
 cargo test --release -q -p wisdom-grammar -- --nocapture | grep -v '^$'
