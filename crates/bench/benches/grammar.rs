@@ -1,8 +1,10 @@
 //! Grammar-constrained decoding: the cost of the automaton itself.
 //!
-//! Five angles: building an allowed-token mask cold (state-cache cleared)
+//! Seven angles: building an allowed-token mask cold (state-cache cleared)
 //! vs warm (entry memoised per automaton state); the mask of a budget too
-//! tight for the cached one, filtered out of the entry; a pool of more
+//! tight for the cached one, filtered out of the entry; the greedy pick
+//! over a row's legal logits, at a key and at a free-text value; starting a
+//! cursor on a prompt; a pool of more
 //! states than one cache generation walked again (the cliff the wholesale
 //! clear used to fall off); advancing the cursor through a lint-clean
 //! playbook's token stream; and the end-to-end tax of
@@ -107,6 +109,40 @@ fn bench(c: &mut Criterion) {
                 let mut l = logits.clone();
                 black_box(cursor.clone().apply(&mut l))
             })
+        });
+    }
+    group.finish();
+
+    // The greedy pick at a looked-up position: the legal entries of a
+    // vocabulary-wide row, read through the position's bitset. At a task
+    // key a few dozen tokens are legal; in a free-text value nearly all.
+    let mut group = c.benchmark_group("grammar/pick_greedy");
+    group.throughput(Throughput::Elements(vocab as u64));
+    {
+        let index = GrammarIndex::build(&tokenizer, Constraint::Ansible).expect("active");
+        let mut rng = Prng::seed_from_u64(3);
+        let logits: Vec<f32> = (0..vocab).map(|_| rng.f32()).collect();
+        for (position, lead_in) in [("key", "  "), ("value", "  command: echo ")] {
+            let mut cursor = GrammarCursor::new(Arc::clone(&index), &prompt_ids, 256);
+            for t in tokenizer.encode(lead_in) {
+                assert!(cursor.advance(t), "lead-in must be legal");
+            }
+            let (_, outcome) = cursor.pick_greedy(&logits).expect("active");
+            assert!(outcome.forced.is_none(), "{position}: a choice to make");
+            group.bench_function(position, |b| {
+                b.iter(|| black_box(cursor.pick_greedy(black_box(&logits))))
+            });
+        }
+    }
+    group.finish();
+
+    // Anchoring a cursor on a prompt: its tail's start state and that
+    // state's canonical close, which the index keeps after the first start.
+    let mut group = c.benchmark_group("grammar");
+    {
+        let index = GrammarIndex::build(&tokenizer, Constraint::Ansible).expect("active");
+        group.bench_function("cursor_start", |b| {
+            b.iter(|| black_box(GrammarCursor::new(Arc::clone(&index), &prompt_ids, 256)))
         });
     }
     group.finish();

@@ -13,83 +13,13 @@
 //! the kept set independent of worker count.
 
 use std::borrow::Cow;
-use std::collections::hash_map::{Entry, RandomState};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
+use std::hash::BuildHasher;
+
+use wisdom_prng::FoldHash;
 
 use crate::shingle::{MinHasher, Signature};
-
-/// An odd constant with well-spread bits (2^64 / φ).
-const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// The full 128-bit product of `a` and `b`, its halves XORed: every input
-/// bit reaches the middle of the result.
-#[inline(always)]
-fn folded_multiply(a: u64, b: u64) -> u64 {
-    let full = u128::from(a) * u128::from(b);
-    (full as u64) ^ ((full >> 64) as u64)
-}
-
-/// A keyed folded-multiply hash: [`ExactDedup`]'s content hash and the
-/// `BuildHasher` of the dedup stages' maps.
-///
-/// Its key is drawn from std's randomly seeded `RandomState`, one per
-/// filter or index, so no corpus can be crafted to collide under it: not
-/// in a map's buckets (band keys and content hashes derive from corpus
-/// bytes), nor in the content hash, which would force [`ExactDedup`]'s
-/// linear `collided` scan. No verdict can depend on the key. The content
-/// hash only picks a bucket and the bytes decide, and nothing iterates the
-/// maps, so two filters or indexes with different keys decide alike.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FoldHash {
-    key: u64,
-}
-
-impl Default for FoldHash {
-    fn default() -> Self {
-        Self {
-            key: RandomState::new().hash_one(MULTIPLIER),
-        }
-    }
-}
-
-impl BuildHasher for FoldHash {
-    type Hasher = FoldHasher;
-
-    fn build_hasher(&self) -> FoldHasher {
-        FoldHasher(self.key)
-    }
-}
-
-/// [`FoldHash`]'s hasher: one folded multiply per 8 bytes.
-pub(crate) struct FoldHasher(u64);
-
-impl Hasher for FoldHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        // The length first, so zero padding of the last word cannot alias.
-        self.write_u64(bytes.len() as u64);
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.write_u64(u64::from_le_bytes(word.try_into().expect("8 bytes")));
-        }
-        let tail = words.remainder();
-        if !tail.is_empty() {
-            let mut word = [0u8; 8];
-            word[..tail.len()].copy_from_slice(tail);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, x: u64) {
-        self.0 = folded_multiply(self.0 ^ x, MULTIPLIER);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Content-confirmed exact-duplicate filter. It borrows the texts it has
 /// seen rather than copying them, so they must outlive the filter.
@@ -106,7 +36,9 @@ impl Hasher for FoldHasher {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct ExactDedup<'a> {
-    /// Keys the content hash; drawn per filter.
+    /// Keys the content hash; drawn per filter, so no corpus can be crafted
+    /// to collide under it and force the linear `collided` scan. No verdict
+    /// depends on the key: the hash only picks a bucket, the bytes decide.
     content: FoldHash,
     /// hash -> the first text seen with that hash.
     first: HashMap<u64, &'a str, FoldHash>,
@@ -342,30 +274,6 @@ mod tests {
         assert!(!d.insert_hashed(7, "a"));
         assert!(!d.insert_hashed(7, "c"));
         assert_eq!(d.len(), 3);
-    }
-
-    #[test]
-    fn each_filter_draws_its_own_key() {
-        let (a, b) = (FoldHash::default(), FoldHash::default());
-        assert_ne!(a.key, b.key);
-        let text = "- name: Ping\n  ansible.builtin.ping: {}\n";
-        assert_eq!(a.hash_one(text), a.hash_one(text));
-        assert_ne!(a.hash_one(text), b.hash_one(text));
-    }
-
-    #[test]
-    fn zero_padding_does_not_alias() {
-        let mut hashes: Vec<u64> = ["", "\0", "a", "a\0", "abcdefgh", "abcdefgh\0"]
-            .iter()
-            .map(|text| {
-                let mut hasher = FoldHash::default().build_hasher();
-                hasher.write(text.as_bytes());
-                hasher.finish()
-            })
-            .collect();
-        hashes.sort_unstable();
-        hashes.dedup();
-        assert_eq!(hashes.len(), 6);
     }
 
     fn sig_of(text: &str, h: &MinHasher) -> Signature {

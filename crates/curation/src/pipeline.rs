@@ -24,9 +24,10 @@ use std::time::Instant;
 
 use crossbeam::channel::{bounded, Receiver};
 use wisdom_corpus::Corpus;
+use wisdom_prng::FoldHash;
 use wisdom_telemetry::{Counter, Gauge, Histogram, Registry};
 
-use crate::dedup::{ExactDedup, FoldHash, NearDedup, NearVerdict};
+use crate::dedup::{ExactDedup, NearDedup, NearVerdict};
 use crate::score::{score_document, DocKind, DocScore};
 use crate::shard::{Shard, ShardWriter};
 use crate::shingle::{shingle_set, MinHasher, Signature};

@@ -6,7 +6,13 @@
 //! ([`GrammarIndex::compute_mask`]). What the walk learns — which tokens are
 //! legal and how long the canonical close is after each — is kept in the
 //! state's [`CacheEntry`]; budget-filtered masks and [`GrammarCursor::advance`]
-//! read it from there instead of walking again.
+//! read it from there instead of walking again. Within the walk, and across
+//! cursor starts, each distinct state's canonical close is simulated once.
+//!
+//! A constrained greedy pick ([`GrammarCursor::pick_greedy`]) reads only the
+//! legal logits; the whole row is written to `-inf` outside the legal set
+//! ([`GrammarCursor::apply`]) only for top-k sampling and beam expansion,
+//! which read the row itself.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -14,6 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use wisdom_prng::FoldHash;
 use wisdom_tokenizer::BpeTokenizer;
 
 use crate::constraint::Constraint;
@@ -41,7 +48,9 @@ const CACHE_CAP: usize = 4096;
 /// would drop the part of it the pass had not reached yet.
 struct MaskCache<K, V> {
     /// The value, and whether it was asked for since the last retirement.
-    entries: HashMap<K, (V, bool)>,
+    /// Keys are looked up once per decoded position, so they hash with
+    /// [`FoldHash`] rather than SipHash.
+    entries: HashMap<K, (V, bool), FoldHash>,
     generation: usize,
     /// Generations dropped so far.
     dropped: u64,
@@ -50,7 +59,7 @@ struct MaskCache<K, V> {
 impl<K: Hash + Eq, V: Clone> MaskCache<K, V> {
     fn new(generation: usize) -> MaskCache<K, V> {
         MaskCache {
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             generation,
             dropped: 0,
         }
@@ -288,6 +297,11 @@ pub struct GrammarIndex {
     /// can never emit are excluded up front.
     by_first: Vec<Vec<u32>>,
     cache: Mutex<MaskCache<ConstraintState, Arc<CacheEntry>>>,
+    /// Canonical-close length of each cursor start state met so far
+    /// (`None`: it cannot close). `start_state` returns at most 19 distinct
+    /// states per index — a fresh document, a forced newline, and an open
+    /// `- name:` item at each indent from 0 to 16 — so this needs no bound.
+    start_closes: Mutex<HashMap<ConstraintState, Option<u32>, FoldHash>>,
     mask_builds: AtomicU64,
     cache_hits: AtomicU64,
     derived_masks: AtomicU64,
@@ -364,6 +378,7 @@ impl GrammarIndex {
             eot: tokenizer.eot(),
             by_first,
             cache: Mutex::new(MaskCache::new(CACHE_CAP)),
+            start_closes: Mutex::default(),
             mask_builds: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             derived_masks: AtomicU64::new(0),
@@ -425,20 +440,13 @@ impl GrammarIndex {
         tail
     }
 
-    /// Simulates one token's bytes from `state`; `None` if any byte is
-    /// illegal or the resulting state cannot close canonically.
-    fn advance_token(
-        &self,
-        m: &Machine<'_>,
-        state: &ConstraintState,
-        bytes: &[u8],
-    ) -> Option<(ConstraintState, u32)> {
-        let mut cur = *state;
-        for &b in bytes {
-            cur = m.advance(&cur, b)?;
-        }
-        let est = m.close_len(&cur, None)?;
-        Some((cur, est))
+    /// The canonical-close length of a cursor's start state: simulated the
+    /// first time the index meets the state, read back after that.
+    fn start_close(&self, state: &ConstraintState) -> Option<u32> {
+        let mut closes = self.start_closes.lock().expect("start close lock");
+        *closes
+            .entry(*state)
+            .or_insert_with(|| self.machine().close_len(state, None))
     }
 
     /// Walks every plausible token from `state` through the automaton: the
@@ -450,14 +458,32 @@ impl GrammarIndex {
         if m.accepting(state) {
             found.push((self.eot, 0));
         }
+        // Post-state → its close (`None`: it cannot close). A walk's few
+        // hundred legal tokens land in a few dozen post-states, and a close
+        // is a simulation of some twenty bytes: each is run once. Sized for
+        // the few dozen a walk usually meets.
+        let mut closes: HashMap<ConstraintState, Option<u32>, FoldHash> =
+            HashMap::with_capacity_and_hasher(64, FoldHash::default());
         let (mut min, mut worst) = (u32::MAX, 0u32);
         for b in 0..=255u8 {
-            if self.by_first[b as usize].is_empty() || m.advance(state, b).is_none() {
+            if self.by_first[b as usize].is_empty() {
                 continue;
             }
+            let Some(after_first) = m.advance(state, b) else {
+                continue;
+            };
             for &id in &self.by_first[b as usize] {
-                let bytes = &self.token_bytes[id as usize];
-                if let Some((_, est)) = self.advance_token(&m, state, bytes) {
+                let rest = &self.token_bytes[id as usize][1..];
+                let Some(next) = rest
+                    .iter()
+                    .try_fold(after_first, |st, &b| m.advance(&st, b))
+                else {
+                    continue;
+                };
+                let close = *closes
+                    .entry(next)
+                    .or_insert_with(|| m.close_len(&next, None));
+                if let Some(est) = close {
                     found.push((id, est));
                     min = min.min(est);
                     worst = worst.max(est);
@@ -600,8 +626,7 @@ impl GrammarCursor {
     pub fn new(index: Arc<GrammarIndex>, prompt_ids: &[u32], max_new: usize) -> GrammarCursor {
         let tail = index.prompt_tail(prompt_ids);
         let state = index.machine().start_state(index.mode, &tail);
-        let est = index.machine().close_len(&state, None);
-        let bypass = match est {
+        let bypass = match index.start_close(&state) {
             Some(est) => (est as usize) + 1 > max_new,
             None => true,
         };
@@ -690,10 +715,41 @@ impl GrammarCursor {
         self.peek().forced
     }
 
-    /// Masks illegal entries of `logits` to `-inf`. The existing argmax and
-    /// top-k samplers then never pick them (`exp(-inf) == 0`), and whenever
-    /// the unconstrained argmax is legal the pick is bit-identical to the
-    /// unconstrained decode.
+    /// The greedy pick over the legal entries of `logits`, and what
+    /// [`Self::apply`] would report for the row: exactly the token `apply`
+    /// followed by an argmax would return — the forced token when there is
+    /// one, else the first largest legal logit in ascending id (ties go to
+    /// the smaller id, NaN never wins), and id 0 when no legal logit is
+    /// above `-inf` — with the same `masked` count. Only the legal set is
+    /// read and the row is left as it is. `None` when the cursor is not
+    /// constraining (where `apply` leaves the row alone).
+    pub fn pick_greedy(&self, logits: &[f32]) -> Option<(u32, MaskOutcome)> {
+        if !self.is_active() {
+            return None;
+        }
+        let (mask, built) = self.mask();
+        let n = logits.len().min(self.index.vocab_size);
+        let (mut best, mut best_logit, mut legal) = (0u32, f32::NEG_INFINITY, 0u32);
+        for id in set_bits(mask.allowed()).take_while(|&id| (id as usize) < n) {
+            legal += 1;
+            let logit = logits[id as usize];
+            if logit > best_logit {
+                (best, best_logit) = (id, logit);
+            }
+        }
+        let outcome = MaskOutcome {
+            forced: mask.forced(),
+            masked: logits.len() as u32 - legal,
+            built,
+            active: true,
+        };
+        Some((outcome.forced.unwrap_or(best), outcome))
+    }
+
+    /// Masks illegal entries of `logits` to `-inf`, for the picks that read
+    /// the whole row: top-k sampling never picks them (`exp(-inf) == 0`),
+    /// and beam expansion never extends by them. Greedy picks take
+    /// [`Self::pick_greedy`] instead, which reads only the legal entries.
     pub fn apply(&self, logits: &mut [f32]) -> MaskOutcome {
         if !self.is_active() {
             return MaskOutcome::inactive();

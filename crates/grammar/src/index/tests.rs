@@ -1,6 +1,8 @@
-//! The mask cache's generations, and the two things the served path now
-//! reads from a cached entry — budget-filtered masks and `advance` — checked
-//! against the walks they replaced.
+//! The mask cache's generations; the two things the served path now reads
+//! from a cached entry — budget-filtered masks and `advance` — and the
+//! entry itself, built with one close simulation per post-state, checked
+//! against the walks they replaced; start closes read from the index's map;
+//! and the legal-only greedy pick against the masked row's argmax.
 
 use std::collections::HashSet;
 
@@ -146,6 +148,66 @@ fn close_deltas_round_trip_at_every_width() {
 
 // ---- the oracles: the walks the entry replaced -----------------------------
 
+/// One token's bytes simulated from `state`, and the canonical close of
+/// where they land simulated from scratch; `None` if any byte is illegal
+/// or the post-state cannot close. What every walk used to run per token.
+fn walked_token(
+    index: &GrammarIndex,
+    state: &ConstraintState,
+    bytes: &[u8],
+) -> Option<(ConstraintState, u32)> {
+    let m = index.machine();
+    let next = bytes.iter().try_fold(*state, |st, &b| m.advance(&st, b))?;
+    Some((next, m.close_len(&next, None)?))
+}
+
+/// `compute_mask` as it was: every plausible token walked and its close
+/// simulated on its own. Returns each allowed token with its close length,
+/// ascending.
+fn per_token_entry(index: &GrammarIndex, state: &ConstraintState) -> Vec<(u32, u32)> {
+    let mut found = Vec::new();
+    if index.machine().accepting(state) {
+        found.push((index.eot, 0));
+    }
+    for ids in &index.by_first {
+        for &id in ids {
+            if let Some((_, est)) = walked_token(index, state, &index.token_bytes[id as usize]) {
+                found.push((id, est));
+            }
+        }
+    }
+    found.sort_unstable();
+    found
+}
+
+/// An entry as the `(token, close length)` pairs it answers for (0 for
+/// end-of-sequence, which `advance` never asks the entry about), checked
+/// against its summary fields.
+fn entry_closes(index: &GrammarIndex, entry: &CacheEntry) -> Vec<(u32, u32)> {
+    let closes: Vec<(u32, u32)> = set_bits(&entry.allowed)
+        .map(|id| match id == index.eot {
+            true => (id, 0),
+            false => (id, entry.close_after(id).expect("allowed")),
+        })
+        .collect();
+    assert_eq!(entry.allowed_count as usize, closes.len());
+    let only = match closes[..] {
+        [(id, _)] => Some(id),
+        _ => None,
+    };
+    assert_eq!(entry.forced, only);
+    let byte_closes = closes.iter().filter(|&&(id, _)| id != index.eot);
+    assert_eq!(
+        entry.worst_close,
+        byte_closes.clone().map(|&(_, c)| c).max().unwrap_or(0)
+    );
+    assert_eq!(
+        entry.min_close,
+        byte_closes.map(|&(_, c)| c).min().unwrap_or(0)
+    );
+    closes
+}
+
 /// The budget-filtered walk `mask_for` used to run for every tight
 /// `(state, remaining)`: every token walked again, kept when its post-state
 /// can still close within `budget`. Returns (bitset, count, forced).
@@ -172,7 +234,7 @@ fn filtered_walk(
         }
         for &id in ids {
             let bytes = &index.token_bytes[id as usize];
-            if let Some((_, est)) = index.advance_token(&m, state, bytes) {
+            if let Some((_, est)) = walked_token(index, state, bytes) {
                 if est + 2 <= budget {
                     note(id);
                 }
@@ -199,7 +261,7 @@ fn walked_advance(index: &GrammarIndex, from: Position, token: u32) -> Position 
         return (state, remaining, !accepting, accepting);
     }
     let bytes = index.bytes_of(token);
-    match index.advance_token(&m, &state, bytes) {
+    match walked_token(index, &state, bytes) {
         Some((next, est)) if !bytes.is_empty() && est + 2 <= remaining => {
             (next, remaining - 1, false, false)
         }
@@ -228,11 +290,12 @@ fn assert_advance_agrees(
     Ok(())
 }
 
-/// At every state of a random legal walk: every budget from 0 to past the
-/// point where the filter stops mattering derives the mask the filtered
-/// walk computes, and `advance` lands where the walked one did — for every
-/// token of the vocabulary at the walk's own budget, and for a sample
-/// (allowed or not) at each of the others.
+/// At every state of a random legal walk: the entry built with one close
+/// simulation per post-state answers what the per-token walk does, every
+/// budget from 0 to past the point where the filter stops mattering derives
+/// the mask the filtered walk computes, and `advance` lands where the walked
+/// one did — for every token of the vocabulary at the walk's own budget,
+/// and for a sample (allowed or not) at each of the others.
 fn derived_agrees_with_walked(
     index: &Arc<GrammarIndex>,
     seed: u64,
@@ -246,6 +309,8 @@ fn derived_agrees_with_walked(
     let mut rng = Lcg(seed);
     for _ in 0..max_new {
         let state = cursor.state;
+        let entry = index.compute_mask(&state);
+        prop_assert_eq!(entry_closes(index, &entry), per_token_entry(index, &state));
         let worst = cursor.mask().0.entry.worst_close;
         for remaining in 0..=worst + 3 {
             let (mask, _) = index.mask_for(&state, remaining);
@@ -285,6 +350,144 @@ proptest! {
     fn yaml_derived_masks_and_advance_equal_the_walks(seed in any::<u64>(), max_new in 8usize..48) {
         let (_, _, yaml) = fixture();
         derived_agrees_with_walked(yaml, seed, max_new)?;
+    }
+}
+
+// ---- start closes -----------------------------------------------------------
+
+/// Prompt tails reaching every state `start_state` returns: a fresh
+/// document, a forced newline, a line with no open item, and an open
+/// `- name:` item at every indent it anchors on (and one past the last).
+fn start_tails() -> Vec<String> {
+    let mut tails: Vec<String> = ["", "hosts: all", "hosts: all\n"]
+        .map(String::from)
+        .to_vec();
+    tails.extend((0..=17).map(|indent| format!("{}- name: Start\n", " ".repeat(indent))));
+    tails
+}
+
+#[test]
+fn a_cursor_start_close_equals_the_simulated_close_cold_and_warm() {
+    let (tok, _, _) = fixture();
+    for constraint in [Constraint::Ansible, Constraint::Yaml] {
+        let index = GrammarIndex::build(tok, constraint).expect("index");
+        let m = index.machine();
+        let mut states = HashSet::new();
+        for pass in ["cold", "warm"] {
+            for tail in start_tails() {
+                let prompt = tok.encode(&tail);
+                let state = m.start_state(index.mode, &index.prompt_tail(&prompt));
+                states.insert(state);
+                let close = m.close_len(&state, None).expect("a start state closes");
+                assert_eq!(index.start_close(&state), Some(close), "{pass} {tail:?}");
+                // The close decides the cursor: one slot short of it, bypass.
+                let fits = close as usize + 1;
+                let active = |max_new| GrammarCursor::new(Arc::clone(&index), &prompt, max_new);
+                assert!(active(fits).is_active(), "{pass} {tail:?}");
+                assert!(!active(fits - 1).is_active(), "{pass} {tail:?}");
+            }
+        }
+        let cached = index.start_closes.lock().expect("start close lock").len();
+        assert_eq!(cached, states.len());
+        assert_eq!(cached, 19, "{constraint:?}: every start state, each once");
+    }
+}
+
+// ---- the legal-only greedy pick -------------------------------------------------
+
+/// The argmax the greedy pick replaced: ascending, strict `>`, from id 0 at
+/// `-inf`.
+fn argmax(row: &[f32]) -> u32 {
+    let mut best = (0, f32::NEG_INFINITY);
+    for (i, &v) in row.iter().enumerate() {
+        if v > best.1 {
+            best = (i as u32, v);
+        }
+    }
+    best.0
+}
+
+/// Rows that make a pick's tie-breaking and its special values show: few
+/// distinct values (ties everywhere), NaN and both infinities sprinkled in,
+/// every entry `-inf`, every entry NaN, and all equal.
+fn hostile_rows(rng: &mut Lcg, len: usize) -> Vec<Vec<f32>> {
+    let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+    let ties: Vec<f32> = (0..len).map(|_| rng.pick(4) as f32 - 1.0).collect();
+    let mixed: Vec<f32> = (0..len)
+        .map(|_| match rng.pick(10) {
+            0..=2 => special[rng.pick(3)],
+            _ => rng.pick(1000) as f32 / 7.0 - 70.0,
+        })
+        .collect();
+    vec![
+        ties,
+        mixed,
+        vec![f32::NEG_INFINITY; len],
+        vec![f32::NAN; len],
+        vec![0.5; len],
+    ]
+}
+
+/// Along a random legal walk: on every hostile row, of the vocabulary's
+/// width and of widths around it, `pick_greedy` returns the token, the
+/// forced token and the `masked` count that `apply` and then [`argmax`]
+/// return.
+fn pick_agrees_with_masked_argmax(
+    index: &Arc<GrammarIndex>,
+    seed: u64,
+    max_new: usize,
+) -> Result<(), TestCaseError> {
+    let (tok, _, _) = fixture();
+    let vocab = tok.vocab_size();
+    let prompt = tok.encode("- name: Greedy picks\n");
+    let mut cursor = GrammarCursor::new(Arc::clone(index), &prompt, max_new);
+    prop_assert!(cursor.is_active());
+    let mut rng = Lcg(seed);
+    while cursor.is_active() {
+        for len in [vocab, vocab + 3, vocab - 5] {
+            for row in hostile_rows(&mut rng, len) {
+                let (token, outcome) = cursor.pick_greedy(&row).expect("active");
+                let mut masked = row.clone();
+                let want = cursor.apply(&mut masked);
+                let want_token = want.forced.unwrap_or_else(|| argmax(&masked));
+                prop_assert_eq!(token, want_token, "row width {}", len);
+                prop_assert_eq!(
+                    (outcome.forced, outcome.masked, outcome.active),
+                    (want.forced, want.masked, want.active),
+                    "row width {}",
+                    len
+                );
+            }
+        }
+        let legal: Vec<u32> = set_bits(cursor.mask().0.allowed()).collect();
+        let pick = legal[rng.pick(legal.len())];
+        prop_assert!(cursor.advance(pick));
+    }
+    prop_assert!(cursor.pick_greedy(&vec![0.0; vocab]).is_none());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Tight budgets (the close must be forced within a few tokens, so the
+    /// masks are budget-filtered) and loose ones.
+    #[test]
+    fn ansible_greedy_picks_equal_the_masked_argmax(
+        seed in any::<u64>(),
+        max_new in prop_oneof![20usize..28, 64usize..96],
+    ) {
+        let (_, ansible, _) = fixture();
+        pick_agrees_with_masked_argmax(ansible, seed, max_new)?;
+    }
+
+    #[test]
+    fn yaml_greedy_picks_equal_the_masked_argmax(
+        seed in any::<u64>(),
+        max_new in prop_oneof![4usize..12, 48usize..80],
+    ) {
+        let (_, _, yaml) = fixture();
+        pick_agrees_with_masked_argmax(yaml, seed, max_new)?;
     }
 }
 

@@ -29,6 +29,8 @@
 //! gate "closability", and scalar machines guarantee each value resolves to
 //! a kind its keyword/parameter accepts.
 
+use std::hash::{Hash, Hasher};
+
 use crate::scope::open_item;
 use crate::tables::{
     Tables, ValueSpec, FREE_FORM_SPEC, ITEM_SPEC, NAME_SPEC, TASKS_BIT, YAML_SPEC,
@@ -290,12 +292,24 @@ pub(crate) enum Mode {
 
 /// One sequence's position in the grammar. Small, `Copy`, hashable — used
 /// directly as the mask-cache key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConstraintState {
     pub(crate) mode: Mode,
     pub(crate) frames: [Frame; MAX_DEPTH],
     pub(crate) depth: u8,
     pub(crate) line: Line,
+}
+
+/// Hashes the live part of the state in one pass: the mode, the open frames
+/// (their count first) and the line. Vacated frame slots are normalized
+/// (`pop_to`), so equal states agree on them and they would add nothing but
+/// work — a lookup is made for every decoded token.
+impl Hash for ConstraintState {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.mode.hash(h);
+        self.frames[..self.depth as usize].hash(h);
+        self.line.hash(h);
+    }
 }
 
 impl ConstraintState {

@@ -553,10 +553,10 @@ impl<'m> DecodeBatch<'m> {
             .chain(beam_rows)
             .collect();
         let round_start = (!rows.is_empty()).then(Instant::now);
-        let mut logits = &mut *self.model.forward(&mut rows, &mut self.scratch);
+        let mut logits = &*self.model.forward(&mut rows, &mut self.scratch);
         drop(rows);
         for seq in self.seqs.iter_mut().filter(|seq| seq.done.is_none()) {
-            let (read, rest) = logits.split_at_mut((seq.drafted + 1) * vocab);
+            let (read, rest) = logits.split_at((seq.drafted + 1) * vocab);
             logits = rest;
             let kept = seq.pending.len() - seq.drafted;
             let (draft, drafted) = (&seq.pending[kept..], seq.drafted);
@@ -596,7 +596,7 @@ impl<'m> DecodeBatch<'m> {
             }
         }
         for beam in self.beams.iter_mut().flat_map(|g| &mut g.live) {
-            let (read, rest) = logits.split_at_mut(vocab);
+            let (read, rest) = logits.split_at(vocab);
             logits = rest;
             beam.logits.copy_from_slice(read);
         }

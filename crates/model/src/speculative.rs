@@ -40,7 +40,7 @@
 use wisdom_grammar::GrammarCursor;
 
 use crate::telemetry::{FinishReason, GrammarTelemetry};
-use crate::transformer::{argmax, mask_logits, pick_ends_sequence};
+use crate::transformer::{greedy_pick, pick_ends_sequence};
 
 /// Order of the drafter's n-gram model: it predicts from the last three
 /// tokens, backing off to shorter contexts.
@@ -191,25 +191,24 @@ impl Speculator for NgramSpeculator {
 /// Accepts the longest prefix of `draft` the verifier's own greedy pick
 /// agrees with. Row `i` of `rows` (`vocab`-wide, `draft.len() + 1` of them)
 /// holds the logits of the position `draft[i]` was proposed for — what the
-/// plain loop in the same state would pick from next — and is masked in
-/// place through `grammar` (a cursor standing right before `draft[0]`)
-/// exactly as that loop would mask it; the cursor advances past every
-/// accepted token. Returns how many tokens were accepted — row `accepted`
-/// is then the distribution the next round picks from, with no further
-/// forward pass — and, when the verifier agreed with a draft token that
-/// ends the sequence (a stop token, or the one closing the task of a
+/// plain loop in the same state would pick from next — and is picked from
+/// through `grammar` (a cursor standing right before `draft[0]`) exactly as
+/// that loop would pick, without writing the row; the cursor advances past
+/// every accepted token. Returns how many tokens were accepted — row
+/// `accepted` is then the distribution the next round picks from, with no
+/// further forward pass — and, when the verifier agreed with a draft token
+/// that ends the sequence (a stop token, or the one closing the task of a
 /// completion-scoped grammar), why: that token is not emitted.
 pub(crate) fn accept_draft(
-    rows: &mut [f32],
+    rows: &[f32],
     draft: &[u32],
     stops: &[u32],
     mut grammar: Option<&mut GrammarCursor>,
     grammar_telemetry: &GrammarTelemetry,
 ) -> (usize, Option<FinishReason>) {
     let vocab = rows.len() / (draft.len() + 1);
-    for (i, (&d, row)) in draft.iter().zip(rows.chunks_exact_mut(vocab)).enumerate() {
-        let forced = mask_logits(grammar.as_deref(), row, Some(grammar_telemetry));
-        let t = forced.unwrap_or_else(|| argmax(row));
+    for (i, (&d, row)) in draft.iter().zip(rows.chunks_exact(vocab)).enumerate() {
+        let t = greedy_pick(row, grammar.as_deref(), Some(grammar_telemetry));
         if t != d {
             return (i, None);
         }
@@ -228,10 +227,14 @@ pub(crate) fn accept_draft(
 /// round. On the row sweep (`decode_batching` bench, int8 350M-class
 /// fixture) a verified row — its share of the projections, its attention,
 /// an LM-head row — adds about 11 µs to a pass, the engine spends about
-/// 4 µs more on it outside the pass (the legal-prefix walk, its mask and
-/// argmax), and every accepted token saves one single-row round of about
-/// 24 µs. Drafts therefore pay only while at least this share of the rows
-/// verified is accepted.
+/// 1 µs more on it outside the pass (the legal-prefix walk, ~0.6 µs a
+/// token on the `grammar/advance_playbook` row, and the greedy pick over
+/// the row's legal logits, 0.1–0.4 µs on `grammar/pick_greedy`), and every
+/// accepted token saves one single-row round of 24–30 µs. Drafts therefore
+/// pay only while at least this share of the rows verified is accepted.
+/// The share was fixed when the out-of-pass work cost ~4 µs (15 of 24 µs);
+/// at ~12 of 24–30 µs it now prices a draft row high, and it is kept as it
+/// is because moving it changes which drafts run.
 pub(crate) const DRAFT_ROW_COST: (u32, u32) = (5, 8);
 
 /// Rounds a sequence whose drafts stopped paying decodes plainly before

@@ -400,6 +400,16 @@ pub struct GrammarTelemetry {
 }
 
 impl GrammarTelemetry {
+    /// Records one constrained logit row: the entries its mask rules out,
+    /// the build its lookup cost, and whether the forced fast path took it.
+    pub(crate) fn observe_mask(&self, cursor: &GrammarCursor, outcome: &MaskOutcome) {
+        self.masked_tokens.add(u64::from(outcome.masked));
+        self.observe_build(cursor, outcome);
+        if outcome.forced.is_some() {
+            self.forced_fast_path.inc();
+        }
+    }
+
     /// Records the mask build behind `outcome`, if its lookup missed the
     /// cache. Builds are timed where they happen (the index's miss path),
     /// so this holds whichever call met the state first — the forced-run

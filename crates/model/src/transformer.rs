@@ -1183,7 +1183,8 @@ fn layer_norm_rows(x: &[f32], gain: &[f32], bias: &[f32], d: usize, out: &mut [f
 /// Masks one logit row through an active grammar cursor, recording the
 /// grammar metrics, and returns the forced token when exactly one
 /// continuation is legal. Returns `None` (and touches nothing) for absent,
-/// bypassed, or finished cursors.
+/// bypassed, or finished cursors. For the picks that read the whole row —
+/// top-k sampling and beam expansion; a greedy pick is [`greedy_pick`].
 pub(crate) fn mask_logits(
     grammar: Option<&GrammarCursor>,
     logits: &mut [f32],
@@ -1195,13 +1196,29 @@ pub(crate) fn mask_logits(
     }
     let outcome = cursor.apply(logits);
     if let Some(t) = telemetry {
-        t.masked_tokens.add(u64::from(outcome.masked));
-        t.observe_build(cursor, &outcome);
-        if outcome.forced.is_some() {
-            t.forced_fast_path.inc();
-        }
+        t.observe_mask(cursor, &outcome);
     }
     outcome.forced
+}
+
+/// The greedy pick from one logit row: through an active grammar cursor,
+/// the largest legal logit (or the forced token) read off the legal set
+/// alone, recorded exactly as [`mask_logits`] records a row; otherwise the
+/// row's argmax. The row is never written, and the pick is the one masking
+/// the row and then taking its argmax would make.
+pub(crate) fn greedy_pick(
+    logits: &[f32],
+    grammar: Option<&GrammarCursor>,
+    telemetry: Option<&GrammarTelemetry>,
+) -> u32 {
+    let picked = grammar.and_then(|cursor| Some((cursor, cursor.pick_greedy(logits)?)));
+    let Some((cursor, (token, outcome))) = picked else {
+        return argmax(logits);
+    };
+    if let Some(t) = telemetry {
+        t.observe_mask(cursor, &outcome);
+    }
+    token
 }
 
 /// The token an active cursor leaves as the only legal continuation, known
@@ -1225,10 +1242,11 @@ pub(crate) fn forced_token(
 }
 
 /// The one token pick shared by the solo generate loop and the batched
-/// decode engine: grammar mask (when a cursor is active), forced-token fast
-/// path, then the strategy's usual argmax / seeded top-k. A single
-/// implementation is what keeps constrained solo, batched, and speculative
-/// decoding in token-for-token agreement.
+/// decode engine: the greedy pick over the legal logits, or for top-k the
+/// grammar mask (when a cursor is active), the forced-token fast path, then
+/// the seeded sample. A single implementation is what keeps constrained
+/// solo, batched, and speculative decoding in token-for-token agreement.
+/// Only a top-k pick writes the row.
 pub(crate) fn pick_token(
     logits: &mut [f32],
     strategy: Strategy,
@@ -1236,14 +1254,14 @@ pub(crate) fn pick_token(
     grammar: Option<&GrammarCursor>,
     telemetry: Option<&GrammarTelemetry>,
 ) -> u32 {
-    if let Some(forced) = mask_logits(grammar, logits, telemetry) {
-        // The mask left exactly one legal token; argmax/sampling over the
-        // masked row could only return it, so skip both (and the rng draw).
-        return forced;
-    }
     match strategy {
-        Strategy::Greedy => argmax(logits),
-        Strategy::TopK { k, temperature } => sample_top_k(logits, k, temperature, rng),
+        Strategy::Greedy => greedy_pick(logits, grammar, telemetry),
+        Strategy::TopK { k, temperature } => match mask_logits(grammar, logits, telemetry) {
+            // The mask left exactly one legal token; sampling over the
+            // masked row could only return it, so skip it (and the rng draw).
+            Some(forced) => forced,
+            None => sample_top_k(logits, k, temperature, rng),
+        },
         Strategy::Beam { .. } => unreachable!("beam search expands beams, not single rows"),
     }
 }

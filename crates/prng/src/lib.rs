@@ -19,6 +19,13 @@
 //! let mut rng2 = Prng::seed_from_u64(42);
 //! assert_eq!(rng2.range_usize(0, 6), roll);
 //! ```
+//!
+//! The crate also holds [`FoldHash`], the keyed hash of the curation
+//! stages' dedup maps and the grammar's mask cache.
+
+mod fold_hash;
+
+pub use fold_hash::{FoldHash, FoldHasher};
 
 /// A deterministic xoshiro256++ pseudo-random number generator.
 ///

@@ -13,8 +13,10 @@
 # way; its attention property suite pins the AVX-512 body and the portable
 # one to the row-major oracle), the model crate's served-shape agreement
 # suite and golden logits digest (4 and 7 heads of 16, the width the
-# attention kernel's vector body takes) and its golden draft digest
-# (speculative decoding on a memorizing model), timed, the curation crate's
+# attention kernel's vector body takes), its golden draft digest
+# (speculative decoding on a memorizing model) and its golden constrained
+# digest (greedy, drafting, top-k and beam rows under the Ansible grammar:
+# tokens plus masked / forced / fused / mask-build counts), timed, the curation crate's
 # (the MinHash signature's AVX-512 twin is an optimized build of the
 # portable loop, so its agreement property must run where it ships, and
 # its hand-off test once more for the line that says how many channel
@@ -199,8 +201,8 @@ echo "cargo test --workspace -q: $((SECONDS - suite_start)) s"
 cargo test --release -q -p wisdom-tensor
 served_start=$SECONDS
 cargo test --release -q -p wisdom-model --test served_shape_agreement --test logits_digest \
-    --test draft_digest
-echo "served-shape agreement + logits and draft digests (release): $((SECONDS - served_start)) s"
+    --test draft_digest --test constrained_digest
+echo "served-shape agreement + logits, draft and constrained digests (release): $((SECONDS - served_start)) s"
 cargo test --release -q -p wisdom-curation
 cargo test --release -q -p wisdom-curation --lib a_pass_hands_over_one_message_per_chunk -- --nocapture | grep 'hand-offs per pass'
 cargo test --release -q -p wisdom-grammar -- --nocapture | grep -v '^$'
