@@ -1,7 +1,8 @@
 //! Grammar-constrained decoding: the cost of the automaton itself.
 //!
-//! Seven angles: building an allowed-token mask cold (state-cache cleared)
-//! vs warm (entry memoised per automaton state); the mask of a budget too
+//! Seven angles: building an allowed-token mask cold (mask cache cleared),
+//! at a prompt's first position and in the middle of a parameter's plain
+//! value, vs warm (entry memoised per mask key); the mask of a budget too
 //! tight for the cached one, filtered out of the entry; the greedy pick
 //! over a row's legal logits, at a key and at a free-text value; starting a
 //! cursor on a prompt; a pool of more
@@ -69,6 +70,26 @@ fn bench(c: &mut Criterion) {
                 let mut l = logits.clone();
                 let outcome = cursor.clone().apply(&mut l);
                 assert!(outcome.built.is_none(), "warm must hit");
+                black_box(outcome)
+            })
+        });
+    }
+    // The kind of state most cold builds start from: in the middle of a
+    // module parameter's plain-scalar value, where nearly every token is
+    // legal and tokens of every length land in the same scalar.
+    {
+        let index = GrammarIndex::build(&tokenizer, Constraint::Ansible).expect("active");
+        let mut cursor = GrammarCursor::new(Arc::clone(&index), &prompt_ids, 256);
+        for t in tokenizer.encode("  ansible.builtin.copy:\n    dest: /etc/nginx") {
+            assert!(cursor.advance(t), "lead-in must be legal");
+        }
+        let logits = vec![0.0f32; vocab];
+        group.bench_function("cold/plain_value", |b| {
+            b.iter(|| {
+                index.clear_cache();
+                let mut l = logits.clone();
+                let outcome = cursor.clone().apply(&mut l);
+                assert!(outcome.built.is_some() && outcome.forced.is_none());
                 black_box(outcome)
             })
         });
@@ -147,10 +168,12 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    // A recycled pool of more distinct states than one cache generation
+    // A recycled pool of more distinct mask keys than one cache generation
     // (4096; the cache holds two): the first pass builds them, the timed
     // passes must find them all again. When the map was cleared at 4096
-    // entries every pass rebuilt nearly all of them.
+    // entries every pass rebuilt nearly all of them. The pool is sized in
+    // keys, so its walks hold as many tokens as it takes to meet that many:
+    // compare passes by their per-token throughput.
     let mut group = c.benchmark_group("grammar/recycled_pool");
     {
         let index = GrammarIndex::build(&tokenizer, Constraint::Yaml).expect("active");
@@ -189,8 +212,9 @@ fn bench(c: &mut Criterion) {
         replay();
         let second = index.stats();
         println!(
-            "grammar/recycled_pool: {} states built by the first pass, {} by the second ({} cached, {} generations dropped)",
+            "grammar/recycled_pool: {} mask keys built by the first pass over {} tokens, {} by the second ({} cached, {} generations dropped)",
             first.mask_builds,
+            walks.iter().map(Vec::len).sum::<usize>(),
             second.mask_builds - first.mask_builds,
             second.states_cached,
             second.generations_dropped,

@@ -2,12 +2,14 @@
 //! per-state allowed-token masks with caching, a forced-token fast path,
 //! and the per-sequence [`GrammarCursor`] decode paths drive.
 //!
-//! One invariant: an automaton state is walked over the vocabulary once
-//! ([`GrammarIndex::compute_mask`]). What the walk learns — which tokens are
-//! legal and how long the canonical close is after each — is kept in the
-//! state's [`CacheEntry`]; budget-filtered masks and [`GrammarCursor::advance`]
-//! read it from there instead of walking again. Within the walk, and across
-//! cursor starts, each distinct state's canonical close is simulated once.
+//! One invariant: an automaton state is walked over the vocabulary once per
+//! mask key ([`GrammarIndex::compute_mask`], [`GrammarIndex::mask_key`]: the
+//! state with what no mask can see forgotten). What the walk learns — which
+//! tokens are legal and how long the canonical close is after each — is kept
+//! in the key's [`CacheEntry`]; budget-filtered masks and
+//! [`GrammarCursor::advance`] read it from there instead of walking again.
+//! Within the walk, and across cursor starts, each distinct key's canonical
+//! close is simulated once.
 //!
 //! A constrained greedy pick ([`GrammarCursor::pick_greedy`]) reads only the
 //! legal logits; the whole row is written to `-inf` outside the legal set
@@ -25,15 +27,16 @@ use wisdom_tokenizer::BpeTokenizer;
 
 use crate::constraint::Constraint;
 use crate::scope::TaskScope;
-use crate::state::{ConstraintState, Machine, Mode};
+use crate::state::{ConstraintState, Line, Machine, Mode, Scalar, PLAIN_CAP};
 use crate::tables::Tables;
 
-/// Entries one generation of the mask cache holds (the cache holds two). A
-/// build walks the whole vocabulary through the automaton, ~200 µs against
-/// the ~20 µs of a decode round, so the bound must never throw away states
-/// that are still in use: `offline_eval`'s pool has 4244 states, and when
-/// the map was cleared wholesale at this size, rebuilding them was half of
-/// a pass (EXPERIMENTS.md, "Every state builds its mask once").
+/// Entries one generation of the mask cache holds (the cache holds two), one
+/// per mask key. A build walks the whole vocabulary through the automaton,
+/// ~200 µs against the ~20 µs of a decode round, so the bound must never
+/// throw away keys that are still in use: `offline_eval`'s pool had 4244
+/// states when the cache was keyed by state, and when the map was cleared
+/// wholesale at this size, rebuilding them was half of a pass (EXPERIMENTS.md,
+/// "Every state builds its mask once").
 const CACHE_CAP: usize = 4096;
 
 /// A map bounded at two generations that forgets only what went unused: the
@@ -254,11 +257,12 @@ pub struct MaskBuild {
 pub struct GrammarStats {
     /// Fresh masks computed (one walk of the vocabulary each).
     pub mask_builds: u64,
-    /// Mask requests served from the state cache.
+    /// Mask requests served from the mask cache.
     pub cache_hits: u64,
     /// Budget-filtered masks derived from a cached entry.
     pub derived_masks: u64,
-    /// States currently cached (both generations).
+    /// Mask keys currently cached (both generations): states that differ
+    /// only in what no mask can see share one entry.
     pub states_cached: u64,
     /// Cache generations dropped to stay within the bound.
     pub generations_dropped: u64,
@@ -281,7 +285,7 @@ impl std::iter::Sum for GrammarStats {
 /// The compiled grammar bound to a tokenizer vocabulary.
 ///
 /// Owns the byte table of every token, the schema tables, and the
-/// state → mask cache. Shared (`Arc`) across all sequences of a model.
+/// mask key → mask cache. Shared (`Arc`) across all sequences of a model.
 pub struct GrammarIndex {
     constraint: Constraint,
     /// Whether cursors stop at the end of the item the prompt opened
@@ -296,6 +300,9 @@ pub struct GrammarIndex {
     /// Token ids grouped by first byte; tokens containing bytes the grammar
     /// can never emit are excluded up front.
     by_first: Vec<Vec<u32>>,
+    /// The longest plain scalar whose length no mask can see: from here on
+    /// no token's bytes reach [`PLAIN_CAP`] ([`Self::mask_key`]).
+    plain_key_max: u8,
     cache: Mutex<MaskCache<ConstraintState, Arc<CacheEntry>>>,
     /// Canonical-close length of each cursor start state met so far
     /// (`None`: it cannot close). `start_state` returns at most 19 distinct
@@ -361,10 +368,12 @@ impl GrammarIndex {
         let vocab_size = tokenizer.vocab_size();
         let mut token_bytes = Vec::with_capacity(vocab_size);
         let mut by_first: Vec<Vec<u32>> = (0..256).map(|_| Vec::new()).collect();
+        let mut longest = 0;
         for id in 0..vocab_size as u32 {
             let bytes = tokenizer.token_bytes(id).unwrap_or(&[]);
             if !bytes.is_empty() && bytes.iter().all(|&b| plausible(b)) {
                 by_first[bytes[0] as usize].push(id);
+                longest = longest.max(bytes.len());
             }
             token_bytes.push(bytes.to_vec().into_boxed_slice());
         }
@@ -377,6 +386,7 @@ impl GrammarIndex {
             vocab_size,
             eot: tokenizer.eot(),
             by_first,
+            plain_key_max: (PLAIN_CAP as usize).saturating_sub(longest + 2) as u8,
             cache: Mutex::new(MaskCache::new(CACHE_CAP)),
             start_closes: Mutex::default(),
             mask_builds: AtomicU64::new(0),
@@ -440,12 +450,36 @@ impl GrammarIndex {
         tail
     }
 
+    /// `state` with what no mask can see forgotten: the key the mask cache,
+    /// a build's post-state closes and the start closes are looked up by.
+    /// The entry and the close are still computed from the exact state.
+    ///
+    /// A plain scalar's length is seen only near [`PLAIN_CAP`]. With no bad
+    /// word still matched (`bw == 0`) and free text allowed, whether a byte
+    /// may extend the text does not depend on how long it is, and neither
+    /// does the close: a newline, after an `x` when the text ends in a space.
+    /// Once `len + longest token + 2 <= PLAIN_CAP`, no token's bytes reach
+    /// the cap either, so every such length keys as 1.
+    fn mask_key(&self, state: &ConstraintState) -> ConstraintState {
+        let mut key = *state;
+        if let Line::Value {
+            spec,
+            s: Scalar::Plain { bw: 0, len, .. },
+        } = &mut key.line
+        {
+            if (spec.plain || spec.relaxed) && *len <= self.plain_key_max {
+                *len = 1;
+            }
+        }
+        key
+    }
+
     /// The canonical-close length of a cursor's start state: simulated the
-    /// first time the index meets the state, read back after that.
+    /// first time the index meets the state's key, read back after that.
     fn start_close(&self, state: &ConstraintState) -> Option<u32> {
         let mut closes = self.start_closes.lock().expect("start close lock");
         *closes
-            .entry(*state)
+            .entry(self.mask_key(state))
             .or_insert_with(|| self.machine().close_len(state, None))
     }
 
@@ -458,10 +492,11 @@ impl GrammarIndex {
         if m.accepting(state) {
             found.push((self.eot, 0));
         }
-        // Post-state → its close (`None`: it cannot close). A walk's few
-        // hundred legal tokens land in a few dozen post-states, and a close
-        // is a simulation of some twenty bytes: each is run once. Sized for
-        // the few dozen a walk usually meets.
+        // Post-state key → its close (`None`: it cannot close). A walk's few
+        // hundred legal tokens land in a few dozen post-state keys (in a
+        // plain scalar, tokens of every length land in one), and a close is
+        // a simulation of some twenty bytes: each is run once. Sized for the
+        // few dozen a walk usually meets.
         let mut closes: HashMap<ConstraintState, Option<u32>, FoldHash> =
             HashMap::with_capacity_and_hasher(64, FoldHash::default());
         let (mut min, mut worst) = (u32::MAX, 0u32);
@@ -481,7 +516,7 @@ impl GrammarIndex {
                     continue;
                 };
                 let close = *closes
-                    .entry(next)
+                    .entry(self.mask_key(&next))
                     .or_insert_with(|| m.close_len(&next, None));
                 if let Some(est) = close {
                     found.push((id, est));
@@ -514,10 +549,12 @@ impl GrammarIndex {
         }
     }
 
-    /// The entry of `state`: from the cache (one lock), or built now and
-    /// cached — the only place a mask is ever computed.
+    /// The entry of `state`: from the cache under the state's mask key (one
+    /// lock), or built now from the state and cached — the only place a mask
+    /// is ever computed.
     fn entry_for(&self, state: &ConstraintState) -> (Arc<CacheEntry>, Option<MaskBuild>) {
-        if let Some(entry) = self.cache.lock().expect("grammar cache lock").get(state) {
+        let key = self.mask_key(state);
+        if let Some(entry) = self.cache.lock().expect("grammar cache lock").get(&key) {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             return (entry, None);
         }
@@ -530,7 +567,7 @@ impl GrammarIndex {
             .cache
             .lock()
             .expect("grammar cache lock")
-            .insert(*state, Arc::clone(&entry));
+            .insert(key, Arc::clone(&entry));
         let build = MaskBuild {
             elapsed,
             dropped_generation,
@@ -559,7 +596,7 @@ pub struct MaskOutcome {
     /// Vocabulary entries masked to `-inf`.
     pub masked: u32,
     /// The walk this lookup cost, when the state's mask had to be built;
-    /// `None` when it was already there — in the state cache, or looked up
+    /// `None` when it was already there — in the mask cache, or looked up
     /// earlier at this position.
     pub built: Option<MaskBuild>,
     /// Whether the cursor actually constrained this row (false in bypass).

@@ -1,8 +1,9 @@
 //! The mask cache's generations; the two things the served path now reads
 //! from a cached entry — budget-filtered masks and `advance` — and the
-//! entry itself, built with one close simulation per post-state, checked
-//! against the walks they replaced; start closes read from the index's map;
-//! and the legal-only greedy pick against the masked row's argmax.
+//! entry itself, built with one close simulation per post-state key,
+//! checked against the walks they replaced; start closes read from the
+//! index's map; the legal-only greedy pick against the masked row's argmax;
+//! and the mask key, whose entry must be the exact state's.
 
 use std::collections::HashSet;
 
@@ -491,24 +492,206 @@ proptest! {
     }
 }
 
+// ---- the mask key -----------------------------------------------------------
+
+/// The entry built from `state` and the one built from its mask key agree
+/// field by field, and on the close after every allowed token.
+fn assert_key_sound(index: &GrammarIndex, state: &ConstraintState) -> Result<(), TestCaseError> {
+    let key = index.mask_key(state);
+    let (exact, keyed) = (index.compute_mask(state), index.compute_mask(&key));
+    prop_assert_eq!(&exact.allowed, &keyed.allowed, "{:?}", state.line);
+    prop_assert_eq!(exact.allowed_count, keyed.allowed_count, "{:?}", state.line);
+    prop_assert_eq!(exact.forced, keyed.forced, "{:?}", state.line);
+    prop_assert_eq!(exact.min_close, keyed.min_close, "{:?}", state.line);
+    prop_assert_eq!(exact.worst_close, keyed.worst_close, "{:?}", state.line);
+    for id in set_bits(&exact.allowed) {
+        prop_assert_eq!(
+            exact.close_after(id),
+            keyed.close_after(id),
+            "token {} at {:?}",
+            id,
+            state.line
+        );
+    }
+    Ok(())
+}
+
+/// Text a walk starts from, after a `- name:` line: nothing, a plain scalar
+/// already under way, and bad-word prefixes whose length the key must keep.
+fn key_lead_ins(constraint: Constraint) -> &'static [&'static str] {
+    match constraint {
+        Constraint::Yaml => &["", "  key: ", "  list:\n    - "],
+        _ => &[
+            "",
+            "  command: echo ",
+            "  copy:\n    dest: /etc/app",
+            "  command: tr",
+            "  command: nu",
+            "  command: of",
+        ],
+    }
+}
+
+/// A random legal walk from `lead_in` (as far as the budget has room for
+/// it) at a budget of `max_new`, checking
+/// [`assert_key_sound`] at every state it meets. A walk that `stays` picks
+/// a token with no newline whenever one is legal, `stays` times in eight,
+/// so its scalars run up against [`PLAIN_CAP`]. Returns the longest plain
+/// scalar it typed.
+fn key_walk(
+    index: &Arc<GrammarIndex>,
+    lead_in: &str,
+    seed: u64,
+    max_new: usize,
+    stays: usize,
+) -> Result<u8, TestCaseError> {
+    let (tok, _, _) = fixture();
+    let prompt = tok.encode("- name: Mask keys\n");
+    let mut cursor = GrammarCursor::new(Arc::clone(index), &prompt, max_new);
+    prop_assert!(cursor.is_active());
+    let mut rng = Lcg(seed);
+    let mut lead_in = tok.encode(lead_in).into_iter();
+    let mut longest = 0;
+    while cursor.is_active() {
+        assert_key_sound(index, &cursor.state)?;
+        if let Line::Value {
+            s: Scalar::Plain { len, .. },
+            ..
+        } = cursor.state.line
+        {
+            longest = longest.max(len);
+        }
+        let legal: Vec<u32> = set_bits(cursor.mask().0.allowed()).collect();
+        // A lead-in the budget has no room for is left off where it fails.
+        let pick = match lead_in.next().filter(|t| legal.contains(t)) {
+            Some(token) => token,
+            None => {
+                lead_in = Vec::new().into_iter();
+                let inline: Vec<u32> = legal
+                    .iter()
+                    .copied()
+                    .filter(|&id| id != index.eot && !index.bytes_of(id).contains(&b'\n'))
+                    .collect();
+                let from = match rng.pick(8) < stays && !inline.is_empty() {
+                    true => &inline,
+                    false => &legal,
+                };
+                from[rng.pick(from.len())]
+            }
+        };
+        prop_assert!(cursor.advance(pick), "token {} of the walk is legal", pick);
+    }
+    Ok(longest)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Tight budgets (the walk is forced toward its close) and loose ones.
+    #[test]
+    fn ansible_a_state_and_its_mask_key_build_the_same_entry(
+        seed in any::<u64>(),
+        max_new in prop_oneof![24usize..32, 96usize..160],
+        stays in 0usize..8,
+    ) {
+        let (_, ansible, _) = fixture();
+        let lead_ins = key_lead_ins(Constraint::Ansible);
+        key_walk(ansible, lead_ins[seed as usize % lead_ins.len()], seed, max_new, stays)?;
+    }
+
+    #[test]
+    fn yaml_a_state_and_its_mask_key_build_the_same_entry(
+        seed in any::<u64>(),
+        max_new in prop_oneof![8usize..16, 96usize..160],
+        stays in 0usize..8,
+    ) {
+        let (_, _, yaml) = fixture();
+        let lead_ins = key_lead_ins(Constraint::Yaml);
+        key_walk(yaml, lead_ins[seed as usize % lead_ins.len()], seed, max_new, stays)?;
+    }
+}
+
+/// Every lead-in of both grammars walked with a scalar kept going while it
+/// can: each plain scalar it opens runs into the cap, so the walk meets the
+/// lengths the key keeps — within one longest token of [`PLAIN_CAP`] — and
+/// the last one it forgets.
+#[test]
+fn scalars_driven_to_the_cap_key_soundly() {
+    let (_, ansible, yaml) = fixture();
+    for (index, constraint) in [(ansible, Constraint::Ansible), (yaml, Constraint::Yaml)] {
+        assert!(
+            index.plain_key_max > 1,
+            "the fixture's tokens leave lengths to forget"
+        );
+        for lead_in in key_lead_ins(constraint) {
+            let longest = key_walk(index, lead_in, 0x5EED, 160, 8)
+                .unwrap_or_else(|e| panic!("{constraint:?} {lead_in:?}: {e}"));
+            assert!(
+                longest > index.plain_key_max,
+                "{constraint:?} {lead_in:?}: longest scalar {longest}, keys forget up to {}",
+                index.plain_key_max
+            );
+        }
+    }
+}
+
+// ---- long sequences ---------------------------------------------------------
+
+/// A 256- and a 300-item sequence of each kind — a task file's tasks, a
+/// play's `tasks:`, a block list under a keyword and a YAML block list — fed
+/// token by token under a budget of 4000 end accepting. Past item 255 an
+/// item count kept in a byte overflowed: a panic in a debug build, and in a
+/// release build a count wrapped to 0 that left a 256-item sequence
+/// unclosable.
+#[test]
+fn sequences_of_256_and_300_items_stay_closable() {
+    let (tok, ansible, yaml) = fixture();
+    let documents = [
+        (ansible, String::new(), "- name: a\n  ping:\n"),
+        (
+            ansible,
+            "- name: Play\n  hosts: all\n  tasks:\n".to_string(),
+            "    - name: a\n      ping:\n",
+        ),
+        (
+            ansible,
+            "- name: Notify\n  command: ls\n  notify:\n".to_string(),
+            "    - a\n",
+        ),
+        (yaml, "items:\n".to_string(), "  - a\n"),
+    ];
+    for (index, head, item) in documents {
+        for items in [256, 300] {
+            let mut cursor = GrammarCursor::new(Arc::clone(index), &[], 4000);
+            assert!(cursor.is_active(), "{item:?}");
+            for token in tok.encode(&(head.clone() + &item.repeat(items))) {
+                assert!(cursor.advance(token), "{item:?} × {items}: token {token}");
+            }
+            assert!(cursor.accepting(), "{item:?} × {items} closes");
+        }
+    }
+}
+
 // ---- the recycled pool ------------------------------------------------------
 
-/// A pool of more distinct states than one generation holds, walked again
-/// and again, with a walk nobody repeats in between (a served pool is never
-/// closed: `offline_eval`'s meets a handful of new states every pass). Every
-/// state must be built exactly once.
+/// A pool of more distinct mask keys than one generation holds, walked
+/// again and again, with a walk nobody repeats in between (a served pool is
+/// never closed: `offline_eval`'s meets a handful of new states every pass).
+/// Every key must be built exactly once, however many states share it.
 #[test]
 fn a_recycled_pool_larger_than_a_generation_builds_nothing_twice() {
     let (tok, _, _) = fixture();
     let index = GrammarIndex::build(tok, Constraint::Yaml).expect("index");
     let prompt = tok.encode("- name: Recycled pool\n");
     let mut states: HashSet<ConstraintState> = HashSet::new();
+    let mut keys: HashSet<ConstraintState> = HashSet::new();
     let mut rng = Lcg(0xF00D);
-    let mut fresh_walk = |states: &mut HashSet<ConstraintState>| {
+    let mut fresh_walk = |states: &mut HashSet<_>, keys: &mut HashSet<_>| {
         let mut cursor = GrammarCursor::new(Arc::clone(&index), &prompt, 96);
         let mut walk = Vec::new();
         while cursor.is_active() {
             states.insert(cursor.state);
+            keys.insert(index.mask_key(&cursor.state));
             // Mostly pass over end-of-sequence, for longer walks.
             let legal: Vec<u32> = set_bits(cursor.mask().0.allowed())
                 .filter(|&id| id != index.eot || rng.pick(8) == 0)
@@ -522,12 +705,12 @@ fn a_recycled_pool_larger_than_a_generation_builds_nothing_twice() {
         walk
     };
     let mut walks: Vec<Vec<u32>> = Vec::new();
-    while states.len() <= CACHE_CAP + CACHE_CAP / 8 {
-        walks.push(fresh_walk(&mut states));
+    while keys.len() <= CACHE_CAP + CACHE_CAP / 8 {
+        walks.push(fresh_walk(&mut states, &mut keys));
     }
-    let pool = states.len();
+    let (pool_states, pool) = (states.len(), keys.len());
     let first = index.stats();
-    assert_eq!(first.mask_builds, pool as u64, "one walk per state");
+    assert_eq!(first.mask_builds, pool as u64, "one walk per key");
 
     for _ in 0..3 {
         for walk in &walks {
@@ -537,20 +720,20 @@ fn a_recycled_pool_larger_than_a_generation_builds_nothing_twice() {
                 assert!(cursor.advance(token));
             }
         }
-        fresh_walk(&mut states);
+        fresh_walk(&mut states, &mut keys);
     }
     let last = index.stats();
-    // scripts/check.sh prints this line, so a change to the cap or the
-    // policy shows in the gate's log.
+    // scripts/check.sh prints this line, so a change to the cap, the cache
+    // policy or what the key forgets shows in the gate's log.
     println!(
-        "recycled pool: {pool} states, generation {CACHE_CAP}: first pass {} builds, three more passes {} new states, {} rebuilt, {} generations dropped",
+        "recycled pool: {pool_states} states in {pool} mask keys, generation {CACHE_CAP}: first pass {} builds, three more passes {} new keys, {} rebuilt, {} generations dropped",
         first.mask_builds,
-        states.len() - pool,
-        last.mask_builds - states.len() as u64,
+        keys.len() - pool,
+        last.mask_builds - keys.len() as u64,
         last.generations_dropped,
     );
-    assert!(states.len() > pool, "the walks in between met new states");
-    assert_eq!(last.mask_builds, states.len() as u64);
+    assert!(keys.len() > pool, "the walks in between met new keys");
+    assert_eq!(last.mask_builds, keys.len() as u64);
     assert!(last.cache_hits > first.cache_hits);
     assert!(last.states_cached <= 2 * CACHE_CAP as u64);
 }

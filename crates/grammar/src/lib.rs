@@ -18,10 +18,11 @@
 //!   intra-line position, with a *canonical close* function that proves
 //!   every reachable state can finish within the token budget.
 //! * [`GrammarIndex`] — the automaton projected onto a live tokenizer
-//!   vocabulary: each state is walked over the vocabulary once, and the
-//!   allowed-token bitmask plus every allowed token's canonical-close
-//!   length stay in a two-generation cache, with a forced-token fast path
-//!   when only one continuation is legal.
+//!   vocabulary: each mask key (a state with what no mask can see
+//!   forgotten) is walked over the vocabulary once, and the allowed-token
+//!   bitmask plus every allowed token's canonical-close length stay in a
+//!   two-generation cache, with a forced-token fast path when only one
+//!   continuation is legal.
 //! * [`GrammarCursor`] — the per-sequence handle decode loops drive:
 //!   `apply` masks a logit row (illegal entries to `-inf`, so the existing
 //!   argmax/top-k pickers never choose them and constrained greedy decode

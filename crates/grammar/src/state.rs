@@ -42,7 +42,7 @@ pub(crate) const MAX_KEY: usize = 40;
 pub(crate) const MAX_DEPTH: usize = 8;
 /// Plain-scalar length cap: forces a newline eventually so close estimates
 /// stay bounded.
-const PLAIN_CAP: u8 = 96;
+pub(crate) const PLAIN_CAP: u8 = 96;
 /// YAML-mode identifier key length cap.
 const YKEY_CAP: u8 = 24;
 /// Jinja identifier length cap.
@@ -185,10 +185,14 @@ pub(crate) enum DocKind {
 
 /// One open construct on the structure stack. Columns strictly increase
 /// with depth, so de-indentation closes frames unambiguously.
+///
+/// A sequence frame keeps whether it holds an item yet (`has_item`), not how
+/// many: only the first item decides whether it may close, so the thousandth
+/// item leaves the state — and the mask — the second one did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Frame {
     /// Top-level document: `- name: …` items at column 0.
-    Doc { count: u8, kind: DocKind },
+    Doc { has_item: bool, kind: DocKind },
     /// Body at column 2 whose first key decides task vs play.
     Body0 { task_ok: bool, play_ok: bool },
     /// A task body; `module` is the committed module key spelling.
@@ -200,24 +204,24 @@ pub(crate) enum Frame {
     /// A module's parameter mapping at `col`.
     Params { col: u8, module: u16, used: u16 },
     /// A block sequence of scalar items at `col`.
-    Items { col: u8, count: u8 },
+    Items { col: u8, has_item: bool },
     /// After `key:` + newline for a list-capable value: either becomes
     /// `Items` at `col + 2` or resolves to null (when allowed).
     Pending { col: u8, null_ok: bool },
     /// A play body at column 2.
     Play { used: u64 },
     /// The play's `tasks:` list (items at column 4, bodies at column 6).
-    Tasks { count: u8 },
+    Tasks { has_item: bool },
     /// Relaxed-YAML mapping at `col`.
     YMap { col: u8, seen: u32 },
     /// Relaxed-YAML sequence at `col`.
-    YSeq { col: u8, count: u8 },
+    YSeq { col: u8, has_item: bool },
     /// Relaxed-YAML `key:` + newline: nested map/seq at `col + 2` or null.
     YPending { col: u8 },
 }
 
 const DUMMY_FRAME: Frame = Frame::Doc {
-    count: 0,
+    has_item: false,
     kind: DocKind::Unset,
 };
 
@@ -290,8 +294,9 @@ pub(crate) enum Mode {
     Yaml,
 }
 
-/// One sequence's position in the grammar. Small, `Copy`, hashable — used
-/// directly as the mask-cache key.
+/// One sequence's position in the grammar. Small, `Copy`, hashable; the mask
+/// cache keys it with what no mask can see forgotten (`mask_key` in
+/// `index.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConstraintState {
     pub(crate) mode: Mode,
@@ -399,7 +404,7 @@ impl<'a> Machine<'a> {
             Mode::Ansible => ConstraintState::new(
                 mode,
                 &[Frame::Doc {
-                    count: 0,
+                    has_item: false,
                     kind: DocKind::Unset,
                 }],
                 line,
@@ -423,7 +428,7 @@ impl<'a> Machine<'a> {
                     mode,
                     &[
                         Frame::Doc {
-                            count: 1,
+                            has_item: true,
                             kind: DocKind::Unset,
                         },
                         Frame::Body0 {
@@ -597,18 +602,18 @@ impl<'a> Machine<'a> {
 
     fn closable(&self, f: &Frame) -> bool {
         match *f {
-            Frame::Doc { count, .. } => count >= 1,
+            Frame::Doc { has_item, .. } => has_item,
             Frame::Body0 { .. } => false,
             Frame::Task { module, .. } => module.is_some(),
             Frame::Params { module, used, .. } => {
                 self.t.modules[module as usize].required_mask & !used == 0
             }
-            Frame::Items { count, .. } => count >= 1,
+            Frame::Items { has_item, .. } => has_item,
             Frame::Pending { null_ok, .. } => null_ok,
             Frame::Play { used } => used & (1u64 << self.t.hosts_bit) != 0,
-            Frame::Tasks { count } => count >= 1,
+            Frame::Tasks { has_item } => has_item,
             Frame::YMap { .. } | Frame::YPending { .. } => true,
-            Frame::YSeq { count, .. } => count >= 1,
+            Frame::YSeq { has_item, .. } => has_item,
         }
     }
 
@@ -774,7 +779,7 @@ impl<'a> Machine<'a> {
                 Frame::Pending { col, .. } => {
                     *n.top_mut() = Frame::Items {
                         col: col + 2,
-                        count: 0,
+                        has_item: false,
                     };
                     n.line = Line::Dash;
                 }
@@ -782,7 +787,7 @@ impl<'a> Machine<'a> {
                     if b == b'-' {
                         *n.top_mut() = Frame::YSeq {
                             col: col + 2,
-                            count: 0,
+                            has_item: false,
                         };
                         n.line = Line::Dash;
                     } else {
@@ -994,7 +999,7 @@ impl<'a> Machine<'a> {
                 _ => None,
             },
             AfterKey::TasksKey => {
-                if b == b'\n' && n.push(Frame::Tasks { count: 0 }) {
+                if b == b'\n' && n.push(Frame::Tasks { has_item: false }) {
                     n.line = Line::Start { spaces: 0 };
                     Some(n)
                 } else {
@@ -1164,15 +1169,15 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// Completes a value line: bumps item counts and opens bodies for
-    /// generated `- name:` lines.
+    /// Completes a value line: marks the enclosing sequence as holding an
+    /// item and opens bodies for generated `- name:` lines.
     fn value_done(&self, st: &ConstraintState) -> ConstraintState {
         let mut n = *st;
         n.line = Line::Start { spaces: 0 };
         match n.top_mut() {
-            Frame::Items { count, .. } | Frame::YSeq { count, .. } => *count += 1,
-            Frame::Tasks { count } => {
-                *count += 1;
+            Frame::Items { has_item, .. } | Frame::YSeq { has_item, .. } => *has_item = true,
+            Frame::Tasks { has_item } => {
+                *has_item = true;
                 let pushed = n.push(Frame::Task {
                     col: 6,
                     module: None,
@@ -1180,8 +1185,8 @@ impl<'a> Machine<'a> {
                 });
                 debug_assert!(pushed, "tasks nesting fits the stack");
             }
-            Frame::Doc { count, kind } => {
-                *count += 1;
+            Frame::Doc { has_item, kind } => {
+                *has_item = true;
                 let (task_ok, play_ok) = match kind {
                     DocKind::Unset => (true, true),
                     DocKind::TaskFile => (true, false),

@@ -231,11 +231,11 @@ impl DecodeTelemetry {
                 ),
                 states_cached: gauge(
                     "wisdom_grammar_states_cached",
-                    "Automaton states currently held in the shared mask cache.",
+                    "Mask keys currently held in the shared mask cache.",
                 ),
                 cache_rotations: counter(
                     "wisdom_grammar_mask_cache_rotations_total",
-                    "Mask cache generations retired (states unasked for since the last are dropped).",
+                    "Mask cache generations retired (keys unasked for since the last are dropped).",
                 ),
                 forced_fast_path: counter(
                     "wisdom_grammar_forced_fast_path_total",
@@ -385,8 +385,8 @@ pub struct GrammarTelemetry {
     /// `wisdom_grammar_mask_build_seconds` — latency of computing a fresh
     /// allowed-token mask (cache hits are not observed).
     pub mask_build: Arc<Histogram>,
-    /// `wisdom_grammar_states_cached` — automaton states currently in the
-    /// shared mask cache, as of this bundle's last build.
+    /// `wisdom_grammar_states_cached` — mask keys currently in the shared
+    /// mask cache, as of this bundle's last build.
     pub states_cached: Arc<Gauge>,
     /// `wisdom_grammar_mask_cache_rotations_total` — builds whose insert
     /// found the mask cache full and retired a generation.
