@@ -323,8 +323,9 @@ impl Wisdom {
     }
 
     /// Starts a continuous-batching decode scheduler over this assistant's
-    /// model (one worker multiplexing concurrent requests onto shared
-    /// batched forward passes; see [`BatchScheduler`]). The model weights
+    /// model (one worker per available core, each multiplexing the requests
+    /// it takes from one shared queue onto batched forward passes; see
+    /// [`BatchScheduler`]). The model weights
     /// are cloned once into the scheduler, not per request.
     pub fn scheduler(&self, cfg: BatchConfig) -> BatchScheduler {
         self.scheduler_with(cfg, None)
@@ -352,8 +353,8 @@ impl Wisdom {
     /// Spawns `n` independent [`BatchScheduler`] replicas over this
     /// assistant's model, replica `i` recording into `telemetry[i]` (a
     /// private bundle when missing). Each replica gets its own model copy,
-    /// prefix cache, queue, and decode worker — the serving layer's
-    /// prefix-affinity router places requests across them.
+    /// prefix cache, queue, and share of the cores in decode workers — the
+    /// serving layer's prefix-affinity router places requests across them.
     pub fn replica_pool(
         &self,
         cfg: BatchConfig,

@@ -16,10 +16,11 @@
 //!   path): admits up to `max_batch_size` sequences, refills the batch as
 //!   sequences retire, returns outputs in input order.
 //! * [`BatchScheduler`] — the serving path: a bounded submission queue in
-//!   front of one dedicated decode worker. Waiting requests are admitted
-//!   into the running batch *between* steps (continuous batching, not
-//!   static batching); a full queue is reported to the caller as
-//!   [`SubmitError::QueueFull`] so the server can shed load with a 503.
+//!   front of one decode worker per core share, each stepping an engine of
+//!   its own. Waiting requests are admitted into a running batch *between*
+//!   steps (continuous batching, not static batching); a full queue is
+//!   reported to the caller as [`SubmitError::QueueFull`] so the server can
+//!   shed load with a 503.
 //!
 //! Determinism: a sequence's trajectory depends only on its own logits,
 //! cache, and (for top-k) its own seeded rng. Because the forward pass is
@@ -31,7 +32,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -256,6 +257,11 @@ pub struct DecodeBatch<'m> {
     speculation: SpeculativeConfig,
     /// Activation buffers of the forward pass, reused round after round.
     scratch: ForwardScratch,
+    /// Sequences live across every engine of a scheduler, when this engine
+    /// is one of its workers': the dense-batch backoff reads it instead of
+    /// this engine's own count, and the worker, not the engine, keeps the
+    /// occupancy gauge. `None` for a standalone engine.
+    live: Option<&'m AtomicUsize>,
 }
 
 impl<'m> DecodeBatch<'m> {
@@ -288,6 +294,7 @@ impl<'m> DecodeBatch<'m> {
             telemetry,
             speculation: SpeculativeConfig::disabled(),
             scratch: ForwardScratch::default(),
+            live: None,
         }
     }
 
@@ -321,6 +328,14 @@ impl<'m> DecodeBatch<'m> {
     /// Whether no sequences are in flight.
     pub fn is_empty(&self) -> bool {
         self.seqs.is_empty() && self.beams.is_empty()
+    }
+
+    /// Reports this engine's sequences on the occupancy gauge, unless the
+    /// engine is a scheduler worker's: the scheduler reports its total.
+    fn record_occupancy(&self) {
+        if self.live.is_none() {
+            self.telemetry.batch.batch_occupancy.set(self.len() as f64);
+        }
     }
 
     /// Admits a request into the batch: prefills its prompt window (one
@@ -420,7 +435,7 @@ impl<'m> DecodeBatch<'m> {
                 sink,
             });
         }
-        self.telemetry.batch.batch_occupancy.set(self.len() as f64);
+        self.record_occupancy();
     }
 
     /// One decode round. Every live sequence picks its next token from its
@@ -448,8 +463,12 @@ impl<'m> DecodeBatch<'m> {
         // Dense-batch backoff: once the live batch outgrows the bound, the
         // shared pass already amortizes the weight traffic across rows, so
         // draft rows stop paying off and every sequence decodes plainly
-        // this round.
-        let speculating_round = self.speculation.enabled() && self.seqs.len() <= MAX_DRAFT_BATCH;
+        // this round. A scheduler's workers count every worker's sequences:
+        // splitting a batch over cores must not switch drafting on.
+        let live = self
+            .live
+            .map_or(self.seqs.len(), |n| n.load(Ordering::Relaxed));
+        let speculating_round = self.speculation.enabled() && live <= MAX_DRAFT_BATCH;
         let max_draft = self.speculation.max_draft;
         for seq in &mut self.seqs {
             seq.pending.clear();
@@ -630,7 +649,7 @@ impl<'m> DecodeBatch<'m> {
             false
         });
         telemetry.completed.add(finished.len() as u64);
-        telemetry.batch_occupancy.set(self.len() as f64);
+        self.record_occupancy();
         finished
     }
 
@@ -785,29 +804,42 @@ struct Job {
 struct SchedulerState {
     jobs: VecDeque<Job>,
     shutdown: bool,
-    /// Test hook: while set, the worker keeps stepping running sequences but
-    /// admits nothing, so queue/backpressure behavior is deterministic.
+    /// Test hook: while set, the workers keep stepping running sequences but
+    /// admit nothing, so queue/backpressure behavior is deterministic.
     paused: bool,
+}
+
+/// What one decode worker has done since spawn.
+#[derive(Default)]
+struct WorkerCounts {
+    /// Requests it took from the queue.
+    admitted: AtomicU64,
+    /// Decode rounds it stepped.
+    rounds: AtomicU64,
 }
 
 struct Shared {
     state: Mutex<SchedulerState>,
-    /// Signals the worker: job queued, pause toggled, or shutdown.
+    /// Signals the workers: job queued, pause toggled, or shutdown.
     job_ready: Condvar,
-    /// Sequences the worker holds: raised under the state lock as jobs
-    /// leave the queue (so a request is never in neither count), lowered
-    /// after each step round as sequences retire.
+    /// Sequences the workers hold, summed over them: raised as jobs leave
+    /// the queue (so a request is never in neither count), lowered after
+    /// each round by the sequences it retired. Written only under the
+    /// state lock, with the occupancy gauge, so the gauge reports the
+    /// scheduler's total; an engine's dense-batch backoff reads it freely.
     in_flight: AtomicUsize,
-    /// Set by the worker thread once its decode loop is running; readiness
-    /// probes (`GET /readyz`) read this without touching the model.
-    worker_ready: AtomicBool,
+    /// Workers whose decode loop is running; readiness probes (`GET
+    /// /readyz`) read this without touching the model.
+    workers_up: AtomicUsize,
+    /// One entry per decode worker, in spawn order.
+    workers: Box<[WorkerCounts]>,
 }
 
 impl Shared {
     /// The scheduler state, also when a thread panicked holding it: every
     /// update under this lock is a single push, pop, clear or flag store,
     /// so a poisoned lock still guards a valid queue, and the callers —
-    /// handler threads, the worker, its exit guard — keep working.
+    /// handler threads, the workers, their exit guards — keep working.
     fn lock(&self) -> MutexGuard<'_, SchedulerState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -818,33 +850,48 @@ impl Shared {
 pub struct SchedulerStats {
     /// Requests waiting in the bounded submission queue.
     pub queue_depth: usize,
-    /// Sequences currently being decoded together.
+    /// Sequences currently being decoded, summed over the decode workers.
     pub in_flight: usize,
     /// Decode-worker condvar wakeups since spawn (idle exits, not polls):
     /// the scheduler's `wisdom_scheduler_wakeups_total` series.
     pub wakeups: u64,
+    /// Decode workers the scheduler runs (one per core share).
+    pub decode_workers: usize,
     /// Prefix-cache counters, when a cache is enabled.
     pub prefix_cache: Option<PrefixCacheStats>,
 }
 
-/// A continuous-batching inference scheduler: one dedicated decode worker
-/// multiplexing every submitted request onto a shared [`DecodeBatch`].
+/// Cores this process may run on: how many decode workers a lone scheduler
+/// starts, and what a replica pool divides among its replicas.
+pub(crate) fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// A continuous-batching inference scheduler: decode workers, one per core
+/// share, each multiplexing the requests it takes from one shared queue
+/// onto a [`DecodeBatch`] of its own.
 ///
 /// Submission is non-blocking and bounded ([`Self::submit`]); handler
-/// threads park on the returned [`Pending`] and the worker fans results
-/// back over per-request channels. Dropping the scheduler stops the worker.
+/// threads park on the returned [`Pending`] and the workers fan results
+/// back over per-request channels. The workers share the model, the prefix
+/// cache and the metric handles; each holds at most its share of
+/// [`BatchConfig::max_batch_size`] sequences, so a batch of 8 decodes as
+/// 4 + 4 on two cores. A sequence's tokens never depend on its batch
+/// company, so the split changes no output. Dropping the scheduler stops
+/// the workers.
 pub struct BatchScheduler {
     shared: Arc<Shared>,
     model: Arc<TransformerLm>,
     cfg: BatchConfig,
     prefix_cache: Option<Arc<PrefixKvCache>>,
     telemetry: DecodeTelemetry,
-    worker: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl BatchScheduler {
-    /// Starts the decode worker over `model`, recording into `telemetry`.
-    /// The worker and the submission path record queue wait, TTFT,
+    /// Starts the decode workers over `model`, recording into `telemetry`:
+    /// one per available core, at most [`BatchConfig::max_batch_size`].
+    /// The workers and the submission path record queue wait, TTFT,
     /// per-round decode latency, occupancy, and
     /// admitted/completed/shed/wakeup counts into `telemetry.batch`,
     /// speculation into `telemetry.speculative` and grammar masking into
@@ -856,16 +903,25 @@ impl BatchScheduler {
     /// and counts its projections into `telemetry.quant`: in place when
     /// `model` is the only reference, on a copy otherwise (the caller's
     /// model is untouched).
-    pub fn spawn(
+    pub fn spawn(model: Arc<TransformerLm>, cfg: BatchConfig, telemetry: DecodeTelemetry) -> Self {
+        Self::spawn_workers(model, cfg, telemetry, available_cores())
+    }
+
+    /// [`Self::spawn`] with `workers` decode workers (clamped to
+    /// `1..=max_batch_size`): a replica pool's core share, or a test's
+    /// explicit split.
+    pub(crate) fn spawn_workers(
         mut model: Arc<TransformerLm>,
         cfg: BatchConfig,
         telemetry: DecodeTelemetry,
+        workers: usize,
     ) -> Self {
         let cfg = BatchConfig {
             max_batch_size: cfg.max_batch_size.max(1),
             queue_depth: cfg.queue_depth.max(1),
             ..cfg
         };
+        let workers = workers.clamp(1, cfg.max_batch_size);
         let m = Arc::make_mut(&mut model);
         m.set_precision(cfg.precision);
         m.set_quant_telemetry(Some(telemetry.quant.clone()));
@@ -888,31 +944,31 @@ impl BatchScheduler {
             }),
             job_ready: Condvar::new(),
             in_flight: AtomicUsize::new(0),
-            worker_ready: AtomicBool::new(false),
+            workers_up: AtomicUsize::new(0),
+            workers: (0..workers).map(|_| WorkerCounts::default()).collect(),
         });
-        let worker_shared = Arc::clone(&shared);
-        let worker_model = Arc::clone(&model);
-        let worker_cache = prefix_cache.clone();
-        let worker_telemetry = telemetry.clone();
-        let worker = std::thread::Builder::new()
-            .name("wisdom-decode".to_string())
-            .spawn(move || {
-                worker_loop(
-                    &worker_model,
-                    &worker_shared,
-                    cfg,
-                    worker_cache,
-                    worker_telemetry,
-                )
+        let cap = cfg.max_batch_size.div_ceil(workers);
+        let handles = (0..workers)
+            .map(|index| {
+                let shared = Arc::clone(&shared);
+                let model = Arc::clone(&model);
+                let prefix_cache = prefix_cache.clone();
+                let telemetry = telemetry.clone();
+                std::thread::Builder::new()
+                    .name("wisdom-decode".to_string())
+                    .spawn(move || {
+                        worker_loop(&model, &shared, index, cap, cfg, prefix_cache, telemetry)
+                    })
+                    .expect("spawn decode worker")
             })
-            .expect("spawn decode worker");
+            .collect();
         Self {
             shared,
             model,
             cfg,
             prefix_cache,
             telemetry,
-            worker: Some(worker),
+            workers: handles,
         }
     }
 
@@ -926,18 +982,19 @@ impl BatchScheduler {
         self.prefix_cache.as_ref()
     }
 
-    /// The handles this scheduler, its worker and its cache record into.
+    /// The handles this scheduler, its workers and its cache record into.
     pub fn telemetry(&self) -> &DecodeTelemetry {
         &self.telemetry
     }
 
-    /// Current load: queued requests, in-flight batch size, and the prefix
-    /// cache's counters.
+    /// Current load: queued requests, sequences in flight over every
+    /// worker, the worker count, and the prefix cache's counters.
     pub fn stats(&self) -> SchedulerStats {
         SchedulerStats {
             queue_depth: self.shared.lock().jobs.len(),
             in_flight: self.shared.in_flight.load(Ordering::Relaxed),
             wakeups: self.telemetry.batch.wakeups.get(),
+            decode_workers: self.shared.workers.len(),
             prefix_cache: self.prefix_cache.as_deref().map(PrefixKvCache::stats),
         }
     }
@@ -948,15 +1005,16 @@ impl BatchScheduler {
         self.shared.lock().jobs.len() + self.shared.in_flight.load(Ordering::Relaxed)
     }
 
-    /// Whether the decode worker's loop is up and serving. False only in
-    /// the startup window between `spawn` and the worker's first iteration
-    /// (readiness probes return 503 until then).
+    /// Whether every decode worker's loop is up and serving. False in the
+    /// startup window between `spawn` and the last worker's first
+    /// iteration (readiness probes return 503 until then), and for good
+    /// once a worker has exited.
     pub fn worker_ready(&self) -> bool {
-        self.shared.worker_ready.load(Ordering::Acquire)
+        self.shared.workers_up.load(Ordering::Acquire) == self.shared.workers.len()
     }
 
     /// Enqueues a request without blocking. Every strategy, beam search
-    /// included, queues here and decodes on the worker.
+    /// included, queues here and decodes on a worker.
     ///
     /// # Errors
     ///
@@ -1044,7 +1102,7 @@ impl BatchScheduler {
     }
 
     /// Test hook: pauses/resumes admission from the queue into the running
-    /// batch. While paused, submissions still queue (and overflow with
+    /// batches. While paused, submissions still queue (and overflow with
     /// [`SubmitError::QueueFull`]) but nothing new starts decoding.
     #[doc(hidden)]
     pub fn set_admission_paused(&self, paused: bool) {
@@ -1053,7 +1111,7 @@ impl BatchScheduler {
         self.shared.job_ready.notify_all();
     }
 
-    /// Asks the worker to stop. Queued and in-flight requests resolve to
+    /// Asks the workers to stop. Queued and in-flight requests resolve to
     /// empty outputs; later submissions fail with [`SubmitError::ShutDown`].
     pub fn shutdown(&self) {
         let mut state = self.shared.lock();
@@ -1068,7 +1126,7 @@ impl BatchScheduler {
 impl Drop for BatchScheduler {
     fn drop(&mut self) {
         self.shutdown();
-        if let Some(worker) = self.worker.take() {
+        for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
     }
@@ -1082,44 +1140,55 @@ impl fmt::Debug for BatchScheduler {
     }
 }
 
-/// Marks the scheduler shut down when its decode worker exits, by
+/// Marks the scheduler shut down when any of its decode workers exits, by
 /// returning or by unwinding: later submissions fail with
 /// [`SubmitError::ShutDown`] instead of queueing for a thread that is gone,
-/// queued jobs resolve empty, and readiness reads false.
+/// queued jobs resolve empty, readiness reads false, and the sibling
+/// workers wake, see the shutdown and drop their own replies, so every
+/// waiter resolves.
 struct WorkerExit<'a>(&'a Shared);
 
 impl Drop for WorkerExit<'_> {
     fn drop(&mut self) {
         let shared = self.0;
-        shared.worker_ready.store(false, Ordering::Release);
-        shared.in_flight.store(0, Ordering::Relaxed);
+        shared.workers_up.fetch_sub(1, Ordering::Release);
         let mut state = shared.lock();
         state.shutdown = true;
         state.jobs.clear();
+        // No worker raises the count once `shutdown` is set, and the
+        // workers' retirements stop at zero, so it stays at zero.
+        shared.in_flight.store(0, Ordering::Relaxed);
+        shared.job_ready.notify_all();
     }
 }
 
+/// One decode worker: takes jobs from the shared queue, FIFO, while its
+/// engine holds fewer than `cap` sequences, and steps that engine.
 fn worker_loop(
     model: &TransformerLm,
     shared: &Shared,
+    index: usize,
+    cap: usize,
     cfg: BatchConfig,
     prefix_cache: Option<Arc<PrefixKvCache>>,
     telemetry: DecodeTelemetry,
 ) {
     let batch = telemetry.batch.clone();
+    let counts = &shared.workers[index];
     let mut engine = DecodeBatch::with_telemetry(model, prefix_cache, telemetry);
     engine.set_speculation(cfg.speculative);
+    engine.live = Some(&shared.in_flight);
     let mut next_tag = 0usize;
     let mut replies: HashMap<usize, mpsc::Sender<Vec<u32>>> = HashMap::new();
+    shared.workers_up.fetch_add(1, Ordering::Release);
     // Declared after `replies`, so it runs before their senders drop: a
     // waiter resolved by a dying worker finds the scheduler already shut.
     let _stopped = WorkerExit(shared);
-    shared.worker_ready.store(true, Ordering::Release);
     loop {
         // Admission happens between decode steps: take whatever is waiting,
-        // up to the batch cap, without stalling running sequences. The idle
-        // wait is purely event-driven — submit/pause/shutdown notify the
-        // condvar, so an empty scheduler burns no CPU and every wait exit
+        // up to this worker's cap, without stalling running sequences. The
+        // idle wait is purely event-driven — submit/pause/shutdown notify
+        // the condvar, so an idle worker burns no CPU and every wait exit
         // is a counted wakeup, not a poll tick.
         let admitted: Vec<Job> = {
             let mut state = shared.lock();
@@ -1141,16 +1210,18 @@ fn worker_loop(
             }
             let mut taken = Vec::new();
             if !state.paused {
-                while engine.len() + taken.len() < cfg.max_batch_size {
+                while engine.len() + taken.len() < cap {
                     let Some(job) = state.jobs.pop_front() else {
                         break;
                     };
                     taken.push(job);
                 }
                 if !taken.is_empty() {
-                    shared
-                        .in_flight
-                        .store(engine.len() + taken.len(), Ordering::Relaxed);
+                    let live = shared.in_flight.fetch_add(taken.len(), Ordering::Relaxed);
+                    batch.batch_occupancy.set((live + taken.len()) as f64);
+                    counts
+                        .admitted
+                        .fetch_add(taken.len() as u64, Ordering::Relaxed);
                 }
                 batch.queue_depth.set(state.jobs.len() as f64);
             }
@@ -1164,9 +1235,19 @@ fn worker_loop(
             engine.admit_full(tag, job.req, Some(job.submitted), job.sink, None);
         }
         let finished = engine.step();
-        // Lowered before the replies go out: a caller whose wait just
-        // returned must not still find its own request counted as load.
-        shared.in_flight.store(engine.len(), Ordering::Relaxed);
+        counts.rounds.fetch_add(1, Ordering::Relaxed);
+        if !finished.is_empty() {
+            // Lowered before the replies go out: a caller whose wait just
+            // returned must not still find its own request counted as load.
+            // A sibling worker's exit may already have zeroed the count.
+            let _state = shared.lock();
+            let live = shared
+                .in_flight
+                .load(Ordering::Relaxed)
+                .saturating_sub(finished.len());
+            shared.in_flight.store(live, Ordering::Relaxed);
+            batch.batch_occupancy.set(live as f64);
+        }
         for (tag, out) in finished {
             if let Some(tx) = replies.remove(&tag) {
                 // A dropped receiver (abandoned request) is fine.
@@ -1301,85 +1382,173 @@ mod tests {
         );
     }
 
+    /// A model whose 4096-token window keeps a greedy request without stops
+    /// decoding for thousands of rounds: still in flight while a test looks.
+    fn long_model() -> TransformerLm {
+        let cfg = ModelConfig {
+            context_window: 4096,
+            ..*tiny_model().config()
+        };
+        TransformerLm::new(cfg, &mut Prng::seed_from_u64(7))
+    }
+
+    /// A request for `long_model` that decodes until the window is full.
+    fn endless(first: u32) -> DecodeRequest {
+        DecodeRequest {
+            prompt: vec![first, 2, 3],
+            stops: vec![],
+            opts: greedy(4000),
+            grammar: None,
+        }
+    }
+
     #[test]
     fn a_worker_that_panics_shuts_its_scheduler_down() {
-        let model = tiny_model();
-        let vocab = model.config().vocab_size as u32;
-        let sched = Arc::new(BatchScheduler::spawn(
-            Arc::new(model),
-            BatchConfig::default(),
-            DecodeTelemetry::default(),
-        ));
-        // An out-of-vocabulary token trips `forward`'s assert on the worker.
-        let poisoned = DecodeRequest {
-            prompt: vec![1, vocab],
-            stops: vec![0],
-            opts: greedy(4),
-            grammar: None,
-        };
-        let pending = sched.submit(poisoned).expect("queued");
-        assert!(
-            pending.wait().is_empty(),
-            "the dead worker's job resolves empty"
-        );
-        // A later request is refused (or resolves) instead of waiting
-        // forever for a worker that is gone.
-        let (tx, rx) = mpsc::channel();
-        let submitter = Arc::clone(&sched);
-        let thread = std::thread::spawn(move || {
-            let req = DecodeRequest {
-                prompt: vec![1, 2, 3],
-                stops: vec![0],
-                opts: greedy(4),
-                grammar: None,
-            };
-            let _ = tx.send(submitter.submit(req).map(Pending::wait));
-        });
-        let outcome = rx
-            .recv_timeout(Duration::from_secs(30))
-            .expect("submit returned");
-        thread.join().expect("submitter finished");
-        assert_eq!(outcome, Err(SubmitError::ShutDown));
-        assert!(!sched.worker_ready());
-        assert_eq!(sched.load(), 0);
+        for workers in [1, 2] {
+            let model = long_model();
+            let vocab = model.config().vocab_size as u32;
+            // One sequence per worker, so a job waits until a worker frees.
+            let sched = Arc::new(BatchScheduler::spawn_workers(
+                Arc::new(model),
+                BatchConfig {
+                    max_batch_size: workers,
+                    ..BatchConfig::default()
+                },
+                DecodeTelemetry::default(),
+                workers,
+            ));
+            // With two workers, the first is busy with a long request…
+            let busy = (workers == 2).then(|| {
+                let busy = sched.submit_streaming(endless(1)).expect("queued");
+                busy.tokens.recv().expect("decoding");
+                busy
+            });
+            // …so the other takes the poisoned job (an out-of-vocabulary
+            // token trips `forward`'s assert there) and nobody the next.
+            sched.set_admission_paused(true);
+            let poisoned = sched.submit(request(&[1, vocab], 4)).expect("queued");
+            let queued = sched.submit(request(&[1, 2, 3], 4)).expect("queued");
+            sched.set_admission_paused(false);
+            assert!(
+                poisoned.wait().is_empty(),
+                "the dead worker's job resolves empty"
+            );
+            assert!(queued.wait().is_empty(), "the queue resolves empty");
+            if let Some(busy) = busy {
+                assert!(
+                    busy.result.wait().is_empty(),
+                    "the other worker's sequence resolves empty"
+                );
+                assert!(busy.tokens.iter().count() < 4000);
+            }
+            // A later request is refused (or resolves) instead of waiting
+            // forever for a worker that is gone.
+            let (tx, rx) = mpsc::channel();
+            let submitter = Arc::clone(&sched);
+            let thread = std::thread::spawn(move || {
+                let _ = tx.send(submitter.submit(request(&[1, 2, 3], 4)).map(Pending::wait));
+            });
+            let outcome = rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("submit returned");
+            thread.join().expect("submitter finished");
+            assert_eq!(outcome, Err(SubmitError::ShutDown), "{workers} workers");
+            assert!(!sched.worker_ready());
+            assert_eq!(sched.load(), 0);
+        }
     }
 
     #[test]
     fn every_scheduler_method_returns_after_a_worker_panic() {
-        let model = tiny_model();
-        let vocab = model.config().vocab_size as u32;
-        let sched = Arc::new(BatchScheduler::spawn(
-            Arc::new(model),
-            BatchConfig::default(),
+        for workers in [1, 2] {
+            let model = tiny_model();
+            let vocab = model.config().vocab_size as u32;
+            let sched = Arc::new(BatchScheduler::spawn_workers(
+                Arc::new(model),
+                BatchConfig::default(),
+                DecodeTelemetry::default(),
+                workers,
+            ));
+            // A worker dies on an out-of-vocabulary token…
+            let pending = sched.submit(request(&[1, vocab], 4)).expect("queued");
+            assert!(pending.wait().is_empty());
+            // …and a handler thread dies holding the scheduler lock.
+            let holder = Arc::clone(&sched);
+            let handler = std::thread::spawn(move || {
+                let _state = holder.shared.lock();
+                panic!("a handler panics holding the scheduler lock");
+            });
+            assert!(handler.join().is_err());
+            assert!(sched.shared.state.is_poisoned());
+            // Every public method still answers on the caller's thread.
+            let refused = Err(SubmitError::ShutDown);
+            assert_eq!(sched.submit(request(&[1, 2, 3], 4)).map(|_| ()), refused);
+            let streamed = sched.submit_streaming(request(&[1, 2, 3], 4));
+            assert_eq!(streamed.map(|_| ()), refused);
+            let stats = sched.stats();
+            assert_eq!((stats.queue_depth, stats.in_flight), (0, 0));
+            assert_eq!(stats.decode_workers, workers);
+            assert!(stats.prefix_cache.is_some());
+            assert_eq!(sched.load(), 0);
+            assert!(!sched.worker_ready());
+            sched.set_admission_paused(true);
+            sched.set_admission_paused(false);
+            assert_eq!(sched.cached_prefix_tokens(&[1, 2, 3], 4), (0, 3));
+            assert_eq!(sched.decode_token_p50(), None);
+            sched.shutdown();
+            drop(Arc::into_inner(sched).expect("the last handle"));
+        }
+    }
+
+    #[test]
+    fn load_sums_the_sequences_of_every_worker() {
+        let model = Arc::new(long_model());
+        let sched = BatchScheduler::spawn_workers(
+            Arc::clone(&model),
+            BatchConfig {
+                max_batch_size: 2,
+                ..BatchConfig::default()
+            },
             DecodeTelemetry::default(),
-        ));
-        // The worker dies on an out-of-vocabulary token…
-        let pending = sched.submit(request(&[1, vocab], 4)).expect("queued");
-        assert!(pending.wait().is_empty());
-        // …and a handler thread dies holding the scheduler lock.
-        let holder = Arc::clone(&sched);
-        let handler = std::thread::spawn(move || {
-            let _state = holder.shared.lock();
-            panic!("a handler panics holding the scheduler lock");
-        });
-        assert!(handler.join().is_err());
-        assert!(sched.shared.state.is_poisoned());
-        // Every public method still answers on the caller's thread.
-        let refused = Err(SubmitError::ShutDown);
-        assert_eq!(sched.submit(request(&[1, 2, 3], 4)).map(|_| ()), refused);
-        let streamed = sched.submit_streaming(request(&[1, 2, 3], 4));
-        assert_eq!(streamed.map(|_| ()), refused);
-        let stats = sched.stats();
-        assert_eq!((stats.queue_depth, stats.in_flight), (0, 0));
-        assert!(stats.prefix_cache.is_some());
-        assert_eq!(sched.load(), 0);
-        assert!(!sched.worker_ready());
+            2,
+        );
+        let telemetry = sched.telemetry().batch.clone();
+        // One sequence per worker, both decoding…
+        let busy: Vec<StreamingPending> = (1..=2)
+            .map(|first| sched.submit_streaming(endless(first)).expect("queued"))
+            .collect();
+        for stream in &busy {
+            stream.tokens.recv().expect("decoding");
+        }
+        // …and three waiting behind them.
         sched.set_admission_paused(true);
+        let queued: Vec<Pending> = (0..3)
+            .map(|_| sched.submit(request(&[4, 5], 2)).expect("queued"))
+            .collect();
+        let stats = sched.stats();
+        assert_eq!(
+            (stats.queue_depth, stats.in_flight, stats.decode_workers),
+            (3, 2, 2)
+        );
+        assert_eq!(sched.load(), 5);
+        // The gauges report the scheduler, not one worker's engine.
+        assert_eq!(telemetry.batch_occupancy.get(), 2.0);
+        assert_eq!(telemetry.queue_depth.get(), 3.0);
+
+        // Hanging up cancels the long ones; the queued ones then decode.
         sched.set_admission_paused(false);
-        assert_eq!(sched.cached_prefix_tokens(&[1, 2, 3], 4), (0, 3));
-        assert_eq!(sched.decode_token_p50(), None);
-        sched.shutdown();
-        drop(Arc::into_inner(sched).expect("the last handle"));
+        for stream in busy {
+            drop(stream.tokens);
+            stream.result.wait();
+        }
+        let solo = model.generate(&[4, 5], &[0], &greedy(2));
+        for pending in queued {
+            assert_eq!(pending.wait(), solo);
+        }
+        let idle = sched.stats();
+        assert_eq!((idle.queue_depth, idle.in_flight), (0, 0));
+        assert_eq!(sched.load(), 0);
+        assert_eq!(telemetry.batch_occupancy.get(), 0.0);
     }
 
     #[test]
@@ -1595,7 +1764,7 @@ mod tests {
         let mut engine = DecodeBatch::new(&model);
         engine.set_speculation(SpeculativeConfig::ngram(3));
         engine.set_speculative_telemetry(counters.clone());
-        for (tag, req) in requests.into_iter().enumerate() {
+        for (tag, req) in requests.iter().cloned().enumerate() {
             engine.admit(tag, req);
         }
         let mut out = vec![Vec::new(); plain.len()];
@@ -1616,6 +1785,168 @@ mod tests {
             counters.verify_passes.get() > 0,
             "the sparse rounds never drafted"
         );
+
+        // A scheduler's workers split the same sequences 3 + 2 over two
+        // engines that share one live count, admitting and retiring the
+        // way `worker_loop` does. Neither engine alone holds more than
+        // MAX_DRAFT_BATCH, yet no worker drafts while the scheduler does.
+        let live = AtomicUsize::new(0);
+        let counters = SpeculativeTelemetry::register(&wisdom_telemetry::Registry::new());
+        let mut workers = [DecodeBatch::new(&model), DecodeBatch::new(&model)];
+        for engine in &mut workers {
+            engine.set_speculation(SpeculativeConfig::ngram(3));
+            engine.set_speculative_telemetry(counters.clone());
+            engine.live = Some(&live);
+        }
+        for (tag, req) in requests.into_iter().enumerate() {
+            live.fetch_add(1, Ordering::Relaxed);
+            workers[tag % 2].admit(tag, req);
+        }
+        let mut out = vec![Vec::new(); plain.len()];
+        let mut dense_rounds = 0;
+        while workers.iter().any(|engine| !engine.is_empty()) {
+            for engine in workers.iter_mut().filter(|engine| !engine.is_empty()) {
+                assert!(engine.len() <= MAX_DRAFT_BATCH);
+                let dense = live.load(Ordering::Relaxed) > MAX_DRAFT_BATCH;
+                let finished = engine.step();
+                live.fetch_sub(finished.len(), Ordering::Relaxed);
+                for (tag, tokens) in finished {
+                    out[tag] = tokens;
+                }
+                if dense {
+                    dense_rounds += 1;
+                    assert_eq!(counters.verify_passes.get(), 0, "a dense round drafted");
+                }
+            }
+        }
+        assert_eq!(out, plain);
+        assert!(dense_rounds > 0);
+        assert!(
+            counters.verify_passes.get() > 0,
+            "the sparse rounds never drafted"
+        );
+    }
+
+    #[test]
+    fn two_workers_decode_a_mixed_set_like_solo_generate() {
+        let (tokenizer, model) = ansible_model();
+        let model = Arc::new(model);
+        let index = GrammarIndex::build(&tokenizer, Constraint::Ansible).expect("index");
+        let prompt = tokenizer.encode("- name: Install nginx\n");
+        let with = |strategy, max_new, grammar: Option<&Arc<GrammarIndex>>| DecodeRequest {
+            prompt: prompt.clone(),
+            stops: vec![tokenizer.eot()],
+            opts: GenerationOptions {
+                max_new_tokens: max_new,
+                strategy,
+                seed: 11,
+            },
+            grammar: grammar.cloned(),
+        };
+        let top_k = Strategy::TopK {
+            k: 4,
+            temperature: 0.9,
+        };
+        // A prompt that already holds the model's own continuation gives
+        // its drafter n-grams to propose.
+        let echo = DecodeRequest {
+            prompt: [&prompt[..], &model.generate(&prompt, &[], &greedy(40))].concat(),
+            ..with(Strategy::Greedy, 12, None)
+        };
+        let requests = vec![
+            with(Strategy::Greedy, 16, None),
+            with(top_k, 16, None),
+            with(Strategy::Beam { width: 2 }, 8, None),
+            with(Strategy::Greedy, 30, Some(&index)),
+            with(top_k, 20, Some(&index)),
+            echo,
+        ];
+        let solo: Vec<Vec<u32>> = requests
+            .iter()
+            .map(|r| model.generate_constrained(&r.prompt, &r.stops, &r.opts, r.grammar.as_ref()))
+            .collect();
+        // Two sequences per worker: the last two wait for a worker to free.
+        let sched = BatchScheduler::spawn_workers(
+            Arc::clone(&model),
+            BatchConfig {
+                max_batch_size: 4,
+                speculative: SpeculativeConfig::ngram(3),
+                ..BatchConfig::default()
+            },
+            DecodeTelemetry::default(),
+            2,
+        );
+        assert_eq!(sched.stats().decode_workers, 2);
+        sched.set_admission_paused(true);
+        // Every other request streams.
+        let pending: Vec<(Pending, Option<mpsc::Receiver<u32>>)> = requests
+            .into_iter()
+            .enumerate()
+            .map(|(i, req)| {
+                if i % 2 == 0 {
+                    let streamed = sched.submit_streaming(req).expect("queued");
+                    (streamed.result, Some(streamed.tokens))
+                } else {
+                    (sched.submit(req).expect("queued"), None)
+                }
+            })
+            .collect();
+        sched.set_admission_paused(false);
+        for (i, ((result, tokens), want)) in pending.into_iter().zip(&solo).enumerate() {
+            if let Some(tokens) = tokens {
+                assert_eq!(&tokens.iter().collect::<Vec<u32>>(), want, "stream {i}");
+            }
+            assert_eq!(&result.wait(), want, "request {i}");
+        }
+        let admitted: u64 = sched
+            .shared
+            .workers
+            .iter()
+            .map(|w| w.admitted.load(Ordering::Relaxed))
+            .sum();
+        assert_eq!(admitted, 6);
+        assert_eq!(sched.load(), 0);
+        let spec = &sched.telemetry().speculative;
+        assert!(spec.verify_passes.get() > 0, "nothing speculated");
+    }
+
+    #[test]
+    fn a_batch_of_eight_decodes_four_and_four_on_two_workers() {
+        let model = Arc::new(long_model());
+        // Eight requests of one length: each worker's rounds are the budget.
+        let budget = 400;
+        let req = |i: u32| DecodeRequest {
+            opts: greedy(budget),
+            ..endless(1 + i % 4)
+        };
+        let sched = BatchScheduler::spawn_workers(
+            Arc::clone(&model),
+            BatchConfig::default(),
+            DecodeTelemetry::default(),
+            2,
+        );
+        sched.set_admission_paused(true);
+        let pending: Vec<Pending> = (0..8)
+            .map(|i| sched.submit(req(i)).expect("queued"))
+            .collect();
+        sched.set_admission_paused(false);
+        for (i, pending) in pending.into_iter().enumerate() {
+            let want = model.generate(&req(i as u32).prompt, &[], &greedy(budget));
+            assert_eq!(pending.wait(), want, "request {i}");
+        }
+        let counts = |pick: fn(&WorkerCounts) -> &AtomicU64| {
+            let workers = sched.shared.workers.iter();
+            workers
+                .map(|w| pick(w).load(Ordering::Relaxed))
+                .collect::<Vec<u64>>()
+        };
+        let (admitted, rounds) = (counts(|w| &w.admitted), counts(|w| &w.rounds));
+        // `scripts/check.sh` greps this line into its log.
+        println!(
+            "two-worker batch of 8: admitted per worker {admitted:?}, rounds per worker {rounds:?}"
+        );
+        assert_eq!(admitted, [4, 4]);
+        assert_eq!(rounds, [budget as u64; 2]);
     }
 
     #[test]
@@ -1688,8 +2019,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn abandoned_stream_retires_in_the_round_of_its_forced_run() {
+    /// A tokenizer trained on two tasks and an untrained model over its
+    /// vocabulary: enough for the Ansible grammar to mask and force.
+    fn ansible_model() -> (wisdom_tokenizer::BpeTokenizer, TransformerLm) {
         let corpus = [
             "- name: Install nginx\n  ansible.builtin.apt:\n    name: nginx\n    state: present\n",
             "- name: Copy config\n  copy:\n    src: files/app.conf\n    dest: /etc/app.conf\n",
@@ -1701,6 +2033,12 @@ mod tests {
             ..*tiny_model().config()
         };
         let model = TransformerLm::new(cfg, &mut Prng::seed_from_u64(7));
+        (tokenizer, model)
+    }
+
+    #[test]
+    fn abandoned_stream_retires_in_the_round_of_its_forced_run() {
+        let (tokenizer, model) = ansible_model();
         let request = DecodeRequest {
             prompt: tokenizer.encode("- name: Install nginx\n"),
             stops: vec![tokenizer.eot()],

@@ -1,9 +1,11 @@
 //! Multi-replica serving: N independent [`BatchScheduler`]s over one model.
 //!
-//! Each replica owns its own decode worker, bounded queue, prefix KV cache,
+//! Each replica owns its own decode workers, bounded queue, prefix KV cache,
 //! speculative config, model copy and metric handles — replicas share
 //! nothing mutable, so there is no cross-replica locking on the decode
-//! path. What N replicas buy on top of N decode workers is N× the
+//! path. The replicas divide the cores: each runs `max(1, cores / N)`
+//! decode workers, so a two-replica pool on two cores runs one worker per
+//! replica. What N replicas buy on top of their decode workers is N× the
 //! aggregate prefix-cache capacity: a router that keeps each session's
 //! resends on the replica already holding its prefix turns a working set
 //! that thrashes one cache into N partitions that each fit
@@ -17,7 +19,7 @@
 
 use std::sync::Arc;
 
-use crate::batch::{BatchConfig, BatchScheduler, SchedulerStats};
+use crate::batch::{available_cores, BatchConfig, BatchScheduler, SchedulerStats};
 use crate::prefix_cache::PrefixCacheStats;
 use crate::telemetry::DecodeTelemetry;
 use crate::transformer::TransformerLm;
@@ -52,19 +54,22 @@ pub struct ReplicaPool {
 impl ReplicaPool {
     /// Spawns `n` (at least 1) replicas, each configured with `cfg` — so
     /// each gets its *own* prefix cache of `cfg.prefix_cache_bytes` bytes,
-    /// its own queue of `cfg.queue_depth` slots, and its own decode worker —
-    /// and recording into `telemetry[i]` (a missing entry records into a
-    /// private [`DecodeTelemetry::default`] bundle).
+    /// its own queue of `cfg.queue_depth` slots, and its own share of the
+    /// cores in decode workers (`max(1, cores / n)`) — and recording into
+    /// `telemetry[i]` (a missing entry records into a private
+    /// [`DecodeTelemetry::default`] bundle).
     pub fn spawn(
         model: Arc<TransformerLm>,
         cfg: BatchConfig,
         n: usize,
         telemetry: &[DecodeTelemetry],
     ) -> Self {
-        let replicas = (0..n.max(1))
+        let n = n.max(1);
+        let workers = (available_cores() / n).max(1);
+        let replicas = (0..n)
             .map(|i| {
                 let t = telemetry.get(i).cloned().unwrap_or_default();
-                BatchScheduler::spawn(Arc::clone(&model), cfg, t)
+                BatchScheduler::spawn_workers(Arc::clone(&model), cfg, t, workers)
             })
             .collect();
         Self { replicas }

@@ -10,7 +10,7 @@
 //! * `GET /metrics` → the full serving-stack registry in Prometheus text
 //!   exposition format;
 //! * `GET /healthz` → `ok` (liveness: never touches the model or a lock);
-//! * `GET /readyz` → `ready`, or 503 until the decode worker is up.
+//! * `GET /readyz` → `ready`, or 503 until every decode worker is up.
 //!
 //! Completions accept `"stream": true` to switch the response to
 //! server-sent events over chunked transfer encoding: one `data:` event
@@ -25,7 +25,7 @@
 //!
 //! Every completion is decoded by a replica pool behind a cache-aware
 //! [`Router`] (one replica by default, `ServerConfig::replicas` for more):
-//! each replica owns its own decode worker and prefix KV cache, and requests
+//! each replica owns its own decode workers and prefix KV cache, and requests
 //! are placed on the replica already holding the longest prefix of their
 //! prompt.
 //!
@@ -85,8 +85,8 @@ pub struct ServerConfig {
     /// `GET /v1/stats`.
     pub constraint: Constraint,
     /// Independent scheduler replicas behind the router, each with its own
-    /// decode worker and prefix KV cache sized by `prefix_cache_bytes`;
-    /// clamped to ≥ 1.
+    /// decode workers (`max(1, cores / replicas)`) and prefix KV cache sized
+    /// by `prefix_cache_bytes`; clamped to ≥ 1.
     pub replicas: usize,
     /// How the router places completions over the replicas.
     pub route_policy: RoutePolicy,
@@ -128,7 +128,7 @@ pub struct WisdomServer {
     router: Arc<Router>,
     telemetry: Arc<ServerTelemetry>,
     /// Test hook: while set, `GET /readyz` reports 503 regardless of the
-    /// decode worker's actual state.
+    /// decode workers' actual state.
     forced_unready: Arc<AtomicBool>,
 }
 
@@ -618,7 +618,7 @@ fn forward_stream(
 /// over the pool, the configured speculation (with how often its break-even
 /// gate let a verify pass run and how often it closed) / precision /
 /// constraint with their counters, plus `replica_count` and a per-replica
-/// breakdown.
+/// breakdown (each replica's load and its number of decode workers).
 fn stats(wisdom: &Wisdom, router: &Router, config: &ServerConfig) -> Response {
     let agg = router.pool().aggregate();
     // The mask caches are the process's, shared by every replica: read
@@ -646,6 +646,7 @@ fn stats(wisdom: &Wisdom, router: &Router, config: &ServerConfig) -> Response {
                 ("queue_depth", num(s.queue_depth)),
                 ("in_flight", num(s.in_flight)),
                 ("wakeups", count(s.wakeups)),
+                ("decode_workers", num(s.decode_workers)),
                 ("prefix_cache_hits", count(rpc.hits)),
                 ("prefix_cache_bytes", num(rpc.bytes)),
             ])

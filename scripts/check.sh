@@ -27,7 +27,9 @@
 # recycled pool built on each pass so a change to the cache's cap or policy
 # shows in this log — the YAML crate's suites (the hostile-bytes mutation
 # suite runs its fixed case budget where the parser ships, and agrees with
-# the owned-tree oracle there) — the two-replica e2e burst once more for the line that
+# the owned-tree oracle there) — a batch of 8 on a two-worker scheduler in
+# release, for the line that says how many requests and decode rounds each
+# worker took (4 and the budget each: the batch splits 4 + 4) — the two-replica e2e burst once more for the line that
 # says how many of its unique prompts each replica admitted (a router that
 # follows the common `- name: ` head again reads [48.0, 0.0] here) — the
 # decoding ablation at the `test` profile, whose greedy / beam-4 / top-k
@@ -207,6 +209,8 @@ cargo test --release -q -p wisdom-curation
 cargo test --release -q -p wisdom-curation --lib a_pass_hands_over_one_message_per_chunk -- --nocapture | grep 'hand-offs per pass'
 cargo test --release -q -p wisdom-grammar -- --nocapture | grep -v '^$'
 cargo test --release -q -p wisdom-yaml
+cargo test --release -q -p wisdom-model --lib a_batch_of_eight_decodes_four_and_four -- --nocapture |
+    grep 'admitted per worker'
 cargo test -q --test server_e2e a_burst_of_unique_prompts -- --nocapture | grep 'admitted per replica'
 cargo run --release -q --example experiments -- decoding test 2>/dev/null |
     grep '^  CodeGen-Multi \[' | diff scripts/decoding-ablation-test.txt -

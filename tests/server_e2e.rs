@@ -628,10 +628,18 @@ fn multi_replica_server_is_deterministic_and_reports_per_replica_stats() {
     assert_eq!(status, 200, "{body}");
     let j = parse_json(&body).expect("stats json");
     assert_eq!(j.get("replica_count").and_then(Json::as_f64), Some(2.0));
-    assert!(
-        matches!(j.get("replicas"), Some(Json::Arr(items)) if items.len() == 2),
-        "{body}"
-    );
+    let Some(Json::Arr(replicas)) = j.get("replicas") else {
+        panic!("{body}")
+    };
+    assert_eq!(replicas.len(), 2, "{body}");
+    // Each replica decodes on its share of the cores, at most one worker
+    // per sequence of its batch.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let share = (cores / 2).clamp(1, 2) as f64;
+    for replica in replicas {
+        let workers = replica.get("decode_workers").and_then(Json::as_f64);
+        assert_eq!(workers, Some(share), "{body}");
+    }
     // The pool aggregate keeps the legacy shape.
     assert_eq!(j.get("queue_depth").and_then(Json::as_f64), Some(0.0));
     let pc = j.get("prefix_cache").expect("prefix_cache object");
@@ -815,8 +823,10 @@ fn a_batch_of_one_streams_and_reports_the_pool_shape() {
     let j = parse_json(&body).expect("stats json");
     assert_eq!(j.get("max_batch_size").and_then(Json::as_f64), Some(1.0));
     assert_eq!(j.get("replica_count").and_then(Json::as_f64), Some(1.0));
+    // A batch of one decodes on one worker, however many cores there are.
     assert!(
-        matches!(j.get("replicas"), Some(Json::Arr(items)) if items.len() == 1),
+        matches!(j.get("replicas"), Some(Json::Arr(items)) if items.len() == 1
+            && items[0].get("decode_workers").and_then(Json::as_f64) == Some(1.0)),
         "{body}"
     );
     let pc = j.get("prefix_cache").expect("prefix_cache object");
