@@ -34,11 +34,12 @@ impl KindSet {
     }
 
     /// Whether `value` is one of the accepted kinds. Jinja template strings
-    /// (`"{{ … }}"`) are accepted everywhere, mirroring Ansible's lazy
-    /// templating; numbers are accepted where strings are.
+    /// ([`wisdom_yaml::is_template`]: every `{{` closed by a later `}}`) are
+    /// accepted everywhere, mirroring Ansible's lazy templating; numbers are
+    /// accepted where strings are.
     pub fn accepts(&self, value: &Value) -> bool {
         match value {
-            Value::Str(s) => self.bits & Self::STR != 0 || s.contains("{{"),
+            Value::Str(s) => self.bits & Self::STR != 0 || wisdom_yaml::is_template(s),
             Value::Bool(_) => self.bits & Self::BOOL != 0,
             Value::Int(_) => self.bits & (Self::INT | Self::STR) != 0,
             Value::Float(_) => self.bits & (Self::INT | Self::STR) != 0,

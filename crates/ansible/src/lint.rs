@@ -20,7 +20,7 @@ use std::fmt;
 use wisdom_yaml::Value;
 
 use crate::keywords::{is_block_key, play_keyword, task_keyword, BLOCK_KEYS};
-use crate::module_registry::{ModuleRegistry, ParamKind};
+use crate::module_registry::ModuleRegistry;
 
 /// One schema violation found by the linter.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -375,7 +375,7 @@ fn lint_module_invocation(
                 match spec.params.iter().find(|p| p.name == pname) {
                     None => out.push(mpath.key(pname).violation("unknown parameter")),
                     Some(p) => {
-                        if !param_accepts(p.kind, pvalue) {
+                        if !p.kind.accepts(pvalue) {
                             out.push(mpath.key(pname).violation(format!(
                                 "parameter has wrong type (expected {:?})",
                                 p.kind
@@ -391,26 +391,6 @@ fn lint_module_invocation(
             }
         }
         _ => out.push(mpath.violation("module arguments must be a mapping or a free-form string")),
-    }
-}
-
-fn param_accepts(kind: ParamKind, value: &Value) -> bool {
-    match kind {
-        ParamKind::Any => true,
-        ParamKind::Str => matches!(value, Value::Str(_) | Value::Int(_) | Value::Float(_)),
-        ParamKind::Bool => {
-            matches!(value, Value::Bool(_)) || matches!(value, Value::Str(s) if s.contains("{{"))
-        }
-        ParamKind::Int => {
-            matches!(value, Value::Int(_))
-                || matches!(value, Value::Str(s) if s.contains("{{") || s.parse::<i64>().is_ok())
-        }
-        ParamKind::List => {
-            matches!(value, Value::Seq(_)) || matches!(value, Value::Str(s) if s.contains("{{"))
-        }
-        ParamKind::Map => {
-            matches!(value, Value::Map(_)) || matches!(value, Value::Str(s) if s.contains("{{"))
-        }
     }
 }
 
@@ -519,6 +499,24 @@ mod tests {
         );
         ok("- name: x\n  apt:\n    name: nginx\n    update_cache: yes\n");
         ok("- name: x\n  apt:\n    name: nginx\n    update_cache: '{{ do_update }}'\n");
+    }
+
+    #[test]
+    fn a_str_is_a_template_only_when_its_braces_close() {
+        let docker = |detach: &str| {
+            format!("- name: x\n  docker_container:\n    name: web\n    detach: {detach}\n")
+        };
+        for detach in ["maybe{{", "\"{{\"", "a {{ b", "maybe"] {
+            bad(&docker(detach), "wrong type");
+        }
+        ok(&docker("\"{{ run_detached }}\""));
+        let wait = |port: &str| format!("- name: x\n  wait_for:\n    port: {port}\n");
+        bad(&wait("80{{"), "wrong type");
+        ok(&wait("\"{{ app_port }}\""));
+        bad(
+            "- name: x\n  command: ls\n  become: \"{% if a %}\"\n",
+            "expected bool",
+        );
     }
 
     #[test]

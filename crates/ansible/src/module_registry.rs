@@ -8,6 +8,8 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
+use wisdom_yaml::Value;
+
 /// The expected shape of a module parameter value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParamKind {
@@ -23,6 +25,26 @@ pub enum ParamKind {
     Map,
     /// Unchecked (heterogeneous values like `mode: 0644` or `mode: "u+x"`).
     Any,
+}
+
+impl ParamKind {
+    /// Whether a parameter of this kind takes `value`. Templates
+    /// ([`wisdom_yaml::is_template`]) are taken wherever a str is not.
+    pub fn accepts(self, value: &Value) -> bool {
+        let template = || matches!(value, Value::Str(s) if wisdom_yaml::is_template(s));
+        match self {
+            ParamKind::Any => true,
+            ParamKind::Str => matches!(value, Value::Str(_) | Value::Int(_) | Value::Float(_)),
+            ParamKind::Bool => matches!(value, Value::Bool(_)) || template(),
+            ParamKind::Int => {
+                matches!(value, Value::Int(_))
+                    || template()
+                    || matches!(value, Value::Str(s) if s.parse::<i64>().is_ok())
+            }
+            ParamKind::List => matches!(value, Value::Seq(_)) || template(),
+            ParamKind::Map => matches!(value, Value::Map(_)) || template(),
+        }
+    }
 }
 
 /// Schema for a single module parameter.

@@ -300,7 +300,7 @@ pub struct GrammarIndex {
     /// Token ids grouped by first byte; tokens containing bytes the grammar
     /// can never emit are excluded up front.
     by_first: Vec<Vec<u32>>,
-    /// The longest plain scalar whose length no mask can see: from here on
+    /// The longest inline value whose length no mask can see: from here on
     /// no token's bytes reach [`PLAIN_CAP`] ([`Self::mask_key`]).
     plain_key_max: u8,
     cache: Mutex<MaskCache<ConstraintState, Arc<CacheEntry>>>,
@@ -386,7 +386,7 @@ impl GrammarIndex {
             vocab_size,
             eot: tokenizer.eot(),
             by_first,
-            plain_key_max: (PLAIN_CAP as usize).saturating_sub(longest + 2) as u8,
+            plain_key_max: (PLAIN_CAP as usize).saturating_sub(longest + 8) as u8,
             cache: Mutex::new(MaskCache::new(CACHE_CAP)),
             start_closes: Mutex::default(),
             mask_builds: AtomicU64::new(0),
@@ -454,20 +454,20 @@ impl GrammarIndex {
     /// a build's post-state closes and the start closes are looked up by.
     /// The entry and the close are still computed from the exact state.
     ///
-    /// A plain scalar's length is seen only near [`PLAIN_CAP`]. With no bad
-    /// word still matched (`bw == 0`) and free text allowed, whether a byte
-    /// may extend the text does not depend on how long it is, and neither
-    /// does the close: a newline, after an `x` when the text ends in a space.
-    /// Once `len + longest token + 2 <= PLAIN_CAP`, no token's bytes reach
-    /// the cap either, so every such length keys as 1.
+    /// An inline value's length is seen only near [`PLAIN_CAP`]: whether a
+    /// byte may extend the value, and its close (a few bytes: a newline, a
+    /// word's rest, a quote, a template's `}}`), depend on the scanner's
+    /// state, not on how long the text is. Once `len + longest token + 8 <=
+    /// PLAIN_CAP`, no token's bytes nor the close after them reach the cap,
+    /// so every such length keys as 1.
     fn mask_key(&self, state: &ConstraintState) -> ConstraintState {
         let mut key = *state;
         if let Line::Value {
-            spec,
-            s: Scalar::Plain { bw: 0, len, .. },
+            s: Scalar { len, .. },
+            ..
         } = &mut key.line
         {
-            if (spec.plain || spec.relaxed) && *len <= self.plain_key_max {
+            if *len <= self.plain_key_max {
                 *len = 1;
             }
         }

@@ -555,7 +555,7 @@ fn key_walk(
     while cursor.is_active() {
         assert_key_sound(index, &cursor.state)?;
         if let Line::Value {
-            s: Scalar::Plain { len, .. },
+            s: Scalar { len, .. },
             ..
         } = cursor.state.line
         {

@@ -26,10 +26,13 @@
 //! Every construct tracks exactly what the `crates/ansible` linter will
 //! check: duplicate keys are impossible (the YAML parser rejects them),
 //! unknown keys are impossible (candidate tries), required module parameters
-//! gate "closability", and scalar machines guarantee each value resolves to
-//! a kind its keyword/parameter accepts.
+//! gate "closability", and every inline value runs through `wisdom-yaml`'s
+//! scalar scanner (the one the parser types scalars with), so each value
+//! resolves to a kind its keyword/parameter accepts.
 
 use std::hash::{Hash, Hasher};
+
+use wisdom_yaml::{Kind, Scan, Template};
 
 use crate::scope::open_item;
 use crate::tables::{
@@ -40,108 +43,38 @@ use crate::tables::{
 pub(crate) const MAX_KEY: usize = 40;
 /// Maximum frames on the structure stack (playbook nesting is ≤ 6).
 pub(crate) const MAX_DEPTH: usize = 8;
-/// Plain-scalar length cap: forces a newline eventually so close estimates
-/// stay bounded.
+/// Inline-value length cap: from here on only the canonical close's next
+/// byte is legal, so close estimates stay bounded.
 pub(crate) const PLAIN_CAP: u8 = 96;
 /// YAML-mode identifier key length cap.
 const YKEY_CAP: u8 = 24;
-/// Jinja identifier length cap.
-const JIDENT_CAP: u8 = 24;
 /// Loop guard for canonical-close construction (far above any real close).
 const CLOSE_CAP: usize = 4096;
 
 const NAME_LIT: &[u8; 6] = b"name: ";
 
-/// YAML plain-scalar words that resolve to something other than `Str`.
-/// The first three are the null class; the rest resolve to booleans.
-const BAD_WORDS: &[&str] = &[
-    "null", "Null", "NULL", // null class
-    "true", "True", "TRUE", "yes", "Yes", "YES", "on", "On", "ON", "false", "False", "FALSE", "no",
-    "No", "NO", "off", "Off", "OFF",
-];
-const NULL_MASK: u32 = 0b111;
-const BOOL_MASK: u32 = ((1 << BAD_WORDS.len()) - 1) & !NULL_MASK;
-
-fn bw_init(b: u8) -> u32 {
-    let mut m = 0;
-    for (i, w) in BAD_WORDS.iter().enumerate() {
-        if w.as_bytes()[0] == b {
-            m |= 1 << i;
-        }
-    }
-    m
-}
-
-/// Words still exactly matched after appending `b` at position `len`.
-fn bw_step(mask: u32, len: u8, b: u8) -> u32 {
-    let mut m = 0;
-    for (i, w) in BAD_WORDS.iter().enumerate() {
-        if mask & (1 << i) != 0 && (len as usize) < w.len() && w.as_bytes()[len as usize] == b {
-            m |= 1 << i;
-        }
-    }
-    m
-}
-
-/// Words of exactly `len` bytes still matched (at most one bit set).
-fn bw_exact(mask: u32, len: u8) -> u32 {
-    let mut m = 0;
-    for (i, w) in BAD_WORDS.iter().enumerate() {
-        if mask & (1 << i) != 0 && w.len() == len as usize {
-            m |= 1 << i;
-        }
-    }
-    m
-}
-
-fn allowed_word_mask(spec: &ValueSpec) -> u32 {
-    let mut m = 0;
-    if spec.nulls {
-        m |= NULL_MASK;
-    }
-    if spec.bools {
-        m |= BOOL_MASK;
-    }
-    m
-}
-
-fn strict_first(b: u8) -> bool {
-    b.is_ascii_alphabetic() || b == b'/' || b == b'_'
-}
-
-fn relaxed_first(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'/' || b == b'_'
-}
-
-/// Interior bytes of a plain scalar: never `:`/`#` (structure/comment
-/// hazards), never quotes or flow indicators.
-fn plain_interior(b: u8) -> bool {
-    b.is_ascii_alphanumeric()
-        || matches!(
-            b,
-            b' ' | b'.' | b'_' | b',' | b'-' | b'/' | b'(' | b')' | b'=' | b'+' | b'\''
-        )
-}
-
+/// The first byte of a relaxed-YAML key: a letter (`PATH`, `JAVA_HOME` and
+/// `app_port` alike) or `_`.
 fn ident_first(b: u8) -> bool {
-    b.is_ascii_lowercase() || b == b'_'
+    b.is_ascii_alphabetic() || b == b'_'
 }
 
 fn yident_char(b: u8) -> bool {
-    b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_' || b == b'-'
+    b.is_ascii_alphanumeric() || b == b'_' || b == b'-'
 }
 
-fn jident_char(b: u8) -> bool {
-    b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_'
-}
-
-/// First-character bit for YAML-mode duplicate-key avoidance (`a`–`z`, `_`).
-fn first_char_bit(b: u8) -> u32 {
-    if b == b'_' {
-        1 << 26
-    } else {
-        1 << (b - b'a')
-    }
+/// The bit a relaxed-YAML key sets in its mapping's `seen`. A mapping
+/// refuses a key whose bit is already set, so it never holds a key twice
+/// (and now and then refuses a new one). FNV-1a's low bits depend only on
+/// each byte modulo 64 (`port1` and `portq` would share one) and its last
+/// byte barely reaches the high bits, so the hash goes through MurmurHash3's
+/// finalizer before its high six bits pick the bit.
+fn key_bit(key: &[u8]) -> u64 {
+    let h = key.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    });
+    let h = (h ^ h >> 33).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    1 << ((h ^ h >> 33).wrapping_mul(0xc4ce_b9fe_1a85_ec53) >> 58)
 }
 
 /// A partially typed key.
@@ -159,14 +92,10 @@ impl KeyAcc {
     }
 
     fn push(&self, b: u8) -> Option<KeyAcc> {
-        if (self.len as usize) < MAX_KEY {
-            let mut next = *self;
-            next.buf[next.len as usize] = b;
-            next.len += 1;
-            Some(next)
-        } else {
-            None
-        }
+        let mut next = *self;
+        *next.buf.get_mut(next.len as usize)? = b;
+        next.len += 1;
+        Some(next)
     }
 
     fn bytes(&self) -> &[u8] {
@@ -212,12 +141,25 @@ pub(crate) enum Frame {
     Play { used: u64 },
     /// The play's `tasks:` list (items at column 4, bodies at column 6).
     Tasks { has_item: bool },
-    /// Relaxed-YAML mapping at `col`.
-    YMap { col: u8, seen: u32 },
+    /// Relaxed-YAML mapping at `col` (also a block value of a keyword that
+    /// takes a map); `seen` holds its keys' [`key_bit`]s.
+    YMap { col: u8, seen: u64 },
     /// Relaxed-YAML sequence at `col`.
     YSeq { col: u8, has_item: bool },
     /// Relaxed-YAML `key:` + newline: nested map/seq at `col + 2` or null.
     YPending { col: u8 },
+}
+
+/// Whether `f`'s content lines are `- ` entries only.
+fn holds_items(f: &Frame) -> bool {
+    matches!(
+        f,
+        Frame::Doc { .. }
+            | Frame::Items { .. }
+            | Frame::Pending { .. }
+            | Frame::Tasks { .. }
+            | Frame::YSeq { .. }
+    )
 }
 
 const DUMMY_FRAME: Frame = Frame::Doc {
@@ -234,38 +176,65 @@ pub(crate) enum AfterKey {
     YamlKey,
 }
 
-/// Position inside a `{{ ident }}` template.
+/// An in-progress inline value: plain or quoted text through the YAML
+/// scanner, `len` bytes so far. `tmpl` follows the template rule over a
+/// double-quoted value at a position that takes no str, where the value must
+/// be a template.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum Jinja {
-    /// Saw `{`, expecting the second `{`.
-    Open2,
-    /// Saw `{{`, expecting the space.
-    SpaceOpen,
-    /// Inside the identifier (`len` bytes so far).
-    Ident { len: u8 },
-    /// Saw the closing space, expecting `}`.
-    Close1,
-    /// Saw one `}`, expecting the second.
-    Close2,
+pub(crate) struct Scalar {
+    scan: Scan,
+    pub(crate) len: u8,
+    tmpl: Option<Template>,
 }
 
-/// An in-progress scalar value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum Scalar {
-    Fresh,
-    /// Plain text; `bw` tracks which bad words the text still equals.
-    Plain {
-        bw: u32,
-        len: u8,
-        sp: bool,
-    },
-    Int {
-        len: u8,
-        zero: bool,
-    },
-    Jinja(Jinja),
-    /// Complete; only a newline may follow.
-    Closed,
+const FRESH: Scalar = Scalar {
+    scan: Scan::START,
+    len: 0,
+    tmpl: None,
+};
+
+impl Scalar {
+    fn step(self, spec: &ValueSpec, b: u8) -> Option<Scalar> {
+        if self.len >= PLAIN_CAP && Some(b) != self.close(spec) {
+            return None;
+        }
+        let scan = self.scan.push(b)?.settle(spec.accept);
+        let tmpl = match self.tmpl {
+            // At a position that takes no str, a quoted value is a template.
+            None if self.scan.is_empty() && b == b'"' && !spec.accept.contains(Kind::Str) => {
+                Some(spec.template.then(Template::default)?)
+            }
+            None => scan.can_reach(spec.accept).then_some(None)?,
+            Some(t) if b == b'"' => t.is_template().then_some(Some(t))?,
+            Some(t) if b == b'\\' || !(t.opened() || b == b'{') => return None,
+            Some(t) => Some(t.push(b)),
+        };
+        Some(Scalar {
+            scan,
+            len: (self.len + 1).min(PLAIN_CAP),
+            tmpl,
+        })
+    }
+
+    /// The canonical next byte (`None`: the value may end here).
+    fn close(&self, spec: &ValueSpec) -> Option<u8> {
+        match self.tmpl {
+            Some(t) => self
+                .scan
+                .kind()
+                .is_none()
+                .then(|| t.close_byte().unwrap_or(b'"')),
+            None if self.scan.is_empty() && !self.scan.can_reach(spec.accept) => Some(b'"'),
+            None => self.scan.close_byte(spec.accept),
+        }
+    }
+
+    fn can_end(&self, spec: &ValueSpec) -> bool {
+        match self.scan.kind() {
+            Some(_) if self.tmpl.is_some() => true,
+            kind => kind.is_some_and(|k| spec.accept.contains(k)),
+        }
+    }
 }
 
 /// Position within the current line.
@@ -273,6 +242,11 @@ pub(crate) enum Scalar {
 pub(crate) enum Line {
     /// At a line start, `spaces` indent bytes emitted so far.
     Start { spaces: u8 },
+    /// At the start of a fresh document, where a `---` marker may open it.
+    DocStart,
+    /// `pos` bytes of a `---` marker typed; after one the `-` may still
+    /// open an item.
+    Marker { pos: u8 },
     /// The prompt ended mid-line: force a newline before any structure.
     ForceNewline,
     /// Typing a key.
@@ -337,14 +311,11 @@ impl ConstraintState {
         &mut self.frames[self.depth as usize - 1]
     }
 
-    fn push(&mut self, f: Frame) -> bool {
-        if (self.depth as usize) < MAX_DEPTH {
-            self.frames[self.depth as usize] = f;
-            self.depth += 1;
-            true
-        } else {
-            false
-        }
+    /// Opens `f`; `None` when the stack is full.
+    fn push(&mut self, f: Frame) -> Option<()> {
+        *self.frames.get_mut(self.depth as usize)? = f;
+        self.depth += 1;
+        Some(())
     }
 
     /// Pops down to `keep` frames, normalizing vacated slots so equal
@@ -373,15 +344,6 @@ enum Commit {
     TasksKey,
 }
 
-/// Key-candidate domains (which list of keys is legal where).
-#[derive(Debug, Clone, Copy)]
-enum Domain {
-    Body0 { task_ok: bool, play_ok: bool },
-    Task { module_open: bool, used: u64 },
-    Params { module: u16, used: u16 },
-    Play { used: u64 },
-}
-
 /// The automaton driver: pure transition functions over [`ConstraintState`]
 /// against the compiled [`Tables`].
 pub(crate) struct Machine<'a> {
@@ -400,83 +362,46 @@ impl<'a> Machine<'a> {
     /// a fresh document (after forcing a newline when the prompt ends
     /// mid-line).
     pub(crate) fn start_state(&self, mode: Mode, prompt: &[u8]) -> ConstraintState {
-        let fresh = |line: Line| match mode {
-            Mode::Ansible => ConstraintState::new(
-                mode,
-                &[Frame::Doc {
-                    has_item: false,
-                    kind: DocKind::Unset,
-                }],
-                line,
-            ),
-            Mode::Yaml => ConstraintState::new(mode, &[Frame::YMap { col: 0, seen: 0 }], line),
+        let mid_line = prompt.last().is_some_and(|&b| b != b'\n');
+        let indent = open_item(prompt)
+            .map(|(indent, _)| indent)
+            .filter(|&indent| indent <= 16 && !mid_line);
+        let line = match (mid_line, indent, mode) {
+            (true, ..) => Line::ForceNewline,
+            (false, None, Mode::Ansible) => Line::DocStart,
+            _ => Line::Start { spaces: 0 },
         };
-        if prompt.is_empty() {
-            return fresh(Line::Start { spaces: 0 });
-        }
-        if *prompt.last().expect("non-empty") != b'\n' {
-            return fresh(Line::ForceNewline);
-        }
-        let indent = match open_item(prompt) {
-            Some((indent, _)) if indent <= 16 => indent,
-            _ => return fresh(Line::Start { spaces: 0 }),
+        let col = indent.map_or(0, |indent| indent as u8 + 2);
+        let item = Frame::Doc {
+            has_item: true,
+            kind: DocKind::Unset,
         };
-        let line = Line::Start { spaces: 0 };
-        if indent == 0 {
-            match mode {
-                Mode::Ansible => ConstraintState::new(
-                    mode,
-                    &[
-                        Frame::Doc {
-                            has_item: true,
-                            kind: DocKind::Unset,
-                        },
-                        Frame::Body0 {
-                            task_ok: true,
-                            play_ok: true,
-                        },
-                    ],
-                    line,
-                ),
-                Mode::Yaml => ConstraintState::new(mode, &[Frame::YMap { col: 2, seen: 0 }], line),
-            }
-        } else {
-            let col = indent as u8 + 2;
-            match mode {
-                Mode::Ansible => ConstraintState::new(
-                    mode,
-                    &[Frame::Task {
-                        col,
-                        module: None,
-                        used: 0,
-                    }],
-                    line,
-                ),
-                Mode::Yaml => ConstraintState::new(mode, &[Frame::YMap { col, seen: 0 }], line),
-            }
-        }
+        let body = Frame::Body0 {
+            task_ok: true,
+            play_ok: true,
+        };
+        let task = Frame::Task {
+            col,
+            module: None,
+            used: 0,
+        };
+        let stack: &[Frame] = match (mode, indent) {
+            (Mode::Yaml, _) => &[Frame::YMap { col, seen: 0 }],
+            (Mode::Ansible, None) => &[DUMMY_FRAME],
+            (Mode::Ansible, Some(0)) => &[item, body],
+            (Mode::Ansible, Some(_)) => &[task],
+        };
+        ConstraintState::new(mode, stack, line)
     }
 
     // ---- candidates --------------------------------------------------------
 
-    fn domain_of(&self, f: &Frame) -> Option<Domain> {
-        match *f {
-            Frame::Body0 { task_ok, play_ok } => Some(Domain::Body0 { task_ok, play_ok }),
-            Frame::Task { module, used, .. } => Some(Domain::Task {
-                module_open: module.is_none(),
-                used,
-            }),
-            Frame::Params { module, used, .. } => Some(Domain::Params { module, used }),
-            Frame::Play { used } => Some(Domain::Play { used }),
-            _ => None,
-        }
-    }
-
-    /// Visits every candidate key for `d` with its canonical-ordering
-    /// priority (lower sorts first when constructing closes).
-    fn for_each_cand(&self, d: Domain, f: &mut dyn FnMut(u8, &'static str, Commit)) {
-        match d {
-            Domain::Body0 { task_ok, play_ok } => {
+    /// Visits every candidate key of the mapping `frame` with its
+    /// canonical-ordering priority (lower sorts first when constructing
+    /// closes); a frame that holds no such keys has none.
+    fn for_each_cand(&self, frame: &Frame, f: &mut dyn FnMut(u8, &'static str, Commit)) {
+        match *frame {
+            Frame::Body0 { task_ok, play_ok } => {
                 if task_ok {
                     for (i, m) in self.t.modules.iter().enumerate() {
                         f(1, m.key, Commit::Module(i as u16));
@@ -488,17 +413,13 @@ impl<'a> Machine<'a> {
                 if play_ok {
                     f(3, "tasks", Commit::TasksKey);
                     for (i, k) in self.t.play_kws.iter().enumerate() {
-                        let prio = if !task_ok && i as u8 == self.t.hosts_bit {
-                            0
-                        } else {
-                            4
-                        };
-                        f(prio, k.name, Commit::PlayKw(i as u8));
+                        let hosts = !task_ok && i as u8 == self.t.hosts_bit;
+                        f(if hosts { 0 } else { 4 }, k.name, Commit::PlayKw(i as u8));
                     }
                 }
             }
-            Domain::Task { module_open, used } => {
-                if module_open {
+            Frame::Task { module, used, .. } => {
+                if module.is_none() {
                     for (i, m) in self.t.modules.iter().enumerate() {
                         f(0, m.key, Commit::Module(i as u16));
                     }
@@ -509,7 +430,7 @@ impl<'a> Machine<'a> {
                     }
                 }
             }
-            Domain::Params { module, used } => {
+            Frame::Params { module, used, .. } => {
                 let m = &self.t.modules[module as usize];
                 for (i, p) in m.params.iter().enumerate() {
                     if used & (1 << i) == 0 {
@@ -518,14 +439,10 @@ impl<'a> Machine<'a> {
                     }
                 }
             }
-            Domain::Play { used } => {
+            Frame::Play { used } => {
                 for (i, k) in self.t.play_kws.iter().enumerate() {
                     if used & (1 << i) == 0 {
-                        let prio = if i as u8 == self.t.hosts_bit && used & (1 << i) == 0 {
-                            u8::from(used & (1u64 << self.t.hosts_bit) != 0)
-                        } else {
-                            1
-                        };
+                        let prio = u8::from(i as u8 != self.t.hosts_bit);
                         f(prio, k.name, Commit::PlayKw(i as u8));
                     }
                 }
@@ -533,12 +450,13 @@ impl<'a> Machine<'a> {
                     f(1, "tasks", Commit::TasksKey);
                 }
             }
+            _ => {}
         }
     }
 
-    fn cand_extends(&self, d: Domain, prefix: &[u8]) -> bool {
+    fn cand_extends(&self, frame: &Frame, prefix: &[u8]) -> bool {
         let mut found = false;
-        self.for_each_cand(d, &mut |_, key, _| {
+        self.for_each_cand(frame, &mut |_, key, _| {
             if !found && key.as_bytes().starts_with(prefix) {
                 found = true;
             }
@@ -546,9 +464,9 @@ impl<'a> Machine<'a> {
         found
     }
 
-    fn cand_exact(&self, d: Domain, key: &[u8]) -> Option<Commit> {
+    fn cand_exact(&self, frame: &Frame, key: &[u8]) -> Option<Commit> {
         let mut best: Option<(u8, Commit)> = None;
-        self.for_each_cand(d, &mut |prio, k, c| {
+        self.for_each_cand(frame, &mut |prio, k, c| {
             if k.as_bytes() == key && best.map(|(p, _)| prio < p).unwrap_or(true) {
                 best = Some((prio, c));
             }
@@ -556,19 +474,11 @@ impl<'a> Machine<'a> {
         best.map(|(_, c)| c)
     }
 
-    fn cand_first_ok(&self, d: Domain, b: u8) -> bool {
-        self.cand_extends(d, &[b])
-    }
-
-    fn cand_any(&self, d: Domain) -> bool {
-        self.cand_extends(d, &[])
-    }
-
     /// Canonical candidate with `prefix`: minimal under (priority, length,
     /// bytes). Returns the full key.
-    fn cand_canonical(&self, d: Domain, prefix: &[u8]) -> Option<&'static str> {
+    fn cand_canonical(&self, frame: &Frame, prefix: &[u8]) -> Option<&'static str> {
         let mut best: Option<(u8, &'static str)> = None;
-        self.for_each_cand(d, &mut |prio, k, _| {
+        self.for_each_cand(frame, &mut |prio, k, _| {
             if k.as_bytes().starts_with(prefix) {
                 let better = match best {
                     None => true,
@@ -620,45 +530,19 @@ impl<'a> Machine<'a> {
     /// Whether the frame can accept any content line at all.
     fn offers(&self, f: &Frame) -> bool {
         match f {
-            Frame::Doc { .. }
-            | Frame::Items { .. }
-            | Frame::Pending { .. }
-            | Frame::Tasks { .. }
-            | Frame::YSeq { .. }
-            | Frame::YPending { .. } => true,
-            Frame::YMap { seen, .. } => *seen != (1 << 27) - 1,
-            _ => match self.domain_of(f) {
-                Some(d) => self.cand_any(d),
-                None => false,
-            },
+            _ if holds_items(f) => true,
+            Frame::YPending { .. } => true,
+            Frame::YMap { seen, .. } => *seen != u64::MAX,
+            _ => self.cand_extends(f, &[]),
         }
     }
 
     fn first_ok(&self, f: &Frame, b: u8) -> bool {
         match f {
-            Frame::Doc { .. }
-            | Frame::Items { .. }
-            | Frame::Pending { .. }
-            | Frame::Tasks { .. }
-            | Frame::YSeq { .. } => b == b'-',
+            _ if holds_items(f) => b == b'-',
             Frame::YPending { .. } => b == b'-' || ident_first(b),
-            Frame::YMap { seen, .. } => ident_first(b) && seen & first_char_bit(b) == 0,
-            _ => match self.domain_of(f) {
-                Some(d) => self.cand_first_ok(d, b),
-                None => false,
-            },
-        }
-    }
-
-    /// The column where keys of the mapping owned by `f` live (used to
-    /// place pending block values).
-    fn content_col(&self, f: &Frame) -> u8 {
-        match *f {
-            Frame::Task { col, .. } => col,
-            Frame::Params { col, .. } => col,
-            Frame::Play { .. } => 2,
-            Frame::YMap { col, .. } => col,
-            _ => self.entry_col(f),
+            Frame::YMap { .. } => ident_first(b),
+            _ => self.cand_extends(f, &[b]),
         }
     }
 
@@ -688,6 +572,29 @@ impl<'a> Machine<'a> {
                 }
             }
             Line::Start { spaces } => self.advance_line_start(st, spaces, b),
+            Line::DocStart => {
+                let mut n = self.advance_line_start(st, 0, b)?;
+                n.line = Line::Marker { pos: 1 };
+                Some(n)
+            }
+            Line::Marker { pos } => {
+                let mut n = *st;
+                n.line = match (pos, b) {
+                    (1, b' ') => {
+                        return self.advance(
+                            &ConstraintState {
+                                line: Line::Dash,
+                                ..n
+                            },
+                            b,
+                        )
+                    }
+                    (1 | 2, b'-') => Line::Marker { pos: pos + 1 },
+                    (3, b'\n') => Line::Start { spaces: 0 },
+                    _ => return None,
+                };
+                Some(n)
+            }
             Line::Key { acc } => self.advance_key(st, &acc, b),
             Line::Colon { after } => self.advance_colon(st, after, b),
             Line::Value { spec, s } => self.advance_value(st, &spec, s, b),
@@ -699,11 +606,11 @@ impl<'a> Machine<'a> {
                 n.line = match n.top() {
                     Frame::Items { .. } => Line::Value {
                         spec: ITEM_SPEC,
-                        s: Scalar::Fresh,
+                        s: FRESH,
                     },
                     Frame::YSeq { .. } => Line::Value {
                         spec: YAML_SPEC,
-                        s: Scalar::Fresh,
+                        s: FRESH,
                     },
                     Frame::Doc { .. } | Frame::Tasks { .. } => Line::NamePrefix { pos: 0 },
                     _ => return None,
@@ -718,7 +625,7 @@ impl<'a> Machine<'a> {
                 n.line = if pos as usize + 1 == NAME_LIT.len() {
                     Line::Value {
                         spec: NAME_SPEC,
-                        s: Scalar::Fresh,
+                        s: FRESH,
                     }
                 } else {
                     Line::NamePrefix { pos: pos + 1 }
@@ -825,29 +732,37 @@ impl<'a> Machine<'a> {
         if matches!(st.top(), Frame::YMap { .. }) {
             if b == b':' {
                 let mut n = *st;
-                let first = acc.bytes()[0];
+                let bit = key_bit(acc.bytes());
                 if let Frame::YMap { seen, .. } = n.top_mut() {
-                    *seen |= first_char_bit(first);
+                    if *seen & bit != 0 {
+                        return None;
+                    }
+                    *seen |= bit;
                 }
                 n.line = Line::Colon {
                     after: AfterKey::YamlKey,
                 };
                 return Some(n);
             }
-            if yident_char(b) && acc.len < YKEY_CAP {
-                let mut n = *st;
-                n.line = Line::Key { acc: acc.push(b)? };
-                return Some(n);
+            let acc = acc
+                .push(b)
+                .filter(|a| yident_char(b) && a.len <= YKEY_CAP)?;
+            // A key at the cap can only end: its bit must be free.
+            let seen =
+                matches!(st.top(), Frame::YMap { seen, .. } if seen & key_bit(acc.bytes()) != 0);
+            if acc.len == YKEY_CAP && seen {
+                return None;
             }
-            return None;
+            let mut n = *st;
+            n.line = Line::Key { acc };
+            return Some(n);
         }
-        let d = self.domain_of(st.top())?;
         if b == b':' {
-            let commit = self.cand_exact(d, acc.bytes())?;
+            let commit = self.cand_exact(st.top(), acc.bytes())?;
             return Some(self.commit_key(st, commit));
         }
         let acc2 = acc.push(b)?;
-        if self.cand_extends(d, acc2.bytes()) {
+        if self.cand_extends(st.top(), acc2.bytes()) {
             let mut n = *st;
             n.line = Line::Key { acc: acc2 };
             Some(n)
@@ -858,86 +773,52 @@ impl<'a> Machine<'a> {
 
     fn commit_key(&self, st: &ConstraintState, commit: Commit) -> ConstraintState {
         let mut n = *st;
-        let is_body0 = matches!(n.top(), Frame::Body0 { .. });
-        if is_body0 {
+        if matches!(n.top(), Frame::Body0 { .. }) {
             // Committing the document kind: record it on the Doc frame so
-            // later top-level items stay homogeneous.
-            let doc = n.depth as usize - 2;
-            if let Frame::Doc { kind, .. } = &mut n.frames[doc] {
-                *kind = match commit {
-                    Commit::Module(_) | Commit::TaskKw(_) => DocKind::TaskFile,
-                    Commit::PlayKw(_) | Commit::TasksKey => DocKind::Playbook,
+            // later top-level items stay homogeneous, and open the body.
+            let task = matches!(commit, Commit::Module(_) | Commit::TaskKw(_));
+            if let Frame::Doc { kind, .. } = &mut n.frames[n.depth as usize - 2] {
+                *kind = if task {
+                    DocKind::TaskFile
+                } else {
+                    DocKind::Playbook
                 };
             }
+            *n.top_mut() = match task {
+                true => Frame::Task {
+                    col: 2,
+                    module: None,
+                    used: 0,
+                },
+                false => Frame::Play { used: 0 },
+            };
         }
-        match commit {
-            Commit::Module(m) => {
-                if is_body0 {
-                    *n.top_mut() = Frame::Task {
-                        col: 2,
-                        module: Some(m),
-                        used: 0,
-                    };
-                } else if let Frame::Task { module, .. } = n.top_mut() {
-                    *module = Some(m);
-                }
-                n.line = Line::Colon {
-                    after: AfterKey::Module { m },
-                };
+        let scalar = |spec| AfterKey::Scalar { spec };
+        let after = match (commit, n.top_mut()) {
+            (Commit::Module(m), Frame::Task { module, .. }) => {
+                *module = Some(m);
+                AfterKey::Module { m }
             }
-            Commit::TaskKw(k) => {
-                // In the Params domain, `TaskKw` carries the param index.
-                match n.top_mut() {
-                    Frame::Body0 { .. } => {
-                        *n.top_mut() = Frame::Task {
-                            col: 2,
-                            module: None,
-                            used: 1 << k,
-                        };
-                        let spec = self.t.task_kws[k as usize].spec;
-                        n.line = Line::Colon {
-                            after: AfterKey::Scalar { spec },
-                        };
-                    }
-                    Frame::Task { used, .. } => {
-                        *used |= 1 << k;
-                        let spec = self.t.task_kws[k as usize].spec;
-                        n.line = Line::Colon {
-                            after: AfterKey::Scalar { spec },
-                        };
-                    }
-                    Frame::Params { module, used, .. } => {
-                        *used |= 1 << k;
-                        let spec = self.t.modules[*module as usize].param_specs[k as usize];
-                        n.line = Line::Colon {
-                            after: AfterKey::Scalar { spec },
-                        };
-                    }
-                    _ => unreachable!("TaskKw commit outside task/params domain"),
-                }
+            (Commit::TaskKw(k), Frame::Task { used, .. }) => {
+                *used |= 1 << k;
+                scalar(self.t.task_kws[k as usize].spec)
             }
-            Commit::PlayKw(p) => {
-                if is_body0 {
-                    *n.top_mut() = Frame::Play { used: 1 << p };
-                } else if let Frame::Play { used } = n.top_mut() {
-                    *used |= 1 << p;
-                }
-                let spec = self.t.play_kws[p as usize].spec;
-                n.line = Line::Colon {
-                    after: AfterKey::Scalar { spec },
-                };
+            // In the Params domain, `TaskKw` carries the param index.
+            (Commit::TaskKw(k), Frame::Params { module, used, .. }) => {
+                *used |= 1 << k;
+                scalar(self.t.modules[*module as usize].param_specs[k as usize])
             }
-            Commit::TasksKey => {
-                if is_body0 {
-                    *n.top_mut() = Frame::Play { used: TASKS_BIT };
-                } else if let Frame::Play { used } = n.top_mut() {
-                    *used |= TASKS_BIT;
-                }
-                n.line = Line::Colon {
-                    after: AfterKey::TasksKey,
-                };
+            (Commit::PlayKw(p), Frame::Play { used }) => {
+                *used |= 1 << p;
+                scalar(self.t.play_kws[p as usize].spec)
             }
-        }
+            (Commit::TasksKey, Frame::Play { used }) => {
+                *used |= TASKS_BIT;
+                AfterKey::TasksKey
+            }
+            _ => unreachable!("key committed outside its domain"),
+        };
+        n.line = Line::Colon { after };
         n
     }
 
@@ -948,85 +829,53 @@ impl<'a> Machine<'a> {
         b: u8,
     ) -> Option<ConstraintState> {
         let mut n = *st;
-        match after {
-            AfterKey::Scalar { spec } => match b {
-                b' ' if spec.has_inline() => {
-                    n.line = Line::Value {
-                        spec,
-                        s: Scalar::Fresh,
-                    };
-                    Some(n)
+        let col = self.entry_col(n.top());
+        let value = |spec| Line::Value { spec, s: FRESH };
+        let start = Line::Start { spaces: 0 };
+        // The line the byte leaves, and the frame a block value opens.
+        let (line, block) = match (after, b) {
+            (AfterKey::Scalar { spec }, b' ') if spec.has_inline() => (value(spec), None),
+            (AfterKey::Scalar { spec }, b'\n') => match (spec.list, spec.map) {
+                (true, true) => (start, Some(Frame::YPending { col })),
+                (true, false) => {
+                    let null_ok = spec.nulls();
+                    (start, Some(Frame::Pending { col, null_ok }))
                 }
-                b'\n' if spec.list => {
-                    let col = self.content_col(n.top());
-                    if !n.push(Frame::Pending {
-                        col,
-                        null_ok: spec.nulls,
-                    }) {
-                        return None;
-                    }
-                    n.line = Line::Start { spaces: 0 };
-                    Some(n)
-                }
-                b'\n' if spec.nulls => {
-                    n.line = Line::Start { spaces: 0 };
-                    Some(n)
-                }
-                _ => None,
+                (false, true) => (
+                    start,
+                    Some(Frame::YMap {
+                        col: col + 2,
+                        seen: 0,
+                    }),
+                ),
+                (false, false) if spec.nulls() => (start, None),
+                _ => return None,
             },
-            AfterKey::Module { m } => match b {
-                b' ' if self.t.modules[m as usize].free_form => {
-                    n.line = Line::Value {
-                        spec: FREE_FORM_SPEC,
-                        s: Scalar::Fresh,
-                    };
-                    Some(n)
-                }
-                b'\n' => {
-                    if !self.t.modules[m as usize].params.is_empty() {
-                        let col = self.content_col(n.top()) + 2;
-                        if !n.push(Frame::Params {
-                            col,
-                            module: m,
-                            used: 0,
-                        }) {
-                            return None;
-                        }
-                    }
-                    n.line = Line::Start { spaces: 0 };
-                    Some(n)
-                }
-                _ => None,
-            },
-            AfterKey::TasksKey => {
-                if b == b'\n' && n.push(Frame::Tasks { has_item: false }) {
-                    n.line = Line::Start { spaces: 0 };
-                    Some(n)
-                } else {
-                    None
-                }
+            (AfterKey::Module { m }, b' ') if self.t.modules[m as usize].free_form => {
+                (value(FREE_FORM_SPEC), None)
             }
-            AfterKey::YamlKey => match b {
-                b' ' => {
-                    n.line = Line::Value {
-                        spec: YAML_SPEC,
-                        s: Scalar::Fresh,
-                    };
-                    Some(n)
-                }
-                b'\n' => {
-                    if n.ymap_depth() < 3 {
-                        let col = self.content_col(n.top());
-                        if !n.push(Frame::YPending { col }) {
-                            return None;
-                        }
-                    }
-                    n.line = Line::Start { spaces: 0 };
-                    Some(n)
-                }
-                _ => None,
-            },
+            (AfterKey::Module { m }, b'\n') => {
+                let params = !self.t.modules[m as usize].params.is_empty();
+                let frame = Frame::Params {
+                    col: col + 2,
+                    module: m,
+                    used: 0,
+                };
+                (start, params.then_some(frame))
+            }
+            (AfterKey::TasksKey, b'\n') => (start, Some(Frame::Tasks { has_item: false })),
+            (AfterKey::YamlKey, b' ') => (value(YAML_SPEC), None),
+            (AfterKey::YamlKey, b'\n') => (
+                start,
+                (n.ymap_depth() < 3).then_some(Frame::YPending { col }),
+            ),
+            _ => return None,
+        };
+        if let Some(frame) = block {
+            n.push(frame)?;
         }
+        n.line = line;
+        Some(n)
     }
 
     fn advance_value(
@@ -1037,136 +886,14 @@ impl<'a> Machine<'a> {
         b: u8,
     ) -> Option<ConstraintState> {
         if b == b'\n' {
-            if !self.scalar_end_ok(spec, &s) {
-                return None;
-            }
-            return Some(self.value_done(st));
+            return s.can_end(spec).then(|| self.value_done(st));
         }
-        let s2 = self.scalar_step(spec, &s, b)?;
         let mut n = *st;
-        n.line = Line::Value { spec: *spec, s: s2 };
+        n.line = Line::Value {
+            spec: *spec,
+            s: s.step(spec, b)?,
+        };
         Some(n)
-    }
-
-    fn scalar_step(&self, spec: &ValueSpec, s: &Scalar, b: u8) -> Option<Scalar> {
-        match *s {
-            Scalar::Fresh => {
-                if b == b'{' && spec.jinja {
-                    return Some(Scalar::Jinja(Jinja::Open2));
-                }
-                if spec.relaxed {
-                    if relaxed_first(b) {
-                        return Some(Scalar::Plain {
-                            bw: 0,
-                            len: 1,
-                            sp: false,
-                        });
-                    }
-                    return None;
-                }
-                if b.is_ascii_digit() && spec.digits {
-                    return Some(Scalar::Int {
-                        len: 1,
-                        zero: b == b'0',
-                    });
-                }
-                if strict_first(b) {
-                    if spec.plain {
-                        return Some(Scalar::Plain {
-                            bw: bw_init(b),
-                            len: 1,
-                            sp: false,
-                        });
-                    }
-                    // Word-restricted mode: only allowed bad words.
-                    let m = bw_init(b) & allowed_word_mask(spec);
-                    if m != 0 {
-                        return Some(Scalar::Plain {
-                            bw: m,
-                            len: 1,
-                            sp: false,
-                        });
-                    }
-                }
-                None
-            }
-            Scalar::Plain { bw, len, sp: _ } => {
-                let word_mode = !spec.plain && !spec.relaxed;
-                if word_mode {
-                    let m = bw_step(bw, len, b) & allowed_word_mask(spec);
-                    if m != 0 {
-                        return Some(Scalar::Plain {
-                            bw: m,
-                            len: len + 1,
-                            sp: false,
-                        });
-                    }
-                    return None;
-                }
-                if !plain_interior(b) {
-                    return None;
-                }
-                if b == b' ' {
-                    if len >= PLAIN_CAP - 1 {
-                        return None;
-                    }
-                } else if len >= PLAIN_CAP {
-                    return None;
-                }
-                Some(Scalar::Plain {
-                    bw: bw_step(bw, len, b),
-                    len: len + 1,
-                    sp: b == b' ',
-                })
-            }
-            Scalar::Int { len, zero } => {
-                if b.is_ascii_digit() && !zero && len < 9 {
-                    Some(Scalar::Int { len: len + 1, zero })
-                } else {
-                    None
-                }
-            }
-            Scalar::Jinja(j) => match j {
-                Jinja::Open2 => (b == b'{').then_some(Scalar::Jinja(Jinja::SpaceOpen)),
-                Jinja::SpaceOpen => (b == b' ').then_some(Scalar::Jinja(Jinja::Ident { len: 0 })),
-                Jinja::Ident { len } => {
-                    if len == 0 {
-                        ident_first(b).then_some(Scalar::Jinja(Jinja::Ident { len: 1 }))
-                    } else if b == b' ' {
-                        Some(Scalar::Jinja(Jinja::Close1))
-                    } else if jident_char(b) && len < JIDENT_CAP {
-                        Some(Scalar::Jinja(Jinja::Ident { len: len + 1 }))
-                    } else {
-                        None
-                    }
-                }
-                Jinja::Close1 => (b == b'}').then_some(Scalar::Jinja(Jinja::Close2)),
-                Jinja::Close2 => (b == b'}').then_some(Scalar::Closed),
-            },
-            Scalar::Closed => None,
-        }
-    }
-
-    fn scalar_end_ok(&self, spec: &ValueSpec, s: &Scalar) -> bool {
-        match *s {
-            Scalar::Plain { bw, len, sp } => {
-                if len == 0 || sp {
-                    return false;
-                }
-                if spec.relaxed {
-                    return true;
-                }
-                let exact = bw_exact(bw, len);
-                if !spec.plain {
-                    // Word mode: must be exactly an allowed word.
-                    exact & allowed_word_mask(spec) != 0
-                } else {
-                    exact == 0 || exact & allowed_word_mask(spec) != 0
-                }
-            }
-            Scalar::Int { .. } | Scalar::Closed => true,
-            Scalar::Fresh | Scalar::Jinja(_) => false,
-        }
     }
 
     /// Completes a value line: marks the enclosing sequence as holding an
@@ -1183,7 +910,7 @@ impl<'a> Machine<'a> {
                     module: None,
                     used: 0,
                 });
-                debug_assert!(pushed, "tasks nesting fits the stack");
+                debug_assert!(pushed.is_some(), "tasks nesting fits the stack");
             }
             Frame::Doc { has_item, kind } => {
                 *has_item = true;
@@ -1193,7 +920,7 @@ impl<'a> Machine<'a> {
                     DocKind::Playbook => (false, true),
                 };
                 let pushed = n.push(Frame::Body0 { task_ok, play_ok });
-                debug_assert!(pushed, "doc nesting fits the stack");
+                debug_assert!(pushed.is_some(), "doc nesting fits the stack");
             }
             _ => {}
         }
@@ -1209,13 +936,18 @@ impl<'a> Machine<'a> {
         match st.line {
             Line::ForceNewline => Some(b'\n'),
             Line::Start { spaces } => self.canonical_at_start(st, spaces),
+            Line::DocStart => self.canonical_at_start(st, 0),
+            Line::Marker { pos } => Some([b' ', b'-', b'\n'][pos as usize - 1]),
             Line::Key { acc } => {
-                if matches!(st.top(), Frame::YMap { .. }) {
-                    return Some(b':');
+                if let Frame::YMap { seen, .. } = st.top() {
+                    if seen & key_bit(acc.bytes()) == 0 {
+                        return Some(b':');
+                    }
+                    let free = (b'a'..=b'z').find(|&b| self.advance(st, b).is_some());
+                    return Some(free.unwrap_or(b':'));
                 }
-                let d = self.domain_of(st.top()).expect("key implies domain");
                 let k = self
-                    .cand_canonical(d, acc.bytes())
+                    .cand_canonical(st.top(), acc.bytes())
                     .expect("key prefix has a candidate");
                 if k.len() == acc.bytes().len() {
                     Some(b':')
@@ -1234,7 +966,7 @@ impl<'a> Machine<'a> {
                 AfterKey::Module { .. } | AfterKey::TasksKey => b'\n',
                 AfterKey::YamlKey => b' ',
             }),
-            Line::Value { spec, s } => Some(self.canonical_scalar(&spec, &s)),
+            Line::Value { spec, s } => Some(s.close(&spec).unwrap_or(b'\n')),
             Line::Dash => Some(b' '),
             Line::NamePrefix { pos } => Some(NAME_LIT[pos as usize]),
         }
@@ -1263,92 +995,14 @@ impl<'a> Machine<'a> {
             return Some(b' ');
         }
         Some(match f {
-            Frame::Doc { .. }
-            | Frame::Items { .. }
-            | Frame::Pending { .. }
-            | Frame::Tasks { .. }
-            | Frame::YSeq { .. }
-            | Frame::YPending { .. } => b'-',
-            Frame::YMap { seen, .. } => (b'a'..=b'z')
-                .chain([b'_'])
-                .find(|&b| seen & first_char_bit(b) == 0)
-                .expect("offers() ensured a free first char"),
-            _ => {
-                let d = self.domain_of(f).expect("key domain frame");
-                self.cand_canonical(d, &[])
-                    .expect("offers() ensured a candidate")
-                    .as_bytes()[0]
-            }
+            Frame::YPending { .. } => b'-',
+            _ if holds_items(f) => b'-',
+            Frame::YMap { .. } => b'a',
+            _ => self
+                .cand_canonical(f, &[])
+                .expect("offers() ensured a candidate")
+                .as_bytes()[0],
         })
-    }
-
-    fn canonical_scalar(&self, spec: &ValueSpec, s: &Scalar) -> u8 {
-        match *s {
-            Scalar::Fresh => {
-                if spec.plain || spec.relaxed {
-                    b'x'
-                } else if spec.digits {
-                    b'0'
-                } else if spec.bools || spec.nulls {
-                    self.canonical_word(allowed_word_mask(spec), 0)
-                } else {
-                    debug_assert!(spec.jinja, "value spec has at least one branch");
-                    b'{'
-                }
-            }
-            Scalar::Plain { bw, len, sp } => {
-                let word_mode = !spec.plain && !spec.relaxed;
-                if word_mode {
-                    let m = bw & allowed_word_mask(spec);
-                    return self.canonical_word(m, len);
-                }
-                if sp {
-                    return b'x';
-                }
-                let exact = bw_exact(bw, len);
-                if !spec.relaxed && exact != 0 && exact & allowed_word_mask(spec) == 0 {
-                    b'x' // extend past the bad word
-                } else {
-                    b'\n'
-                }
-            }
-            Scalar::Int { .. } | Scalar::Closed => b'\n',
-            Scalar::Jinja(j) => match j {
-                Jinja::Open2 => b'{',
-                Jinja::SpaceOpen => b' ',
-                Jinja::Ident { len } => {
-                    if len == 0 {
-                        b'x'
-                    } else {
-                        b' '
-                    }
-                }
-                Jinja::Close1 | Jinja::Close2 => b'}',
-            },
-        }
-    }
-
-    /// Next byte of the shortest allowed word still matched at `len`
-    /// (newline when a word is already complete).
-    fn canonical_word(&self, mask: u32, len: u8) -> u8 {
-        let mut best: Option<&'static str> = None;
-        for (i, w) in BAD_WORDS.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                let better = match best {
-                    None => true,
-                    Some(bw) => (w.len(), w.as_bytes()) < (bw.len(), bw.as_bytes()),
-                };
-                if better {
-                    best = Some(w);
-                }
-            }
-        }
-        let w = best.expect("word mode has at least one allowed word");
-        if w.len() == len as usize {
-            b'\n'
-        } else {
-            w.as_bytes()[len as usize]
-        }
     }
 
     /// Length in bytes of the canonical close from `st` (0 when accepting);

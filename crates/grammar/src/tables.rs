@@ -4,142 +4,95 @@
 //! The tables are derived at startup from the same sources the linter uses —
 //! [`wisdom_ansible::MODULES`], [`wisdom_ansible::TASK_KEYWORDS`] and
 //! [`wisdom_ansible::PLAY_KEYWORDS`] — so the grammar can never drift from
-//! the schema it is supposed to satisfy. Keyword value shapes are probed
-//! through the public [`KindSet::accepts`] predicate with representative
-//! values rather than re-encoding the kind bits.
+//! the schema it is supposed to satisfy. Value shapes are probed through
+//! the linter's own predicates, [`KindSet::accepts`] for keywords and
+//! [`wisdom_ansible::ParamKind::accepts`] for module parameters, with
+//! representative values rather than re-encoding the kind bits.
 
-use wisdom_ansible::{KindSet, ParamKind, ParamSpec, MODULES, PLAY_KEYWORDS, TASK_KEYWORDS};
-use wisdom_yaml::Value;
+use wisdom_ansible::{KindSet, ParamSpec, MODULES, PLAY_KEYWORDS, TASK_KEYWORDS};
+use wisdom_yaml::{Kind, Kinds, Mapping, Value};
 
-/// Which scalar/block shapes a value position accepts.
-///
-/// This is the grammar-side projection of the linter's `KindSet` /
-/// `ParamKind` checks onto the small family of value machines the automaton
-/// can actually drive.
+/// What a value position accepts: the grammar-side projection of the
+/// linter's `KindSet` / `ParamKind` checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct ValueSpec {
-    /// Letter-start plain scalar (guaranteed to resolve to `Str`).
-    pub plain: bool,
-    /// Digit-start integer scalar (`0`, or `[1-9][0-9]*`).
-    pub digits: bool,
-    /// A YAML boolean word (`true`/`yes`/…) may terminate the scalar.
-    pub bools: bool,
-    /// A null is acceptable: either the bare `key:` form or a `null` word.
-    pub nulls: bool,
+    /// Kinds an inline scalar may resolve to (a bare `key:` is a null).
+    pub accept: Kinds,
+    /// A template str: `{{ ident }}`, or a double-quoted value the template
+    /// rule accepts.
+    pub template: bool,
     /// A block sequence value (`key:` + indented `- item` lines).
     pub list: bool,
-    /// A `{{ var }}` Jinja template scalar.
-    pub jinja: bool,
-    /// Relaxed (YAML-only) mode: any resolution is fine, digit-start free
-    /// text allowed, no bad-word tracking.
-    pub relaxed: bool,
+    /// A block mapping value (`key:` + indented relaxed-YAML keys); only
+    /// where a null is accepted, since the mapping may stay empty.
+    pub map: bool,
 }
 
 impl ValueSpec {
-    pub(crate) const fn none() -> Self {
+    const fn of(accept: Kinds) -> Self {
         ValueSpec {
-            plain: false,
-            digits: false,
-            bools: false,
-            nulls: false,
+            accept,
+            template: true,
             list: false,
-            jinja: false,
-            relaxed: false,
+            map: false,
         }
+    }
+
+    pub(crate) fn nulls(&self) -> bool {
+        self.accept.contains(Kind::Null)
     }
 
     /// Whether any inline (same-line) scalar form exists.
     pub(crate) fn has_inline(&self) -> bool {
-        self.plain || self.digits || self.bools || self.jinja || self.relaxed
+        self.accept != Kinds::NONE || self.template
     }
 }
+
+const STR: Kinds = Kinds::NONE.with(Kind::Str);
+/// What a str parameter takes: a str, or a number (read as its text).
+const STR_NUM: Kinds = STR.with(Kind::Int).with(Kind::Float);
 
 /// Free-form module argument strings (`command: ls -la`): must resolve `Str`.
-pub(crate) const FREE_FORM_SPEC: ValueSpec = ValueSpec {
-    plain: true,
-    jinja: true,
-    ..ValueSpec::none()
-};
+pub(crate) const FREE_FORM_SPEC: ValueSpec = ValueSpec::of(STR);
 
-/// Generic block-sequence items: strict plain scalars so every item is a
-/// `Str` (this keeps `roles:` entries valid too).
-pub(crate) const ITEM_SPEC: ValueSpec = ValueSpec {
-    plain: true,
-    jinja: true,
-    ..ValueSpec::none()
-};
+/// Generic block-sequence items: strs only, so every item is also a valid
+/// `roles:` entry.
+pub(crate) const ITEM_SPEC: ValueSpec = ValueSpec::of(STR);
 
 /// `- name:` values for generated sibling tasks/plays. `name` is a string
-/// keyword: ints are accepted (`KindSet` folds numbers into strings), nulls
+/// keyword: numbers are accepted (`KindSet` folds them into strings), nulls
 /// are skipped by the linter, booleans are not accepted.
-pub(crate) const NAME_SPEC: ValueSpec = ValueSpec {
-    plain: true,
-    digits: true,
-    nulls: true,
-    jinja: true,
-    ..ValueSpec::none()
-};
+pub(crate) const NAME_SPEC: ValueSpec = ValueSpec::of(STR_NUM.with(Kind::Null));
 
-/// Relaxed scalars for the YAML-only constraint mode.
-pub(crate) const YAML_SPEC: ValueSpec = ValueSpec {
-    nulls: true,
-    jinja: true,
-    relaxed: true,
-    ..ValueSpec::none()
-};
+/// Any scalar at all, for the YAML-only constraint mode.
+pub(crate) const YAML_SPEC: ValueSpec = ValueSpec::of(Kinds::ALL);
 
-fn spec_from_kinds(kinds: &KindSet) -> ValueSpec {
+/// The spec of a value position the linter checks with `accepts`, probed
+/// with representative values.
+fn probe(accepts: impl Fn(&Value) -> bool) -> ValueSpec {
+    let probes = [
+        (Kind::Null, Value::Null),
+        (Kind::Str, Value::Str("plainvalue".into())),
+        (Kind::Bool, Value::Bool(true)),
+        (Kind::Int, Value::Int(1)),
+        (Kind::Float, Value::Float(0.5)),
+    ];
+    let accept = probes
+        .into_iter()
+        .filter(|(_, v)| accepts(v))
+        .fold(Kinds::NONE, |a, (k, _)| a.with(k));
     ValueSpec {
-        plain: kinds.accepts(&Value::Str("plainvalue".into())),
-        digits: kinds.accepts(&Value::Int(1)),
-        bools: kinds.accepts(&Value::Bool(true)),
-        // The linter skips type checks on null keyword values.
-        nulls: true,
-        list: kinds.accepts(&Value::Seq(Vec::new())),
-        // Jinja template strings are accepted for every keyword kind.
-        jinja: true,
-        relaxed: false,
+        accept,
+        template: accepts(&Value::Str("{{ x }}".into())),
+        list: accepts(&Value::Seq(Vec::new())),
+        // An empty block mapping reads back as a null.
+        map: accept.contains(Kind::Null) && accepts(&Value::Map(Mapping::new())),
     }
 }
 
-fn spec_from_param_kind(kind: ParamKind) -> ValueSpec {
-    match kind {
-        // `Str` params also accept ints/floats.
-        ParamKind::Str => ValueSpec {
-            plain: true,
-            digits: true,
-            jinja: true,
-            ..ValueSpec::none()
-        },
-        ParamKind::Bool => ValueSpec {
-            bools: true,
-            jinja: true,
-            ..ValueSpec::none()
-        },
-        ParamKind::Int => ValueSpec {
-            digits: true,
-            jinja: true,
-            ..ValueSpec::none()
-        },
-        ParamKind::List => ValueSpec {
-            list: true,
-            jinja: true,
-            ..ValueSpec::none()
-        },
-        ParamKind::Map => ValueSpec {
-            jinja: true,
-            ..ValueSpec::none()
-        },
-        ParamKind::Any => ValueSpec {
-            plain: true,
-            digits: true,
-            bools: true,
-            nulls: true,
-            list: true,
-            jinja: true,
-            relaxed: false,
-        },
-    }
+/// A keyword's spec: the linter skips type checks on null keyword values.
+fn keyword_spec(kinds: &KindSet) -> ValueSpec {
+    probe(|v| v.is_null() || kinds.accepts(v))
 }
 
 /// One module key spelling (both the FQCN and the short alias are separate
@@ -199,7 +152,7 @@ impl Tables {
             let param_specs: Vec<ValueSpec> = spec
                 .params
                 .iter()
-                .map(|p| spec_from_param_kind(p.kind))
+                .map(|p| probe(|v| p.kind.accepts(v)))
                 .collect();
             for key in [spec.fqcn, spec.short] {
                 if key.is_empty() {
@@ -220,7 +173,7 @@ impl Tables {
             .filter(|k| k.name != "name")
             .map(|k| KwEntry {
                 name: k.name,
-                spec: spec_from_kinds(&k.kinds),
+                spec: keyword_spec(&k.kinds),
             })
             .collect();
         assert!(task_kws.len() <= 63, "task keyword bitmask overflow");
@@ -234,13 +187,15 @@ impl Tables {
                 "roles" => play_kws.push(KwEntry {
                     name: "roles",
                     spec: ValueSpec {
+                        accept: Kinds::NONE,
+                        template: false,
                         list: true,
-                        ..ValueSpec::none()
+                        map: false,
                     },
                 }),
                 _ => play_kws.push(KwEntry {
                     name: k.name,
-                    spec: spec_from_kinds(&k.kinds),
+                    spec: keyword_spec(&k.kinds),
                 }),
             }
         }
@@ -276,14 +231,18 @@ mod tests {
     #[test]
     fn keyword_specs_match_lint_probes() {
         let t = Tables::build();
-        let when = t.task_kws.iter().find(|k| k.name == "when").unwrap();
-        assert!(when.spec.plain && when.spec.bools && when.spec.list);
-        let become_kw = t.task_kws.iter().find(|k| k.name == "become").unwrap();
-        assert!(!become_kw.spec.plain && become_kw.spec.bools);
-        let vars = t.task_kws.iter().find(|k| k.name == "vars").unwrap();
-        assert!(!vars.spec.plain && !vars.spec.list && vars.spec.jinja);
-        let retries = t.task_kws.iter().find(|k| k.name == "retries").unwrap();
-        assert!(retries.spec.digits && retries.spec.plain);
+        let spec = |name: &str| t.task_kws.iter().find(|k| k.name == name).unwrap().spec;
+        let when = spec("when");
+        assert!(when.accept.contains(Kind::Str) && when.accept.contains(Kind::Bool) && when.list);
+        let become_kw = spec("become");
+        assert!(!become_kw.accept.contains(Kind::Str) && become_kw.accept.contains(Kind::Bool));
+        assert!(!become_kw.accept.contains(Kind::Int) && !become_kw.list && !become_kw.map);
+        let vars = spec("vars");
+        assert!(vars.accept == Kinds::NONE.with(Kind::Null) && vars.map && !vars.list);
+        assert!(vars.template);
+        let retries = spec("retries");
+        assert!(retries.accept.contains(Kind::Int) && retries.accept.contains(Kind::Str));
+        assert!(!retries.accept.contains(Kind::Bool));
     }
 
     #[test]

@@ -182,10 +182,13 @@ fn random_byte_walk(mode: Mode, seed: u64) -> Result<(), TestCaseError> {
     let m = Machine::new(tables());
     let mut rng = Lcg(seed);
     let mut st = m.start_state(mode, b"- name: Walk\n");
+    let mut walked = Vec::new();
     for _ in 0..400 {
         prop_assert!(
             m.close_len(&st, None).is_some(),
-            "reachable state failed to close"
+            "reachable state failed to close after {:?}: {:?}",
+            String::from_utf8_lossy(&walked),
+            st
         );
         let legal: Vec<u8> = (0u8..=127)
             .filter(|&b| m.advance(&st, b).is_some())
@@ -198,6 +201,7 @@ fn random_byte_walk(mode: Mode, seed: u64) -> Result<(), TestCaseError> {
             break;
         }
         let b = legal[rng.pick(legal.len())];
+        walked.push(b);
         st = m.advance(&st, b).expect("picked legal byte");
     }
     Ok(())

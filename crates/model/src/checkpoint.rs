@@ -8,6 +8,8 @@
 use std::error::Error;
 use std::fmt;
 
+use wisdom_tensor::ParamTensor;
+
 use crate::config::ModelConfig;
 use crate::transformer::TransformerLm;
 
@@ -69,7 +71,9 @@ pub fn save_checkpoint(model: &TransformerLm) -> String {
     out
 }
 
-/// Restores a model from [`save_checkpoint`] output.
+/// Restores a model from [`save_checkpoint`] output. Tensors are read in
+/// the order [`save_checkpoint`] writes them (the model's canonical
+/// parameter order); a tensor out of that order is an unknown parameter.
 ///
 /// # Errors
 ///
@@ -98,60 +102,58 @@ pub fn load_checkpoint(text: &str) -> Result<TransformerLm, LoadCheckpointError>
         n_heads: get("heads")?,
         context_window: get("ctx")?,
     };
-    let mut rng = wisdom_prng::Prng::seed_from_u64(0);
-    let mut model = TransformerLm::new(cfg, &mut rng);
+    let mut model = TransformerLm::shaped(cfg, |rows, cols, _| ParamTensor::zeros(rows, cols));
+    let mut tensors = lines.enumerate().filter(|(_, line)| !line.is_empty());
     let mut loaded = 0usize;
-    for (idx, line) in lines.enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let lineno = idx + 2;
+    for (name, p) in model.named_parameters_mut() {
+        let Some((idx, line)) = tensors.next() else {
+            return Err(LoadCheckpointError::WrongShape(format!(
+                "checkpoint ends after {loaded} tensors, before {name}"
+            )));
+        };
+        let bad = |message: String| LoadCheckpointError::BadTensor {
+            line: idx + 2,
+            message,
+        };
         let mut parts = line.split_whitespace();
-        let name = parts
+        let got = parts
             .next()
-            .ok_or_else(|| LoadCheckpointError::BadTensor {
-                line: lineno,
-                message: "missing name".to_string(),
-            })?
-            .to_string();
-        let rows: usize = parts.next().and_then(|p| p.parse().ok()).ok_or_else(|| {
-            LoadCheckpointError::BadTensor {
-                line: lineno,
-                message: "missing rows".to_string(),
-            }
-        })?;
-        let cols: usize = parts.next().and_then(|p| p.parse().ok()).ok_or_else(|| {
-            LoadCheckpointError::BadTensor {
-                line: lineno,
-                message: "missing cols".to_string(),
-            }
-        })?;
-        let mut data = Vec::with_capacity(rows * cols);
-        for p in parts {
-            let bits = u32::from_str_radix(p, 16).map_err(|_| LoadCheckpointError::BadTensor {
-                line: lineno,
-                message: format!("bad hex value {p:?}"),
-            })?;
-            data.push(f32::from_bits(bits));
+            .ok_or_else(|| bad("missing name".to_string()))?;
+        if got != name {
+            return Err(bad(format!("unknown parameter {got:?} (expected {name})")));
         }
-        if data.len() != rows * cols {
-            return Err(LoadCheckpointError::BadTensor {
-                line: lineno,
-                message: format!("expected {} values, got {}", rows * cols, data.len()),
-            });
+        let mut dim = |what: &str| {
+            parts
+                .next()
+                .and_then(|p| p.parse::<usize>().ok())
+                .ok_or_else(|| bad(format!("missing {what}")))
+        };
+        let shape = (dim("rows")?, dim("cols")?);
+        if shape != (p.rows, p.cols) {
+            return Err(bad(format!(
+                "shape mismatch for {name}: checkpoint {}x{}, model {}x{}",
+                shape.0, shape.1, p.rows, p.cols
+            )));
         }
-        model
-            .set_parameter(&name, rows, cols, &data)
-            .map_err(|message| LoadCheckpointError::BadTensor {
-                line: lineno,
-                message,
-            })?;
+        p.data.clear();
+        for part in parts {
+            let bits = u32::from_str_radix(part, 16)
+                .map_err(|_| bad(format!("bad hex value {part:?}")))?;
+            p.data.push(f32::from_bits(bits));
+        }
+        if p.data.len() != p.rows * p.cols {
+            return Err(bad(format!(
+                "expected {} values, got {}",
+                p.rows * p.cols,
+                p.data.len()
+            )));
+        }
         loaded += 1;
     }
-    let expected = model.named_parameters().count();
-    if loaded != expected {
+    if let Some((idx, _)) = tensors.next() {
         return Err(LoadCheckpointError::WrongShape(format!(
-            "expected {expected} tensors, loaded {loaded}"
+            "tensor past the last of {loaded} at line {}",
+            idx + 2
         )));
     }
     Ok(model)

@@ -135,6 +135,18 @@ impl TransformerLm {
     /// Creates a model with GPT-2-style initialization (N(0, 0.02) weights,
     /// residual projections scaled by 1/√(2·layers)).
     pub fn new(cfg: ModelConfig, rng: &mut Prng) -> Self {
+        Self::shaped(cfg, |rows, cols, std| {
+            ParamTensor::randn(rows, cols, std, rng)
+        })
+    }
+
+    /// A model of `cfg`'s shapes: layer-norm gains 1, biases 0, and each
+    /// weight matrix `weight(rows, cols, std)`, asked for in the order
+    /// [`Self::new`] draws them.
+    pub(crate) fn shaped(
+        cfg: ModelConfig,
+        mut weight: impl FnMut(usize, usize, f32) -> ParamTensor,
+    ) -> Self {
         let d = cfg.d_model;
         let ff = cfg.d_ff();
         let std = 0.02;
@@ -143,29 +155,29 @@ impl TransformerLm {
             .map(|_| Block {
                 ln1_g: ParamTensor::constant(1, d, 1.0),
                 ln1_b: ParamTensor::zeros(1, d),
-                wq: ParamTensor::randn(d, d, std, rng),
+                wq: weight(d, d, std),
                 bq: ParamTensor::zeros(1, d),
-                wk: ParamTensor::randn(d, d, std, rng),
+                wk: weight(d, d, std),
                 bk: ParamTensor::zeros(1, d),
-                wv: ParamTensor::randn(d, d, std, rng),
+                wv: weight(d, d, std),
                 bv: ParamTensor::zeros(1, d),
-                wo: ParamTensor::randn(d, d, res_std, rng),
+                wo: weight(d, d, res_std),
                 bo: ParamTensor::zeros(1, d),
                 ln2_g: ParamTensor::constant(1, d, 1.0),
                 ln2_b: ParamTensor::zeros(1, d),
-                w1: ParamTensor::randn(d, ff, std, rng),
+                w1: weight(d, ff, std),
                 b1: ParamTensor::zeros(1, ff),
-                w2: ParamTensor::randn(ff, d, res_std, rng),
+                w2: weight(ff, d, res_std),
                 b2: ParamTensor::zeros(1, d),
             })
             .collect();
         Self {
-            tok_emb: ParamTensor::randn(cfg.vocab_size, d, std, rng),
-            pos_emb: ParamTensor::randn(cfg.context_window, d, 0.01, rng),
+            tok_emb: weight(cfg.vocab_size, d, std),
+            pos_emb: weight(cfg.context_window, d, 0.01),
             blocks,
             lnf_g: ParamTensor::constant(1, d, 1.0),
             lnf_b: ParamTensor::zeros(1, d),
-            lm_head: ParamTensor::randn(d, cfg.vocab_size, std, rng),
+            lm_head: weight(d, cfg.vocab_size, std),
             cfg,
             precision: Precision::F32,
             quant: None,
@@ -356,33 +368,12 @@ impl TransformerLm {
             .map(|(name, p)| (name, p.data.as_slice(), p.rows, p.cols))
     }
 
-    /// Overwrites one named parameter tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the name is unknown or the shape mismatches.
-    pub fn set_parameter(
+    /// [`Self::named_parameters`], writable: checkpoint loading fills a
+    /// [`Self::shaped`] model through it.
+    pub(crate) fn named_parameters_mut(
         &mut self,
-        name: &str,
-        rows: usize,
-        cols: usize,
-        data: &[f32],
-    ) -> Result<(), String> {
-        let names = self.param_names();
-        let idx = names
-            .iter()
-            .position(|n| n == name)
-            .ok_or_else(|| format!("unknown parameter {name:?}"))?;
-        let mut params = self.params_mut();
-        let p = &mut params[idx];
-        if (p.rows, p.cols) != (rows, cols) || data.len() != p.data.len() {
-            return Err(format!(
-                "shape mismatch for {name}: checkpoint {rows}x{cols}, model {}x{}",
-                p.rows, p.cols
-            ));
-        }
-        p.data.copy_from_slice(data);
-        Ok(())
+    ) -> impl Iterator<Item = (String, &mut ParamTensor)> {
+        self.param_names().into_iter().zip(self.params_mut())
     }
 
     fn param_names(&self) -> Vec<String> {

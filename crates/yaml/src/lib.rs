@@ -39,11 +39,13 @@ mod emitter;
 mod error;
 mod lexer;
 mod parser;
+mod scalar;
 mod value;
 
 pub use emitter::{emit, emit_documents, EmitOptions};
 pub use error::ParseYamlError;
 pub use parser::{parse, parse_documents, MAX_NESTING_DEPTH};
+pub use scalar::{is_template, resolve_plain_scalar, Kind, Kinds, Scan, Template};
 pub use value::{Mapping, Value};
 
 #[cfg(test)]

@@ -4,8 +4,10 @@
 //! multi-byte characters and indentation digits. Every mutant must parse
 //! without panicking and within a fixed time; one that parses must re-parse
 //! equal after `emit`; and the crate must agree with the owned-tree oracle
-//! on all of it. `scripts/check.sh` runs this suite in release on the fixed
-//! case budget below.
+//! on all of it. The plain scalars of the corpus and of the mutants must
+//! resolve as the resolver before the scalar scanner did (kept in the
+//! oracle as `oracle::value::resolve_plain_scalar`). `scripts/check.sh` runs
+//! this suite in release on the fixed case budget below.
 
 mod oracle;
 
@@ -138,6 +140,62 @@ fn check(src: &str) {
     assert!(elapsed < CASE_BUDGET, "{src:?} took {elapsed:?}");
 }
 
+/// Every text on `doc`'s lines a plain scalar could hold: the line, what
+/// follows its first `: ` or leading `- `, and each word.
+fn plain_candidates(doc: &str) -> impl Iterator<Item = &str> {
+    doc.lines().flat_map(|line| {
+        let t = line.trim();
+        let value = t.split_once(": ").map(|(_, v)| v);
+        let item = t.strip_prefix("- ");
+        [t].into_iter()
+            .chain(value)
+            .chain(item)
+            .chain(t.split_whitespace())
+    })
+}
+
+fn assert_resolves_as_before(doc: &str) {
+    for text in plain_candidates(doc) {
+        let now = wisdom_yaml::resolve_plain_scalar(text).into_owned();
+        let before = oracle::value::resolve_plain_scalar(text);
+        let agree = match (&now, &before) {
+            (Value::Float(a), oracle::Value::Float(b)) => a.to_bits() == b.to_bits(),
+            (Value::Null, oracle::Value::Null) => true,
+            (Value::Bool(a), oracle::Value::Bool(b)) => a == b,
+            (Value::Int(a), oracle::Value::Int(b)) => a == b,
+            (Value::Str(a), oracle::Value::Str(b)) => a == b,
+            _ => false,
+        };
+        assert!(agree, "{text:?} resolves to {now:?}, was {before:?}");
+    }
+}
+
+#[test]
+fn corpus_plain_scalars_resolve_as_before() {
+    for doc in corpus() {
+        assert_resolves_as_before(doc);
+    }
+    // Every word the resolver knows, near misses, and number edge cases.
+    let words =
+        "~ null Null NULL nULL true True TRUE tRUE yes Yes YES yES on On ON oN false False \
+        FALSE fALSE no No NO nO off Off OFF oFF .inf .Inf .INF .iNF +.inf +.Inf -.inf -.Inf -.INF \
+        .nan .NaN .NAN .nAN";
+    for text in words.split_whitespace().chain([
+        "0x-1F",
+        "0o+7",
+        "1e+",
+        "1.e5",
+        ".5e",
+        "-.5",
+        "00x1",
+        "9223372036854775808",
+        "0x8000000000000000",
+        "",
+    ]) {
+        assert_resolves_as_before(text);
+    }
+}
+
 #[test]
 fn inputs_that_panicked_the_owned_parser_are_answered() {
     for src in PANICKED {
@@ -159,5 +217,6 @@ proptest! {
             src = mutate(PANICKED[rng.range_usize(0, PANICKED.len())], &mut rng);
         }
         check(&src);
+        assert_resolves_as_before(&src);
     }
 }

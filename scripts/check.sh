@@ -25,7 +25,10 @@
 # walks the real vocabulary through both the entry and the filtered walk, and the
 # optimized build is the one that serves), printing how many masks the
 # recycled pool built on each pass so a change to the cache's cap or policy
-# shows in this log — the YAML crate's suites (the hostile-bytes mutation
+# shows in this log, and the line of its completeness test that says how
+# much lint-clean gold walks to acceptance (`test N/66 train N/619 galaxy
+# N/224`), so a change to the automaton's language shows here too — the YAML
+# crate's suites (the hostile-bytes mutation
 # suite runs its fixed case budget where the parser ships, and agrees with
 # the owned-tree oracle there) — a batch of 8 on a two-worker scheduler in
 # release, for the line that says how many requests and decode rounds each
@@ -208,6 +211,8 @@ echo "served-shape agreement + logits, draft and constrained digests (release): 
 cargo test --release -q -p wisdom-curation
 cargo test --release -q -p wisdom-curation --lib a_pass_hands_over_one_message_per_chunk -- --nocapture | grep 'hand-offs per pass'
 cargo test --release -q -p wisdom-grammar -- --nocapture | grep -v '^$'
+cargo test --release -q -p wisdom-grammar --test automaton_completeness -- --nocapture |
+    grep -oE 'test [0-9]+/[0-9]+ train [0-9]+/[0-9]+ galaxy [0-9]+/[0-9]+'
 cargo test --release -q -p wisdom-yaml
 cargo test --release -q -p wisdom-model --lib a_batch_of_eight_decodes_four_and_four -- --nocapture |
     grep 'admitted per worker'
